@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from ._kernels import backend_name
 from .bep_analysis import (
     BepContext,
+    UnionBound,
     UubBound,
     max_modulation_order,
     min_acf_for_rate,
@@ -20,6 +21,7 @@ from .bep_analysis import (
     psk_bep_approx,
     q_function,
     q_inverse,
+    union_bound,
     uub,
 )
 from .channel import (
@@ -100,7 +102,8 @@ __all__ = [
     "DetectorKind", "BepEstimate", "ml_detect", "so_detect",
     "monte_carlo_bep", "effective_variance",
     # bep analysis
-    "BepContext", "UubBound", "pep", "uub", "psk_bep_approx",
+    "BepContext", "UubBound", "UnionBound", "union_bound", "pep", "uub",
+    "psk_bep_approx",
     "q_function", "q_inverse", "min_acf_for_rate", "max_modulation_order",
     # rate optimizer
     "RateThreshold", "RateSchedule", "RateOptimum", "build_rate_schedule",

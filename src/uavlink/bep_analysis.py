@@ -4,11 +4,18 @@ The central object is the Hamming-weighted union upper bound (UUB) on the
 bit-error probability. Its pairwise terms are the exact pairwise errors of
 the sub-optimum (nearest-reference) detector, so it bounds that detector;
 on PSK the SO rule equals ML decision for decision, so there it also
-bounds ML. Around it sit the pairwise error probability, the Gray-mapping
-PSK approximation, the CSI threshold inversion used by the rate schedule,
-and the maximum feasible modulation order.
+bounds ML. The bound has one implementation, `UnionBound`: built once per
+constellation and cached by (scheme, order) in `union_bound`, with the M^2
+pairwise terms grouped by their distinct squared distances, and evaluated
+over arrays of (C, gamma). Its value, its slope in ln(gamma) and its
+infinite-power floor serve `uub`, the CSI threshold inversion and maximum
+feasible modulation order here, and the batched QAM power solve in
+power_control. Around it sit the pairwise error probability and the
+Gray-mapping PSK approximation.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,8 @@ __all__ = [
     "q_inverse",
     "BepContext",
     "UubBound",
+    "UnionBound",
+    "union_bound",
     "pep",
     "uub",
     "psk_bep_approx",
@@ -38,6 +47,7 @@ __all__ = [
 # bisection tolerances for the threshold inversion
 _C_ABS_TOL = 1e-12
 _BEP_REL_TOL = 1e-8
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def q_function(x):
@@ -87,17 +97,17 @@ class UubBound:
         return self.value
 
 
-def _pep_argument_sq(ctx: BepContext, d_sq, s_sq):
-    """Squared Q-function argument of the pairwise error probability.
+def _pep_argument(gamma, acf, norm_sq, d_sq, s_sq):
+    """Q-function argument of the pairwise error probability, sqrt(A), and
+    the denominator of A.
 
-    numerator   gamma * C^2 * ||h||^2 * |s_m - s_mhat|^2
-    denominator 2 * gamma * (1 - C^2) * |s_m|^2 + 2
-    (|s_m|^2 is the transmitted symbol's energy.)
+    A = gamma * C^2 * ||h||^2 * |s_m - s_mhat|^2 / den with
+    den = 2 * gamma * (1 - C^2) * |s_m|^2 + 2 (|s_m|^2 is the transmitted
+    symbol's energy). C is taken out of the square root, so a tiny C does
+    not underflow A. Broadcasts.
     """
-    g, c = ctx.snr_linear, ctx.acf_value
-    num = g * c * c * ctx.estimate.norm_sq * d_sq
-    den = 2.0 * g * (1.0 - c * c) * s_sq + 2.0
-    return num / den
+    den = 2.0 * gamma * (1.0 - acf * acf) * s_sq + 2.0
+    return acf * np.sqrt(gamma * norm_sq * d_sq / den), den
 
 
 def pep(m: int, m_hat: int, ctx: BepContext) -> float:
@@ -106,20 +116,112 @@ def pep(m: int, m_hat: int, ctx: BepContext) -> float:
     Indices are 0-based positions in the constellation.
     """
     pts = ctx.constellation.points
-    d_sq = abs(pts[m] - pts[m_hat]) ** 2
-    s_sq = abs(pts[m]) ** 2
-    return float(q_function(np.sqrt(_pep_argument_sq(ctx, d_sq, s_sq))))
+    arg, _ = _pep_argument(ctx.snr_linear, ctx.acf_value, ctx.estimate.norm_sq,
+                           abs(pts[m] - pts[m_hat]) ** 2, abs(pts[m]) ** 2)
+    return float(q_function(arg))
+
+
+# pairwise terms evaluated per block, bounding the (points x terms)
+# temporaries of a long array of (C, gamma) points
+_BLOCK_TERMS = 1 << 12
+
+
+class UnionBound:
+    """Hamming-weighted union bound of one constellation, as grouped terms.
+
+    The M^2 pairwise terms N[m, mhat] Q(sqrt(arg(|s_m|^2, |s_m - s_mhat|^2)))
+    depend on the pair only through the two squared distances, so pairs
+    whose (|s_m|^2, |s_m - s_mhat|^2) agree up to rounding are merged into
+    one term carrying their summed Hamming weight (each distance is the
+    group's mean). 64-QAM keeps 224 terms of 4096, 64-PSK 32. Terms of zero
+    weight, the diagonal among them, are dropped.
+
+    Every method broadcasts over arrays of C and gamma; ||h||^2 is a scalar.
+    Use `union_bound(scheme, order)` for the cached instance.
+    """
+
+    def __init__(self, c: Constellation):
+        pts = c.points
+        d_sq = (np.abs(pts[:, None] - pts[None, :]) ** 2).ravel()
+        s_sq = np.repeat(np.abs(pts) ** 2, c.order)
+        n_mat = hamming_matrix(c).ravel()
+        key = np.stack([np.round(s_sq, 9), np.round(d_sq, 9)], axis=1)
+        _, group = np.unique(key, axis=0, return_inverse=True)
+        group = group.ravel()
+        size = np.bincount(group)
+        weight = np.bincount(group, weights=n_mat)
+        keep = weight > 0
+        self.order = c.order
+        self.s_sq = (np.bincount(group, weights=s_sq) / size)[keep]
+        self.d_sq = (np.bincount(group, weights=d_sq) / size)[keep]
+        self.weight = weight[keep] / (c.order * c.bits_per_symbol)
+        for a in (self.s_sq, self.d_sq, self.weight):
+            a.flags.writeable = False  # shared by every caller of the cache
+
+    @property
+    def n_terms(self) -> int:
+        return self.d_sq.size
+
+    def _map(self, terms, norm_sq, acf, gamma) -> tuple:
+        """Weighted sums over the grouped terms of each output of
+        `terms(norm_sq, C, gamma)`: floats for scalar C and gamma, else
+        arrays of their broadcast shape, evaluated in row blocks."""
+        if np.ndim(acf) == 0 and np.ndim(gamma) == 0:
+            return tuple(float(np.sum(self.weight * part))
+                         for part in terms(norm_sq, float(acf), float(gamma)))
+        shape = np.broadcast_shapes(np.shape(acf), np.shape(gamma))
+        acf, gamma = (np.broadcast_to(np.asarray(x, dtype=np.float64),
+                                      shape).reshape(-1, 1)
+                      for x in (acf, gamma))
+        rows = max(1, _BLOCK_TERMS // self.n_terms)
+        blocks = [[np.sum(self.weight * part, axis=-1)
+                   for part in terms(norm_sq, acf[lo:lo + rows],
+                                     gamma[lo:lo + rows])]
+                  for lo in range(0, max(len(acf), 1), rows)]
+        return tuple(np.concatenate(out).reshape(shape)
+                     for out in zip(*blocks))
+
+    def _u_terms(self, norm_sq, acf, gamma):
+        arg, _ = _pep_argument(gamma, acf, norm_sq, self.d_sq, self.s_sq)
+        return (q_function(arg),)
+
+    def _uv_terms(self, norm_sq, acf, gamma):
+        # d Q(sqrt(A)) / d ln(gamma) = -phi(sqrt(A)) sqrt(A) / den
+        arg, den = _pep_argument(gamma, acf, norm_sq, self.d_sq, self.s_sq)
+        return (q_function(arg),
+                np.exp(-0.5 * arg * arg) * arg / (_SQRT_2PI * den))
+
+    def _floor_terms(self, norm_sq, acf, _gamma):
+        # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
+        # which is infinite (Q = 0) at C = 1
+        with np.errstate(divide="ignore"):
+            arg = acf * np.sqrt(norm_sq * self.d_sq
+                                / (2.0 * (1.0 - acf * acf) * self.s_sq))
+        return (q_function(arg),)
+
+    def u(self, norm_sq: float, acf, gamma):
+        """Raw union bound (may exceed 1 at low SNR)."""
+        return self._map(self._u_terms, norm_sq, acf, gamma)[0]
+
+    def u_and_slope(self, norm_sq: float, acf, gamma):
+        """(u, v): the raw bound and its slope v = -du/d ln(gamma) >= 0."""
+        return self._map(self._uv_terms, norm_sq, acf, gamma)
+
+    def floor(self, norm_sq: float, acf):
+        """Infinite-power limit of the bound, set by the CSI quality C."""
+        return self._map(self._floor_terms, norm_sq, acf, 1.0)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def union_bound(scheme: str, order: int) -> UnionBound:
+    """The cached UnionBound of constellation_for(scheme, order)."""
+    return UnionBound(constellation_for(scheme, order))
 
 
 def _uub_raw(ctx: BepContext) -> float:
     c = ctx.constellation
-    pts = c.points
-    d_sq = np.abs(pts[:, None] - pts[None, :]) ** 2
-    s_sq = np.abs(pts) ** 2
-    n_mat = hamming_matrix(c)
-    arg_sq = _pep_argument_sq(ctx, d_sq, s_sq[:, None])
-    total = np.sum(n_mat * q_function(np.sqrt(arg_sq)))
-    return float(total / (c.order * c.bits_per_symbol))
+    return union_bound(c.scheme, c.order).u(ctx.estimate.norm_sq,
+                                            ctx.acf_value, ctx.snr_linear)
 
 
 def uub(ctx: BepContext) -> UubBound:
@@ -152,18 +254,16 @@ def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value: float,
     return float(2.0 / bits * q_function(np.sqrt(num / den)))
 
 
-def _assert_monotone_in_c(estimate, snr_linear, constellation,
-                          n_grid: int = 33) -> None:
+def _assert_monotone_in_c(bound: UnionBound, norm_sq: float,
+                          snr_linear: float, n_grid: int = 33) -> None:
     """The threshold bisection needs the UUB non-increasing in C."""
-    grid = np.linspace(0.0, 1.0, n_grid)
-    vals = [_uub_raw(BepContext(estimate, c, snr_linear, constellation))
-            for c in grid]
+    vals = bound.u(norm_sq, np.linspace(0.0, 1.0, n_grid), snr_linear)
     diffs = np.diff(vals)
     # allow FP jitter at the flat ends of the curve
     if np.any(diffs > 1e-12 + 1e-9 * np.abs(vals[:-1])):
         raise MonotonicityError(
             f"UUB is not non-increasing in C for order "
-            f"{constellation.order} at snr={snr_linear:.6g}")
+            f"{bound.order} at snr={snr_linear:.6g}")
 
 
 def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate,
@@ -177,11 +277,12 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate,
     """
     if rate_n < 1:
         raise ValueError("rate_n must be at least 1")
-    c = constellation_for(scheme, 2 ** rate_n)
-    _assert_monotone_in_c(estimate, snr_linear, c)
+    bound = union_bound(scheme, 2 ** rate_n)
+    norm_sq = estimate.norm_sq
+    _assert_monotone_in_c(bound, norm_sq, snr_linear)
 
     def f(acf: float) -> float:
-        return _uub_raw(BepContext(estimate, acf, snr_linear, c)) - bep_threshold
+        return bound.u(norm_sq, acf, snr_linear) - bep_threshold
 
     if f(1.0) > 0.0:
         raise InfeasibleRateError(
@@ -196,11 +297,18 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate,
             lo = mid
         else:
             hi = mid
-    root = hi  # the feasible side of the bracket
-    if abs(f(root)) > _BEP_REL_TOL * bep_threshold:
-        raise MonotonicityError(
-            f"threshold inversion did not converge for rate {rate_n}")
-    return root
+    # where the bound is steep in C a 1e-12 bracket can still miss the
+    # residual tolerance: keep halving, down to float resolution
+    while abs(f(hi)) > _BEP_REL_TOL * bep_threshold:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise MonotonicityError(
+                f"threshold inversion did not converge for rate {rate_n}")
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi  # the feasible side of the bracket
 
 
 def max_modulation_order(estimate: ChannelEstimate, snr_linear: float,
@@ -211,8 +319,7 @@ def max_modulation_order(estimate: ChannelEstimate, snr_linear: float,
     """
     best = 0
     for order in SUPPORTED_ORDERS:
-        c = constellation_for(scheme, order)
-        ctx = BepContext(estimate, 1.0, snr_linear, c)
-        if _uub_raw(ctx) <= bep_threshold:
+        if union_bound(scheme, order).u(estimate.norm_sq, 1.0,
+                                        snr_linear) <= bep_threshold:
             best = max(best, order)
     return best

@@ -6,7 +6,7 @@ captured by a scalar temporal ACF C(dt) applied to the whole antenna
 vector; the innovation is circularly-symmetric complex Gaussian.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import i0e
@@ -79,6 +79,7 @@ class ChannelEstimate:
 
     h: np.ndarray
     t_estimate: float
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.complex128)
@@ -89,10 +90,8 @@ class ChannelEstimate:
             raise ValueError("h entries must be finite")
         if np.linalg.norm(h) == 0:
             raise ValueError("h must not be the zero vector")
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.h) ** 2))
+        # ||h||^2, summed once: every closed-form BEP expression reads it
+        object.__setattr__(self, "norm_sq", float(np.sum(np.abs(h) ** 2)))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import backend_name
-from .bep_analysis import BepContext, psk_bep_approx, uub
+from .bep_analysis import BepContext, psk_bep_approx, union_bound, uub
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .constellation import constellation_for
 from .detectors import DetectorKind, monte_carlo_bep
@@ -34,6 +34,8 @@ from .rate_optimizer import (
     average_rate,
     build_rate_schedule,
     optimum_transmission_time,
+    sample_grid,
+    sample_lags,
     sweep_rave_max,
 )
 from .scenario import (
@@ -341,29 +343,16 @@ def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
                ["t_start", "t_end", "rate_bits", "order", "c_start", "c_end"],
                rows, meta)
 
-    trace = []
-    if not schedule.is_empty:
-        n_steps = int(math.floor((schedule.t_zero_rate - t_e)
-                                 / cfg.sample_dt + 1e-9))
-        for k in range(1, n_steps + 1):
-            t = t_e + k * cfg.sample_dt
-            rate = schedule.rate_at(t)
-            if rate == 0:
-                break
-            acf = temporal_acf(cfg.wobble, t - t_e)
-            c = constellation_for(cfg.scheme, 1 << rate)
-            bound = float(uub(BepContext(cfg.estimate, acf, gamma_max, c)))
-            trace.append((t, acf, rate, 1 << rate, bound))
+    t, rate = sample_grid(schedule, cfg.sample_dt)
+    acf = temporal_acf(cfg.wobble, t - t_e)
+    bound = _region_bound(cfg, rate, acf, gamma_max, psk_approx=False)
+    trace = list(zip(t.tolist(), acf.tolist(), rate.tolist(),
+                     (1 << rate).tolist(), bound.tolist()))
     _write_csv(out_dir / "adapt_uub_trace.csv",
                ["t", "acf", "rate_bits", "order", "uub"], trace, meta)
 
-    curve = []
-    if not schedule.is_empty:
-        t_c_max = schedule.t_zero_rate - t_e
-        n_steps = int(math.floor(t_c_max / cfg.sample_dt + 1e-9))
-        curve = [(k * cfg.sample_dt,
-                  average_rate(schedule, k * cfg.sample_dt))
-                 for k in range(1, n_steps + 1)]
+    curve = [(t_c, average_rate(schedule, t_c))
+             for t_c in sample_lags(schedule, cfg.sample_dt).tolist()]
     _write_csv(out_dir / "adapt_rave.csv", ["t_c", "r_ave"], curve, meta)
 
 
@@ -382,11 +371,22 @@ def cmd_rate_opt(cfg: RunConfig, out_dir: Path) -> None:
                ["snr_db", "bep_threshold", "r_ave_max"], rows, meta)
 
 
-def _bep_at(cfg: RunConfig, order: int, acf: float, gamma: float) -> float:
-    if cfg.scheme == "psk":
-        return psk_bep_approx(order, cfg.estimate, acf, gamma)
-    c = constellation_for(cfg.scheme, order)
-    return float(uub(BepContext(cfg.estimate, acf, gamma, c)))
+def _region_bound(cfg: RunConfig, rate: np.ndarray, acf: np.ndarray,
+                  gamma, psk_approx: bool) -> np.ndarray:
+    """BEP at each sample: the UUB clamped to 1, one call per rate region,
+    or with psk_approx the PSK approximation per sample."""
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), acf.shape)
+    out = np.empty(acf.shape)
+    for r in np.unique(rate).tolist():
+        region = rate == r
+        if psk_approx:
+            out[region] = [psk_bep_approx(1 << r, cfg.estimate, a, g)
+                           for a, g in zip(acf[region].tolist(),
+                                           gamma[region].tolist())]
+        else:
+            out[region] = np.minimum(union_bound(cfg.scheme, 1 << r).u(
+                cfg.estimate.norm_sq, acf[region], gamma[region]), 1.0)
+    return out
 
 
 def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
@@ -397,12 +397,13 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     pl = path_loss_db(cfg.scenario)
     n0 = noise_power_dbm(cfg.scenario)
 
-    rows = []
-    for s in power.samples:
-        gamma_emitted = 10.0 ** ((s.p_min_dbm - pl - n0) / 10.0)
-        rows.append((s.t, s.rate, s.order, s.acf_value, s.gamma_min_db,
-                     s.p_min_dbm, s.clamped,
-                     _bep_at(cfg, s.order, s.acf_value, gamma_emitted)))
+    rate = np.array([s.rate for s in power.samples], dtype=np.int64)
+    acf = np.array([s.acf_value for s in power.samples])
+    gamma_emitted = 10.0 ** ((np.array([s.p_min_dbm for s in power.samples])
+                              - pl - n0) / 10.0)
+    bep = _region_bound(cfg, rate, acf, gamma_emitted,
+                        psk_approx=cfg.scheme == "psk")
+    rows = [(*s, b) for s, b in zip(power.samples, bep.tolist())]
     meta = _base_meta(cfg)
     meta.update(gamma_max_db=10.0 * math.log10(gamma_max),
                 bep_threshold=cfg.scenario.bep_threshold,

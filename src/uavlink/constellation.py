@@ -22,6 +22,9 @@ __all__ = [
 
 SUPPORTED_ORDERS = (2, 4, 8, 16, 32, 64)
 
+# popcount of every 6-bit label (and label XOR); labels fit in 6 bits
+POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.int64)
+
 
 def _gray(n: int) -> int:
     return n ^ (n >> 1)
@@ -146,7 +149,4 @@ def constellation_for(scheme: str, order: int) -> Constellation:
 
 def hamming_matrix(c: Constellation) -> np.ndarray:
     """M x M matrix of label bit differences N[m, m_hat]."""
-    x = c.labels[:, None] ^ c.labels[None, :]
-    # popcount via lookup; labels fit in 6 bits
-    table = np.array([bin(v).count("1") for v in range(64)], dtype=np.int64)
-    return table[x]
+    return POPCOUNT[c.labels[:, None] ^ c.labels[None, :]]

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import detect_symbols
 from .channel import ChannelEstimate
-from .constellation import Constellation
+from .constellation import POPCOUNT, Constellation
 
 __all__ = [
     "DetectorKind",
@@ -30,8 +30,6 @@ __all__ = [
 ]
 
 _BATCH = 8192  # fixed batch size; part of the determinism contract
-
-_POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.int64)
 
 
 class DetectorKind(enum.Enum):
@@ -119,7 +117,7 @@ def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
     y = np.sqrt(snr_linear) * h_t * c.points[tx, None] + noise
     detected = _detect_batch(y, estimate, acf_value, snr_linear, c, detector)
     diff = c.labels[tx] ^ c.labels[detected]
-    return int(_POPCOUNT[diff].sum())
+    return int(POPCOUNT[diff].sum())
 
 
 def monte_carlo_bep(estimate: ChannelEstimate, acf_value: float,

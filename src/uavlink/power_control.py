@@ -5,6 +5,11 @@ inverse, so the union bound is driven to the threshold with the
 multiplicative Newton-Raphson update gamma * (u_m/beta)^(u_m/v_m); when
 that update misbehaves (it has no global convergence guarantee) a
 bisection on ln(gamma) over a verified bracket finishes the job.
+
+The bound, its slope in ln(gamma) and its infinite-power floor come from
+the one cached, grouped `bep_analysis.UnionBound`. The power trace solves
+all QAM samples of a rate region in one batch, each sample running the
+same algorithm as the scalar `min_snr_qam` (which is the one-sample case).
 """
 
 import math
@@ -13,11 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bep_analysis import q_function, q_inverse
+from .bep_analysis import q_inverse, union_bound
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
-from .constellation import Constellation, hamming_matrix, make_qam
+from .constellation import Constellation
 from .errors import DivergenceError, InfeasibleCsiError, ScheduleError, SchemeError
-from .rate_optimizer import RateSchedule
+from .rate_optimizer import RateSchedule, sample_grid
 from .scenario import LinkScenario, noise_power_dbm, path_loss_db
 
 __all__ = [
@@ -34,6 +39,7 @@ __all__ = [
     "energy_savings",
 ]
 
+_GAMMA_INIT = 1000.0  # 30 dB: where the QAM root search starts
 _LN_TOL = 1e-9  # convergence tolerance on ln(gamma)
 _MAX_ITER = 100
 _LN_GAMMA_LIMIT = math.log(1e15)  # leaving this range counts as divergence
@@ -87,39 +93,18 @@ def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value: float,
     return alpha_sq / den
 
 
-def _pairwise_factors(estimate: ChannelEstimate, acf_value: float,
-                      c: Constellation):
-    """lam (MxM), psi (M,), Hamming weights for the root equation."""
-    pts = c.points
-    hc_sq = estimate.norm_sq * acf_value * acf_value
-    lam = hc_sq * np.abs(pts[:, None] - pts[None, :]) ** 2
-    psi = 2.0 * (1.0 - acf_value * acf_value) * np.abs(pts) ** 2
-    return lam, psi, hamming_matrix(c)
+def _newton_target(gamma, u, v, bep_threshold: float):
+    """ln of the multiplicative update gamma * (u/beta)^(u/v), elementwise.
 
-
-def _u_of(gamma: float, lam, psi, n_mat, order: int, bits: int) -> float:
-    """Union-bound value u_m(gamma) from the pairwise factors."""
-    arg_sq = lam * gamma / (psi[:, None] * gamma + 2.0)
-    return float(np.sum(n_mat * q_function(np.sqrt(arg_sq)))
-                 / (order * bits))
-
-
-def _v_of(gamma: float, lam, psi, n_mat, order: int, bits: int) -> float:
-    """Negated derivative of u_m w.r.t. ln(gamma), as a direct sum:
-
-    v_m = sum N * Lam * sqrt(gamma) * exp(-Lam g / (2 psi g + 4))
-          / (M log2 M * sqrt(2 pi * Lam * (g psi + 2)^3))
-
-    Diagonal terms have Lam = 0 and zero Hamming weight; they are masked
-    out rather than evaluated as 0/0.
+    NaN where the state is degenerate (u or v non-finite or non-positive)
+    or the update leaves the usable SNR range: the divergence tests.
     """
-    den3 = (gamma * psi[:, None] + 2.0) ** 3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = (lam * math.sqrt(gamma)
-                * np.exp(-lam * gamma / (2.0 * psi[:, None] * gamma + 4.0))
-                / np.sqrt(2.0 * math.pi * lam * den3))
-    term = np.where(lam > 0.0, term, 0.0)
-    return float(np.sum(n_mat * term) / (order * bits))
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        ln_next = np.log(gamma) + u / v * (np.log(u) - math.log(bep_threshold))
+        ok = (np.isfinite(u) & np.isfinite(v) & (u > 0.0) & (v > 0.0)
+              & np.isfinite(ln_next) & (np.abs(ln_next) <= _LN_GAMMA_LIMIT))
+    return np.where(ok, ln_next, np.nan)
 
 
 def evaluate_iterate(gamma: float, estimate: ChannelEstimate,
@@ -127,10 +112,12 @@ def evaluate_iterate(gamma: float, estimate: ChannelEstimate,
     """NewtonIterate with u_m, v_m, lam, psi all evaluated at `gamma`."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    bits = c.order.bit_length() - 1
-    lam, psi, n_mat = _pairwise_factors(estimate, acf_value, c)
-    u = _u_of(gamma, lam, psi, n_mat, c.order, bits)
-    v = _v_of(gamma, lam, psi, n_mat, c.order, bits)
+    pts = c.points
+    hc_sq = estimate.norm_sq * acf_value * acf_value
+    lam = hc_sq * np.abs(pts[:, None] - pts[None, :]) ** 2
+    psi = 2.0 * (1.0 - acf_value * acf_value) * np.abs(pts) ** 2
+    u, v = union_bound(c.scheme, c.order).u_and_slope(estimate.norm_sq,
+                                                      acf_value, gamma)
     return NewtonIterate(gamma, u, v, lam, psi)
 
 
@@ -139,98 +126,131 @@ def newton_step(estimate: ChannelEstimate, acf_value: float,
                 c: Constellation) -> NewtonIterate:
     """One multiplicative update gamma * (u_m/beta)^(u_m/v_m).
 
-    Computed in the log domain; a non-finite update raises DivergenceError.
-    The returned iterate is re-evaluated at the new gamma, so u_m = beta
-    is a fixed point.
+    Computed in the log domain; a degenerate state or a non-finite or
+    out-of-range update raises DivergenceError. The returned iterate is
+    re-evaluated at the new gamma, so u_m = beta is a fixed point.
     """
     it = iterate
-    if not (math.isfinite(it.u_m) and math.isfinite(it.v_m)) \
-            or it.u_m <= 0.0 or it.v_m <= 0.0:
+    ln_next = float(_newton_target(it.gamma_re, it.u_m, it.v_m, bep_threshold))
+    if math.isnan(ln_next):
         raise DivergenceError(
-            f"Newton state degenerate at gamma={it.gamma_re:.6g} "
+            f"Newton update diverged at gamma={it.gamma_re:.6g} "
             f"(u={it.u_m:.3g}, v={it.v_m:.3g})")
-    ln_next = (math.log(it.gamma_re)
-               + it.u_m / it.v_m * (math.log(it.u_m) - math.log(bep_threshold)))
-    if not math.isfinite(ln_next) or abs(ln_next) > _LN_GAMMA_LIMIT:
-        raise DivergenceError(
-            f"Newton update left the usable SNR range (ln gamma = {ln_next:.3g})")
     return evaluate_iterate(math.exp(ln_next), estimate, acf_value, c)
 
 
-def _feasible_floor(estimate: ChannelEstimate, acf_value: float,
-                    c: Constellation) -> float:
-    """Infinite-power limit of the union bound at this ACF value."""
-    bits = c.order.bit_length() - 1
-    lam, psi, n_mat = _pairwise_factors(estimate, acf_value, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.sqrt(lam / psi[:, None])
-    arg = np.where(psi[:, None] > 0.0, arg, np.inf)
-    arg = np.where(lam > 0.0, arg, np.inf)  # diagonal: zero weight anyway
-    return float(np.sum(n_mat * q_function(arg)) / (c.order * bits))
+class _QamRoots(NamedTuple):
+    gamma_min: np.ndarray
+    iterations: np.ndarray
+    newton: np.ndarray  # True where Newton converged, False: bisection
+
+
+def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
+               bep_threshold: float,
+               gamma_init: float = _GAMMA_INIT) -> _QamRoots:
+    """Minimum SNR of every sample in `acf` at once, one sample's algorithm
+    applied elementwise.
+
+    Each sample runs multiplicative Newton from gamma_init until
+    |d ln gamma| <= 1e-9; if it diverges or has not converged after 100
+    steps it falls back to bisection on ln(gamma) over a bracket grown by
+    factors of 10 around the target. Samples never mix: each keeps its own
+    iterate, iteration count and method.
+    """
+    bound = union_bound("qam", order)
+    norm_sq, beta = estimate.norm_sq, bep_threshold
+    acf = np.asarray(acf, dtype=np.float64)
+    infeasible = bound.floor(norm_sq, acf) >= beta
+    if infeasible.any():
+        raise InfeasibleCsiError(
+            f"{order}-QAM cannot reach {beta:g} at "
+            f"C={acf[infeasible][0]:.6f} for any power")
+
+    n = acf.size
+    gamma = np.full(n, float(gamma_init))
+    u, v = bound.u_and_slope(norm_sq, acf, gamma)
+    iterations = np.zeros(n, dtype=np.int64)
+    newton = np.zeros(n, dtype=bool)
+    out = np.empty(n)
+    live = np.arange(n)  # samples still in the Newton phase
+    for _ in range(_MAX_ITER):
+        if live.size == 0:
+            break
+        ln_next = _newton_target(gamma[live], u[live], v[live], beta)
+        ok = ~np.isnan(ln_next)  # the rest diverged: bisection
+        live, ln_next = live[ok], ln_next[ok]
+        g_next = np.exp(ln_next)
+        u[live], v[live] = bound.u_and_slope(norm_sq, acf[live], g_next)
+        iterations[live] += 1
+        done = np.abs(np.log(g_next) - np.log(gamma[live])) <= _LN_TOL
+        gamma[live] = g_next
+        out[live[done]] = g_next[done]
+        newton[live[done]] = True
+        live = live[~done]
+
+    rest = np.flatnonzero(~newton)
+    if rest.size:
+        out[rest], steps = _bisect_ln_gamma(bound, norm_sq, acf[rest], beta,
+                                            gamma_init)
+        iterations[rest] += steps
+    return _QamRoots(out, iterations, newton)
+
+
+def _bisect_ln_gamma(bound, norm_sq: float, acf: np.ndarray, beta: float,
+                     gamma_init: float):
+    """Bisection on ln(gamma) per sample; returns (roots, steps taken).
+
+    u is decreasing in gamma: each bracket [lo, hi] has u(lo) > beta > u(hi).
+    """
+    hi = np.full(acf.size, max(gamma_init, 1.0))
+    grow = bound.u(norm_sq, acf, hi) >= beta
+    while grow.any():
+        hi[grow] *= 10.0
+        if np.any(hi[grow] > 1e30):
+            raise DivergenceError("no upper bracket for the QAM root")
+        grow[grow] = bound.u(norm_sq, acf[grow], hi[grow]) >= beta
+    lo = np.full(acf.size, min(gamma_init, 1e-9))
+    grow = bound.u(norm_sq, acf, lo) <= beta
+    while grow.any():
+        lo[grow] /= 10.0
+        if np.any(lo[grow] < 1e-30):
+            raise DivergenceError("no lower bracket for the QAM root")
+        grow[grow] = bound.u(norm_sq, acf[grow], lo[grow]) <= beta
+
+    ln_lo, ln_hi = np.log(lo), np.log(hi)
+    steps = np.zeros(acf.size, dtype=np.int64)
+    live = np.flatnonzero(ln_hi - ln_lo > _LN_TOL)
+    while live.size:
+        mid = 0.5 * (ln_lo[live] + ln_hi[live])
+        steps[live] += 1
+        above = bound.u(norm_sq, acf[live], np.exp(mid)) > beta
+        ln_lo[live[above]] = mid[above]
+        ln_hi[live[~above]] = mid[~above]
+        live = live[ln_hi[live] - ln_lo[live] > _LN_TOL]
+    return np.exp(0.5 * (ln_lo + ln_hi)), steps
 
 
 def min_snr_qam(order: int, estimate: ChannelEstimate, acf_value: float,
-                bep_threshold: float, gamma_init: float = 1000.0,
+                bep_threshold: float, gamma_init: float = _GAMMA_INIT,
                 details: bool = False):
     """Minimum SNR driving the M-QAM union bound to the threshold.
 
     Newton-Raphson from `gamma_init` (default 30 dB); on divergence or
     non-convergence, bisection on ln(gamma) over a bracket grown around
     the target. Raises InfeasibleCsiError when even infinite power cannot
-    meet the threshold (the bound's C-limited floor is too high).
+    meet the threshold (the bound's C-limited floor is too high). This is
+    the one-sample case of the batched solve behind min_power_schedule.
 
     With details=True returns QamRootInfo(gamma_min, iterations, method).
     """
     if order == 2:
         raise SchemeError("order-2 QAM is BPSK; use min_snr_psk(2, ...)")
-    c = make_qam(order)
-    bits = c.order.bit_length() - 1
-    if _feasible_floor(estimate, acf_value, c) >= bep_threshold:
-        raise InfeasibleCsiError(
-            f"{order}-QAM cannot reach {bep_threshold:g} at C={acf_value:.6f} "
-            "for any power")
-
-    it = evaluate_iterate(gamma_init, estimate, acf_value, c)
-    iterations = 0
-    try:
-        while iterations < _MAX_ITER:
-            nxt = newton_step(estimate, acf_value, bep_threshold, it, c)
-            iterations += 1
-            if abs(math.log(nxt.gamma_re) - math.log(it.gamma_re)) <= _LN_TOL:
-                if details:
-                    return QamRootInfo(nxt.gamma_re, iterations, "newton")
-                return nxt.gamma_re
-            it = nxt
-    except DivergenceError:
-        pass  # fall through to bisection
-
-    lam, psi, n_mat = _pairwise_factors(estimate, acf_value, c)
-
-    def u(gamma: float) -> float:
-        return _u_of(gamma, lam, psi, n_mat, c.order, bits)
-
-    # u is decreasing in gamma: bracket [lo, hi] with u(lo) > beta > u(hi)
-    hi = max(gamma_init, 1.0)
-    while u(hi) >= bep_threshold:
-        hi *= 10.0
-        if hi > 1e30:
-            raise DivergenceError("no upper bracket for the QAM root")
-    lo = min(gamma_init, 1e-9)
-    while u(lo) <= bep_threshold:
-        lo /= 10.0
-        if lo < 1e-30:
-            raise DivergenceError("no lower bracket for the QAM root")
-    ln_lo, ln_hi = math.log(lo), math.log(hi)
-    while ln_hi - ln_lo > _LN_TOL:
-        mid = 0.5 * (ln_lo + ln_hi)
-        iterations += 1
-        if u(math.exp(mid)) > bep_threshold:
-            ln_lo = mid
-        else:
-            ln_hi = mid
-    gamma = math.exp(0.5 * (ln_lo + ln_hi))
+    roots = _solve_qam(order, estimate, np.array([acf_value]), bep_threshold,
+                       gamma_init)
+    gamma = float(roots.gamma_min[0])
     if details:
-        return QamRootInfo(gamma, iterations, "bisection")
+        return QamRootInfo(gamma, int(roots.iterations[0]),
+                           "newton" if roots.newton[0] else "bisection")
     return gamma
 
 
@@ -254,54 +274,49 @@ class PowerSchedule:
     p_max_dbm: float
 
 
-def _min_snr_for(scheme: str, order: int, estimate: ChannelEstimate,
-                 acf_value: float, bep_threshold: float) -> float:
-    if scheme == "psk" or order == 2:
-        return min_snr_psk(order, estimate, acf_value, bep_threshold)
-    return min_snr_qam(order, estimate, acf_value, bep_threshold)
-
-
 def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
                        scenario: LinkScenario, wobble: WobbleParams,
                        sample_dt: float = 1e-5) -> PowerSchedule:
     """Minimum transmit power at each sample of the transmitting interval.
 
     P_min[dBm] = gamma_min[dB] + P_L[dB] + N_0[dBm], clamped to the power
-    cap with a flag. The solvers cannot legitimately fail inside a region
-    (the schedule guarantees feasibility up to each t_n), so an infeasible
-    sample raises ScheduleError.
+    cap with a flag. The samples of each rate region are solved together
+    (QAM: one batched root solve; PSK: the closed form per sample). The
+    solvers cannot legitimately fail inside a region (the schedule
+    guarantees feasibility up to each t_n), so an infeasible sample raises
+    ScheduleError.
     """
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
     if schedule.is_empty:
         return PowerSchedule(schedule.scheme, (), sample_dt,
                              scenario.p_max_dbm)
-    t_e = schedule.t_estimate
-    pl = path_loss_db(scenario)
-    n0 = noise_power_dbm(scenario)
-
-    samples = []
-    n_steps = int(math.floor((schedule.t_zero_rate - t_e) / sample_dt + 1e-9))
-    for k in range(1, n_steps + 1):
-        t = t_e + k * sample_dt
-        rate = schedule.rate_at(t)
-        if rate == 0:
-            break
-        order = 1 << rate
-        acf_value = temporal_acf(wobble, t - t_e)
+    t, rate = sample_grid(schedule, sample_dt)
+    acf = temporal_acf(wobble, t - schedule.t_estimate)
+    beta = scenario.bep_threshold
+    gamma = np.empty(t.size)
+    for r in np.unique(rate).tolist():
+        region = rate == r
+        order = 1 << r
         try:
-            gamma = _min_snr_for(schedule.scheme, order, estimate,
-                                 acf_value, scenario.bep_threshold)
+            if schedule.scheme == "psk" or order == 2:
+                gamma[region] = [min_snr_psk(order, estimate, a, beta)
+                                 for a in acf[region].tolist()]
+            else:
+                gamma[region] = _solve_qam(order, estimate, acf[region],
+                                           beta).gamma_min
         except InfeasibleCsiError as exc:
             raise ScheduleError(
-                f"power infeasible inside rate-{rate} region at t={t:.6f}; "
+                f"power infeasible inside rate-{r} region ({exc}); "
                 "schedule and threshold disagree") from exc
-        gamma_db = 10.0 * math.log10(gamma)
-        p = gamma_db + pl + n0
-        clamped = p > scenario.p_max_dbm
-        samples.append(PowerSample(t, rate, order, acf_value, gamma_db,
-                                   min(p, scenario.p_max_dbm), clamped))
-    return PowerSchedule(schedule.scheme, tuple(samples), sample_dt,
+    gamma_db = 10.0 * np.log10(gamma)
+    p = gamma_db + path_loss_db(scenario) + noise_power_dbm(scenario)
+    clamped = p > scenario.p_max_dbm
+    p_min = np.minimum(p, scenario.p_max_dbm)
+    samples = tuple(map(PowerSample._make, zip(
+        t.tolist(), rate.tolist(), (1 << rate).tolist(), acf.tolist(),
+        gamma_db.tolist(), p_min.tolist(), clamped.tolist())))
+    return PowerSchedule(schedule.scheme, samples, sample_dt,
                          scenario.p_max_dbm)
 
 

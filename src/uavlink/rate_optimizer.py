@@ -10,6 +10,7 @@ derivative inside each staircase region, so the maximizer sits on a region
 boundary; the optimizer evaluates the exact average at each candidate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "build_rate_schedule",
     "average_rate",
     "rate_derivative",
+    "sample_lags",
+    "sample_grid",
     "optimum_transmission_time",
     "sweep_rave_max",
 ]
@@ -89,13 +92,22 @@ class RateSchedule:
         return self.thresholds[n - 1].t_n
 
     def rate_at(self, t: float) -> int:
-        """Instantaneous rate: n on (t_{n+1}, t_n], 0 outside."""
-        if t <= self.t_estimate or t > self.t_zero_rate:
+        """Instantaneous rate: n on (t_{n+1}, t_n], 0 outside.
+
+        t_n decreases as n grows, so the rate is r_max less the number of
+        switch times before t.
+        """
+        if t <= self.t_estimate:
             return 0
-        for th in reversed(self.thresholds):  # highest rate first
-            if t <= th.t_n:
-                return th.n
-        return 0
+        return self.r_max - sum(th.t_n < t for th in self.thresholds)
+
+    def rates_at(self, t) -> np.ndarray:
+        """rate_at over an array of instants (searchsorted on the t_n)."""
+        t = np.asarray(t, dtype=np.float64)
+        # switch times ascending: t_{r_max}, ..., t_1
+        ends = np.array([th.t_n for th in reversed(self.thresholds)])
+        rate = self.r_max - np.searchsorted(ends, t, side="left")
+        return np.where(t > self.t_estimate, rate, 0)
 
 
 @dataclass(frozen=True)
@@ -145,6 +157,27 @@ def build_rate_schedule(estimate: ChannelEstimate, snr_linear: float,
         RateThreshold(n, c_n, t_estimate + acf_inverse(wobble, c_n, dt_max))
         for n, c_n in enumerate(cs, start=1))
     return RateSchedule(scheme, r_max, thresholds, t_estimate)
+
+
+def sample_lags(schedule: RateSchedule, sample_dt: float) -> np.ndarray:
+    """Lags k * sample_dt, k = 1, 2, ..., spanning (0, t_1 - T_e].
+
+    The count allows a 1e-9 step of rounding, so the last instant may sit a
+    hair past t_1 (where sample_grid drops it).
+    """
+    n_steps = int(math.floor((schedule.t_zero_rate - schedule.t_estimate)
+                             / sample_dt + 1e-9))
+    return np.arange(1, n_steps + 1) * sample_dt
+
+
+def sample_grid(schedule: RateSchedule,
+                sample_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sample instants T_e + k * sample_dt of the transmitting interval
+    and the rate in force at each; instants at rate 0 are left out."""
+    t = schedule.t_estimate + sample_lags(schedule, sample_dt)
+    rate = schedule.rates_at(t)
+    keep = rate > 0
+    return t[keep], rate[keep]
 
 
 def average_rate(schedule: RateSchedule, t_c: float) -> float:

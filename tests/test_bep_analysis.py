@@ -5,14 +5,18 @@ cross-checked against direct numerical evaluation (mpmath erfc for the Q
 function, brute-force pair sums for the union bound).
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
 from uavlink import (
     BepContext,
+    ChannelEstimate,
+    UnionBound,
     UubBound,
     constellation_for,
     max_modulation_order,
@@ -21,10 +25,11 @@ from uavlink import (
     psk_bep_approx,
     q_function,
     q_inverse,
+    union_bound,
     uub,
 )
 from uavlink.bep_analysis import _uub_raw
-from uavlink.constellation import hamming_matrix
+from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
 from uavlink.errors import InfeasibleRateError, SchemeError
 from uavlink.fixtures import load_fixture
 
@@ -137,6 +142,113 @@ class TestUub:
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def _ungrouped_terms(c, norm_sq, acf, gamma):
+    """Hamming weights, |s_m - s_mhat|^2, |s_m|^2 and the squared pairwise
+    arguments over all M x M pairs."""
+    pts = c.points
+    d_sq = np.abs(pts[:, None] - pts[None, :]) ** 2
+    s_sq = np.abs(pts[:, None]) ** 2
+    num = gamma * acf * acf * norm_sq * d_sq
+    den = 2.0 * gamma * (1.0 - acf * acf) * s_sq + 2.0
+    return hamming_matrix(c), d_sq, s_sq, num / den
+
+
+def _tail_rel(u):
+    """Relative tolerance between two float64 evaluations of a UUB value u:
+    1e-13, plus the Q tail's amplification of argument rounding. Q(x)
+    turns a relative rounding of x into x^2 ~ 2|ln u| times that, so tail
+    values differ by ~1e-15 |ln u| (5.7e-13 seen at u ~ 1e-300)."""
+    return 1e-13 + (1e-15 * abs(math.log(u)) if u > 0 else 0.0)
+
+
+class TestUnionBound:
+    """The grouped bound against ungrouped M x M reference sums."""
+
+    @given(scheme_order=st.sampled_from(
+               [(s, o) for s in ("psk", "qam") for o in SUPPORTED_ORDERS]),
+           h=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                      min_size=1, max_size=8),
+           acf=st.floats(0.0, 1.0),
+           log_gamma=st.floats(-3.0, 8.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_ungrouped_sum(self, scheme_order, h, acf, log_gamma):
+        mpmath = pytest.importorskip("mpmath")
+        h = np.array([complex(re, im) for re, im in h])
+        assume(np.sum(np.abs(h) ** 2) > 1e-6)
+        est = ChannelEstimate(h, 1e-3)
+        c = constellation_for(*scheme_order)
+        bound = union_bound(*scheme_order)
+        gamma = 10.0 ** log_gamma
+        norm = c.order * c.bits_per_symbol
+
+        # u: float sum over every pair; values below 1e-300 are
+        # near-subnormal and carry fewer digits
+        n_mat, d_sq, s_sq, arg_sq = _ungrouped_terms(c, est.norm_sq, acf,
+                                                     gamma)
+        want = np.sum(n_mat * q_function(np.sqrt(arg_sq))) / norm
+        got, slope = bound.u_and_slope(est.norm_sq, acf, gamma)
+        assert got == pytest.approx(want, rel=_tail_rel(want), abs=1e-300)
+        assert bound.u(est.norm_sq, acf, gamma) == got
+
+        # v: central difference in ln(gamma) of the same sum, at 30 digits
+        # more than the cancellation u(g e^-eps) - u(g e^eps) costs
+        mp = mpmath.mp.clone()
+        if got > 0 and slope > 0:
+            mp.dps = 30 + max(0, int(math.log10(got) - math.log10(slope)))
+        else:
+            mp.dps = 30
+        pairs = [(int(n_mat[m, k]), mp.mpf(float(d_sq[m, k])),
+                  mp.mpf(float(s_sq[m, 0])))
+                 for m in range(c.order) for k in range(c.order)
+                 if n_mat[m, k]]
+        a2, b = mp.mpf(acf) ** 2 * mp.mpf(est.norm_sq), 1 - mp.mpf(acf) ** 2
+
+        def u_mp(g):
+            return mp.fsum(n * mp.erfc(mp.sqrt(g * a2 * d / (2 * g * b * s + 2)
+                                               / 2))
+                           for n, d, s in pairs) / (2 * norm)
+
+        eps, g = mp.mpf("1e-10"), mp.mpf(gamma)
+        fd = float((u_mp(g * mp.exp(-eps)) - u_mp(g * mp.exp(eps)))
+                   / (2 * eps))
+        assert slope == pytest.approx(fd, rel=1e-7, abs=1e-300)
+
+        # floor: the C-limited limit of every pairwise argument
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lim = acf * acf * est.norm_sq * d_sq / (2.0 * (1.0 - acf * acf)
+                                                    * s_sq)
+        q_lim = np.where(n_mat > 0, q_function(np.sqrt(lim)), 0.0)
+        want = np.sum(n_mat * q_lim) / norm
+        assert bound.floor(est.norm_sq, acf) == pytest.approx(
+            want, rel=_tail_rel(want), abs=1e-300)
+
+    @pytest.mark.parametrize("scheme,order,terms", [
+        ("qam", 16, 22), ("qam", 64, 224), ("psk", 64, 32)])
+    def test_grouped_term_count(self, scheme, order, terms):
+        bound = union_bound(scheme, order)
+        assert isinstance(bound, UnionBound)
+        assert bound.n_terms == terms
+        assert union_bound(scheme, order) is bound  # cached
+        # the summed weights are all the off-diagonal Hamming weight
+        c = constellation_for(scheme, order)
+        assert bound.weight.sum() * order * c.bits_per_symbol == \
+            pytest.approx(hamming_matrix(c).sum(), rel=1e-14)
+
+    def test_broadcasts_and_blocks(self, estimate):
+        # a long array is evaluated in blocks; each point equals its own
+        # scalar evaluation
+        bound = union_bound("qam", 64)
+        acf = np.linspace(0.9, 1.0, 3001)
+        gamma = np.geomspace(1.0, 1e4, 3001)
+        u, v = bound.u_and_slope(estimate.norm_sq, acf, gamma)
+        assert u.shape == v.shape == acf.shape
+        for k in (0, 1234, 3000):
+            su, sv = bound.u_and_slope(estimate.norm_sq, acf[k], gamma[k])
+            assert (u[k], v[k]) == (su, sv)
+        grid = bound.u(estimate.norm_sq, acf[:4, None], gamma[None, :5])
+        assert grid.shape == (4, 5)
+
+
 class TestPskApprox:
     @pytest.mark.parametrize("order", [8, 16, 32])
     def test_equals_nearest_neighbour_subsum(self, estimate, order):
@@ -175,6 +287,17 @@ class TestMinAcfForRate:
             c = constellation_for(scheme, 2 ** rate)
             val = _uub_raw(BepContext(estimate, c_n, GAMMA_MAX, c))
             assert abs(val - beta) <= 1e-8 * beta
+
+    def test_steep_bound_meets_residual(self, estimate):
+        # 64-PSK, 4 dB above the cap SNR, beta = 1e-7: one 1e-12 step in C
+        # moves the bound by 1.7e-8 relative, more than the residual
+        # tolerance, so the bisection must go on below the 1e-12 bracket
+        g, beta = GAMMA_MAX * 10.0 ** 0.4, 1e-7
+        c_n = min_acf_for_rate(6, estimate, g, "psk", beta)
+        c = constellation_for("psk", 64)
+        val = _uub_raw(BepContext(estimate, c_n, g, c))
+        assert val <= beta
+        assert abs(val - beta) <= 1e-8 * beta
 
     def test_frozen_thresholds(self, estimate):
         # regression pins at the transmit-cap SNR, threshold 1e-5

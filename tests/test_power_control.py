@@ -6,10 +6,13 @@ numbers use the case1 channel, a 1e-5 threshold, the 35 dBm cap and a
 10 us sampling grid.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from uavlink import (
     BepContext,
@@ -34,7 +37,7 @@ from uavlink import (
 from uavlink.constellation import make_qam
 from uavlink.errors import DivergenceError, InfeasibleCsiError, SchemeError
 from uavlink.fixtures import load_fixture
-from uavlink.scenario import noise_power_dbm, path_loss_db
+from uavlink.scenario import average_snr_db, noise_power_dbm, path_loss_db
 
 GAMMA_MAX = 277.1359929049
 BETA = 1e-5
@@ -256,6 +259,62 @@ class TestPowerSchedule:
         with pytest.raises(ValueError):
             min_power_schedule(schedule, fx.estimate, fx.scenario, fx.wobble,
                                sample_dt=0.0)
+
+
+def _bep_at(estimate, scheme, s, gamma):
+    if scheme == "psk" or s.order == 2:
+        return psk_bep_approx(s.order, estimate, s.acf_value, gamma)
+    return uub(BepContext(estimate, s.acf_value, gamma,
+                          make_qam(s.order))).raw
+
+
+def _trace(fx, scheme, sample_dt):
+    """Schedule at the power cap's SNR and its minimum-power trace."""
+    gamma_max = 10.0 ** (average_snr_db(fx.scenario.p_max_dbm,
+                                        fx.scenario) / 10.0)
+    schedule = build_rate_schedule(fx.estimate, gamma_max, scheme,
+                                   fx.scenario.bep_threshold, fx.wobble,
+                                   fx.scenario.t_estimate)
+    return schedule, min_power_schedule(schedule, fx.estimate, fx.scenario,
+                                        fx.wobble, sample_dt=sample_dt)
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_samples_never_mix(self, case):
+        # each batched QAM root equals a one-sample solve of that sample
+        fx = load_fixture(case)
+        _, power = _trace(fx, "qam", 4e-5)
+        qam = [s for s in power.samples if s.order > 2]
+        assert len({s.order for s in qam}) >= 3
+        for s in qam:
+            alone = min_snr_qam(s.order, fx.estimate, s.acf_value,
+                                fx.scenario.bep_threshold)
+            assert s.gamma_min_db == pytest.approx(10.0 * math.log10(alone),
+                                                   rel=1e-12)
+
+    @given(case=st.sampled_from(["case1", "case2"]),
+           scheme=st.sampled_from(["psk", "qam"]),
+           p_max_dbm=st.floats(25.0, 45.0),
+           log_beta=st.floats(-7.0, -2.0))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_feasible_schedule_invariants(self, case, scheme, p_max_dbm,
+                                          log_beta):
+        # on any feasible schedule no sample hits the cap, and the power
+        # emitted meets the threshold
+        base = load_fixture(case)
+        scenario = dataclasses.replace(base.scenario, p_max_dbm=p_max_dbm,
+                                       bep_threshold=10.0 ** log_beta)
+        fx = dataclasses.replace(base, scenario=scenario)
+        _, power = _trace(fx, scheme, 1e-4)
+        assume(power.samples)
+        pl, n0 = path_loss_db(fx.scenario), noise_power_dbm(fx.scenario)
+        beta = fx.scenario.bep_threshold
+        for s in power.samples:
+            assert not s.clamped
+            gamma = 10.0 ** ((s.p_min_dbm - pl - n0) / 10.0)
+            assert _bep_at(fx.estimate, scheme, s, gamma) <= beta * (1 + 1e-6)
 
 
 class TestEnergySavings:

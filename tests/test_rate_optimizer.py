@@ -99,6 +99,18 @@ class TestRateAt:
             psk_schedule.r_max
         assert psk_schedule.rate_at(1.0) == 0
 
+    def test_array_matches_staircase_loop(self, qam_schedule):
+        # rates_at (searchsorted) against the definition read off the
+        # thresholds one by one: n on (t_{n+1}, t_n], highest rate first
+        s = qam_schedule
+        ends = np.array([th.t_n for th in s.thresholds])
+        ts = np.concatenate([np.linspace(0.0, 1.1 * s.t_zero_rate, 2001),
+                             ends, np.nextafter(ends, np.inf),
+                             [s.t_estimate, np.nextafter(s.t_estimate, 1.0)]])
+        want = [next((th.n for th in reversed(s.thresholds)
+                      if s.t_estimate < t <= th.t_n), 0) for t in ts]
+        assert s.rates_at(ts).tolist() == want
+
     def test_monotone_nonincreasing(self, qam_schedule):
         ts = np.linspace(qam_schedule.t_estimate + 1e-6, 0.06, 500)
         rates = [qam_schedule.rate_at(float(t)) for t in ts]
