@@ -10,7 +10,6 @@ power (power control).
 
 __version__ = "0.1.0"
 
-from ._kernels import backend_name
 from .bep_analysis import (
     BepContext,
     UnionBound,
@@ -46,6 +45,7 @@ from .constellation import (
 from .detectors import (
     BepEstimate,
     DetectorKind,
+    backend_name,
     effective_variance,
     ml_detect,
     monte_carlo_bep,

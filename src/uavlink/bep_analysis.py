@@ -234,24 +234,28 @@ def uub(ctx: BepContext) -> UubBound:
     return UubBound(min(raw, 1.0), raw)
 
 
-def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value: float,
-                   snr_linear: float) -> float:
+def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value,
+                   snr_linear):
     """Gray-mapping signal-space BEP approximation for M-PSK.
 
     BPSK keeps the exact two-point expression; for M > 2 only the two
     nearest neighbours of each point contribute, giving
     (2/log2 M) * Q(sqrt(||h C||^2 gamma (1 - cos(2 pi/M)) / (gamma(1-C^2)+1))).
+    C and gamma broadcast as arrays; scalars give a float.
     """
     if order not in SUPPORTED_ORDERS:
         raise SchemeError(f"unsupported PSK order {order}")
-    g, c = snr_linear, acf_value
+    g = np.asarray(snr_linear, dtype=np.float64)
+    c = np.asarray(acf_value, dtype=np.float64)
     hc_sq = estimate.norm_sq * c * c
     den = g * (1.0 - c * c) + 1.0
     if order == 2:
-        return float(q_function(np.sqrt(2.0 * g * hc_sq / den)))
-    bits = order.bit_length() - 1
-    num = g * hc_sq * (1.0 - np.cos(2.0 * np.pi / order))
-    return float(2.0 / bits * q_function(np.sqrt(num / den)))
+        bep = q_function(np.sqrt(2.0 * g * hc_sq / den))
+    else:
+        bits = order.bit_length() - 1
+        num = g * hc_sq * (1.0 - np.cos(2.0 * np.pi / order))
+        bep = 2.0 / bits * q_function(np.sqrt(num / den))
+    return float(bep) if np.ndim(bep) == 0 else bep
 
 
 def _assert_monotone_in_c(bound: UnionBound, norm_sq: float,

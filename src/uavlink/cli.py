@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import backend_name
 from .bep_analysis import BepContext, psk_bep_approx, union_bound, uub
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .constellation import constellation_for
-from .detectors import DetectorKind, monte_carlo_bep
+from .detectors import DetectorKind, backend_name, monte_carlo_bep
 from .errors import ConfigError, UavlinkError
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .power_control import energy_savings, min_power_schedule
@@ -373,16 +372,15 @@ def cmd_rate_opt(cfg: RunConfig, out_dir: Path) -> None:
 
 def _region_bound(cfg: RunConfig, rate: np.ndarray, acf: np.ndarray,
                   gamma, psk_approx: bool) -> np.ndarray:
-    """BEP at each sample: the UUB clamped to 1, one call per rate region,
-    or with psk_approx the PSK approximation per sample."""
+    """BEP at each sample: the UUB clamped to 1, or with psk_approx the PSK
+    approximation; one call per rate region."""
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), acf.shape)
     out = np.empty(acf.shape)
     for r in np.unique(rate).tolist():
         region = rate == r
         if psk_approx:
-            out[region] = [psk_bep_approx(1 << r, cfg.estimate, a, g)
-                           for a, g in zip(acf[region].tolist(),
-                                           gamma[region].tolist())]
+            out[region] = psk_bep_approx(1 << r, cfg.estimate, acf[region],
+                                         gamma[region])
         else:
             out[region] = np.minimum(union_bound(cfg.scheme, 1 << r).u(
                 cfg.estimate.norm_sq, acf[region], gamma[region]), 1.0)

@@ -68,16 +68,16 @@ class QamRootInfo(NamedTuple):
     method: str  # "newton" or "bisection"
 
 
-def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value: float,
-                bep_threshold: float) -> float:
-    """Closed-form minimum SNR for M-PSK at one ACF value.
+def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
+                bep_threshold: float):
+    """Closed-form minimum SNR for M-PSK at one ACF value or an array of them.
 
-    Inverts the signal-space BEP approximation. Raises InfeasibleCsiError
-    when the denominator is non-positive: no finite power reaches the
-    threshold at this CSI quality, so the schedule must have switched down
-    already.
+    Inverts the signal-space BEP approximation elementwise; a scalar
+    `acf_value` gives a float. Raises InfeasibleCsiError when a denominator
+    is non-positive: no finite power reaches the threshold at that CSI
+    quality, so the schedule must have switched down already.
     """
-    c, b = acf_value, bep_threshold
+    c, b = np.asarray(acf_value, dtype=np.float64), bep_threshold
     hc_sq = estimate.norm_sq * c * c
     one_m_c2 = 1.0 - c * c
     if order == 2:
@@ -87,10 +87,13 @@ def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value: float,
         bits = order.bit_length() - 1
         alpha_sq = q_inverse(b * bits / 2.0) ** 2
         den = hc_sq * (1.0 - math.cos(2.0 * math.pi / order)) - one_m_c2 * alpha_sq
-    if den <= 0.0:
+    infeasible = den <= 0.0
+    if infeasible.any():
         raise InfeasibleCsiError(
-            f"{order}-PSK cannot reach {bep_threshold:g} at C={acf_value:.6f}")
-    return alpha_sq / den
+            f"{order}-PSK cannot reach {bep_threshold:g} at "
+            f"C={c[infeasible].flat[0]:.6f}")
+    gamma = alpha_sq / den
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def _newton_target(gamma, u, v, bep_threshold: float):
@@ -281,7 +284,7 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
 
     P_min[dBm] = gamma_min[dB] + P_L[dB] + N_0[dBm], clamped to the power
     cap with a flag. The samples of each rate region are solved together
-    (QAM: one batched root solve; PSK: the closed form per sample). The
+    (QAM: one batched root solve; PSK: one array call of the closed form). The
     solvers cannot legitimately fail inside a region (the schedule
     guarantees feasibility up to each t_n), so an infeasible sample raises
     ScheduleError.
@@ -300,8 +303,7 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
         order = 1 << r
         try:
             if schedule.scheme == "psk" or order == 2:
-                gamma[region] = [min_snr_psk(order, estimate, a, beta)
-                                 for a in acf[region].tolist()]
+                gamma[region] = min_snr_psk(order, estimate, acf[region], beta)
             else:
                 gamma[region] = _solve_qam(order, estimate, acf[region],
                                            beta).gamma_min

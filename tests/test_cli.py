@@ -123,7 +123,11 @@ class TestBepCurve:
             (out_b / "bep_curve.csv").read_bytes()
 
     def test_seed_flag_changes_mc_rows(self, tmp_path):
-        cfg = write_config(tmp_path)
+        # low SNR, so that every MC row counts errors: at 6/12 dB the base
+        # config expects under 0.3 bit errors per row, and two seeds would
+        # both print zeros with probability 0.58
+        cfg = write_config(tmp_path, BASE_RUN.replace("snr_db = 6 12",
+                                                      "snr_db = -4 0"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["bep-curve", "--config", str(cfg), "--out", str(out_a)])
         main(["bep-curve", "--config", str(cfg), "--out", str(out_b),

@@ -1,25 +1,38 @@
 """Detection rules and the Monte Carlo BEP estimator.
 
-The key contracts: ML and sub-optimum decisions coincide for constant
-modulus constellations, results are a pure function of (seed, n_symbols),
-and the estimator agrees with the closed-form BPSK error rate within
-binomial error bars.
+The key contracts: both rules equal a brute-force minimisation over full
+received vectors, ML and sub-optimum decisions coincide for constant
+modulus constellations, ML makes no more symbol errors than SO, results
+are a pure function of (seed, n_symbols), and the estimator agrees with
+the exact BPSK and SO error rates within binomial error bars.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
+import uavlink
 from uavlink import (
+    SUPPORTED_ORDERS,
     BepEstimate,
+    ChannelEstimate,
     DetectorKind,
     constellation_for,
     effective_variance,
+    evolve_channel,
     ml_detect,
     monte_carlo_bep,
     psk_bep_approx,
+    received_signal,
     so_detect,
 )
+from uavlink import detectors
+from uavlink.constellation import POPCOUNT
 from uavlink.fixtures import load_fixture
+
+from exact_so import exact_so_bep
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +72,9 @@ class TestDecisionRules:
             assert so_detect(y, estimate, 1.0, gamma, c) == m
 
     def test_qam_detectors_can_differ(self, estimate):
-        # the ln(sigma^2) term matters once symbol energies differ; at low
-        # SNR with stale CSI the two rules disagree on some vectors
+        # the N ln(sigma^2) offset and the 1/sigma^2 weighting matter once
+        # symbol energies differ; at low SNR with stale CSI the two rules
+        # disagree on some vectors
         c = constellation_for("qam", 16)
         rng = np.random.default_rng(3)
         n_rx = estimate.h.size
@@ -70,6 +84,111 @@ class TestDecisionRules:
             ml_detect(row, estimate, 0.9, 1.0, c)
             != so_detect(row, estimate, 0.9, 1.0, c) for row in y[:400])
         assert disagreements > 0
+
+    @given(scheme_order=st.sampled_from(
+               [(s, o) for s in ("psk", "qam") for o in SUPPORTED_ORDERS]),
+           n_rx=st.integers(1, 8),
+           acf=st.floats(0.0, 1.0),
+           log_gamma=st.floats(-2.0, 3.0),
+           log_scale=st.floats(-3.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, scheme_order, n_rx, acf, log_gamma,
+                                 log_scale, seed):
+        # argmin_k c_k + ||y - a_k h||^2 / sigma_k^2 on the full vector:
+        # c_k = N ln sigma_k^2 for ML, c = 0 and sigma = 1 for SO
+        c = constellation_for(*scheme_order)
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+        est = ChannelEstimate(h, 1e-3)
+        gamma = 10.0 ** log_gamma
+        refs = np.sqrt(gamma) * acf * c.points[:, None] * h[None, :]
+        y = (refs[rng.integers(0, c.order)] + 10.0 ** log_scale
+             * (rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)))
+        dist = np.sum(np.abs(y[None, :] - refs) ** 2, axis=1)
+        sig2 = gamma * (1.0 - acf ** 2) * np.abs(c.points) ** 2 + 1.0
+        for rule, metric in ((ml_detect, n_rx * np.log(sig2) + dist / sig2),
+                             (so_detect, dist)):
+            best, second = np.sort(metric)[:2]
+            # skip near-ties: rounding may pick either there
+            assume(second - best > 1e-9 * max(abs(best), abs(second)))
+            assert rule(y, est, acf, gamma, c) == int(np.argmin(metric))
+
+
+class TestMetricKernel:
+    """The one (n, M) metric behind ml_detect, so_detect and the MC."""
+
+    def test_backend_name(self):
+        assert uavlink.backend_name() == "numpy"
+
+    def test_output_dtype_shape_range(self, estimate):
+        c = constellation_for("qam", 32)
+        tab = detectors._tables(estimate, 0.9, 4.0, c, DetectorKind.ML)
+        rng = np.random.default_rng(0)
+        z = (rng.standard_normal(777) + 1j * rng.standard_normal(777)) * 9.0
+        out = detectors._decide(z, rng.exponential(8.0, 777),
+                                estimate.norm_sq, tab)
+        assert out.shape == (777,)
+        assert out.dtype == np.int64
+        assert out.min() >= 0 and out.max() < c.order
+
+    def test_ties_break_to_lowest_index(self):
+        # z = 0 against symmetric BPSK references: every metric is equal
+        tab = detectors._Tables(np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+                                np.ones(2), np.zeros(2), np.ones(2))
+        z, perp = np.zeros(3, dtype=np.complex128), np.ones(3)
+        assert np.array_equal(detectors._decide(z, perp, 2.0, tab),
+                              np.zeros(3, dtype=np.int64))
+        so = tab._replace(off=None, inv=None)
+        assert np.array_equal(detectors._decide(z, None, 2.0, so),
+                              np.zeros(3, dtype=np.int64))
+
+    def test_exact_reference_detected(self, estimate):
+        c = constellation_for("psk", 8)
+        for kind in DetectorKind:
+            tab = detectors._tables(estimate, 1.0, 9.0, c, kind)
+            z = tab.a * estimate.norm_sq
+            out = detectors._decide(z, np.zeros(8), estimate.norm_sq, tab)
+            assert np.array_equal(out, np.arange(8, dtype=np.int64))
+
+    def test_blocks_do_not_change_decisions(self, estimate, monkeypatch):
+        c = constellation_for("qam", 64)
+        tab = detectors._tables(estimate, 0.8, 30.0, c, DetectorKind.ML)
+        rng = np.random.default_rng(4)
+        tx, z, perp = detectors._draw(rng, 5000, estimate, tab, True)
+        whole = detectors._decide(z, perp, estimate.norm_sq, tab)
+        monkeypatch.setattr(detectors, "_BLOCK_TERMS", 7 * c.order)
+        assert np.array_equal(
+            detectors._decide(z, perp, estimate.norm_sq, tab), whole)
+
+    @pytest.mark.parametrize("scheme,order", [("psk", 8), ("qam", 4),
+                                              ("qam", 64)])
+    def test_scratch_batches_match_fresh_arrays(self, estimate, scheme,
+                                                order):
+        # batches in the thread's reused buffers, a short one after a full
+        # one included, count the errors that fresh arrays give
+        c = constellation_for(scheme, order)
+        for kind in DetectorKind:
+            tab = detectors._tables(estimate, 0.9, 30.0, c, kind)
+            for b, n in ((0, 8192), (1, 777)):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=5, spawn_key=(b,)))
+                tx, z, perp = detectors._draw(rng, n, estimate, tab,
+                                              kind is DetectorKind.ML)
+                got = detectors._decide(z, perp, estimate.norm_sq, tab)
+                want = int(POPCOUNT[c.labels[tx] ^ c.labels[got]].sum())
+                assert detectors._run_batch(b, n, estimate, tab, c,
+                                            5) == want
+
+    def test_batches_reuse_their_buffers(self, estimate):
+        c = constellation_for("qam", 16)
+        tab = detectors._tables(estimate, 0.9, 30.0, c, DetectorKind.ML)
+        detectors._run_batch(0, 8192, estimate, tab, c, 1)
+        before = dict(detectors._thread_scratch()._bufs)
+        detectors._run_batch(1, 8192, estimate, tab, c, 1)
+        after = detectors._thread_scratch()._bufs
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
 
 
 class TestEffectiveVariance:
@@ -136,6 +255,69 @@ class TestMonteCarlo:
         out = monte_carlo_bep(estimate, 0.0, 100.0, c, DetectorKind.SO,
                               50000, seed=6)
         assert abs(out.bep - 0.5) < 0.02
+
+    def test_statistics_match_full_vector_model(self, estimate):
+        # the engine's (z, ||y_perp||^2) draws against the same statistics
+        # of full vectors from channel.evolve_channel/received_signal;
+        # two-sample KS per component for one 16-QAM outer point
+        c = constellation_for("qam", 16)
+        acf, gamma, m = 0.8, 10.0, int(np.argmax(np.abs(c.points)))
+        h, norm_sq = estimate.h, estimate.norm_sq
+        rng = np.random.default_rng(31)
+        full = []
+        for _ in range(3000):
+            state = evolve_channel(estimate, acf, rng)
+            y = received_signal(state, c.points[m], gamma, rng)
+            z = np.vdot(h, y)
+            y_perp = y - (z / norm_sq) * h
+            full.append((z.real, z.imag, np.vdot(y_perp, y_perp).real))
+        tab = detectors._tables(estimate, acf, gamma, c, DetectorKind.ML)
+        tx, z, perp = detectors._draw(np.random.default_rng(32), 4 * 8192,
+                                      estimate, tab, True)
+        drawn = np.stack([z.real, z.imag, perp], axis=1)[tx == m]
+        p_values = [ks_2samp(col, ref).pvalue
+                    for col, ref in zip(drawn.T, np.array(full).T)]
+        print("KS p-values (Re z, Im z, |y_perp|^2): "
+              + ", ".join(f"{p:.3g}" for p in p_values))
+        assert min(p_values) > 1e-3
+
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_ml_no_worse_than_so(self, estimate, order):
+        # ML maximises the likelihood, so at stale CSI its symbol error
+        # rate may not exceed SO's; both rules see the same draws, and the
+        # gate is three paired standard errors
+        c = constellation_for("qam", order)
+        n = 12 * 8192
+        ml = detectors._tables(estimate, 0.9, 100.0, c, DetectorKind.ML)
+        so = ml._replace(off=None, inv=None)
+        tx, z, perp = detectors._draw(np.random.default_rng(21), n,
+                                      estimate, ml, True)
+        err_ml = detectors._decide(z, perp, estimate.norm_sq, ml) != tx
+        err_so = detectors._decide(z, None, estimate.norm_sq, so) != tx
+        se_pair = (err_ml.astype(float) - err_so).std() / np.sqrt(n)
+        ser_ml, ser_so = err_ml.mean(), err_so.mean()
+        print(f"{order}-QAM C=0.9 20 dB: SER ML {ser_ml:.4f} SO {ser_so:.4f} "
+              f"(paired se {se_pair:.1e})")
+        assert ser_ml <= ser_so + 3.0 * se_pair
+
+    @pytest.mark.parametrize("scheme,order,snr_db,acf", [
+        ("psk", 2, -4.0, 0.9),
+        ("psk", 8, 10.0, 0.95),
+        ("qam", 16, 15.0, 0.9),
+        ("qam", 64, 20.0, 0.97),
+    ])
+    def test_so_matches_exact_bep(self, estimate, scheme, order, snr_db,
+                                  acf):
+        # the SO rule has an exact BEP; binomial 3 sigma gate
+        c = constellation_for(scheme, order)
+        gamma = 10.0 ** (snr_db / 10.0)
+        out = monte_carlo_bep(estimate, acf, gamma, c, DetectorKind.SO,
+                              20 * 8192, seed=3)
+        want = exact_so_bep(estimate, acf, gamma, c)
+        sigma = np.sqrt(want * (1.0 - want) / out.bits_simulated)
+        print(f"{scheme}{order} {snr_db:g} dB C={acf}: MC {out.bep:.4e} "
+              f"exact {want:.4e} z={(out.bep - want) / sigma:+.2f}")
+        assert abs(out.bep - want) < 3.0 * sigma
 
     def test_input_validation(self, estimate):
         c = constellation_for("psk", 4)
