@@ -71,6 +71,7 @@ from .rate_optimizer import (
     RateThreshold,
     average_rate,
     build_rate_schedule,
+    build_rate_schedules,
     optimum_transmission_time,
     rate_derivative,
     sweep_rave_max,
@@ -107,8 +108,8 @@ __all__ = [
     "q_function", "q_inverse", "min_acf_for_rate", "max_modulation_order",
     # rate optimizer
     "RateThreshold", "RateSchedule", "RateOptimum", "build_rate_schedule",
-    "average_rate", "rate_derivative", "optimum_transmission_time",
-    "sweep_rave_max",
+    "build_rate_schedules", "average_rate", "rate_derivative",
+    "optimum_transmission_time", "sweep_rave_max",
     # power control
     "NewtonIterate", "QamRootInfo", "PowerSample", "PowerSchedule",
     "EnergySavings", "min_snr_psk", "min_snr_qam", "evaluate_iterate",

@@ -9,8 +9,9 @@ constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
 over arrays of (C, gamma). Its value, its slope in ln(gamma) and its
 infinite-power floor serve `uub`, the CSI threshold inversion and maximum
-feasible modulation order here, and the batched QAM power solve in
-power_control. Around it sit the pairwise error probability and the
+feasible modulation order here (both over arrays of (SNR, threshold)
+cells, the inversion as one lockstep bisection), and the batched QAM power
+solve in power_control. Around it sit the pairwise error probability and the
 Gray-mapping PSK approximation.
 """
 
@@ -258,72 +259,97 @@ def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value,
     return float(bep) if np.ndim(bep) == 0 else bep
 
 
-def _assert_monotone_in_c(bound: UnionBound, norm_sq: float,
-                          snr_linear: float, n_grid: int = 33) -> None:
-    """The threshold bisection needs the UUB non-increasing in C."""
-    vals = bound.u(norm_sq, np.linspace(0.0, 1.0, n_grid), snr_linear)
-    diffs = np.diff(vals)
+def _cells(snr_linear, bep_threshold) -> tuple:
+    """(gamma, beta) broadcast to one shape of cells; scalars stay 0-d, so
+    a one-cell call keeps UnionBound's scalar path."""
+    return np.broadcast_arrays(np.asarray(snr_linear, dtype=np.float64),
+                               np.asarray(bep_threshold, dtype=np.float64))
+
+
+def _assert_monotone_in_c(bound: UnionBound, norm_sq: float, gamma,
+                          n_grid: int = 33) -> None:
+    """The threshold bisection needs the UUB non-increasing in C: checked
+    on an n_grid-point C grid at each distinct gamma, in one bound call."""
+    gamma = np.unique(gamma)
+    vals = bound.u(norm_sq, np.linspace(0.0, 1.0, n_grid)[:, None], gamma)
+    diffs = np.diff(vals, axis=0)
     # allow FP jitter at the flat ends of the curve
-    if np.any(diffs > 1e-12 + 1e-9 * np.abs(vals[:-1])):
+    bad = np.any(diffs > 1e-12 + 1e-9 * np.abs(vals[:-1]), axis=0)
+    if np.any(bad):
         raise MonotonicityError(
             f"UUB is not non-increasing in C for order "
-            f"{bound.order} at snr={snr_linear:.6g}")
+            f"{bound.order} at snr={gamma[bad][0]:.6g}")
 
 
-def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate,
-                     snr_linear: float, scheme: str,
-                     bep_threshold: float) -> float:
+def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
+                     scheme: str, bep_threshold):
     """Smallest ACF value C_n at which rate n still meets the threshold.
 
     Solves uub(C) = bep_threshold by bisection on C in [0, 1] (the
-    dichotomy method). Raises InfeasibleRateError when even perfect CSI
-    (C = 1) violates the threshold.
+    dichotomy method). snr_linear and bep_threshold broadcast to an array
+    of cells, which are bisected in lockstep: every bracket starts as
+    [0, 1] and halves exactly, so all cells take the same steps. Scalars
+    give a float. Raises InfeasibleRateError when even perfect CSI
+    (C = 1) violates the threshold in some cell.
     """
     if rate_n < 1:
         raise ValueError("rate_n must be at least 1")
     bound = union_bound(scheme, 2 ** rate_n)
     norm_sq = estimate.norm_sq
-    _assert_monotone_in_c(bound, norm_sq, snr_linear)
+    gamma, beta = _cells(snr_linear, bep_threshold)
+    _assert_monotone_in_c(bound, norm_sq, gamma)
 
-    def f(acf: float) -> float:
-        return bound.u(norm_sq, acf, snr_linear) - bep_threshold
+    def f(acf):
+        return bound.u(norm_sq, acf, gamma) - beta
 
-    if f(1.0) > 0.0:
+    infeasible = f(1.0) > 0.0
+    if np.any(infeasible):
         raise InfeasibleRateError(
-            f"rate {rate_n} ({scheme}) cannot meet {bep_threshold:g} even "
-            "with perfect CSI")
-    if f(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0  # f(lo) > 0 > f(hi)
-    while hi - lo > _C_ABS_TOL:
+            f"rate {rate_n} ({scheme}) cannot meet {beta[infeasible][0]:g} "
+            "even with perfect CSI")
+    any_csi = f(0.0) <= 0.0
+    lo, hi = np.zeros(gamma.shape), np.ones(gamma.shape)  # f(lo) > 0 >= f(hi)
+    width = 1.0  # hi - lo in every cell, exactly
+    while width > _C_ABS_TOL:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        up = f(mid) > 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        width *= 0.5
     # where the bound is steep in C a 1e-12 bracket can still miss the
-    # residual tolerance: keep halving, down to float resolution
-    while abs(f(hi)) > _BEP_REL_TOL * bep_threshold:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    # residual tolerance: keep halving those cells, down to float resolution
+    lo_c, hi_c, gamma_c, beta_c = (np.reshape(x, -1)
+                                   for x in (lo, hi, gamma, beta))
+    tol = _BEP_REL_TOL * beta_c
+    steep = np.flatnonzero(~any_csi
+                           & (np.abs(f(hi)) > _BEP_REL_TOL * beta))
+    while steep.size:
+        l, h = lo_c[steep], hi_c[steep]
+        mid = 0.5 * (l + h)
+        if not np.all((l < mid) & (mid < h)):
             raise MonotonicityError(
                 f"threshold inversion did not converge for rate {rate_n}")
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi  # the feasible side of the bracket
+        f_mid = bound.u(norm_sq, mid, gamma_c[steep]) - beta_c[steep]
+        up = f_mid > 0.0
+        lo_c[steep] = np.where(up, mid, l)
+        hi_c[steep] = np.where(up, h, mid)
+        # a cell whose hi moved is done once the residual there is met
+        steep = steep[up | (-f_mid > tol[steep])]
+    # hi is the feasible side
+    out = np.where(any_csi, 0.0, hi_c.reshape(gamma.shape))
+    return float(out) if out.ndim == 0 else out
 
 
-def max_modulation_order(estimate: ChannelEstimate, snr_linear: float,
-                         scheme: str, bep_threshold: float) -> int:
+def max_modulation_order(estimate: ChannelEstimate, snr_linear,
+                         scheme: str, bep_threshold):
     """Largest supported order whose perfect-CSI UUB meets the threshold.
 
     Returns 0 when no order is feasible. R_max is log2 of the result.
+    snr_linear and bep_threshold broadcast; scalars give an int.
     """
-    best = 0
+    gamma, beta = _cells(snr_linear, bep_threshold)
+    best = np.zeros(gamma.shape, dtype=np.int64)
     for order in SUPPORTED_ORDERS:
-        if union_bound(scheme, order).u(estimate.norm_sq, 1.0,
-                                        snr_linear) <= bep_threshold:
-            best = max(best, order)
-    return best
+        ok = union_bound(scheme, order).u(estimate.norm_sq, 1.0, gamma) <= beta
+        best = np.where(ok, np.maximum(best, order), best)
+    return int(best) if best.ndim == 0 else best

@@ -138,32 +138,45 @@ def temporal_acf(params: WobbleParams, dt):
     return float(out) if np.isscalar(dt) or np.ndim(dt) == 0 else out
 
 
-def acf_inverse(params: WobbleParams, target: float, dt_max: float) -> float:
+def acf_inverse(params: WobbleParams, target, dt_max):
     """Lag at which the ACF crosses `target`, by bisection on [0, dt_max].
 
-    Requires temporal_acf(dt_max) <= target <= 1. The returned dt satisfies
-    |temporal_acf(dt) - target| <= 1e-10.
+    target and dt_max broadcast; each element is bisected on its own
+    bracket, all elements in lockstep, and scalars give a float. Requires
+    temporal_acf(dt_max) <= target <= 1. Each returned dt is the first
+    midpoint with |temporal_acf(dt) - target| <= 1e-10.
     """
-    if target > 1.0:
-        raise InfeasibleTargetError(f"ACF never exceeds 1 (target {target})")
-    if target == 1.0:
-        return 0.0
-    if temporal_acf(params, dt_max) > target:
+    target, dt_max = np.broadcast_arrays(np.asarray(target, dtype=np.float64),
+                                         np.asarray(dt_max, dtype=np.float64))
+    above = target > 1.0
+    if np.any(above):
         raise InfeasibleTargetError(
-            f"ACF stays above {target} on [0, {dt_max}]; increase dt_max")
-    lo, hi = 0.0, float(dt_max)
+            f"ACF never exceeds 1 (target {target[above][0]})")
+    # the elements still bisecting: flat index, target and bracket
+    idx = np.flatnonzero(target != 1.0)  # target 1 maps to lag 0
+    goal = np.reshape(target, -1)[idx]
+    lo, hi = np.zeros(idx.size), np.reshape(dt_max, -1)[idx]
+    short = temporal_acf(params, hi) > goal
+    if np.any(short):
+        raise InfeasibleTargetError(
+            f"ACF stays above {goal[short][0]} on [0, {hi[short][0]}]; "
+            "increase dt_max")
+    out = np.zeros(target.size)
     for _ in range(200):
+        if not idx.size:
+            break
         mid = 0.5 * (lo + hi)
         val = temporal_acf(params, mid)
-        if abs(val - target) <= _ACF_INV_TOL:
-            return mid
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-    # interval is ~1e-60 * dt_max wide here; the value criterion must have
-    # been met long ago for any monotone ACF
-    return 0.5 * (lo + hi)
+        met = np.abs(val - goal) <= _ACF_INV_TOL
+        out[idx[met]] = mid[met]
+        up, go_on = val > goal, ~met
+        lo, hi = np.where(up, mid, lo)[go_on], np.where(up, hi, mid)[go_on]
+        idx, goal = idx[go_on], goal[go_on]
+    # such intervals are ~1e-60 * dt_max wide; the value criterion must
+    # have been met long ago for any monotone ACF
+    out[idx] = 0.5 * (lo + hi)
+    out = out.reshape(target.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def check_acf_monotone(params: WobbleParams, dt_max: float,

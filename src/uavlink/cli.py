@@ -95,6 +95,20 @@ class RunConfig:
         for det in self.detectors:
             if det not in _DETECTOR_TOKENS.values():
                 raise ConfigError(f"unknown detector {det!r} in run.detectors")
+        for v in self.snr_db:
+            if not math.isfinite(v):
+                raise ConfigError(
+                    f"run.snr_db entries must be finite, got {v}")
+        # the negated range tests below also reject nan
+        for v in self.acf:
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(
+                    f"run.acf entries must lie in [0, 1], got {v}")
+        for v in self.bep_thresholds:
+            # LinkScenario's range for a BEP threshold
+            if not 0.0 < v < 0.5:
+                raise ConfigError("run.bep_thresholds entries must lie in "
+                                  f"(0, 0.5), got {v}")
 
 
 def _require(parser: configparser.ConfigParser, section: str, key: str) -> str:

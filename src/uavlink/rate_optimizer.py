@@ -4,6 +4,8 @@ The schedule maps each rate n (order 2^n) to the smallest ACF value C_n
 that still meets the BEP threshold at full transmit power, then converts
 C_n to a switch time t_n through the monotone wobble ACF. Within a frame
 the rate is the piecewise-constant staircase R(t) = n on (t_{n+1}, t_n].
+`build_rate_schedules` builds the staircases of a whole grid of (SNR,
+threshold) cells at once; `build_rate_schedule` is its one-cell call.
 
 The average rate over a transmission period T_c has a constant-sign
 derivative inside each staircase region, so the maximizer sits on a region
@@ -30,6 +32,7 @@ __all__ = [
     "RateSchedule",
     "RateOptimum",
     "build_rate_schedule",
+    "build_rate_schedules",
     "average_rate",
     "rate_derivative",
     "sample_lags",
@@ -119,44 +122,77 @@ class RateOptimum:
     r_op: int  # rate in force when transmission ends
 
 
+def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
+                         bep_threshold, wobble: WobbleParams,
+                         t_estimate: float) -> list:
+    """Rate staircases for every cell of broadcast (snr_linear,
+    bep_threshold), as a list in C order.
+
+    Each rate's C thresholds are inverted for all cells that reach it in
+    one lockstep bisection, and every threshold's switch time in one ACF
+    inversion. A cell where every order is infeasible yields an empty
+    schedule (rate 0 everywhere) rather than an error.
+    """
+    gamma, beta = np.broadcast_arrays(np.asarray(snr_linear, dtype=np.float64),
+                                      np.asarray(bep_threshold,
+                                                 dtype=np.float64))
+    # a one-cell grid stays 0-d wherever all cells take part, which keeps
+    # the bound on its scalar path
+    gamma_f, beta_f = gamma.reshape(-1), beta.reshape(-1)
+    order = np.reshape(max_modulation_order(estimate, gamma, scheme, beta), -1)
+    r_max = np.log2(np.maximum(order, 1)).astype(np.int64)
+    top = int(r_max.max())
+    # cs[n - 1] holds C_n in the cells that reach rate n, +inf elsewhere
+    cs = np.full((top, gamma.size), np.inf)
+    for n in range(1, top + 1):
+        reach = r_max >= n
+        g, b = (gamma, beta) if reach.all() else (gamma_f[reach],
+                                                  beta_f[reach])
+        try:
+            cs[n - 1, reach] = np.reshape(
+                min_acf_for_rate(n, estimate, g, scheme, b), -1)
+        except InfeasibleRateError as exc:
+            raise ScheduleError(
+                f"rate {n} infeasible although a higher rate is feasible; "
+                "UUB is not monotone across orders here") from exc
+
+    # per cell one dt_max spanning the slowest threshold; the inversion
+    # needs the ACF verified monotone over each scheduling span
+    live = r_max > 0
+    c_min = cs.min(axis=0, initial=np.inf)
+    dt_max = np.full(gamma.size, 0.05)
+    grow = live.copy()
+    while True:
+        grow &= temporal_acf(wobble, dt_max) > c_min
+        if not grow.any():
+            break
+        dt_max = np.where(grow, 2.0 * dt_max, dt_max)
+        if np.any(dt_max > 1e6):
+            raise ScheduleError(
+                "ACF never decays to the rate-1 threshold; no finite t_1")
+    for span in np.unique(dt_max[live]).tolist():
+        check_acf_monotone(wobble, span)
+
+    has = np.isfinite(cs)
+    ts = np.zeros(cs.shape)
+    ts[has] = t_estimate + acf_inverse(
+        wobble, cs[has], np.broadcast_to(dt_max, cs.shape)[has])
+    return [RateSchedule(scheme, r, tuple(
+                RateThreshold(n, c_n, t_n)
+                for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
+                         t_estimate)
+            for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
+                                         ts.T.tolist())]
+
+
 def build_rate_schedule(estimate: ChannelEstimate, snr_linear: float,
                         scheme: str, bep_threshold: float,
                         wobble: WobbleParams,
                         t_estimate: float) -> RateSchedule:
-    """Construct the rate staircase for one channel estimate.
-
-    Infeasibility of every order yields an empty schedule (rate 0
-    everywhere) rather than an error.
-    """
-    m_max = max_modulation_order(estimate, snr_linear, scheme, bep_threshold)
-    if m_max == 0:
-        return RateSchedule(scheme, 0, (), t_estimate)
-    r_max = m_max.bit_length() - 1
-
-    cs = []
-    for n in range(1, r_max + 1):
-        try:
-            cs.append(min_acf_for_rate(n, estimate, snr_linear, scheme,
-                                       bep_threshold))
-        except InfeasibleRateError as exc:
-            raise ScheduleError(
-                f"rate {n} infeasible although rate {r_max} is feasible; "
-                "UUB is not monotone across orders here") from exc
-
-    # one dt_max spanning the slowest threshold; the inversion needs the
-    # ACF verified monotone over the whole scheduling span
-    dt_max = 0.05
-    while temporal_acf(wobble, dt_max) > min(cs):
-        dt_max *= 2.0
-        if dt_max > 1e6:
-            raise ScheduleError(
-                "ACF never decays to the rate-1 threshold; no finite t_1")
-    check_acf_monotone(wobble, dt_max)
-
-    thresholds = tuple(
-        RateThreshold(n, c_n, t_estimate + acf_inverse(wobble, c_n, dt_max))
-        for n, c_n in enumerate(cs, start=1))
-    return RateSchedule(scheme, r_max, thresholds, t_estimate)
+    """Construct the rate staircase for one channel estimate: the one-cell
+    call of build_rate_schedules."""
+    return build_rate_schedules(estimate, snr_linear, scheme, bep_threshold,
+                                wobble, t_estimate)[0]
 
 
 def sample_lags(schedule: RateSchedule, sample_dt: float) -> np.ndarray:
@@ -265,11 +301,9 @@ def sweep_rave_max(estimate: ChannelEstimate, snr_db_grid,
     bep_threshold_grid = list(bep_threshold_grid)
     if not snr_db_grid or not bep_threshold_grid:
         raise ValueError("sweep grids must be non-empty")
-    out = np.zeros((len(snr_db_grid), len(bep_threshold_grid)))
-    for i, snr_db in enumerate(snr_db_grid):
-        for j, beta in enumerate(bep_threshold_grid):
-            schedule = build_rate_schedule(
-                estimate, 10.0 ** (snr_db / 10.0), scheme, beta, wobble,
-                t_estimate)
-            out[i, j] = optimum_transmission_time(schedule).r_ave_max
-    return out
+    gamma = np.array([10.0 ** (snr_db / 10.0) for snr_db in snr_db_grid])
+    schedules = build_rate_schedules(
+        estimate, gamma[:, None], scheme, np.array(bep_threshold_grid),
+        wobble, t_estimate)
+    return np.array([optimum_transmission_time(s).r_ave_max
+                     for s in schedules]).reshape(gamma.size, -1)

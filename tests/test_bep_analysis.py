@@ -299,6 +299,22 @@ class TestMinAcfForRate:
         assert val <= beta
         assert abs(val - beta) <= 1e-8 * beta
 
+    def test_steep_cell_in_a_batch(self, estimate):
+        # the steep cell above, bisected in lockstep with easy cells: it
+        # still runs past the 1e-12 bracket to meet the residual gate, and
+        # the easy cells come out as their one-cell inversions
+        g = GAMMA_MAX * 10.0 ** 0.4
+        gamma = np.array([g, g, 4.0 * GAMMA_MAX, g])
+        beta = np.array([1e-3, 1e-7, 1e-5, 1e-5])
+        c_n = min_acf_for_rate(6, estimate, gamma, "psk", beta)
+        val = union_bound("psk", 64).u(estimate.norm_sq, c_n[1], g)
+        assert val <= 1e-7
+        assert abs(val - 1e-7) <= 1e-8 * 1e-7
+        for k in (0, 2, 3):
+            assert c_n[k] == min_acf_for_rate(6, estimate, float(gamma[k]),
+                                              "psk", float(beta[k]))
+        assert c_n[1] == min_acf_for_rate(6, estimate, g, "psk", 1e-7)
+
     def test_frozen_thresholds(self, estimate):
         # regression pins at the transmit-cap SNR, threshold 1e-5
         assert min_acf_for_rate(3, estimate, GAMMA_MAX, "psk", 1e-5) == \

@@ -213,6 +213,37 @@ class TestPower:
         assert float(full["baseline_dbm"]) == 35.0
 
 
+class TestGridValidation:
+    @pytest.mark.parametrize("command, line, bad, field", [
+        ("rate-opt", "bep_thresholds = 1e-3 1e-5", "0", "bep_thresholds"),
+        ("rate-opt", "bep_thresholds = 1e-3 1e-5", "-0.1", "bep_thresholds"),
+        ("rate-opt", "bep_thresholds = 1e-3 1e-5", "0.5", "bep_thresholds"),
+        ("rate-opt", "bep_thresholds = 1e-3 1e-5", "0.6", "bep_thresholds"),
+        ("rate-opt", "bep_thresholds = 1e-3 1e-5", "nan", "bep_thresholds"),
+        ("rate-opt", "snr_db = 6 12", "nan", "snr_db"),
+        ("rate-opt", "snr_db = 6 12", "inf", "snr_db"),
+        ("rate-opt", "snr_db = 6 12", "-inf", "snr_db"),
+        ("bep-curve", "acf = 0.99 0.9", "1.5", "acf"),
+        ("bep-curve", "acf = 0.99 0.9", "nan", "acf"),
+        ("bep-curve", "acf = 0.99 0.9", "-0.1", "acf"),
+    ])
+    def test_malformed_grid_exits_2(self, tmp_path, capsys, command, line,
+                                    bad, field):
+        key = line.split(" = ")[0]
+        cfg = write_config(tmp_path, BASE_RUN.replace(line, f"{key} = {bad}"))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"run.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_edges_accepted(self, tmp_path):
+        text = BASE_RUN.replace("acf = 0.99 0.9", "acf = 0 1").replace(
+            "bep_thresholds = 1e-3 1e-5", "bep_thresholds = 1e-300 0.49")
+        cfg = load_config(str(write_config(tmp_path, text)))
+        assert cfg.acf == (0.0, 1.0)
+        assert cfg.bep_thresholds == (1e-300, 0.49)
+
+
 class TestConfigResolution:
     def test_missing_scheme_names_field(self, tmp_path, capsys):
         text = BASE_RUN.replace("scheme = psk\n", "")

@@ -7,21 +7,30 @@ All pins use the case1 channel at the 35 dBm transmit cap with a 1e-5
 threshold unless stated otherwise.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uavlink import (
     RateOptimum,
     RateSchedule,
     RateThreshold,
+    WobbleParams,
     average_rate,
     build_rate_schedule,
+    build_rate_schedules,
     optimum_transmission_time,
     rate_derivative,
     sweep_rave_max,
     temporal_acf,
 )
-from uavlink.errors import ScheduleError
+from uavlink.bep_analysis import max_modulation_order, union_bound
+from uavlink.channel import check_acf_monotone
+from uavlink.constellation import SUPPORTED_ORDERS
+from uavlink.errors import InfeasibleRateError, MonotonicityError, ScheduleError
 from uavlink.fixtures import load_fixture
 
 GAMMA_MAX = 277.1359929049
@@ -263,3 +272,136 @@ class TestSecondChannel:
             opt = optimum_transmission_time(schedule)
             assert opt.t_max == pytest.approx(t_max, abs=5e-7)
             assert opt.r_ave_max == pytest.approx(r_ave, abs=5e-7)
+
+
+# --- the batched builder against a scalar reference -----------------------
+
+def _oracle_min_acf(n, estimate, gamma, scheme, beta):
+    """Scalar bisection of uub(C) = beta on [0, 1], one cell at a time."""
+    bound = union_bound(scheme, 2 ** n)
+
+    def f(acf):
+        return bound.u(estimate.norm_sq, acf, gamma) - beta
+
+    if f(1.0) > 0.0:
+        raise InfeasibleRateError(f"rate {n}")
+    if f(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    while abs(f(hi)) > 1e-8 * beta:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise MonotonicityError(f"rate {n}")
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _oracle_acf_inverse(wobble, target, dt_max):
+    """Scalar bisection of C(dt) = target on [0, dt_max]."""
+    if target == 1.0:
+        return 0.0
+    lo, hi = 0.0, dt_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = temporal_acf(wobble, mid)
+        if abs(val - target) <= 1e-10:
+            return mid
+        if val > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _oracle_schedule(estimate, gamma, scheme, beta, wobble, t_estimate):
+    m_max = max((m for m in SUPPORTED_ORDERS
+                 if union_bound(scheme, m).u(estimate.norm_sq, 1.0, gamma)
+                 <= beta), default=0)
+    if m_max == 0:
+        return RateSchedule(scheme, 0, (), t_estimate)
+    r_max = m_max.bit_length() - 1
+    cs = [_oracle_min_acf(n, estimate, gamma, scheme, beta)
+          for n in range(1, r_max + 1)]
+    dt_max = 0.05
+    while temporal_acf(wobble, dt_max) > min(cs):
+        dt_max *= 2.0
+    check_acf_monotone(wobble, dt_max)
+    return RateSchedule(scheme, r_max, tuple(
+        RateThreshold(n, c_n,
+                      t_estimate + _oracle_acf_inverse(wobble, c_n, dt_max))
+        for n, c_n in enumerate(cs, start=1)), t_estimate)
+
+
+_cells = st.lists(
+    st.tuples(st.floats(0.0, 40.0), st.floats(-8.0, math.log10(0.3))),
+    min_size=1, max_size=12)
+
+
+class TestBatchedBuilder:
+    @settings(max_examples=30, deadline=None)
+    @given(fixture=st.sampled_from(["case1", "case2"]),
+           scheme=st.sampled_from(["psk", "qam"]), cells=_cells)
+    def test_equals_scalar_oracle(self, fixture, scheme, cells):
+        fx = load_fixture(fixture)
+        est, wob, t_e = fx.estimate, fx.wobble, fx.scenario.t_estimate
+        gamma = np.array([10.0 ** (snr_db / 10.0) for snr_db, _ in cells])
+        beta = np.array([10.0 ** lb for _, lb in cells])
+        got = build_rate_schedules(est, gamma, scheme, beta, wob, t_e)
+        want = [_oracle_schedule(est, g, scheme, b, wob, t_e)
+                for g, b in zip(gamma.tolist(), beta.tolist())]
+        assert got == want  # field for field, exact floats
+        assert build_rate_schedule(est, float(gamma[0]), scheme,
+                                   float(beta[0]), wob, t_e) == want[0]
+        for s, g, b in zip(got, gamma.tolist(), beta.tolist()):
+            cs = [th.c_n for th in s.thresholds]
+            ts = [th.t_n for th in s.thresholds]
+            assert all(lo < hi for lo, hi in zip(cs, cs[1:]))
+            assert all(lo > hi for lo, hi in zip(ts, ts[1:]))
+            for th in s.thresholds:
+                assert abs(temporal_acf(wob, th.t_n - t_e) - th.c_n) <= 1e-10
+                assert union_bound(scheme, 2 ** th.n).u(
+                    est.norm_sq, th.c_n, g) <= b * (1 + 1e-8)
+
+    def test_sweep_is_one_batched_build(self, fx):
+        snr_db, betas = [6.0, 21.0, 33.0], [1e-2, 1e-6]
+        gamma = [10.0 ** (v / 10.0) for v in snr_db]
+        want = [[optimum_transmission_time(build_rate_schedule(
+                    fx.estimate, g, "qam", b, fx.wobble,
+                    fx.scenario.t_estimate)).r_ave_max for b in betas]
+                for g in gamma]
+        got = sweep_rave_max(fx.estimate, snr_db, betas, "qam", fx.wobble,
+                             fx.scenario.t_estimate)
+        assert got.tolist() == want
+
+
+# nearly undamped vibration: the ACF ripples at the wobble period (the
+# oscillatory profile of tests/test_channel.py)
+_OSCILLATORY = WobbleParams(omega_c=2 * np.pi * 28e9, omega_v=20.0 * np.pi,
+                            mu=0.01, sigma_v_sq=1e-4)
+
+
+class TestGuardsPerCell:
+    @settings(max_examples=25, deadline=None)
+    @given(scheme=st.sampled_from(["psk", "qam"]),
+           snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+           log_beta=st.lists(st.floats(-8.0, math.log10(0.3)), min_size=1,
+                             max_size=3))
+    def test_nonmonotone_acf_never_yields_a_schedule(self, fx, scheme,
+                                                     snr_db, log_beta):
+        betas = [10.0 ** lb for lb in log_beta]
+        gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])
+        # a grid whose every cell is infeasible builds no schedule at all
+        assume(np.any(max_modulation_order(fx.estimate, gamma[:, None],
+                                           scheme, np.array(betas)) > 0))
+        with pytest.raises(MonotonicityError):
+            sweep_rave_max(fx.estimate, snr_db, betas, scheme, _OSCILLATORY,
+                           fx.scenario.t_estimate)
