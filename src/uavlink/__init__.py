@@ -54,16 +54,13 @@ from .detectors import (
 from .fixtures import FIXTURE_NAMES, ReferenceFixture, load_fixture
 from .power_control import (
     EnergySavings,
-    NewtonIterate,
     PowerSample,
     PowerSchedule,
     QamRootInfo,
     energy_savings,
-    evaluate_iterate,
     min_power_schedule,
     min_snr_psk,
     min_snr_qam,
-    newton_step,
 )
 from .rate_optimizer import (
     RateOptimum,
@@ -111,9 +108,8 @@ __all__ = [
     "build_rate_schedules", "average_rate", "rate_derivative",
     "optimum_transmission_time", "sweep_rave_max",
     # power control
-    "NewtonIterate", "QamRootInfo", "PowerSample", "PowerSchedule",
-    "EnergySavings", "min_snr_psk", "min_snr_qam", "evaluate_iterate",
-    "newton_step", "min_power_schedule", "energy_savings",
+    "QamRootInfo", "PowerSample", "PowerSchedule", "EnergySavings",
+    "min_snr_psk", "min_snr_qam", "min_power_schedule", "energy_savings",
     # fixtures
     "ReferenceFixture", "FIXTURE_NAMES", "load_fixture",
 ]

@@ -29,7 +29,12 @@ from .constellation import (
     constellation_for,
     hamming_matrix,
 )
-from .errors import InfeasibleRateError, MonotonicityError, SchemeError
+from .errors import (
+    InfeasibleRateError,
+    MonotonicityError,
+    SchemeError,
+    require_finite,
+)
 
 __all__ = [
     "q_function",
@@ -290,8 +295,10 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
     of cells, which are bisected in lockstep: every bracket starts as
     [0, 1] and halves exactly, so all cells take the same steps. Scalars
     give a float. Raises InfeasibleRateError when even perfect CSI
-    (C = 1) violates the threshold in some cell.
+    (C = 1) violates the threshold in some cell, and ValueError for a
+    non-finite SNR or threshold.
     """
+    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     if rate_n < 1:
         raise ValueError("rate_n must be at least 1")
     bound = union_bound(scheme, 2 ** rate_n)

@@ -15,6 +15,7 @@ from .errors import (
     InfeasibleTargetError,
     MonotonicityError,
     NumericOverflowError,
+    require_finite,
 )
 from .scenario import SPEED_OF_LIGHT
 
@@ -144,8 +145,10 @@ def acf_inverse(params: WobbleParams, target, dt_max):
     target and dt_max broadcast; each element is bisected on its own
     bracket, all elements in lockstep, and scalars give a float. Requires
     temporal_acf(dt_max) <= target <= 1. Each returned dt is the first
-    midpoint with |temporal_acf(dt) - target| <= 1e-10.
+    midpoint with |temporal_acf(dt) - target| <= 1e-10. A non-finite
+    target or dt_max raises ValueError.
     """
+    require_finite(target=target, dt_max=dt_max)
     target, dt_max = np.broadcast_arrays(np.asarray(target, dtype=np.float64),
                                          np.asarray(dt_max, dtype=np.float64))
     above = target > 1.0

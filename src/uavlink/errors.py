@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input guard of the
+public inversions."""
+
+import numpy as np
 
 
 class UavlinkError(Exception):
@@ -39,3 +42,13 @@ class ScheduleError(UavlinkError):
 
 class ConfigError(UavlinkError, ValueError):
     """A run configuration file is missing or malformed."""
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first argument that holds a NaN or an
+    infinity; each value is a scalar or an array."""
+    for name, value in values.items():
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got "
+                             f"{np.asarray(value)[~finite].flat[0]}")

@@ -1,10 +1,11 @@
 """Minimum-power policy that holds the rate schedule at the BEP threshold.
 
 PSK inverts its closed-form BEP approximation directly. QAM has no closed
-inverse, so the union bound is driven to the threshold with the
-multiplicative Newton-Raphson update gamma * (u_m/beta)^(u_m/v_m); when
-that update misbehaves (it has no global convergence guarantee) a
-bisection on ln(gamma) over a verified bracket finishes the job.
+inverse, so the union bound is driven to the threshold by one safeguarded
+Newton solve in x = ln(gamma): the Newton step of
+f(x) = ln u(e^x) - ln(beta), which is the multiplicative update
+gamma * (u/beta)^(u/v), is taken while it stays inside a bracket that
+holds the root, and the bracket is bisected otherwise.
 
 The bound, its slope in ln(gamma) and its infinite-power floor come from
 the one cached, grouped `bep_analysis.UnionBound`. The power trace solves
@@ -20,20 +21,22 @@ import numpy as np
 
 from .bep_analysis import q_inverse, union_bound
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
-from .constellation import Constellation
-from .errors import DivergenceError, InfeasibleCsiError, ScheduleError, SchemeError
+from .errors import (
+    DivergenceError,
+    InfeasibleCsiError,
+    ScheduleError,
+    SchemeError,
+    require_finite,
+)
 from .rate_optimizer import RateSchedule, sample_grid
 from .scenario import LinkScenario, noise_power_dbm, path_loss_db
 
 __all__ = [
-    "NewtonIterate",
     "QamRootInfo",
     "PowerSample",
     "PowerSchedule",
     "EnergySavings",
     "min_snr_psk",
-    "evaluate_iterate",
-    "newton_step",
     "min_snr_qam",
     "min_power_schedule",
     "energy_savings",
@@ -42,30 +45,12 @@ __all__ = [
 _GAMMA_INIT = 1000.0  # 30 dB: where the QAM root search starts
 _LN_TOL = 1e-9  # convergence tolerance on ln(gamma)
 _MAX_ITER = 100
-_LN_GAMMA_LIMIT = math.log(1e15)  # leaving this range counts as divergence
-
-
-@dataclass(frozen=True)
-class NewtonIterate:
-    """State of the QAM root search at one gamma.
-
-    u_m and v_m are the union-bound value and its negated log-log slope at
-    gamma_re; lam and psi are the pairwise numerator factors
-    ||h C||^2 |s_m - s_mhat|^2 and the per-symbol denominator factors
-    2 (1 - C^2) |s_m|^2 (gamma-independent).
-    """
-
-    gamma_re: float
-    u_m: float
-    v_m: float
-    lam: np.ndarray
-    psi: np.ndarray
 
 
 class QamRootInfo(NamedTuple):
     gamma_min: float
     iterations: int
-    method: str  # "newton" or "bisection"
+    method: str  # kind of the final step: "newton" or "bisection"
 
 
 def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
@@ -75,8 +60,10 @@ def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
     Inverts the signal-space BEP approximation elementwise; a scalar
     `acf_value` gives a float. Raises InfeasibleCsiError when a denominator
     is non-positive: no finite power reaches the threshold at that CSI
-    quality, so the schedule must have switched down already.
+    quality, so the schedule must have switched down already, and
+    ValueError for a non-finite ACF value or threshold.
     """
+    require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
     c, b = np.asarray(acf_value, dtype=np.float64), bep_threshold
     hc_sq = estimate.norm_sq * c * c
     one_m_c2 = 1.0 - c * c
@@ -96,69 +83,25 @@ def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def _newton_target(gamma, u, v, bep_threshold: float):
-    """ln of the multiplicative update gamma * (u/beta)^(u/v), elementwise.
-
-    NaN where the state is degenerate (u or v non-finite or non-positive)
-    or the update leaves the usable SNR range: the divergence tests.
-    """
-    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        ln_next = np.log(gamma) + u / v * (np.log(u) - math.log(bep_threshold))
-        ok = (np.isfinite(u) & np.isfinite(v) & (u > 0.0) & (v > 0.0)
-              & np.isfinite(ln_next) & (np.abs(ln_next) <= _LN_GAMMA_LIMIT))
-    return np.where(ok, ln_next, np.nan)
-
-
-def evaluate_iterate(gamma: float, estimate: ChannelEstimate,
-                     acf_value: float, c: Constellation) -> NewtonIterate:
-    """NewtonIterate with u_m, v_m, lam, psi all evaluated at `gamma`."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    pts = c.points
-    hc_sq = estimate.norm_sq * acf_value * acf_value
-    lam = hc_sq * np.abs(pts[:, None] - pts[None, :]) ** 2
-    psi = 2.0 * (1.0 - acf_value * acf_value) * np.abs(pts) ** 2
-    u, v = union_bound(c.scheme, c.order).u_and_slope(estimate.norm_sq,
-                                                      acf_value, gamma)
-    return NewtonIterate(gamma, u, v, lam, psi)
-
-
-def newton_step(estimate: ChannelEstimate, acf_value: float,
-                bep_threshold: float, iterate: NewtonIterate,
-                c: Constellation) -> NewtonIterate:
-    """One multiplicative update gamma * (u_m/beta)^(u_m/v_m).
-
-    Computed in the log domain; a degenerate state or a non-finite or
-    out-of-range update raises DivergenceError. The returned iterate is
-    re-evaluated at the new gamma, so u_m = beta is a fixed point.
-    """
-    it = iterate
-    ln_next = float(_newton_target(it.gamma_re, it.u_m, it.v_m, bep_threshold))
-    if math.isnan(ln_next):
-        raise DivergenceError(
-            f"Newton update diverged at gamma={it.gamma_re:.6g} "
-            f"(u={it.u_m:.3g}, v={it.v_m:.3g})")
-    return evaluate_iterate(math.exp(ln_next), estimate, acf_value, c)
-
-
 class _QamRoots(NamedTuple):
     gamma_min: np.ndarray
     iterations: np.ndarray
-    newton: np.ndarray  # True where Newton converged, False: bisection
+    newton: np.ndarray  # True where the final step was Newton's
 
 
 def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
-               bep_threshold: float,
-               gamma_init: float = _GAMMA_INIT) -> _QamRoots:
-    """Minimum SNR of every sample in `acf` at once, one sample's algorithm
-    applied elementwise.
+               bep_threshold: float) -> _QamRoots:
+    """Minimum SNR of every sample in `acf` at once, by safeguarded Newton.
 
-    Each sample runs multiplicative Newton from gamma_init until
-    |d ln gamma| <= 1e-9; if it diverges or has not converged after 100
-    steps it falls back to bisection on ln(gamma) over a bracket grown by
-    factors of 10 around the target. Samples never mix: each keeps its own
-    iterate, iteration count and method.
+    Each sample solves f(x) = ln u(e^x) - ln(beta) = 0 in x = ln(gamma)
+    inside a bracket grown by factors of 10 around the root (u is
+    decreasing in gamma). Iterations start at gamma = 1000; each evaluates
+    u and its slope v once, shrinks the bracket on the sign of f, and takes
+    the Newton step x + (ln u - ln beta) u/v when it is finite and inside
+    the bracket, else bisects. A sample is done when an accepted Newton
+    step moves it by at most 1e-9, or when its bracket is narrower than
+    1e-9. Samples never mix: each keeps its own bracket, iterate, count
+    and final step, and all run in lockstep.
     """
     bound = union_bound("qam", order)
     norm_sq, beta = estimate.norm_sq, bep_threshold
@@ -170,49 +113,14 @@ def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
             f"C={acf[infeasible][0]:.6f} for any power")
 
     n = acf.size
-    gamma = np.full(n, float(gamma_init))
-    u, v = bound.u_and_slope(norm_sq, acf, gamma)
-    iterations = np.zeros(n, dtype=np.int64)
-    newton = np.zeros(n, dtype=bool)
-    out = np.empty(n)
-    live = np.arange(n)  # samples still in the Newton phase
-    for _ in range(_MAX_ITER):
-        if live.size == 0:
-            break
-        ln_next = _newton_target(gamma[live], u[live], v[live], beta)
-        ok = ~np.isnan(ln_next)  # the rest diverged: bisection
-        live, ln_next = live[ok], ln_next[ok]
-        g_next = np.exp(ln_next)
-        u[live], v[live] = bound.u_and_slope(norm_sq, acf[live], g_next)
-        iterations[live] += 1
-        done = np.abs(np.log(g_next) - np.log(gamma[live])) <= _LN_TOL
-        gamma[live] = g_next
-        out[live[done]] = g_next[done]
-        newton[live[done]] = True
-        live = live[~done]
-
-    rest = np.flatnonzero(~newton)
-    if rest.size:
-        out[rest], steps = _bisect_ln_gamma(bound, norm_sq, acf[rest], beta,
-                                            gamma_init)
-        iterations[rest] += steps
-    return _QamRoots(out, iterations, newton)
-
-
-def _bisect_ln_gamma(bound, norm_sq: float, acf: np.ndarray, beta: float,
-                     gamma_init: float):
-    """Bisection on ln(gamma) per sample; returns (roots, steps taken).
-
-    u is decreasing in gamma: each bracket [lo, hi] has u(lo) > beta > u(hi).
-    """
-    hi = np.full(acf.size, max(gamma_init, 1.0))
+    hi = np.full(n, _GAMMA_INIT)
     grow = bound.u(norm_sq, acf, hi) >= beta
     while grow.any():
         hi[grow] *= 10.0
         if np.any(hi[grow] > 1e30):
             raise DivergenceError("no upper bracket for the QAM root")
         grow[grow] = bound.u(norm_sq, acf[grow], hi[grow]) >= beta
-    lo = np.full(acf.size, min(gamma_init, 1e-9))
+    lo = np.full(n, 1e-9)
     grow = bound.u(norm_sq, acf, lo) <= beta
     while grow.any():
         lo[grow] /= 10.0
@@ -220,36 +128,54 @@ def _bisect_ln_gamma(bound, norm_sq: float, acf: np.ndarray, beta: float,
             raise DivergenceError("no lower bracket for the QAM root")
         grow[grow] = bound.u(norm_sq, acf[grow], lo[grow]) <= beta
 
-    ln_lo, ln_hi = np.log(lo), np.log(hi)
-    steps = np.zeros(acf.size, dtype=np.int64)
-    live = np.flatnonzero(ln_hi - ln_lo > _LN_TOL)
-    while live.size:
-        mid = 0.5 * (ln_lo[live] + ln_hi[live])
-        steps[live] += 1
-        above = bound.u(norm_sq, acf[live], np.exp(mid)) > beta
-        ln_lo[live[above]] = mid[above]
-        ln_hi[live[~above]] = mid[~above]
-        live = live[ln_hi[live] - ln_lo[live] > _LN_TOL]
-    return np.exp(0.5 * (ln_lo + ln_hi)), steps
+    ln_beta = math.log(beta)
+    ln_lo, ln_hi = np.log(lo), np.log(hi)  # f(ln_lo) > 0 > f(ln_hi)
+    x = np.full(n, math.log(_GAMMA_INIT))
+    iterations = np.zeros(n, dtype=np.int64)
+    newton = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for _ in range(_MAX_ITER):
+        xl = x[live]
+        u, v = bound.u_and_slope(norm_sq, acf[live], np.exp(xl))
+        iterations[live] += 1
+        with np.errstate(all="ignore"):  # non-finite steps are bisected
+            f = np.log(u) - ln_beta
+            step = f * u / v
+        above = f > 0.0  # the root lies above x
+        ln_lo[live[above]] = xl[above]
+        ln_hi[live[~above]] = xl[~above]
+        lo_l, hi_l = ln_lo[live], ln_hi[live]
+        x_newton = xl + step
+        ok = np.isfinite(x_newton) & (lo_l <= x_newton) & (x_newton <= hi_l)
+        x[live] = np.where(ok, x_newton, 0.5 * (lo_l + hi_l))
+        newton[live] = ok
+        done = np.where(ok, np.abs(step) <= _LN_TOL, hi_l - lo_l < _LN_TOL)
+        live = live[~done]
+        if not live.size:
+            return _QamRoots(np.exp(x), iterations, newton)
+    raise DivergenceError(f"QAM root not found in {_MAX_ITER} iterations "
+                          f"at C={acf[live][0]:.6f}")
 
 
 def min_snr_qam(order: int, estimate: ChannelEstimate, acf_value: float,
-                bep_threshold: float, gamma_init: float = _GAMMA_INIT,
-                details: bool = False):
+                bep_threshold: float, details: bool = False):
     """Minimum SNR driving the M-QAM union bound to the threshold.
 
-    Newton-Raphson from `gamma_init` (default 30 dB); on divergence or
-    non-convergence, bisection on ln(gamma) over a bracket grown around
-    the target. Raises InfeasibleCsiError when even infinite power cannot
-    meet the threshold (the bound's C-limited floor is too high). This is
-    the one-sample case of the batched solve behind min_power_schedule.
+    Safeguarded Newton on ln(gamma) from gamma = 1000 (30 dB), bisecting
+    whenever the Newton step leaves the bracket that holds the root.
+    Raises InfeasibleCsiError when even infinite power cannot meet the
+    threshold (the bound's C-limited floor is too high), and ValueError
+    for a non-finite ACF value or threshold. This is the one-sample case
+    of the batched solve behind min_power_schedule.
 
-    With details=True returns QamRootInfo(gamma_min, iterations, method).
+    With details=True returns QamRootInfo(gamma_min, iterations, method):
+    the number of bound evaluations, and "newton" or "bisection" for the
+    kind of the final step.
     """
+    require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
     if order == 2:
         raise SchemeError("order-2 QAM is BPSK; use min_snr_psk(2, ...)")
-    roots = _solve_qam(order, estimate, np.array([acf_value]), bep_threshold,
-                       gamma_init)
+    roots = _solve_qam(order, estimate, np.array([acf_value]), bep_threshold)
     gamma = float(roots.gamma_min[0])
     if details:
         return QamRootInfo(gamma, int(roots.iterations[0]),

@@ -21,7 +21,6 @@ from uavlink import (
     build_rate_schedule,
     constellation_for,
     energy_savings,
-    evaluate_iterate,
     min_power_schedule,
     min_snr_psk,
     min_snr_qam,
@@ -32,6 +31,7 @@ from uavlink import (
     rate_derivative,
     so_detect,
     sweep_rave_max,
+    union_bound,
     uub,
 )
 from uavlink.cli import main as cli_main
@@ -304,13 +304,15 @@ def test_criterion_07_psk_power_roundtrip(case1):
 
 
 def test_criterion_08_qam_root_convergence(case1):
-    """From the default 30 dB start the QAM solver converges in at most 100
+    """From its fixed 30 dB start the QAM solver converges in at most 100
     iterations with the bound at the threshold to 1e-4 relative; the slope
     v_m matches finite differences to 1e-4 relative."""
     beta = 1e-5
+    norm_sq = case1.estimate.norm_sq
     worst_res, worst_iters, worst_slope = 0.0, 0, 0.0
     for order in (4, 16):
         c = make_qam(order)
+        bound = union_bound("qam", order)
         for acf in (0.99, 0.999):
             info = min_snr_qam(order, case1.estimate, acf, beta,
                                details=True)
@@ -319,14 +321,12 @@ def test_criterion_08_qam_root_convergence(case1):
                                  c)).raw
             worst_res = max(worst_res, abs(val - beta) / beta)
             for g0 in (info.gamma_min, 1.5 * info.gamma_min):
-                it = evaluate_iterate(g0, case1.estimate, acf, c)
+                _, v_m = bound.u_and_slope(norm_sq, acf, g0)
                 eps = 1e-5
-                up = evaluate_iterate(g0 * math.exp(eps), case1.estimate,
-                                      acf, c).u_m
-                dn = evaluate_iterate(g0 * math.exp(-eps), case1.estimate,
-                                      acf, c).u_m
+                up = bound.u(norm_sq, acf, g0 * math.exp(eps))
+                dn = bound.u(norm_sq, acf, g0 * math.exp(-eps))
                 fd = (dn - up) / (2 * eps)
-                worst_slope = max(worst_slope, abs(it.v_m - fd) / abs(fd))
+                worst_slope = max(worst_slope, abs(v_m - fd) / abs(fd))
     print(f"criterion 08: max iterations {worst_iters} (limit 100), "
           f"worst residual {worst_res:.2e} relative (limit 1e-4), "
           f"worst slope gap {worst_slope:.2e} relative (limit 1e-4)")

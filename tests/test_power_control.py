@@ -17,25 +17,25 @@ from hypothesis import strategies as st
 from uavlink import (
     BepContext,
     EnergySavings,
-    NewtonIterate,
     PowerSample,
     PowerSchedule,
     QamRootInfo,
+    acf_inverse,
     build_rate_schedule,
-    constellation_for,
     energy_savings,
-    evaluate_iterate,
+    min_acf_for_rate,
     min_power_schedule,
     min_snr_psk,
     min_snr_qam,
-    newton_step,
     optimum_transmission_time,
+    power_control,
     psk_bep_approx,
     q_inverse,
+    union_bound,
     uub,
 )
 from uavlink.constellation import make_qam
-from uavlink.errors import DivergenceError, InfeasibleCsiError, SchemeError
+from uavlink.errors import InfeasibleCsiError, SchemeError
 from uavlink.fixtures import load_fixture
 from uavlink.scenario import average_snr_db, noise_power_dbm, path_loss_db
 
@@ -97,9 +97,9 @@ class TestPskSolver:
 class TestQamSolver:
     # (order, acf) -> root, iterations, method, all at beta = 1e-5
     PINS = [
-        (4, 0.99, 2.454066702721, 36, "bisection"),
-        (4, 0.999, 2.308435205889, 35, "bisection"),
-        (16, 0.99, 15.166363129613, 36, "bisection"),
+        (4, 0.99, 2.454066702721, 9, "newton"),
+        (4, 0.999, 2.308435205889, 8, "newton"),
+        (16, 0.99, 15.166363129613, 10, "newton"),
         (16, 0.999, 11.369164682887, 5, "newton"),
     ]
 
@@ -118,10 +118,25 @@ class TestQamSolver:
         bound = uub(BepContext(fx.estimate, acf, g, make_qam(order)))
         assert bound.raw == pytest.approx(BETA, rel=1e-7)
 
-    def test_gamma_init_insensitive(self, fx):
-        a = min_snr_qam(16, fx.estimate, 0.99, BETA, gamma_init=1e-6)
-        b = min_snr_qam(16, fx.estimate, 0.99, BETA, gamma_init=1e8)
-        assert a == pytest.approx(b, rel=1e-8)
+    @given(order=st.sampled_from([4, 16, 64]),
+           log_one_minus_c=st.floats(-7.0, -1.0),
+           log_beta=st.floats(-7.0, -2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bisection_oracle(self, fx, order, log_one_minus_c,
+                                      log_beta):
+        # each root against a plain bisection on ln(gamma), in the test
+        acf, beta = 1.0 - 10.0 ** log_one_minus_c, 10.0 ** log_beta
+        bound, norm_sq = union_bound("qam", order), fx.estimate.norm_sq
+        lo, hi = math.log(1e-12), math.log(1e30)
+        assume(bound.u(norm_sq, acf, math.exp(hi)) < beta)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if bound.u(norm_sq, acf, math.exp(mid)) > beta:
+                lo = mid
+            else:
+                hi = mid
+        root = min_snr_qam(order, fx.estimate, acf, beta)
+        assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
 
     def test_order_two_redirects(self, fx):
         with pytest.raises(SchemeError):
@@ -131,50 +146,6 @@ class TestQamSolver:
         # 64-QAM at C = 0.7: even infinite power leaves the bound above beta
         with pytest.raises(InfeasibleCsiError):
             min_snr_qam(64, fx.estimate, 0.7, BETA)
-
-
-class TestNewtonMachinery:
-    def test_iterate_self_consistent(self, fx):
-        c = constellation_for("qam", 16)
-        it = evaluate_iterate(7.0, fx.estimate, 0.99, c)
-        assert isinstance(it, NewtonIterate)
-        assert it.gamma_re == 7.0
-        assert it.u_m > 0 and it.v_m > 0
-        assert it.lam.shape == (16, 16) and it.psi.shape == (16,)
-
-    def test_iterate_rejects_bad_gamma(self, fx):
-        with pytest.raises(ValueError):
-            evaluate_iterate(0.0, fx.estimate, 0.99, constellation_for("qam", 16))
-
-    def test_slope_matches_finite_difference(self, fx):
-        # v_m = -du/d(ln gamma), checked by central difference
-        c = constellation_for("qam", 16)
-        g0, eps = 7.0, 1e-5
-        it = evaluate_iterate(g0, fx.estimate, 0.99, c)
-        up = evaluate_iterate(g0 * math.exp(eps), fx.estimate, 0.99, c).u_m
-        dn = evaluate_iterate(g0 * math.exp(-eps), fx.estimate, 0.99, c).u_m
-        assert it.v_m == pytest.approx((dn - up) / (2 * eps), rel=1e-7)
-
-    def test_root_is_fixed_point(self, fx):
-        c = constellation_for("qam", 16)
-        root = min_snr_qam(16, fx.estimate, 0.999, BETA)
-        it = evaluate_iterate(root, fx.estimate, 0.999, c)
-        nxt = newton_step(fx.estimate, 0.999, BETA, it, c)
-        assert abs(math.log(nxt.gamma_re / it.gamma_re)) < 1e-9
-
-    def test_degenerate_state_raises(self, fx):
-        c = constellation_for("qam", 16)
-        base = evaluate_iterate(7.0, fx.estimate, 0.99, c)
-        broken = NewtonIterate(base.gamma_re, 0.0, base.v_m, base.lam, base.psi)
-        with pytest.raises(DivergenceError):
-            newton_step(fx.estimate, 0.99, BETA, broken, c)
-
-    def test_runaway_update_raises(self, fx):
-        c = constellation_for("qam", 16)
-        base = evaluate_iterate(7.0, fx.estimate, 0.99, c)
-        runaway = NewtonIterate(base.gamma_re, 0.5, 1e-300, base.lam, base.psi)
-        with pytest.raises(DivergenceError):
-            newton_step(fx.estimate, 0.99, BETA, runaway, c)
 
 
 class TestPowerSchedule:
@@ -293,6 +264,22 @@ class TestBatchedSolve:
             assert s.gamma_min_db == pytest.approx(10.0 * math.log10(alone),
                                                    rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_trace_roots_converge_fast_and_tight(self, case):
+        # every sample of a QAM power trace is solved in at most 20 bound
+        # evaluations, with the bound at the threshold to 1e-12
+        fx = load_fixture(case)
+        _, power = _trace(fx, "qam", 4e-5)
+        beta = fx.scenario.bep_threshold
+        for order in sorted({s.order for s in power.samples} - {2}):
+            acf = np.array([s.acf_value for s in power.samples
+                            if s.order == order])
+            roots = power_control._solve_qam(order, fx.estimate, acf, beta)
+            assert roots.iterations.max() <= 20
+            u = union_bound("qam", order).u(fx.estimate.norm_sq, acf,
+                                            roots.gamma_min)
+            assert np.max(np.abs(u / beta - 1.0)) <= 1e-12
+
     @given(case=st.sampled_from(["case1", "case2"]),
            scheme=st.sampled_from(["psk", "qam"]),
            p_max_dbm=st.floats(25.0, 45.0),
@@ -315,6 +302,26 @@ class TestBatchedSolve:
             assert not s.clamped
             gamma = 10.0 ** ((s.p_min_dbm - pl - n0) / 10.0)
             assert _bep_at(fx.estimate, scheme, s, gamma) <= beta * (1 + 1e-6)
+
+
+class TestFiniteInputGuard:
+    @pytest.mark.parametrize("call", [
+        lambda fx: acf_inverse(fx.wobble, math.nan, 1.0),
+        lambda fx: acf_inverse(fx.wobble, 0.9, math.inf),
+        lambda fx: min_acf_for_rate(2, fx.estimate, 300.0, "psk", math.nan),
+        lambda fx: min_acf_for_rate(2, fx.estimate, math.inf, "qam", 1e-5),
+        lambda fx: min_snr_qam(16, fx.estimate, math.nan, BETA),
+        lambda fx: min_snr_qam(16, fx.estimate, 0.99, -math.inf),
+        lambda fx: min_snr_psk(8, fx.estimate, math.nan, BETA),
+        lambda fx: min_snr_psk(8, fx.estimate, np.array([0.99, math.nan]),
+                               BETA),
+    ], ids=["acf_inverse-target", "acf_inverse-dt_max",
+            "min_acf_for_rate-threshold", "min_acf_for_rate-snr",
+            "min_snr_qam-acf", "min_snr_qam-threshold",
+            "min_snr_psk-acf", "min_snr_psk-acf-array"])
+    def test_non_finite_input_raises(self, fx, call):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(fx)
 
 
 class TestEnergySavings:
