@@ -352,8 +352,10 @@ def max_modulation_order(estimate: ChannelEstimate, snr_linear,
     """Largest supported order whose perfect-CSI UUB meets the threshold.
 
     Returns 0 when no order is feasible. R_max is log2 of the result.
-    snr_linear and bep_threshold broadcast; scalars give an int.
+    snr_linear and bep_threshold broadcast; scalars give an int. Raises
+    ValueError for a non-finite SNR or threshold.
     """
+    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     gamma, beta = _cells(snr_linear, bep_threshold)
     best = np.zeros(gamma.shape, dtype=np.int64)
     for order in SUPPORTED_ORDERS:

@@ -253,20 +253,20 @@ def load_config(path: str, seed_override: int | None = None,
     )
 
 
-def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _column_text(column) -> list:
+    """One CSV column as text, keyed on its dtype: floats by shortest
+    round-trip repr, flags as 1/0, integers and text by str."""
+    column = np.asarray(column)
+    if column.dtype.kind == "b":
+        column = column.astype(np.int64)
+    return list(map(repr if column.dtype.kind == "f" else str,
+                    column.tolist()))
 
 
-def _write_csv(path: Path, header, rows, meta: dict) -> None:
+def _write_csv(path: Path, header, columns, meta: dict) -> None:
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*map(_column_text, columns))))
     try:
-        lines = [",".join(header)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
         sidecar = path.with_name(path.name + ".meta.json")
         sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -323,7 +323,7 @@ def cmd_bep_curve(cfg: RunConfig, threads: int, out_dir: Path) -> None:
     _write_csv(out_dir / "bep_curve.csv",
                ["snr_db", "acf", "scheme", "order", "detector",
                 "bep", "std_error", "bits"],
-               rows, meta)
+               list(zip(*rows)), meta)
 
 
 def _schedule_for(cfg: RunConfig):
@@ -354,34 +354,33 @@ def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
                 r_op=optimum.r_op)
     _write_csv(out_dir / "adapt_schedule.csv",
                ["t_start", "t_end", "rate_bits", "order", "c_start", "c_end"],
-               rows, meta)
+               list(zip(*rows)), meta)
 
     t, rate = sample_grid(schedule, cfg.sample_dt)
     acf = temporal_acf(cfg.wobble, t - t_e)
     bound = _region_bound(cfg, rate, acf, gamma_max, psk_approx=False)
-    trace = list(zip(t.tolist(), acf.tolist(), rate.tolist(),
-                     (1 << rate).tolist(), bound.tolist()))
     _write_csv(out_dir / "adapt_uub_trace.csv",
-               ["t", "acf", "rate_bits", "order", "uub"], trace, meta)
+               ["t", "acf", "rate_bits", "order", "uub"],
+               [t, acf, rate, 1 << rate, bound], meta)
 
-    curve = [(t_c, average_rate(schedule, t_c))
-             for t_c in sample_lags(schedule, cfg.sample_dt).tolist()]
-    _write_csv(out_dir / "adapt_rave.csv", ["t_c", "r_ave"], curve, meta)
+    lags = sample_lags(schedule, cfg.sample_dt)
+    _write_csv(out_dir / "adapt_rave.csv", ["t_c", "r_ave"],
+               [lags, average_rate(schedule, lags)], meta)
 
 
 def cmd_rate_opt(cfg: RunConfig, out_dir: Path) -> None:
     """Max average rate for every (SNR, threshold) grid cell."""
     matrix = sweep_rave_max(cfg.estimate, cfg.snr_db, cfg.bep_thresholds,
                             cfg.scheme, cfg.wobble, cfg.scenario.t_estimate)
-    rows = [(snr_db, beta, matrix[i, j])
-            for i, snr_db in enumerate(cfg.snr_db)
-            for j, beta in enumerate(cfg.bep_thresholds)]
     meta = _base_meta(cfg)
     meta.update(snr_db=list(cfg.snr_db),
                 bep_thresholds=list(cfg.bep_thresholds),
                 t_estimate=cfg.scenario.t_estimate)
     _write_csv(out_dir / "rate_opt_contour.csv",
-               ["snr_db", "bep_threshold", "r_ave_max"], rows, meta)
+               ["snr_db", "bep_threshold", "r_ave_max"],
+               [np.repeat(cfg.snr_db, len(cfg.bep_thresholds)),
+                np.tile(cfg.bep_thresholds, len(cfg.snr_db)), matrix.ravel()],
+               meta)
 
 
 def _region_bound(cfg: RunConfig, rate: np.ndarray, acf: np.ndarray,
@@ -409,13 +408,9 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     pl = path_loss_db(cfg.scenario)
     n0 = noise_power_dbm(cfg.scenario)
 
-    rate = np.array([s.rate for s in power.samples], dtype=np.int64)
-    acf = np.array([s.acf_value for s in power.samples])
-    gamma_emitted = 10.0 ** ((np.array([s.p_min_dbm for s in power.samples])
-                              - pl - n0) / 10.0)
-    bep = _region_bound(cfg, rate, acf, gamma_emitted,
+    gamma_emitted = 10.0 ** ((power.p_min_dbm - pl - n0) / 10.0)
+    bep = _region_bound(cfg, power.rate, power.acf_value, gamma_emitted,
                         psk_approx=cfg.scheme == "psk")
-    rows = [(*s, b) for s, b in zip(power.samples, bep.tolist())]
     meta = _base_meta(cfg)
     meta.update(gamma_max_db=10.0 * math.log10(gamma_max),
                 bep_threshold=cfg.scenario.bep_threshold,
@@ -424,7 +419,9 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     _write_csv(out_dir / "power_trace.csv",
                ["t", "rate_bits", "order", "acf", "gamma_min_db",
                 "p_min_dbm", "clamped", "bep_at_pmin"],
-               rows, meta)
+               [power.t, power.rate, 1 << power.rate, power.acf_value,
+                power.gamma_min_db, power.p_min_dbm, power.clamped, bep],
+               meta)
 
     t_e = schedule.t_estimate
     optimum = optimum_transmission_time(schedule, cfg.scenario.t_coherence)
@@ -439,7 +436,7 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     _write_csv(out_dir / "power_savings.csv",
                ["window", "t_start", "t_end", "mean_power_dbm",
                 "savings_percent", "baseline_dbm"],
-               srows, meta)
+               list(zip(*srows)), meta)
 
 
 def main(argv=None) -> int:

@@ -38,6 +38,7 @@ import numpy as np
 
 from .channel import ChannelEstimate
 from .constellation import POPCOUNT, Constellation
+from .errors import require_finite
 
 __all__ = [
     "DetectorKind",
@@ -272,8 +273,10 @@ def monte_carlo_bep(estimate: ChannelEstimate, acf_value: float,
     Each trial draws a uniform symbol and the two detection statistics it
     produces through an independently evolved channel and noise, then
     detects. Bit errors are counted against the Gray labels. Results depend
-    only on (seed, n_symbols), never on `threads`.
+    only on (seed, n_symbols), never on `threads`. Raises ValueError for a
+    non-finite SNR.
     """
+    require_finite(snr_linear=snr_linear)
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
     if not 0.0 <= acf_value <= 1.0:

@@ -15,6 +15,7 @@ same algorithm as the scalar `min_snr_qam` (which is the one-sample case).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -193,14 +194,34 @@ class PowerSample(NamedTuple):
     clamped: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSchedule:
-    """Per-instant minimum power along one rate schedule."""
+    """Per-instant minimum power along one rate schedule, as NumPy columns
+    with one entry per sample (the order is 1 << rate). The column arrays
+    are made read-only."""
 
     scheme: str
-    samples: tuple[PowerSample, ...]
     sample_dt: float
     p_max_dbm: float
+    t: np.ndarray
+    rate: np.ndarray
+    acf_value: np.ndarray
+    gamma_min_db: np.ndarray
+    p_min_dbm: np.ndarray
+    clamped: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.t, self.rate, self.acf_value, self.gamma_min_db,
+                    self.p_min_dbm, self.clamped):
+            col.flags.writeable = False  # shared by every reader of the trace
+
+    @cached_property
+    def samples(self) -> tuple[PowerSample, ...]:
+        """The trace as PowerSample rows, built on first use."""
+        return tuple(map(PowerSample._make, zip(
+            self.t.tolist(), self.rate.tolist(), (1 << self.rate).tolist(),
+            self.acf_value.tolist(), self.gamma_min_db.tolist(),
+            self.p_min_dbm.tolist(), self.clamped.tolist())))
 
 
 def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
@@ -217,9 +238,6 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
     """
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
-    if schedule.is_empty:
-        return PowerSchedule(schedule.scheme, (), sample_dt,
-                             scenario.p_max_dbm)
     t, rate = sample_grid(schedule, sample_dt)
     acf = temporal_acf(wobble, t - schedule.t_estimate)
     beta = scenario.bep_threshold
@@ -239,13 +257,10 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
                 "schedule and threshold disagree") from exc
     gamma_db = 10.0 * np.log10(gamma)
     p = gamma_db + path_loss_db(scenario) + noise_power_dbm(scenario)
-    clamped = p > scenario.p_max_dbm
-    p_min = np.minimum(p, scenario.p_max_dbm)
-    samples = tuple(map(PowerSample._make, zip(
-        t.tolist(), rate.tolist(), (1 << rate).tolist(), acf.tolist(),
-        gamma_db.tolist(), p_min.tolist(), clamped.tolist())))
-    return PowerSchedule(schedule.scheme, samples, sample_dt,
-                         scenario.p_max_dbm)
+    return PowerSchedule(schedule.scheme, sample_dt, scenario.p_max_dbm,
+                         t, rate, acf, gamma_db,
+                         np.minimum(p, scenario.p_max_dbm),
+                         p > scenario.p_max_dbm)
 
 
 @dataclass(frozen=True)
@@ -265,13 +280,11 @@ def energy_savings(power: PowerSchedule, p_baseline_dbm: float,
     the reported mean_power_dbm is that average converted back to dBm.
     """
     t_a, t_b = window
-    ts = np.array([s.t for s in power.samples])
     eps = 1e-9 * power.sample_dt
-    mask = (ts > t_a + eps) & (ts <= t_b + eps)
+    mask = (power.t > t_a + eps) & (power.t <= t_b + eps)
     if mask.sum() < 2:
         raise ValueError("window must contain at least two power samples")
-    p_dbm = np.array([s.p_min_dbm for s in power.samples])[mask]
-    lin = 10.0 ** (p_dbm / 10.0)  # mW
+    lin = 10.0 ** (power.p_min_dbm[mask] / 10.0)  # mW
     mean_lin = float((0.5 * (lin[0] + lin[-1]) + lin[1:-1].sum())
                      / (lin.size - 1))
     base_lin = 10.0 ** (p_baseline_dbm / 10.0)

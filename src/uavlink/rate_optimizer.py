@@ -216,25 +216,25 @@ def sample_grid(schedule: RateSchedule,
     return t[keep], rate[keep]
 
 
-def average_rate(schedule: RateSchedule, t_c: float) -> float:
+def average_rate(schedule: RateSchedule, t_c):
     """Exact average rate over [T_e, T_e + T_c], normalized by T_e + T_c.
 
     Integrates the rate staircase in closed form; t_c = 0 gives 0.
+    Broadcasts over an array of t_c; a scalar gives a float.
     """
-    if t_c < 0:
+    t_c = np.asarray(t_c, dtype=np.float64)
+    if not (t_c >= 0.0).all():
         raise ValueError("t_c must be non-negative")
-    if t_c == 0.0 or schedule.is_empty:
-        return 0.0
     t_e = schedule.t_estimate
     tau = t_e + t_c
     total = 0.0
-    for th in schedule.thresholds:
-        lo = schedule.switch_time(th.n + 1)
-        hi = th.t_n
-        a, b = max(lo, t_e), min(hi, tau)
-        if b > a:
-            total += th.n * (b - a)
-    return total / tau
+    for th in schedule.thresholds:  # summed in rate order
+        a = schedule.switch_time(th.n + 1)  # never below t_e
+        b = np.minimum(th.t_n, tau)
+        total = total + th.n * (b - a) * (b > a)  # 0 where b <= a
+    # the sum is 0 at t_c = 0, where tau may be 0 too
+    avg = total / np.where(t_c > 0.0, tau, 1.0)
+    return float(avg) if avg.ndim == 0 else avg
 
 
 def rate_derivative(schedule: RateSchedule, t_c: float) -> float:
@@ -269,24 +269,20 @@ def optimum_transmission_time(schedule: RateSchedule,
     coherence horizon; every candidate is evaluated exactly and ties go to
     the shortest period.
     """
-    if schedule.is_empty:
-        return RateOptimum(0.0, 0.0, 0)
     t_e = schedule.t_estimate
     horizon = (schedule.t_zero_rate if t_coherence is None else t_coherence)
-    if horizon <= t_e:
+    if schedule.is_empty or horizon <= t_e:
         return RateOptimum(0.0, 0.0, 0)
     t_c_cap = horizon - t_e
 
-    candidates = {min(th.t_n - t_e, t_c_cap) for th in schedule.thresholds
-                  if th.t_n - t_e > 0}
-    candidates.add(t_c_cap)
-    best_tc, best_rate = 0.0, 0.0
-    for t_c in sorted(candidates):
-        r = average_rate(schedule, t_c)
-        if r > best_rate:
-            best_tc, best_rate = t_c, r
-    r_op = schedule.rate_at(t_e + best_tc)
-    return RateOptimum(best_tc, best_rate, r_op)
+    candidates = np.array(sorted(
+        {min(th.t_n - t_e, t_c_cap) for th in schedule.thresholds}
+        | {t_c_cap}))
+    rates = average_rate(schedule, candidates)
+    k = int(np.argmax(rates))  # ties go to the first, shortest period
+    best_tc = float(candidates[k])
+    return RateOptimum(best_tc, float(rates[k]),
+                       schedule.rate_at(t_e + best_tc))
 
 
 def sweep_rave_max(estimate: ChannelEstimate, snr_db_grid,

@@ -9,10 +9,13 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavlink import __version__
-from uavlink.cli import load_config, main
+from uavlink.cli import _write_csv, load_config, main
 from uavlink.errors import ConfigError
 
 BASE_RUN = """\
@@ -335,3 +338,52 @@ class TestConfigResolution:
         cfg = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match="genie"):
             load_config(str(cfg))
+
+
+def _cell(v) -> str:
+    """The row-wise cell formatter the column writer replaced: the oracle
+    for its bytes."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                                1e-300, -1e-300, 1.7976931348623157e308,
+                                float("inf"), float("-inf"), 0.1, 1e16])
+_COLUMN_KINDS = st.sampled_from([
+    (np.float64, st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False))),
+    (np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    (np.bool_, st.booleans()),
+    (None, st.text(st.characters(blacklist_categories=("Cs", "Cc"),
+                                 blacklist_characters=","), max_size=8)),
+])
+
+
+@st.composite
+def _columns(draw):
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        dtype, values = draw(_COLUMN_KINDS)
+        cells = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(cells, dtype=dtype) if dtype else cells)
+    return columns
+
+
+class TestColumnWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=_columns())
+    def test_bytes_match_rowwise_cells(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        header = [f"c{k}" for k in range(len(columns))]
+        _write_csv(path, header, columns, {"k": 1})
+        lines = [",".join(header)]
+        lines.extend(",".join(_cell(v) for v in row) for row in zip(*columns))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        sidecar = path.with_name("out.csv.meta.json")
+        assert json.loads(sidecar.read_text()) == {"k": 1}

@@ -16,17 +16,19 @@ from hypothesis import strategies as st
 
 from uavlink import (
     BepContext,
+    DetectorKind,
     EnergySavings,
-    PowerSample,
     PowerSchedule,
     QamRootInfo,
     acf_inverse,
     build_rate_schedule,
     energy_savings,
+    max_modulation_order,
     min_acf_for_rate,
     min_power_schedule,
     min_snr_psk,
     min_snr_qam,
+    monte_carlo_bep,
     optimum_transmission_time,
     power_control,
     psk_bep_approx,
@@ -315,10 +317,17 @@ class TestFiniteInputGuard:
         lambda fx: min_snr_psk(8, fx.estimate, math.nan, BETA),
         lambda fx: min_snr_psk(8, fx.estimate, np.array([0.99, math.nan]),
                                BETA),
+        lambda fx: max_modulation_order(fx.estimate, math.nan, "qam", BETA),
+        lambda fx: max_modulation_order(fx.estimate, np.array([300.0]),
+                                        "psk", math.inf),
+        lambda fx: monte_carlo_bep(fx.estimate, 0.99, math.nan,
+                                   make_qam(16), DetectorKind.SO, 100, 1),
     ], ids=["acf_inverse-target", "acf_inverse-dt_max",
             "min_acf_for_rate-threshold", "min_acf_for_rate-snr",
             "min_snr_qam-acf", "min_snr_qam-threshold",
-            "min_snr_psk-acf", "min_snr_psk-acf-array"])
+            "min_snr_psk-acf", "min_snr_psk-acf-array",
+            "max_modulation_order-snr", "max_modulation_order-threshold",
+            "monte_carlo_bep-snr"])
     def test_non_finite_input_raises(self, fx, call):
         with pytest.raises(ValueError, match="must be finite"):
             call(fx)
@@ -349,11 +358,11 @@ class TestEnergySavings:
         assert out.savings_percent == pytest.approx(savings, abs=1e-8)
 
     def test_flat_trace_at_baseline_saves_nothing(self):
-        samples = tuple(
-            PowerSample(t=1e-3 + k * 1e-5, rate=1, order=2, acf_value=0.9,
-                        gamma_min_db=10.0, p_min_dbm=30.0, clamped=False)
-            for k in range(1, 6))
-        power = PowerSchedule("psk", samples, 1e-5, 35.0)
+        power = PowerSchedule(
+            "psk", 1e-5, 35.0, t=1e-3 + np.arange(1, 6) * 1e-5,
+            rate=np.ones(5, dtype=np.int64), acf_value=np.full(5, 0.9),
+            gamma_min_db=np.full(5, 10.0), p_min_dbm=np.full(5, 30.0),
+            clamped=np.zeros(5, dtype=bool))
         out = energy_savings(power, 30.0, (1e-3, 1e-3 + 5e-5))
         assert isinstance(out, EnergySavings)
         assert out.savings_percent == pytest.approx(0.0, abs=1e-12)

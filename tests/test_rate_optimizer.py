@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavlink import (
@@ -22,6 +22,7 @@ from uavlink import (
     average_rate,
     build_rate_schedule,
     build_rate_schedules,
+    min_acf_for_rate,
     optimum_transmission_time,
     rate_derivative,
     sweep_rave_max,
@@ -32,6 +33,7 @@ from uavlink.channel import check_acf_monotone
 from uavlink.constellation import SUPPORTED_ORDERS
 from uavlink.errors import InfeasibleRateError, MonotonicityError, ScheduleError
 from uavlink.fixtures import load_fixture
+from uavlink.scenario import average_snr_db
 
 GAMMA_MAX = 277.1359929049
 BETA = 1e-5
@@ -126,7 +128,46 @@ class TestRateAt:
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
+def _oracle_average_rate(schedule, t_c):
+    """The scalar average_rate the broadcasting one replaced."""
+    if t_c < 0:
+        raise ValueError("t_c must be non-negative")
+    if t_c == 0.0 or schedule.is_empty:
+        return 0.0
+    t_e = schedule.t_estimate
+    tau = t_e + t_c
+    total = 0.0
+    for th in schedule.thresholds:
+        a, b = max(schedule.switch_time(th.n + 1), t_e), min(th.t_n, tau)
+        if b > a:
+            total += th.n * (b - a)
+    return total / tau
+
+
 class TestAverageRate:
+    @settings(max_examples=40, deadline=None)
+    @given(fixture=st.sampled_from(["case1", "case2"]),
+           scheme=st.sampled_from(["psk", "qam"]),
+           log_beta=st.floats(-8.0, math.log10(0.3)),
+           fractions=st.lists(st.floats(0.0, 1.5), max_size=40))
+    def test_array_equals_scalar_oracle(self, fixture, scheme, log_beta,
+                                        fractions):
+        fx = load_fixture(fixture)
+        t_e = fx.scenario.t_estimate
+        gamma = 10.0 ** (average_snr_db(fx.scenario.p_max_dbm, fx.scenario)
+                         / 10.0)
+        schedule = build_rate_schedule(fx.estimate, gamma, scheme,
+                                       10.0 ** log_beta, fx.wobble, t_e)
+        # 0, every switch lag, and draws from 0 to half a span past t_1
+        span = max(schedule.t_zero_rate - t_e, 1e-3)
+        t_c = [0.0] + [th.t_n - t_e for th in schedule.thresholds] \
+            + [f * span for f in fractions]
+        want = [_oracle_average_rate(schedule, v) for v in t_c]
+        assert average_rate(schedule, np.array(t_c)).tolist() == want
+        scalar = [average_rate(schedule, v) for v in t_c]
+        assert scalar == want
+        assert all(type(v) is float for v in scalar)
+
     def test_zero_cases(self, psk_schedule):
         assert average_rate(psk_schedule, 0.0) == 0.0
         with pytest.raises(ValueError):
@@ -389,19 +430,42 @@ _OSCILLATORY = WobbleParams(omega_c=2 * np.pi * 28e9, omega_v=20.0 * np.pi,
                             mu=0.01, sigma_v_sq=1e-4)
 
 
+@pytest.fixture(scope="module")
+def first_rise():
+    """Lag L where the oscillatory ACF first stops decreasing, on a 0.2 us
+    grid."""
+    lags = np.linspace(0.0, 0.2, 1_000_001)
+    diff = np.diff(temporal_acf(_OSCILLATORY, lags))
+    return float(lags[np.argmax(diff >= 0.0)])
+
+
 class TestGuardsPerCell:
+    # the ACF falls monotonically on [0, L], L just past 0.05 s, to about
+    # 0.99133, then ripples: a cell whose C_1 lies above ACF(L) schedules on
+    # that stretch, and one whose C_1 lies at or below it cannot
     @settings(max_examples=25, deadline=None)
     @given(scheme=st.sampled_from(["psk", "qam"]),
            snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
            log_beta=st.lists(st.floats(-8.0, math.log10(0.3)), min_size=1,
                              max_size=3))
-    def test_nonmonotone_acf_never_yields_a_schedule(self, fx, scheme,
-                                                     snr_db, log_beta):
-        betas = [10.0 ** lb for lb in log_beta]
-        gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])
+    @example(scheme="psk", snr_db=[0.0], log_beta=[-4.375])
+    def test_schedules_stay_on_the_monotone_stretch(self, fx, first_rise,
+                                                     scheme, snr_db, log_beta):
+        t_e = fx.scenario.t_estimate
+        gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])[:, None]
+        beta = np.array([10.0 ** lb for lb in log_beta])
+        g, b = np.broadcast_arrays(gamma, beta)
+        feasible = max_modulation_order(fx.estimate, g, scheme, b) > 0
         # a grid whose every cell is infeasible builds no schedule at all
-        assume(np.any(max_modulation_order(fx.estimate, gamma[:, None],
-                                           scheme, np.array(betas)) > 0))
-        with pytest.raises(MonotonicityError):
-            sweep_rave_max(fx.estimate, snr_db, betas, scheme, _OSCILLATORY,
-                           fx.scenario.t_estimate)
+        assume(feasible.any())
+        c_1 = min_acf_for_rate(1, fx.estimate, g[feasible], scheme,
+                               b[feasible])
+        try:
+            schedules = build_rate_schedules(fx.estimate, gamma, scheme, beta,
+                                             _OSCILLATORY, t_e)
+        except MonotonicityError:
+            return
+        assert np.min(c_1) > temporal_acf(_OSCILLATORY, first_rise)
+        for s in schedules:
+            for th in s.thresholds:
+                assert t_e < th.t_n <= t_e + first_rise
