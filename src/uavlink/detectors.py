@@ -18,6 +18,36 @@ inv_k, with off_k = N ln sigma_k^2, inv_k = 1 / sigma_k^2 for ML and
 off = 0, inv = 1 for SO. PSK uses |s_k|^2 = 1 exactly, so its offsets and
 weights are common to every point and ML equals SO decision for decision.
 
+Detection evaluates only the references that can win, and decides exactly
+as the full metric does, ties (lowest index) included:
+
+- Slicing, for SO on a grid (QAM 8/16/64). |u - a_k|^2 is the sum of a
+  real and an imaginary square, so the nearest grid point is the nearest
+  level on each axis, found by rounding. Rounded sums can still tie or
+  swap where an axis's margin is tiny: at a boundary halfway between two
+  levels, or far off the grid, where the other axis's square absorbs the
+  difference. A row keeps its slice only when its distance to the nearest
+  boundary exceeds 0.5e-9 level spacings times 1 + its squared distance to
+  the chosen point (both in spacings).
+- Folding, for ML on QAM and SO on the 32-QAM cross. The QAM tables are
+  exactly sign-symmetric: a_k = sqrt(gamma) C s_k of the integer-built
+  points negates exactly, and sigma_k^2 depends on |s_k|^2 alone. So the
+  metric of (|Re u|, |Im u|) against a first-quadrant reference equals, bit
+  for bit, that of u against the reference's mirror image in u's quadrant,
+  and since rounding is monotone, no reference in another quadrant scores
+  below its first-quadrant image. The metric runs on the M/4 first-quadrant
+  references and the winner is mapped into u's quadrant. A row keeps the
+  fold only when the first-quadrant minimum is unique and both mirror
+  images of the winner across one axis score strictly worse, which also
+  sends every u on an axis to the full metric.
+
+The rows a reduction does not keep take the full metric. So do whole
+tables: the symmetry and the grid are checked on the table's own values,
+so PSK, whose rounded points are not exactly mirror-symmetric, and C = 0 or
+gamma = 0, which make every a_k zero, keep the full metric, as do tables
+of four references and single vectors (ml_detect, so_detect), where it is
+the cheapest.
+
 The Monte Carlo estimator draws those two statistics, not N-antenna
 vectors: given s_m, z ~ CN(a_m ||h||^2, sigma_m^2 ||h||^2) and,
 independently, ||y_perp||^2 ~ sigma_m^2 Gamma(N - 1). Each batch of 8192
@@ -28,6 +58,7 @@ the n gamma variates. Results are bit-identical for any thread count.
 """
 
 import enum
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +83,9 @@ __all__ = [
 
 _BATCH = 8192  # fixed batch size; part of the determinism contract
 _BLOCK_TERMS = 1 << 15  # metric entries per block: keeps it cache-sized
+# smallest table that is sliced or folded: on four references the full
+# metric costs no more than the slicer and less than the fold
+_MIN_REDUCED = 8
 
 
 class DetectorKind(enum.Enum):
@@ -80,11 +114,37 @@ def effective_variance(snr_linear: float, acf_value: float,
     return snr_linear * (1.0 - acf_value ** 2) * abs(point) ** 2 + 1.0
 
 
+class _Grid(NamedTuple):
+    """Slicer data for references that fill an evenly spaced rectangular
+    grid, with one level spacing on both axes, in level order: reference
+    i n_i + j sits on real level i and imaginary level j."""
+
+    lo_r: float  # lowest real level
+    lo_i: float  # lowest imaginary level
+    inv_step: float  # 1 / level spacing
+    n_r: int  # number of real levels
+    n_i: int  # number of imaginary levels
+
+
+class _Fold(NamedTuple):
+    """Quadrant-fold data for a table that is exactly sign-symmetric."""
+
+    ar: np.ndarray  # (M/4,) real parts of the first-quadrant references
+    ai: np.ndarray  # (M/4,) their imaginary parts
+    off: np.ndarray | None  # (M/4,) their metric offsets; None for SO
+    inv: np.ndarray | None  # (M/4,) their metric weights; None for SO
+    # (M,) the reference that first-quadrant reference j becomes in quadrant
+    # s = [Re < 0] + 2 [Im < 0], at s M/4 + j
+    index: np.ndarray
+
+
 class _Tables(NamedTuple):
     a: np.ndarray  # (M,) reference coefficients sqrt(gamma) C s_k
     sig2: np.ndarray  # (M,) effective variances sigma_k^2
     off: np.ndarray | None  # (M,) metric offsets; None for SO (zero)
     inv: np.ndarray | None  # (M,) metric weights; None for SO (one)
+    grid: _Grid | None = None  # see _reduced
+    fold: _Fold | None = None  # see _reduced
 
 
 def _tables(estimate: ChannelEstimate, acf_value: float, snr_linear: float,
@@ -98,6 +158,70 @@ def _tables(estimate: ChannelEstimate, acf_value: float, snr_linear: float,
     return _Tables(a, sig2, estimate.h.size * np.log(sig2), 1.0 / sig2)
 
 
+def _reduced(tab: _Tables) -> _Tables:
+    """`tab` with the slicer and fold data its references admit. Built once
+    per Monte Carlo call, whose batches repay it; single vectors take the
+    full metric, which is cheaper for them."""
+    if tab.a.size < _MIN_REDUCED:
+        return tab
+    return tab._replace(grid=_grid_of(tab.a),
+                        fold=_fold_of(tab.a, tab.off, tab.inv))
+
+
+def _grid_of(a: np.ndarray) -> _Grid | None:
+    """Slicer data when `a` holds each point of an evenly spaced grid once,
+    in level order, with two or more levels per axis and one spacing; else
+    None. Plain Python on at most a few dozen points: NumPy's sorting and
+    search code would fault in pages of its library for no gain."""
+    pts = a.tolist()
+    lr, li = sorted({p.real for p in pts}), sorted({p.imag for p in pts})
+    if len(lr) < 2 or len(li) < 2 or len(lr) * len(li) != len(pts):
+        return None
+    step = lr[1] - lr[0]
+    if not math.isfinite(1.0 / step):
+        return None
+    for levels in (lr, li):
+        if not all(abs(v - (levels[0] + step * i)) <= 1e-12 * step
+                   for i, v in enumerate(levels)):
+            return None
+    at_r = {v: i for i, v in enumerate(lr)}
+    at_i = {v: j for j, v in enumerate(li)}
+    if [at_r[p.real] * len(li) + at_i[p.imag] for p in pts] != list(
+            range(len(pts))):
+        return None
+    return _Grid(lr[0], li[0], 1.0 / step, len(lr), len(li))
+
+
+def _fold_of(a: np.ndarray, off: np.ndarray | None,
+             inv: np.ndarray | None) -> _Fold | None:
+    """Fold data when the references are distinct, every one lies strictly
+    inside a quadrant, and their mirror images across the axes are
+    references with bit-equal coordinates, offsets and weights; else None.
+    Plain Python, as in _grid_of."""
+    pts = a.tolist()
+    at = {(p.real, p.imag): k for k, p in enumerate(pts)}
+    q = [k for k, p in enumerate(pts) if p.real > 0.0 and p.imag > 0.0]
+    if not q or 4 * len(q) != len(pts) or len(at) != len(pts):
+        return None
+    index = [at.get((sr * pts[k].real, si * pts[k].imag))
+             for sr, si in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
+             for k in q]
+    if None in index:
+        return None
+    m4 = len(q)
+    fold_off = fold_inv = None
+    if off is not None:
+        offs, invs = off.tolist(), inv.tolist()
+        if not all(offs[k] == offs[q[i % m4]] and invs[k] == invs[q[i % m4]]
+                   for i, k in enumerate(index)):
+            return None
+        fold_off = np.array([offs[k] for k in q])
+        fold_inv = np.array([invs[k] for k in q])
+    return _Fold(np.array([pts[k].real for k in q]),
+                 np.array([pts[k].imag for k in q]), fold_off, fold_inv,
+                 np.array(index, dtype=np.int64))
+
+
 class _Scratch:
     """Named work arrays, each kept and reused across calls that ask for it.
 
@@ -109,20 +233,24 @@ class _Scratch:
     _thread_scratch), and after its first batch the engine's arrays
     allocate nothing but the symbol indices. Every buffer is written in
     full before it is read, so no value passes from one batch, or one
-    caller, to the next.
+    caller, to the next. A buffer is raw bytes that any dtype may take, so
+    detection keeps its work arrays in buffers that are spent by then:
+    _draw's, other than z and ||y_perp||^2, and the metric blocks'.
     """
 
     def __init__(self):
         self._bufs = {}
 
     def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """A C-contiguous array of `shape` and `dtype`; its contents are
-        left from the last use of `name`."""
-        size = math.prod(shape)
+        """A C-contiguous array of `shape` and `dtype` over the bytes of
+        `name`'s buffer; its contents are left from the last use of
+        `name`."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
         buf = self._bufs.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._bufs[name] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype=np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
 
 
 class _Fresh:
@@ -153,35 +281,201 @@ def _decide(z: np.ndarray, perp, norm_sq: float, tab: _Tables,
     ML minimises off_k + (perp + ||h||^2 |u - a_k|^2) inv_k with
     u = z/||h||^2. For SO (off = 0, inv = 1) perp and the factor ||h||^2
     are common to every k, so it minimises |u - a_k|^2 and ignores `perp`,
-    which may then be None. Works in row blocks of at most _BLOCK_TERMS
-    entries. With a `scratch`, the work arrays and the returned indices are
-    its buffers; without one they are fresh.
+    which may then be None. With the data of _reduced, SO on a grid is
+    sliced (_slice) and any other sign-symmetric table folded (_fold);
+    every other table, like every row a reduction cannot decide exactly,
+    takes the full metric.
+    With a `scratch`, the work arrays and the returned indices are its
+    buffers, and the rest of _draw's buffers are overwritten; without one
+    they are fresh.
     """
     if scratch is None:
         scratch = _FRESH
-    n, m = z.size, tab.a.size
+    n = z.size
     u = np.divide(z, norm_sq, out=scratch.get("u", (n,), np.complex128))
     ur, ui = u.real, u.imag
-    ar, ai = tab.a.real, tab.a.imag
     out = scratch.get("decided", (n,), np.int64)
+    a, off, inv = tab.a, tab.off, tab.inv
+    if inv is None and tab.grid is not None:
+        exact = _slice(ur, ui, tab.grid, out, scratch)
+    elif tab.fold is not None:
+        exact = _fold(ur, ui, perp, norm_sq, tab.fold, inv is not None, out,
+                      scratch)
+    else:
+        _argmin(ur, ui, perp, norm_sq, a.real, a.imag, off, inv, out,
+                scratch)
+        return out
+    if not exact.all():
+        rows = np.flatnonzero(~exact)
+        full = np.empty(rows.size, dtype=np.int64)
+        _argmin(ur[rows], ui[rows], None if perp is None else perp[rows],
+                norm_sq, a.real, a.imag, off, inv, full, _FRESH)
+        out[rows] = full
+    return out
+
+
+@functools.cache
+def _index_weights(m: int) -> np.ndarray:
+    """(index, 1) per reference, as the two lines of a (2, m) array."""
+    weights = np.vstack([np.arange(m, dtype=np.float64), np.ones(m)])
+    weights.flags.writeable = False
+    return weights
+
+
+def _argmin(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float,
+            ar: np.ndarray, ai: np.ndarray, off, inv, out: np.ndarray,
+            scratch, unique: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the index of the smallest metric against the references
+    ar + j ai into `out` (ties: lowest), and into `unique` whether no other
+    reference attains it; returns the smallest metrics. ML when `inv` is
+    not None.
+
+    The metric is laid out (M, rows), one reference per line, so every
+    operation runs along the rows, where an argmin along the references
+    would be slow. Works in row blocks of at most _BLOCK_TERMS entries. A
+    block takes its minimum from one reduction, and the index and the
+    number of references attaining it from one product of the indicator of
+    the minimum with (index, 1) per reference, exact in floating point.
+    """
+    n, m = ur.size, ar.size
     step = max(1, _BLOCK_TERMS // m)
-    metric_buf = scratch.get("metric", (min(step, n), m))
-    im_buf = scratch.get("im", (min(step, n), m))
+    ar, ai = ar[:, None], ai[:, None]
+    if inv is not None:
+        off, inv = off[:, None], inv[:, None]
+    low = scratch.get("scale", (n,))  # _draw's buffers are spent
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        metric, im = metric_buf[:hi - lo], im_buf[:hi - lo]
-        np.subtract.outer(ur[lo:hi], ar, out=metric)
+        metric = scratch.get("metric", (m, hi - lo))
+        im = scratch.get("im", (m, hi - lo))
+        np.subtract(ur[lo:hi], ar, out=metric)
         metric *= metric
-        np.subtract.outer(ui[lo:hi], ai, out=im)
+        np.subtract(ui[lo:hi], ai, out=im)
         im *= im
         metric += im
-        if tab.inv is not None:
+        if inv is not None:
             metric *= norm_sq
-            metric += perp[lo:hi, None]
-            metric *= tab.inv
-            metric += tab.off
-        metric.argmin(axis=1, out=out[lo:hi])
-    return out
+            metric += perp[lo:hi]
+            metric *= inv
+            metric += off
+        np.minimum.reduce(metric, axis=0, out=low[lo:hi])
+        hit = np.equal(metric, low[lo:hi], out=im)
+        # the metric is spent: its first two lines take the products
+        at, count = np.einsum("ij,jk->ik", _index_weights(m), hit,
+                              out=metric[:2])
+        np.copyto(out[lo:hi], at, casting="unsafe")
+        if unique is not None:
+            np.equal(count, 1.0, out=unique[lo:hi])
+        # a NaN row attains no minimum and gets 0, as argmin gives it
+        if count.max() > 1.0:
+            # the first reference at the minimum
+            rows = np.flatnonzero(count > 1.0)
+            out[lo + rows] = hit[:, rows].argmax(axis=0)
+    return low
+
+
+# A sliced row is exact when its distance to the nearest decision boundary,
+# in level spacings, exceeds this factor times (1 + its squared distance to
+# the chosen point): 1e-9 of a cell's half-width next to the grid, and a
+# relative gap of 1e-9 between the chosen point's metric and any other's
+# far from it.
+_SLICE_MARGIN = 0.5e-9
+
+
+@np.errstate(over="ignore")  # a square that overflows fails the margin
+def _slice(ur: np.ndarray, ui: np.ndarray, grid: _Grid, out: np.ndarray,
+           scratch) -> np.ndarray:
+    """SO decisions by rounding u to the nearest level on each axis, into
+    `out`; returns the mask of the rows this decides exactly."""
+    n = ur.size
+    # the work arrays reuse the buffers of _argmin's metric blocks
+    t, e, dist, sq = scratch.get("metric", (4, n))
+    near = scratch.get("im", (2, n))  # nearest level per axis
+    for axis, (u, lo, levels) in enumerate(((ur, grid.lo_r, grid.n_r),
+                                            (ui, grid.lo_i, grid.n_i))):
+        # per axis: the distance to the nearest boundary and the squared
+        # distance to the nearest level, the second axis's into e and t
+        d, d2 = (dist, sq) if axis == 0 else (e, t)
+        np.subtract(u, lo, out=t)
+        t *= grid.inv_step  # position in level spacings
+        # fmin/fmax, unlike clip, turn NaN into a valid level; the margin
+        # test sends such rows to the full metric
+        k = np.rint(t, out=near[axis])
+        np.fmin(k, levels - 1, out=k)
+        np.fmax(k, 0.0, out=k)
+        # boundaries sit halfway between levels, from 0.5 to levels - 1.5
+        np.floor(t, out=d)
+        d += 0.5
+        np.clip(d, 0.5, levels - 1.5, out=d)
+        np.subtract(t, d, out=d)
+        np.abs(d, out=d)
+        np.subtract(t, k, out=d2)
+        d2 *= d2
+    np.minimum(dist, e, out=dist)
+    sq += t
+    sq += 1.0
+    sq *= _SLICE_MARGIN
+    exact = np.greater(dist, sq, out=scratch.get("sig2", (n,), np.bool_))
+    cell = near[0]
+    cell *= grid.n_i
+    cell += near[1]
+    np.copyto(out, cell, casting="unsafe")
+    return exact
+
+
+def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
+          ml: bool, out: np.ndarray, scratch) -> np.ndarray:
+    """Decisions from the metric of (|Re u|, |Im u|) against the
+    first-quadrant references, mapped back into u's quadrant, into `out`;
+    returns the mask of the rows this decides exactly."""
+    n, m4 = ur.size, fold.ar.size
+    off, inv = (fold.off, fold.inv) if ml else (None, None)
+    # _draw's buffers are spent; _argmin takes "scale"
+    fr, fi = scratch.get("noise", (2, n))
+    np.abs(ur, out=fr)
+    np.abs(ui, out=fi)
+    exact = scratch.get("sig2", (n,), np.bool_)
+    own = _argmin(fr, fi, perp, norm_sq, fold.ar, fold.ai, off, inv, out,
+                  scratch, exact)
+    # the smaller metric of the winner's two mirror images across one axis,
+    # in the operation order of _argmin: the rest of the metric after the
+    # sum of squares is monotone, so it keeps the smaller one smaller. The
+    # work arrays reuse the buffers of _argmin's metric blocks.
+    qr, dr = scratch.get("metric", (2, n))
+    qi, di = scratch.get("im", (2, n))
+    np.take(fold.ar, out, out=qr, mode="clip")
+    np.take(fold.ai, out, out=qi, mode="clip")
+    np.subtract(fr, qr, out=dr)
+    dr *= dr
+    np.add(fr, qr, out=qr)
+    qr *= qr
+    np.subtract(fi, qi, out=di)
+    di *= di
+    np.add(fi, qi, out=qi)
+    qi *= qi
+    np.add(qr, di, out=qr)
+    np.add(dr, qi, out=qi)
+    across = np.minimum(qr, qi, out=qr)
+    if ml:
+        across *= norm_sq
+        across += perp
+        across *= np.take(inv, out, out=fr, mode="clip")
+        across += np.take(off, out, out=fi, mode="clip")
+    sign = scratch.get("w", (n,), np.bool_)
+    exact &= np.greater(across, own, out=sign)
+    # the winner's entry in fold.index: (2 [Im < 0] + [Re < 0]) M/4 + j
+    at = fr.view(np.int64)  # fr is spent
+    np.copyto(at, np.signbit(ui, out=sign))
+    at += at
+    np.add(at, np.signbit(ur, out=sign), out=at)
+    at *= m4
+    at += out
+    np.take(fold.index, at, out=out, mode="clip")
+    return exact
+
+
+def _check_acf(acf_value: float) -> None:
+    if not 0.0 <= acf_value <= 1.0:
+        raise ValueError("acf_value must lie in [0, 1]")
 
 
 def _detect_one(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
@@ -190,11 +484,18 @@ def _detect_one(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
     """Decision for one received vector, through its two statistics."""
     y = np.asarray(y, dtype=np.complex128)
     h, norm_sq = estimate.h, estimate.norm_sq
+    if y.size != h.size:
+        raise ValueError(f"y has {y.size} entries; the channel estimate has "
+                         f"{h.size}")
+    require_finite(y=y, snr_linear=snr_linear)
+    _check_acf(acf_value)
     z = np.vdot(h, y)
-    y_perp = y - (z / norm_sq) * h
-    perp = np.vdot(y_perp, y_perp).real
+    perp = None  # SO ignores it
+    if detector is DetectorKind.ML:
+        y_perp = y - (z / norm_sq) * h
+        perp = np.array([np.vdot(y_perp, y_perp).real])
     tab = _tables(estimate, acf_value, snr_linear, c, detector)
-    return int(_decide(np.array([z]), np.array([perp]), norm_sq, tab)[0])
+    return int(_decide(np.array([z]), perp, norm_sq, tab)[0])
 
 
 def ml_detect(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
@@ -279,12 +580,11 @@ def monte_carlo_bep(estimate: ChannelEstimate, acf_value: float,
     require_finite(snr_linear=snr_linear)
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    if not 0.0 <= acf_value <= 1.0:
-        raise ValueError("acf_value must lie in [0, 1]")
+    _check_acf(acf_value)
     sizes = [_BATCH] * (n_symbols // _BATCH)
     if n_symbols % _BATCH:
         sizes.append(n_symbols % _BATCH)
-    tab = _tables(estimate, acf_value, snr_linear, c, detector)
+    tab = _reduced(_tables(estimate, acf_value, snr_linear, c, detector))
 
     def job(b: int) -> int:
         return _run_batch(b, sizes[b], estimate, tab, c, seed)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the input guard of the
 public inversions."""
 
+import math
+
 import numpy as np
 
 
@@ -48,6 +50,8 @@ def require_finite(**values) -> None:
     """Raise ValueError naming the first argument that holds a NaN or an
     infinity; each value is a scalar or an array."""
     for name, value in values.items():
+        if isinstance(value, float) and math.isfinite(value):
+            continue  # a plain float, checked without NumPy's overhead
         finite = np.isfinite(value)
         if not finite.all():
             raise ValueError(f"{name} must be finite, got "

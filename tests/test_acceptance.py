@@ -219,15 +219,18 @@ def test_criterion_05_optimum_vs_brute_force():
                 opt = optimum_transmission_time(sched)
                 span = sched.t_zero_rate - sched.t_estimate
                 grid = np.arange(1, int(np.floor(span / 1e-6)) + 1) * 1e-6
-                vals = [average_rate(sched, float(t)) for t in grid]
+                # one array call per grid: equal, element by element, to
+                # the scalar calls (TestAverageRate pins that)
+                vals = average_rate(sched, grid)
                 k = int(np.argmax(vals))
                 fine = grid[k] + np.arange(-1000, 1001) * 1e-9
                 fine = fine[(fine > 0.0) & (fine <= span)]
-                fine_vals = [average_rate(sched, float(t)) for t in fine]
+                fine_vals = average_rate(sched, fine)
                 j = int(np.argmax(fine_vals))
                 rows.append((case, scheme, beta,
                              abs(float(fine[j]) - opt.t_max),
-                             (fine_vals[j] - opt.r_ave_max) / opt.r_ave_max))
+                             (float(fine_vals[j]) - opt.r_ave_max)
+                             / opt.r_ave_max))
     worst_dt = max(r[3] for r in rows)
     worst_rel = max(abs(r[4]) for r in rows)
     worst_over = max(r[4] for r in rows)

@@ -9,7 +9,7 @@ the exact BPSK and SO error rates within binomial error bars.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -114,6 +114,145 @@ class TestDecisionRules:
             assume(second - best > 1e-9 * max(abs(best), abs(second)))
             assert rule(y, est, acf, gamma, c) == int(np.argmin(metric))
 
+    def test_single_vector_input_guards(self, estimate):
+        c = constellation_for("qam", 16)
+        y = np.ones(estimate.h.size)
+        for rule in (ml_detect, so_detect):
+            for acf in (-0.1, 1.0001, np.nan):
+                with pytest.raises(ValueError, match="acf_value"):
+                    rule(y, estimate, acf, 10.0, c)
+            with pytest.raises(ValueError, match=f"{estimate.h.size + 1} "
+                                                 "entries"):
+                rule(np.ones(estimate.h.size + 1), estimate, 0.9, 10.0, c)
+
+
+def _full_metric(z, perp, norm_sq, tab):
+    """The oracle of every reduced path: the (n, M) metric over all M
+    references, one row per symbol, and its argmin (ties: lowest)."""
+    u = z / norm_sq
+    metric = u.real[:, None] - tab.a.real
+    metric *= metric
+    im = u.imag[:, None] - tab.a.imag
+    im *= im
+    metric += im
+    if tab.inv is not None:
+        metric *= norm_sq
+        metric += perp[:, None]
+        metric *= tab.inv
+        metric += tab.off
+    return metric.argmin(axis=1)
+
+
+def _edge_rows(tab, norm_sq):
+    """z = 0 and on either axis, each with both signs of zero; on every
+    boundary halfway between two levels of the references' real or
+    imaginary parts; and a third of the way between two levels on one axis
+    but so far out on the other that its square absorbs the difference."""
+    lr, li = np.unique(tab.a.real), np.unique(tab.a.imag)
+    mr, mi = (lr[:-1] + lr[1:]) / 2.0, (li[:-1] + li[1:]) / 2.0
+    tr, ti = (2.0 * lr[:-1] + lr[1:]) / 3.0, (2.0 * li[:-1] + li[1:]) / 3.0
+    far = 1e9 * np.abs(tab.a).max()
+    zeros = (0.0, -0.0)
+    rows = [complex(x, y) for x in zeros for y in zeros]
+    rows += [complex(x, y) for x in lr for y in zeros]
+    rows += [complex(x, y) for x in zeros for y in li]
+    rows += [complex(x, y) for x in mr for y in np.concatenate([li, mi])]
+    rows += [complex(x, y) for x in lr for y in mi]
+    rows += [complex(x, y) for x in tr for y in (far, -far)]
+    rows += [complex(x, y) for x in (far, -far) for y in ti]
+    return np.array(rows) * norm_sq
+
+
+class TestReducedDetection:
+    """Slicing and folding decide exactly as the full metric does."""
+
+    @pytest.mark.parametrize("order", [8, 16, 32, 64])
+    def test_qam_tables_are_reduced(self, estimate, order):
+        c = constellation_for("qam", order)
+        for kind in DetectorKind:
+            tab = detectors._reduced(
+                detectors._tables(estimate, 0.9, 10.0, c, kind))
+            assert tab.fold is not None
+            assert (tab.grid is None) == (order == 32)
+            # C = 0 makes every reference zero: nothing to slice or fold
+            tab = detectors._reduced(
+                detectors._tables(estimate, 0.0, 10.0, c, kind))
+            assert tab.grid is None and tab.fold is None
+
+    @pytest.mark.parametrize("scheme,order", [("psk", o) for o in
+                                              SUPPORTED_ORDERS]
+                             + [("qam", 4)])
+    def test_other_tables_keep_the_full_metric(self, estimate, scheme,
+                                               order):
+        c = constellation_for(scheme, order)
+        for kind in DetectorKind:
+            tab = detectors._reduced(
+                detectors._tables(estimate, 0.9, 10.0, c, kind))
+            assert tab.grid is None and tab.fold is None
+
+    @given(scheme_order=st.sampled_from(
+               [(s, o) for s in ("psk", "qam") for o in SUPPORTED_ORDERS]),
+           n_rx=st.integers(1, 8),
+           log2_h=st.integers(-3, 3),
+           acf=st.floats(0.0, 1.0),
+           log_gamma=st.floats(-2.0, 3.0),
+           n=st.integers(1, 700),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(scheme_order=("qam", 64), n_rx=4, log2_h=0, acf=0.0,
+             log_gamma=1.0, n=64, seed=0)  # C = 0
+    @example(scheme_order=("qam", 32), n_rx=1, log2_h=1, acf=1.0,
+             log_gamma=3.0, n=8, seed=1)  # perfect CSI, one antenna
+    @example(scheme_order=("qam", 16), n_rx=2, log2_h=-1, acf=0.5,
+             log_gamma=-2.0, n=300, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_metric(self, scheme_order, n_rx, log2_h, acf,
+                                 log_gamma, n, seed):
+        # a drawn batch plus the edge rows; ||h||^2 is a power of two, so
+        # each edge row's u = z / ||h||^2 is exactly the value it names
+        c = constellation_for(*scheme_order)
+        h = np.zeros(n_rx, dtype=np.complex128)
+        h[0] = 2.0 ** log2_h
+        est = ChannelEstimate(h, 1e-3)
+        assert est.norm_sq == 4.0 ** log2_h
+        gamma = 10.0 ** log_gamma
+        rng = np.random.default_rng(seed)
+        for kind in DetectorKind:
+            tab = detectors._reduced(detectors._tables(est, acf, gamma, c,
+                                                       kind))
+            _, z, perp = detectors._draw(rng, n, est, tab, True)
+            edge = _edge_rows(tab, est.norm_sq)
+            z = np.concatenate([z, edge])
+            perp = np.concatenate([perp, rng.exponential(n_rx, edge.size)])
+            if kind is DetectorKind.SO:
+                perp = None
+            want = _full_metric(z, perp, est.norm_sq, tab)
+            got = detectors._decide(z, perp, est.norm_sq, tab)
+            assert got.tolist() == want.tolist()
+            got = detectors._decide(z, perp, est.norm_sq, tab,
+                                    detectors._Scratch())
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("scheme,order", [(s, o) for s in ("psk", "qam")
+                                              for o in SUPPORTED_ORDERS])
+    @pytest.mark.parametrize("acf", [0.0, 0.9])
+    def test_edge_rows_take_the_lowest_full_choice(self, scheme, order, acf):
+        # z = 0 ties the four inner QAM points, and C = 0 ties every SO
+        # reference; both must give the lowest index, as the full metric
+        c = constellation_for(scheme, order)
+        est = ChannelEstimate(np.array([2.0, 0.0]), 1e-3)
+        for kind in DetectorKind:
+            tab = detectors._reduced(detectors._tables(est, acf, 40.0, c,
+                                                       kind))
+            z = _edge_rows(tab, est.norm_sq)
+            perp = np.full(z.size, 1.5)
+            if kind is DetectorKind.SO:
+                perp = None
+            want = _full_metric(z, perp, est.norm_sq, tab)
+            assert detectors._decide(z, perp, est.norm_sq,
+                                     tab).tolist() == want.tolist()
+            if kind is DetectorKind.SO and (acf == 0.0 or scheme == "qam"):
+                assert want[0] == int(np.argmin(np.abs(tab.a)))
+
 
 class TestMetricKernel:
     """The one (n, M) metric behind ml_detect, so_detect and the MC."""
@@ -153,7 +292,8 @@ class TestMetricKernel:
 
     def test_blocks_do_not_change_decisions(self, estimate, monkeypatch):
         c = constellation_for("qam", 64)
-        tab = detectors._tables(estimate, 0.8, 30.0, c, DetectorKind.ML)
+        tab = detectors._reduced(
+            detectors._tables(estimate, 0.8, 30.0, c, DetectorKind.ML))
         rng = np.random.default_rng(4)
         tx, z, perp = detectors._draw(rng, 5000, estimate, tab, True)
         whole = detectors._decide(z, perp, estimate.norm_sq, tab)
@@ -169,7 +309,8 @@ class TestMetricKernel:
         # one included, count the errors that fresh arrays give
         c = constellation_for(scheme, order)
         for kind in DetectorKind:
-            tab = detectors._tables(estimate, 0.9, 30.0, c, kind)
+            tab = detectors._reduced(
+                detectors._tables(estimate, 0.9, 30.0, c, kind))
             for b, n in ((0, 8192), (1, 777)):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=5, spawn_key=(b,)))
@@ -181,14 +322,20 @@ class TestMetricKernel:
                                             5) == want
 
     def test_batches_reuse_their_buffers(self, estimate):
-        c = constellation_for("qam", 16)
-        tab = detectors._tables(estimate, 0.9, 30.0, c, DetectorKind.ML)
-        detectors._run_batch(0, 8192, estimate, tab, c, 1)
-        before = dict(detectors._thread_scratch()._bufs)
-        detectors._run_batch(1, 8192, estimate, tab, c, 1)
-        after = detectors._thread_scratch()._bufs
-        assert after.keys() == before.keys()
-        assert all(after[k] is before[k] for k in before)
+        # the full metric, the fold (ML; SO on the 32-QAM cross) and the
+        # slicer (SO on 16- and 64-QAM)
+        for order, kind in ((4, DetectorKind.ML), (16, DetectorKind.ML),
+                            (16, DetectorKind.SO), (32, DetectorKind.SO),
+                            (64, DetectorKind.ML), (64, DetectorKind.SO)):
+            c = constellation_for("qam", order)
+            tab = detectors._reduced(
+                detectors._tables(estimate, 0.9, 30.0, c, kind))
+            detectors._run_batch(0, 8192, estimate, tab, c, 1)
+            before = dict(detectors._thread_scratch()._bufs)
+            detectors._run_batch(1, 8192, estimate, tab, c, 1)
+            after = detectors._thread_scratch()._bufs
+            assert after.keys() == before.keys()
+            assert all(after[k] is before[k] for k in before)
 
 
 class TestEffectiveVariance:

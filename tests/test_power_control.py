@@ -28,11 +28,13 @@ from uavlink import (
     min_power_schedule,
     min_snr_psk,
     min_snr_qam,
+    ml_detect,
     monte_carlo_bep,
     optimum_transmission_time,
     power_control,
     psk_bep_approx,
     q_inverse,
+    so_detect,
     union_bound,
     uub,
 )
@@ -322,12 +324,16 @@ class TestFiniteInputGuard:
                                         "psk", math.inf),
         lambda fx: monte_carlo_bep(fx.estimate, 0.99, math.nan,
                                    make_qam(16), DetectorKind.SO, 100, 1),
+        lambda fx: ml_detect(np.full(fx.estimate.h.size, math.nan),
+                             fx.estimate, 0.9, 10.0, make_qam(16)),
+        lambda fx: so_detect(np.ones(fx.estimate.h.size), fx.estimate, 0.9,
+                             math.nan, make_qam(16)),
     ], ids=["acf_inverse-target", "acf_inverse-dt_max",
             "min_acf_for_rate-threshold", "min_acf_for_rate-snr",
             "min_snr_qam-acf", "min_snr_qam-threshold",
             "min_snr_psk-acf", "min_snr_psk-acf-array",
             "max_modulation_order-snr", "max_modulation_order-threshold",
-            "monte_carlo_bep-snr"])
+            "monte_carlo_bep-snr", "ml_detect-y", "so_detect-snr"])
     def test_non_finite_input_raises(self, fx, call):
         with pytest.raises(ValueError, match="must be finite"):
             call(fx)
