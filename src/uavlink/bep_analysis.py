@@ -7,17 +7,21 @@ on PSK the SO rule equals ML decision for decision, so there it also
 bounds ML. The bound has one implementation, `UnionBound`: built once per
 constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
-over arrays of (C, gamma). Its value, its slope in ln(gamma) and its
-infinite-power floor serve `uub`, the CSI threshold inversion and maximum
-feasible modulation order here (both over arrays of (SNR, threshold)
-cells, the inversion as one lockstep bisection), and the batched QAM power
-solve in power_control. Around it sit the pairwise error probability and the
+over arrays of (C, gamma). It serves `uub`, the maximum feasible
+modulation order and the two inversions of the bound, each over arrays of
+cells: the CSI threshold C_n here and the batched QAM power solve in
+power_control. Both inversions start at a closed-form lower bracket, the
+largest root of a single term (`UnionBound.acf_lower`, `gamma_lower`), and
+are solved by one lockstep safeguarded Newton, `newton_lockstep`, on the
+bound's value and slope (in C, `u_and_acf_slope`; in ln(gamma),
+`u_and_slope`). Around it sit the pairwise error probability and the
 Gray-mapping PSK approximation.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -30,6 +34,7 @@ from .constellation import (
     hamming_matrix,
 )
 from .errors import (
+    DivergenceError,
     InfeasibleRateError,
     MonotonicityError,
     SchemeError,
@@ -50,9 +55,11 @@ __all__ = [
     "max_modulation_order",
 ]
 
-# bisection tolerances for the threshold inversion
+# tolerances of the threshold inversion: bracket width in C and relative
+# residual of the bound
 _C_ABS_TOL = 1e-12
 _BEP_REL_TOL = 1e-8
+_MAX_ITER = 100  # of newton_lockstep
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -103,17 +110,17 @@ class UubBound:
         return self.value
 
 
-def _pep_argument(gamma, acf, norm_sq, d_sq, s_sq):
-    """Q-function argument of the pairwise error probability, sqrt(A), and
-    the denominator of A.
+def _pep_ratio(gamma, acf, norm_sq, d_sq, s_sq):
+    """(r, den): the Q-function argument of the pairwise error probability
+    is sqrt(A) = C r, with den the denominator of A.
 
     A = gamma * C^2 * ||h||^2 * |s_m - s_mhat|^2 / den with
     den = 2 * gamma * (1 - C^2) * |s_m|^2 + 2 (|s_m|^2 is the transmitted
-    symbol's energy). C is taken out of the square root, so a tiny C does
+    symbol's energy). C is kept out of the square root, so a tiny C does
     not underflow A. Broadcasts.
     """
     den = 2.0 * gamma * (1.0 - acf * acf) * s_sq + 2.0
-    return acf * np.sqrt(gamma * norm_sq * d_sq / den), den
+    return np.sqrt(gamma * norm_sq * d_sq / den), den
 
 
 def pep(m: int, m_hat: int, ctx: BepContext) -> float:
@@ -122,14 +129,14 @@ def pep(m: int, m_hat: int, ctx: BepContext) -> float:
     Indices are 0-based positions in the constellation.
     """
     pts = ctx.constellation.points
-    arg, _ = _pep_argument(ctx.snr_linear, ctx.acf_value, ctx.estimate.norm_sq,
-                           abs(pts[m] - pts[m_hat]) ** 2, abs(pts[m]) ** 2)
-    return float(q_function(arg))
+    r, _ = _pep_ratio(ctx.snr_linear, ctx.acf_value, ctx.estimate.norm_sq,
+                      abs(pts[m] - pts[m_hat]) ** 2, abs(pts[m]) ** 2)
+    return float(q_function(ctx.acf_value * r))
 
 
 # pairwise terms evaluated per block, bounding the (points x terms)
 # temporaries of a long array of (C, gamma) points
-_BLOCK_TERMS = 1 << 12
+_BLOCK_TERMS = 1 << 14
 
 
 class UnionBound:
@@ -168,54 +175,112 @@ class UnionBound:
     def n_terms(self) -> int:
         return self.d_sq.size
 
-    def _map(self, terms, norm_sq, acf, gamma) -> tuple:
-        """Weighted sums over the grouped terms of each output of
-        `terms(norm_sq, C, gamma)`: floats for scalar C and gamma, else
-        arrays of their broadcast shape, evaluated in row blocks."""
-        if np.ndim(acf) == 0 and np.ndim(gamma) == 0:
-            return tuple(float(np.sum(self.weight * part))
-                         for part in terms(norm_sq, float(acf), float(gamma)))
-        shape = np.broadcast_shapes(np.shape(acf), np.shape(gamma))
-        acf, gamma = (np.broadcast_to(np.asarray(x, dtype=np.float64),
-                                      shape).reshape(-1, 1)
-                      for x in (acf, gamma))
-        rows = max(1, _BLOCK_TERMS // self.n_terms)
-        blocks = [[np.sum(self.weight * part, axis=-1)
-                   for part in terms(norm_sq, acf[lo:lo + rows],
-                                     gamma[lo:lo + rows])]
-                  for lo in range(0, max(len(acf), 1), rows)]
+    def _map(self, rows, norm_sq, a, b) -> tuple:
+        """The outputs of `rows(norm_sq, a, b)`, each reduced over the
+        terms: floats for scalar a and b, else arrays of their broadcast
+        shape, with a and b passed as columns in blocks of rows."""
+        if np.ndim(a) == 0 and np.ndim(b) == 0:
+            return tuple(map(float, rows(norm_sq, float(a), float(b))))
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64),
+                                shape).reshape(-1, 1) for x in (a, b))
+        n = max(1, _BLOCK_TERMS // self.n_terms)
+        blocks = [rows(norm_sq, a[lo:lo + n], b[lo:lo + n])
+                  for lo in range(0, max(len(a), 1), n)]
         return tuple(np.concatenate(out).reshape(shape)
                      for out in zip(*blocks))
 
-    def _u_terms(self, norm_sq, acf, gamma):
-        arg, _ = _pep_argument(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        return (q_function(arg),)
+    def _sum(self, part):
+        """Weighted sum over the terms (the last axis)."""
+        return np.sum(self.weight * part, axis=-1)
 
-    def _uv_terms(self, norm_sq, acf, gamma):
-        # d Q(sqrt(A)) / d ln(gamma) = -phi(sqrt(A)) sqrt(A) / den
-        arg, den = _pep_argument(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        return (q_function(arg),
-                np.exp(-0.5 * arg * arg) * arg / (_SQRT_2PI * den))
+    def _q_sq(self, beta):
+        """Q^-1(beta / w)^2 for each term and each row's beta, 0 where
+        beta / w >= 1/2 (a term at most w/2 never exceeds beta alone).
+        ndtri runs once per distinct beta."""
+        b, row = np.unique(beta, return_inverse=True)
+        q = ndtri(np.minimum(b[:, None] / self.weight, 0.5))
+        q_sq = q * q
+        return q_sq[row.ravel()] if np.ndim(beta) else q_sq[0]
 
-    def _floor_terms(self, norm_sq, acf, _gamma):
+    def _u_rows(self, norm_sq, acf, gamma):
+        r, _ = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
+        return (self._sum(q_function(acf * r)),)
+
+    def _uv_rows(self, norm_sq, acf, gamma):
+        # d Q(C r) / d ln(gamma) = -phi(C r) C r / den
+        r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
+        arg = acf * r
+        return (self._sum(q_function(arg)),
+                self._sum(np.exp(-0.5 * arg * arg) * arg / (_SQRT_2PI * den)))
+
+    def _uw_rows(self, norm_sq, acf, gamma):
+        # d Q(C r) / dC = -phi(C r) r (1 + 2 gamma C^2 |s|^2 / den)
+        #               = -phi(C r) r (2 gamma |s|^2 + 2) / den
+        r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
+        arg = acf * r
+        return (self._sum(q_function(arg)),
+                self._sum(np.exp(-0.5 * arg * arg) * r
+                          * (2.0 * gamma * self.s_sq + 2.0)
+                          / (_SQRT_2PI * den)))
+
+    def _floor_rows(self, norm_sq, acf, _gamma):
         # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
         # which is infinite (Q = 0) at C = 1
         with np.errstate(divide="ignore"):
             arg = acf * np.sqrt(norm_sq * self.d_sq
                                 / (2.0 * (1.0 - acf * acf) * self.s_sq))
-        return (q_function(arg),)
+        return (self._sum(q_function(arg)),)
+
+    def _acf_lower_rows(self, norm_sq, gamma, beta):
+        # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
+        #                          / (gamma ||h||^2 |ds|^2 + 2 q^2 gamma |s|^2)
+        q_sq = self._q_sq(beta)
+        c_sq = (2.0 * q_sq * (gamma * self.s_sq + 1.0)
+                / (gamma * norm_sq * self.d_sq + 2.0 * q_sq * gamma * self.s_sq))
+        return (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
+
+    def _gamma_lower_rows(self, norm_sq, acf, beta):
+        # w Q(C r) = beta at
+        # gamma = 2 q^2 / (C^2 ||h||^2 |ds|^2 - 2 q^2 (1 - C^2) |s|^2),
+        # for the terms that reach beta at finite power (den > 0)
+        q_sq = self._q_sq(beta)
+        den = (acf * acf * norm_sq * self.d_sq
+               - 2.0 * q_sq * (1.0 - acf * acf) * self.s_sq)
+        gamma = np.divide(2.0 * q_sq, den, out=np.zeros(den.shape),
+                          where=den > 0.0)
+        return (np.max(gamma, axis=-1),)
 
     def u(self, norm_sq: float, acf, gamma):
         """Raw union bound (may exceed 1 at low SNR)."""
-        return self._map(self._u_terms, norm_sq, acf, gamma)[0]
+        return self._map(self._u_rows, norm_sq, acf, gamma)[0]
 
     def u_and_slope(self, norm_sq: float, acf, gamma):
         """(u, v): the raw bound and its slope v = -du/d ln(gamma) >= 0."""
-        return self._map(self._uv_terms, norm_sq, acf, gamma)
+        return self._map(self._uv_rows, norm_sq, acf, gamma)
+
+    def u_and_acf_slope(self, norm_sq: float, acf, gamma):
+        """(u, w): the raw bound and its slope w = -du/dC >= 0."""
+        return self._map(self._uw_rows, norm_sq, acf, gamma)
 
     def floor(self, norm_sq: float, acf):
         """Infinite-power limit of the bound, set by the CSI quality C."""
-        return self._map(self._floor_terms, norm_sq, acf, 1.0)[0]
+        return self._map(self._floor_rows, norm_sq, acf, 1.0)[0]
+
+    def acf_lower(self, norm_sq: float, gamma, beta):
+        """Largest C at which one term alone equals beta (0 if none can).
+
+        Every term is non-negative and falls in C, so below this C the
+        bound exceeds beta: a lower bracket of the threshold C, exact up to
+        rounding. Clipped to 1.
+        """
+        return self._map(self._acf_lower_rows, norm_sq, gamma, beta)[0]
+
+    def gamma_lower(self, norm_sq: float, acf, beta):
+        """Largest gamma at which one term alone equals beta (0 if none
+        can): a lower bracket of the minimum SNR, exact up to rounding, as
+        for acf_lower."""
+        return self._map(self._gamma_lower_rows, norm_sq, acf, beta)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,10 +336,86 @@ def _cells(snr_linear, bep_threshold) -> tuple:
                                np.asarray(bep_threshold, dtype=np.float64))
 
 
+class LockstepRoots(NamedTuple):
+    root: np.ndarray
+    iterations: np.ndarray  # bound evaluations of each cell
+    newton: np.ndarray  # True where the last step was Newton's
+
+
+def newton_lockstep(uv, beta, x, lo, hi, tol: float,
+                    ftol: float | None = None) -> LockstepRoots:
+    """Solve u(x) = beta in every cell at once, for a bound u that falls in
+    x, by safeguarded Newton on f(x) = ln u(x) - ln(beta).
+
+    uv(cells, x) returns u and its slope -du/dx >= 0 at x for the cells
+    indexed by `cells`. Each cell starts at x inside a bracket [lo, hi]
+    with u(lo) > beta >= u(hi). Every iteration evaluates u once, moves lo
+    or hi to x by the sign of u - beta (ln could round it to 0), and takes
+    the Newton step x + f u / (-du/dx) when it is finite and inside the
+    bracket, else bisects. Cells never mix: each keeps its own bracket,
+    iterate and count, and all run in lockstep. A cell is done:
+
+    - without ftol, when it takes a Newton step of at most tol or its
+      bracket is narrower than tol; its root is the iterate that step (or
+      the bisection) gives;
+    - with ftol, when its bracket is at most tol wide and |f(hi)| <= ftol;
+      its root is hi, where u <= beta. To close the bracket, a Newton step
+      shorter than s = min(tol, ftol / |f'|) / 2 becomes a step of s
+      toward the root, on the side that u - beta gives (the Newton step is
+      0 where f = 0), so that the next evaluation lands across the root.
+
+    Raises DivergenceError when a bracket can no longer be split, or after
+    _MAX_ITER iterations.
+    """
+    x, lo, hi, beta = (np.array(a, dtype=np.float64) for a in
+                       np.broadcast_arrays(x, lo, hi, beta))
+    ln_beta = np.log(beta)
+    f_hi = np.full(x.shape, -np.inf)  # f(hi), once evaluated there
+    iterations = np.zeros(x.shape, dtype=np.int64)
+    newton = np.zeros(x.shape, dtype=bool)
+    live = np.arange(x.size)
+    for _ in range(_MAX_ITER):
+        if not live.size:
+            return LockstepRoots(x if ftol is None else hi, iterations,
+                                 newton)
+        xl = x[live]
+        u, v = uv(live, xl)
+        iterations[live] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.log(u) - ln_beta[live]
+            step = f * u / v
+            s = 0.5 * np.fmin(tol, ftol * u / v) if ftol else None
+        above = u > beta[live]  # the root lies above x
+        lo[live[above]] = xl[above]
+        hi[live[~above]] = xl[~above]
+        if ftol:
+            f_hi[live[~above]] = f[~above]
+            on = (hi[live] - lo[live] > tol) | (-f_hi[live] > ftol)
+            live, xl, step, s, above = (a[on] for a in
+                                        (live, xl, step, s, above))
+            step = np.where(np.abs(step) < s, np.where(above, s, -s), step)
+        lo_l, hi_l = lo[live], hi[live]
+        x_new = xl + step  # a non-finite one fails the bracket test
+        if ftol:  # both ends are evaluated: land strictly inside
+            ok = (lo_l < x_new) & (x_new < hi_l)
+        else:
+            ok = (lo_l <= x_new) & (x_new <= hi_l)
+        mid = 0.5 * (lo_l + hi_l)
+        if not np.all(ok | ((lo_l < mid) & (mid < hi_l))):
+            raise DivergenceError("root bracket can no longer be split")
+        x[live] = np.where(ok, x_new, mid)
+        newton[live] = ok
+        if not ftol:
+            live = live[~np.where(ok, np.abs(step) <= tol,
+                                  hi_l - lo_l < tol)]
+    raise DivergenceError(f"root not found in {_MAX_ITER} iterations")
+
+
 def _assert_monotone_in_c(bound: UnionBound, norm_sq: float, gamma,
                           n_grid: int = 33) -> None:
-    """The threshold bisection needs the UUB non-increasing in C: checked
-    on an n_grid-point C grid at each distinct gamma, in one bound call."""
+    """The threshold solve brackets the root of a UUB non-increasing in C:
+    checked on an n_grid-point C grid at each distinct gamma, in one bound
+    call."""
     gamma = np.unique(gamma)
     vals = bound.u(norm_sq, np.linspace(0.0, 1.0, n_grid)[:, None], gamma)
     diffs = np.diff(vals, axis=0)
@@ -290,13 +431,17 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
                      scheme: str, bep_threshold):
     """Smallest ACF value C_n at which rate n still meets the threshold.
 
-    Solves uub(C) = bep_threshold by bisection on C in [0, 1] (the
-    dichotomy method). snr_linear and bep_threshold broadcast to an array
-    of cells, which are bisected in lockstep: every bracket starts as
-    [0, 1] and halves exactly, so all cells take the same steps. Scalars
-    give a float. Raises InfeasibleRateError when even perfect CSI
-    (C = 1) violates the threshold in some cell, and ValueError for a
-    non-finite SNR or threshold.
+    Solves uub(C) = bep_threshold on C in [0, 1] by `newton_lockstep`,
+    started at the largest single-term root (`UnionBound.acf_lower`). Where
+    rounding puts that start on the feasible side, the first evaluation
+    makes it the upper end, and the lower end stays 0. C_n is the feasible
+    end of a bracket at most 1e-12 wide, with the bound within 1e-8 of the
+    threshold there. snr_linear and bep_threshold broadcast to an array of
+    cells, solved in lockstep; scalars give a float. C_n = 0 where even
+    C = 0 meets the threshold. Raises InfeasibleRateError when even perfect
+    CSI (C = 1) violates the threshold in some cell, MonotonicityError when
+    the solve cannot converge, and ValueError for a non-finite SNR or
+    threshold.
     """
     require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     if rate_n < 1:
@@ -305,45 +450,24 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
     norm_sq = estimate.norm_sq
     gamma, beta = _cells(snr_linear, bep_threshold)
     _assert_monotone_in_c(bound, norm_sq, gamma)
-
-    def f(acf):
-        return bound.u(norm_sq, acf, gamma) - beta
-
-    infeasible = f(1.0) > 0.0
+    infeasible = bound.u(norm_sq, 1.0, gamma) > beta
     if np.any(infeasible):
         raise InfeasibleRateError(
             f"rate {rate_n} ({scheme}) cannot meet {beta[infeasible][0]:g} "
             "even with perfect CSI")
-    any_csi = f(0.0) <= 0.0
-    lo, hi = np.zeros(gamma.shape), np.ones(gamma.shape)  # f(lo) > 0 >= f(hi)
-    width = 1.0  # hi - lo in every cell, exactly
-    while width > _C_ABS_TOL:
-        mid = 0.5 * (lo + hi)
-        up = f(mid) > 0.0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        width *= 0.5
-    # where the bound is steep in C a 1e-12 bracket can still miss the
-    # residual tolerance: keep halving those cells, down to float resolution
-    lo_c, hi_c, gamma_c, beta_c = (np.reshape(x, -1)
-                                   for x in (lo, hi, gamma, beta))
-    tol = _BEP_REL_TOL * beta_c
-    steep = np.flatnonzero(~any_csi
-                           & (np.abs(f(hi)) > _BEP_REL_TOL * beta))
-    while steep.size:
-        l, h = lo_c[steep], hi_c[steep]
-        mid = 0.5 * (l + h)
-        if not np.all((l < mid) & (mid < h)):
-            raise MonotonicityError(
-                f"threshold inversion did not converge for rate {rate_n}")
-        f_mid = bound.u(norm_sq, mid, gamma_c[steep]) - beta_c[steep]
-        up = f_mid > 0.0
-        lo_c[steep] = np.where(up, mid, l)
-        hi_c[steep] = np.where(up, h, mid)
-        # a cell whose hi moved is done once the residual there is met
-        steep = steep[up | (-f_mid > tol[steep])]
-    # hi is the feasible side
-    out = np.where(any_csi, 0.0, hi_c.reshape(gamma.shape))
+    out = np.zeros(gamma.size)
+    # u(C = 0) = sum(w) / 2 at every SNR
+    cells = np.flatnonzero(bound.u(norm_sq, 0.0, 1.0) > beta)
+    g, b = gamma.reshape(-1)[cells], beta.reshape(-1)[cells]
+    try:
+        out[cells] = newton_lockstep(
+            lambda live, acf: bound.u_and_acf_slope(norm_sq, acf, g[live]),
+            b, bound.acf_lower(norm_sq, g, b), 0.0, 1.0,
+            _C_ABS_TOL, _BEP_REL_TOL).root
+    except DivergenceError as exc:
+        raise MonotonicityError(
+            f"threshold inversion did not converge for rate {rate_n}") from exc
+    out = out.reshape(gamma.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -274,6 +274,14 @@ def _thread_scratch() -> _Scratch:
     return scratch
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's executor of `threads` workers, kept for its life, so
+    that each worker keeps its _Scratch from one call to the next."""
+    return ThreadPoolExecutor(max_workers=threads,
+                              thread_name_prefix="uavlink-mc")
+
+
 def _decide(z: np.ndarray, perp, norm_sq: float, tab: _Tables,
             scratch: _Scratch | _Fresh | None = None) -> np.ndarray:
     """Index of the metric-minimising point per symbol (ties: lowest).
@@ -590,8 +598,7 @@ def monte_carlo_bep(estimate: ChannelEstimate, acf_value: float,
         return _run_batch(b, sizes[b], estimate, tab, c, seed)
 
     if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = sum(pool.map(job, range(len(sizes))))
+        errors = sum(_pool(threads).map(job, range(len(sizes))))
     else:
         errors = sum(job(b) for b in range(len(sizes)))
 

@@ -1,16 +1,19 @@
 """Minimum-power policy that holds the rate schedule at the BEP threshold.
 
 PSK inverts its closed-form BEP approximation directly. QAM has no closed
-inverse, so the union bound is driven to the threshold by one safeguarded
-Newton solve in x = ln(gamma): the Newton step of
-f(x) = ln u(e^x) - ln(beta), which is the multiplicative update
-gamma * (u/beta)^(u/v), is taken while it stays inside a bracket that
-holds the root, and the bracket is bisected otherwise.
+inverse, so the union bound is driven to the threshold by the package's one
+safeguarded Newton solve, `bep_analysis.newton_lockstep`, in
+x = ln(gamma): the Newton step of f(x) = ln u(e^x) - ln(beta), which is
+the multiplicative update gamma * (u/beta)^(u/v), is taken while it stays
+inside a bracket that holds the root, and the bracket is bisected
+otherwise. Each sample starts at a closed-form lower bracket: the largest
+SNR at which one term of the bound alone equals beta.
 
-The bound, its slope in ln(gamma) and its infinite-power floor come from
-the one cached, grouped `bep_analysis.UnionBound`. The power trace solves
-all QAM samples of a rate region in one batch, each sample running the
-same algorithm as the scalar `min_snr_qam` (which is the one-sample case).
+The bound, its slope in ln(gamma), its infinite-power floor and that start
+come from the one cached, grouped `bep_analysis.UnionBound`. The power
+trace solves all QAM samples of a rate region in one batch, each sample
+running the same algorithm as the scalar `min_snr_qam` (which is the
+one-sample case).
 """
 
 import math
@@ -20,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bep_analysis import q_inverse, union_bound
+from .bep_analysis import newton_lockstep, q_inverse, union_bound
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .errors import (
     DivergenceError,
@@ -43,9 +46,7 @@ __all__ = [
     "energy_savings",
 ]
 
-_GAMMA_INIT = 1000.0  # 30 dB: where the QAM root search starts
 _LN_TOL = 1e-9  # convergence tolerance on ln(gamma)
-_MAX_ITER = 100
 
 
 class QamRootInfo(NamedTuple):
@@ -94,15 +95,16 @@ def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
                bep_threshold: float) -> _QamRoots:
     """Minimum SNR of every sample in `acf` at once, by safeguarded Newton.
 
-    Each sample solves f(x) = ln u(e^x) - ln(beta) = 0 in x = ln(gamma)
-    inside a bracket grown by factors of 10 around the root (u is
-    decreasing in gamma). Iterations start at gamma = 1000; each evaluates
-    u and its slope v once, shrinks the bracket on the sign of f, and takes
-    the Newton step x + (ln u - ln beta) u/v when it is finite and inside
-    the bracket, else bisects. A sample is done when an accepted Newton
-    step moves it by at most 1e-9, or when its bracket is narrower than
-    1e-9. Samples never mix: each keeps its own bracket, iterate, count
-    and final step, and all run in lockstep.
+    Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma) by
+    `bep_analysis.newton_lockstep`, started at the largest single-term root
+    (`UnionBound.gamma_lower`), a lower bracket that one bound evaluation
+    checks. Where rounding, or the absence of such a term, fails that
+    check, the lower bracket is grown down from 1e-9 by factors of 10. The
+    upper bracket grows up from 10 times the lower by factors of 10. A
+    sample is done when a Newton step moves it by at most 1e-9, or when its
+    bracket is narrower than 1e-9; its root is that last iterate. Samples
+    never mix: each keeps its own bracket, iterate, count and final step,
+    and all run in lockstep.
     """
     bound = union_bound("qam", order)
     norm_sq, beta = estimate.norm_sq, bep_threshold
@@ -113,65 +115,43 @@ def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
             f"{order}-QAM cannot reach {beta:g} at "
             f"C={acf[infeasible][0]:.6f} for any power")
 
-    n = acf.size
-    hi = np.full(n, _GAMMA_INIT)
-    grow = bound.u(norm_sq, acf, hi) >= beta
-    while grow.any():
-        hi[grow] *= 10.0
-        if np.any(hi[grow] > 1e30):
-            raise DivergenceError("no upper bracket for the QAM root")
-        grow[grow] = bound.u(norm_sq, acf[grow], hi[grow]) >= beta
-    lo = np.full(n, 1e-9)
-    grow = bound.u(norm_sq, acf, lo) <= beta
+    lo = bound.gamma_lower(norm_sq, acf, beta)
+    grow = (lo <= 0.0) | (bound.u(norm_sq, acf, lo) <= beta)
+    lo[grow] = 1e-8
     while grow.any():
         lo[grow] /= 10.0
         if np.any(lo[grow] < 1e-30):
             raise DivergenceError("no lower bracket for the QAM root")
         grow[grow] = bound.u(norm_sq, acf[grow], lo[grow]) <= beta
+    hi = 10.0 * lo
+    grow = bound.u(norm_sq, acf, hi) > beta
+    while grow.any():
+        hi[grow] *= 10.0
+        if np.any(hi[grow] > 1e30):
+            raise DivergenceError("no upper bracket for the QAM root")
+        grow[grow] = bound.u(norm_sq, acf[grow], hi[grow]) > beta
 
-    ln_beta = math.log(beta)
-    ln_lo, ln_hi = np.log(lo), np.log(hi)  # f(ln_lo) > 0 > f(ln_hi)
-    x = np.full(n, math.log(_GAMMA_INIT))
-    iterations = np.zeros(n, dtype=np.int64)
-    newton = np.zeros(n, dtype=bool)
-    live = np.arange(n)
-    for _ in range(_MAX_ITER):
-        xl = x[live]
-        u, v = bound.u_and_slope(norm_sq, acf[live], np.exp(xl))
-        iterations[live] += 1
-        with np.errstate(all="ignore"):  # non-finite steps are bisected
-            f = np.log(u) - ln_beta
-            step = f * u / v
-        above = f > 0.0  # the root lies above x
-        ln_lo[live[above]] = xl[above]
-        ln_hi[live[~above]] = xl[~above]
-        lo_l, hi_l = ln_lo[live], ln_hi[live]
-        x_newton = xl + step
-        ok = np.isfinite(x_newton) & (lo_l <= x_newton) & (x_newton <= hi_l)
-        x[live] = np.where(ok, x_newton, 0.5 * (lo_l + hi_l))
-        newton[live] = ok
-        done = np.where(ok, np.abs(step) <= _LN_TOL, hi_l - lo_l < _LN_TOL)
-        live = live[~done]
-        if not live.size:
-            return _QamRoots(np.exp(x), iterations, newton)
-    raise DivergenceError(f"QAM root not found in {_MAX_ITER} iterations "
-                          f"at C={acf[live][0]:.6f}")
+    x_lo = np.log(lo)
+    roots = newton_lockstep(
+        lambda live, x: bound.u_and_slope(norm_sq, acf[live], np.exp(x)),
+        beta, x_lo, x_lo, np.log(hi), _LN_TOL)
+    return _QamRoots(np.exp(roots.root), roots.iterations, roots.newton)
 
 
 def min_snr_qam(order: int, estimate: ChannelEstimate, acf_value: float,
                 bep_threshold: float, details: bool = False):
     """Minimum SNR driving the M-QAM union bound to the threshold.
 
-    Safeguarded Newton on ln(gamma) from gamma = 1000 (30 dB), bisecting
-    whenever the Newton step leaves the bracket that holds the root.
-    Raises InfeasibleCsiError when even infinite power cannot meet the
+    Safeguarded Newton on ln(gamma) from the largest SNR at which one term
+    of the bound alone equals the threshold, bisecting whenever the Newton
+    step leaves the bracket that holds the root. Raises InfeasibleCsiError when even infinite power cannot meet the
     threshold (the bound's C-limited floor is too high), and ValueError
     for a non-finite ACF value or threshold. This is the one-sample case
     of the batched solve behind min_power_schedule.
 
     With details=True returns QamRootInfo(gamma_min, iterations, method):
-    the number of bound evaluations, and "newton" or "bisection" for the
-    kind of the final step.
+    the number of Newton iterations (bound evaluations after the bracket is
+    set up), and "newton" or "bisection" for the kind of the final step.
     """
     require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
     if order == 2:

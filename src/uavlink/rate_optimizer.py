@@ -129,7 +129,7 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     bep_threshold), as a list in C order.
 
     Each rate's C thresholds are inverted for all cells that reach it in
-    one lockstep bisection, and every threshold's switch time in one ACF
+    one lockstep Newton solve, and every threshold's switch time in one ACF
     inversion. A cell where every order is infeasible yields an empty
     schedule (rate 0 everywhere) rather than an error.
     """

@@ -7,6 +7,9 @@ are a pure function of (seed, n_symbols), and the estimator agrees with
 the exact BPSK and SO error rates within binomial error bars.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -367,6 +370,31 @@ class TestMonteCarlo:
         multi = monte_carlo_bep(estimate, 0.9, 3.0, c, DetectorKind.ML,
                                 3 * 8192 + 100, seed=9, threads=threads)
         assert base == multi
+
+    def test_threaded_calls_share_their_workers(self, estimate, monkeypatch):
+        # one executor per thread count lives as long as the process, so a
+        # second call runs on the first call's workers and their scratch
+        run_batch, used = detectors._run_batch, []
+
+        def recording(*args):
+            used.append(threading.current_thread())
+            time.sleep(0.05)  # hold the worker, so that both take batches
+            return run_batch(*args)
+
+        monkeypatch.setattr(detectors, "_run_batch", recording)
+        c = constellation_for("qam", 4)
+        calls = []
+        for _ in range(2):
+            used.clear()
+            calls.append(monte_carlo_bep(estimate, 0.9, 5.0, c,
+                                         DetectorKind.SO, 4 * 8192, seed=3,
+                                         threads=2))
+            calls.append(set(used))
+        first, first_threads, second, second_threads = calls
+        assert first == second
+        assert len(first_threads) == 2
+        assert second_threads == first_threads
+        assert threading.current_thread() not in first_threads
 
     @pytest.mark.parametrize("n", [1, 100, 8192, 8193, 20000])
     def test_partial_batches_account_every_symbol(self, estimate, n):

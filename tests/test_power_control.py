@@ -20,6 +20,7 @@ from uavlink import (
     EnergySavings,
     PowerSchedule,
     QamRootInfo,
+    UnionBound,
     acf_inverse,
     build_rate_schedule,
     energy_savings,
@@ -39,7 +40,11 @@ from uavlink import (
     uub,
 )
 from uavlink.constellation import make_qam
-from uavlink.errors import InfeasibleCsiError, SchemeError
+from uavlink.errors import (
+    InfeasibleCsiError,
+    InfeasibleRateError,
+    SchemeError,
+)
 from uavlink.fixtures import load_fixture
 from uavlink.scenario import average_snr_db, noise_power_dbm, path_loss_db
 
@@ -101,10 +106,10 @@ class TestPskSolver:
 class TestQamSolver:
     # (order, acf) -> root, iterations, method, all at beta = 1e-5
     PINS = [
-        (4, 0.99, 2.454066702721, 9, "newton"),
-        (4, 0.999, 2.308435205889, 8, "newton"),
-        (16, 0.99, 15.166363129613, 10, "newton"),
-        (16, 0.999, 11.369164682887, 5, "newton"),
+        (4, 0.99, 2.454066702721, 2, "newton"),
+        (4, 0.999, 2.308435205889, 2, "newton"),
+        (16, 0.99, 15.166363129613, 4, "newton"),
+        (16, 0.999, 11.369164682887, 4, "newton"),
     ]
 
     @pytest.mark.parametrize("order,acf,gamma,iters,method", PINS)
@@ -150,6 +155,79 @@ class TestQamSolver:
         # 64-QAM at C = 0.7: even infinite power leaves the bound above beta
         with pytest.raises(InfeasibleCsiError):
             min_snr_qam(64, fx.estimate, 0.7, BETA)
+
+
+def _bisect(f, lo, hi):
+    """The final (lo, hi) of a bisection of a falling f down to float
+    resolution, with f(lo) > 0 >= f(hi)."""
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return lo, hi
+
+
+class TestClosedFormStarts:
+    # both inversions start at the largest single-term root, a lower
+    # bracket up to rounding; where rounding puts it past the root, the C
+    # solve keeps 0 as its lower end and the QAM power solve grows one
+    @given(fixture=st.sampled_from(["case1", "case2"]),
+           scheme=st.sampled_from(["psk", "qam"]),
+           rate=st.integers(1, 6),
+           snr_db=st.floats(0.0, 40.0),
+           log_beta=st.floats(-8.0, math.log10(0.3)),
+           log_one_minus_c=st.floats(-8.0, 0.0))
+    @settings(max_examples=80, deadline=None)
+    def test_starts_bracket_and_roots_match_bisection(self, fixture, scheme,
+                                                      rate, snr_db, log_beta,
+                                                      log_one_minus_c):
+        est = load_fixture(fixture).estimate
+        order, norm_sq = 2 ** rate, est.norm_sq
+        bound = union_bound(scheme, order)
+        gamma, beta = 10.0 ** (snr_db / 10.0), 10.0 ** log_beta
+        acf = 1.0 - 10.0 ** log_one_minus_c
+
+        # in C at this SNR
+        if bound.u(norm_sq, 1.0, gamma) > beta:
+            with pytest.raises(InfeasibleRateError):
+                min_acf_for_rate(rate, est, gamma, scheme, beta)
+        elif bound.u(norm_sq, 0.0, gamma) <= beta:
+            assert min_acf_for_rate(rate, est, gamma, scheme, beta) == 0.0
+        else:
+            lo, hi = _bisect(lambda c: bound.u(norm_sq, c, gamma) - beta,
+                             0.0, 1.0)
+            assert bound.acf_lower(norm_sq, gamma, beta) <= hi + 1e-14
+            c_n = min_acf_for_rate(rate, est, gamma, scheme, beta)
+            # the bound falls in C only up to rounding, so several ulps
+            # may cross beta
+            assert lo - 1e-14 <= c_n <= hi + 1e-12
+            u = bound.u(norm_sq, c_n, gamma)
+            assert u <= beta and 1.0 - u / beta <= 1e-8
+
+        # in ln(gamma) at this C, where finite power meets beta
+        if bound.u(norm_sq, acf, 1e30) >= beta:
+            return
+        lo, hi = _bisect(lambda x: bound.u(norm_sq, acf, math.exp(x)) - beta,
+                         math.log(1e-12), math.log(1e30))
+        start = bound.gamma_lower(norm_sq, acf, beta)
+        assert start == 0.0 or math.log(start) <= hi + 1e-12
+        if scheme == "qam" and order > 2:
+            root = min_snr_qam(order, est, acf, beta)
+            assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
+
+    def test_starts_past_the_root_take_the_fallbacks(self, fx, monkeypatch):
+        c_n = min_acf_for_rate(4, fx.estimate, 300.0, "qam", BETA)
+        root = min_snr_qam(16, fx.estimate, 0.99, BETA)
+        monkeypatch.setattr(UnionBound, "acf_lower",
+                            lambda self, n, g, b: np.full(np.shape(g),
+                                                          c_n + 1e-6))
+        assert abs(min_acf_for_rate(4, fx.estimate, 300.0, "qam", BETA)
+                   - c_n) <= 1e-12
+        for start in (1.01 * root, 0.0):
+            monkeypatch.setattr(UnionBound, "gamma_lower",
+                                lambda self, n, c, b: np.full(np.shape(c),
+                                                              start))
+            assert min_snr_qam(16, fx.estimate, 0.99, BETA) == pytest.approx(
+                root, rel=2e-9)
 
 
 class TestPowerSchedule:
@@ -270,8 +348,8 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_trace_roots_converge_fast_and_tight(self, case):
-        # every sample of a QAM power trace is solved in at most 20 bound
-        # evaluations, with the bound at the threshold to 1e-12
+        # every sample of a QAM power trace is solved in at most 6 Newton
+        # iterations, with the bound at the threshold to 1e-12
         fx = load_fixture(case)
         _, power = _trace(fx, "qam", 4e-5)
         beta = fx.scenario.bep_threshold
@@ -279,7 +357,7 @@ class TestBatchedSolve:
             acf = np.array([s.acf_value for s in power.samples
                             if s.order == order])
             roots = power_control._solve_qam(order, fx.estimate, acf, beta)
-            assert roots.iterations.max() <= 20
+            assert roots.iterations.max() <= 6
             u = union_bound("qam", order).u(fx.estimate.norm_sq, acf,
                                             roots.gamma_min)
             assert np.max(np.abs(u / beta - 1.0)) <= 1e-12
