@@ -10,10 +10,10 @@ pairwise terms grouped by their distinct squared distances, and evaluated
 over arrays of (C, gamma). It serves `uub`, the maximum feasible
 modulation order and the two inversions of the bound, each over arrays of
 cells: the CSI threshold C_n here and the batched QAM power solve in
-power_control. Both inversions start at a closed-form lower bracket, the
-largest root of a single term (`UnionBound.acf_lower`, `gamma_lower`), and
-are solved by one lockstep safeguarded Newton, `newton_lockstep`, on the
-bound's value and slope (in C, `u_and_acf_slope`; in ln(gamma),
+power_control. Both inversions start at a closed-form lower bracket built
+from the roots of single terms (`UnionBound.acf_lower`, `gamma_lower`),
+and are solved by one lockstep safeguarded Newton, `newton_lockstep`, on
+the bound's value and slope (in C, `u_and_acf_slope`; in ln(gamma),
 `u_and_slope`). Around it sit the pairwise error probability and the
 Gray-mapping PSK approximation.
 """
@@ -177,31 +177,28 @@ class UnionBound:
 
     def _map(self, rows, norm_sq, a, b) -> tuple:
         """The outputs of `rows(norm_sq, a, b)`, each reduced over the
-        terms: floats for scalar a and b, else arrays of their broadcast
-        shape, with a and b passed as columns in blocks of rows."""
-        if np.ndim(a) == 0 and np.ndim(b) == 0:
-            return tuple(map(float, rows(norm_sq, float(a), float(b))))
+        terms: arrays of the broadcast shape of a and b (floats where that
+        shape is 0-d), with a and b passed as columns in blocks of rows."""
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64),
                                 shape).reshape(-1, 1) for x in (a, b))
         n = max(1, _BLOCK_TERMS // self.n_terms)
         blocks = [rows(norm_sq, a[lo:lo + n], b[lo:lo + n])
                   for lo in range(0, max(len(a), 1), n)]
-        return tuple(np.concatenate(out).reshape(shape)
-                     for out in zip(*blocks))
+        out = (np.concatenate(out).reshape(shape) for out in zip(*blocks))
+        return tuple(map(float, out) if shape == () else out)
 
     def _sum(self, part):
         """Weighted sum over the terms (the last axis)."""
         return np.sum(self.weight * part, axis=-1)
 
-    def _q_sq(self, beta):
-        """Q^-1(beta / w)^2 for each term and each row's beta, 0 where
+    def _q_sq(self, beta, weight):
+        """Q^-1(beta / w)^2 for each weight w and each row's beta, 0 where
         beta / w >= 1/2 (a term at most w/2 never exceeds beta alone).
         ndtri runs once per distinct beta."""
         b, row = np.unique(beta, return_inverse=True)
-        q = ndtri(np.minimum(b[:, None] / self.weight, 0.5))
-        q_sq = q * q
-        return q_sq[row.ravel()] if np.ndim(beta) else q_sq[0]
+        q = ndtri(np.minimum(b[:, None] / weight, 0.5))
+        return (q * q)[row.ravel()]
 
     def _u_rows(self, norm_sq, acf, gamma):
         r, _ = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
@@ -235,21 +232,26 @@ class UnionBound:
     def _acf_lower_rows(self, norm_sq, gamma, beta):
         # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
         #                          / (gamma ||h||^2 |ds|^2 + 2 q^2 gamma |s|^2)
-        q_sq = self._q_sq(beta)
+        q_sq = self._q_sq(beta, self.weight)
         c_sq = (2.0 * q_sq * (gamma * self.s_sq + 1.0)
                 / (gamma * norm_sq * self.d_sq + 2.0 * q_sq * gamma * self.s_sq))
         return (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
 
     def _gamma_lower_rows(self, norm_sq, acf, beta):
-        # w Q(C r) = beta at
-        # gamma = 2 q^2 / (C^2 ||h||^2 |ds|^2 - 2 q^2 (1 - C^2) |s|^2),
-        # for the terms that reach beta at finite power (den > 0)
-        q_sq = self._q_sq(beta)
-        den = (acf * acf * norm_sq * self.d_sq
-               - 2.0 * q_sq * (1.0 - acf * acf) * self.s_sq)
-        gamma = np.divide(2.0 * q_sq, den, out=np.zeros(den.shape),
-                          where=den > 0.0)
-        return (np.max(gamma, axis=-1),)
+        # a term weighted w equals beta at
+        # gamma = 2 q^2 / (C^2 ||h||^2 |ds|^2 - 2 q^2 (1 - C^2) |s|^2)
+        # where den > 0, and exceeds it at every power elsewhere. Below the
+        # largest root of a term with its own weight, that term alone
+        # exceeds beta; below the smallest root of a term given the whole
+        # weight W, every term's Q exceeds beta / W. Either way u > beta.
+        def roots(q_sq, none):
+            den = (acf * acf * norm_sq * self.d_sq
+                   - 2.0 * q_sq * (1.0 - acf * acf) * self.s_sq)
+            return np.divide(2.0 * q_sq, den, out=np.full(den.shape, none),
+                             where=den > 0.0)
+        single = roots(self._q_sq(beta, self.weight), 0.0)
+        whole = roots(self._q_sq(beta, self.weight.sum()), np.inf)
+        return (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
 
     def u(self, norm_sq: float, acf, gamma):
         """Raw union bound (may exceed 1 at low SNR)."""
@@ -277,9 +279,12 @@ class UnionBound:
         return self._map(self._acf_lower_rows, norm_sq, gamma, beta)[0]
 
     def gamma_lower(self, norm_sq: float, acf, beta):
-        """Largest gamma at which one term alone equals beta (0 if none
-        can): a lower bracket of the minimum SNR, exact up to rounding, as
-        for acf_lower."""
+        """A lower bracket of the minimum SNR, exact up to rounding: the
+        larger of the largest gamma at which one term alone equals beta,
+        and the smallest gamma at which one term carrying the bound's whole
+        weight W = sum(w) equals beta. Every term falls in gamma, so below
+        either root u > beta. The second is positive wherever the floor is
+        below beta, and infinite where no term falls below beta / W."""
         return self._map(self._gamma_lower_rows, norm_sq, acf, beta)[0]
 
 
@@ -330,8 +335,7 @@ def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value,
 
 
 def _cells(snr_linear, bep_threshold) -> tuple:
-    """(gamma, beta) broadcast to one shape of cells; scalars stay 0-d, so
-    a one-cell call keeps UnionBound's scalar path."""
+    """(gamma, beta) broadcast to one shape of cells; scalars stay 0-d."""
     return np.broadcast_arrays(np.asarray(snr_linear, dtype=np.float64),
                                np.asarray(bep_threshold, dtype=np.float64))
 
@@ -349,11 +353,16 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
 
     uv(cells, x) returns u and its slope -du/dx >= 0 at x for the cells
     indexed by `cells`. Each cell starts at x inside a bracket [lo, hi]
-    with u(lo) > beta >= u(hi). Every iteration evaluates u once, moves lo
-    or hi to x by the sign of u - beta (ln could round it to 0), and takes
-    the Newton step x + f u / (-du/dx) when it is finite and inside the
-    bracket, else bisects. Cells never mix: each keeps its own bracket,
-    iterate and count, and all run in lockstep. A cell is done:
+    with u(lo) > beta >= u(hi). Either end may be -inf or +inf, and u
+    there is taken as its limit, never evaluated; an open bracket relies on
+    Newton steps from a start near the root to close it. Every iteration
+    evaluates u once, moves lo or hi to x by the sign of u - beta (ln could
+    round it to 0), and takes the Newton step x + f u / (-du/dx) when it is
+    finite and inside the bracket, but not onto its other end, else
+    bisects: that end's side of the root is known, and where rounding noise
+    in u sets the step, two steps onto the ends could cycle. Cells never
+    mix: each keeps its own bracket, iterate and count, and all run in
+    lockstep. A cell is done:
 
     - without ftol, when it takes a Newton step of at most tol or its
       bracket is narrower than tol; its root is the iterate that step (or
@@ -364,7 +373,8 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
       toward the root, on the side that u - beta gives (the Newton step is
       0 where f = 0), so that the next evaluation lands across the root.
 
-    Raises DivergenceError when a bracket can no longer be split, or after
+    Raises DivergenceError when a bracket can no longer be split (as when
+    the Newton step is not finite and an end is still infinite), or after
     _MAX_ITER iterations.
     """
     x, lo, hi, beta = (np.array(a, dtype=np.float64) for a in
@@ -398,16 +408,18 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
         x_new = xl + step  # a non-finite one fails the bracket test
         if ftol:  # both ends are evaluated: land strictly inside
             ok = (lo_l < x_new) & (x_new < hi_l)
-        else:
-            ok = (lo_l <= x_new) & (x_new <= hi_l)
+        else:  # x is one end; landing on the other, known end could cycle
+            ok = ((lo_l <= x_new) & (x_new <= hi_l)
+                  & (x_new != np.where(above, hi_l, lo_l)))
         mid = 0.5 * (lo_l + hi_l)
-        if not np.all(ok | ((lo_l < mid) & (mid < hi_l))):
-            raise DivergenceError("root bracket can no longer be split")
         x[live] = np.where(ok, x_new, mid)
         newton[live] = ok
+        split = ok | ((lo_l < mid) & (mid < hi_l))
         if not ftol:
-            live = live[~np.where(ok, np.abs(step) <= tol,
-                                  hi_l - lo_l < tol)]
+            done = np.where(ok, np.abs(step) <= tol, hi_l - lo_l < tol)
+            live, split = live[~done], split[~done]
+        if not split.all():
+            raise DivergenceError("root bracket can no longer be split")
     raise DivergenceError(f"root not found in {_MAX_ITER} iterations")
 
 

@@ -6,8 +6,11 @@ safeguarded Newton solve, `bep_analysis.newton_lockstep`, in
 x = ln(gamma): the Newton step of f(x) = ln u(e^x) - ln(beta), which is
 the multiplicative update gamma * (u/beta)^(u/v), is taken while it stays
 inside a bracket that holds the root, and the bracket is bisected
-otherwise. Each sample starts at a closed-form lower bracket: the largest
-SNR at which one term of the bound alone equals beta.
+otherwise. That bracket starts open, (-inf, +inf); each evaluation moves
+one of its ends to the iterate. Each sample starts at a closed-form lower
+bracket, the larger of two single-term roots: the largest SNR at which one
+term of the bound alone equals beta, and the smallest at which one term
+carrying the bound's whole weight does.
 
 The bound, its slope in ln(gamma), its infinite-power floor and that start
 come from the one cached, grouped `bep_analysis.UnionBound`. The power
@@ -23,10 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bep_analysis import newton_lockstep, q_inverse, union_bound
+from .bep_analysis import (
+    LockstepRoots,
+    newton_lockstep,
+    q_inverse,
+    union_bound,
+)
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .errors import (
-    DivergenceError,
     InfeasibleCsiError,
     ScheduleError,
     SchemeError,
@@ -85,26 +92,19 @@ def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-class _QamRoots(NamedTuple):
-    gamma_min: np.ndarray
-    iterations: np.ndarray
-    newton: np.ndarray  # True where the final step was Newton's
-
-
 def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
-               bep_threshold: float) -> _QamRoots:
+               bep_threshold: float) -> LockstepRoots:
     """Minimum SNR of every sample in `acf` at once, by safeguarded Newton.
 
     Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma) by
-    `bep_analysis.newton_lockstep`, started at the largest single-term root
-    (`UnionBound.gamma_lower`), a lower bracket that one bound evaluation
-    checks. Where rounding, or the absence of such a term, fails that
-    check, the lower bracket is grown down from 1e-9 by factors of 10. The
-    upper bracket grows up from 10 times the lower by factors of 10. A
-    sample is done when a Newton step moves it by at most 1e-9, or when its
-    bracket is narrower than 1e-9; its root is that last iterate. Samples
-    never mix: each keeps its own bracket, iterate, count and final step,
-    and all run in lockstep.
+    `bep_analysis.newton_lockstep` on the open bracket (-inf, +inf), started
+    at the closed-form lower bracket `UnionBound.gamma_lower`. The ends
+    hold as limits: u(0) = W/2 > beta, with W the bound's whole weight, and
+    u(inf) is the floor, checked below beta first. A sample is done when a
+    Newton step moves it by at most 1e-9, or when its bracket is narrower
+    than 1e-9; its root is that last iterate. Samples never mix: each keeps
+    its own bracket, iterate, count and final step, and all run in
+    lockstep. Returns the roots in gamma.
     """
     bound = union_bound("qam", order)
     norm_sq, beta = estimate.norm_sq, bep_threshold
@@ -114,50 +114,34 @@ def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
         raise InfeasibleCsiError(
             f"{order}-QAM cannot reach {beta:g} at "
             f"C={acf[infeasible][0]:.6f} for any power")
-
-    lo = bound.gamma_lower(norm_sq, acf, beta)
-    grow = (lo <= 0.0) | (bound.u(norm_sq, acf, lo) <= beta)
-    lo[grow] = 1e-8
-    while grow.any():
-        lo[grow] /= 10.0
-        if np.any(lo[grow] < 1e-30):
-            raise DivergenceError("no lower bracket for the QAM root")
-        grow[grow] = bound.u(norm_sq, acf[grow], lo[grow]) <= beta
-    hi = 10.0 * lo
-    grow = bound.u(norm_sq, acf, hi) > beta
-    while grow.any():
-        hi[grow] *= 10.0
-        if np.any(hi[grow] > 1e30):
-            raise DivergenceError("no upper bracket for the QAM root")
-        grow[grow] = bound.u(norm_sq, acf[grow], hi[grow]) > beta
-
-    x_lo = np.log(lo)
     roots = newton_lockstep(
         lambda live, x: bound.u_and_slope(norm_sq, acf[live], np.exp(x)),
-        beta, x_lo, x_lo, np.log(hi), _LN_TOL)
-    return _QamRoots(np.exp(roots.root), roots.iterations, roots.newton)
+        beta, np.log(bound.gamma_lower(norm_sq, acf, beta)), -np.inf,
+        np.inf, _LN_TOL)
+    return roots._replace(root=np.exp(roots.root))
 
 
 def min_snr_qam(order: int, estimate: ChannelEstimate, acf_value: float,
                 bep_threshold: float, details: bool = False):
     """Minimum SNR driving the M-QAM union bound to the threshold.
 
-    Safeguarded Newton on ln(gamma) from the largest SNR at which one term
-    of the bound alone equals the threshold, bisecting whenever the Newton
-    step leaves the bracket that holds the root. Raises InfeasibleCsiError when even infinite power cannot meet the
-    threshold (the bound's C-limited floor is too high), and ValueError
-    for a non-finite ACF value or threshold. This is the one-sample case
-    of the batched solve behind min_power_schedule.
+    Safeguarded Newton on ln(gamma) from the closed-form lower bracket
+    `UnionBound.gamma_lower`, on an open bracket that each evaluation
+    narrows, bisecting whenever the Newton step leaves it. Raises
+    InfeasibleCsiError when even infinite power cannot meet the threshold
+    (the bound's C-limited floor is too high), and ValueError for a
+    non-finite ACF value or threshold. This is the one-sample case of the
+    batched solve behind min_power_schedule.
 
     With details=True returns QamRootInfo(gamma_min, iterations, method):
-    the number of Newton iterations (bound evaluations after the bracket is
-    set up), and "newton" or "bisection" for the kind of the final step.
+    the number of Newton iterations (bound evaluations), and "newton" or
+    "bisection" for the kind of the final step.
     """
     require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
     if order == 2:
         raise SchemeError("order-2 QAM is BPSK; use min_snr_psk(2, ...)")
     roots = _solve_qam(order, estimate, np.array([acf_value]), bep_threshold)
-    gamma = float(roots.gamma_min[0])
+    gamma = float(roots.root[0])
     if details:
         return QamRootInfo(gamma, int(roots.iterations[0]),
                            "newton" if roots.newton[0] else "bisection")
@@ -230,7 +214,7 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
                 gamma[region] = min_snr_psk(order, estimate, acf[region], beta)
             else:
                 gamma[region] = _solve_qam(order, estimate, acf[region],
-                                           beta).gamma_min
+                                           beta).root
         except InfeasibleCsiError as exc:
             raise ScheduleError(
                 f"power infeasible inside rate-{r} region ({exc}); "

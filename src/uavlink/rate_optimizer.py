@@ -136,8 +136,6 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     gamma, beta = np.broadcast_arrays(np.asarray(snr_linear, dtype=np.float64),
                                       np.asarray(bep_threshold,
                                                  dtype=np.float64))
-    # a one-cell grid stays 0-d wherever all cells take part, which keeps
-    # the bound on its scalar path
     gamma_f, beta_f = gamma.reshape(-1), beta.reshape(-1)
     order = np.reshape(max_modulation_order(estimate, gamma, scheme, beta), -1)
     r_max = np.log2(np.maximum(order, 1)).astype(np.int64)
@@ -146,11 +144,9 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     cs = np.full((top, gamma.size), np.inf)
     for n in range(1, top + 1):
         reach = r_max >= n
-        g, b = (gamma, beta) if reach.all() else (gamma_f[reach],
-                                                  beta_f[reach])
         try:
-            cs[n - 1, reach] = np.reshape(
-                min_acf_for_rate(n, estimate, g, scheme, b), -1)
+            cs[n - 1, reach] = min_acf_for_rate(n, estimate, gamma_f[reach],
+                                                scheme, beta_f[reach])
         except InfeasibleRateError as exc:
             raise ScheduleError(
                 f"rate {n} infeasible although a higher rate is feasible; "

@@ -307,9 +307,10 @@ def test_criterion_07_psk_power_roundtrip(case1):
 
 
 def test_criterion_08_qam_root_convergence(case1):
-    """From its fixed 30 dB start the QAM solver converges in at most 100
-    iterations with the bound at the threshold to 1e-4 relative; the slope
-    v_m matches finite differences to 1e-4 relative."""
+    """From its closed-form start (`UnionBound.gamma_lower`) the QAM solver
+    converges in at most 100 iterations with the bound at the threshold to
+    1e-4 relative; the slope v_m matches finite differences to 1e-4
+    relative."""
     beta = 1e-5
     norm_sq = case1.estimate.norm_sq
     worst_res, worst_iters, worst_slope = 0.0, 0, 0.0

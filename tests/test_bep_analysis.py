@@ -28,9 +28,9 @@ from uavlink import (
     union_bound,
     uub,
 )
-from uavlink.bep_analysis import _uub_raw
+from uavlink.bep_analysis import _MAX_ITER, _uub_raw, newton_lockstep
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
-from uavlink.errors import InfeasibleRateError, SchemeError
+from uavlink.errors import DivergenceError, InfeasibleRateError, SchemeError
 from uavlink.fixtures import load_fixture
 
 GAMMA_MAX = 277.1359929049  # linear SNR at the 35 dBm transmit cap, case1
@@ -277,6 +277,105 @@ class TestPskApprox:
     def test_unsupported_order(self, estimate):
         with pytest.raises(SchemeError):
             psk_bep_approx(6, estimate, 0.9, 10.0)
+
+
+def _sinh_bound(x0, beta):
+    """uv of u(x) = beta exp(-sinh(x - x0)) in each cell, which falls in x
+    and equals beta exactly at x0, and the list of its cell counts."""
+    calls = []
+
+    def uv(cells, x):
+        calls.append(cells.size)
+        z = x - x0[cells]
+        u = beta[cells] * np.exp(-np.sinh(z))
+        return u, np.cosh(z) * u
+    return uv, calls
+
+
+class TestNewtonLockstep:
+    X0 = np.array([-2.0, 0.5, 3.0, 1.0])
+    BETA = np.array([1e-6, 1e-3, 0.2, 1e-5])
+    # starts below the root, above it, far above it, and on it
+    START = X0 + np.array([-3.0, 2.5, 6.0, 0.0])
+
+    def test_newton_step_stops_on_an_open_bracket(self):
+        uv, calls = _sinh_bound(self.X0, self.BETA)
+        roots = newton_lockstep(uv, self.BETA, self.START, -np.inf, np.inf,
+                                1e-12)
+        assert np.all(np.abs(roots.root - self.X0) <= 1e-12)
+        assert roots.newton.all()
+        assert roots.iterations[3] == 1  # f = 0: a zero Newton step
+        assert roots.iterations.max() <= 12
+        # cells leave the lockstep as they converge
+        assert calls[0] == 4 and calls[-1] < 4
+        assert sum(calls) == roots.iterations.sum()
+
+    def test_narrow_bracket_stops_a_bisection(self):
+        # no slope: every Newton step is infinite, so each step bisects
+        uv, _ = _sinh_bound(self.X0, self.BETA)
+        roots = newton_lockstep(
+            lambda cells, x: (uv(cells, x)[0], np.zeros(cells.size)),
+            self.BETA, self.X0 - 0.5, self.X0 - 1.0, self.X0 + 1.0, 1e-6)
+        assert np.all(np.abs(roots.root - self.X0) <= 1e-6)
+        assert not roots.newton.any()
+        assert np.all(roots.iterations >= 20)
+
+    def test_ftol_returns_the_feasible_end(self):
+        uv, _ = _sinh_bound(self.X0, self.BETA)
+        tol = 1e-12
+        roots = newton_lockstep(uv, self.BETA, self.START, -np.inf, np.inf,
+                                tol, 1e-8)
+        u, _ = uv(np.arange(4), roots.root)
+        assert np.all(u <= self.BETA)
+        assert np.all((roots.root >= self.X0) & (roots.root - self.X0 <= tol))
+        assert roots.root[3] == self.X0[3]
+
+    def test_steps_onto_the_other_end_bisect(self):
+        # u jumps across beta at 0.5 and every Newton step has length 1:
+        # 0 -> 1 -> 0 would cycle, so the step back onto the known end
+        # bisects instead, down to the jump
+        def jump(cells, x):
+            u = np.where(x < 0.5, 2e-3, 5e-4)
+            return u, u * math.log(2.0)
+        roots = newton_lockstep(jump, 1e-3, np.zeros(1), -np.inf, np.inf,
+                                1e-9)
+        assert abs(roots.root[0] - 0.5) <= 1e-9
+        assert not roots.newton[0]
+
+    def test_narrow_bracket_ends_even_unsplit(self):
+        # a bracket one ulp wide cannot be split, but it is narrower than
+        # tol: the cell is done, not diverged
+        a = 23.6
+        hi = np.nextafter(a, np.inf)
+        roots = newton_lockstep(
+            lambda cells, x: (np.full(cells.size, 2e-3),
+                              np.full(cells.size, 1e-9)),
+            1e-3, np.full(1, a), a, hi, 1e-9)
+        assert roots.root[0] in (a, hi)
+        assert roots.iterations[0] == 1 and not roots.newton[0]
+
+    def test_non_finite_step_against_an_infinite_end(self):
+        # a flat u above beta sends the Newton step to +inf, where the
+        # upper end still is: there is nothing to bisect
+        calls = []
+
+        def flat(cells, x):
+            calls.append(cells.size)
+            return np.full(cells.size, 2e-3), np.zeros(cells.size)
+        with pytest.raises(DivergenceError, match="can no longer be split"):
+            newton_lockstep(flat, 1e-3, np.zeros(1), -np.inf, np.inf, 1e-9)
+        assert calls == [1]
+
+    def test_gives_up_after_max_iter(self):
+        # a slope so steep that every Newton step rounds away, with tol 0
+        calls = []
+
+        def steep(cells, x):
+            calls.append(cells.size)
+            return np.full(cells.size, 2e-3), np.full(cells.size, 1e300)
+        with pytest.raises(DivergenceError, match=f"in {_MAX_ITER} "):
+            newton_lockstep(steep, 1e-3, np.full(1, 0.5), 0.0, 1.0, 0.0)
+        assert len(calls) == _MAX_ITER
 
 
 class TestMinAcfForRate:

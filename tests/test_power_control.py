@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from uavlink import (
     BepContext,
+    ChannelEstimate,
     DetectorKind,
     EnergySavings,
     PowerSchedule,
@@ -127,15 +128,20 @@ class TestQamSolver:
         bound = uub(BepContext(fx.estimate, acf, g, make_qam(order)))
         assert bound.raw == pytest.approx(BETA, rel=1e-7)
 
-    @given(order=st.sampled_from([4, 16, 64]),
+    @given(order=st.sampled_from([4, 8, 16, 32, 64]),
+           log_scale=st.floats(-4.0, 4.0),
            log_one_minus_c=st.floats(-7.0, -1.0),
-           log_beta=st.floats(-7.0, -2.0))
+           log_beta=st.floats(-7.0, math.log10(0.49)))
     @settings(max_examples=60, deadline=None)
-    def test_matches_bisection_oracle(self, fx, order, log_one_minus_c,
-                                      log_beta):
-        # each root against a plain bisection on ln(gamma), in the test
+    def test_matches_bisection_oracle(self, fx, order, log_scale,
+                                      log_one_minus_c, log_beta):
+        # each root against a plain bisection on ln(gamma), in the test;
+        # ||h||^2 spans 1e-4 to 1e4 times the fixture's, and a beta near
+        # 1/2 leaves samples where no single term reaches beta
+        est = ChannelEstimate(fx.estimate.h * 10.0 ** (log_scale / 2.0),
+                              fx.estimate.t_estimate)
         acf, beta = 1.0 - 10.0 ** log_one_minus_c, 10.0 ** log_beta
-        bound, norm_sq = union_bound("qam", order), fx.estimate.norm_sq
+        bound, norm_sq = union_bound("qam", order), est.norm_sq
         lo, hi = math.log(1e-12), math.log(1e30)
         assume(bound.u(norm_sq, acf, math.exp(hi)) < beta)
         for _ in range(200):
@@ -144,7 +150,7 @@ class TestQamSolver:
                 lo = mid
             else:
                 hi = mid
-        root = min_snr_qam(order, fx.estimate, acf, beta)
+        root = min_snr_qam(order, est, acf, beta)
         assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
 
     def test_order_two_redirects(self, fx):
@@ -167,9 +173,10 @@ def _bisect(f, lo, hi):
 
 
 class TestClosedFormStarts:
-    # both inversions start at the largest single-term root, a lower
-    # bracket up to rounding; where rounding puts it past the root, the C
-    # solve keeps 0 as its lower end and the QAM power solve grows one
+    # both inversions start at a closed-form lower bracket, exact up to
+    # rounding; where rounding puts it past the root, the first evaluation
+    # makes it the upper end, and the lower end stays 0 in C and -inf in
+    # ln(gamma)
     @given(fixture=st.sampled_from(["case1", "case2"]),
            scheme=st.sampled_from(["psk", "qam"]),
            rate=st.integers(1, 6),
@@ -209,7 +216,7 @@ class TestClosedFormStarts:
         lo, hi = _bisect(lambda x: bound.u(norm_sq, acf, math.exp(x)) - beta,
                          math.log(1e-12), math.log(1e30))
         start = bound.gamma_lower(norm_sq, acf, beta)
-        assert start == 0.0 or math.log(start) <= hi + 1e-12
+        assert start > 0.0 and math.log(start) <= hi + 1e-12
         if scheme == "qam" and order > 2:
             root = min_snr_qam(order, est, acf, beta)
             assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
@@ -222,7 +229,7 @@ class TestClosedFormStarts:
                                                           c_n + 1e-6))
         assert abs(min_acf_for_rate(4, fx.estimate, 300.0, "qam", BETA)
                    - c_n) <= 1e-12
-        for start in (1.01 * root, 0.0):
+        for start in (1.01 * root, 1e-3 * root):
             monkeypatch.setattr(UnionBound, "gamma_lower",
                                 lambda self, n, c, b: np.full(np.shape(c),
                                                               start))
@@ -359,7 +366,7 @@ class TestBatchedSolve:
             roots = power_control._solve_qam(order, fx.estimate, acf, beta)
             assert roots.iterations.max() <= 6
             u = union_bound("qam", order).u(fx.estimate.norm_sq, acf,
-                                            roots.gamma_min)
+                                            roots.root)
             assert np.max(np.abs(u / beta - 1.0)) <= 1e-12
 
     @given(case=st.sampled_from(["case1", "case2"]),
