@@ -2,7 +2,7 @@
 
 PSK inverts its closed-form BEP approximation directly. QAM has no closed
 inverse, so the union bound is driven to the threshold by the package's one
-safeguarded Newton solve, `bep_analysis.newton_lockstep`, in
+safeguarded Newton solve, `lockstep.newton_lockstep`, in
 x = ln(gamma): the Newton step of f(x) = ln u(e^x) - ln(beta), which is
 the multiplicative update gamma * (u/beta)^(u/v), is taken while it stays
 inside a bracket that holds the root, and the bracket is bisected
@@ -26,12 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bep_analysis import (
-    LockstepRoots,
-    newton_lockstep,
-    q_inverse,
-    union_bound,
-)
+from .bep_analysis import q_inverse, union_bound
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .errors import (
     InfeasibleCsiError,
@@ -39,6 +34,7 @@ from .errors import (
     SchemeError,
     require_finite,
 )
+from .lockstep import LockstepRoots, newton_lockstep
 from .rate_optimizer import RateSchedule, sample_grid
 from .scenario import LinkScenario, noise_power_dbm, path_loss_db
 
@@ -97,7 +93,7 @@ def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
     """Minimum SNR of every sample in `acf` at once, by safeguarded Newton.
 
     Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma) by
-    `bep_analysis.newton_lockstep` on the open bracket (-inf, +inf), started
+    `lockstep.newton_lockstep` on the open bracket (-inf, +inf), started
     at the closed-form lower bracket `UnionBound.gamma_lower`. The ends
     hold as limits: u(0) = W/2 > beta, with W the bound's whole weight, and
     u(inf) is the floor, checked below beta first. A sample is done when a

@@ -23,9 +23,13 @@ from .channel import (
     WobbleParams,
     acf_inverse,
     check_acf_monotone,
-    temporal_acf,
 )
-from .errors import InfeasibleRateError, ScheduleError
+from .errors import (
+    DivergenceError,
+    InfeasibleRateError,
+    MonotonicityError,
+    ScheduleError,
+)
 
 __all__ = [
     "RateThreshold",
@@ -130,8 +134,12 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
 
     Each rate's C thresholds are inverted for all cells that reach it in
     one lockstep Newton solve, and every threshold's switch time in one ACF
-    inversion. A cell where every order is infeasible yields an empty
-    schedule (rate 0 everywhere) rather than an error.
+    inversion, after which the ACF is checked monotone once, on
+    [0, max(t_1) - t_estimate]. A cell where every order is infeasible
+    yields an empty schedule (rate 0 everywhere) rather than an error.
+
+    Raises ScheduleError where C_1 = 0, as no finite t_1 exists there, and
+    MonotonicityError where the ACF is not strictly decreasing up to t_1.
     """
     gamma, beta = np.broadcast_arrays(np.asarray(snr_linear, dtype=np.float64),
                                       np.asarray(bep_threshold,
@@ -152,27 +160,24 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
                 f"rate {n} infeasible although a higher rate is feasible; "
                 "UUB is not monotone across orders here") from exc
 
-    # per cell one dt_max spanning the slowest threshold; the inversion
-    # needs the ACF verified monotone over each scheduling span
-    live = r_max > 0
-    c_min = cs.min(axis=0, initial=np.inf)
-    dt_max = np.full(gamma.size, 0.05)
-    grow = live.copy()
-    while True:
-        grow &= temporal_acf(wobble, dt_max) > c_min
-        if not grow.any():
-            break
-        dt_max = np.where(grow, 2.0 * dt_max, dt_max)
-        if np.any(dt_max > 1e6):
-            raise ScheduleError(
-                "ACF never decays to the rate-1 threshold; no finite t_1")
-    for span in np.unique(dt_max[live]).tolist():
-        check_acf_monotone(wobble, span)
-
+    # C_1 = 0 where even an uncorrelated channel meets the threshold: the
+    # ACF is positive at every finite lag, so rate 1 never ends
+    if np.any(cs[:1] == 0.0):
+        raise ScheduleError(
+            "rate 1 meets the threshold even at C = 0; the ACF never falls "
+            "to it, so there is no finite t_1")
     has = np.isfinite(cs)
     ts = np.zeros(cs.shape)
-    ts[has] = t_estimate + acf_inverse(
-        wobble, cs[has], np.broadcast_to(dt_max, cs.shape)[has])
+    if has.any():
+        try:
+            lags = acf_inverse(wobble, cs[has])
+        except DivergenceError as exc:
+            raise MonotonicityError(
+                "ACF inversion did not converge; the temporal ACF is not "
+                "monotone over the schedule") from exc
+        # every t_n is unique only where the ACF falls on all of [0, t_1]
+        check_acf_monotone(wobble, float(lags.max()))
+        ts[has] = t_estimate + lags
     return [RateSchedule(scheme, r, tuple(
                 RateThreshold(n, c_n, t_n)
                 for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),

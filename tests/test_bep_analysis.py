@@ -28,10 +28,11 @@ from uavlink import (
     union_bound,
     uub,
 )
-from uavlink.bep_analysis import _MAX_ITER, _uub_raw, newton_lockstep
+from uavlink.bep_analysis import _uub_raw
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
 from uavlink.errors import DivergenceError, InfeasibleRateError, SchemeError
 from uavlink.fixtures import load_fixture
+from uavlink.lockstep import _MAX_ITER, newton_lockstep
 
 GAMMA_MAX = 277.1359929049  # linear SNR at the 35 dBm transmit cap, case1
 
@@ -329,6 +330,20 @@ class TestNewtonLockstep:
         assert np.all(u <= self.BETA)
         assert np.all((roots.root >= self.X0) & (roots.root - self.X0 <= tol))
         assert roots.root[3] == self.X0[3]
+
+    def test_ftol_closes_a_bracket_one_ulp_wide(self):
+        # roots where a double's spacing exceeds tol: the closing step is
+        # one ulp, not a step that rounds to none, and a bracket with no
+        # float inside it ends the cell
+        x0 = np.array([1e4 + 0.3, 2e4 + 0.7])
+        beta = np.array([1e-3, 0.2])
+        uv, _ = _sinh_bound(x0, beta)
+        assert np.all(np.spacing(x0) > 1e-12)
+        for start in (x0 - 1e-3, x0 + 2.0):
+            roots = newton_lockstep(uv, beta, start, -np.inf, np.inf,
+                                    1e-12, 1e-10)
+            assert np.all(np.abs(roots.root - x0) <= np.spacing(x0))
+            assert np.all(uv(np.arange(2), roots.root)[0] <= beta)
 
     def test_steps_onto_the_other_end_bisect(self):
         # u jumps across beta at 0.5 and every Newton step has length 1:

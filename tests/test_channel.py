@@ -6,10 +6,14 @@ the library path (log-domain exp * i0e) must reproduce them to double
 precision.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import i0e, i1e
 
 from uavlink import (
     ChannelEstimate,
@@ -21,12 +25,14 @@ from uavlink import (
     received_signal,
     temporal_acf,
 )
-from uavlink.channel import ChannelState
+from uavlink import channel
+from uavlink.channel import ChannelState, _acf, _bessel_ratio
 from uavlink.errors import (
     InfeasibleTargetError,
     MonotonicityError,
     NumericOverflowError,
 )
+from uavlink.fixtures import load_fixture
 
 CARRIER_HZ = 28e9
 
@@ -104,26 +110,97 @@ class TestTemporalAcf:
 class TestAcfInverse:
     @pytest.mark.parametrize("target", [0.99, 0.9, 0.8, 0.732172, 0.5])
     def test_roundtrip(self, wobble, target):
-        dt = acf_inverse(wobble, target, dt_max=0.4)
+        dt = acf_inverse(wobble, target)
         assert abs(temporal_acf(wobble, dt) - target) <= 1e-10
 
     def test_target_one_maps_to_zero_lag(self, wobble):
-        assert acf_inverse(wobble, 1.0, dt_max=0.4) == 0.0
+        assert acf_inverse(wobble, 1.0) == 0.0
 
     def test_target_above_one_rejected(self, wobble):
         with pytest.raises(InfeasibleTargetError):
-            acf_inverse(wobble, 1.5, dt_max=0.4)
+            acf_inverse(wobble, 1.5)
 
-    def test_unreachable_target_rejected(self, wobble):
-        with pytest.raises(InfeasibleTargetError):
-            acf_inverse(wobble, 0.9, dt_max=1e-4)
+    def test_non_positive_target_rejected(self, wobble):
+        # C > 0 at every finite lag; the start's ln(target) must not run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in (0.0, -0.5, np.array([0.5, 0.0])):
+                with pytest.raises(InfeasibleTargetError):
+                    acf_inverse(wobble, target)
 
     @given(target=st.floats(0.45, 0.995))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, target):
         w = WobbleParams.for_carrier(CARRIER_HZ, omega_v=20.0 * np.pi, mu=30.0)
-        dt = acf_inverse(w, target, dt_max=0.4)
+        dt = acf_inverse(w, target)
         assert abs(temporal_acf(w, dt) - target) <= 1e-10
+
+
+# monotone wobble profiles well beyond the fixtures' one: damping mu at
+# least the vibration frequency omega_v, and Bessel arguments |x| from
+# about 1e-3 to several hundred
+_profiles = st.builds(
+    lambda omega_v, damping, sigma_v_sq: WobbleParams.for_carrier(
+        CARRIER_HZ, omega_v, damping * omega_v, sigma_v_sq),
+    omega_v=st.floats(3.0, 1000.0), damping=st.floats(1.0, 10.0),
+    sigma_v_sq=st.floats(1e-5, 0.1))
+
+
+class TestAcfSolveAcrossProfiles:
+    @given(w=_profiles, target=st.floats(1e-3, 0.9999))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip(self, w, target):
+        dt = acf_inverse(w, target)
+        check_acf_monotone(w, dt)  # the draw is a monotone profile
+        c = temporal_acf(w, dt)
+        assert c <= target
+        assert abs(c - target) <= 1e-10
+
+    @given(w=_profiles, target=st.floats(1e-3, 0.999),
+           frac=st.floats(0.2, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_slope_matches_central_difference(self, w, target, frac):
+        t = frac * acf_inverse(w, target)
+        # a step short against the lag and the vibration period, and long
+        # against the rounding of sin(omega_v t) at lags of minutes
+        h = 1e-3 * min(t, 1.0 / (w.omega_v + w.mu))
+
+        def ln_c(lag):
+            return math.log(temporal_acf(w, lag))
+        fd = (8.0 * (ln_c(t + h) - ln_c(t - h))
+              - (ln_c(t + 2.0 * h) - ln_c(t - 2.0 * h))) / (12.0 * h)
+        acf, slope = _acf(w, np.array([t]), slope=True)
+        assert acf[0] == temporal_acf(w, t)
+        # the Bessel ratio's 1.1e-6 error grows where a' and x' I1/I0
+        # nearly cancel; a wrong term would miss by far more
+        assert slope[0] == pytest.approx(fd, rel=5e-4)
+
+    @given(targets=st.lists(st.floats(1e-6, 1.0 - 1e-9), min_size=1,
+                            max_size=50))
+    @settings(max_examples=40, deadline=None)
+    def test_case1_takes_at_most_8_evaluations(self, targets):
+        # every lockstep iteration evaluates the ACF and its slope once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _acf(*args, **kwargs)
+        w = load_fixture("case1").wobble
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(channel, "_acf", counted)
+            acf_inverse(w, np.array(targets))
+        assert len(calls) <= 8
+
+    def test_bessel_ratio_against_scipy(self):
+        x = np.concatenate([np.linspace(-10.0, 10.0, 20001),
+                            np.geomspace(10.0, 1e6, 2001)])
+        ax = np.abs(x)
+        want = np.sign(x) * i1e(ax) / i0e(ax)
+        got = _bessel_ratio(x)
+        small = ax <= 0.2
+        assert np.all(np.abs(got - want) <= 1.1e-6 * np.abs(want))
+        assert np.all(np.abs(got - want)[small]
+                      <= 4e-9 * np.abs(want)[small])
 
 
 class TestMonotoneCheck:

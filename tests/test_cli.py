@@ -167,7 +167,7 @@ class TestAdapt:
         trace = read_rows(out / "adapt_uub_trace.csv")
         assert all(float(r["uub"]) <= 1e-5 * (1 + 1e-9) for r in trace)
         curve = read_rows(out / "adapt_rave.csv")
-        assert max(float(r["r_ave"]) for r in curve) <= 3.8617991547 + 1e-9
+        assert max(float(r["r_ave"]) for r in curve) <= 3.8617991530 + 1e-9
 
     def test_optimum_in_metadata(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -176,7 +176,7 @@ class TestAdapt:
         meta = json.loads((out / "adapt_schedule.csv.meta.json").read_text())
         assert meta["r_max"] == 5
         assert meta["t_max"] == pytest.approx(0.0070407931, abs=1e-9)
-        assert meta["r_ave_max"] == pytest.approx(3.8617991547, abs=1e-9)
+        assert meta["r_ave_max"] == pytest.approx(3.8617991530, abs=1e-9)
         assert meta["r_op"] == 4
 
 

@@ -395,8 +395,8 @@ class TestBatchedSolve:
 
 class TestFiniteInputGuard:
     @pytest.mark.parametrize("call", [
-        lambda fx: acf_inverse(fx.wobble, math.nan, 1.0),
-        lambda fx: acf_inverse(fx.wobble, 0.9, math.inf),
+        lambda fx: acf_inverse(fx.wobble, math.nan),
+        lambda fx: acf_inverse(fx.wobble, np.array([0.9, math.inf])),
         lambda fx: min_acf_for_rate(2, fx.estimate, 300.0, "psk", math.nan),
         lambda fx: min_acf_for_rate(2, fx.estimate, math.inf, "qam", 1e-5),
         lambda fx: min_snr_qam(16, fx.estimate, math.nan, BETA),
@@ -413,7 +413,7 @@ class TestFiniteInputGuard:
                              fx.estimate, 0.9, 10.0, make_qam(16)),
         lambda fx: so_detect(np.ones(fx.estimate.h.size), fx.estimate, 0.9,
                              math.nan, make_qam(16)),
-    ], ids=["acf_inverse-target", "acf_inverse-dt_max",
+    ], ids=["acf_inverse-target", "acf_inverse-target-array",
             "min_acf_for_rate-threshold", "min_acf_for_rate-snr",
             "min_snr_qam-acf", "min_snr_qam-threshold",
             "min_snr_psk-acf", "min_snr_psk-acf-array",

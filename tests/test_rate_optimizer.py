@@ -1,14 +1,18 @@
 """Rate staircase construction and the average-rate maximization.
 
-The threshold and switch-time pins below were frozen from this
-implementation after cross-checking the thresholds against the BEP
-inversion residuals and the optimum against a dense brute-force sweep.
+The threshold pins below were frozen from this implementation after
+cross-checking them against the BEP inversion residuals. The switch times
+t_n are T_e plus the 30-digit root of C(t) = C_n (`_exact_acf_root`), and
+r_ave_max is the staircase average at those times, both rounded to the
+digits shown. The optimum was checked against a dense brute-force sweep.
 All pins use the case1 channel at the 35 dBm transmit cap with a 1e-5
 threshold unless stated otherwise.
 """
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +23,7 @@ from uavlink import (
     RateSchedule,
     RateThreshold,
     WobbleParams,
+    acf_inverse,
     average_rate,
     build_rate_schedule,
     build_rate_schedules,
@@ -33,7 +38,7 @@ from uavlink.channel import check_acf_monotone
 from uavlink.constellation import SUPPORTED_ORDERS
 from uavlink.errors import InfeasibleRateError, MonotonicityError, ScheduleError
 from uavlink.fixtures import load_fixture
-from uavlink.scenario import average_snr_db
+from uavlink.scenario import SPEED_OF_LIGHT, average_snr_db
 
 GAMMA_MAX = 277.1359929049
 BETA = 1e-5
@@ -41,12 +46,12 @@ BETA = 1e-5
 # rate n -> (C_n, t_n - t_estimate shifted to absolute t_n with T_e = 1 ms)
 PSK_C = [0.732172423852, 0.835978572882, 0.941010882791, 0.984344179202,
          0.997193242005]
-PSK_T = [0.049940053675, 0.030828593181, 0.015770381153, 0.008040793123,
-         0.003888755593]
+PSK_T = [0.049940053664, 0.030828593169, 0.015770381159, 0.008040793107,
+         0.003888755582]
 QAM_C = PSK_C[:2] + [0.955140197791, 0.971457189776, 0.985644622796,
                      0.993999492520]
-QAM_T = PSK_T[:2] + [0.013572573917, 0.010744018177, 0.007723942561,
-                     0.005264142970]
+QAM_T = PSK_T[:2] + [0.013572573926, 0.010744018168, 0.007723942566,
+                     0.005264142972]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,23 @@ class TestSchedulePins:
         for th, c_n, t_n in zip(qam_schedule.thresholds, QAM_C, QAM_T):
             assert th.c_n == pytest.approx(c_n, abs=5e-12)
             assert th.t_n == pytest.approx(t_n, abs=5e-12)
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    @pytest.mark.parametrize("scheme", ["psk", "qam"])
+    def test_switch_times_are_exact_roots(self, case, scheme):
+        # every t_n within 1e-12 s of the 30-digit root of C(t) = C_n, on
+        # the fixture's schedule at its transmit cap
+        fx = load_fixture(case)
+        t_e = fx.scenario.t_estimate
+        gamma = 10.0 ** (average_snr_db(fx.scenario.p_max_dbm, fx.scenario)
+                         / 10.0)
+        schedule = build_rate_schedule(fx.estimate, gamma, scheme,
+                                       fx.scenario.bep_threshold, fx.wobble,
+                                       t_e)
+        assert schedule.r_max >= 5
+        for th in schedule.thresholds:
+            lag = th.t_n - t_e
+            assert abs(lag - _exact_acf_root(fx.wobble, th.c_n, lag)) <= 1e-12
 
     def test_switch_time_convention(self, psk_schedule):
         assert psk_schedule.switch_time(psk_schedule.r_max + 1) == \
@@ -211,13 +233,13 @@ class TestOptimum:
     def test_psk_optimum(self, psk_schedule):
         opt = optimum_transmission_time(psk_schedule)
         assert opt.t_max == pytest.approx(0.0070407931, abs=1e-9)
-        assert opt.r_ave_max == pytest.approx(3.8617991547, abs=1e-9)
+        assert opt.r_ave_max == pytest.approx(3.8617991530, abs=1e-9)
         assert opt.r_op == 4
 
     def test_qam_optimum(self, qam_schedule):
         opt = optimum_transmission_time(qam_schedule)
         assert opt.t_max == pytest.approx(0.0067239426, abs=1e-9)
-        assert opt.r_ave_max == pytest.approx(4.9047303855, abs=1e-9)
+        assert opt.r_ave_max == pytest.approx(4.9047303859, abs=1e-9)
         assert opt.r_op == 5
 
     @pytest.mark.parametrize("scheme", ["psk", "qam"])
@@ -232,7 +254,7 @@ class TestOptimum:
         horizon = psk_schedule.t_estimate + 4e-3
         opt = optimum_transmission_time(psk_schedule, t_coherence=horizon)
         assert opt.t_max == pytest.approx(4e-3, rel=1e-12)
-        assert opt.r_ave_max < 3.8617991547
+        assert opt.r_ave_max < 3.8617991530
 
     def test_coherence_cap_slack(self, psk_schedule):
         opt_free = optimum_transmission_time(psk_schedule)
@@ -255,6 +277,18 @@ class TestEmptySchedule:
         assert average_rate(schedule, 0.01) == 0.0
         assert rate_derivative(schedule, 0.01) == 0.0
         assert optimum_transmission_time(schedule) == RateOptimum(0.0, 0.0, 0)
+
+
+class TestNoFiniteT1:
+    def test_c1_zero_is_a_schedule_error(self, fx):
+        # beta = 0.6 lies above u(C = 0) = W/2 = 0.5 of BPSK, so rate 1
+        # meets the threshold on an uncorrelated channel and never ends
+        assert min_acf_for_rate(1, fx.estimate, GAMMA_MAX, "psk", 0.6) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleError, match="no finite t_1"):
+                build_rate_schedule(fx.estimate, GAMMA_MAX, "psk", 0.6,
+                                    fx.wobble, fx.scenario.t_estimate)
 
 
 class TestValidation:
@@ -346,21 +380,36 @@ def _oracle_min_acf(n, estimate, gamma, scheme, beta):
     return hi
 
 
-def _oracle_acf_inverse(wobble, target, dt_max):
-    """Scalar bisection of C(dt) = target on [0, dt_max]."""
+def _exact_acf(wobble, t):
+    """C(t) = exp(-K1 * bracket(t)) * I0(x(t)) at an mpmath lag, in the
+    working precision."""
+    wv, mu = mp.mpf(wobble.omega_v), mp.mpf(wobble.mu)
+    koc = mp.mpf(wobble.omega_c) / SPEED_OF_LIGHT
+    sv2 = mp.mpf(wobble.sigma_v_sq)
+    wm = wv ** 2 + mu ** 2
+    decay, sin_t, cos_t = mp.exp(-mu * t), mp.sin(wv * t), mp.cos(wv * t)
+    bracket = (mu * t * wm - 2 * mu * wv * sin_t * decay
+               + (mu ** 2 - wv ** 2) * cos_t * decay - mu ** 2 + wv ** 2)
+    x = sv2 / 2 * koc ** 2 * (mu * sin_t - wv * cos_t + wv * decay) / (wm * wv)
+    return mp.exp(-sv2 / 2 * (koc / wm) ** 2 * bracket) * mp.besseli(0, x)
+
+
+def _exact_acf_root(wobble, target, lag):
+    """The root of C(t) = target in 30-digit arithmetic, by the secant
+    method from `lag`. Where the ACF is monotone up to the root, the root is
+    unique and the start only sets how fast the secant reaches it."""
     if target == 1.0:
         return 0.0
-    lo, hi = 0.0, dt_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = temporal_acf(wobble, mid)
-        if abs(val - target) <= 1e-10:
-            return mid
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    with mp.workdps(30):
+        c = mp.mpf(target)
+        t0, t1 = mp.mpf(lag), mp.mpf(lag) * (1 + mp.mpf("1e-6"))
+        f0, f1 = _exact_acf(wobble, t0) - c, _exact_acf(wobble, t1) - c
+        for _ in range(50):
+            if abs(t1 - t0) <= mp.mpf("1e-25") * t1:
+                return float(t1)
+            t0, f0, t1 = t1, f1, t1 - f1 * (t1 - t0) / (f1 - f0)
+            f1 = _exact_acf(wobble, t1) - c
+    raise ArithmeticError(f"secant did not converge for C = {target}")
 
 
 def _oracle_schedule(estimate, gamma, scheme, beta, wobble, t_estimate):
@@ -372,14 +421,14 @@ def _oracle_schedule(estimate, gamma, scheme, beta, wobble, t_estimate):
     r_max = m_max.bit_length() - 1
     cs = [_oracle_min_acf(n, estimate, gamma, scheme, beta)
           for n in range(1, r_max + 1)]
-    dt_max = 0.05
-    while temporal_acf(wobble, dt_max) > min(cs):
-        dt_max *= 2.0
-    check_acf_monotone(wobble, dt_max)
+    # the exact roots, started from the library's; the check makes each
+    # one the only root up to t_1
+    lags = [_exact_acf_root(wobble, c_n, acf_inverse(wobble, c_n))
+            for c_n in cs]
+    check_acf_monotone(wobble, lags[0])
     return RateSchedule(scheme, r_max, tuple(
-        RateThreshold(n, c_n,
-                      t_estimate + _oracle_acf_inverse(wobble, c_n, dt_max))
-        for n, c_n in enumerate(cs, start=1)), t_estimate)
+        RateThreshold(n, c_n, t_estimate + lag)
+        for n, c_n, lag in zip(range(1, r_max + 1), cs, lags)), t_estimate)
 
 
 _cells = st.lists(
@@ -400,8 +449,9 @@ class TestBatchedBuilder:
         # the grid build equals one-cell builds, field for field, exact floats
         assert got == [build_rate_schedule(est, g, scheme, b, wob, t_e)
                        for g, b in zip(gamma.tolist(), beta.tolist())]
-        # and the bisection oracle within the solvers' tolerances, which
-        # perfbench/checks.py derives for these columns
+        # and the oracle within the solvers' tolerances, which
+        # perfbench/checks.py derives for these columns: the oracle's t_n
+        # solve its own C_n, which may differ by 2e-12
         want = [_oracle_schedule(est, g, scheme, b, wob, t_e)
                 for g, b in zip(gamma.tolist(), beta.tolist())]
         for s, w in zip(got, want):
