@@ -7,9 +7,13 @@ on PSK the SO rule equals ML decision for decision, so there it also
 bounds ML. The bound has one implementation, `UnionBound`: built once per
 constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
-over arrays of (C, gamma). It serves `uub`, the maximum feasible
-modulation order and the two inversions of the bound, each over arrays of
-cells: the CSI threshold C_n here and the batched QAM power solve in
+over arrays of (C, gamma). `union_bound_rows` evaluates any of its
+methods over rows that each carry their own order, in one call, each row
+exactly as its own order's bound evaluates it. It serves `uub`, the
+maximum feasible modulation order and the two inversions of the bound,
+each over rows of every order at once: the CSI thresholds C_n of all
+rates of a grid here (`acf_thresholds`, whose one-rate call is
+`min_acf_for_rate`) and the QAM power solve over all rate regions in
 power_control. Both inversions start at a closed-form lower bracket built
 from the roots of single terms (`UnionBound.acf_lower`, `gamma_lower`),
 and are solved by one lockstep safeguarded Newton,
@@ -36,6 +40,7 @@ from .errors import (
     DivergenceError,
     InfeasibleRateError,
     MonotonicityError,
+    ScheduleError,
     SchemeError,
     require_finite,
 )
@@ -48,11 +53,13 @@ __all__ = [
     "UubBound",
     "UnionBound",
     "union_bound",
+    "union_bound_rows",
     "pep",
     "uub",
     "psk_bep_approx",
     "min_acf_for_rate",
     "max_modulation_order",
+    "acf_thresholds",
 ]
 
 # tolerances of the threshold inversion: bracket width in C and relative
@@ -293,6 +300,39 @@ def union_bound(scheme: str, order: int) -> UnionBound:
     return UnionBound(constellation_for(scheme, order))
 
 
+_TWO_OUTPUTS = ("u_and_slope", "u_and_acf_slope")
+
+
+def union_bound_rows(scheme: str, order, method: str, norm_sq: float,
+                     *args) -> tuple:
+    """`UnionBound.<method>(norm_sq, *args)` over rows that each carry their
+    own order, in one call.
+
+    order and the array arguments broadcast to one shape of rows. The rows
+    of each distinct order go to that order's cached bound together, which
+    evaluates them with its own terms, blocks and row sums. A row's terms
+    and sums never see another row, so every output equals the per-order
+    method's to the bit. Returns one array per output of the method (two
+    for `u_and_slope` and `u_and_acf_slope`), shaped like the rows.
+    """
+    order, *args = np.broadcast_arrays(
+        np.asarray(order, dtype=np.int64),
+        *(np.asarray(a, dtype=np.float64) for a in args))
+    shape = order.shape
+    order, *args = (a.reshape(-1) for a in (order, *args))
+    outs = tuple(np.empty(order.size)
+                 for _ in range(1 + (method in _TWO_OUTPUTS)))
+    rows = np.argsort(order, kind="stable")
+    starts = np.flatnonzero(np.diff(order[rows], prepend=-1))
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [order.size]):
+        group = rows[lo:hi]
+        got = getattr(union_bound(scheme, int(order[group[0]])), method)(
+            norm_sq, *(a[group] for a in args))
+        for out, part in zip(outs, got if isinstance(got, tuple) else (got,)):
+            out[group] = part
+    return tuple(out.reshape(shape) for out in outs)
+
+
 def _uub_raw(ctx: BepContext) -> float:
     c = ctx.constellation
     return union_bound(c.scheme, c.order).u(ctx.estimate.norm_sq,
@@ -339,20 +379,78 @@ def _cells(snr_linear, bep_threshold) -> tuple:
                                np.asarray(bep_threshold, dtype=np.float64))
 
 
-def _assert_monotone_in_c(bound: UnionBound, norm_sq: float, gamma,
-                          n_grid: int = 33) -> None:
-    """The threshold solve brackets the root of a UUB non-increasing in C:
-    checked on an n_grid-point C grid at each distinct gamma, in one bound
-    call."""
-    gamma = np.unique(gamma)
-    vals = bound.u(norm_sq, np.linspace(0.0, 1.0, n_grid)[:, None], gamma)
+def _perfect_csi_u(scheme: str, norm_sq: float, gamma) -> np.ndarray:
+    """u(C = 1) of every supported order (first axis) in every cell of
+    gamma, in one call."""
+    orders = np.reshape(SUPPORTED_ORDERS, (-1,) + (1,) * np.ndim(gamma))
+    return union_bound_rows(scheme, orders, "u", norm_sq, 1.0, gamma)[0]
+
+
+def _max_order(u_one: np.ndarray, beta) -> np.ndarray:
+    """Largest order whose u(C = 1), the first axis of u_one, meets beta
+    (0 where none does)."""
+    orders = np.reshape(SUPPORTED_ORDERS, (-1,) + (1,) * np.ndim(beta))
+    return np.max(np.where(u_one <= beta, orders, 0), axis=0)
+
+
+def _check_rows(scheme: str, norm_sq: float, rate, gamma, beta, u_one,
+                n_grid: int = 33) -> None:
+    """The threshold solve brackets the root of a bound that meets beta at
+    C = 1 (u_one is each row's u there) and is non-increasing in C. The
+    second is checked on an n_grid-point C grid at each distinct
+    (rate, gamma), in one bound call. Raises for the lowest rate that fails
+    either check, MonotonicityError first, as a check rate by rate would."""
+    pairs = np.unique(np.stack([rate, gamma], axis=-1), axis=0)
+    vals = union_bound_rows(scheme, 1 << pairs[:, 0].astype(np.int64), "u",
+                            norm_sq, np.linspace(0.0, 1.0, n_grid)[:, None],
+                            pairs[:, 1])[0]
     diffs = np.diff(vals, axis=0)
     # allow FP jitter at the flat ends of the curve
-    bad = np.any(diffs > 1e-12 + 1e-9 * np.abs(vals[:-1]), axis=0)
-    if np.any(bad):
+    bad = np.flatnonzero(np.any(diffs > 1e-12 + 1e-9 * np.abs(vals[:-1]),
+                                axis=0))
+    infeasible = np.flatnonzero(u_one > beta)
+    # pairs sort by rate, then gamma; the first infeasible row of the
+    # lowest rate is the first in row order
+    if bad.size and (not infeasible.size
+                     or pairs[bad[0], 0] <= rate[infeasible].min()):
+        n, g = pairs[bad[0]]
         raise MonotonicityError(
-            f"UUB is not non-increasing in C for order "
-            f"{bound.order} at snr={gamma[bad][0]:.6g}")
+            f"UUB is not non-increasing in C for order {1 << int(n)} at "
+            f"snr={g:.6g}")
+    if infeasible.size:
+        k = infeasible[np.argmin(rate[infeasible])]
+        raise InfeasibleRateError(
+            f"rate {rate[k]} ({scheme}) cannot meet {beta[k]:g} even with "
+            "perfect CSI", rate=int(rate[k]))
+
+
+def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
+                  u_one) -> np.ndarray:
+    """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
+    of each row, in one lockstep solve over all rows (see
+    min_acf_for_rate)."""
+    _check_rows(scheme, norm_sq, rate, gamma, beta, u_one)
+    order = 1 << rate
+    orders, of_row = np.unique(order, return_inverse=True)
+    # u(C = 0) = sum(w) / 2 at every SNR, as Q(0) = 1/2 exactly
+    u_zero = np.array([0.5 * union_bound(scheme, m).weight.sum()
+                       for m in orders.tolist()])[of_row.ravel()]
+    out = np.zeros(rate.size)
+    cells = np.flatnonzero(u_zero > beta)
+    o, g, b = order[cells], gamma[cells], beta[cells]
+    try:
+        out[cells] = newton_lockstep(
+            lambda live, acf: union_bound_rows(scheme, o[live],
+                                               "u_and_acf_slope", norm_sq,
+                                               acf, g[live]),
+            b, union_bound_rows(scheme, o, "acf_lower", norm_sq, g, b)[0],
+            0.0, 1.0, _C_ABS_TOL, _BEP_REL_TOL).root
+    except DivergenceError as exc:
+        failed = np.unique(rate[cells[exc.cells]]).tolist()
+        raise MonotonicityError(
+            "threshold inversion did not converge for rate "
+            + ", ".join(map(str, failed))) from exc
+    return out
 
 
 def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
@@ -369,33 +467,18 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
     C = 0 meets the threshold. Raises InfeasibleRateError when even perfect
     CSI (C = 1) violates the threshold in some cell, MonotonicityError when
     the solve cannot converge, and ValueError for a non-finite SNR or
-    threshold.
+    threshold. This is the one-rate call of the solve behind
+    `acf_thresholds`.
     """
     require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     if rate_n < 1:
         raise ValueError("rate_n must be at least 1")
-    bound = union_bound(scheme, 2 ** rate_n)
     norm_sq = estimate.norm_sq
     gamma, beta = _cells(snr_linear, bep_threshold)
-    _assert_monotone_in_c(bound, norm_sq, gamma)
-    infeasible = bound.u(norm_sq, 1.0, gamma) > beta
-    if np.any(infeasible):
-        raise InfeasibleRateError(
-            f"rate {rate_n} ({scheme}) cannot meet {beta[infeasible][0]:g} "
-            "even with perfect CSI")
-    out = np.zeros(gamma.size)
-    # u(C = 0) = sum(w) / 2 at every SNR
-    cells = np.flatnonzero(bound.u(norm_sq, 0.0, 1.0) > beta)
-    g, b = gamma.reshape(-1)[cells], beta.reshape(-1)[cells]
-    try:
-        out[cells] = newton_lockstep(
-            lambda live, acf: bound.u_and_acf_slope(norm_sq, acf, g[live]),
-            b, bound.acf_lower(norm_sq, g, b), 0.0, 1.0,
-            _C_ABS_TOL, _BEP_REL_TOL).root
-    except DivergenceError as exc:
-        raise MonotonicityError(
-            f"threshold inversion did not converge for rate {rate_n}") from exc
-    out = out.reshape(gamma.shape)
+    g, b = gamma.reshape(-1), beta.reshape(-1)
+    u_one = union_bound(scheme, 2 ** rate_n).u(norm_sq, 1.0, g)
+    out = _min_acf_rows(scheme, norm_sq, np.full(g.size, rate_n), g, b,
+                        u_one).reshape(gamma.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -404,13 +487,52 @@ def max_modulation_order(estimate: ChannelEstimate, snr_linear,
     """Largest supported order whose perfect-CSI UUB meets the threshold.
 
     Returns 0 when no order is feasible. R_max is log2 of the result.
-    snr_linear and bep_threshold broadcast; scalars give an int. Raises
-    ValueError for a non-finite SNR or threshold.
+    snr_linear and bep_threshold broadcast; scalars give an int. Every
+    order is evaluated in one bound call. Raises ValueError for a
+    non-finite SNR or threshold.
     """
     require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     gamma, beta = _cells(snr_linear, bep_threshold)
-    best = np.zeros(gamma.shape, dtype=np.int64)
-    for order in SUPPORTED_ORDERS:
-        ok = union_bound(scheme, order).u(estimate.norm_sq, 1.0, gamma) <= beta
-        best = np.where(ok, np.maximum(best, order), best)
+    best = _max_order(_perfect_csi_u(scheme, estimate.norm_sq, gamma), beta)
     return int(best) if best.ndim == 0 else best
+
+
+def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
+                   bep_threshold) -> tuple:
+    """(r_max, cs): the highest feasible rate of every cell of broadcast
+    (snr_linear, bep_threshold), flattened in C order, and C_n of every
+    rate n <= r_max it reaches, as cs[n - 1] (+inf where n > r_max).
+
+    u(C = 1) is evaluated once per (order, cell), in one call, and serves
+    both r_max (the rate of `max_modulation_order`) and the feasibility of
+    every lower rate. Every (rate, cell) row is then checked and solved
+    together, as `min_acf_for_rate` solves the rows of one rate, in one
+    `newton_lockstep` call, so a grid pays the slowest row's iterations
+    rather than the sum over rates. Each row is evaluated by its own
+    order's bound exactly as a one-rate call evaluates it, so C_n is the
+    same to the bit.
+
+    Raises ScheduleError where a rate below a cell's r_max cannot meet the
+    threshold at C = 1, MonotonicityError where the bound is not
+    non-increasing in C or the solve cannot converge, and ValueError for a
+    non-finite SNR or threshold.
+    """
+    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
+    norm_sq = estimate.norm_sq
+    gamma, beta = (a.reshape(-1) for a in _cells(snr_linear, bep_threshold))
+    u_one = _perfect_csi_u(scheme, norm_sq, gamma)
+    r_max = np.log2(np.maximum(_max_order(u_one, beta), 1)).astype(np.int64)
+    top = int(r_max.max(initial=0))
+    # the (rate, cell) rows, rate-major
+    rate, cell = np.nonzero(np.arange(1, top + 1)[:, None] <= r_max)
+    rate += 1
+    cs = np.full((top, gamma.size), np.inf)
+    try:
+        cs[rate - 1, cell] = _min_acf_rows(scheme, norm_sq, rate,
+                                           gamma[cell], beta[cell],
+                                           u_one[rate - 1, cell])
+    except InfeasibleRateError as exc:
+        raise ScheduleError(
+            f"rate {exc.rate} infeasible although a higher rate is feasible; "
+            "UUB is not monotone across orders here") from exc
+    return r_max, cs

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bep_analysis import BepContext, psk_bep_approx, union_bound, uub
+from .bep_analysis import BepContext, psk_bep_approx, union_bound_rows, uub
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .constellation import constellation_for
 from .detectors import DetectorKind, backend_name, monte_carlo_bep
@@ -385,18 +385,19 @@ def cmd_rate_opt(cfg: RunConfig, out_dir: Path) -> None:
 
 def _region_bound(cfg: RunConfig, rate: np.ndarray, acf: np.ndarray,
                   gamma, psk_approx: bool) -> np.ndarray:
-    """BEP at each sample: the UUB clamped to 1, or with psk_approx the PSK
-    approximation; one call per rate region."""
+    """BEP at each sample: the UUB clamped to 1, in one call over every
+    sample's own order, or with psk_approx the PSK approximation, which
+    takes one order per call."""
+    if not psk_approx:
+        return np.minimum(union_bound_rows(cfg.scheme, 1 << rate, "u",
+                                           cfg.estimate.norm_sq, acf,
+                                           gamma)[0], 1.0)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), acf.shape)
     out = np.empty(acf.shape)
     for r in np.unique(rate).tolist():
         region = rate == r
-        if psk_approx:
-            out[region] = psk_bep_approx(1 << r, cfg.estimate, acf[region],
-                                         gamma[region])
-        else:
-            out[region] = np.minimum(union_bound(cfg.scheme, 1 << r).u(
-                cfg.estimate.norm_sq, acf[region], gamma[region]), 1.0)
+        out[region] = psk_bep_approx(1 << r, cfg.estimate, acf[region],
+                                     gamma[region])
     return out
 
 

@@ -15,11 +15,25 @@ class SchemeError(UavlinkError, ValueError):
 
 
 class InfeasibleRateError(UavlinkError):
-    """A modulation order cannot meet the BEP threshold even with perfect CSI."""
+    """A modulation order cannot meet the BEP threshold even with perfect CSI.
+
+    `rate` is the rate n (order 2^n) it names, where the raiser knows it.
+    """
+
+    def __init__(self, message: str, rate: int | None = None):
+        super().__init__(message)
+        self.rate = rate
 
 
 class InfeasibleCsiError(UavlinkError):
-    """No finite transmit power meets the BEP threshold at this ACF value."""
+    """No finite transmit power meets the BEP threshold at this ACF value.
+
+    `order` is the modulation order it names, where the raiser knows it.
+    """
+
+    def __init__(self, message: str, order: int | None = None):
+        super().__init__(message)
+        self.order = order
 
 
 class InfeasibleTargetError(UavlinkError, ValueError):
@@ -31,7 +45,15 @@ class NumericOverflowError(UavlinkError, ArithmeticError):
 
 
 class DivergenceError(UavlinkError, ArithmeticError):
-    """An iterative root finder produced a non-finite or invalid update."""
+    """An iterative root finder produced a non-finite or invalid update.
+
+    `cells` holds the indices of the cells that failed, where the solver
+    runs over an array of them.
+    """
+
+    def __init__(self, message: str, cells=None):
+        super().__init__(message)
+        self.cells = cells
 
 
 class MonotonicityError(UavlinkError):

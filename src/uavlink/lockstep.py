@@ -51,7 +51,9 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
 
     Raises DivergenceError when a bracket can no longer be split (as when
     the Newton step is not finite and an end is still infinite), or after
-    _MAX_ITER iterations.
+    _MAX_ITER iterations. Its `cells` holds the indices of the cells that
+    failed: those whose bracket can no longer be split, or every cell
+    still unconverged after _MAX_ITER iterations.
     """
     x, lo, hi, beta = (np.array(a, dtype=np.float64) for a in
                        np.broadcast_arrays(x, lo, hi, beta))
@@ -100,5 +102,7 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
             done = np.where(ok, np.abs(step) <= tol, hi_l - lo_l < tol)
             live, split = live[~done], split[~done]
         if not split.all():
-            raise DivergenceError("root bracket can no longer be split")
-    raise DivergenceError(f"root not found in {_MAX_ITER} iterations")
+            raise DivergenceError("root bracket can no longer be split",
+                                  cells=live[~split])
+    raise DivergenceError(f"root not found in {_MAX_ITER} iterations",
+                          cells=live)

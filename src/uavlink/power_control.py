@@ -13,10 +13,11 @@ term of the bound alone equals beta, and the smallest at which one term
 carrying the bound's whole weight does.
 
 The bound, its slope in ln(gamma), its infinite-power floor and that start
-come from the one cached, grouped `bep_analysis.UnionBound`. The power
-trace solves all QAM samples of a rate region in one batch, each sample
-running the same algorithm as the scalar `min_snr_qam` (which is the
-one-sample case).
+come from the one cached, grouped `bep_analysis.UnionBound`, evaluated by
+`bep_analysis.union_bound_rows` with each sample's own order. The power
+trace solves all QAM samples of every rate region in one batch, each
+sample running the same algorithm as the scalar `min_snr_qam` (which is
+the one-sample case); the PSK closed form takes one call per region.
 """
 
 import math
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bep_analysis import q_inverse, union_bound
+from .bep_analysis import q_inverse, union_bound_rows
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .errors import (
     InfeasibleCsiError,
@@ -88,32 +89,39 @@ def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def _solve_qam(order: int, estimate: ChannelEstimate, acf: np.ndarray,
+def _solve_qam(order, estimate: ChannelEstimate, acf,
                bep_threshold: float) -> LockstepRoots:
-    """Minimum SNR of every sample in `acf` at once, by safeguarded Newton.
+    """Minimum SNR of every sample in `acf` at once, by safeguarded Newton;
+    `order` is one order for all samples or one per sample.
 
-    Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma) by
-    `lockstep.newton_lockstep` on the open bracket (-inf, +inf), started
-    at the closed-form lower bracket `UnionBound.gamma_lower`. The ends
-    hold as limits: u(0) = W/2 > beta, with W the bound's whole weight, and
-    u(inf) is the floor, checked below beta first. A sample is done when a
-    Newton step moves it by at most 1e-9, or when its bracket is narrower
-    than 1e-9; its root is that last iterate. Samples never mix: each keeps
-    its own bracket, iterate, count and final step, and all run in
-    lockstep. Returns the roots in gamma.
+    Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma), with its own
+    order's bound, by `lockstep.newton_lockstep` on the open bracket
+    (-inf, +inf), started at the closed-form lower bracket
+    `UnionBound.gamma_lower`. The ends hold as limits: u(0) = W/2 > beta,
+    with W the bound's whole weight, and u(inf) is the floor, checked below
+    beta first. A sample is done when a Newton step moves it by at most
+    1e-9, or when its bracket is narrower than 1e-9; its root is that last
+    iterate. Samples never mix: each keeps its own bracket, iterate, count
+    and final step, and all run in lockstep, whatever their orders. Returns
+    the roots in gamma. Raises InfeasibleCsiError naming the lowest order
+    whose floor does not fall below beta at some sample.
     """
-    bound = union_bound("qam", order)
     norm_sq, beta = estimate.norm_sq, bep_threshold
-    acf = np.asarray(acf, dtype=np.float64)
-    infeasible = bound.floor(norm_sq, acf) >= beta
-    if infeasible.any():
+    order, acf = np.broadcast_arrays(np.asarray(order, dtype=np.int64),
+                                     np.asarray(acf, dtype=np.float64))
+    infeasible = np.flatnonzero(
+        union_bound_rows("qam", order, "floor", norm_sq, acf)[0] >= beta)
+    if infeasible.size:
+        k = infeasible[np.argmin(order[infeasible])]
         raise InfeasibleCsiError(
-            f"{order}-QAM cannot reach {beta:g} at "
-            f"C={acf[infeasible][0]:.6f} for any power")
+            f"{order[k]}-QAM cannot reach {beta:g} at C={acf[k]:.6f} for "
+            "any power", order=int(order[k]))
     roots = newton_lockstep(
-        lambda live, x: bound.u_and_slope(norm_sq, acf[live], np.exp(x)),
-        beta, np.log(bound.gamma_lower(norm_sq, acf, beta)), -np.inf,
-        np.inf, _LN_TOL)
+        lambda live, x: union_bound_rows("qam", order[live], "u_and_slope",
+                                         norm_sq, acf[live], np.exp(x)),
+        beta, np.log(union_bound_rows("qam", order, "gamma_lower", norm_sq,
+                                      acf, beta)[0]),
+        -np.inf, np.inf, _LN_TOL)
     return roots._replace(root=np.exp(roots.root))
 
 
@@ -190,11 +198,12 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
     """Minimum transmit power at each sample of the transmitting interval.
 
     P_min[dBm] = gamma_min[dB] + P_L[dB] + N_0[dBm], clamped to the power
-    cap with a flag. The samples of each rate region are solved together
-    (QAM: one batched root solve; PSK: one array call of the closed form). The
-    solvers cannot legitimately fail inside a region (the schedule
-    guarantees feasibility up to each t_n), so an infeasible sample raises
-    ScheduleError.
+    cap with a flag. All QAM samples are solved in one batched root solve,
+    each with its own order; the PSK closed form (and QAM's BPSK region)
+    takes one array call per rate region. The solvers cannot legitimately
+    fail inside a region (the schedule guarantees feasibility up to each
+    t_n), so an infeasible sample raises ScheduleError naming the lowest
+    rate that fails.
     """
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
@@ -202,25 +211,35 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
     acf = temporal_acf(wobble, t - schedule.t_estimate)
     beta = scenario.bep_threshold
     gamma = np.empty(t.size)
-    for r in np.unique(rate).tolist():
+    # the PSK closed form, on every PSK region and on QAM's BPSK region,
+    # takes one order per call; all QAM samples are one batched solve, and
+    # the lowest rate fails first either way
+    closed = rate == 1 if schedule.scheme == "qam" else np.ones(t.size, bool)
+    for r in np.unique(rate[closed]).tolist():
         region = rate == r
-        order = 1 << r
         try:
-            if schedule.scheme == "psk" or order == 2:
-                gamma[region] = min_snr_psk(order, estimate, acf[region], beta)
-            else:
-                gamma[region] = _solve_qam(order, estimate, acf[region],
-                                           beta).root
+            gamma[region] = min_snr_psk(1 << r, estimate, acf[region], beta)
         except InfeasibleCsiError as exc:
-            raise ScheduleError(
-                f"power infeasible inside rate-{r} region ({exc}); "
-                "schedule and threshold disagree") from exc
+            raise _region_infeasible(r, exc) from exc
+    if not closed.all():
+        qam = ~closed
+        try:
+            gamma[qam] = _solve_qam(1 << rate[qam], estimate, acf[qam],
+                                    beta).root
+        except InfeasibleCsiError as exc:
+            raise _region_infeasible(exc.order.bit_length() - 1,
+                                     exc) from exc
     gamma_db = 10.0 * np.log10(gamma)
     p = gamma_db + path_loss_db(scenario) + noise_power_dbm(scenario)
     return PowerSchedule(schedule.scheme, sample_dt, scenario.p_max_dbm,
                          t, rate, acf, gamma_db,
                          np.minimum(p, scenario.p_max_dbm),
                          p > scenario.p_max_dbm)
+
+
+def _region_infeasible(rate: int, exc: InfeasibleCsiError) -> ScheduleError:
+    return ScheduleError(f"power infeasible inside rate-{rate} region "
+                         f"({exc}); schedule and threshold disagree")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ that still meets the BEP threshold at full transmit power, then converts
 C_n to a switch time t_n through the monotone wobble ACF. Within a frame
 the rate is the piecewise-constant staircase R(t) = n on (t_{n+1}, t_n].
 `build_rate_schedules` builds the staircases of a whole grid of (SNR,
-threshold) cells at once; `build_rate_schedule` is its one-cell call.
+threshold) cells at once, with one C_n solve over every (rate, cell) and
+one ACF inversion; `build_rate_schedule` is its one-cell call.
 
 The average rate over a transmission period T_c has a constant-sign
 derivative inside each staircase region, so the maximizer sits on a region
 boundary; the optimizer evaluates the exact average at each candidate.
+`sweep_rave_max` does so for every cell of a grid in one array pass.
 """
 
 import math
@@ -17,19 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bep_analysis import max_modulation_order, min_acf_for_rate
+from .bep_analysis import acf_thresholds
 from .channel import (
     ChannelEstimate,
     WobbleParams,
     acf_inverse,
     check_acf_monotone,
 )
-from .errors import (
-    DivergenceError,
-    InfeasibleRateError,
-    MonotonicityError,
-    ScheduleError,
-)
+from .errors import DivergenceError, MonotonicityError, ScheduleError
 
 __all__ = [
     "RateThreshold",
@@ -132,34 +129,27 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     """Rate staircases for every cell of broadcast (snr_linear,
     bep_threshold), as a list in C order.
 
-    Each rate's C thresholds are inverted for all cells that reach it in
-    one lockstep Newton solve, and every threshold's switch time in one ACF
-    inversion, after which the ACF is checked monotone once, on
-    [0, max(t_1) - t_estimate]. A cell where every order is infeasible
-    yields an empty schedule (rate 0 everywhere) rather than an error.
+    The C thresholds of every rate of every cell are inverted in one
+    lockstep Newton solve (`bep_analysis.acf_thresholds`), and every
+    threshold's switch time in one ACF inversion, after which the ACF is
+    checked monotone once, on [0, max(t_1) - t_estimate]. A cell where
+    every order is infeasible yields an empty schedule (rate 0 everywhere)
+    rather than an error.
 
-    Raises ScheduleError where C_1 = 0, as no finite t_1 exists there, and
+    Raises ScheduleError where C_1 = 0, as no finite t_1 exists there, or
+    where a rate below a cell's highest feasible rate is infeasible, and
     MonotonicityError where the ACF is not strictly decreasing up to t_1.
     """
-    gamma, beta = np.broadcast_arrays(np.asarray(snr_linear, dtype=np.float64),
-                                      np.asarray(bep_threshold,
-                                                 dtype=np.float64))
-    gamma_f, beta_f = gamma.reshape(-1), beta.reshape(-1)
-    order = np.reshape(max_modulation_order(estimate, gamma, scheme, beta), -1)
-    r_max = np.log2(np.maximum(order, 1)).astype(np.int64)
-    top = int(r_max.max())
-    # cs[n - 1] holds C_n in the cells that reach rate n, +inf elsewhere
-    cs = np.full((top, gamma.size), np.inf)
-    for n in range(1, top + 1):
-        reach = r_max >= n
-        try:
-            cs[n - 1, reach] = min_acf_for_rate(n, estimate, gamma_f[reach],
-                                                scheme, beta_f[reach])
-        except InfeasibleRateError as exc:
-            raise ScheduleError(
-                f"rate {n} infeasible although a higher rate is feasible; "
-                "UUB is not monotone across orders here") from exc
+    return _build(estimate, snr_linear, scheme, bep_threshold, wobble,
+                  t_estimate)[0]
 
+
+def _build(estimate: ChannelEstimate, snr_linear, scheme: str,
+           bep_threshold, wobble: WobbleParams, t_estimate: float) -> tuple:
+    """(schedules, ts): the schedules of build_rate_schedules and their
+    switch times, ts[n - 1] = t_n of every cell, t_estimate for rates
+    above a cell's r_max."""
+    r_max, cs = acf_thresholds(estimate, snr_linear, scheme, bep_threshold)
     # C_1 = 0 where even an uncorrelated channel meets the threshold: the
     # ACF is positive at every finite lag, so rate 1 never ends
     if np.any(cs[:1] == 0.0):
@@ -167,7 +157,7 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
             "rate 1 meets the threshold even at C = 0; the ACF never falls "
             "to it, so there is no finite t_1")
     has = np.isfinite(cs)
-    ts = np.zeros(cs.shape)
+    ts = np.full(cs.shape, float(t_estimate))
     if has.any():
         try:
             lags = acf_inverse(wobble, cs[has])
@@ -178,12 +168,13 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
         # every t_n is unique only where the ACF falls on all of [0, t_1]
         check_acf_monotone(wobble, float(lags.max()))
         ts[has] = t_estimate + lags
-    return [RateSchedule(scheme, r, tuple(
-                RateThreshold(n, c_n, t_n)
-                for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
-                         t_estimate)
-            for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
-                                         ts.T.tolist())]
+    schedules = [RateSchedule(scheme, r, tuple(
+                     RateThreshold(n, c_n, t_n)
+                     for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
+                              t_estimate)
+                 for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
+                                              ts.T.tolist())]
+    return schedules, ts
 
 
 def build_rate_schedule(estimate: ChannelEstimate, snr_linear: float,
@@ -299,8 +290,31 @@ def sweep_rave_max(estimate: ChannelEstimate, snr_db_grid,
     if not snr_db_grid or not bep_threshold_grid:
         raise ValueError("sweep grids must be non-empty")
     gamma = np.array([10.0 ** (snr_db / 10.0) for snr_db in snr_db_grid])
-    schedules = build_rate_schedules(
-        estimate, gamma[:, None], scheme, np.array(bep_threshold_grid),
-        wobble, t_estimate)
-    return np.array([optimum_transmission_time(s).r_ave_max
-                     for s in schedules]).reshape(gamma.size, -1)
+    _, ts = _build(estimate, gamma[:, None], scheme,
+                   np.array(bep_threshold_grid), wobble, t_estimate)
+    return _max_average_rate(ts, t_estimate).reshape(gamma.size, -1)
+
+
+def _max_average_rate(ts: np.ndarray, t_estimate: float) -> np.ndarray:
+    """r_ave_max of optimum_transmission_time(schedule) for every cell, in
+    one array pass over switch times ts[n - 1] = t_n (one column per cell,
+    t_estimate past the cell's r_max).
+
+    Candidate k of a cell is t_c = t_k - T_e; at each, the average rate is
+    summed in rate order with the operations of average_rate, and the
+    largest is the cell's. A padded rate m adds n (b - a) (b > a) with
+    a = b = T_e, an exact 0, and its own candidate t_c = 0 rates 0, so an
+    empty cell gets 0, as its empty schedule does.
+    """
+    t_e = t_estimate
+    t_c = ts - t_e  # [candidate, cell]
+    tau = t_e + t_c
+    # switch_time(n + 1): t_{n+1}, and T_e above the top rate
+    starts = np.concatenate([ts[1:], np.full(ts[:1].shape, t_e)])
+    total = 0.0
+    for n in range(1, ts.shape[0] + 1):  # summed in rate order
+        b = np.minimum(ts[n - 1], tau)
+        a = starts[n - 1]
+        total = total + n * (b - a) * (b > a)  # 0 where b <= a
+    avg = total / np.where(t_c > 0.0, tau, 1.0)
+    return np.max(avg, axis=0, initial=0.0)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
@@ -28,7 +28,7 @@ from uavlink import (
     union_bound,
     uub,
 )
-from uavlink.bep_analysis import _uub_raw
+from uavlink.bep_analysis import _BLOCK_TERMS, _uub_raw, union_bound_rows
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
 from uavlink.errors import DivergenceError, InfeasibleRateError, SchemeError
 from uavlink.fixtures import load_fixture
@@ -250,6 +250,81 @@ class TestUnionBound:
         assert grid.shape == (4, 5)
 
 
+# the multi-order evaluation, method by method, with the arrays each takes
+_ROW_METHODS = [("u", ("acf", "gamma")), ("u_and_slope", ("acf", "gamma")),
+                ("u_and_acf_slope", ("acf", "gamma")), ("floor", ("acf",)),
+                ("acf_lower", ("gamma", "beta")),
+                ("gamma_lower", ("acf", "beta"))]
+_ROW = st.tuples(st.sampled_from(SUPPORTED_ORDERS), st.floats(0.0, 1.0),
+                 st.floats(-3.0, 6.0), st.floats(-8.0, math.log10(0.3)))
+
+
+class TestUnionBoundRows:
+    """Rows of mixed orders in one call against each row's own order's
+    UnionBound, called on that row alone."""
+
+    def test_block_size_of_64_qam(self):
+        # the rows below cross the blocks of the largest bound
+        assert _BLOCK_TERMS // union_bound("qam", 64).n_terms == 73
+
+    @given(scheme=st.sampled_from(["psk", "qam"]),
+           head=st.lists(_ROW, min_size=1, max_size=6),
+           n_more=st.sampled_from([0, 72, 73, 74, 146, 147, 200]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(scheme="qam", head=[(64, 0.0, 0.0, -5.0), (2, 0.0, 6.0, -1.0)],
+             n_more=73, seed=0)
+    @example(scheme="psk", head=[(64, 1.0, 6.0, -8.0), (16, 1.0, -3.0, -1.0)],
+             n_more=146, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_each_row_equals_its_own_order(self, estimate, scheme, head,
+                                           n_more, seed):
+        # n_more rows follow the head, most of one order so that a block
+        # boundary falls inside its group, the rest a random mix
+        rng = np.random.default_rng(seed)
+        tail_orders = np.where(rng.random(n_more) < 0.7, 64,
+                               rng.choice(SUPPORTED_ORDERS, n_more))
+        cols = {
+            "order": np.concatenate([[r[0] for r in head], tail_orders]),
+            "acf": np.concatenate([[r[1] for r in head],
+                                   rng.uniform(0.0, 1.0, n_more)]),
+            "gamma": 10.0 ** np.concatenate([[r[2] for r in head],
+                                             rng.uniform(-3.0, 6.0, n_more)]),
+            "beta": 10.0 ** np.concatenate([[r[3] for r in head],
+                                            rng.uniform(-8.0, -0.6, n_more)]),
+        }
+        norm_sq = estimate.norm_sq
+        for method, names in _ROW_METHODS:
+            got = union_bound_rows(scheme, cols["order"], method, norm_sq,
+                                   *(cols[k] for k in names))
+            for i, order in enumerate(cols["order"].tolist()):
+                want = getattr(union_bound(scheme, order), method)(
+                    norm_sq, *(float(cols[k][i]) for k in names))
+                want = want if isinstance(want, tuple) else (want,)
+                assert tuple(out[i] for out in got) == want, (method, i)
+
+    def test_broadcasts_and_keeps_the_shape(self, estimate):
+        order = np.array([[4], [64]])
+        u, w = union_bound_rows("qam", order, "u_and_acf_slope",
+                                estimate.norm_sq, np.array([0.9, 0.99, 1.0]),
+                                100.0)
+        assert u.shape == w.shape == (2, 3)
+        assert u[1, 2] == union_bound("qam", 64).u(estimate.norm_sq, 1.0,
+                                                   100.0)
+        empty = union_bound_rows("psk", np.zeros(0, int), "u_and_slope",
+                                 estimate.norm_sq, 0.5, np.zeros(0))
+        assert [a.shape for a in empty] == [(0,), (0,)]
+
+    @pytest.mark.parametrize("scheme", ["psk", "qam"])
+    def test_u_at_zero_csi_is_half_the_weight(self, estimate, scheme):
+        # Q(0) = 1/2 exactly, so u(C = 0) = sum(w) / 2 to the bit, at any
+        # SNR: the closed form the threshold solve uses
+        gamma = np.geomspace(1e-3, 1e6, 7)
+        for order in SUPPORTED_ORDERS:
+            bound = union_bound(scheme, order)
+            assert np.all(bound.u(estimate.norm_sq, 0.0, gamma)
+                          == 0.5 * bound.weight.sum())
+
+
 class TestPskApprox:
     @pytest.mark.parametrize("order", [8, 16, 32])
     def test_equals_nearest_neighbour_subsum(self, estimate, order):
@@ -381,6 +456,23 @@ class TestNewtonLockstep:
             newton_lockstep(flat, 1e-3, np.zeros(1), -np.inf, np.inf, 1e-9)
         assert calls == [1]
 
+    def test_divergence_names_the_failed_cells(self):
+        # cell 1's u stays above beta on its whole bracket: its upper end is
+        # never evaluated, so it bisects up to 1 until its bracket can no
+        # longer be split, long after the other cells have converged
+        x0, beta = np.array([0.3, 0.5, 0.6]), np.array([1e-3, 1e-4, 1e-5])
+        sinh, _ = _sinh_bound(x0, beta)
+
+        def uv(cells, x):
+            u, v = sinh(cells, x)
+            stuck = cells == 1
+            return (np.where(stuck, beta[cells] * (2.0 - 0.5 * x), u),
+                    np.where(stuck, 0.5 * beta[cells], v))
+        with pytest.raises(DivergenceError,
+                           match="can no longer be split") as info:
+            newton_lockstep(uv, beta, np.full(3, 0.5), 0.0, 1.0, 1e-12, 1e-8)
+        assert info.value.cells.tolist() == [1]
+
     def test_gives_up_after_max_iter(self):
         # a slope so steep that every Newton step rounds away, with tol 0
         calls = []
@@ -388,9 +480,10 @@ class TestNewtonLockstep:
         def steep(cells, x):
             calls.append(cells.size)
             return np.full(cells.size, 2e-3), np.full(cells.size, 1e300)
-        with pytest.raises(DivergenceError, match=f"in {_MAX_ITER} "):
+        with pytest.raises(DivergenceError, match=f"in {_MAX_ITER} ") as info:
             newton_lockstep(steep, 1e-3, np.full(1, 0.5), 0.0, 1.0, 0.0)
         assert len(calls) == _MAX_ITER
+        assert info.value.cells.tolist() == [0]
 
 
 class TestMinAcfForRate:

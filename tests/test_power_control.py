@@ -37,6 +37,7 @@ from uavlink import (
     psk_bep_approx,
     q_inverse,
     so_detect,
+    temporal_acf,
     union_bound,
     uub,
 )
@@ -44,9 +45,11 @@ from uavlink.constellation import make_qam
 from uavlink.errors import (
     InfeasibleCsiError,
     InfeasibleRateError,
+    ScheduleError,
     SchemeError,
 )
 from uavlink.fixtures import load_fixture
+from uavlink.rate_optimizer import sample_grid
 from uavlink.scenario import average_snr_db, noise_power_dbm, path_loss_db
 
 GAMMA_MAX = 277.1359929049
@@ -391,6 +394,78 @@ class TestBatchedSolve:
             assert not s.clamped
             gamma = 10.0 ** ((s.p_min_dbm - pl - n0) / 10.0)
             assert _bep_at(fx.estimate, scheme, s, gamma) <= beta * (1 + 1e-6)
+
+
+def _loop_gamma(schedule, estimate, scenario, wobble, sample_dt):
+    """The per-region power loop the batched solve replaced: the minimum
+    SNR of every sample, one closed-form call or one QAM solve per rate
+    region, lowest rate first."""
+    t, rate = sample_grid(schedule, sample_dt)
+    acf = temporal_acf(wobble, t - schedule.t_estimate)
+    beta = scenario.bep_threshold
+    gamma = np.empty(t.size)
+    for r in np.unique(rate).tolist():
+        region = rate == r
+        order = 1 << r
+        try:
+            if schedule.scheme == "psk" or order == 2:
+                gamma[region] = min_snr_psk(order, estimate, acf[region],
+                                            beta)
+            else:
+                gamma[region] = power_control._solve_qam(
+                    order, estimate, acf[region], beta).root
+        except InfeasibleCsiError as exc:
+            raise ScheduleError(
+                f"power infeasible inside rate-{r} region ({exc}); "
+                "schedule and threshold disagree") from exc
+    return gamma
+
+
+class TestOneSolveEqualsRegionLoop:
+    # the schedule is built at one threshold and powered at another: a
+    # stricter one makes samples near the end of a region infeasible
+    @given(case=st.sampled_from(["case1", "case2"]),
+           scheme=st.sampled_from(["psk", "qam"]),
+           p_max_dbm=st.floats(25.0, 45.0),
+           log_beta=st.floats(-7.0, -2.0),
+           log_stricter=st.sampled_from([0.0, 0.0, 0.5, 2.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_roots_and_errors_equal_the_loop(self, case, scheme, p_max_dbm,
+                                             log_beta, log_stricter):
+        fx = load_fixture(case)
+        gamma_max = 10.0 ** ((p_max_dbm - path_loss_db(fx.scenario)
+                              - noise_power_dbm(fx.scenario)) / 10.0)
+        schedule = build_rate_schedule(fx.estimate, gamma_max, scheme,
+                                       10.0 ** log_beta, fx.wobble,
+                                       fx.scenario.t_estimate)
+        scenario = dataclasses.replace(
+            fx.scenario, p_max_dbm=p_max_dbm,
+            bep_threshold=10.0 ** (log_beta - log_stricter))
+        args = (schedule, fx.estimate, scenario, fx.wobble, 1e-4)
+        try:
+            want = 10.0 * np.log10(_loop_gamma(*args))
+        except ScheduleError as exc:
+            with pytest.raises(ScheduleError) as info:
+                min_power_schedule(*args)
+            assert str(info.value) == str(exc)
+            return
+        power = min_power_schedule(*args)
+        assert power.gamma_min_db.tolist() == want.tolist()
+        if scheme == "qam" and power.rate.size:
+            assert 1 in power.rate  # the BPSK region takes the closed form
+
+    def test_infeasible_qam_sample_names_its_rate(self, fx, qam_power,
+                                                  monkeypatch):
+        # a 16-QAM floor above every threshold: no power serves rate 4
+        schedule, _ = qam_power
+        floor = UnionBound.floor
+        monkeypatch.setattr(
+            UnionBound, "floor",
+            lambda self, n, c: (np.ones(np.shape(c)) if self.order == 16
+                                else floor(self, n, c)))
+        with pytest.raises(ScheduleError, match="rate-4 region .16-QAM"):
+            min_power_schedule(schedule, fx.estimate, fx.scenario, fx.wobble,
+                               sample_dt=4e-5)
 
 
 class TestFiniteInputGuard:

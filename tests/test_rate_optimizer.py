@@ -33,10 +33,15 @@ from uavlink import (
     sweep_rave_max,
     temporal_acf,
 )
-from uavlink.bep_analysis import max_modulation_order, union_bound
+from uavlink.bep_analysis import UnionBound, max_modulation_order, union_bound
 from uavlink.channel import check_acf_monotone
 from uavlink.constellation import SUPPORTED_ORDERS
-from uavlink.errors import InfeasibleRateError, MonotonicityError, ScheduleError
+from uavlink.errors import (
+    DivergenceError,
+    InfeasibleRateError,
+    MonotonicityError,
+    ScheduleError,
+)
 from uavlink.fixtures import load_fixture
 from uavlink.scenario import SPEED_OF_LIGHT, average_snr_db
 
@@ -479,6 +484,155 @@ class TestBatchedBuilder:
         got = sweep_rave_max(fx.estimate, snr_db, betas, "qam", fx.wobble,
                              fx.scenario.t_estimate)
         assert got.tolist() == want
+
+
+# --- the one-solve grid build against the loops it replaced ---------------
+
+def _loop_schedules(estimate, snr_linear, scheme, bep_threshold, wobble,
+                    t_estimate):
+    """The per-rate build: the largest order by one bound call per order,
+    then one min_acf_for_rate call per rate over the cells that reach it."""
+    gamma, beta = np.broadcast_arrays(np.asarray(snr_linear, dtype=float),
+                                      np.asarray(bep_threshold, dtype=float))
+    gamma_f, beta_f = gamma.reshape(-1), beta.reshape(-1)
+    best = np.zeros(gamma_f.shape, dtype=np.int64)
+    for order in SUPPORTED_ORDERS:
+        ok = union_bound(scheme, order).u(estimate.norm_sq, 1.0,
+                                          gamma_f) <= beta_f
+        best = np.where(ok, np.maximum(best, order), best)
+    r_max = np.log2(np.maximum(best, 1)).astype(np.int64)
+    top = int(r_max.max())
+    cs = np.full((top, gamma.size), np.inf)
+    for n in range(1, top + 1):
+        reach = r_max >= n
+        try:
+            cs[n - 1, reach] = min_acf_for_rate(n, estimate, gamma_f[reach],
+                                                scheme, beta_f[reach])
+        except InfeasibleRateError as exc:
+            raise ScheduleError(f"rate {n} infeasible") from exc
+    if np.any(cs[:1] == 0.0):
+        raise ScheduleError("no finite t_1")
+    has = np.isfinite(cs)
+    ts = np.zeros(cs.shape)
+    if has.any():
+        try:
+            lags = acf_inverse(wobble, cs[has])
+        except DivergenceError as exc:
+            raise MonotonicityError("ACF inversion did not converge") from exc
+        check_acf_monotone(wobble, float(lags.max()))
+        ts[has] = t_estimate + lags
+    return [RateSchedule(scheme, r, tuple(
+                RateThreshold(n, c_n, t_n)
+                for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
+                         t_estimate)
+            for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
+                                         ts.T.tolist())]
+
+
+def _outcome(call):
+    """A call's result, or the type of the UavlinkError it raised."""
+    try:
+        return call()
+    except (ScheduleError, MonotonicityError, InfeasibleRateError) as exc:
+        return type(exc)
+
+
+_grid = dict(
+    fixture=st.sampled_from(["case1", "case2"]),
+    scheme=st.sampled_from(["psk", "qam"]),
+    # low SNRs give empty cells; thresholds above 1/2 give C_1 = 0
+    snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5),
+    log_beta=st.lists(st.floats(-8.0, math.log10(0.6)), min_size=1,
+                      max_size=4),
+    oscillatory=st.booleans())
+
+
+class TestOneSolveEqualsLoops:
+    # every C_n, t_n and r_ave_max to the bit, and the same exception type
+    # on every error path the loops reach
+    @settings(max_examples=40, deadline=None)
+    @given(**_grid)
+    @example(fixture="case1", scheme="qam", snr_db=[0.0, 12.0, 30.0],
+             log_beta=[-2.0, -6.0], oscillatory=False)
+    @example(fixture="case1", scheme="psk", snr_db=[25.0],
+             log_beta=[-5.0, -0.25], oscillatory=False)
+    def test_schedules(self, fixture, scheme, snr_db, log_beta, oscillatory):
+        fx = load_fixture(fixture)
+        wobble = _OSCILLATORY if oscillatory else fx.wobble
+        gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])[:, None]
+        beta = np.array([10.0 ** v for v in log_beta])
+        args = (fx.estimate, gamma, scheme, beta, wobble,
+                fx.scenario.t_estimate)
+        got = _outcome(lambda: build_rate_schedules(*args))
+        assert got == _outcome(lambda: _loop_schedules(*args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_grid)
+    @example(fixture="case2", scheme="qam", snr_db=[0.0, 14.0, 36.0],
+             log_beta=[-2.0, -3.0, -6.0], oscillatory=False)
+    def test_sweep(self, fixture, scheme, snr_db, log_beta, oscillatory):
+        fx = load_fixture(fixture)
+        wobble = _OSCILLATORY if oscillatory else fx.wobble
+        betas = [10.0 ** v for v in log_beta]
+        t_e = fx.scenario.t_estimate
+
+        def cell_by_cell():
+            gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])
+            schedules = _loop_schedules(fx.estimate, gamma[:, None], scheme,
+                                        np.array(betas), wobble, t_e)
+            return [[optimum_transmission_time(s).r_ave_max
+                     for s in schedules[i * len(betas):(i + 1) * len(betas)]]
+                    for i in range(len(snr_db))]
+        got = _outcome(lambda: sweep_rave_max(fx.estimate, snr_db, betas,
+                                              scheme, wobble, t_e).tolist())
+        assert got == _outcome(cell_by_cell)
+
+    def test_empty_grid_sweeps_to_zeros(self, fx):
+        out = sweep_rave_max(fx.estimate, [0.0, 1.0], [1e-6], "qam",
+                             fx.wobble, fx.scenario.t_estimate)
+        assert out.tolist() == [[0.0], [0.0]]
+
+    @pytest.mark.parametrize("bumps,error", [
+        ({16: "jump"}, MonotonicityError),
+        ({8: "const", 16: "jump"}, ScheduleError),
+        ({16: "both"}, MonotonicityError),
+    ])
+    def test_lowest_failing_rate_raises_first(self, fx, monkeypatch, bumps,
+                                              error):
+        # "jump" makes the bound rise by 1 at C = 0.5, which the
+        # monotonicity guard sees; "const" adds 1e-3 everywhere, so the
+        # rate fails at C = 1; the grid reaches every QAM rate
+        u = UnionBound.u
+
+        def bumped(self, norm_sq, acf, gamma):
+            kind, c = bumps.get(self.order, ""), np.asarray(acf)
+            jump = 1.0 * ((0.5 <= c) & (c < 0.99)) \
+                if kind in ("jump", "both") else 0.0
+            const = 1e-3 if kind in ("const", "both") else 0.0
+            return u(self, norm_sq, acf, gamma) + jump + const
+        monkeypatch.setattr(UnionBound, "u", bumped)
+        args = (fx.estimate, np.array([4.0 * GAMMA_MAX, GAMMA_MAX]), "qam",
+                BETA, fx.wobble, fx.scenario.t_estimate)
+        with pytest.raises(error):
+            build_rate_schedules(*args)
+        with pytest.raises(error):
+            _loop_schedules(*args)
+
+    def test_unconverged_solve_names_its_rate(self, fx, monkeypatch):
+        # a flat 8-QAM bound above every threshold never crosses it: the
+        # rate-3 rows cannot converge while the other rates do
+        slope = UnionBound.u_and_acf_slope
+
+        def flat_at_8(self, norm_sq, acf, gamma):
+            if self.order != 8:
+                return slope(self, norm_sq, acf, gamma)
+            return np.ones(np.shape(acf)), np.zeros(np.shape(acf))
+        monkeypatch.setattr(UnionBound, "u_and_acf_slope", flat_at_8)
+        with pytest.raises(MonotonicityError,
+                           match="did not converge for rate 3$"):
+            build_rate_schedules(fx.estimate, np.array([GAMMA_MAX, 2e3]),
+                                 "qam", BETA, fx.wobble,
+                                 fx.scenario.t_estimate)
 
 
 # nearly undamped vibration: the ACF ripples at the wobble period (the
