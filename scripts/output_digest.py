@@ -2,7 +2,7 @@
 """Digest of the CLI's deterministic outputs: one sha256 per CSV and one
 combined digest over all of them.
 
-    python3 scripts/output_digest.py [--threads N] [--keep DIR]
+    python3 scripts/output_digest.py [--threads N]
 
 Run from anywhere; the program is imported from `src/` of the checkout that
 holds this script. It runs `adapt`, `power` and `rate-opt` on case1 and
@@ -70,16 +70,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--threads", type=int, default=1,
                         help="--threads of every uavlink call")
-    parser.add_argument("--keep", default=None,
-                        help="write the configs and CSVs here (kept)")
     args = parser.parse_args(argv)
-    if args.keep is not None:
-        work = Path(args.keep)
-        work.mkdir(parents=True, exist_ok=True)
-        lines = digest(work, args.threads)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            lines = digest(Path(tmp), args.threads)
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = digest(Path(tmp), args.threads)
     combined = hashlib.sha256("".join(f"{h}  {label}\n"
                                       for label, h in lines).encode())
     for label, h in lines:

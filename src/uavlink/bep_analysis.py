@@ -300,35 +300,35 @@ def union_bound(scheme: str, order: int) -> UnionBound:
     return UnionBound(constellation_for(scheme, order))
 
 
-_TWO_OUTPUTS = ("u_and_slope", "u_and_acf_slope")
-
-
-def union_bound_rows(scheme: str, order, method: str, norm_sq: float,
+def union_bound_rows(scheme: str, order, method, norm_sq: float,
                      *args) -> tuple:
-    """`UnionBound.<method>(norm_sq, *args)` over rows that each carry their
-    own order, in one call.
+    """`method(bound, norm_sq, *args)`, for a `UnionBound` method such as
+    `UnionBound.u`, over rows that each carry their own order, in one call.
 
     order and the array arguments broadcast to one shape of rows. The rows
     of each distinct order go to that order's cached bound together, which
     evaluates them with its own terms, blocks and row sums. A row's terms
     and sums never see another row, so every output equals the per-order
-    method's to the bit. Returns one array per output of the method (two
-    for `u_and_slope` and `u_and_acf_slope`), shaped like the rows.
+    method's to the bit. Returns one array per output of the method,
+    shaped like the rows.
     """
     order, *args = np.broadcast_arrays(
         np.asarray(order, dtype=np.int64),
         *(np.asarray(a, dtype=np.float64) for a in args))
     shape = order.shape
     order, *args = (a.reshape(-1) for a in (order, *args))
-    outs = tuple(np.empty(order.size)
-                 for _ in range(1 + (method in _TWO_OUTPUTS)))
     rows = np.argsort(order, kind="stable")
-    starts = np.flatnonzero(np.diff(order[rows], prepend=-1))
-    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [order.size]):
-        group = rows[lo:hi]
-        got = getattr(union_bound(scheme, int(order[group[0]])), method)(
-            norm_sq, *(a[group] for a in args))
-        for out, part in zip(outs, got if isinstance(got, tuple) else (got,)):
+    # one group per distinct order; no rows still make one (empty) group,
+    # so the method's own outputs say how many arrays to return
+    outs = None
+    for group in np.split(rows, np.flatnonzero(np.diff(order[rows])) + 1):
+        m = int(order[group[0]]) if group.size else SUPPORTED_ORDERS[0]
+        got = method(union_bound(scheme, m), norm_sq,
+                     *(a[group] for a in args))
+        got = got if isinstance(got, tuple) else (got,)
+        if outs is None:
+            outs = tuple(np.empty(order.size) for _ in got)
+        for out, part in zip(outs, got):
             out[group] = part
     return tuple(out.reshape(shape) for out in outs)
 
@@ -379,30 +379,38 @@ def _cells(snr_linear, bep_threshold) -> tuple:
                                np.asarray(bep_threshold, dtype=np.float64))
 
 
+# rate n of each supported order M = 2^n; row n - 1 of every per-order
+# array below
+_RATES = np.arange(1, len(SUPPORTED_ORDERS) + 1)
+
+
 def _perfect_csi_u(scheme: str, norm_sq: float, gamma) -> np.ndarray:
-    """u(C = 1) of every supported order (first axis) in every cell of
-    gamma, in one call."""
-    orders = np.reshape(SUPPORTED_ORDERS, (-1,) + (1,) * np.ndim(gamma))
-    return union_bound_rows(scheme, orders, "u", norm_sq, 1.0, gamma)[0]
+    """u(C = 1) of every rate's order (first axis, as _RATES) in every cell
+    of gamma, in one call."""
+    rates = np.reshape(_RATES, (-1,) + (1,) * np.ndim(gamma))
+    return union_bound_rows(scheme, 1 << rates, UnionBound.u, norm_sq, 1.0,
+                            gamma)[0]
 
 
-def _max_order(u_one: np.ndarray, beta) -> np.ndarray:
-    """Largest order whose u(C = 1), the first axis of u_one, meets beta
-    (0 where none does)."""
-    orders = np.reshape(SUPPORTED_ORDERS, (-1,) + (1,) * np.ndim(beta))
-    return np.max(np.where(u_one <= beta, orders, 0), axis=0)
+def _max_rate(u_one: np.ndarray, beta) -> np.ndarray:
+    """Highest rate whose u(C = 1), the first axis of u_one as _RATES,
+    meets beta (0 where none does)."""
+    rates = np.reshape(_RATES, (-1,) + (1,) * np.ndim(beta))
+    return np.max(np.where(u_one <= beta, rates, 0), axis=0)
 
 
 def _check_rows(scheme: str, norm_sq: float, rate, gamma, beta, u_one,
-                n_grid: int = 33) -> None:
+                n_grid: int = 33) -> tuple:
     """The threshold solve brackets the root of a bound that meets beta at
     C = 1 (u_one is each row's u there) and is non-increasing in C. The
     second is checked on an n_grid-point C grid at each distinct
-    (rate, gamma), in one bound call. Raises for the lowest rate that fails
-    either check, MonotonicityError first, as a check rate by rate would."""
+    (rate, gamma), in one bound call. Returns (rate, error) for the lowest
+    rate that fails either check, MonotonicityError first, as a check rate
+    by rate would; (inf, None) where every row passes."""
     pairs = np.unique(np.stack([rate, gamma], axis=-1), axis=0)
-    vals = union_bound_rows(scheme, 1 << pairs[:, 0].astype(np.int64), "u",
-                            norm_sq, np.linspace(0.0, 1.0, n_grid)[:, None],
+    vals = union_bound_rows(scheme, 1 << pairs[:, 0].astype(np.int64),
+                            UnionBound.u, norm_sq,
+                            np.linspace(0.0, 1.0, n_grid)[:, None],
                             pairs[:, 1])[0]
     diffs = np.diff(vals, axis=0)
     # allow FP jitter at the flat ends of the curve
@@ -414,42 +422,49 @@ def _check_rows(scheme: str, norm_sq: float, rate, gamma, beta, u_one,
     if bad.size and (not infeasible.size
                      or pairs[bad[0], 0] <= rate[infeasible].min()):
         n, g = pairs[bad[0]]
-        raise MonotonicityError(
+        return int(n), MonotonicityError(
             f"UUB is not non-increasing in C for order {1 << int(n)} at "
             f"snr={g:.6g}")
     if infeasible.size:
         k = infeasible[np.argmin(rate[infeasible])]
-        raise InfeasibleRateError(
+        return int(rate[k]), InfeasibleRateError(
             f"rate {rate[k]} ({scheme}) cannot meet {beta[k]:g} even with "
             "perfect CSI", rate=int(rate[k]))
+    return np.inf, None
 
 
 def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
                   u_one) -> np.ndarray:
     """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
     of each row, in one lockstep solve over all rows (see
-    min_acf_for_rate)."""
-    _check_rows(scheme, norm_sq, rate, gamma, beta, u_one)
+    min_acf_for_rate). Errors come in the order of a rate-by-rate solve:
+    the lowest rate that fails raises, and a rate's checks fail before its
+    own solve but after the solves of lower rates."""
+    failed_rate, failure = _check_rows(scheme, norm_sq, rate, gamma, beta,
+                                       u_one)
     order = 1 << rate
     orders, of_row = np.unique(order, return_inverse=True)
     # u(C = 0) = sum(w) / 2 at every SNR, as Q(0) = 1/2 exactly
     u_zero = np.array([0.5 * union_bound(scheme, m).weight.sum()
                        for m in orders.tolist()])[of_row.ravel()]
     out = np.zeros(rate.size)
-    cells = np.flatnonzero(u_zero > beta)
+    cells = np.flatnonzero((u_zero > beta) & (rate < failed_rate))
     o, g, b = order[cells], gamma[cells], beta[cells]
     try:
         out[cells] = newton_lockstep(
             lambda live, acf: union_bound_rows(scheme, o[live],
-                                               "u_and_acf_slope", norm_sq,
-                                               acf, g[live]),
-            b, union_bound_rows(scheme, o, "acf_lower", norm_sq, g, b)[0],
+                                               UnionBound.u_and_acf_slope,
+                                               norm_sq, acf, g[live]),
+            b, union_bound_rows(scheme, o, UnionBound.acf_lower, norm_sq, g,
+                                b)[0],
             0.0, 1.0, _C_ABS_TOL, _BEP_REL_TOL).root
     except DivergenceError as exc:
         failed = np.unique(rate[cells[exc.cells]]).tolist()
         raise MonotonicityError(
             "threshold inversion did not converge for rate "
             + ", ".join(map(str, failed))) from exc
+    if failure is not None:
+        raise failure
     return out
 
 
@@ -493,7 +508,8 @@ def max_modulation_order(estimate: ChannelEstimate, snr_linear,
     """
     require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     gamma, beta = _cells(snr_linear, bep_threshold)
-    best = _max_order(_perfect_csi_u(scheme, estimate.norm_sq, gamma), beta)
+    rate = _max_rate(_perfect_csi_u(scheme, estimate.norm_sq, gamma), beta)
+    best = np.where(rate > 0, 1 << rate, 0)
     return int(best) if best.ndim == 0 else best
 
 
@@ -515,13 +531,15 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     Raises ScheduleError where a rate below a cell's r_max cannot meet the
     threshold at C = 1, MonotonicityError where the bound is not
     non-increasing in C or the solve cannot converge, and ValueError for a
-    non-finite SNR or threshold.
+    non-finite SNR or threshold. Where several rates fail, the error is the
+    one a rate-by-rate build meets first: that of the lowest failing rate,
+    its checks before its solve.
     """
     require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     norm_sq = estimate.norm_sq
     gamma, beta = (a.reshape(-1) for a in _cells(snr_linear, bep_threshold))
     u_one = _perfect_csi_u(scheme, norm_sq, gamma)
-    r_max = np.log2(np.maximum(_max_order(u_one, beta), 1)).astype(np.int64)
+    r_max = _max_rate(u_one, beta)
     top = int(r_max.max(initial=0))
     # the (rate, cell) rows, rate-major
     rate, cell = np.nonzero(np.arange(1, top + 1)[:, None] <= r_max)

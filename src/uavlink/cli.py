@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bep_analysis import BepContext, psk_bep_approx, union_bound_rows, uub
+from .bep_analysis import (
+    BepContext,
+    UnionBound,
+    psk_bep_approx,
+    union_bound_rows,
+    uub,
+)
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .constellation import constellation_for
 from .detectors import DetectorKind, backend_name, monte_carlo_bep
@@ -389,9 +395,9 @@ def _region_bound(cfg: RunConfig, rate: np.ndarray, acf: np.ndarray,
     sample's own order, or with psk_approx the PSK approximation, which
     takes one order per call."""
     if not psk_approx:
-        return np.minimum(union_bound_rows(cfg.scheme, 1 << rate, "u",
-                                           cfg.estimate.norm_sq, acf,
-                                           gamma)[0], 1.0)
+        return np.minimum(union_bound_rows(cfg.scheme, 1 << rate,
+                                           UnionBound.u, cfg.estimate.norm_sq,
+                                           acf, gamma)[0], 1.0)
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), acf.shape)
     out = np.empty(acf.shape)
     for r in np.unique(rate).tolist():

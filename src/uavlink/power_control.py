@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bep_analysis import q_inverse, union_bound_rows
+from .bep_analysis import UnionBound, q_inverse, union_bound_rows
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .errors import (
     InfeasibleCsiError,
@@ -110,17 +110,19 @@ def _solve_qam(order, estimate: ChannelEstimate, acf,
     order, acf = np.broadcast_arrays(np.asarray(order, dtype=np.int64),
                                      np.asarray(acf, dtype=np.float64))
     infeasible = np.flatnonzero(
-        union_bound_rows("qam", order, "floor", norm_sq, acf)[0] >= beta)
+        union_bound_rows("qam", order, UnionBound.floor, norm_sq,
+                         acf)[0] >= beta)
     if infeasible.size:
         k = infeasible[np.argmin(order[infeasible])]
         raise InfeasibleCsiError(
             f"{order[k]}-QAM cannot reach {beta:g} at C={acf[k]:.6f} for "
             "any power", order=int(order[k]))
     roots = newton_lockstep(
-        lambda live, x: union_bound_rows("qam", order[live], "u_and_slope",
-                                         norm_sq, acf[live], np.exp(x)),
-        beta, np.log(union_bound_rows("qam", order, "gamma_lower", norm_sq,
-                                      acf, beta)[0]),
+        lambda live, x: union_bound_rows("qam", order[live],
+                                         UnionBound.u_and_slope, norm_sq,
+                                         acf[live], np.exp(x)),
+        beta, np.log(union_bound_rows("qam", order, UnionBound.gamma_lower,
+                                      norm_sq, acf, beta)[0]),
         -np.inf, np.inf, _LN_TOL)
     return roots._replace(root=np.exp(roots.root))
 

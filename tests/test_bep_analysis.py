@@ -251,10 +251,12 @@ class TestUnionBound:
 
 
 # the multi-order evaluation, method by method, with the arrays each takes
-_ROW_METHODS = [("u", ("acf", "gamma")), ("u_and_slope", ("acf", "gamma")),
-                ("u_and_acf_slope", ("acf", "gamma")), ("floor", ("acf",)),
-                ("acf_lower", ("gamma", "beta")),
-                ("gamma_lower", ("acf", "beta"))]
+_ROW_METHODS = [(UnionBound.u, ("acf", "gamma")),
+                (UnionBound.u_and_slope, ("acf", "gamma")),
+                (UnionBound.u_and_acf_slope, ("acf", "gamma")),
+                (UnionBound.floor, ("acf",)),
+                (UnionBound.acf_lower, ("gamma", "beta")),
+                (UnionBound.gamma_lower, ("acf", "beta"))]
 _ROW = st.tuples(st.sampled_from(SUPPORTED_ORDERS), st.floats(0.0, 1.0),
                  st.floats(-3.0, 6.0), st.floats(-8.0, math.log10(0.3)))
 
@@ -297,22 +299,24 @@ class TestUnionBoundRows:
             got = union_bound_rows(scheme, cols["order"], method, norm_sq,
                                    *(cols[k] for k in names))
             for i, order in enumerate(cols["order"].tolist()):
-                want = getattr(union_bound(scheme, order), method)(
-                    norm_sq, *(float(cols[k][i]) for k in names))
+                want = method(union_bound(scheme, order), norm_sq,
+                              *(float(cols[k][i]) for k in names))
                 want = want if isinstance(want, tuple) else (want,)
                 assert tuple(out[i] for out in got) == want, (method, i)
 
     def test_broadcasts_and_keeps_the_shape(self, estimate):
         order = np.array([[4], [64]])
-        u, w = union_bound_rows("qam", order, "u_and_acf_slope",
+        u, w = union_bound_rows("qam", order, UnionBound.u_and_acf_slope,
                                 estimate.norm_sq, np.array([0.9, 0.99, 1.0]),
                                 100.0)
         assert u.shape == w.shape == (2, 3)
         assert u[1, 2] == union_bound("qam", 64).u(estimate.norm_sq, 1.0,
                                                    100.0)
-        empty = union_bound_rows("psk", np.zeros(0, int), "u_and_slope",
-                                 estimate.norm_sq, 0.5, np.zeros(0))
-        assert [a.shape for a in empty] == [(0,), (0,)]
+        # no rows still give one array per output of the method
+        for method, n_out in [(UnionBound.u_and_slope, 2), (UnionBound.u, 1)]:
+            empty = union_bound_rows("psk", np.zeros(0, int), method,
+                                     estimate.norm_sq, 0.5, np.zeros(0))
+            assert [a.shape for a in empty] == [(0,)] * n_out
 
     @pytest.mark.parametrize("scheme", ["psk", "qam"])
     def test_u_at_zero_csi_is_half_the_weight(self, estimate, scheme):

@@ -33,7 +33,13 @@ from uavlink import (
     sweep_rave_max,
     temporal_acf,
 )
-from uavlink.bep_analysis import UnionBound, max_modulation_order, union_bound
+from uavlink.bep_analysis import (
+    _BEP_REL_TOL,
+    _C_ABS_TOL,
+    UnionBound,
+    max_modulation_order,
+    union_bound,
+)
 from uavlink.channel import check_acf_monotone
 from uavlink.constellation import SUPPORTED_ORDERS
 from uavlink.errors import (
@@ -43,6 +49,7 @@ from uavlink.errors import (
     ScheduleError,
 )
 from uavlink.fixtures import load_fixture
+from uavlink.lockstep import newton_lockstep
 from uavlink.scenario import SPEED_OF_LIGHT, average_snr_db
 
 GAMMA_MAX = 277.1359929049
@@ -488,10 +495,37 @@ class TestBatchedBuilder:
 
 # --- the one-solve grid build against the loops it replaced ---------------
 
+def _loop_min_acf(rate_n, estimate, gamma, scheme, beta):
+    """The one-rate threshold solve over 1-D cells: monotonicity on a
+    33-point C grid, feasibility at C = 1, then one lockstep over the cells
+    that C = 0 does not already satisfy, all with the rate's own bound."""
+    bound = union_bound(scheme, 2 ** rate_n)
+    norm_sq = estimate.norm_sq
+    g_grid = np.unique(gamma)
+    vals = bound.u(norm_sq, np.linspace(0.0, 1.0, 33)[:, None], g_grid)
+    diffs = np.diff(vals, axis=0)
+    if np.any(diffs > 1e-12 + 1e-9 * np.abs(vals[:-1])):
+        raise MonotonicityError(f"order {bound.order} rises in C")
+    if np.any(bound.u(norm_sq, 1.0, gamma) > beta):
+        raise InfeasibleRateError(f"rate {rate_n} infeasible at C = 1")
+    out = np.zeros(gamma.size)
+    cells = np.flatnonzero(bound.u(norm_sq, 0.0, 1.0) > beta)
+    g, b = gamma[cells], beta[cells]
+    try:
+        out[cells] = newton_lockstep(
+            lambda live, acf: bound.u_and_acf_slope(norm_sq, acf, g[live]),
+            b, bound.acf_lower(norm_sq, g, b), 0.0, 1.0,
+            _C_ABS_TOL, _BEP_REL_TOL).root
+    except DivergenceError as exc:
+        raise MonotonicityError(f"rate {rate_n} did not converge") from exc
+    return out
+
+
 def _loop_schedules(estimate, snr_linear, scheme, bep_threshold, wobble,
                     t_estimate):
     """The per-rate build: the largest order by one bound call per order,
-    then one min_acf_for_rate call per rate over the cells that reach it."""
+    then one one-rate solve (`_loop_min_acf`) per rate over the cells that
+    reach it."""
     gamma, beta = np.broadcast_arrays(np.asarray(snr_linear, dtype=float),
                                       np.asarray(bep_threshold, dtype=float))
     gamma_f, beta_f = gamma.reshape(-1), beta.reshape(-1)
@@ -506,8 +540,8 @@ def _loop_schedules(estimate, snr_linear, scheme, bep_threshold, wobble,
     for n in range(1, top + 1):
         reach = r_max >= n
         try:
-            cs[n - 1, reach] = min_acf_for_rate(n, estimate, gamma_f[reach],
-                                                scheme, beta_f[reach])
+            cs[n - 1, reach] = _loop_min_acf(n, estimate, gamma_f[reach],
+                                             scheme, beta_f[reach])
         except InfeasibleRateError as exc:
             raise ScheduleError(f"rate {n} infeasible") from exc
     if np.any(cs[:1] == 0.0):
@@ -633,6 +667,34 @@ class TestOneSolveEqualsLoops:
             build_rate_schedules(fx.estimate, np.array([GAMMA_MAX, 2e3]),
                                  "qam", BETA, fx.wobble,
                                  fx.scenario.t_estimate)
+
+
+    def test_unconverged_solve_raises_before_a_higher_infeasible_rate(
+            self, fx, monkeypatch):
+        # rate 3's solve never converges (flat 8-QAM bound) and rate 5
+        # fails at C = 1 (32-QAM bound raised by 1e-3): a rate-by-rate
+        # build meets the solve of rate 3 first
+        slope, u = UnionBound.u_and_acf_slope, UnionBound.u
+
+        def flat_at_8(self, norm_sq, acf, gamma):
+            if self.order != 8:
+                return slope(self, norm_sq, acf, gamma)
+            return np.ones(np.shape(acf)), np.zeros(np.shape(acf))
+
+        def raised_at_32(self, norm_sq, acf, gamma):
+            return u(self, norm_sq, acf, gamma) + 1e-3 * (self.order == 32)
+        monkeypatch.setattr(UnionBound, "u_and_acf_slope", flat_at_8)
+        monkeypatch.setattr(UnionBound, "u", raised_at_32)
+        args = (fx.estimate, np.array([4.0 * GAMMA_MAX, GAMMA_MAX]), "qam",
+                BETA, fx.wobble, fx.scenario.t_estimate)
+        with pytest.raises(MonotonicityError,
+                           match="did not converge for rate 3$"):
+            build_rate_schedules(*args)
+        with pytest.raises(MonotonicityError, match="rate 3 did not"):
+            _loop_schedules(*args)
+        monkeypatch.setattr(UnionBound, "u_and_acf_slope", slope)
+        with pytest.raises(ScheduleError, match="rate 5 infeasible"):
+            build_rate_schedules(*args)
 
 
 # nearly undamped vibration: the ACF ripples at the wobble period (the
