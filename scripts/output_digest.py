@@ -6,8 +6,10 @@ combined digest over all of them.
 
 Run from anywhere; the program is imported from `src/` of the checkout that
 holds this script. It runs `adapt`, `power` and `rate-opt` on case1 and
-case2 for both schemes, and one PSK `bep-curve` with both Monte Carlo
-detectors, each on a fixed config and seed. Every CSV is a pure function
+case2 for both schemes, one PSK `bep-curve` with both Monte Carlo
+detectors, and one QAM `bep-curve` over every QAM order, which pins the
+QAM constellations end to end through detection, each on a fixed config
+and seed. Every CSV is a pure function
 of (config, seed), so two checkouts, or two `--threads` values, that
 print the same combined digest wrote the same bytes. The `.meta.json`
 sidecars are left out: they record the package version, which a change
@@ -28,6 +30,9 @@ RATE_OPT = {"snr_db": " ".join(str(v) for v in range(0, 40, 3)),
             "bep_thresholds": "1e-2 1e-3 1e-5 1e-6"}
 BEP_CURVE = {"orders": "2 4 8", "detectors": "ml, so, uub, psk-approx",
              "snr_db": "0 8 16", "acf": "1.0 0.99 0.9", "n_symbols": "20000"}
+QAM_BEP_CURVE = {"orders": "4 8 16 32 64", "detectors": "ml, so, uub",
+                 "snr_db": "0 8 16", "acf": "1.0 0.99 0.9",
+                 "n_symbols": "4000"}
 
 
 def invocations() -> list:
@@ -42,6 +47,8 @@ def invocations() -> list:
                         {**base, **RATE_OPT}))
     out.append(("bep-curve-case1-psk", "bep-curve",
                 {"fixture": "case1", "scheme": "psk", **BEP_CURVE}))
+    out.append(("bep-curve-case1-qam", "bep-curve",
+                {"fixture": "case1", "scheme": "qam", **QAM_BEP_CURVE}))
     return out
 
 

@@ -57,6 +57,7 @@ from .power_control import (
     PowerSample,
     PowerSchedule,
     QamRootInfo,
+    bep_at_pmin,
     energy_savings,
     min_power_schedule,
     min_snr_psk,
@@ -109,7 +110,8 @@ __all__ = [
     "optimum_transmission_time", "sweep_rave_max",
     # power control
     "QamRootInfo", "PowerSample", "PowerSchedule", "EnergySavings",
-    "min_snr_psk", "min_snr_qam", "min_power_schedule", "energy_savings",
+    "min_snr_psk", "min_snr_qam", "min_power_schedule", "bep_at_pmin",
+    "energy_savings",
     # fixtures
     "ReferenceFixture", "FIXTURE_NAMES", "load_fixture",
 ]

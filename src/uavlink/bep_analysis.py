@@ -66,6 +66,8 @@ __all__ = [
 # residual of the bound
 _C_ABS_TOL = 1e-12
 _BEP_REL_TOL = 1e-8
+# points of the C grid on which the threshold solve checks each bound falls
+_C_CHECK_POINTS = 33
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -399,18 +401,18 @@ def _max_rate(u_one: np.ndarray, beta) -> np.ndarray:
     return np.max(np.where(u_one <= beta, rates, 0), axis=0)
 
 
-def _check_rows(scheme: str, norm_sq: float, rate, gamma, beta, u_one,
-                n_grid: int = 33) -> tuple:
+def _check_rows(scheme: str, norm_sq: float, rate, gamma, beta,
+                u_one) -> tuple:
     """The threshold solve brackets the root of a bound that meets beta at
     C = 1 (u_one is each row's u there) and is non-increasing in C. The
-    second is checked on an n_grid-point C grid at each distinct
-    (rate, gamma), in one bound call. Returns (rate, error) for the lowest
-    rate that fails either check, MonotonicityError first, as a check rate
-    by rate would; (inf, None) where every row passes."""
+    second is checked on the _C_CHECK_POINTS-point C grid at each
+    distinct (rate, gamma), in one bound call. Returns (rate, error) for
+    the lowest rate that fails either check, MonotonicityError first, as a
+    check rate by rate would; (inf, None) where every row passes."""
     pairs = np.unique(np.stack([rate, gamma], axis=-1), axis=0)
     vals = union_bound_rows(scheme, 1 << pairs[:, 0].astype(np.int64),
                             UnionBound.u, norm_sq,
-                            np.linspace(0.0, 1.0, n_grid)[:, None],
+                            np.linspace(0.0, 1.0, _C_CHECK_POINTS)[:, None],
                             pairs[:, 1])[0]
     diffs = np.diff(vals, axis=0)
     # allow FP jitter at the flat ends of the curve

@@ -6,6 +6,7 @@ captured by a scalar temporal ACF C(dt) applied to the whole antenna
 vector; the innovation is circularly-symmetric complex Gaussian.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ __all__ = [
 # |ln C - ln target| at the returned lag
 _ACF_T_TOL = 1e-12
 _ACF_LN_TOL = 1e-10
+
+# points of the grid on which check_acf_monotone tests the ACF
+_MONOTONE_POINTS = 10_000
 
 # Abramowitz & Stegun 9.8.1-9.8.4, highest power first: I0(x) and I1(x)/x
 # in (x/3.75)^2 for |x| <= 3.75; sqrt(x) e^-x I0(x) and sqrt(x) e^-x I1(x)
@@ -103,12 +107,15 @@ class ChannelEstimate:
         object.__setattr__(self, "h", h)
         if h.ndim != 1 or h.size == 0:
             raise ValueError("h must be a non-empty 1-D complex vector")
-        if not np.all(np.isfinite(h.view(np.float64))):
+        # ||h||^2, summed once: every closed-form BEP expression reads it.
+        # It is inf or nan where an entry is, and inf where it overflows
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(np.abs(h) ** 2))
+        if not math.isfinite(norm_sq):
             raise ValueError("h entries must be finite")
-        if np.linalg.norm(h) == 0:
+        if norm_sq == 0.0:
             raise ValueError("h must not be the zero vector")
-        # ||h||^2, summed once: every closed-form BEP expression reads it
-        object.__setattr__(self, "norm_sq", float(np.sum(np.abs(h) ** 2)))
+        object.__setattr__(self, "norm_sq", norm_sq)
 
 
 @dataclass(frozen=True)
@@ -244,15 +251,14 @@ def acf_inverse(params: WobbleParams, target):
     return float(out) if out.ndim == 0 else out
 
 
-def check_acf_monotone(params: WobbleParams, span: float,
-                       n_points: int = 10_000) -> None:
+def check_acf_monotone(params: WobbleParams, span: float) -> None:
     """Reject parameter sets whose ACF is not strictly decreasing on
     [0, span].
 
     The rate schedule maps each threshold C_n to a unique time t_n, which
     requires a monotone ACF on the scheduling span. Checked on a dense grid.
     """
-    grid = np.linspace(0.0, span, n_points)
+    grid = np.linspace(0.0, span, _MONOTONE_POINTS)
     vals = temporal_acf(params, grid)
     if not np.all(np.diff(vals) < 0):
         raise MonotonicityError(

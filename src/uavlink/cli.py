@@ -34,7 +34,7 @@ from .constellation import constellation_for
 from .detectors import DetectorKind, backend_name, monte_carlo_bep
 from .errors import ConfigError, UavlinkError
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .power_control import energy_savings, min_power_schedule
+from .power_control import bep_at_pmin, energy_savings, min_power_schedule
 from .rate_optimizer import (
     average_rate,
     build_rate_schedule,
@@ -43,12 +43,7 @@ from .rate_optimizer import (
     sample_lags,
     sweep_rave_max,
 )
-from .scenario import (
-    LinkScenario,
-    average_snr_db,
-    noise_power_dbm,
-    path_loss_db,
-)
+from .scenario import LinkScenario, average_snr_db
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -364,7 +359,9 @@ def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
 
     t, rate = sample_grid(schedule, cfg.sample_dt)
     acf = temporal_acf(cfg.wobble, t - t_e)
-    bound = _region_bound(cfg, rate, acf, gamma_max, psk_approx=False)
+    bound = np.minimum(union_bound_rows(cfg.scheme, 1 << rate, UnionBound.u,
+                                        cfg.estimate.norm_sq, acf,
+                                        gamma_max)[0], 1.0)
     _write_csv(out_dir / "adapt_uub_trace.csv",
                ["t", "acf", "rate_bits", "order", "uub"],
                [t, acf, rate, 1 << rate, bound], meta)
@@ -389,35 +386,12 @@ def cmd_rate_opt(cfg: RunConfig, out_dir: Path) -> None:
                meta)
 
 
-def _region_bound(cfg: RunConfig, rate: np.ndarray, acf: np.ndarray,
-                  gamma, psk_approx: bool) -> np.ndarray:
-    """BEP at each sample: the UUB clamped to 1, in one call over every
-    sample's own order, or with psk_approx the PSK approximation, which
-    takes one order per call."""
-    if not psk_approx:
-        return np.minimum(union_bound_rows(cfg.scheme, 1 << rate,
-                                           UnionBound.u, cfg.estimate.norm_sq,
-                                           acf, gamma)[0], 1.0)
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), acf.shape)
-    out = np.empty(acf.shape)
-    for r in np.unique(rate).tolist():
-        region = rate == r
-        out[region] = psk_bep_approx(1 << r, cfg.estimate, acf[region],
-                                     gamma[region])
-    return out
-
-
 def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     """Minimum-power trace plus the energy summary over both windows."""
     gamma_max, schedule = _schedule_for(cfg)
     power = min_power_schedule(schedule, cfg.estimate, cfg.scenario,
                                cfg.wobble, cfg.sample_dt)
-    pl = path_loss_db(cfg.scenario)
-    n0 = noise_power_dbm(cfg.scenario)
-
-    gamma_emitted = 10.0 ** ((power.p_min_dbm - pl - n0) / 10.0)
-    bep = _region_bound(cfg, power.rate, power.acf_value, gamma_emitted,
-                        psk_approx=cfg.scheme == "psk")
+    bep = bep_at_pmin(power, cfg.estimate, cfg.scenario)
     meta = _base_meta(cfg)
     meta.update(gamma_max_db=10.0 * math.log10(gamma_max),
                 bep_threshold=cfg.scenario.bep_threshold,
@@ -453,8 +427,7 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("bep-curve", None), ("adapt", None),
-                     ("rate-opt", None), ("power", None)):
+    for name in ("bep-curve", "adapt", "rate-opt", "power"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI run config")
         p.add_argument("--out", default=None, help="output directory")

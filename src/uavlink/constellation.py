@@ -3,6 +3,9 @@
 PSK points sit on the unit circle with a binary-reflected Gray labeling
 around the ring. QAM uses the square grid for orders 4/16/64 and the usual
 rectangular (8) / cross (32) shapes, normalized to unit average energy.
+Every QAM order comes from one grid builder, `_qam_grid`: an nx x ny grid
+of odd levels with per-axis Gray labels, which 32-QAM folds into the
+cross.
 """
 
 from dataclasses import dataclass, field
@@ -67,51 +70,30 @@ def make_psk(order: int) -> Constellation:
     return Constellation("psk", order, points, labels)
 
 
-def _square_qam(order: int) -> tuple[np.ndarray, np.ndarray]:
-    bits = order.bit_length() - 1
-    half = bits // 2
-    nx = ny = 1 << half
-    xs = 2 * np.arange(nx) - nx + 1
-    ys = 2 * np.arange(ny) - ny + 1
-    points, labels = [], []
-    for i in range(nx):
-        for j in range(ny):
-            points.append(xs[i] + 1j * ys[j])
-            labels.append((_gray(i) << half) | _gray(j))
-    return np.array(points), np.array(labels, dtype=np.int64)
+# (nx, ny) of each QAM order's grid of odd levels: the square for 4/16/64,
+# the 4x2 rectangle for 8, and for 32 the 8x4 rectangle folded into the cross
+_QAM_GRID = {4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (8, 4), 64: (8, 8)}
 
 
-def _rect_qam8() -> tuple[np.ndarray, np.ndarray]:
-    # 4x2 grid; per-axis Gray is an exact Gray labeling here
-    xs = np.array([-3, -1, 1, 3])
-    ys = np.array([-1, 1])
-    points, labels = [], []
-    for i in range(4):
-        for j in range(2):
-            points.append(xs[i] + 1j * ys[j])
-            labels.append((_gray(i) << 1) | _gray(j))
-    return np.array(points), np.array(labels, dtype=np.int64)
+def _qam_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer QAM points and labels: the nx x ny grid of odd levels, real
+    level major, with per-axis binary-reflected Gray labels. Per-axis Gray
+    is an exact Gray labeling on the grid shapes.
 
-
-def _cross_qam32() -> tuple[np.ndarray, np.ndarray]:
-    # Start from a Gray-labeled 8x4 rectangle and fold the outer |x|=7
-    # columns onto the |y|=5 wings of the cross. The fold keeps each moved
-    # point adjacent to the column it came from, which preserves most
-    # single-bit transitions; a perfect Gray map does not exist on the cross.
-    xs = np.array([-7, -5, -3, -1, 1, 3, 5, 7])
-    ys = np.array([-3, -1, 1, 3])
-    points, labels = [], []
-    for i in range(8):
-        for j in range(4):
-            x, y = int(xs[i]), int(ys[j])
-            if abs(x) == 7:
-                sx = 1 if x > 0 else -1
-                sy = 1 if y > 0 else -1
-                x = sx * (1 if abs(y) == 3 else 3)
-                y = sy * 5
-            points.append(x + 1j * y)
-            labels.append((_gray(i) << 2) | _gray(j))
-    return np.array(points), np.array(labels, dtype=np.int64)
+    32-QAM folds the outer |x| = 7 columns of its 8x4 rectangle onto the
+    |y| = 5 wings of the cross. The fold keeps each moved point adjacent to
+    the column it came from, which preserves most single-bit transitions; a
+    perfect Gray map does not exist on the cross.
+    """
+    nx, ny = _QAM_GRID[order]
+    i, j = np.divmod(np.arange(order), ny)
+    x, y = 2 * i - nx + 1, 2 * j - ny + 1
+    if order == 32:
+        edge = np.abs(x) == 7
+        x[edge] = np.sign(x[edge]) * np.where(np.abs(y[edge]) == 3, 1, 3)
+        y[edge] = np.sign(y[edge]) * 5
+    labels = (_gray(i) << (ny.bit_length() - 1)) | _gray(j)
+    return x + 1j * y, labels
 
 
 def make_qam(order: int) -> Constellation:
@@ -119,18 +101,13 @@ def make_qam(order: int) -> Constellation:
 
     Orders 4/16/64 are square grids with per-axis binary-reflected Gray
     labels; 8 is the 4x2 rectangle; 32 is the cross constellation with a
-    folded quasi-Gray labeling (see _cross_qam32). Order 2 is not a QAM
+    folded quasi-Gray labeling (see _qam_grid). Order 2 is not a QAM
     shape; rate-1 transmission falls back to BPSK via constellation_for.
     """
     _check_order(order)
     if order == 2:
         raise SchemeError("order-2 QAM is not defined; use BPSK (make_psk(2))")
-    if order in (4, 16, 64):
-        points, labels = _square_qam(order)
-    elif order == 8:
-        points, labels = _rect_qam8()
-    else:
-        points, labels = _cross_qam32()
+    points, labels = _qam_grid(order)
     points = points / np.sqrt(np.mean(np.abs(points) ** 2))
     return Constellation("qam", order, points, labels)
 

@@ -18,6 +18,10 @@ come from the one cached, grouped `bep_analysis.UnionBound`, evaluated by
 trace solves all QAM samples of every rate region in one batch, each
 sample running the same algorithm as the scalar `min_snr_qam` (which is
 the one-sample case); the PSK closed form takes one call per region.
+
+This module alone decides which BEP model a power trace meets: PSK
+inverts `psk_bep_approx` and QAM the UUB, and `bep_at_pmin` evaluates
+that same model at the emitted power.
 """
 
 import math
@@ -27,7 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bep_analysis import UnionBound, q_inverse, union_bound_rows
+from .bep_analysis import (
+    UnionBound,
+    psk_bep_approx,
+    q_inverse,
+    union_bound_rows,
+)
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .errors import (
     InfeasibleCsiError,
@@ -47,6 +56,7 @@ __all__ = [
     "min_snr_psk",
     "min_snr_qam",
     "min_power_schedule",
+    "bep_at_pmin",
     "energy_savings",
 ]
 
@@ -237,6 +247,31 @@ def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
                          t, rate, acf, gamma_db,
                          np.minimum(p, scenario.p_max_dbm),
                          p > scenario.p_max_dbm)
+
+
+def bep_at_pmin(power: PowerSchedule, estimate: ChannelEstimate,
+                scenario: LinkScenario) -> np.ndarray:
+    """BEP at each sample's emitted power, under the model the trace meets.
+
+    The emitted SNR comes from the clamped p_min_dbm through the link
+    budget. PSK traces evaluate `psk_bep_approx`, the model their power
+    inverts, one order per call. QAM traces evaluate the UUB clamped to 1
+    in one call over every sample's own order; on the BPSK region, whose
+    power takes the PSK closed form, the two coincide.
+    """
+    pl = path_loss_db(scenario)
+    n0 = noise_power_dbm(scenario)
+    gamma = 10.0 ** ((power.p_min_dbm - pl - n0) / 10.0)
+    if power.scheme == "qam":
+        return np.minimum(union_bound_rows("qam", 1 << power.rate,
+                                           UnionBound.u, estimate.norm_sq,
+                                           power.acf_value, gamma)[0], 1.0)
+    out = np.empty(power.acf_value.shape)
+    for r in np.unique(power.rate).tolist():
+        region = power.rate == r
+        out[region] = psk_bep_approx(1 << r, estimate,
+                                     power.acf_value[region], gamma[region])
+    return out
 
 
 def _region_infeasible(rate: int, exc: InfeasibleCsiError) -> ScheduleError:

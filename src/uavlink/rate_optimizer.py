@@ -11,7 +11,10 @@ one ACF inversion; `build_rate_schedule` is its one-cell call.
 The average rate over a transmission period T_c has a constant-sign
 derivative inside each staircase region, so the maximizer sits on a region
 boundary; the optimizer evaluates the exact average at each candidate.
-`sweep_rave_max` does so for every cell of a grid in one array pass.
+One kernel, `_average_rates`, evaluates that average from switch times
+padded with T_e past each schedule's r_max: `average_rate` on one
+schedule, `optimum_transmission_time` on its candidates and
+`sweep_rave_max` on every cell of a grid in one array pass.
 """
 
 import math
@@ -140,15 +143,6 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     where a rate below a cell's highest feasible rate is infeasible, and
     MonotonicityError where the ACF is not strictly decreasing up to t_1.
     """
-    return _build(estimate, snr_linear, scheme, bep_threshold, wobble,
-                  t_estimate)[0]
-
-
-def _build(estimate: ChannelEstimate, snr_linear, scheme: str,
-           bep_threshold, wobble: WobbleParams, t_estimate: float) -> tuple:
-    """(schedules, ts): the schedules of build_rate_schedules and their
-    switch times, ts[n - 1] = t_n of every cell, t_estimate for rates
-    above a cell's r_max."""
     r_max, cs = acf_thresholds(estimate, snr_linear, scheme, bep_threshold)
     # C_1 = 0 where even an uncorrelated channel meets the threshold: the
     # ACF is positive at every finite lag, so rate 1 never ends
@@ -168,13 +162,12 @@ def _build(estimate: ChannelEstimate, snr_linear, scheme: str,
         # every t_n is unique only where the ACF falls on all of [0, t_1]
         check_acf_monotone(wobble, float(lags.max()))
         ts[has] = t_estimate + lags
-    schedules = [RateSchedule(scheme, r, tuple(
-                     RateThreshold(n, c_n, t_n)
-                     for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
-                              t_estimate)
-                 for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
-                                              ts.T.tolist())]
-    return schedules, ts
+    return [RateSchedule(scheme, r, tuple(
+                RateThreshold(n, c_n, t_n)
+                for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
+                         t_estimate)
+            for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
+                                         ts.T.tolist())]
 
 
 def build_rate_schedule(estimate: ChannelEstimate, snr_linear: float,
@@ -208,6 +201,31 @@ def sample_grid(schedule: RateSchedule,
     return t[keep], rate[keep]
 
 
+def _average_rates(ts: np.ndarray, t_estimate: float, t_c) -> np.ndarray:
+    """Exact average rate over [T_e, T_e + t_c], normalized by T_e + t_c,
+    from switch times ts[n - 1] = t_n, each row broadcasting against t_c.
+
+    Rows past a schedule's r_max hold T_e: such a rate m adds
+    m (b - a) (b > a) with a = b = T_e, an exact 0. Summed in rate order;
+    t_c = 0 gives 0.
+    """
+    tau = t_estimate + t_c
+    # switch_time(n + 1): t_{n+1}, and T_e above the top rate
+    starts = np.concatenate([ts[1:], np.full(ts[:1].shape, t_estimate)])
+    total = 0.0
+    for n in range(1, ts.shape[0] + 1):  # summed in rate order
+        b = np.minimum(ts[n - 1], tau)
+        a = starts[n - 1]  # never below T_e
+        total = total + n * (b - a) * (b > a)  # 0 where b <= a
+    # the sum is 0 at t_c = 0, where tau may be 0 too
+    return total / np.where(t_c > 0.0, tau, 1.0)
+
+
+def _switch_times(schedule: RateSchedule) -> np.ndarray:
+    """ts[n - 1] = t_n of one schedule, for _average_rates."""
+    return np.array([th.t_n for th in schedule.thresholds])
+
+
 def average_rate(schedule: RateSchedule, t_c):
     """Exact average rate over [T_e, T_e + T_c], normalized by T_e + T_c.
 
@@ -217,15 +235,7 @@ def average_rate(schedule: RateSchedule, t_c):
     t_c = np.asarray(t_c, dtype=np.float64)
     if not (t_c >= 0.0).all():
         raise ValueError("t_c must be non-negative")
-    t_e = schedule.t_estimate
-    tau = t_e + t_c
-    total = 0.0
-    for th in schedule.thresholds:  # summed in rate order
-        a = schedule.switch_time(th.n + 1)  # never below t_e
-        b = np.minimum(th.t_n, tau)
-        total = total + th.n * (b - a) * (b > a)  # 0 where b <= a
-    # the sum is 0 at t_c = 0, where tau may be 0 too
-    avg = total / np.where(t_c > 0.0, tau, 1.0)
+    avg = _average_rates(_switch_times(schedule), schedule.t_estimate, t_c)
     return float(avg) if avg.ndim == 0 else avg
 
 
@@ -267,10 +277,9 @@ def optimum_transmission_time(schedule: RateSchedule,
         return RateOptimum(0.0, 0.0, 0)
     t_c_cap = horizon - t_e
 
-    candidates = np.array(sorted(
-        {min(th.t_n - t_e, t_c_cap) for th in schedule.thresholds}
-        | {t_c_cap}))
-    rates = average_rate(schedule, candidates)
+    ts = _switch_times(schedule)
+    candidates = np.unique(np.append(np.minimum(ts - t_e, t_c_cap), t_c_cap))
+    rates = _average_rates(ts, t_e, candidates)
     k = int(np.argmax(rates))  # ties go to the first, shortest period
     best_tc = float(candidates[k])
     return RateOptimum(best_tc, float(rates[k]),
@@ -290,31 +299,14 @@ def sweep_rave_max(estimate: ChannelEstimate, snr_db_grid,
     if not snr_db_grid or not bep_threshold_grid:
         raise ValueError("sweep grids must be non-empty")
     gamma = np.array([10.0 ** (snr_db / 10.0) for snr_db in snr_db_grid])
-    _, ts = _build(estimate, gamma[:, None], scheme,
-                   np.array(bep_threshold_grid), wobble, t_estimate)
-    return _max_average_rate(ts, t_estimate).reshape(gamma.size, -1)
-
-
-def _max_average_rate(ts: np.ndarray, t_estimate: float) -> np.ndarray:
-    """r_ave_max of optimum_transmission_time(schedule) for every cell, in
-    one array pass over switch times ts[n - 1] = t_n (one column per cell,
-    t_estimate past the cell's r_max).
-
-    Candidate k of a cell is t_c = t_k - T_e; at each, the average rate is
-    summed in rate order with the operations of average_rate, and the
-    largest is the cell's. A padded rate m adds n (b - a) (b > a) with
-    a = b = T_e, an exact 0, and its own candidate t_c = 0 rates 0, so an
-    empty cell gets 0, as its empty schedule does.
-    """
-    t_e = t_estimate
-    t_c = ts - t_e  # [candidate, cell]
-    tau = t_e + t_c
-    # switch_time(n + 1): t_{n+1}, and T_e above the top rate
-    starts = np.concatenate([ts[1:], np.full(ts[:1].shape, t_e)])
-    total = 0.0
-    for n in range(1, ts.shape[0] + 1):  # summed in rate order
-        b = np.minimum(ts[n - 1], tau)
-        a = starts[n - 1]
-        total = total + n * (b - a) * (b > a)  # 0 where b <= a
-    avg = total / np.where(t_c > 0.0, tau, 1.0)
-    return np.max(avg, axis=0, initial=0.0)
+    schedules = build_rate_schedules(estimate, gamma[:, None], scheme,
+                                     np.array(bep_threshold_grid), wobble,
+                                     t_estimate)
+    # every cell's switch times, padded with T_e to the grid's top rate;
+    # candidate k of a cell is t_c = t_k - T_e, and a padded candidate
+    # t_c = 0 rates 0, so an empty cell gets 0, as its empty schedule does
+    top = max(s.r_max for s in schedules)
+    ts = np.array([[th.t_n for th in s.thresholds]
+                   + [t_estimate] * (top - s.r_max) for s in schedules]).T
+    avg = _average_rates(ts, t_estimate, ts - t_estimate)
+    return np.max(avg, axis=0, initial=0.0).reshape(gamma.size, -1)

@@ -262,6 +262,21 @@ class TestChannelEvolution:
         with pytest.raises(ValueError):
             ChannelEstimate(np.ones((2, 2), dtype=complex), 1e-3)
 
+    @pytest.mark.parametrize("h,match", [
+        ([1e200, 1.0], "must be finite"),  # finite entries, ||h||^2 = inf
+        ([1e308 + 1e308j], "must be finite"),
+        ([np.inf, 1.0], "must be finite"),
+        ([1.0, np.nan], "must be finite"),
+        ([1.0, complex(0.0, -np.inf)], "must be finite"),
+        ([0.0, 0.0], "zero vector"),
+        ([1e-200], "zero vector"),  # ||h||^2 underflows to 0
+    ])
+    def test_norm_sq_must_be_finite_and_positive(self, h, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ChannelEstimate(np.array(h, dtype=complex), 1e-3)
+
 
 class TestWobbleParams:
     def test_for_carrier_fills_default_variance(self):

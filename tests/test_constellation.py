@@ -29,6 +29,60 @@ def _hamming(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 
 
+# --- the three QAM builders the one grid builder replaced, as the oracle --
+
+def _gray(n: int) -> int:
+    return n ^ (n >> 1)
+
+
+def _square_qam(order: int):
+    bits = order.bit_length() - 1
+    half = bits // 2
+    nx = ny = 1 << half
+    xs = 2 * np.arange(nx) - nx + 1
+    ys = 2 * np.arange(ny) - ny + 1
+    points, labels = [], []
+    for i in range(nx):
+        for j in range(ny):
+            points.append(xs[i] + 1j * ys[j])
+            labels.append((_gray(i) << half) | _gray(j))
+    return np.array(points), np.array(labels, dtype=np.int64)
+
+
+def _rect_qam8():
+    xs = np.array([-3, -1, 1, 3])
+    ys = np.array([-1, 1])
+    points, labels = [], []
+    for i in range(4):
+        for j in range(2):
+            points.append(xs[i] + 1j * ys[j])
+            labels.append((_gray(i) << 1) | _gray(j))
+    return np.array(points), np.array(labels, dtype=np.int64)
+
+
+def _cross_qam32():
+    xs = np.array([-7, -5, -3, -1, 1, 3, 5, 7])
+    ys = np.array([-3, -1, 1, 3])
+    points, labels = [], []
+    for i in range(8):
+        for j in range(4):
+            x, y = int(xs[i]), int(ys[j])
+            if abs(x) == 7:
+                sx = 1 if x > 0 else -1
+                sy = 1 if y > 0 else -1
+                x = sx * (1 if abs(y) == 3 else 3)
+                y = sy * 5
+            points.append(x + 1j * y)
+            labels.append((_gray(i) << 2) | _gray(j))
+    return np.array(points), np.array(labels, dtype=np.int64)
+
+
+def _oracle_qam(order: int):
+    points, labels = (_rect_qam8() if order == 8 else _cross_qam32()
+                      if order == 32 else _square_qam(order))
+    return points / np.sqrt(np.mean(np.abs(points) ** 2)), labels
+
+
 class TestShapes:
     @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
     def test_psk_on_unit_circle(self, order):
@@ -74,6 +128,17 @@ class TestShapes:
     def test_unknown_scheme(self):
         with pytest.raises(SchemeError):
             constellation_for("ofdm", 4)
+
+
+class TestOneGridBuilder:
+    @pytest.mark.parametrize("order", QAM_ORDERS)
+    def test_equals_the_per_shape_builders(self, order):
+        c = make_qam(order)
+        points, labels = _oracle_qam(order)
+        assert c.points.dtype == points.dtype
+        assert c.points.tobytes() == points.tobytes()
+        assert c.labels.dtype == labels.dtype
+        assert c.labels.tolist() == labels.tolist()
 
 
 class TestLabels:

@@ -23,6 +23,7 @@ from uavlink import (
     QamRootInfo,
     UnionBound,
     acf_inverse,
+    bep_at_pmin,
     build_rate_schedule,
     energy_savings,
     max_modulation_order,
@@ -322,6 +323,35 @@ class TestPowerSchedule:
         with pytest.raises(ValueError):
             min_power_schedule(schedule, fx.estimate, fx.scenario, fx.wobble,
                                sample_dt=0.0)
+
+
+class TestBepAtPmin:
+    # the schedule is built at the 35 dBm cap; under a 30 dBm cap the end
+    # of every rate region is clamped, and misses the threshold there
+    @pytest.mark.parametrize("scheme", ["psk", "qam"])
+    @pytest.mark.parametrize("p_max_dbm", [35.0, 30.0])
+    def test_evaluates_the_model_the_trace_meets(self, fx, scheme,
+                                                 p_max_dbm):
+        schedule = build_rate_schedule(fx.estimate, GAMMA_MAX, scheme, BETA,
+                                       fx.wobble, fx.scenario.t_estimate)
+        scenario = dataclasses.replace(fx.scenario, p_max_dbm=p_max_dbm)
+        power = min_power_schedule(schedule, fx.estimate, scenario,
+                                   fx.wobble, sample_dt=4e-5)
+        got = bep_at_pmin(power, fx.estimate, scenario)
+        gamma = 10.0 ** ((power.p_min_dbm - path_loss_db(scenario)
+                          - noise_power_dbm(scenario)) / 10.0)
+        for r in np.unique(power.rate).tolist():
+            region = power.rate == r
+            acf = power.acf_value[region]
+            if scheme == "psk":
+                want = psk_bep_approx(1 << r, fx.estimate, acf, gamma[region])
+            else:  # the UUB clamped to 1, BPSK's region included
+                want = np.minimum(union_bound("qam", 1 << r).u(
+                    fx.estimate.norm_sq, acf, gamma[region]), 1.0)
+            assert got[region].tolist() == want.tolist()
+        assert np.all(got[~power.clamped] <= BETA * (1 + 1e-6))
+        assert power.clamped.any() == (p_max_dbm < 35.0)
+        assert np.all(got[power.clamped] > BETA)
 
 
 def _bep_at(estimate, scheme, s, gamma):

@@ -178,6 +178,23 @@ def _oracle_average_rate(schedule, t_c):
     return total / tau
 
 
+def _oracle_optimum(schedule, t_coherence=None):
+    """The optimum search before it shared the sweep's kernel: every
+    candidate min(t_n - T_e, cap) and the cap, each rated by
+    _oracle_average_rate, the first (shortest) of the largest winning."""
+    t_e = schedule.t_estimate
+    horizon = schedule.t_zero_rate if t_coherence is None else t_coherence
+    if schedule.is_empty or horizon <= t_e:
+        return RateOptimum(0.0, 0.0, 0)
+    cap = horizon - t_e
+    candidates = sorted({min(th.t_n - t_e, cap) for th in schedule.thresholds}
+                        | {cap})
+    rates = [_oracle_average_rate(schedule, t_c) for t_c in candidates]
+    k = rates.index(max(rates))
+    return RateOptimum(candidates[k], rates[k],
+                       schedule.rate_at(t_e + candidates[k]))
+
+
 class TestAverageRate:
     @settings(max_examples=40, deadline=None)
     @given(fixture=st.sampled_from(["case1", "case2"]),
@@ -201,6 +218,10 @@ class TestAverageRate:
         scalar = [average_rate(schedule, v) for v in t_c]
         assert scalar == want
         assert all(type(v) is float for v in scalar)
+        # the optimum, free and capped at each drawn horizon, to the bit
+        for horizon in [None] + [t_e + v for v in t_c]:
+            assert optimum_transmission_time(schedule, horizon) \
+                == _oracle_optimum(schedule, horizon)
 
     def test_zero_cases(self, psk_schedule):
         assert average_rate(psk_schedule, 0.0) == 0.0
@@ -272,6 +293,16 @@ class TestOptimum:
         opt_free = optimum_transmission_time(psk_schedule)
         opt_cap = optimum_transmission_time(psk_schedule, t_coherence=0.5)
         assert opt_cap == opt_free
+
+    def test_tie_goes_to_the_shortest_period(self):
+        # t_2 = 2 T_e: the average is flat on rate 1's region, so both of
+        # its ends rate exactly 1.0
+        schedule = RateSchedule("psk", 2, (RateThreshold(1, 0.5, 4.0),
+                                           RateThreshold(2, 0.9, 2.0)), 1.0)
+        assert average_rate(schedule, [1.0, 3.0]).tolist() == [1.0, 1.0]
+        want = RateOptimum(1.0, 1.0, 2)
+        assert optimum_transmission_time(schedule) == want
+        assert _oracle_optimum(schedule) == want
 
     def test_degenerate_horizon(self, psk_schedule):
         opt = optimum_transmission_time(
@@ -484,7 +515,7 @@ class TestBatchedBuilder:
     def test_sweep_is_one_batched_build(self, fx):
         snr_db, betas = [6.0, 21.0, 33.0], [1e-2, 1e-6]
         gamma = [10.0 ** (v / 10.0) for v in snr_db]
-        want = [[optimum_transmission_time(build_rate_schedule(
+        want = [[_oracle_optimum(build_rate_schedule(
                     fx.estimate, g, "qam", b, fx.wobble,
                     fx.scenario.t_estimate)).r_ave_max for b in betas]
                 for g in gamma]
@@ -614,7 +645,7 @@ class TestOneSolveEqualsLoops:
             gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])
             schedules = _loop_schedules(fx.estimate, gamma[:, None], scheme,
                                         np.array(betas), wobble, t_e)
-            return [[optimum_transmission_time(s).r_ave_max
+            return [[_oracle_optimum(s).r_ave_max
                      for s in schedules[i * len(betas):(i + 1) * len(betas)]]
                     for i in range(len(snr_db))]
         got = _outcome(lambda: sweep_rave_max(fx.estimate, snr_db, betas,
