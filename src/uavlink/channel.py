@@ -107,12 +107,14 @@ class ChannelEstimate:
         object.__setattr__(self, "h", h)
         if h.ndim != 1 or h.size == 0:
             raise ValueError("h must be a non-empty 1-D complex vector")
+        if not np.isfinite(h).all():
+            raise ValueError("h entries must be finite")
         # ||h||^2, summed once: every closed-form BEP expression reads it.
-        # It is inf or nan where an entry is, and inf where it overflows
+        # Finite entries can still overflow it
         with np.errstate(over="ignore"):
             norm_sq = float(np.sum(np.abs(h) ** 2))
         if not math.isfinite(norm_sq):
-            raise ValueError("h entries must be finite")
+            raise ValueError("||h||^2 overflows; scale h down")
         if norm_sq == 0.0:
             raise ValueError("h must not be the zero vector")
         object.__setattr__(self, "norm_sq", norm_sq)

@@ -299,24 +299,30 @@ def cmd_bep_curve(cfg: RunConfig, threads: int, out_dir: Path) -> None:
     rows = []
     for order in cfg.orders:
         c = constellation_for(cfg.scheme, order)
-        for snr_db in cfg.snr_db:
-            gamma = 10.0 ** (snr_db / 10.0)
-            for acf in cfg.acf:
-                for det in cfg.detectors:
-                    if det in ("ml", "so"):
-                        kind = DetectorKind.ML if det == "ml" else DetectorKind.SO
-                        est = monte_carlo_bep(cfg.estimate, acf, gamma, c,
-                                              kind, cfg.n_symbols, cfg.seed,
-                                              threads=threads)
-                        bep, se, bits = est.bep, est.std_error, est.bits_simulated
-                    elif det == "analytic-uub":
-                        ctx = BepContext(cfg.estimate, acf, gamma, c)
-                        bep, se, bits = float(uub(ctx)), 0.0, 0
-                    else:
-                        bep = psk_bep_approx(order, cfg.estimate, acf, gamma)
-                        se, bits = 0.0, 0
-                    rows.append((snr_db, acf, cfg.scheme, order, det,
-                                 bep, se, bits))
+        grid = [(snr_db, 10.0 ** (snr_db / 10.0), acf, det)
+                for snr_db in cfg.snr_db for acf in cfg.acf
+                for det in cfg.detectors]
+        # the order's Monte Carlo points in one call, which draws each
+        # batch once for all of them
+        mc = [(acf, gamma, DetectorKind(det))
+              for _, gamma, acf, det in grid if det in ("ml", "so")]
+        sims = iter(())
+        if mc:
+            acfs, gammas, kinds = zip(*mc)
+            sims = iter(monte_carlo_bep(cfg.estimate, acfs, gammas, c, kinds,
+                                        cfg.n_symbols, cfg.seed,
+                                        threads=threads))
+        for snr_db, gamma, acf, det in grid:
+            if det in ("ml", "so"):
+                est = next(sims)
+                bep, se, bits = est.bep, est.std_error, est.bits_simulated
+            elif det == "analytic-uub":
+                ctx = BepContext(cfg.estimate, acf, gamma, c)
+                bep, se, bits = float(uub(ctx)), 0.0, 0
+            else:
+                bep = psk_bep_approx(order, cfg.estimate, acf, gamma)
+                se, bits = 0.0, 0
+            rows.append((snr_db, acf, cfg.scheme, order, det, bep, se, bits))
     meta = _base_meta(cfg)
     meta.update(n_symbols=cfg.n_symbols, snr_db=list(cfg.snr_db),
                 acf=list(cfg.acf), orders=list(cfg.orders),

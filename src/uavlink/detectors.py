@@ -53,8 +53,14 @@ vectors: given s_m, z ~ CN(a_m ||h||^2, sigma_m^2 ||h||^2) and,
 independently, ||y_perp||^2 ~ sigma_m^2 Gamma(N - 1). Each batch of 8192
 symbols has its own generator, SeedSequence(seed, spawn_key=(b,)), and
 draws in a fixed order: the symbol indices, then the real and the
-imaginary parts of z's noise (one (2, n) normal block), then, for ML only,
-the n gamma variates. Results are bit-identical for any thread count.
+imaginary parts of z's noise (one (2, n) normal block), then, if any point
+is ML, the n gamma variates. None of these depends on (gamma, C) or on the
+rule, so one call estimates any number of points from one set of draws
+per batch: each point synthesises z = a[m] ||h||^2 + sqrt(sigma_m^2
+||h||^2 / 2) (n0 + j n1) and ||y_perp||^2 = sigma_m^2 Gamma from them, and
+the rules at one (gamma, C) share that synthesis. A point's values, and so
+its estimate, are those of its one-point call, bit for bit, and results
+are bit-identical for any thread count.
 """
 
 import enum
@@ -234,8 +240,11 @@ class _Scratch:
     allocate nothing but the symbol indices. Every buffer is written in
     full before it is read, so no value passes from one batch, or one
     caller, to the next. A buffer is raw bytes that any dtype may take, so
-    detection keeps its work arrays in buffers that are spent by then:
-    _draw's, other than z and ||y_perp||^2, and the metric blocks'.
+    detection keeps its work arrays in buffers that are spent by then: the
+    normal block's and _synthesise's, other than z and ||y_perp||^2, and
+    the metric blocks'. The batch's complex noise, gamma variates and sent
+    labels, and a point's z and ||y_perp||^2, outlive every decision made
+    on them.
     """
 
     def __init__(self):
@@ -294,8 +303,8 @@ def _decide(z: np.ndarray, perp, norm_sq: float, tab: _Tables,
     every other table, like every row a reduction cannot decide exactly,
     takes the full metric.
     With a `scratch`, the work arrays and the returned indices are its
-    buffers, and the rest of _draw's buffers are overwritten; without one
-    they are fresh.
+    buffers, and the normal block's and _synthesise's buffers other than z
+    and ||y_perp||^2 are overwritten; without one they are fresh.
     """
     if scratch is None:
         scratch = _FRESH
@@ -350,7 +359,7 @@ def _argmin(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float,
     ar, ai = ar[:, None], ai[:, None]
     if inv is not None:
         off, inv = off[:, None], inv[:, None]
-    low = scratch.get("scale", (n,))  # _draw's buffers are spent
+    low = scratch.get("scale", (n,))  # _synthesise's scale is spent
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         metric = scratch.get("metric", (m, hi - lo))
@@ -437,7 +446,7 @@ def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
     returns the mask of the rows this decides exactly."""
     n, m4 = ur.size, fold.ar.size
     off, inv = (fold.off, fold.inv) if ml else (None, None)
-    # _draw's buffers are spent; _argmin takes "scale"
+    # the normal block and the point's w are spent; _argmin takes "scale"
     fr, fi = scratch.get("noise", (2, n))
     np.abs(ur, out=fr)
     np.abs(ui, out=fi)
@@ -518,91 +527,158 @@ def so_detect(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
     return _detect_one(y, estimate, acf_value, snr_linear, c, DetectorKind.SO)
 
 
-def _draw(rng: np.random.Generator, n: int, estimate: ChannelEstimate,
-          tab: _Tables, with_perp: bool,
-          scratch: _Scratch | _Fresh | None = None):
-    """Symbol indices, z = h^H y and ||y_perp||^2 (None unless with_perp)
-    for n transmissions, in the draw order of the determinism contract.
-    With a `scratch`, z and ||y_perp||^2 are its buffers."""
+class _Draws(NamedTuple):
+    """One batch's raw draws, common to every point of a Monte Carlo call."""
+
+    tx: np.ndarray  # (n,) symbol indices
+    noise: np.ndarray  # (n,) unit complex noise n0 + j n1 of z
+    gamma: np.ndarray | None  # (n,) Gamma(N - 1) variates; None without ML
+
+
+def _draw(rng: np.random.Generator, n: int, order: int, n_rx: int,
+          with_gamma: bool,
+          scratch: _Scratch | _Fresh | None = None) -> _Draws:
+    """The raw draws of n transmissions, in the draw order of the
+    determinism contract: symbol indices, one (2, n) normal block, then the
+    gamma variates (only if with_gamma). None of them depends on (gamma, C)
+    or on the rule. With a `scratch`, the noise and gamma variates are its
+    buffers."""
     if scratch is None:
         scratch = _FRESH
-    norm_sq = estimate.norm_sq
-    tx = rng.integers(0, tab.a.size, size=n)
-    noise = rng.standard_normal(out=scratch.get("noise", (2, n)))
+    tx = rng.integers(0, order, size=n)
+    normals = rng.standard_normal(out=scratch.get("noise", (2, n)))
+    noise = np.multiply(1j, normals[1],
+                        out=scratch.get("unit_noise", (n,), np.complex128))
+    np.add(normals[0], noise, out=noise)
+    gamma = None
+    if with_gamma:
+        gamma = rng.standard_gamma(n_rx - 1, out=scratch.get("gamma", (n,)))
+    return _Draws(tx, noise, gamma)
+
+
+def _synthesise(draws: _Draws, norm_sq: float, tab: _Tables, with_perp: bool,
+                scratch: _Scratch | _Fresh | None = None):
+    """z = h^H y and ||y_perp||^2 (None unless with_perp) of one point from
+    a batch's draws: z = a[tx] ||h||^2 + sqrt(||h||^2 sigma^2[tx] / 2) noise
+    and ||y_perp||^2 = gamma sigma^2[tx]. The per-reference factors are
+    formed on the table and then taken per symbol; each is the same
+    operation on the same values as when formed per symbol. With a
+    `scratch`, z and ||y_perp||^2 are its buffers."""
+    if scratch is None:
+        scratch = _FRESH
+    tx, n = draws.tx, draws.tx.size
     # mode="clip" takes without the temporary copy of mode="raise"; every
     # index is in range, so the values are the same
-    sig2 = np.take(tab.sig2, tx, out=scratch.get("sig2", (n,)), mode="clip")
-    scale = np.multiply(0.5 * norm_sq, sig2, out=scratch.get("scale", (n,)))
-    np.sqrt(scale, out=scale)
-    # z = a[tx] ||h||^2 + scale (noise[0] + 1j noise[1]), operation by
-    # operation
-    z = np.take(tab.a, tx, out=scratch.get("z", (n,), np.complex128),
-                mode="clip")
-    z *= norm_sq
-    w = np.multiply(1j, noise[1], out=scratch.get("w", (n,), np.complex128))
-    np.add(noise[0], w, out=w)
-    np.multiply(scale, w, out=w)
-    z += w
+    scale = np.take(np.sqrt(0.5 * norm_sq * tab.sig2), tx,
+                    out=scratch.get("scale", (n,)), mode="clip")
+    z = np.take(tab.a * norm_sq, tx,
+                out=scratch.get("z", (n,), np.complex128), mode="clip")
+    z += np.multiply(scale, draws.noise,
+                     out=scratch.get("w", (n,), np.complex128))
     perp = None
     if with_perp:
-        perp = rng.standard_gamma(estimate.h.size - 1,
-                                  out=scratch.get("perp", (n,)))
-        perp *= sig2
-    return tx, z, perp
+        perp = np.take(tab.sig2, tx, out=scratch.get("perp", (n,)),
+                       mode="clip")
+        perp *= draws.gamma
+    return z, perp
 
 
 def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
-               tab: _Tables, c: Constellation, seed: int) -> int:
-    """Simulate one batch and return its bit-error count.
+               groups: tuple, c: Constellation, seed: int) -> list:
+    """Simulate one batch at every point of a call; return the bit-error
+    count of each table of `groups`, in order.
 
-    The generator is derived from (seed, batch_index) alone, so the count
-    is independent of which thread runs the batch. The work arrays are the
-    calling thread's scratch buffers.
+    Each group holds the tables of the rules evaluated at one (gamma, C),
+    which share a and sigma^2: the group synthesises its statistics once,
+    and each of its tables decides on them. The generator is derived from
+    (seed, batch_index) alone, so the counts are independent of which
+    thread runs the batch. The work arrays are the calling thread's
+    scratch buffers.
     """
     scratch = _thread_scratch()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-    tx, z, perp = _draw(rng, n_batch, estimate, tab,
-                        with_perp=tab.inv is not None, scratch=scratch)
-    detected = _decide(z, perp, estimate.norm_sq, tab, scratch)
-    sent = np.take(c.labels, tx, out=scratch.get("sent", (n_batch,),
-                                                 np.int64), mode="clip")
-    got = np.take(c.labels, detected, out=scratch.get("got", (n_batch,),
-                                                      np.int64), mode="clip")
-    np.bitwise_xor(sent, got, out=sent)
-    return int(np.take(POPCOUNT, sent, out=got, mode="clip").sum())
+    # a group needs ||y_perp||^2 when one of its rules is ML
+    perps = [any(tab.inv is not None for tab in group) for group in groups]
+    draws = _draw(rng, n_batch, c.order, estimate.h.size, any(perps),
+                  scratch)
+    sent = np.take(c.labels, draws.tx, out=scratch.get("sent", (n_batch,),
+                                                       np.int64), mode="clip")
+    got = scratch.get("got", (n_batch,), np.int64)
+    errors = []
+    for group, with_perp in zip(groups, perps):
+        z, perp = _synthesise(draws, estimate.norm_sq, group[0], with_perp,
+                              scratch)
+        for tab in group:
+            detected = _decide(z, perp, estimate.norm_sq, tab, scratch)
+            np.take(c.labels, detected, out=got, mode="clip")
+            np.bitwise_xor(sent, got, out=got)
+            # the decisions are spent: their buffer takes the bit counts
+            errors.append(int(np.take(POPCOUNT, got, out=detected,
+                                      mode="clip").sum()))
+    return errors
 
 
-def monte_carlo_bep(estimate: ChannelEstimate, acf_value: float,
-                    snr_linear: float, c: Constellation,
-                    detector: DetectorKind, n_symbols: int, seed: int,
-                    threads: int = 1) -> BepEstimate:
-    """Simulated BEP at one (gamma, C) operating point.
+def monte_carlo_bep(estimate: ChannelEstimate, acf_value, snr_linear,
+                    c: Constellation, detector, n_symbols: int, seed: int,
+                    threads: int = 1) -> BepEstimate | list[BepEstimate]:
+    """Simulated BEP at one (gamma, C) operating point, or at several.
 
     Each trial draws a uniform symbol and the two detection statistics it
     produces through an independently evolved channel and noise, then
-    detects. Bit errors are counted against the Gray labels. Results depend
-    only on (seed, n_symbols), never on `threads`. Raises ValueError for a
-    non-finite SNR.
+    detects. Bit errors are counted against the Gray labels.
+
+    `acf_value`, `snr_linear` and `detector` (a DetectorKind, or an array
+    of them) broadcast against one another, and each entry of the result
+    is one point. With all three scalar the result is one BepEstimate;
+    otherwise it is a list of BepEstimates, one per point, in C order.
+    Every batch draws its symbols, noise and (if any point is ML) gamma
+    variates once, and every point synthesises its statistics from them,
+    so each point's estimate equals, to the bit, that of its one-point
+    call. Results depend only on (seed, n_symbols), never on `threads`.
+    Raises ValueError for a non-finite SNR or an ACF outside [0, 1].
     """
-    require_finite(snr_linear=snr_linear)
+    acf, snr, kinds = np.broadcast_arrays(
+        np.asarray(acf_value, dtype=np.float64),
+        np.asarray(snr_linear, dtype=np.float64),
+        np.asarray(detector, dtype=object))
+    require_finite(snr_linear=snr)
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    _check_acf(acf_value)
+    # Python floats, as a one-point caller passes them, so that the tables'
+    # scalar arithmetic is Python's
+    points = list(zip(acf.ravel().tolist(), snr.ravel().tolist(),
+                      kinds.ravel().tolist()))
+    for a, _, _ in points:
+        _check_acf(a)
+    if not points:
+        return []
+    tables = [_reduced(_tables(estimate, a, g, c, kind))
+              for a, g, kind in points]
+    # the points' positions grouped by (C, gamma), in order of first use
+    shared = {}
+    for i, (a, g, _) in enumerate(points):
+        shared.setdefault((a, g), []).append(i)
+    groups = tuple(tuple(tables[i] for i in members)
+                   for members in shared.values())
+    slots = [i for members in shared.values() for i in members]
     sizes = [_BATCH] * (n_symbols // _BATCH)
     if n_symbols % _BATCH:
         sizes.append(n_symbols % _BATCH)
-    tab = _reduced(_tables(estimate, acf_value, snr_linear, c, detector))
 
-    def job(b: int) -> int:
-        return _run_batch(b, sizes[b], estimate, tab, c, seed)
+    def job(b: int) -> list:
+        return _run_batch(b, sizes[b], estimate, groups, c, seed)
 
     if threads > 1 and len(sizes) > 1:
-        errors = sum(_pool(threads).map(job, range(len(sizes))))
+        counts = list(_pool(threads).map(job, range(len(sizes))))
     else:
-        errors = sum(job(b) for b in range(len(sizes)))
+        counts = [job(b) for b in range(len(sizes))]
 
     bits = n_symbols * c.bits_per_symbol
-    bep = errors / bits
-    std_error = float(np.sqrt(bep * (1.0 - bep) / bits))
-    return BepEstimate(bep, errors, bits, std_error)
+    out = [None] * len(points)
+    for slot, errors in zip(slots, zip(*counts)):
+        errors = sum(errors)
+        bep = errors / bits
+        std_error = float(np.sqrt(bep * (1.0 - bep) / bits))
+        out[slot] = BepEstimate(bep, errors, bits, std_error)
+    return out[0] if acf.ndim == 0 else out

@@ -269,7 +269,11 @@ def optimum_transmission_time(schedule: RateSchedule,
     Within each region the average rate is monotone (constant-sign
     derivative), so the maximum lies at a region boundary t_n or at the
     coherence horizon; every candidate is evaluated exactly and ties go to
-    the shortest period.
+    the shortest period. The candidates are min(t_n - T_e, cap), with cap
+    the horizon less T_e. They hold the cap itself wherever it can win: if
+    cap <= t_1 - T_e, min(t_1 - T_e, cap) is the cap; past t_1 the rate is
+    0, so the average only falls (a fixed integral over a growing
+    T_e + T_c), and t_1 - T_e beats any longer cap.
     """
     t_e = schedule.t_estimate
     horizon = (schedule.t_zero_rate if t_coherence is None else t_coherence)
@@ -278,7 +282,7 @@ def optimum_transmission_time(schedule: RateSchedule,
     t_c_cap = horizon - t_e
 
     ts = _switch_times(schedule)
-    candidates = np.unique(np.append(np.minimum(ts - t_e, t_c_cap), t_c_cap))
+    candidates = np.unique(np.minimum(ts - t_e, t_c_cap))
     rates = _average_rates(ts, t_e, candidates)
     k = int(np.argmax(rates))  # ties go to the first, shortest period
     best_tc = float(candidates[k])

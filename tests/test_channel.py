@@ -263,13 +263,15 @@ class TestChannelEvolution:
             ChannelEstimate(np.ones((2, 2), dtype=complex), 1e-3)
 
     @pytest.mark.parametrize("h,match", [
-        ([1e200, 1.0], "must be finite"),  # finite entries, ||h||^2 = inf
-        ([1e308 + 1e308j], "must be finite"),
+        # finite entries whose ||h||^2 overflows
+        ([1e200, 1.0], "overflows"),
+        ([1e308 + 1e308j], "overflows"),
         ([np.inf, 1.0], "must be finite"),
         ([1.0, np.nan], "must be finite"),
         ([1.0, complex(0.0, -np.inf)], "must be finite"),
         ([0.0, 0.0], "zero vector"),
         ([1e-200], "zero vector"),  # ||h||^2 underflows to 0
+        ([1e200, np.nan], "must be finite"),  # checked before the overflow
     ])
     def test_norm_sq_must_be_finite_and_positive(self, h, match):
         with warnings.catch_warnings():

@@ -129,6 +129,14 @@ class TestDecisionRules:
                 rule(np.ones(estimate.h.size + 1), estimate, 0.9, 10.0, c)
 
 
+def _statistics(rng, n, est, tab, with_perp):
+    """Symbol indices, z and ||y_perp||^2 (None unless with_perp) of n
+    transmissions at one point, drawn and synthesised as a batch does."""
+    draws = detectors._draw(rng, n, tab.a.size, est.h.size, with_perp)
+    z, perp = detectors._synthesise(draws, est.norm_sq, tab, with_perp)
+    return draws.tx, z, perp
+
+
 def _full_metric(z, perp, norm_sq, tab):
     """The oracle of every reduced path: the (n, M) metric over all M
     references, one row per symbol, and its argmin (ties: lowest)."""
@@ -222,7 +230,7 @@ class TestReducedDetection:
         for kind in DetectorKind:
             tab = detectors._reduced(detectors._tables(est, acf, gamma, c,
                                                        kind))
-            _, z, perp = detectors._draw(rng, n, est, tab, True)
+            _, z, perp = _statistics(rng, n, est, tab, True)
             edge = _edge_rows(tab, est.norm_sq)
             z = np.concatenate([z, edge])
             perp = np.concatenate([perp, rng.exponential(n_rx, edge.size)])
@@ -298,7 +306,7 @@ class TestMetricKernel:
         tab = detectors._reduced(
             detectors._tables(estimate, 0.8, 30.0, c, DetectorKind.ML))
         rng = np.random.default_rng(4)
-        tx, z, perp = detectors._draw(rng, 5000, estimate, tab, True)
+        tx, z, perp = _statistics(rng, 5000, estimate, tab, True)
         whole = detectors._decide(z, perp, estimate.norm_sq, tab)
         monkeypatch.setattr(detectors, "_BLOCK_TERMS", 7 * c.order)
         assert np.array_equal(
@@ -317,12 +325,12 @@ class TestMetricKernel:
             for b, n in ((0, 8192), (1, 777)):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=5, spawn_key=(b,)))
-                tx, z, perp = detectors._draw(rng, n, estimate, tab,
-                                              kind is DetectorKind.ML)
+                tx, z, perp = _statistics(rng, n, estimate, tab,
+                                          kind is DetectorKind.ML)
                 got = detectors._decide(z, perp, estimate.norm_sq, tab)
                 want = int(POPCOUNT[c.labels[tx] ^ c.labels[got]].sum())
-                assert detectors._run_batch(b, n, estimate, tab, c,
-                                            5) == want
+                assert detectors._run_batch(b, n, estimate, ((tab,),), c,
+                                            5) == [want]
 
     def test_batches_reuse_their_buffers(self, estimate):
         # the full metric, the fold (ML; SO on the 32-QAM cross) and the
@@ -333,12 +341,24 @@ class TestMetricKernel:
             c = constellation_for("qam", order)
             tab = detectors._reduced(
                 detectors._tables(estimate, 0.9, 30.0, c, kind))
-            detectors._run_batch(0, 8192, estimate, tab, c, 1)
+            detectors._run_batch(0, 8192, estimate, ((tab,),), c, 1)
             before = dict(detectors._thread_scratch()._bufs)
-            detectors._run_batch(1, 8192, estimate, tab, c, 1)
+            detectors._run_batch(1, 8192, estimate, ((tab,),), c, 1)
             after = detectors._thread_scratch()._bufs
             assert after.keys() == before.keys()
             assert all(after[k] is before[k] for k in before)
+        # and a batch over several points: ML and SO sharing one (gamma, C),
+        # and a second (gamma, C)
+        tab = [detectors._reduced(detectors._tables(estimate, acf, 30.0, c,
+                                                    kind))
+               for acf in (0.9, 0.8) for kind in DetectorKind]
+        groups = ((tab[0], tab[1]), (tab[2], tab[3]))
+        detectors._run_batch(0, 8192, estimate, groups, c, 1)
+        before = dict(detectors._thread_scratch()._bufs)
+        detectors._run_batch(1, 8192, estimate, groups, c, 1)
+        after = detectors._thread_scratch()._bufs
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
 
 
 class TestEffectiveVariance:
@@ -447,8 +467,8 @@ class TestMonteCarlo:
             y_perp = y - (z / norm_sq) * h
             full.append((z.real, z.imag, np.vdot(y_perp, y_perp).real))
         tab = detectors._tables(estimate, acf, gamma, c, DetectorKind.ML)
-        tx, z, perp = detectors._draw(np.random.default_rng(32), 4 * 8192,
-                                      estimate, tab, True)
+        tx, z, perp = _statistics(np.random.default_rng(32), 4 * 8192,
+                                  estimate, tab, True)
         drawn = np.stack([z.real, z.imag, perp], axis=1)[tx == m]
         p_values = [ks_2samp(col, ref).pvalue
                     for col, ref in zip(drawn.T, np.array(full).T)]
@@ -465,8 +485,8 @@ class TestMonteCarlo:
         n = 12 * 8192
         ml = detectors._tables(estimate, 0.9, 100.0, c, DetectorKind.ML)
         so = ml._replace(off=None, inv=None)
-        tx, z, perp = detectors._draw(np.random.default_rng(21), n,
-                                      estimate, ml, True)
+        tx, z, perp = _statistics(np.random.default_rng(21), n,
+                                  estimate, ml, True)
         err_ml = detectors._decide(z, perp, estimate.norm_sq, ml) != tx
         err_so = detectors._decide(z, None, estimate.norm_sq, so) != tx
         se_pair = (err_ml.astype(float) - err_so).std() / np.sqrt(n)
@@ -494,10 +514,68 @@ class TestMonteCarlo:
               f"exact {want:.4e} z={(out.bep - want) / sigma:+.2f}")
         assert abs(out.bep - want) < 3.0 * sigma
 
+    @given(scheme_order=st.sampled_from(
+               [(s, o) for s in ("psk", "qam") for o in SUPPORTED_ORDERS]),
+           points=st.lists(st.tuples(
+               st.one_of(st.sampled_from([0.0, 0.9, 1.0]),
+                         st.floats(0.0, 1.0)),
+               st.one_of(st.sampled_from([1.0, 30.0]),
+                         st.floats(1e-2, 1e3)),
+               st.sampled_from(DetectorKind)), min_size=1, max_size=4),
+           full=st.integers(1, 2),
+           partial=st.integers(1, 600),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(scheme_order=("qam", 32),
+             points=[(0.9, 30.0, DetectorKind.ML),
+                     (0.9, 30.0, DetectorKind.SO),
+                     (0.0, 1.0, DetectorKind.SO)],
+             full=2, partial=5, seed=0)  # the cross: folded ML and SO
+    @example(scheme_order=("psk", 8),
+             points=[(1.0, 1.0, DetectorKind.SO),
+                     (0.95, 30.0, DetectorKind.ML),
+                     (1.0, 1.0, DetectorKind.ML)],
+             full=2, partial=600, seed=1)
+    @settings(max_examples=25, deadline=None)
+    def test_each_point_equals_its_one_point_call(
+            self, estimate, scheme_order, points, full, partial, seed):
+        # one call draws every batch once for all its points; each point's
+        # estimate is its one-point call's, to the bit, at any thread count
+        c = constellation_for(*scheme_order)
+        n = full * 8192 + partial
+        acf, gamma, kinds = zip(*points)
+        want = [monte_carlo_bep(estimate, a, g, c, k, n, seed)
+                for a, g, k in points]
+        assert all(isinstance(w, BepEstimate) for w in want)
+        for threads in (1, 2, 3):
+            assert monte_carlo_bep(estimate, acf, gamma, c, kinds, n, seed,
+                                   threads=threads) == want
+
+    def test_points_broadcast(self, estimate):
+        c = constellation_for("qam", 16)
+        acf = [0.8, 0.95]
+        grid = monte_carlo_bep(estimate, np.array(acf)[:, None], [2.0, 9.0],
+                               c, DetectorKind.ML, 300, seed=4)
+        want = [monte_carlo_bep(estimate, a, g, c, DetectorKind.ML, 300,
+                                seed=4) for a in acf for g in (2.0, 9.0)]
+        assert grid == want
+        assert monte_carlo_bep(estimate, [0.9], 5.0, c, DetectorKind.SO,
+                               300, seed=4) == [monte_carlo_bep(
+                                   estimate, 0.9, 5.0, c, DetectorKind.SO,
+                                   300, seed=4)]
+        assert monte_carlo_bep(estimate, [], 5.0, c, DetectorKind.SO, 300,
+                               seed=4) == []
+
     def test_input_validation(self, estimate):
         c = constellation_for("psk", 4)
         with pytest.raises(ValueError):
             monte_carlo_bep(estimate, 0.9, 1.0, c, DetectorKind.ML, 0, seed=1)
         with pytest.raises(ValueError):
             monte_carlo_bep(estimate, 1.0001, 1.0, c, DetectorKind.ML,
+                            100, seed=1)
+        # one bad point rejects the whole call
+        with pytest.raises(ValueError, match="acf_value"):
+            monte_carlo_bep(estimate, [0.9, np.nan], 1.0, c, DetectorKind.ML,
+                            100, seed=1)
+        with pytest.raises(ValueError, match="snr_linear"):
+            monte_carlo_bep(estimate, 0.9, [1.0, np.inf], c, DetectorKind.SO,
                             100, seed=1)

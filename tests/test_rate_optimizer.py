@@ -289,6 +289,25 @@ class TestOptimum:
         assert opt.t_max == pytest.approx(4e-3, rel=1e-12)
         assert opt.r_ave_max < 3.8617991530
 
+    @pytest.mark.parametrize("scheme", ["psk", "qam"])
+    def test_coherence_horizon_inside_each_region(self, psk_schedule,
+                                                  qam_schedule, scheme):
+        # a horizon halfway through rate n's region [t_{n+1}, t_n): the
+        # candidates min(t_n - T_e, cap) hold the cap, which the oracle
+        # evaluates as a candidate of its own
+        schedule = psk_schedule if scheme == "psk" else qam_schedule
+        t_e = schedule.t_estimate
+        t = [th.t_n for th in schedule.thresholds] + [t_e]
+        capped = 0
+        for n in range(1, schedule.r_max + 1):
+            horizon = 0.5 * (t[n - 1] + t[n])
+            assert schedule.rate_at(horizon) == n
+            opt = optimum_transmission_time(schedule, horizon)
+            assert opt == _oracle_optimum(schedule, horizon)
+            assert opt.t_max <= horizon - t_e
+            capped += opt.t_max == horizon - t_e
+        assert capped > 0  # some horizon cuts the optimum short
+
     def test_coherence_cap_slack(self, psk_schedule):
         opt_free = optimum_transmission_time(psk_schedule)
         opt_cap = optimum_transmission_time(psk_schedule, t_coherence=0.5)
