@@ -7,13 +7,14 @@ combined digest over all of them.
 Run from anywhere; the program is imported from `src/` of the checkout that
 holds this script. It runs `adapt`, `power` and `rate-opt` on case1 and
 case2 for both schemes, one PSK `bep-curve` with both Monte Carlo
-detectors, and one QAM `bep-curve` over every QAM order, which pins the
-QAM constellations end to end through detection, each on a fixed config
-and seed. Every CSV is a pure function
-of (config, seed), so two checkouts, or two `--threads` values, that
-print the same combined digest wrote the same bytes. The `.meta.json`
-sidecars are left out: they record the package version, which a change
-may bump.
+detectors, one QAM `bep-curve` over every QAM order, which pins the QAM
+constellations end to end through detection, and a QPSK and a 4-QAM
+`bep-curve` at stale CSI, where ML and SO share their decisions and no
+gamma variates are drawn, each on a fixed config and seed. Every CSV is a
+pure function of (config, seed), so two checkouts, or two `--threads`
+values, that print the same combined digest wrote the same bytes. The
+`.meta.json` sidecars are left out: they record the package version, which
+a change may bump.
 """
 
 import argparse
@@ -33,6 +34,9 @@ BEP_CURVE = {"orders": "2 4 8", "detectors": "ml, so, uub, psk-approx",
 QAM_BEP_CURVE = {"orders": "4 8 16 32 64", "detectors": "ml, so, uub",
                  "snr_db": "0 8 16", "acf": "1.0 0.99 0.9",
                  "n_symbols": "4000"}
+# two full Monte Carlo batches and a partial one
+STALE_BEP_CURVE = {"orders": "4", "detectors": "ml, so", "snr_db": "0 8 16",
+                   "acf": "0.95 0.8", "n_symbols": "20000"}
 
 
 def invocations() -> list:
@@ -49,6 +53,10 @@ def invocations() -> list:
                 {"fixture": "case1", "scheme": "psk", **BEP_CURVE}))
     out.append(("bep-curve-case1-qam", "bep-curve",
                 {"fixture": "case1", "scheme": "qam", **QAM_BEP_CURVE}))
+    for scheme in ("psk", "qam"):
+        out.append((f"bep-curve-case1-{scheme}4-stale", "bep-curve",
+                    {"fixture": "case1", "scheme": scheme,
+                     **STALE_BEP_CURVE}))
     return out
 
 

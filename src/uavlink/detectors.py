@@ -15,13 +15,16 @@ z = h^H y and u = z / ||h||^2 gives
 so both rules depend on y only through z and ||y_perp||^2, and one real
 (n, M) metric serves both: off_k + (||y_perp||^2 + ||h||^2 |u - a_k|^2)
 inv_k, with off_k = N ln sigma_k^2, inv_k = 1 / sigma_k^2 for ML and
-off = 0, inv = 1 for SO. PSK uses |s_k|^2 = 1 exactly, so its offsets and
-weights are common to every point and ML equals SO decision for decision.
+off = 0, inv = 1 for SO. Where all sigma_k^2 are equal (PSK, 4-QAM, C = 1
+or gamma = 0), ML's metric is a monotone map of SO's, and a Monte Carlo
+call decides ML as SO (_reduced). Rounding can tie full ML metrics that
+SO tells apart, and the full metric takes the lower index where SO takes a
+point of the same rounded minimum; seen only where gamma C^2 < 1e-18.
 
 Detection evaluates only the references that can win, and decides exactly
 as the full metric does, ties (lowest index) included:
 
-- Slicing, for SO on a grid (QAM 8/16/64). |u - a_k|^2 is the sum of a
+- Slicing, for SO on a grid (QAM 4/8/16/64). |u - a_k|^2 is the sum of a
   real and an imaginary square, so the nearest grid point is the nearest
   level on each axis, found by rounding. Rounded sums can still tie or
   swap where an axis's margin is tiny: at a boundary halfway between two
@@ -44,23 +47,21 @@ as the full metric does, ties (lowest index) included:
 The rows a reduction does not keep take the full metric. So do whole
 tables: the symmetry and the grid are checked on the table's own values,
 so PSK, whose rounded points are not exactly mirror-symmetric, and C = 0 or
-gamma = 0, which make every a_k zero, keep the full metric, as do tables
-of four references and single vectors (ml_detect, so_detect), where it is
-the cheapest.
+gamma = 0, which make every a_k zero, keep the full metric, as do single
+vectors (ml_detect, so_detect, ML's included), where it is the cheapest.
 
 The Monte Carlo estimator draws those two statistics, not N-antenna
 vectors: given s_m, z ~ CN(a_m ||h||^2, sigma_m^2 ||h||^2) and,
 independently, ||y_perp||^2 ~ sigma_m^2 Gamma(N - 1). Each batch of 8192
 symbols has its own generator, SeedSequence(seed, spawn_key=(b,)), and
 draws in a fixed order: the symbol indices, then the real and the
-imaginary parts of z's noise (one (2, n) normal block), then, if any point
-is ML, the n gamma variates. None of these depends on (gamma, C) or on the
-rule, so one call estimates any number of points from one set of draws
-per batch: each point synthesises z = a[m] ||h||^2 + sqrt(sigma_m^2
-||h||^2 / 2) (n0 + j n1) and ||y_perp||^2 = sigma_m^2 Gamma from them, and
-the rules at one (gamma, C) share that synthesis. A point's values, and so
-its estimate, are those of its one-point call, bit for bit, and results
-are bit-identical for any thread count.
+imaginary parts of z's noise (one (2, n) normal block), then, if a table
+keeps ML weights, the n gamma variates. None of these depends on
+(gamma, C) or on the rule, so one set of draws per batch serves every
+point of a call: each synthesises z = a[m] ||h||^2 + sqrt(sigma_m^2
+||h||^2 / 2) (n0 + j n1) and ||y_perp||^2 = sigma_m^2 Gamma from them,
+once per (gamma, C), where equal tables share one decision. A point's
+estimate is its one-point call's, bit for bit, for any thread count.
 """
 
 import enum
@@ -89,9 +90,6 @@ __all__ = [
 
 _BATCH = 8192  # fixed batch size; part of the determinism contract
 _BLOCK_TERMS = 1 << 15  # metric entries per block: keeps it cache-sized
-# smallest table that is sliced or folded: on four references the full
-# metric costs no more than the slicer and less than the fold
-_MIN_REDUCED = 8
 
 
 class DetectorKind(enum.Enum):
@@ -165,11 +163,11 @@ def _tables(estimate: ChannelEstimate, acf_value: float, snr_linear: float,
 
 
 def _reduced(tab: _Tables) -> _Tables:
-    """`tab` with the slicer and fold data its references admit. Built once
-    per Monte Carlo call, whose batches repay it; single vectors take the
-    full metric, which is cheaper for them."""
-    if tab.a.size < _MIN_REDUCED:
-        return tab
+    """`tab` with the slicer and fold data its references admit, made SO's
+    if it is ML with one offset and one weight. Built once per Monte Carlo
+    call, whose batches repay it; single vectors take the full table."""
+    if tab.inv is not None and np.ptp(tab.off) == np.ptp(tab.inv) == 0.0:
+        tab = tab._replace(off=None, inv=None)
     return tab._replace(grid=_grid_of(tab.a),
                         fold=_fold_of(tab.a, tab.off, tab.inv))
 
@@ -200,14 +198,14 @@ def _grid_of(a: np.ndarray) -> _Grid | None:
 
 def _fold_of(a: np.ndarray, off: np.ndarray | None,
              inv: np.ndarray | None) -> _Fold | None:
-    """Fold data when the references are distinct, every one lies strictly
-    inside a quadrant, and their mirror images across the axes are
-    references with bit-equal coordinates, offsets and weights; else None.
-    Plain Python, as in _grid_of."""
+    """Fold data when the distinct references lie strictly inside the
+    quadrants, two or more in each, with mirror images across the axes that
+    are references of bit-equal coordinates, offsets and weights; else
+    None. Plain Python, as in _grid_of."""
     pts = a.tolist()
     at = {(p.real, p.imag): k for k, p in enumerate(pts)}
     q = [k for k, p in enumerate(pts) if p.real > 0.0 and p.imag > 0.0]
-    if not q or 4 * len(q) != len(pts) or len(at) != len(pts):
+    if len(q) < 2 or 4 * len(q) != len(pts) or len(at) != len(pts):
         return None
     index = [at.get((sr * pts[k].real, si * pts[k].imag))
              for sr, si in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
@@ -316,8 +314,7 @@ def _decide(z: np.ndarray, perp, norm_sq: float, tab: _Tables,
     if inv is None and tab.grid is not None:
         exact = _slice(ur, ui, tab.grid, out, scratch)
     elif tab.fold is not None:
-        exact = _fold(ur, ui, perp, norm_sq, tab.fold, inv is not None, out,
-                      scratch)
+        exact = _fold(ur, ui, perp, norm_sq, tab.fold, out, scratch)
     else:
         _argmin(ur, ui, perp, norm_sq, a.real, a.imag, off, inv, out,
                 scratch)
@@ -440,12 +437,11 @@ def _slice(ur: np.ndarray, ui: np.ndarray, grid: _Grid, out: np.ndarray,
 
 
 def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
-          ml: bool, out: np.ndarray, scratch) -> np.ndarray:
+          out: np.ndarray, scratch) -> np.ndarray:
     """Decisions from the metric of (|Re u|, |Im u|) against the
     first-quadrant references, mapped back into u's quadrant, into `out`;
     returns the mask of the rows this decides exactly."""
-    n, m4 = ur.size, fold.ar.size
-    off, inv = (fold.off, fold.inv) if ml else (None, None)
+    n, m4, off, inv = ur.size, fold.ar.size, fold.off, fold.inv
     # the normal block and the point's w are spent; _argmin takes "scale"
     fr, fi = scratch.get("noise", (2, n))
     np.abs(ur, out=fr)
@@ -472,7 +468,7 @@ def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
     np.add(qr, di, out=qr)
     np.add(dr, qi, out=qi)
     across = np.minimum(qr, qi, out=qr)
-    if ml:
+    if inv is not None:
         across *= norm_sq
         across += perp
         across *= np.take(inv, out, out=fr, mode="clip")
@@ -490,9 +486,11 @@ def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
     return exact
 
 
-def _check_acf(acf_value: float) -> None:
+def _check_point(acf_value: float, snr_linear: float) -> None:
     if not 0.0 <= acf_value <= 1.0:
         raise ValueError("acf_value must lie in [0, 1]")
+    if snr_linear < 0.0:
+        raise ValueError(f"snr_linear must be non-negative, got {snr_linear}")
 
 
 def _detect_one(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
@@ -505,7 +503,7 @@ def _detect_one(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
         raise ValueError(f"y has {y.size} entries; the channel estimate has "
                          f"{h.size}")
     require_finite(y=y, snr_linear=snr_linear)
-    _check_acf(acf_value)
+    _check_point(acf_value, snr_linear)
     z = np.vdot(h, y)
     perp = None  # SO ignores it
     if detector is DetectorKind.ML:
@@ -532,7 +530,7 @@ class _Draws(NamedTuple):
 
     tx: np.ndarray  # (n,) symbol indices
     noise: np.ndarray  # (n,) unit complex noise n0 + j n1 of z
-    gamma: np.ndarray | None  # (n,) Gamma(N - 1) variates; None without ML
+    gamma: np.ndarray | None  # (n,) Gamma(N - 1) variates, or None
 
 
 def _draw(rng: np.random.Generator, n: int, order: int, n_rx: int,
@@ -540,9 +538,9 @@ def _draw(rng: np.random.Generator, n: int, order: int, n_rx: int,
           scratch: _Scratch | _Fresh | None = None) -> _Draws:
     """The raw draws of n transmissions, in the draw order of the
     determinism contract: symbol indices, one (2, n) normal block, then the
-    gamma variates (only if with_gamma). None of them depends on (gamma, C)
-    or on the rule. With a `scratch`, the noise and gamma variates are its
-    buffers."""
+    gamma variates (only if with_gamma), last, so that they move no other
+    draw. None of them depends on (gamma, C) or on the rule. With a `scratch`, the
+    noise and gamma variates are its buffers."""
     if scratch is None:
         scratch = _FRESH
     tx = rng.integers(0, order, size=n)
@@ -588,9 +586,9 @@ def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
     """Simulate one batch at every point of a call; return the bit-error
     count of each table of `groups`, in order.
 
-    Each group holds the tables of the rules evaluated at one (gamma, C),
-    which share a and sigma^2: the group synthesises its statistics once,
-    and each of its tables decides on them. The generator is derived from
+    Each group holds the distinct tables evaluated at one (gamma, C), which
+    share a and sigma^2: the group synthesises its statistics once, and
+    each of its tables decides on them. The generator is derived from
     (seed, batch_index) alone, so the counts are independent of which
     thread runs the batch. The work arrays are the calling thread's
     scratch buffers.
@@ -598,7 +596,7 @@ def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
     scratch = _thread_scratch()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-    # a group needs ||y_perp||^2 when one of its rules is ML
+    # a group needs ||y_perp||^2 when one of its tables keeps ML weights
     perps = [any(tab.inv is not None for tab in group) for group in groups]
     draws = _draw(rng, n_batch, c.order, estimate.h.size, any(perps),
                   scratch)
@@ -628,15 +626,16 @@ def monte_carlo_bep(estimate: ChannelEstimate, acf_value, snr_linear,
     produces through an independently evolved channel and noise, then
     detects. Bit errors are counted against the Gray labels.
 
-    `acf_value`, `snr_linear` and `detector` (a DetectorKind, or an array
-    of them) broadcast against one another, and each entry of the result
-    is one point. With all three scalar the result is one BepEstimate;
-    otherwise it is a list of BepEstimates, one per point, in C order.
-    Every batch draws its symbols, noise and (if any point is ML) gamma
+    `acf_value`, `snr_linear` and `detector` (a DetectorKind or its value,
+    or an array of them) broadcast against one another, and each entry of
+    the result is one point. With all three scalar the result is one
+    BepEstimate; otherwise it is a list of BepEstimates, one per point, in
+    C order. Every batch draws its symbols, noise and (see _reduced) gamma
     variates once, and every point synthesises its statistics from them,
     so each point's estimate equals, to the bit, that of its one-point
     call. Results depend only on (seed, n_symbols), never on `threads`.
-    Raises ValueError for a non-finite SNR or an ACF outside [0, 1].
+    Raises ValueError for a non-finite or negative SNR, an ACF outside
+    [0, 1] or an unknown detector.
     """
     acf, snr, kinds = np.broadcast_arrays(
         np.asarray(acf_value, dtype=np.float64),
@@ -647,21 +646,21 @@ def monte_carlo_bep(estimate: ChannelEstimate, acf_value, snr_linear,
         raise ValueError("n_symbols must be at least 1")
     # Python floats, as a one-point caller passes them, so that the tables'
     # scalar arithmetic is Python's
-    points = list(zip(acf.ravel().tolist(), snr.ravel().tolist(),
-                      kinds.ravel().tolist()))
-    for a, _, _ in points:
-        _check_acf(a)
+    points = [(a, g, DetectorKind(kind)) for a, g, kind in zip(
+        acf.ravel().tolist(), snr.ravel().tolist(), kinds.ravel().tolist())]
     if not points:
         return []
-    tables = [_reduced(_tables(estimate, a, g, c, kind))
-              for a, g, kind in points]
-    # the points' positions grouped by (C, gamma), in order of first use
+    # (C, gamma) -> {keeps ML weights: (its table, its points' positions)}
     shared = {}
-    for i, (a, g, _) in enumerate(points):
-        shared.setdefault((a, g), []).append(i)
-    groups = tuple(tuple(tables[i] for i in members)
-                   for members in shared.values())
-    slots = [i for members in shared.values() for i in members]
+    for i, (a, g, kind) in enumerate(points):
+        _check_point(a, g)
+        tab = _reduced(_tables(estimate, a, g, c, kind))
+        shared.setdefault((a, g), {}).setdefault(tab.inv is not None,
+                                                 (tab, []))[1].append(i)
+    groups = tuple(tuple(tab for tab, _ in group.values())
+                   for group in shared.values())
+    slots = [members for group in shared.values()
+             for _, members in group.values()]
     sizes = [_BATCH] * (n_symbols // _BATCH)
     if n_symbols % _BATCH:
         sizes.append(n_symbols % _BATCH)
@@ -676,9 +675,10 @@ def monte_carlo_bep(estimate: ChannelEstimate, acf_value, snr_linear,
 
     bits = n_symbols * c.bits_per_symbol
     out = [None] * len(points)
-    for slot, errors in zip(slots, zip(*counts)):
+    for members, errors in zip(slots, zip(*counts)):
         errors = sum(errors)
         bep = errors / bits
         std_error = float(np.sqrt(bep * (1.0 - bep) / bits))
-        out[slot] = BepEstimate(bep, errors, bits, std_error)
+        for slot in members:
+            out[slot] = BepEstimate(bep, errors, bits, std_error)
     return out[0] if acf.ndim == 0 else out

@@ -117,6 +117,7 @@ class TestDecisionRules:
             assume(second - best > 1e-9 * max(abs(best), abs(second)))
             assert rule(y, est, acf, gamma, c) == int(np.argmin(metric))
 
+    @pytest.mark.filterwarnings("error")
     def test_single_vector_input_guards(self, estimate):
         c = constellation_for("qam", 16)
         y = np.ones(estimate.h.size)
@@ -124,6 +125,8 @@ class TestDecisionRules:
             for acf in (-0.1, 1.0001, np.nan):
                 with pytest.raises(ValueError, match="acf_value"):
                     rule(y, estimate, acf, 10.0, c)
+            with pytest.raises(ValueError, match="snr_linear"):
+                rule(y, estimate, 0.9, -1.0, c)
             with pytest.raises(ValueError, match=f"{estimate.h.size + 1} "
                                                  "entries"):
                 rule(np.ones(estimate.h.size + 1), estimate, 0.9, 10.0, c)
@@ -139,7 +142,8 @@ def _statistics(rng, n, est, tab, with_perp):
 
 def _full_metric(z, perp, norm_sq, tab):
     """The oracle of every reduced path: the (n, M) metric over all M
-    references, one row per symbol, and its argmin (ties: lowest)."""
+    references, one row per symbol, whose argmin (ties: lowest) is the
+    decision."""
     u = z / norm_sq
     metric = u.real[:, None] - tab.a.real
     metric *= metric
@@ -151,7 +155,7 @@ def _full_metric(z, perp, norm_sq, tab):
         metric += perp[:, None]
         metric *= tab.inv
         metric += tab.off
-    return metric.argmin(axis=1)
+    return metric
 
 
 def _edge_rows(tab, norm_sq):
@@ -177,13 +181,16 @@ def _edge_rows(tab, norm_sq):
 class TestReducedDetection:
     """Slicing and folding decide exactly as the full metric does."""
 
-    @pytest.mark.parametrize("order", [8, 16, 32, 64])
+    @pytest.mark.parametrize("order", [4, 8, 16, 32, 64])
     def test_qam_tables_are_reduced(self, estimate, order):
+        # 4-QAM is one point per quadrant: its tables are SO's, sliced
         c = constellation_for("qam", order)
         for kind in DetectorKind:
             tab = detectors._reduced(
                 detectors._tables(estimate, 0.9, 10.0, c, kind))
-            assert tab.fold is not None
+            assert (tab.inv is None) == (kind is DetectorKind.SO
+                                         or order == 4)
+            assert (tab.fold is None) == (order == 4)
             assert (tab.grid is None) == (order == 32)
             # C = 0 makes every reference zero: nothing to slice or fold
             tab = detectors._reduced(
@@ -191,15 +198,53 @@ class TestReducedDetection:
             assert tab.grid is None and tab.fold is None
 
     @pytest.mark.parametrize("scheme,order", [("psk", o) for o in
-                                              SUPPORTED_ORDERS]
-                             + [("qam", 4)])
+                                              SUPPORTED_ORDERS])
     def test_other_tables_keep_the_full_metric(self, estimate, scheme,
                                                order):
+        # the full SO metric: the ML tables of PSK are SO's
         c = constellation_for(scheme, order)
         for kind in DetectorKind:
             tab = detectors._reduced(
                 detectors._tables(estimate, 0.9, 10.0, c, kind))
             assert tab.grid is None and tab.fold is None
+            assert tab.off is None and tab.inv is None
+
+    @given(scheme_order=st.sampled_from([("psk", o) for o in SUPPORTED_ORDERS]
+                                        + [("qam", 4)]),
+           n_rx=st.integers(1, 16),
+           acf=st.floats(0.0, 1.0),
+           gamma=st.floats(0.0, 1.0) | st.floats(1.0, 1e3),
+           n=st.integers(1, 700),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(scheme_order=("psk", 64), n_rx=16, acf=2.220446049250313e-16,
+             gamma=0.5, n=700, seed=0)  # rounding ties the full ML metric
+    @settings(max_examples=200, deadline=None)
+    def test_constant_modulus_ml_decides_as_so(self, scheme_order, n_rx, acf,
+                                               gamma, n, seed):
+        # every sigma_k^2 is equal, so the ML metric is a monotone map of
+        # SO's, and the reduced ML table is the SO table. Its decision
+        # attains the full ML metric's minimum on every row, so it is the
+        # full ML decision wherever that minimum is unique; a tie, which
+        # rounding makes where gamma C^2 is tiny, may break either way
+        c = constellation_for(*scheme_order)
+        rng = np.random.default_rng(seed)
+        est = ChannelEstimate(rng.standard_normal(n_rx)
+                              + 1j * rng.standard_normal(n_rx), 1e-3)
+        ml = detectors._tables(est, acf, gamma, c, DetectorKind.ML)
+        shared = detectors._reduced(ml)
+        so = detectors._reduced(detectors._tables(est, acf, gamma, c,
+                                                  DetectorKind.SO))
+        assert shared.off is None and shared.inv is None
+        assert np.array_equal(shared.a, so.a) and shared.grid == so.grid
+        _, z, perp = _statistics(rng, n, est, ml, True)
+        want = detectors._decide(z, perp, est.norm_sq, ml)
+        got = detectors._decide(z, None, est.norm_sq, shared,
+                                detectors._Scratch())
+        metric = _full_metric(z, perp, est.norm_sq, ml)
+        low = metric.min(axis=1)
+        assert np.array_equal(metric[np.arange(z.size), got], low)
+        unique = (metric == low[:, None]).sum(axis=1) == 1
+        assert np.array_equal(got[unique], want[unique])
 
     @given(scheme_order=st.sampled_from(
                [(s, o) for s in ("psk", "qam") for o in SUPPORTED_ORDERS]),
@@ -236,7 +281,7 @@ class TestReducedDetection:
             perp = np.concatenate([perp, rng.exponential(n_rx, edge.size)])
             if kind is DetectorKind.SO:
                 perp = None
-            want = _full_metric(z, perp, est.norm_sq, tab)
+            want = _full_metric(z, perp, est.norm_sq, tab).argmin(axis=1)
             got = detectors._decide(z, perp, est.norm_sq, tab)
             assert got.tolist() == want.tolist()
             got = detectors._decide(z, perp, est.norm_sq, tab,
@@ -258,7 +303,7 @@ class TestReducedDetection:
             perp = np.full(z.size, 1.5)
             if kind is DetectorKind.SO:
                 perp = None
-            want = _full_metric(z, perp, est.norm_sq, tab)
+            want = _full_metric(z, perp, est.norm_sq, tab).argmin(axis=1)
             assert detectors._decide(z, perp, est.norm_sq,
                                      tab).tolist() == want.tolist()
             if kind is DetectorKind.SO and (acf == 0.0 or scheme == "qam"):
@@ -565,6 +610,7 @@ class TestMonteCarlo:
         assert monte_carlo_bep(estimate, [], 5.0, c, DetectorKind.SO, 300,
                                seed=4) == []
 
+    @pytest.mark.filterwarnings("error")
     def test_input_validation(self, estimate):
         c = constellation_for("psk", 4)
         with pytest.raises(ValueError):
@@ -579,3 +625,61 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="snr_linear"):
             monte_carlo_bep(estimate, 0.9, [1.0, np.inf], c, DetectorKind.SO,
                             100, seed=1)
+        # a negative SNR would make NaN tables and a BEP of about 0.5
+        with pytest.raises(ValueError, match="snr_linear"):
+            monte_carlo_bep(estimate, 0.9, [1.0, -1e-3], c, DetectorKind.ML,
+                            100, seed=1)
+        with pytest.raises(ValueError, match="bogus"):
+            monte_carlo_bep(estimate, 0.9, 1.0, c, ["so", "bogus"], 100,
+                            seed=1)
+
+    def test_detector_values_name_the_rules(self, estimate):
+        # "ml" and "so" select their rules; on 16-QAM the two differ
+        c = constellation_for("qam", 16)
+        want = monte_carlo_bep(estimate, 0.8, 3.0, c,
+                               [DetectorKind.ML, DetectorKind.SO], 3000,
+                               seed=2)
+        assert want[0] != want[1]
+        assert monte_carlo_bep(estimate, 0.8, 3.0, c, ["ml", "so"], 3000,
+                               seed=2) == want
+        assert monte_carlo_bep(estimate, 0.8, 3.0, c, "so", 3000,
+                               seed=2) == want[1]
+
+    def test_constant_modulus_calls_draw_no_gamma(self, estimate,
+                                                  monkeypatch):
+        # a call whose tables all drop their ML weights draws no gamma
+        # variates, its indices and noise are bytewise those of a call that
+        # draws them, and ML and SO at one (gamma, C) decide once per batch
+        draw, decide, draws, decisions = (detectors._draw, detectors._decide,
+                                          [], [])
+
+        def recording_draw(rng, n, order, n_rx, with_gamma, scratch=None):
+            out = draw(rng, n, order, n_rx, with_gamma, scratch)
+            draws.append((with_gamma, out.tx.copy(), out.noise.copy()))
+            return out
+
+        def recording_decide(*args):
+            decisions.append(args[3])
+            return decide(*args)
+
+        monkeypatch.setattr(detectors, "_draw", recording_draw)
+        monkeypatch.setattr(detectors, "_decide", recording_decide)
+        n, kinds = 2 * 8192 + 100, [[DetectorKind.ML], [DetectorKind.SO]]
+        for scheme, order in (("psk", 4), ("psk", 8), ("qam", 4),
+                              ("qam", 16)):
+            c = constellation_for(scheme, order)
+            draws.clear()
+            decisions.clear()
+            out = monte_carlo_bep(estimate, [0.95, 0.8], 30.0, c, kinds, n,
+                                  seed=8)
+            with_gamma = order == 16  # 16-QAM ML keeps its weights
+            assert [d[0] for d in draws] == [with_gamma] * 3
+            assert len(decisions) == 3 * (4 if with_gamma else 2)
+            for b, (_, tx, noise) in enumerate(draws):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=8, spawn_key=(b,)))
+                full = draw(rng, tx.size, order, estimate.h.size, True)
+                assert full.tx.tobytes() == tx.tobytes()
+                assert full.noise.tobytes() == noise.tobytes()
+            if not with_gamma:
+                assert out[:2] == out[2:]
