@@ -8,9 +8,11 @@ Run from anywhere; the program is imported from `src/` of the checkout that
 holds this script. It runs `adapt`, `power` and `rate-opt` on case1 and
 case2 for both schemes, one PSK `bep-curve` with both Monte Carlo
 detectors, one QAM `bep-curve` over every QAM order, which pins the QAM
-constellations end to end through detection, and a QPSK and a 4-QAM
+constellations end to end through detection, a QPSK and a 4-QAM
 `bep-curve` at stale CSI, where ML and SO share their decisions and no
-gamma variates are drawn, each on a fixed config and seed. Every CSV is a
+gamma variates are drawn, and a 16- and 64-QAM `bep-curve` at stale CSI,
+whose full batches ML decides on the octant fold, each on a fixed config
+and seed. Every CSV is a
 pure function of (config, seed), so two checkouts, or two `--threads`
 values, that print the same combined digest wrote the same bytes. The
 `.meta.json` sidecars are left out: they record the package version, which
@@ -57,6 +59,9 @@ def invocations() -> list:
         out.append((f"bep-curve-case1-{scheme}4-stale", "bep-curve",
                     {"fixture": "case1", "scheme": scheme,
                      **STALE_BEP_CURVE}))
+    out.append(("bep-curve-case1-qam16-64-stale", "bep-curve",
+                {"fixture": "case1", "scheme": "qam", **STALE_BEP_CURVE,
+                 "orders": "16 64"}))
     return out
 
 

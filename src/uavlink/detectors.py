@@ -33,16 +33,16 @@ as the full metric does, ties (lowest index) included:
   boundary exceeds 0.5e-9 level spacings times 1 + its squared distance to
   the chosen point (both in spacings).
 - Folding, for ML on QAM and SO on the 32-QAM cross. The QAM tables are
-  exactly sign-symmetric: a_k = sqrt(gamma) C s_k of the integer-built
-  points negates exactly, and sigma_k^2 depends on |s_k|^2 alone. So the
-  metric of (|Re u|, |Im u|) against a first-quadrant reference equals, bit
-  for bit, that of u against the reference's mirror image in u's quadrant,
-  and since rounding is monotone, no reference in another quadrant scores
-  below its first-quadrant image. The metric runs on the M/4 first-quadrant
-  references and the winner is mapped into u's quadrant. A row keeps the
-  fold only when the first-quadrant minimum is unique and both mirror
-  images of the winner across one axis score strictly worse, which also
-  sends every u on an axis to the full metric.
+  exactly sign-symmetric (a_k = sqrt(gamma) C s_k of the integer-built
+  points negates exactly, and sigma_k^2 depends on |s_k|^2 alone), and
+  the square grids and the cross are symmetric under swapping Re and Im
+  too. The metric runs on the references on or below the first quadrant's
+  diagonal (3 of 16 on 16-QAM, 10 of 64 on 64-QAM; 8-QAM, which is not
+  transpose-symmetric, on its first quadrant) against u folded into that
+  octant, which is bit-exact, and the winner is mapped back into u's
+  octant. One margin test certifies the winner against every other
+  reference (see _fold); it sends every u on an axis, and with the swap
+  every u on a diagonal, to the full metric.
 
 The rows a reduction does not keep take the full metric. So do whole
 tables: the symmetry and the grid are checked on the table's own values,
@@ -90,6 +90,8 @@ __all__ = [
 
 _BATCH = 8192  # fixed batch size; part of the determinism contract
 _BLOCK_TERMS = 1 << 15  # metric entries per block: keeps it cache-sized
+# views a _Scratch keeps: bounds them where batch sizes vary call by call
+_MAX_VIEWS = 256
 
 
 class DetectorKind(enum.Enum):
@@ -131,15 +133,43 @@ class _Grid(NamedTuple):
 
 
 class _Fold(NamedTuple):
-    """Quadrant-fold data for a table that is exactly sign-symmetric."""
+    """Fold data for a table that is exactly symmetric under sign flips
+    and, where `swap`, under swapping Re and Im; see _fold."""
 
-    ar: np.ndarray  # (M/4,) real parts of the first-quadrant references
-    ai: np.ndarray  # (M/4,) their imaginary parts
-    off: np.ndarray | None  # (M/4,) their metric offsets; None for SO
-    inv: np.ndarray | None  # (M/4,) their metric weights; None for SO
-    # (M,) the reference that first-quadrant reference j becomes in quadrant
-    # s = [Re < 0] + 2 [Im < 0], at s M/4 + j
+    lr: np.ndarray  # (Lr, 1) the real levels of the folded references
+    li: np.ndarray  # (Li, 1) their imaginary levels
+    # (j, lo, hi): the folded references lr[lo:hi] + j li[j], in order
+    runs: tuple
+    # (m, S): at [j, s], the reference that folded reference j becomes
+    # under u's symmetry s = [Re u < 0] + 2 [Im u < 0], + 4 [|Re u| <
+    # |Im u|] where swap
     index: np.ndarray
+    swap: bool
+    gap: float  # the margin bound's weight on x - y (swap) or on x
+    low: float  # its weight on y
+    off: np.ndarray | None = None  # (m,) metric offsets; None for SO
+    inv: np.ndarray | None = None  # (m,) metric weights; None for SO
+    w_min: float = 1.0  # the smallest metric weight
+
+    @property
+    def size(self) -> int:
+        return self.index.shape[0]
+
+    def squares(self, x: np.ndarray, y: np.ndarray, metric: np.ndarray,
+                scratch) -> None:
+        """|(x, y) - a_k|^2 into line k of `metric`, from per-axis level
+        terms: (x - l)^2 per real and (y - l)^2 per imaginary level, then
+        one addition per reference."""
+        terms = scratch.get("im", (self.lr.size + self.li.size, x.size))
+        dx, dy = terms[:self.lr.size], terms[self.lr.size:]
+        np.subtract(x, self.lr, out=dx)
+        dx *= dx
+        np.subtract(y, self.li, out=dy)
+        dy *= dy
+        row = 0
+        for j, lo, hi in self.runs:
+            np.add(dx[lo:hi], dy[j], out=metric[row:row + hi - lo])
+            row += hi - lo
 
 
 class _Tables(NamedTuple):
@@ -149,6 +179,20 @@ class _Tables(NamedTuple):
     inv: np.ndarray | None  # (M,) metric weights; None for SO (one)
     grid: _Grid | None = None  # see _reduced
     fold: _Fold | None = None  # see _reduced
+
+    @property
+    def size(self) -> int:
+        return self.a.size
+
+    def squares(self, ur: np.ndarray, ui: np.ndarray, metric: np.ndarray,
+                scratch) -> None:
+        """|u - a_k|^2 into line k of `metric`."""
+        im = scratch.get("im", metric.shape)
+        np.subtract(ur, self.a.real[:, None], out=metric)
+        metric *= metric
+        np.subtract(ui, self.a.imag[:, None], out=im)
+        im *= im
+        metric += im
 
 
 def _tables(estimate: ChannelEstimate, acf_value: float, snr_linear: float,
@@ -162,27 +206,35 @@ def _tables(estimate: ChannelEstimate, acf_value: float, snr_linear: float,
     return _Tables(a, sig2, estimate.h.size * np.log(sig2), 1.0 / sig2)
 
 
-def _reduced(tab: _Tables) -> _Tables:
+def _reduced(tab: _Tables, layout: tuple | None = None) -> _Tables:
     """`tab` with the slicer and fold data its references admit, made SO's
-    if it is ML with one offset and one weight. Built once per Monte Carlo
-    call, whose batches repay it; single vectors take the full table."""
+    if it is ML with one offset and one weight. `layout` is (_grid_of,
+    _fold_of) of tab.a, which every table at one (gamma, C) shares; only
+    ML's offsets and weights are checked per table. Built once per Monte
+    Carlo call, whose batches repay it; single vectors take the full
+    table."""
     if tab.inv is not None and np.ptp(tab.off) == np.ptp(tab.inv) == 0.0:
         tab = tab._replace(off=None, inv=None)
-    return tab._replace(grid=_grid_of(tab.a),
-                        fold=_fold_of(tab.a, tab.off, tab.inv))
+    grid, fold = layout or (_grid_of(tab.a), _fold_of(tab.a))
+    if fold is not None and tab.inv is not None:
+        fold = _weighted(fold, tab.off, tab.inv)
+    return tab._replace(grid=grid, fold=fold)
 
 
 def _grid_of(a: np.ndarray) -> _Grid | None:
     """Slicer data when `a` holds each point of an evenly spaced grid once,
-    in level order, with two or more levels per axis and one spacing; else
-    None. Plain Python on at most a few dozen points: NumPy's sorting and
-    search code would fault in pages of its library for no gain."""
-    pts = a.tolist()
-    lr, li = sorted({p.real for p in pts}), sorted({p.imag for p in pts})
-    if len(lr) < 2 or len(li) < 2 or len(lr) * len(li) != len(pts):
+    in level order, with two or more levels per axis and one spacing of at
+    least 2^-400; else None. Plain Python on at most a few dozen points:
+    NumPy's sorting and search code would fault in pages of its library for
+    no gain."""
+    re, im = a.real.tolist(), a.imag.tolist()
+    lr, li = sorted(set(re)), sorted(set(im))
+    if len(lr) < 2 or len(li) < 2 or len(lr) * len(li) != len(re):
         return None
     step = lr[1] - lr[0]
-    if not math.isfinite(1.0 / step):
+    # finer, squared distances near the grid can underflow, and the full
+    # metric then ties points that the slicer tells apart
+    if step < 2.0 ** -400:
         return None
     for levels in (lr, li):
         if not all(abs(v - (levels[0] + step * i)) <= 1e-12 * step
@@ -190,40 +242,63 @@ def _grid_of(a: np.ndarray) -> _Grid | None:
             return None
     at_r = {v: i for i, v in enumerate(lr)}
     at_i = {v: j for j, v in enumerate(li)}
-    if [at_r[p.real] * len(li) + at_i[p.imag] for p in pts] != list(
-            range(len(pts))):
+    if [at_r[r] * len(li) + at_i[i] for r, i in zip(re, im)] != list(
+            range(len(re))):
         return None
     return _Grid(lr[0], li[0], 1.0 / step, len(lr), len(li))
 
 
-def _fold_of(a: np.ndarray, off: np.ndarray | None,
-             inv: np.ndarray | None) -> _Fold | None:
-    """Fold data when the distinct references lie strictly inside the
-    quadrants, two or more in each, with mirror images across the axes that
-    are references of bit-equal coordinates, offsets and weights; else
-    None. Plain Python, as in _grid_of."""
-    pts = a.tolist()
-    at = {(p.real, p.imag): k for k, p in enumerate(pts)}
-    q = [k for k, p in enumerate(pts) if p.real > 0.0 and p.imag > 0.0]
-    if len(q) < 2 or 4 * len(q) != len(pts) or len(at) != len(pts):
+def _fold_of(a: np.ndarray) -> _Fold | None:
+    """SO's fold data when the distinct references lie strictly inside the
+    quadrants, with mirror images across the axes that are references of
+    bit-equal coordinates, with transpose data when the references'
+    transposes (Re and Im swapped) are references too, and two or more
+    references folded; else None. Plain Python, as in _grid_of."""
+    pts = list(zip(a.real.tolist(), a.imag.tolist()))
+    at = {p: k for k, p in enumerate(pts)}
+    q = [(r, i) for r, i in pts if r > 0.0 and i > 0.0]
+    if 4 * len(q) != len(pts) or len(at) != len(pts):
         return None
-    index = [at.get((sr * pts[k].real, si * pts[k].imag))
-             for sr, si in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
-             for k in q]
-    if None in index:
+    swap = all((i, r) in at for r, i in q)
+    if swap:
+        q = [(r, i) for r, i in q if r >= i]
+    if len(q) < 2:
         return None
-    m4 = len(q)
-    fold_off = fold_inv = None
-    if off is not None:
-        offs, invs = off.tolist(), inv.tolist()
-        if not all(offs[k] == offs[q[i % m4]] and invs[k] == invs[q[i % m4]]
-                   for i, k in enumerate(index)):
-            return None
-        fold_off = np.array([offs[k] for k in q])
-        fold_inv = np.array([invs[k] for k in q])
-    return _Fold(np.array([pts[k].real for k in q]),
-                 np.array([pts[k].imag for k in q]), fold_off, fold_inv,
-                 np.array(index, dtype=np.int64))
+    # by imaginary, then real level, so that each imaginary level's
+    # references are runs of consecutive real levels
+    q.sort(key=lambda p: (p[1], p[0]))
+    # the images of r + j i under u's symmetries s (see _Fold.index)
+    images = [((r, i), (-r, i), (r, -i), (-r, -i),
+               (i, r), (-i, r), (i, -r), (-i, -r))[:8 if swap else 4]
+              for r, i in q]
+    index = [[at.get(p) for p in row] for row in images]
+    if any(None in row for row in index):
+        return None
+    lr, li = sorted({r for r, _ in q}), sorted({i for _, i in q})
+    at_r = {v: k for k, v in enumerate(lr)}
+    at_i = {v: j for j, v in enumerate(li)}
+    runs = []
+    for r, i in q:
+        k, j = at_r[r], at_i[i]
+        if runs and runs[-1][0] == j and runs[-1][2] == k:
+            runs[-1][2] = k + 1
+        else:
+            runs.append([j, k, k + 1])
+    gap = (2.0 * min((r - i for r, i in q if r > i), default=math.inf)
+           if swap else 4.0 * lr[0])
+    return _Fold(np.array(lr)[:, None], np.array(li)[:, None],
+                 tuple(map(tuple, runs)), np.array(index, dtype=np.int64),
+                 swap, gap, 4.0 * li[0])
+
+
+def _weighted(fold: _Fold, off: np.ndarray, inv: np.ndarray) -> _Fold | None:
+    """`fold` with ML's offsets and weights, when every image of a folded
+    reference carries its bit-equal offset and weight; else None."""
+    offs, invs = off[fold.index], inv[fold.index]
+    if not ((offs == offs[:, :1]).all() and (invs == invs[:, :1]).all()):
+        return None
+    return fold._replace(off=offs[:, 0].copy(), inv=invs[:, 0].copy(),
+                         w_min=float(invs.min()))
 
 
 class _Scratch:
@@ -239,25 +314,36 @@ class _Scratch:
     full before it is read, so no value passes from one batch, or one
     caller, to the next. A buffer is raw bytes that any dtype may take, so
     detection keeps its work arrays in buffers that are spent by then: the
-    normal block's and _synthesise's, other than z and ||y_perp||^2, and
-    the metric blocks'. The batch's complex noise, gamma variates and sent
-    labels, and a point's z and ||y_perp||^2, outlive every decision made
-    on them.
+    normal block's and _synthesise's, other than z (which then holds u)
+    and ||y_perp||^2, and the metric blocks'. The batch's complex noise,
+    gamma variates and sent labels, and a point's u and ||y_perp||^2,
+    outlive every decision made on them.
     """
 
     def __init__(self):
         self._bufs = {}
+        # (name, shape, dtype) -> its view of the current buffer; a batch
+        # asks for about a hundred, and a cached one costs a tenth as much
+        self._views = {}
 
     def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """A C-contiguous array of `shape` and `dtype` over the bytes of
         `name`'s buffer; its contents are left from the last use of
         `name`."""
-        dtype = np.dtype(dtype)
-        size = math.prod(shape) * dtype.itemsize
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size:
-            buf = self._bufs[name] = np.empty(size, dtype=np.uint8)
-        return buf[:size].view(dtype).reshape(shape)
+        key = (name, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            dtype = np.dtype(dtype)
+            size = math.prod(shape) * dtype.itemsize
+            buf = self._bufs.get(name)
+            if buf is None or buf.size < size:
+                buf = self._bufs[name] = np.empty(size, dtype=np.uint8)
+                self._views = {k: v for k, v in self._views.items()
+                               if k[0] != name}
+            if len(self._views) >= _MAX_VIEWS:
+                self._views.clear()
+            view = self._views[key] = buf[:size].view(dtype).reshape(shape)
+        return view
 
 
 class _Fresh:
@@ -289,7 +375,7 @@ def _pool(threads: int) -> ThreadPoolExecutor:
                               thread_name_prefix="uavlink-mc")
 
 
-def _decide(z: np.ndarray, perp, norm_sq: float, tab: _Tables,
+def _decide(u: np.ndarray, perp, norm_sq: float, tab: _Tables,
             scratch: _Scratch | _Fresh | None = None) -> np.ndarray:
     """Index of the metric-minimising point per symbol (ties: lowest).
 
@@ -301,29 +387,25 @@ def _decide(z: np.ndarray, perp, norm_sq: float, tab: _Tables,
     every other table, like every row a reduction cannot decide exactly,
     takes the full metric.
     With a `scratch`, the work arrays and the returned indices are its
-    buffers, and the normal block's and _synthesise's buffers other than z
+    buffers, and the normal block's and _synthesise's buffers other than u
     and ||y_perp||^2 are overwritten; without one they are fresh.
     """
     if scratch is None:
         scratch = _FRESH
-    n = z.size
-    u = np.divide(z, norm_sq, out=scratch.get("u", (n,), np.complex128))
     ur, ui = u.real, u.imag
-    out = scratch.get("decided", (n,), np.int64)
-    a, off, inv = tab.a, tab.off, tab.inv
-    if inv is None and tab.grid is not None:
+    out = scratch.get("decided", (u.size,), np.int64)
+    if tab.inv is None and tab.grid is not None:
         exact = _slice(ur, ui, tab.grid, out, scratch)
     elif tab.fold is not None:
         exact = _fold(ur, ui, perp, norm_sq, tab.fold, out, scratch)
     else:
-        _argmin(ur, ui, perp, norm_sq, a.real, a.imag, off, inv, out,
-                scratch)
+        _argmin(ur, ui, perp, norm_sq, tab, out, scratch)
         return out
     if not exact.all():
         rows = np.flatnonzero(~exact)
         full = np.empty(rows.size, dtype=np.int64)
         _argmin(ur[rows], ui[rows], None if perp is None else perp[rows],
-                norm_sq, a.real, a.imag, off, inv, full, _FRESH)
+                norm_sq, tab, full, _FRESH)
         out[rows] = full
     return out
 
@@ -337,12 +419,12 @@ def _index_weights(m: int) -> np.ndarray:
 
 
 def _argmin(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float,
-            ar: np.ndarray, ai: np.ndarray, off, inv, out: np.ndarray,
-            scratch, unique: np.ndarray | None = None) -> np.ndarray:
-    """Per row, the index of the smallest metric against the references
-    ar + j ai into `out` (ties: lowest), and into `unique` whether no other
-    reference attains it; returns the smallest metrics. ML when `inv` is
-    not None.
+            refs: _Tables | _Fold, out: np.ndarray, scratch,
+            unique: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the index of the smallest metric against the references of
+    `refs` (a table, or a fold's folded references) into `out` (ties:
+    lowest), and into `unique` whether no other reference attains it;
+    returns the smallest metrics. ML when refs.inv is not None.
 
     The metric is laid out (M, rows), one reference per line, so every
     operation runs along the rows, where an argmin along the references
@@ -351,31 +433,25 @@ def _argmin(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float,
     number of references attaining it from one product of the indicator of
     the minimum with (index, 1) per reference, exact in floating point.
     """
-    n, m = ur.size, ar.size
+    n, m, off, inv = ur.size, refs.size, refs.off, refs.inv
     step = max(1, _BLOCK_TERMS // m)
-    ar, ai = ar[:, None], ai[:, None]
     if inv is not None:
         off, inv = off[:, None], inv[:, None]
     low = scratch.get("scale", (n,))  # _synthesise's scale is spent
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         metric = scratch.get("metric", (m, hi - lo))
-        im = scratch.get("im", (m, hi - lo))
-        np.subtract(ur[lo:hi], ar, out=metric)
-        metric *= metric
-        np.subtract(ui[lo:hi], ai, out=im)
-        im *= im
-        metric += im
+        refs.squares(ur[lo:hi], ui[lo:hi], metric, scratch)
         if inv is not None:
             metric *= norm_sq
             metric += perp[lo:hi]
             metric *= inv
             metric += off
         np.minimum.reduce(metric, axis=0, out=low[lo:hi])
-        hit = np.equal(metric, low[lo:hi], out=im)
+        hit = np.equal(metric, low[lo:hi],
+                       out=scratch.get("im", (m, hi - lo)))
         # the metric is spent: its first two lines take the products
-        at, count = np.einsum("ij,jk->ik", _index_weights(m), hit,
-                              out=metric[:2])
+        at, count = np.matmul(_index_weights(m), hit, out=metric[:2])
         np.copyto(out[lo:hi], at, casting="unsafe")
         if unique is not None:
             np.equal(count, 1.0, out=unique[lo:hi])
@@ -436,52 +512,85 @@ def _slice(ur: np.ndarray, ui: np.ndarray, grid: _Grid, out: np.ndarray,
     return exact
 
 
+# A folded row is exact when the bound derived in _fold exceeds this factor
+# times the row's metric, plus _UNDERFLOW (1 + ||h||^2): both far above the
+# rounding errors they cover
+_FOLD_MARGIN = 1e-9
+_UNDERFLOW = 2.0 ** -1000
+
+
+# a bound that overflows is still a bound; a NaN one (inf - inf on an
+# infinite row) fails the margin
+@np.errstate(over="ignore", invalid="ignore")
 def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
           out: np.ndarray, scratch) -> np.ndarray:
-    """Decisions from the metric of (|Re u|, |Im u|) against the
-    first-quadrant references, mapped back into u's quadrant, into `out`;
-    returns the mask of the rows this decides exactly."""
-    n, m4, off, inv = ur.size, fold.ar.size, fold.off, fold.inv
-    # the normal block and the point's w are spent; _argmin takes "scale"
-    fr, fi = scratch.get("noise", (2, n))
-    np.abs(ur, out=fr)
-    np.abs(ui, out=fi)
+    """Decisions from the metric of the folded u against the folded
+    references, mapped back by u's symmetry, into `out`; returns the mask
+    of the rows this decides exactly.
+
+    u folds to (x, y) = (|Re u|, |Im u|), and with `swap` to their (max,
+    min); the folded references are the first-quadrant ones, and with
+    `swap` those of them on or below the diagonal, p >= q for a reference
+    p + j q. Against a folded reference, the metric of (x, y) is, bit for
+    bit, u's against that reference's image under u's symmetry, so the
+    folded minimum is the minimum over those images. Every other reference
+    is another image (+-p, +-q) or (+-q, +-p) of a folded p + j q, and its
+    exact squared distance exceeds (x - p)^2 + (y - q)^2 by a sum of
+    non-negative terms: 4 x p or 4 y q per sign flip, 2 (x - y)(p - q) for
+    a swap. With x >= y and p >= q each term is at least `low` y = 4 l y
+    or `gap` (x - y) = 2 D (x - y), l the smallest folded imaginary level
+    and D the smallest p - q > 0 (a reference on the diagonal is its own
+    transpose); without `swap`, at least `low` y or `gap` x = 4 l' x, l'
+    the smallest folded real level. All images of one reference share its
+    offset and weight, so such an image's exact metric exceeds the folded
+    one's by at least that bound times ||h||^2 w_min (SO, whose metric is
+    the squared distance: times 1). A rounded metric sums non-negative
+    terms, so it lies within a few rounding units (2^-53) of its exact
+    value, relative, plus at most a few 2^-1074 (1 + ||h||^2) where a term
+    underflows. So where the folded minimum is unique and the bound exceeds
+    _FOLD_MARGIN times that minimum plus _UNDERFLOW (1 + ||h||^2), every
+    image of every reference rounds to a metric above the winner's, and the
+    fold decides as the full metric does; every other row takes the full
+    metric.
+    """
+    n, swap = ur.size, fold.swap
+    ax, ay = scratch.get("noise", (2, n))  # the normal block is spent
+    np.abs(ur, out=ax)
+    np.abs(ui, out=ay)
+    x, y = ax, ay
+    if swap:
+        x, y = scratch.get("w", (2, n))  # _synthesise's w is spent
+        np.maximum(ax, ay, out=x)
+        np.minimum(ax, ay, out=y)
     exact = scratch.get("sig2", (n,), np.bool_)
-    own = _argmin(fr, fi, perp, norm_sq, fold.ar, fold.ai, off, inv, out,
-                  scratch, exact)
-    # the smaller metric of the winner's two mirror images across one axis,
-    # in the operation order of _argmin: the rest of the metric after the
-    # sum of squares is monotone, so it keeps the smaller one smaller. The
-    # work arrays reuse the buffers of _argmin's metric blocks.
-    qr, dr = scratch.get("metric", (2, n))
-    qi, di = scratch.get("im", (2, n))
-    np.take(fold.ar, out, out=qr, mode="clip")
-    np.take(fold.ai, out, out=qi, mode="clip")
-    np.subtract(fr, qr, out=dr)
-    dr *= dr
-    np.add(fr, qr, out=qr)
-    qr *= qr
-    np.subtract(fi, qi, out=di)
-    di *= di
-    np.add(fi, qi, out=qi)
-    qi *= qi
-    np.add(qr, di, out=qr)
-    np.add(dr, qi, out=qi)
-    across = np.minimum(qr, qi, out=qr)
-    if inv is not None:
-        across *= norm_sq
-        across += perp
-        across *= np.take(inv, out, out=fr, mode="clip")
-        across += np.take(off, out, out=fi, mode="clip")
-    sign = scratch.get("w", (n,), np.bool_)
-    exact &= np.greater(across, own, out=sign)
-    # the winner's entry in fold.index: (2 [Im < 0] + [Re < 0]) M/4 + j
-    at = fr.view(np.int64)  # fr is spent
-    np.copyto(at, np.signbit(ui, out=sign))
-    at += at
-    np.add(at, np.signbit(ur, out=sign), out=at)
-    at *= m4
-    at += out
+    own = _argmin(x, y, perp, norm_sq, fold, out, scratch, exact)
+    # the margin test, in the spent buffers of _argmin's metric blocks
+    bound, t = scratch.get("metric", (2, n))
+    weight = 1.0 if fold.inv is None else norm_sq * fold.w_min
+    if swap:
+        np.subtract(x, y, out=bound)
+        bound *= fold.gap * weight
+    else:
+        np.multiply(x, fold.gap * weight, out=bound)
+    np.multiply(y, fold.low * weight, out=t)
+    np.minimum(bound, t, out=bound)
+    np.multiply(own, _FOLD_MARGIN, out=t)
+    t += _UNDERFLOW * (1.0 + norm_sq)
+    code, flag = scratch.get("code", (2, n), np.int8)
+    flag = flag.view(np.bool_)
+    exact &= np.greater(bound, t, out=flag)
+    # u's symmetry, from its highest bit down
+    if swap:
+        np.less(ax, ay, out=code.view(np.bool_))
+        code += code
+        code += np.signbit(ui, out=flag)
+    else:
+        np.signbit(ui, out=code.view(np.bool_))
+    code += code
+    code += np.signbit(ur, out=flag)
+    at = ax.view(np.int64)  # ax is spent
+    np.multiply(out, fold.index.shape[1], out=at)
+    at += code
     np.take(fold.index, at, out=out, mode="clip")
     return exact
 
@@ -510,7 +619,8 @@ def _detect_one(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
         y_perp = y - (z / norm_sq) * h
         perp = np.array([np.vdot(y_perp, y_perp).real])
     tab = _tables(estimate, acf_value, snr_linear, c, detector)
-    return int(_decide(np.array([z]), perp, norm_sq, tab)[0])
+    return int(_decide(np.divide(np.array([z]), norm_sq), perp, norm_sq,
+                       tab)[0])
 
 
 def ml_detect(y: np.ndarray, estimate: ChannelEstimate, acf_value: float,
@@ -587,11 +697,11 @@ def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
     count of each table of `groups`, in order.
 
     Each group holds the distinct tables evaluated at one (gamma, C), which
-    share a and sigma^2: the group synthesises its statistics once, and
-    each of its tables decides on them. The generator is derived from
-    (seed, batch_index) alone, so the counts are independent of which
-    thread runs the batch. The work arrays are the calling thread's
-    scratch buffers.
+    share a and sigma^2: the group synthesises its statistics and forms
+    u = z/||h||^2 once, and each of its tables decides on them. The
+    generator is derived from (seed, batch_index) alone, so the counts are
+    independent of which thread runs the batch. The work arrays are the
+    calling thread's scratch buffers.
     """
     scratch = _thread_scratch()
     rng = np.random.default_rng(
@@ -607,8 +717,9 @@ def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
     for group, with_perp in zip(groups, perps):
         z, perp = _synthesise(draws, estimate.norm_sq, group[0], with_perp,
                               scratch)
+        u = np.divide(z, estimate.norm_sq, out=z)
         for tab in group:
-            detected = _decide(z, perp, estimate.norm_sq, tab, scratch)
+            detected = _decide(u, perp, estimate.norm_sq, tab, scratch)
             np.take(c.labels, detected, out=got, mode="clip")
             np.bitwise_xor(sent, got, out=got)
             # the decisions are spent: their buffer takes the bit counts
@@ -650,11 +761,15 @@ def monte_carlo_bep(estimate: ChannelEstimate, acf_value, snr_linear,
         acf.ravel().tolist(), snr.ravel().tolist(), kinds.ravel().tolist())]
     if not points:
         return []
-    # (C, gamma) -> {keeps ML weights: (its table, its points' positions)}
-    shared = {}
+    # (C, gamma) -> {keeps ML weights: (its table, its points' positions)},
+    # and the layout (_reduced) that the tables at (C, gamma) share
+    shared, layouts = {}, {}
     for i, (a, g, kind) in enumerate(points):
         _check_point(a, g)
-        tab = _reduced(_tables(estimate, a, g, c, kind))
+        tab = _tables(estimate, a, g, c, kind)
+        if (a, g) not in layouts:
+            layouts[a, g] = (_grid_of(tab.a), _fold_of(tab.a))
+        tab = _reduced(tab, layouts[a, g])
         shared.setdefault((a, g), {}).setdefault(tab.inv is not None,
                                                  (tab, []))[1].append(i)
     groups = tuple(tuple(tab for tab, _ in group.values())

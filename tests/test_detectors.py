@@ -133,18 +133,18 @@ class TestDecisionRules:
 
 
 def _statistics(rng, n, est, tab, with_perp):
-    """Symbol indices, z and ||y_perp||^2 (None unless with_perp) of n
-    transmissions at one point, drawn and synthesised as a batch does."""
+    """Symbol indices, u = z/||h||^2 and ||y_perp||^2 (None unless
+    with_perp) of n transmissions at one point, drawn and synthesised as a
+    batch does."""
     draws = detectors._draw(rng, n, tab.a.size, est.h.size, with_perp)
     z, perp = detectors._synthesise(draws, est.norm_sq, tab, with_perp)
-    return draws.tx, z, perp
+    return draws.tx, z / est.norm_sq, perp
 
 
-def _full_metric(z, perp, norm_sq, tab):
+def _full_metric(u, perp, norm_sq, tab):
     """The oracle of every reduced path: the (n, M) metric over all M
     references, one row per symbol, whose argmin (ties: lowest) is the
     decision."""
-    u = z / norm_sq
     metric = u.real[:, None] - tab.a.real
     metric *= metric
     im = u.imag[:, None] - tab.a.imag
@@ -158,11 +158,12 @@ def _full_metric(z, perp, norm_sq, tab):
     return metric
 
 
-def _edge_rows(tab, norm_sq):
-    """z = 0 and on either axis, each with both signs of zero; on every
+def _edge_rows(tab):
+    """u = 0 and on either axis, each with both signs of zero; on every
     boundary halfway between two levels of the references' real or
-    imaginary parts; and a third of the way between two levels on one axis
-    but so far out on the other that its square absorbs the difference."""
+    imaginary parts; on either diagonal at every real level and boundary;
+    and a third of the way between two levels on one axis but so far out
+    on the other that its square absorbs the difference."""
     lr, li = np.unique(tab.a.real), np.unique(tab.a.imag)
     mr, mi = (lr[:-1] + lr[1:]) / 2.0, (li[:-1] + li[1:]) / 2.0
     tr, ti = (2.0 * lr[:-1] + lr[1:]) / 3.0, (2.0 * li[:-1] + li[1:]) / 3.0
@@ -173,9 +174,11 @@ def _edge_rows(tab, norm_sq):
     rows += [complex(x, y) for x in zeros for y in li]
     rows += [complex(x, y) for x in mr for y in np.concatenate([li, mi])]
     rows += [complex(x, y) for x in lr for y in mi]
+    rows += [complex(x, y) for x in np.concatenate([lr, mr])
+             for y in (x, -x)]
     rows += [complex(x, y) for x in tr for y in (far, -far)]
     rows += [complex(x, y) for x in (far, -far) for y in ti]
-    return np.array(rows) * norm_sq
+    return np.array(rows)
 
 
 class TestReducedDetection:
@@ -183,7 +186,14 @@ class TestReducedDetection:
 
     @pytest.mark.parametrize("order", [4, 8, 16, 32, 64])
     def test_qam_tables_are_reduced(self, estimate, order):
-        # 4-QAM is one point per quadrant: its tables are SO's, sliced
+        # 4-QAM is one point per quadrant: its tables are SO's, sliced. The
+        # square grids and the cross fold onto the references on or below
+        # the first quadrant's diagonal, whose eight sign and transpose
+        # images cover all M references (one on the diagonal is its own
+        # transpose). The 4 x 2 rectangle of 8-QAM is not symmetric under
+        # swapping Re and Im: it folds onto its first quadrant and carries
+        # no transpose data
+        folded = {8: (2, 4), 16: (3, 8), 32: (5, 8), 64: (10, 8)}
         c = constellation_for("qam", order)
         for kind in DetectorKind:
             tab = detectors._reduced(
@@ -192,10 +202,79 @@ class TestReducedDetection:
                                          or order == 4)
             assert (tab.fold is None) == (order == 4)
             assert (tab.grid is None) == (order == 32)
+            if order in folded:
+                assert tab.fold.index.shape == folded[order]
+                assert tab.fold.swap == (order != 8)
+                assert set(tab.fold.index.ravel().tolist()) == set(
+                    range(order))
             # C = 0 makes every reference zero: nothing to slice or fold
             tab = detectors._reduced(
                 detectors._tables(estimate, 0.0, 10.0, c, kind))
             assert tab.grid is None and tab.fold is None
+
+    def test_one_layout_per_operating_point(self, estimate, monkeypatch):
+        # ML and SO at one (gamma, C) share their references, so a Monte
+        # Carlo call derives the grid and the fold once per (gamma, C)
+        calls = []
+        for name in ("_grid_of", "_fold_of"):
+            def counting(a, f=getattr(detectors, name), name=name):
+                calls.append(name)
+                return f(a)
+            monkeypatch.setattr(detectors, name, counting)
+        c = constellation_for("qam", 64)
+        monte_carlo_bep(estimate, [[0.95], [0.8]], 30.0, c,
+                        list(DetectorKind), 100, seed=1)
+        assert sorted(calls) == ["_fold_of"] * 2 + ["_grid_of"] * 2
+
+    @given(order_kind=st.sampled_from([(16, DetectorKind.ML),
+                                       (32, DetectorKind.ML),
+                                       (64, DetectorKind.ML),
+                                       (32, DetectorKind.SO)]),
+           n_rx=st.integers(1, 16),
+           acf=st.floats(0.0, 1.0),
+           log_gamma=st.floats(-3.0, 3.0),
+           rows=st.sampled_from(["drawn", "diagonal", "axis"]),
+           n=st.integers(1, 700),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(order_kind=(32, DetectorKind.ML), n_rx=8, acf=0.9,
+             log_gamma=1.5, rows="diagonal", n=700, seed=0)
+    @example(order_kind=(32, DetectorKind.SO), n_rx=1, acf=0.9,
+             log_gamma=1.5, rows="diagonal", n=700, seed=0)
+    @example(order_kind=(16, DetectorKind.ML), n_rx=8, acf=0.9,
+             log_gamma=1.0, rows="axis", n=700, seed=0)
+    @example(order_kind=(64, DetectorKind.ML), n_rx=2, acf=0.5,
+             log_gamma=-1.0, rows="axis", n=700, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_octant_fold_decides_as_the_full_table(self, order_kind, n_rx,
+                                                   acf, log_gamma, rows, n,
+                                                   seed):
+        # on a drawn batch, or on its rows moved onto the diagonal
+        # |Re u| = |Im u| or onto either axis, where a transpose or a sign
+        # image of the winner ties it: the fold's decision is the full
+        # table's on every row, ties (lowest index) included
+        order, kind = order_kind
+        c = constellation_for("qam", order)
+        rng = np.random.default_rng(seed)
+        est = ChannelEstimate(rng.standard_normal(n_rx)
+                              + 1j * rng.standard_normal(n_rx), 1e-3)
+        full = detectors._tables(est, acf, 10.0 ** log_gamma, c, kind)
+        tab = detectors._reduced(full)
+        if acf >= 1e-6:
+            assert tab.fold.swap
+        _, u, perp = _statistics(rng, n, est, full, True)
+        x, y = u.real.copy(), u.imag.copy()
+        if rows == "diagonal":
+            y = np.copysign(x, y)
+        elif rows == "axis":
+            x[::2] = 0.0
+            y[1::2] = 0.0
+        u.real, u.imag = x, y
+        if kind is DetectorKind.SO:
+            perp = None
+        want = detectors._decide(u, perp, est.norm_sq, full)
+        got = detectors._decide(u, perp, est.norm_sq, tab,
+                                detectors._Scratch())
+        assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("scheme,order", [("psk", o) for o in
                                               SUPPORTED_ORDERS])
@@ -236,13 +315,13 @@ class TestReducedDetection:
                                                   DetectorKind.SO))
         assert shared.off is None and shared.inv is None
         assert np.array_equal(shared.a, so.a) and shared.grid == so.grid
-        _, z, perp = _statistics(rng, n, est, ml, True)
-        want = detectors._decide(z, perp, est.norm_sq, ml)
-        got = detectors._decide(z, None, est.norm_sq, shared,
+        _, u, perp = _statistics(rng, n, est, ml, True)
+        want = detectors._decide(u, perp, est.norm_sq, ml)
+        got = detectors._decide(u, None, est.norm_sq, shared,
                                 detectors._Scratch())
-        metric = _full_metric(z, perp, est.norm_sq, ml)
+        metric = _full_metric(u, perp, est.norm_sq, ml)
         low = metric.min(axis=1)
-        assert np.array_equal(metric[np.arange(z.size), got], low)
+        assert np.array_equal(metric[np.arange(u.size), got], low)
         unique = (metric == low[:, None]).sum(axis=1) == 1
         assert np.array_equal(got[unique], want[unique])
 
@@ -263,8 +342,7 @@ class TestReducedDetection:
     @settings(max_examples=200, deadline=None)
     def test_matches_full_metric(self, scheme_order, n_rx, log2_h, acf,
                                  log_gamma, n, seed):
-        # a drawn batch plus the edge rows; ||h||^2 is a power of two, so
-        # each edge row's u = z / ||h||^2 is exactly the value it names
+        # a drawn batch plus the edge rows
         c = constellation_for(*scheme_order)
         h = np.zeros(n_rx, dtype=np.complex128)
         h[0] = 2.0 ** log2_h
@@ -275,16 +353,16 @@ class TestReducedDetection:
         for kind in DetectorKind:
             tab = detectors._reduced(detectors._tables(est, acf, gamma, c,
                                                        kind))
-            _, z, perp = _statistics(rng, n, est, tab, True)
-            edge = _edge_rows(tab, est.norm_sq)
-            z = np.concatenate([z, edge])
+            _, u, perp = _statistics(rng, n, est, tab, True)
+            edge = _edge_rows(tab)
+            u = np.concatenate([u, edge])
             perp = np.concatenate([perp, rng.exponential(n_rx, edge.size)])
             if kind is DetectorKind.SO:
                 perp = None
-            want = _full_metric(z, perp, est.norm_sq, tab).argmin(axis=1)
-            got = detectors._decide(z, perp, est.norm_sq, tab)
+            want = _full_metric(u, perp, est.norm_sq, tab).argmin(axis=1)
+            got = detectors._decide(u, perp, est.norm_sq, tab)
             assert got.tolist() == want.tolist()
-            got = detectors._decide(z, perp, est.norm_sq, tab,
+            got = detectors._decide(u, perp, est.norm_sq, tab,
                                     detectors._Scratch())
             assert got.tolist() == want.tolist()
 
@@ -292,19 +370,19 @@ class TestReducedDetection:
                                               for o in SUPPORTED_ORDERS])
     @pytest.mark.parametrize("acf", [0.0, 0.9])
     def test_edge_rows_take_the_lowest_full_choice(self, scheme, order, acf):
-        # z = 0 ties the four inner QAM points, and C = 0 ties every SO
+        # u = 0 ties the four inner QAM points, and C = 0 ties every SO
         # reference; both must give the lowest index, as the full metric
         c = constellation_for(scheme, order)
         est = ChannelEstimate(np.array([2.0, 0.0]), 1e-3)
         for kind in DetectorKind:
             tab = detectors._reduced(detectors._tables(est, acf, 40.0, c,
                                                        kind))
-            z = _edge_rows(tab, est.norm_sq)
-            perp = np.full(z.size, 1.5)
+            u = _edge_rows(tab)
+            perp = np.full(u.size, 1.5)
             if kind is DetectorKind.SO:
                 perp = None
-            want = _full_metric(z, perp, est.norm_sq, tab).argmin(axis=1)
-            assert detectors._decide(z, perp, est.norm_sq,
+            want = _full_metric(u, perp, est.norm_sq, tab).argmin(axis=1)
+            assert detectors._decide(u, perp, est.norm_sq,
                                      tab).tolist() == want.tolist()
             if kind is DetectorKind.SO and (acf == 0.0 or scheme == "qam"):
                 assert want[0] == int(np.argmin(np.abs(tab.a)))
@@ -320,30 +398,30 @@ class TestMetricKernel:
         c = constellation_for("qam", 32)
         tab = detectors._tables(estimate, 0.9, 4.0, c, DetectorKind.ML)
         rng = np.random.default_rng(0)
-        z = (rng.standard_normal(777) + 1j * rng.standard_normal(777)) * 9.0
-        out = detectors._decide(z, rng.exponential(8.0, 777),
+        u = (rng.standard_normal(777) + 1j * rng.standard_normal(777)) * 9.0
+        out = detectors._decide(u, rng.exponential(8.0, 777),
                                 estimate.norm_sq, tab)
         assert out.shape == (777,)
         assert out.dtype == np.int64
         assert out.min() >= 0 and out.max() < c.order
 
     def test_ties_break_to_lowest_index(self):
-        # z = 0 against symmetric BPSK references: every metric is equal
+        # u = 0 against symmetric BPSK references: every metric is equal
         tab = detectors._Tables(np.array([1.0 + 0.0j, -1.0 + 0.0j]),
                                 np.ones(2), np.zeros(2), np.ones(2))
-        z, perp = np.zeros(3, dtype=np.complex128), np.ones(3)
-        assert np.array_equal(detectors._decide(z, perp, 2.0, tab),
+        u, perp = np.zeros(3, dtype=np.complex128), np.ones(3)
+        assert np.array_equal(detectors._decide(u, perp, 2.0, tab),
                               np.zeros(3, dtype=np.int64))
         so = tab._replace(off=None, inv=None)
-        assert np.array_equal(detectors._decide(z, None, 2.0, so),
+        assert np.array_equal(detectors._decide(u, None, 2.0, so),
                               np.zeros(3, dtype=np.int64))
 
     def test_exact_reference_detected(self, estimate):
         c = constellation_for("psk", 8)
         for kind in DetectorKind:
             tab = detectors._tables(estimate, 1.0, 9.0, c, kind)
-            z = tab.a * estimate.norm_sq
-            out = detectors._decide(z, np.zeros(8), estimate.norm_sq, tab)
+            out = detectors._decide(tab.a, np.zeros(8), estimate.norm_sq,
+                                    tab)
             assert np.array_equal(out, np.arange(8, dtype=np.int64))
 
     def test_blocks_do_not_change_decisions(self, estimate, monkeypatch):
@@ -351,11 +429,11 @@ class TestMetricKernel:
         tab = detectors._reduced(
             detectors._tables(estimate, 0.8, 30.0, c, DetectorKind.ML))
         rng = np.random.default_rng(4)
-        tx, z, perp = _statistics(rng, 5000, estimate, tab, True)
-        whole = detectors._decide(z, perp, estimate.norm_sq, tab)
+        tx, u, perp = _statistics(rng, 5000, estimate, tab, True)
+        whole = detectors._decide(u, perp, estimate.norm_sq, tab)
         monkeypatch.setattr(detectors, "_BLOCK_TERMS", 7 * c.order)
         assert np.array_equal(
-            detectors._decide(z, perp, estimate.norm_sq, tab), whole)
+            detectors._decide(u, perp, estimate.norm_sq, tab), whole)
 
     @pytest.mark.parametrize("scheme,order", [("psk", 8), ("qam", 4),
                                               ("qam", 64)])
@@ -370,9 +448,9 @@ class TestMetricKernel:
             for b, n in ((0, 8192), (1, 777)):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=5, spawn_key=(b,)))
-                tx, z, perp = _statistics(rng, n, estimate, tab,
+                tx, u, perp = _statistics(rng, n, estimate, tab,
                                           kind is DetectorKind.ML)
-                got = detectors._decide(z, perp, estimate.norm_sq, tab)
+                got = detectors._decide(u, perp, estimate.norm_sq, tab)
                 want = int(POPCOUNT[c.labels[tx] ^ c.labels[got]].sum())
                 assert detectors._run_batch(b, n, estimate, ((tab,),), c,
                                             5) == [want]
@@ -512,8 +590,9 @@ class TestMonteCarlo:
             y_perp = y - (z / norm_sq) * h
             full.append((z.real, z.imag, np.vdot(y_perp, y_perp).real))
         tab = detectors._tables(estimate, acf, gamma, c, DetectorKind.ML)
-        tx, z, perp = _statistics(np.random.default_rng(32), 4 * 8192,
+        tx, u, perp = _statistics(np.random.default_rng(32), 4 * 8192,
                                   estimate, tab, True)
+        z = u * norm_sq
         drawn = np.stack([z.real, z.imag, perp], axis=1)[tx == m]
         p_values = [ks_2samp(col, ref).pvalue
                     for col, ref in zip(drawn.T, np.array(full).T)]
@@ -530,10 +609,10 @@ class TestMonteCarlo:
         n = 12 * 8192
         ml = detectors._tables(estimate, 0.9, 100.0, c, DetectorKind.ML)
         so = ml._replace(off=None, inv=None)
-        tx, z, perp = _statistics(np.random.default_rng(21), n,
+        tx, u, perp = _statistics(np.random.default_rng(21), n,
                                   estimate, ml, True)
-        err_ml = detectors._decide(z, perp, estimate.norm_sq, ml) != tx
-        err_so = detectors._decide(z, None, estimate.norm_sq, so) != tx
+        err_ml = detectors._decide(u, perp, estimate.norm_sq, ml) != tx
+        err_so = detectors._decide(u, None, estimate.norm_sq, so) != tx
         se_pair = (err_ml.astype(float) - err_so).std() / np.sqrt(n)
         ser_ml, ser_so = err_ml.mean(), err_so.mean()
         print(f"{order}-QAM C=0.9 20 dB: SER ML {ser_ml:.4f} SO {ser_so:.4f} "
