@@ -7,18 +7,20 @@ on PSK the SO rule equals ML decision for decision, so there it also
 bounds ML. The bound has one implementation, `UnionBound`: built once per
 constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
-over arrays of (C, gamma). `union_bound_rows` evaluates any of its
-methods over rows that each carry their own order, in one call, each row
-exactly as its own order's bound evaluates it. It serves `uub`, the
-maximum feasible modulation order and the two inversions of the bound,
-each over rows of every order at once: the CSI thresholds C_n of all
-rates of a grid here (`acf_thresholds`, whose one-rate call is
-`min_acf_for_rate`) and the QAM power solve over all rate regions in
-power_control. Both inversions start at a closed-form lower bracket built
-from the roots of single terms (`UnionBound.acf_lower`, `gamma_lower`),
-and are solved by one lockstep safeguarded Newton,
+over arrays of (C, gamma) by one path: `union_bound_rows` groups rows
+of mixed orders by order once (not at all for one order), and each
+method hands its rows as columns to its row kernel (`_evaluate`). It
+serves `uub`, the maximum feasible modulation order and the two
+inversions of the bound, each over rows of every order at once: the CSI
+thresholds C_n of all rates of a grid here (`acf_thresholds`, whose
+one-rate call is `min_acf_for_rate`) and the QAM power solve over all
+rate regions in power_control. Both start at a closed-form lower bracket
+built from the roots of single terms (`UnionBound.acf_lower`,
+`gamma_lower`), and are solved by one lockstep safeguarded Newton,
 `lockstep.newton_lockstep`, on the bound's value and slope (in C,
-`u_and_acf_slope`; in ln(gamma), `u_and_slope`). Around it sit the
+`u_and_acf_slope`; in ln(gamma), `u_and_slope`). The bound falls in C by
+its form (`UnionBound.u`), so the C solve checks only C = 1 and raises
+MonotonicityError only when it does not converge. Around it sit the
 pairwise error probability and the Gray-mapping PSK approximation.
 """
 
@@ -66,8 +68,6 @@ __all__ = [
 # residual of the bound
 _C_ABS_TOL = 1e-12
 _BEP_REL_TOL = 1e-8
-# points of the C grid on which the threshold solve checks each bound falls
-_C_CHECK_POINTS = 33
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -183,22 +183,9 @@ class UnionBound:
     def n_terms(self) -> int:
         return self.d_sq.size
 
-    def _map(self, rows, norm_sq, a, b) -> tuple:
-        """The outputs of `rows(norm_sq, a, b)`, each reduced over the
-        terms: arrays of the broadcast shape of a and b (floats where that
-        shape is 0-d), with a and b passed as columns in blocks of rows."""
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-        a, b = (np.broadcast_to(np.asarray(x, dtype=np.float64),
-                                shape).reshape(-1, 1) for x in (a, b))
-        n = max(1, _BLOCK_TERMS // self.n_terms)
-        blocks = [rows(norm_sq, a[lo:lo + n], b[lo:lo + n])
-                  for lo in range(0, max(len(a), 1), n)]
-        out = (np.concatenate(out).reshape(shape) for out in zip(*blocks))
-        return tuple(map(float, out) if shape == () else out)
-
     def _sum(self, part):
         """Weighted sum over the terms (the last axis)."""
-        return np.sum(self.weight * part, axis=-1)
+        return (self.weight * part).sum(axis=-1)
 
     def _q_sq(self, beta, weight):
         """Q^-1(beta / w)^2 for each weight w and each row's beta, 0 where
@@ -208,15 +195,16 @@ class UnionBound:
         q = ndtri(np.minimum(b[:, None] / weight, 0.5))
         return (q * q)[row.ravel()]
 
+    # row kernels: (rows, 1) columns in, one sum over the terms per row out
     def _u_rows(self, norm_sq, acf, gamma):
         r, _ = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        return (self._sum(q_function(acf * r)),)
+        return (self._sum(ndtr(-acf * r)),)
 
     def _uv_rows(self, norm_sq, acf, gamma):
         # d Q(C r) / d ln(gamma) = -phi(C r) C r / den
         r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
         arg = acf * r
-        return (self._sum(q_function(arg)),
+        return (self._sum(ndtr(-arg)),
                 self._sum(np.exp(-0.5 * arg * arg) * arg / (_SQRT_2PI * den)))
 
     def _uw_rows(self, norm_sq, acf, gamma):
@@ -224,18 +212,18 @@ class UnionBound:
         #               = -phi(C r) r (2 gamma |s|^2 + 2) / den
         r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
         arg = acf * r
-        return (self._sum(q_function(arg)),
+        return (self._sum(ndtr(-arg)),
                 self._sum(np.exp(-0.5 * arg * arg) * r
                           * (2.0 * gamma * self.s_sq + 2.0)
                           / (_SQRT_2PI * den)))
 
-    def _floor_rows(self, norm_sq, acf, _gamma):
+    def _floor_rows(self, norm_sq, acf):
         # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
         # which is infinite (Q = 0) at C = 1
         with np.errstate(divide="ignore"):
             arg = acf * np.sqrt(norm_sq * self.d_sq
                                 / (2.0 * (1.0 - acf * acf) * self.s_sq))
-        return (self._sum(q_function(arg)),)
+        return (self._sum(ndtr(-arg)),)
 
     def _acf_lower_rows(self, norm_sq, gamma, beta):
         # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
@@ -262,20 +250,26 @@ class UnionBound:
         return (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
 
     def u(self, norm_sq: float, acf, gamma):
-        """Raw union bound (may exceed 1 at low SNR)."""
-        return self._map(self._u_rows, norm_sq, acf, gamma)[0]
+        """Raw union bound (may exceed 1 at low SNR).
+
+        Non-increasing in C on [0, 1]: each term w Q(C r(C)) has w >= 0,
+        and C r(C) rises with C, because the denominator
+        2 gamma (1 - C^2) |s|^2 + 2 of r^2 falls as C rises, so every term
+        falls.
+        """
+        return _evaluate(self, UnionBound._u_rows, norm_sq, acf, gamma)[0]
 
     def u_and_slope(self, norm_sq: float, acf, gamma):
         """(u, v): the raw bound and its slope v = -du/d ln(gamma) >= 0."""
-        return self._map(self._uv_rows, norm_sq, acf, gamma)
+        return _evaluate(self, UnionBound._uv_rows, norm_sq, acf, gamma)
 
     def u_and_acf_slope(self, norm_sq: float, acf, gamma):
         """(u, w): the raw bound and its slope w = -du/dC >= 0."""
-        return self._map(self._uw_rows, norm_sq, acf, gamma)
+        return _evaluate(self, UnionBound._uw_rows, norm_sq, acf, gamma)
 
     def floor(self, norm_sq: float, acf):
         """Infinite-power limit of the bound, set by the CSI quality C."""
-        return self._map(self._floor_rows, norm_sq, acf, 1.0)[0]
+        return _evaluate(self, UnionBound._floor_rows, norm_sq, acf)[0]
 
     def acf_lower(self, norm_sq: float, gamma, beta):
         """Largest C at which one term alone equals beta (0 if none can).
@@ -284,7 +278,8 @@ class UnionBound:
         bound exceeds beta: a lower bracket of the threshold C, exact up to
         rounding. Clipped to 1.
         """
-        return self._map(self._acf_lower_rows, norm_sq, gamma, beta)[0]
+        return _evaluate(self, UnionBound._acf_lower_rows, norm_sq, gamma,
+                         beta)[0]
 
     def gamma_lower(self, norm_sq: float, acf, beta):
         """A lower bracket of the minimum SNR, exact up to rounding: the
@@ -293,7 +288,28 @@ class UnionBound:
         weight W = sum(w) equals beta. Every term falls in gamma, so below
         either root u > beta. The second is positive wherever the floor is
         below beta, and infinite where no term falls below beta / W."""
-        return self._map(self._gamma_lower_rows, norm_sq, acf, beta)[0]
+        return _evaluate(self, UnionBound._gamma_lower_rows, norm_sq, acf,
+                         beta)[0]
+
+
+def _evaluate(bound: UnionBound, kernel, norm_sq: float, *args) -> tuple:
+    """The outputs of `kernel(bound, norm_sq, *columns)` at every point of
+    the broadcast args (floats where 0-d), each arg one column of rows: in
+    one call where rows x terms fit in _BLOCK_TERMS, else in blocks of
+    rows. No row sees another, so blocks change no output."""
+    args = [np.asarray(a, dtype=np.float64) for a in args]
+    if any(a.shape != args[0].shape for a in args):
+        args = np.broadcast_arrays(*args)
+    shape, cols = args[0].shape, [a.reshape(-1, 1) for a in args]
+    n = max(1, _BLOCK_TERMS // bound.n_terms)
+    if len(cols[0]) <= n:
+        outs = kernel(bound, norm_sq, *cols)
+    else:
+        blocks = [kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
+                  for lo in range(0, len(cols[0]), n)]
+        outs = [np.concatenate(out) for out in zip(*blocks)]
+    return tuple(out.reshape(shape) if shape else float(out[0])
+                 for out in outs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,25 +323,28 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     """`method(bound, norm_sq, *args)`, for a `UnionBound` method such as
     `UnionBound.u`, over rows that each carry their own order, in one call.
 
-    order and the array arguments broadcast to one shape of rows. The rows
-    of each distinct order go to that order's cached bound together, which
-    evaluates them with its own terms, blocks and row sums. A row's terms
-    and sums never see another row, so every output equals the per-order
-    method's to the bit. Returns one array per output of the method,
-    shaped like the rows.
+    order and the arrays broadcast to one shape of rows. Rows of one order
+    go to its cached bound as they are; mixed rows are grouped by order
+    once, each group to its order's bound. Either way every output equals
+    the per-order method's to the bit. Returns one array per output of the
+    method, shaped like the rows.
     """
     order, *args = np.broadcast_arrays(
         np.asarray(order, dtype=np.int64),
         *(np.asarray(a, dtype=np.float64) for a in args))
     shape = order.shape
-    order, *args = (a.reshape(-1) for a in (order, *args))
+    first = order.flat[0] if order.size else SUPPORTED_ORDERS[0]
+    if (order == first).all():  # no sort, gather or scatter
+        got = method(union_bound(scheme, int(first)), norm_sq, *args)
+        got = got if isinstance(got, tuple) else (got,)
+        return tuple(np.asarray(out) for out in got)
+    order, args = order.reshape(-1), [a.reshape(-1) for a in args]
     rows = np.argsort(order, kind="stable")
-    # one group per distinct order; no rows still make one (empty) group,
-    # so the method's own outputs say how many arrays to return
+    cuts = (np.flatnonzero(np.diff(order[rows])) + 1).tolist()
     outs = None
-    for group in np.split(rows, np.flatnonzero(np.diff(order[rows])) + 1):
-        m = int(order[group[0]]) if group.size else SUPPORTED_ORDERS[0]
-        got = method(union_bound(scheme, m), norm_sq,
+    for lo, hi in zip([0] + cuts, cuts + [order.size]):
+        group = rows[lo:hi]
+        got = method(union_bound(scheme, int(order[group[0]])), norm_sq,
                      *(a[group] for a in args))
         got = got if isinstance(got, tuple) else (got,)
         if outs is None:
@@ -376,9 +395,17 @@ def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value,
 
 
 def _cells(snr_linear, bep_threshold) -> tuple:
-    """(gamma, beta) broadcast to one shape of cells; scalars stay 0-d."""
-    return np.broadcast_arrays(np.asarray(snr_linear, dtype=np.float64),
-                               np.asarray(bep_threshold, dtype=np.float64))
+    """(gamma, beta) broadcast to one shape of cells; scalars stay 0-d.
+    Raises ValueError for a non-finite or negative SNR, or a non-finite
+    threshold or one <= 0."""
+    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
+    gamma, beta = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
+                                        for a in (snr_linear, bep_threshold)))
+    for name, a, bad in (("snr_linear must be non-negative", gamma, gamma < 0),
+                         ("bep_threshold must be positive", beta, beta <= 0)):
+        if bad.any():
+            raise ValueError(f"{name}, got {a[bad].flat[0]}")
+    return gamma, beta
 
 
 # rate n of each supported order M = 2^n; row n - 1 of every per-order
@@ -401,38 +428,18 @@ def _max_rate(u_one: np.ndarray, beta) -> np.ndarray:
     return np.max(np.where(u_one <= beta, rates, 0), axis=0)
 
 
-def _check_rows(scheme: str, norm_sq: float, rate, gamma, beta,
-                u_one) -> tuple:
+def _check_rows(scheme: str, rate, beta, u_one) -> tuple:
     """The threshold solve brackets the root of a bound that meets beta at
-    C = 1 (u_one is each row's u there) and is non-increasing in C. The
-    second is checked on the _C_CHECK_POINTS-point C grid at each
-    distinct (rate, gamma), in one bound call. Returns (rate, error) for
-    the lowest rate that fails either check, MonotonicityError first, as a
-    check rate by rate would; (inf, None) where every row passes."""
-    pairs = np.unique(np.stack([rate, gamma], axis=-1), axis=0)
-    vals = union_bound_rows(scheme, 1 << pairs[:, 0].astype(np.int64),
-                            UnionBound.u, norm_sq,
-                            np.linspace(0.0, 1.0, _C_CHECK_POINTS)[:, None],
-                            pairs[:, 1])[0]
-    diffs = np.diff(vals, axis=0)
-    # allow FP jitter at the flat ends of the curve
-    bad = np.flatnonzero(np.any(diffs > 1e-12 + 1e-9 * np.abs(vals[:-1]),
-                                axis=0))
+    C = 1 (u_one, each row's u there) and falls in C (by its form, see
+    `UnionBound.u`). Returns (rate, error) for the lowest rate whose u_one
+    misses beta; (inf, None) where every row passes."""
     infeasible = np.flatnonzero(u_one > beta)
-    # pairs sort by rate, then gamma; the first infeasible row of the
-    # lowest rate is the first in row order
-    if bad.size and (not infeasible.size
-                     or pairs[bad[0], 0] <= rate[infeasible].min()):
-        n, g = pairs[bad[0]]
-        return int(n), MonotonicityError(
-            f"UUB is not non-increasing in C for order {1 << int(n)} at "
-            f"snr={g:.6g}")
-    if infeasible.size:
-        k = infeasible[np.argmin(rate[infeasible])]
-        return int(rate[k]), InfeasibleRateError(
-            f"rate {rate[k]} ({scheme}) cannot meet {beta[k]:g} even with "
-            "perfect CSI", rate=int(rate[k]))
-    return np.inf, None
+    if not infeasible.size:
+        return np.inf, None
+    k = infeasible[np.argmin(rate[infeasible])]
+    return int(rate[k]), InfeasibleRateError(
+        f"rate {rate[k]} ({scheme}) cannot meet {beta[k]:g} even with "
+        "perfect CSI", rate=int(rate[k]))
 
 
 def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
@@ -440,10 +447,9 @@ def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
     """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
     of each row, in one lockstep solve over all rows (see
     min_acf_for_rate). Errors come in the order of a rate-by-rate solve:
-    the lowest rate that fails raises, and a rate's checks fail before its
-    own solve but after the solves of lower rates."""
-    failed_rate, failure = _check_rows(scheme, norm_sq, rate, gamma, beta,
-                                       u_one)
+    the lowest rate that fails raises, and a rate's feasibility check fails
+    before its own solve but after the solves of lower rates."""
+    failed_rate, failure = _check_rows(scheme, rate, beta, u_one)
     order = 1 << rate
     orders, of_row = np.unique(order, return_inverse=True)
     # u(C = 0) = sum(w) / 2 at every SNR, as Q(0) = 1/2 exactly
@@ -474,25 +480,23 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
                      scheme: str, bep_threshold):
     """Smallest ACF value C_n at which rate n still meets the threshold.
 
-    Solves uub(C) = bep_threshold on C in [0, 1] by `newton_lockstep`,
-    started at the largest single-term root (`UnionBound.acf_lower`). Where
-    rounding puts that start on the feasible side, the first evaluation
-    makes it the upper end, and the lower end stays 0. C_n is the feasible
+    Solves uub(C) = bep_threshold by `newton_lockstep` on [0, 1], which
+    brackets the root wherever C = 1 meets the threshold, as the bound
+    falls in C by its form (`UnionBound.u`). Each cell starts at the
+    largest single-term root (`UnionBound.acf_lower`). C_n is the feasible
     end of a bracket at most 1e-12 wide, with the bound within 1e-8 of the
-    threshold there. snr_linear and bep_threshold broadcast to an array of
-    cells, solved in lockstep; scalars give a float. C_n = 0 where even
-    C = 0 meets the threshold. Raises InfeasibleRateError when even perfect
-    CSI (C = 1) violates the threshold in some cell, MonotonicityError when
-    the solve cannot converge, and ValueError for a non-finite SNR or
-    threshold. This is the one-rate call of the solve behind
-    `acf_thresholds`.
+    threshold there; C_n = 0 where even C = 0 meets the threshold.
+    snr_linear and bep_threshold broadcast to an array of cells, solved in
+    lockstep; scalars give a float. Raises InfeasibleRateError where C = 1
+    violates the threshold in some cell, MonotonicityError when the solve
+    cannot converge, and ValueError for a non-finite or negative SNR or a
+    non-finite threshold or one <= 0. This is the one-rate call of the
+    solve behind `acf_thresholds`.
     """
-    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
+    gamma, beta = _cells(snr_linear, bep_threshold)
     if rate_n < 1:
         raise ValueError("rate_n must be at least 1")
-    norm_sq = estimate.norm_sq
-    gamma, beta = _cells(snr_linear, bep_threshold)
-    g, b = gamma.reshape(-1), beta.reshape(-1)
+    g, b, norm_sq = gamma.reshape(-1), beta.reshape(-1), estimate.norm_sq
     u_one = union_bound(scheme, 2 ** rate_n).u(norm_sq, 1.0, g)
     out = _min_acf_rows(scheme, norm_sq, np.full(g.size, rate_n), g, b,
                         u_one).reshape(gamma.shape)
@@ -506,9 +510,8 @@ def max_modulation_order(estimate: ChannelEstimate, snr_linear,
     Returns 0 when no order is feasible. R_max is log2 of the result.
     snr_linear and bep_threshold broadcast; scalars give an int. Every
     order is evaluated in one bound call. Raises ValueError for a
-    non-finite SNR or threshold.
+    non-finite or negative SNR or a non-finite threshold or one <= 0.
     """
-    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     gamma, beta = _cells(snr_linear, bep_threshold)
     rate = _max_rate(_perfect_csi_u(scheme, estimate.norm_sq, gamma), beta)
     best = np.where(rate > 0, 1 << rate, 0)
@@ -521,23 +524,20 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     (snr_linear, bep_threshold), flattened in C order, and C_n of every
     rate n <= r_max it reaches, as cs[n - 1] (+inf where n > r_max).
 
-    u(C = 1) is evaluated once per (order, cell), in one call, and serves
-    both r_max (the rate of `max_modulation_order`) and the feasibility of
-    every lower rate. Every (rate, cell) row is then checked and solved
-    together, as `min_acf_for_rate` solves the rows of one rate, in one
-    `newton_lockstep` call, so a grid pays the slowest row's iterations
-    rather than the sum over rates. Each row is evaluated by its own
-    order's bound exactly as a one-rate call evaluates it, so C_n is the
-    same to the bit.
+    u(C = 1) is evaluated once per (order, cell), in one call: it gives
+    r_max (as `max_modulation_order`) and the feasibility of every lower
+    rate, the one check the solve needs. Every (rate, cell) row is then
+    solved in one `newton_lockstep` call, so a grid pays the slowest row's
+    iterations, not the sum over rates, each row by its own order's bound
+    exactly as a one-rate call solves it: C_n is the same to the bit.
 
     Raises ScheduleError where a rate below a cell's r_max cannot meet the
-    threshold at C = 1, MonotonicityError where the bound is not
-    non-increasing in C or the solve cannot converge, and ValueError for a
-    non-finite SNR or threshold. Where several rates fail, the error is the
-    one a rate-by-rate build meets first: that of the lowest failing rate,
-    its checks before its solve.
+    threshold at C = 1, MonotonicityError where the solve cannot converge,
+    and ValueError for a non-finite or negative SNR or a non-finite
+    threshold or one <= 0. Where several rates fail, the error is the one a
+    rate-by-rate build meets first: that of the lowest failing rate, its
+    feasibility check before its solve.
     """
-    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     norm_sq = estimate.norm_sq
     gamma, beta = (a.reshape(-1) for a in _cells(snr_linear, bep_threshold))
     u_one = _perfect_csi_u(scheme, norm_sq, gamma)

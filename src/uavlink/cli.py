@@ -85,8 +85,11 @@ class RunConfig:
             raise ConfigError(f"run.scheme must be psk or qam, got {self.scheme!r}")
         if self.n_symbols < 1:
             raise ConfigError("run.n_symbols must be at least 1")
-        if self.sample_dt <= 0:
-            raise ConfigError("run.sample_dt must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
+        # the negated range tests here and below also reject nan
+        if not 0.0 < self.sample_dt < math.inf:
+            raise ConfigError("run.sample_dt must be positive and finite")
         for name, grid in (("snr_db", self.snr_db), ("acf", self.acf),
                            ("bep_thresholds", self.bep_thresholds),
                            ("orders", self.orders),
@@ -100,7 +103,6 @@ class RunConfig:
             if not math.isfinite(v):
                 raise ConfigError(
                     f"run.snr_db entries must be finite, got {v}")
-        # the negated range tests below also reject nan
         for v in self.acf:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(
@@ -132,8 +134,8 @@ def _as_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"field {section}.{key} is not an integer: {raw!r}") from exc
 
 
-def _float_list(section: str, key: str, raw: str) -> tuple:
-    return tuple(_as_float(section, key, tok)
+def _numbers(section: str, key: str, raw: str, parse=_as_float) -> tuple:
+    return tuple(parse(section, key, tok)
                  for tok in raw.replace(",", " ").split())
 
 
@@ -177,8 +179,8 @@ def _estimate_from(parser: configparser.ConfigParser,
     sec = "channel"
     if not parser.has_section(sec):
         raise ConfigError("missing required field channel.h_real")
-    re = _float_list(sec, "h_real", _require(parser, sec, "h_real"))
-    im = _float_list(sec, "h_imag", _require(parser, sec, "h_imag"))
+    re = _numbers(sec, "h_real", _require(parser, sec, "h_real"))
+    im = _numbers(sec, "h_imag", _require(parser, sec, "h_imag"))
     if len(re) != len(im):
         raise ConfigError("channel.h_real and channel.h_imag lengths differ")
     if len(re) != scenario.n_rx_antennas:
@@ -216,9 +218,9 @@ def load_config(path: str, seed_override: int | None = None,
     else:
         seed = _as_int("run", "seed", _require(parser, "run", "seed"))
 
-    def grid(key: str, default: tuple) -> tuple:
+    def grid(key: str, default: tuple, parse=_as_float) -> tuple:
         if parser.has_option("run", key):
-            return _float_list("run", key, parser.get("run", key))
+            return _numbers("run", key, parser.get("run", key), parse)
         return default
 
     detectors_raw = parser.get("run", "detectors", fallback="ml, so, uub")
@@ -243,7 +245,7 @@ def load_config(path: str, seed_override: int | None = None,
         snr_db=grid("snr_db", _DEFAULT_SNR_DB),
         acf=grid("acf", _DEFAULT_ACF),
         bep_thresholds=grid("bep_thresholds", _DEFAULT_THRESHOLDS),
-        orders=tuple(int(o) for o in grid("orders", _DEFAULT_ORDERS)),
+        orders=grid("orders", _DEFAULT_ORDERS, _as_int),
         detectors=tuple(detectors),
         n_symbols=_as_int("run", "n_symbols",
                           parser.get("run", "n_symbols", fallback="100000")),
@@ -444,6 +446,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError(
+                f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out)
         out_dir = Path(cfg.out_dir)

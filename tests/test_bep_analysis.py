@@ -18,6 +18,7 @@ from uavlink import (
     ChannelEstimate,
     UnionBound,
     UubBound,
+    build_rate_schedules,
     constellation_for,
     max_modulation_order,
     min_acf_for_rate,
@@ -25,10 +26,16 @@ from uavlink import (
     psk_bep_approx,
     q_function,
     q_inverse,
+    sweep_rave_max,
     union_bound,
     uub,
 )
-from uavlink.bep_analysis import _BLOCK_TERMS, _uub_raw, union_bound_rows
+from uavlink.bep_analysis import (
+    _BLOCK_TERMS,
+    _uub_raw,
+    acf_thresholds,
+    union_bound_rows,
+)
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
 from uavlink.errors import DivergenceError, InfeasibleRateError, SchemeError
 from uavlink.fixtures import load_fixture
@@ -223,6 +230,27 @@ class TestUnionBound:
         assert bound.floor(est.norm_sq, acf) == pytest.approx(
             want, rel=_tail_rel(want), abs=1e-300)
 
+    @given(scheme=st.sampled_from(["psk", "qam"]),
+           order=st.sampled_from(SUPPORTED_ORDERS),
+           log_gamma=st.floats(-3.0, 8.0),
+           log_norm_sq=st.floats(-3.0, 3.0),
+           acf=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    @example(scheme="qam", order=64, log_gamma=8.0, log_norm_sq=3.0,
+             acf=[0.999999, 1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_non_increasing_in_acf(self, scheme, order, log_gamma,
+                                   log_norm_sq, acf):
+        # the C-threshold solve checks only C = 1, relying on this: every
+        # term w Q(C r(C)) has w >= 0 and C r(C) rising, as r's denominator
+        # 2 gamma (1 - C^2) |s|^2 + 2 falls with C. Rounding is allowed
+        # 1e-12 absolute plus 1e-9 relative
+        lo, hi = sorted(acf)
+        bound, gamma = union_bound(scheme, order), 10.0 ** log_gamma
+        norm_sq = 10.0 ** log_norm_sq
+        u_lo, u_hi = bound.u(norm_sq, np.array([lo, hi]), gamma)
+        assert u_hi <= u_lo + 1e-12 + 1e-9 * u_lo
+        assert bound.u_and_acf_slope(norm_sq, lo, gamma)[1] >= 0.0
+
     @pytest.mark.parametrize("scheme,order,terms", [
         ("qam", 16, 22), ("qam", 64, 224), ("psk", 64, 32)])
     def test_grouped_term_count(self, scheme, order, terms):
@@ -250,13 +278,33 @@ class TestUnionBound:
         assert grid.shape == (4, 5)
 
 
-# the multi-order evaluation, method by method, with the arrays each takes
-_ROW_METHODS = [(UnionBound.u, ("acf", "gamma")),
-                (UnionBound.u_and_slope, ("acf", "gamma")),
-                (UnionBound.u_and_acf_slope, ("acf", "gamma")),
-                (UnionBound.floor, ("acf",)),
-                (UnionBound.acf_lower, ("gamma", "beta")),
-                (UnionBound.gamma_lower, ("acf", "beta"))]
+# the multi-order evaluation, method by method, with its row kernel and
+# the arrays each takes
+_ROW_METHODS = [
+    (UnionBound.u, UnionBound._u_rows, ("acf", "gamma")),
+    (UnionBound.u_and_slope, UnionBound._uv_rows, ("acf", "gamma")),
+    (UnionBound.u_and_acf_slope, UnionBound._uw_rows, ("acf", "gamma")),
+    (UnionBound.floor, UnionBound._floor_rows, ("acf",)),
+    (UnionBound.acf_lower, UnionBound._acf_lower_rows, ("gamma", "beta")),
+    (UnionBound.gamma_lower, UnionBound._gamma_lower_rows, ("acf", "beta")),
+]
+
+
+def _per_order(bound, kernel, norm_sq, *args):
+    """An evaluation of one order's row kernel independent of the package's
+    dispatch: every argument broadcast to the full shape and made a column,
+    always cut into blocks of _BLOCK_TERMS // n_terms rows (one empty block
+    for no rows), the blocks concatenated. Floats where the shape is 0-d."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    cols = [np.broadcast_to(np.asarray(a, dtype=np.float64),
+                            shape).reshape(-1, 1) for a in args]
+    n = max(1, _BLOCK_TERMS // bound.n_terms)
+    blocks = [kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
+              for lo in range(0, max(len(cols[0]), 1), n)]
+    outs = tuple(np.concatenate(out).reshape(shape) for out in zip(*blocks))
+    return tuple(map(float, outs)) if shape == () else outs
+
+
 _ROW = st.tuples(st.sampled_from(SUPPORTED_ORDERS), st.floats(0.0, 1.0),
                  st.floats(-3.0, 6.0), st.floats(-8.0, math.log10(0.3)))
 
@@ -295,14 +343,44 @@ class TestUnionBoundRows:
                                             rng.uniform(-8.0, -0.6, n_more)]),
         }
         norm_sq = estimate.norm_sq
-        for method, names in _ROW_METHODS:
+        for method, kernel, names in _ROW_METHODS:
             got = union_bound_rows(scheme, cols["order"], method, norm_sq,
                                    *(cols[k] for k in names))
             for i, order in enumerate(cols["order"].tolist()):
-                want = method(union_bound(scheme, order), norm_sq,
-                              *(float(cols[k][i]) for k in names))
-                want = want if isinstance(want, tuple) else (want,)
+                want = _per_order(union_bound(scheme, order), kernel,
+                                  norm_sq, *(float(cols[k][i]) for k in names))
                 assert tuple(out[i] for out in got) == want, (method, i)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 72, 73, 74, 200])
+    @pytest.mark.parametrize("method,kernel,names", _ROW_METHODS)
+    def test_one_order_equals_its_blocks(self, estimate, method, kernel,
+                                         names, n_rows):
+        # a method called on its own and a one-order union_bound_rows call,
+        # which skips the grouping, against the always-blocked evaluation:
+        # 0-d, empty, one-block and multi-block (73 rows per 64-QAM block)
+        rng = np.random.default_rng(n_rows)
+        cols = {"acf": rng.uniform(0.0, 1.0, n_rows),
+                "gamma": 10.0 ** rng.uniform(-3.0, 6.0, n_rows),
+                "beta": 10.0 ** rng.uniform(-8.0, -0.6, n_rows)}
+        bound, norm_sq = union_bound("qam", 64), estimate.norm_sq
+        args = [cols[k] for k in names]
+        want = _per_order(bound, kernel, norm_sq, *args)
+        got = method(bound, norm_sq, *args)
+        got = got if isinstance(got, tuple) else (got,)
+        assert [a.shape for a in got] == [(n_rows,)] * len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        rows = union_bound_rows("qam", np.full(n_rows, 64), method, norm_sq,
+                                *args)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, want))
+        if n_rows:  # the first row as scalars: floats, and 0-d arrays
+            scalars = [float(a[0]) for a in args]
+            one = method(bound, norm_sq, *scalars)
+            one = one if isinstance(one, tuple) else (one,)
+            assert all(type(v) is float for v in one)
+            assert one == _per_order(bound, kernel, norm_sq, *scalars)
+            rows = union_bound_rows("qam", 64, method, norm_sq, *scalars)
+            assert [a.shape for a in rows] == [()] * len(one)
+            assert tuple(map(float, rows)) == one
 
     def test_broadcasts_and_keeps_the_shape(self, estimate):
         order = np.array([[4], [64]])
@@ -574,3 +652,50 @@ class TestMaxModulationOrder:
         orders = [max_modulation_order(estimate, 10 ** (db / 10), "qam", 1e-5)
                   for db in np.linspace(0, 25, 11)]
         assert all(a <= b for a, b in zip(orders, orders[1:]))
+
+
+# each inversion of the bound, and the schedule builds over it, on one
+# SNR (linear; sweep_rave_max takes dB, so only its threshold applies)
+# and one threshold
+_INVERSIONS = {
+    "min_acf_for_rate": lambda fx, g, b: min_acf_for_rate(
+        1, fx.estimate, g, "psk", b),
+    "max_modulation_order": lambda fx, g, b: max_modulation_order(
+        fx.estimate, g, "qam", b),
+    "acf_thresholds": lambda fx, g, b: acf_thresholds(
+        fx.estimate, g, "qam", b),
+    "build_rate_schedules": lambda fx, g, b: build_rate_schedules(
+        fx.estimate, g, "qam", b, fx.wobble, fx.scenario.t_estimate),
+}
+
+
+class TestInversionDomain:
+    @pytest.fixture(scope="class")
+    def fx(self):
+        return load_fixture("case1")
+
+    @pytest.mark.parametrize("call", sorted(_INVERSIONS))
+    @pytest.mark.parametrize("gamma,beta,message", [
+        (-5.0, 1e-5, "snr_linear must be non-negative, got -5.0"),
+        (np.array([GAMMA_MAX, -1e-9]), 1e-5, "snr_linear must be non-neg"),
+        (GAMMA_MAX, 0.0, "bep_threshold must be positive, got 0.0"),
+        (GAMMA_MAX, -1.0, "bep_threshold must be positive, got -1.0"),
+        (GAMMA_MAX, np.array([1e-5, -1e-3]), "bep_threshold must be pos"),
+    ], ids=["snr-5", "snr-array", "beta0", "beta-1", "beta-array"])
+    def test_rejects_negative_snr_and_threshold(self, fx, call, gamma, beta,
+                                                message):
+        with pytest.raises(ValueError, match=message):
+            _INVERSIONS[call](fx, gamma, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_sweep_rejects_threshold(self, fx, beta):
+        with pytest.raises(ValueError, match="bep_threshold must be pos"):
+            sweep_rave_max(fx.estimate, [10.0, 20.0], [1e-5, beta], "qam",
+                           fx.wobble, fx.scenario.t_estimate)
+
+    def test_zero_snr_is_accepted(self, fx):
+        # gamma = 0 collapses every pairwise argument to Q(0) = 1/2: no
+        # order meets 1e-5, and a threshold above u = 1/2 admits BPSK at
+        # any CSI quality
+        assert max_modulation_order(fx.estimate, 0.0, "psk", 1e-5) == 0
+        assert min_acf_for_rate(1, fx.estimate, 0.0, "psk", 0.51) == 0.0

@@ -229,6 +229,15 @@ class TestGridValidation:
         ("bep-curve", "acf = 0.99 0.9", "1.5", "acf"),
         ("bep-curve", "acf = 0.99 0.9", "nan", "acf"),
         ("bep-curve", "acf = 0.99 0.9", "-0.1", "acf"),
+        ("bep-curve", "orders = 4", "4.7", "orders"),
+        ("bep-curve", "orders = 4", "4.0", "orders"),
+        ("bep-curve", "orders = 4", "nan", "orders"),
+        ("bep-curve", "orders = 4", "inf", "orders"),
+        ("bep-curve", "seed = 3", "-1", "seed"),
+        ("power", "sample_dt = 2e-4", "nan", "sample_dt"),
+        ("power", "sample_dt = 2e-4", "inf", "sample_dt"),
+        ("adapt", "sample_dt = 2e-4", "inf", "sample_dt"),
+        ("adapt", "sample_dt = 2e-4", "0", "sample_dt"),
     ])
     def test_malformed_grid_exits_2(self, tmp_path, capsys, command, line,
                                     bad, field):
@@ -237,6 +246,18 @@ class TestGridValidation:
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"run.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--seed", "-1"], "run.seed"),
+        (["--threads", "0"], "--threads"),
+        (["--threads", "-2"], "--threads"),
+    ])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "o"
+        assert main(["bep-curve", "--config", str(write_config(tmp_path)),
+                     "--out", str(out), *flags]) == 2
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
     def test_grid_edges_accepted(self, tmp_path):
