@@ -8,10 +8,10 @@ bounds ML. The bound has one implementation, `UnionBound`: built once per
 constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
 over arrays of (C, gamma) by one path: `union_bound_rows` groups rows
-of mixed orders by order once (not at all for one order), and each
-method hands its rows as columns to its row kernel (`_evaluate`). It
-serves `uub`, the maximum feasible modulation order and the two
-inversions of the bound, each over rows of every order at once: the CSI
+that each carry their own order by order, and each method hands its
+rows as columns to its row kernel (`_evaluate`). It serves `uub`, the
+maximum feasible modulation order and the two inversions of the bound,
+each over rows of every order at once: the CSI
 thresholds C_n of all rates of a grid here (`acf_thresholds`, whose
 one-rate call is `min_acf_for_rate`) and the QAM power solve over all
 rate regions in power_control. Both start at a closed-form lower bracket
@@ -323,28 +323,25 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     """`method(bound, norm_sq, *args)`, for a `UnionBound` method such as
     `UnionBound.u`, over rows that each carry their own order, in one call.
 
-    order and the arrays broadcast to one shape of rows. Rows of one order
-    go to its cached bound as they are; mixed rows are grouped by order
-    once, each group to its order's bound. Either way every output equals
-    the per-order method's to the bit. Returns one array per output of the
-    method, shaped like the rows.
+    order and the array arguments broadcast to one shape of rows. The rows
+    of each distinct order go to that order's cached bound together, which
+    evaluates them with its own terms, blocks and row sums. A row's terms
+    and sums never see another row, so every output equals the per-order
+    method's to the bit. Returns one array per output of the method,
+    shaped like the rows.
     """
     order, *args = np.broadcast_arrays(
         np.asarray(order, dtype=np.int64),
         *(np.asarray(a, dtype=np.float64) for a in args))
     shape = order.shape
-    first = order.flat[0] if order.size else SUPPORTED_ORDERS[0]
-    if (order == first).all():  # no sort, gather or scatter
-        got = method(union_bound(scheme, int(first)), norm_sq, *args)
-        got = got if isinstance(got, tuple) else (got,)
-        return tuple(np.asarray(out) for out in got)
-    order, args = order.reshape(-1), [a.reshape(-1) for a in args]
+    order, *args = (a.reshape(-1) for a in (order, *args))
     rows = np.argsort(order, kind="stable")
-    cuts = (np.flatnonzero(np.diff(order[rows])) + 1).tolist()
+    # one group per distinct order; no rows still make one (empty) group,
+    # so the method's own outputs say how many arrays to return
     outs = None
-    for lo, hi in zip([0] + cuts, cuts + [order.size]):
-        group = rows[lo:hi]
-        got = method(union_bound(scheme, int(order[group[0]])), norm_sq,
+    for group in np.split(rows, np.flatnonzero(np.diff(order[rows])) + 1):
+        m = int(order[group[0]]) if group.size else SUPPORTED_ORDERS[0]
+        got = method(union_bound(scheme, m), norm_sq,
                      *(a[group] for a in args))
         got = got if isinstance(got, tuple) else (got,)
         if outs is None:
@@ -428,28 +425,16 @@ def _max_rate(u_one: np.ndarray, beta) -> np.ndarray:
     return np.max(np.where(u_one <= beta, rates, 0), axis=0)
 
 
-def _check_rows(scheme: str, rate, beta, u_one) -> tuple:
-    """The threshold solve brackets the root of a bound that meets beta at
-    C = 1 (u_one, each row's u there) and falls in C (by its form, see
-    `UnionBound.u`). Returns (rate, error) for the lowest rate whose u_one
-    misses beta; (inf, None) where every row passes."""
-    infeasible = np.flatnonzero(u_one > beta)
-    if not infeasible.size:
-        return np.inf, None
-    k = infeasible[np.argmin(rate[infeasible])]
-    return int(rate[k]), InfeasibleRateError(
-        f"rate {rate[k]} ({scheme}) cannot meet {beta[k]:g} even with "
-        "perfect CSI", rate=int(rate[k]))
-
-
 def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
                   u_one) -> np.ndarray:
     """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
     of each row, in one lockstep solve over all rows (see
-    min_acf_for_rate). Errors come in the order of a rate-by-rate solve:
-    the lowest rate that fails raises, and a rate's feasibility check fails
-    before its own solve but after the solves of lower rates."""
-    failed_rate, failure = _check_rows(scheme, rate, beta, u_one)
+    min_acf_for_rate). The bound falls in C (`UnionBound.u`), so [0, 1]
+    brackets a root wherever u_one meets beta, the one check. Errors come
+    in the order of a rate-by-rate solve: the lowest failing rate raises,
+    its check after the solves of lower rates but before its own."""
+    missed = np.flatnonzero(u_one > beta)
+    failed_rate = rate[missed].min() if missed.size else np.inf
     order = 1 << rate
     orders, of_row = np.unique(order, return_inverse=True)
     # u(C = 0) = sum(w) / 2 at every SNR, as Q(0) = 1/2 exactly
@@ -471,8 +456,11 @@ def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
         raise MonotonicityError(
             "threshold inversion did not converge for rate "
             + ", ".join(map(str, failed))) from exc
-    if failure is not None:
-        raise failure
+    if missed.size:
+        k = missed[np.argmin(rate[missed])]
+        raise InfeasibleRateError(
+            f"rate {rate[k]} ({scheme}) cannot meet {beta[k]:g} even with "
+            "perfect CSI", rate=int(rate[k]))
     return out
 
 

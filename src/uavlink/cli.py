@@ -134,6 +134,13 @@ def _as_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"field {section}.{key} is not an integer: {raw!r}") from exc
 
 
+def _as_whole(section: str, key: str, raw: str) -> int:
+    v = _as_float(section, key, raw)
+    if not v.is_integer():  # nor nan or inf
+        raise ConfigError(f"field {section}.{key} is not a whole number: {raw!r}")
+    return int(v)
+
+
 def _numbers(section: str, key: str, raw: str, parse=_as_float) -> tuple:
     return tuple(parse(section, key, tok)
                  for tok in raw.replace(",", " ").split())
@@ -245,7 +252,7 @@ def load_config(path: str, seed_override: int | None = None,
         snr_db=grid("snr_db", _DEFAULT_SNR_DB),
         acf=grid("acf", _DEFAULT_ACF),
         bep_thresholds=grid("bep_thresholds", _DEFAULT_THRESHOLDS),
-        orders=grid("orders", _DEFAULT_ORDERS, _as_int),
+        orders=grid("orders", _DEFAULT_ORDERS, _as_whole),
         detectors=tuple(detectors),
         n_symbols=_as_int("run", "n_symbols",
                           parser.get("run", "n_symbols", fallback="100000")),

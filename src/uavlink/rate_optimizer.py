@@ -99,12 +99,17 @@ class RateSchedule:
         return self.thresholds[n - 1].t_n
 
     def rate_at(self, t: float) -> int:
-        """Instantaneous rate: n on (t_{n+1}, t_n], 0 outside."""
-        return int(self.rates_at(t))
+        """Instantaneous rate: n on (t_{n+1}, t_n], 0 outside.
+
+        t_n decreases as n grows, so the rate is r_max less the number of
+        switch times before t.
+        """
+        if t <= self.t_estimate:
+            return 0
+        return self.r_max - sum(th.t_n < t for th in self.thresholds)
 
     def rates_at(self, t) -> np.ndarray:
-        """rate_at over an array of instants. t_n decreases as n grows, so
-        the rate is r_max less the number of switch times before t."""
+        """rate_at over an array of instants (searchsorted on the t_n)."""
         t = np.asarray(t, dtype=np.float64)
         # switch times ascending: t_{r_max}, ..., t_1
         ends = np.array([th.t_n for th in reversed(self.thresholds)])

@@ -355,8 +355,8 @@ class TestUnionBoundRows:
     @pytest.mark.parametrize("method,kernel,names", _ROW_METHODS)
     def test_one_order_equals_its_blocks(self, estimate, method, kernel,
                                          names, n_rows):
-        # a method called on its own and a one-order union_bound_rows call,
-        # which skips the grouping, against the always-blocked evaluation:
+        # a method called on its own and a one-order union_bound_rows call
+        # against the always-blocked evaluation:
         # 0-d, empty, one-block and multi-block (73 rows per 64-QAM block)
         rng = np.random.default_rng(n_rows)
         cols = {"acf": rng.uniform(0.0, 1.0, n_rows),

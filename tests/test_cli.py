@@ -230,7 +230,6 @@ class TestGridValidation:
         ("bep-curve", "acf = 0.99 0.9", "nan", "acf"),
         ("bep-curve", "acf = 0.99 0.9", "-0.1", "acf"),
         ("bep-curve", "orders = 4", "4.7", "orders"),
-        ("bep-curve", "orders = 4", "4.0", "orders"),
         ("bep-curve", "orders = 4", "nan", "orders"),
         ("bep-curve", "orders = 4", "inf", "orders"),
         ("bep-curve", "seed = 3", "-1", "seed"),
@@ -262,10 +261,14 @@ class TestGridValidation:
 
     def test_grid_edges_accepted(self, tmp_path):
         text = BASE_RUN.replace("acf = 0.99 0.9", "acf = 0 1").replace(
-            "bep_thresholds = 1e-3 1e-5", "bep_thresholds = 1e-300 0.49")
+            "bep_thresholds = 1e-3 1e-5", "bep_thresholds = 1e-300 0.49"
+        ).replace("orders = 4", "orders = 4.0 16")
         cfg = load_config(str(write_config(tmp_path, text)))
         assert cfg.acf == (0.0, 1.0)
         assert cfg.bep_thresholds == (1e-300, 0.49)
+        # whole numbers written as floats read as the integer orders
+        assert cfg.orders == (4, 16)
+        assert all(type(o) is int for o in cfg.orders)
 
 
 class TestConfigResolution:
