@@ -11,17 +11,13 @@ power (power control).
 __version__ = "0.1.0"
 
 from .bep_analysis import (
-    BepContext,
     UnionBound,
-    UubBound,
     max_modulation_order,
     min_acf_for_rate,
-    pep,
     psk_bep_approx,
     q_function,
     q_inverse,
     union_bound,
-    uub,
 )
 from .channel import (
     ChannelEstimate,
@@ -101,9 +97,8 @@ __all__ = [
     "DetectorKind", "BepEstimate", "ml_detect", "so_detect",
     "monte_carlo_bep", "effective_variance",
     # bep analysis
-    "BepContext", "UubBound", "UnionBound", "union_bound", "pep", "uub",
-    "psk_bep_approx",
-    "q_function", "q_inverse", "min_acf_for_rate", "max_modulation_order",
+    "UnionBound", "union_bound", "psk_bep_approx", "q_function",
+    "q_inverse", "min_acf_for_rate", "max_modulation_order",
     # rate optimizer
     "RateThreshold", "RateSchedule", "RateOptimum", "build_rate_schedule",
     "build_rate_schedules", "average_rate", "rate_derivative",

@@ -9,9 +9,10 @@ constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
 over arrays of (C, gamma) by one path: `union_bound_rows` groups rows
 that each carry their own order by order, and each method hands its
-rows as columns to its row kernel (`_evaluate`). It serves `uub`, the
-maximum feasible modulation order and the two inversions of the bound,
-each over rows of every order at once: the CSI
+rows as columns to its row kernel (`_evaluate`). It serves the bound's
+values (the CLI's `analytic-uub` rows and trace column, clamped to 1),
+the maximum feasible modulation order and the two inversions of the
+bound, each over rows of every order at once: the CSI
 thresholds C_n of all rates of a grid here (`acf_thresholds`, whose
 one-rate call is `min_acf_for_rate`) and the QAM power solve over all
 rate regions in power_control. Both start at a closed-form lower bracket
@@ -20,13 +21,12 @@ built from the roots of single terms (`UnionBound.acf_lower`,
 `lockstep.newton_lockstep`, on the bound's value and slope (in C,
 `u_and_acf_slope`; in ln(gamma), `u_and_slope`). The bound falls in C by
 its form (`UnionBound.u`), so the C solve checks only C = 1 and raises
-MonotonicityError only when it does not converge. Around it sit the
-pairwise error probability and the Gray-mapping PSK approximation.
+MonotonicityError only when it does not converge. Beside it sits the
+Gray-mapping PSK approximation.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -51,13 +51,9 @@ from .lockstep import newton_lockstep
 __all__ = [
     "q_function",
     "q_inverse",
-    "BepContext",
-    "UubBound",
     "UnionBound",
     "union_bound",
     "union_bound_rows",
-    "pep",
-    "uub",
     "psk_bep_approx",
     "min_acf_for_rate",
     "max_modulation_order",
@@ -83,41 +79,6 @@ def q_inverse(p: float) -> float:
     return float(-ndtri(p))
 
 
-@dataclass(frozen=True)
-class BepContext:
-    """Everything the closed-form BEP expressions need at one time instant."""
-
-    estimate: ChannelEstimate
-    acf_value: float
-    snr_linear: float
-    constellation: Constellation
-
-    def __post_init__(self):
-        if not 0.0 <= self.acf_value <= 1.0:
-            raise ValueError("acf_value must lie in [0, 1]")
-        if self.snr_linear <= 0:
-            raise ValueError("snr_linear must be positive")
-
-
-@dataclass(frozen=True)
-class UubBound:
-    """Union bound value, clamped to [0, 1], with the raw sum kept around.
-
-    The raw double sum can exceed 1 at low SNR; that regime is flagged via
-    is_loose so downstream code can tell a vacuous bound from a tight one.
-    """
-
-    value: float
-    raw: float
-
-    @property
-    def is_loose(self) -> bool:
-        return self.raw > 1.0
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _pep_ratio(gamma, acf, norm_sq, d_sq, s_sq):
     """(r, den): the Q-function argument of the pairwise error probability
     is sqrt(A) = C r, with den the denominator of A.
@@ -129,17 +90,6 @@ def _pep_ratio(gamma, acf, norm_sq, d_sq, s_sq):
     """
     den = 2.0 * gamma * (1.0 - acf * acf) * s_sq + 2.0
     return np.sqrt(gamma * norm_sq * d_sq / den), den
-
-
-def pep(m: int, m_hat: int, ctx: BepContext) -> float:
-    """Pairwise error probability of deciding s_mhat when s_m was sent.
-
-    Indices are 0-based positions in the constellation.
-    """
-    pts = ctx.constellation.points
-    r, _ = _pep_ratio(ctx.snr_linear, ctx.acf_value, ctx.estimate.norm_sq,
-                      abs(pts[m] - pts[m_hat]) ** 2, abs(pts[m]) ** 2)
-    return float(q_function(ctx.acf_value * r))
 
 
 # pairwise terms evaluated per block, bounding the (points x terms)
@@ -351,22 +301,6 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     return tuple(out.reshape(shape) for out in outs)
 
 
-def _uub_raw(ctx: BepContext) -> float:
-    c = ctx.constellation
-    return union_bound(c.scheme, c.order).u(ctx.estimate.norm_sq,
-                                            ctx.acf_value, ctx.snr_linear)
-
-
-def uub(ctx: BepContext) -> UubBound:
-    """Union upper bound on the BEP (Hamming-weighted PEP sum).
-
-    The pairwise terms are those of the sub-optimum (nearest-reference)
-    rule, which equals ML on PSK.
-    """
-    raw = _uub_raw(ctx)
-    return UubBound(min(raw, 1.0), raw)
-
-
 def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value,
                    snr_linear):
     """Gray-mapping signal-space BEP approximation for M-PSK.
@@ -468,7 +402,8 @@ def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
                      scheme: str, bep_threshold):
     """Smallest ACF value C_n at which rate n still meets the threshold.
 
-    Solves uub(C) = bep_threshold by `newton_lockstep` on [0, 1], which
+    Solves u(C) = bep_threshold, with u the `UnionBound` of the rate's
+    order, by `newton_lockstep` on [0, 1], which
     brackets the root wherever C = 1 meets the threshold, as the bound
     falls in C by its form (`UnionBound.u`). Each cell starts at the
     largest single-term root (`UnionBound.acf_lower`). C_n is the feasible

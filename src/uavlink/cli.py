@@ -23,11 +23,10 @@ import numpy as np
 
 from . import __version__
 from .bep_analysis import (
-    BepContext,
     UnionBound,
     psk_bep_approx,
+    union_bound,
     union_bound_rows,
-    uub,
 )
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .constellation import constellation_for
@@ -302,7 +301,11 @@ def _base_meta(cfg: RunConfig) -> dict:
 
 
 def cmd_bep_curve(cfg: RunConfig, threads: int, out_dir: Path) -> None:
-    """Detector comparison over the SNR x ACF grid, one CSV row per point."""
+    """Detector comparison over the SNR x ACF grid, one CSV row per point.
+
+    `analytic-uub` rows are the union bound clamped to 1; closed-form rows
+    have std_error and bits 0.
+    """
     if "psk-approx" in cfg.detectors and cfg.scheme != "psk":
         raise ConfigError("detector psk-approx requires run.scheme = psk")
     rows = []
@@ -321,16 +324,24 @@ def cmd_bep_curve(cfg: RunConfig, threads: int, out_dir: Path) -> None:
             sims = iter(monte_carlo_bep(cfg.estimate, acfs, gammas, c, kinds,
                                         cfg.n_symbols, cfg.seed,
                                         threads=threads))
-        for snr_db, gamma, acf, det in grid:
+        # and each closed form's points in one array call
+        closed = {}
+        for det in ("analytic-uub", "psk-approx"):
+            points = [(acf, gamma) for _, gamma, acf, d in grid if d == det]
+            if not points:
+                continue
+            acfs, gammas = np.array(points).T
+            bep = (np.minimum(union_bound(cfg.scheme, order).u(
+                       cfg.estimate.norm_sq, acfs, gammas), 1.0)
+                   if det == "analytic-uub"
+                   else psk_bep_approx(order, cfg.estimate, acfs, gammas))
+            closed[det] = iter(bep.tolist())
+        for snr_db, _, acf, det in grid:
             if det in ("ml", "so"):
                 est = next(sims)
                 bep, se, bits = est.bep, est.std_error, est.bits_simulated
-            elif det == "analytic-uub":
-                ctx = BepContext(cfg.estimate, acf, gamma, c)
-                bep, se, bits = float(uub(ctx)), 0.0, 0
             else:
-                bep = psk_bep_approx(order, cfg.estimate, acf, gamma)
-                se, bits = 0.0, 0
+                bep, se, bits = next(closed[det]), 0.0, 0
             rows.append((snr_db, acf, cfg.scheme, order, det, bep, se, bits))
     meta = _base_meta(cfg)
     meta.update(n_symbols=cfg.n_symbols, snr_db=list(cfg.snr_db),

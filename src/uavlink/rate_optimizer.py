@@ -104,7 +104,7 @@ class RateSchedule:
         t_n decreases as n grows, so the rate is r_max less the number of
         switch times before t.
         """
-        if t <= self.t_estimate:
+        if not t > self.t_estimate:
             return 0
         return self.r_max - sum(th.t_n < t for th in self.thresholds)
 

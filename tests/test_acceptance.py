@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from uavlink import (
-    BepContext,
     ChannelEstimate,
     DetectorKind,
     average_rate,
@@ -32,10 +31,8 @@ from uavlink import (
     so_detect,
     sweep_rave_max,
     union_bound,
-    uub,
 )
 from uavlink.cli import main as cli_main
-from uavlink.constellation import make_qam
 from uavlink.errors import InfeasibleCsiError
 from uavlink.fixtures import load_fixture
 from uavlink.scenario import average_snr_db
@@ -127,7 +124,8 @@ def test_criterion_02_union_bound_validity_and_tightness(case1):
                                    [p[2] for p in points], c,
                                    DetectorKind.SO, n_sym, seed=MC_SEED)
             for (acf, snr_db, g), sim in zip(points, sims):
-                bound = uub(BepContext(est, acf, g, c)).value
+                bound = min(union_bound(scheme, order).u(est.norm_sq, acf,
+                                                         g), 1.0)
                 if sim.bep > bound + 3.0 * sim.std_error:
                     validity_bad.append((scheme, order, acf, snr_db))
                 if 1e-4 <= bound <= 1e-1:
@@ -173,7 +171,7 @@ def test_criterion_03_bpsk_closed_form_oracle(case1):
 
 
 def test_criterion_04_threshold_inversion_residuals():
-    """Every schedule threshold satisfies |uub(C_n) - beta| <= 1e-8 beta,
+    """Every schedule threshold satisfies |u(C_n) - beta| <= 1e-8 beta,
     with C_n strictly increasing in the rate."""
     checked = 0
     worst = 0.0
@@ -189,8 +187,8 @@ def test_criterion_04_threshold_inversion_residuals():
                 cs = [th.c_n for th in sched.thresholds]
                 assert all(a < b for a, b in zip(cs, cs[1:]))
                 for th in sched.thresholds:
-                    c = constellation_for(scheme, 1 << th.n)
-                    val = uub(BepContext(fx.estimate, th.c_n, g, c)).raw
+                    val = union_bound(scheme, 1 << th.n).u(
+                        fx.estimate.norm_sq, th.c_n, g)
                     worst = max(worst, abs(val - beta) / beta)
                     checked += 1
     print(f"criterion 04: {checked} thresholds, worst residual "
@@ -318,14 +316,12 @@ def test_criterion_08_qam_root_convergence(case1):
     norm_sq = case1.estimate.norm_sq
     worst_res, worst_iters, worst_slope = 0.0, 0, 0.0
     for order in (4, 16):
-        c = make_qam(order)
         bound = union_bound("qam", order)
         for acf in (0.99, 0.999):
             info = min_snr_qam(order, case1.estimate, acf, beta,
                                details=True)
             worst_iters = max(worst_iters, info.iterations)
-            val = uub(BepContext(case1.estimate, acf, info.gamma_min,
-                                 c)).raw
+            val = bound.u(norm_sq, acf, info.gamma_min)
             worst_res = max(worst_res, abs(val - beta) / beta)
             for g0 in (info.gamma_min, 1.5 * info.gamma_min):
                 _, v_m = bound.u_and_slope(norm_sq, acf, g0)
@@ -356,8 +352,8 @@ def test_criterion_09_power_control_compliance(case1, power_traces):
             if scheme == "psk" or s.order == 2:
                 bep = psk_bep_approx(s.order, case1.estimate, s.acf_value, g)
             else:
-                bep = uub(BepContext(case1.estimate, s.acf_value, g,
-                                     make_qam(s.order))).raw
+                bep = union_bound("qam", s.order).u(
+                    case1.estimate.norm_sq, s.acf_value, g)
             worst = max(worst, bep / beta)
             assert s.rate == schedule.rate_at(s.t)
         rebuilt = build_rate_schedule(

@@ -14,25 +14,20 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from uavlink import (
-    BepContext,
     ChannelEstimate,
     UnionBound,
-    UubBound,
     build_rate_schedules,
     constellation_for,
     max_modulation_order,
     min_acf_for_rate,
-    pep,
     psk_bep_approx,
     q_function,
     q_inverse,
     sweep_rave_max,
     union_bound,
-    uub,
 )
 from uavlink.bep_analysis import (
     _BLOCK_TERMS,
-    _uub_raw,
     acf_thresholds,
     union_bound_rows,
 )
@@ -79,77 +74,6 @@ class TestQFunction:
             q_inverse(p)
 
 
-class TestBepContext:
-    def test_acf_out_of_range(self, estimate):
-        c = constellation_for("psk", 4)
-        with pytest.raises(ValueError):
-            BepContext(estimate, 1.2, 10.0, c)
-        with pytest.raises(ValueError):
-            BepContext(estimate, -0.01, 10.0, c)
-
-    def test_nonpositive_snr(self, estimate):
-        c = constellation_for("psk", 4)
-        with pytest.raises(ValueError):
-            BepContext(estimate, 0.9, 0.0, c)
-
-
-class TestPairwise:
-    def test_perfect_csi_reduction(self, estimate):
-        # at C = 1 the estimation noise vanishes: PEP = Q(sqrt(g*||h||^2*d^2/2))
-        c = constellation_for("qam", 16)
-        ctx = BepContext(estimate, 1.0, 12.0, c)
-        for m, m_hat in [(0, 1), (3, 9), (15, 0)]:
-            d_sq = abs(c.points[m] - c.points[m_hat]) ** 2
-            want = q_function(np.sqrt(12.0 * estimate.norm_sq * d_sq / 2.0))
-            assert pep(m, m_hat, ctx) == pytest.approx(want, rel=1e-14)
-
-    def test_psk_symmetry(self, estimate):
-        # equal symbol energies make the PSK pairwise matrix symmetric
-        c = constellation_for("psk", 8)
-        ctx = BepContext(estimate, 0.93, 40.0, c)
-        for m in range(8):
-            for m_hat in range(m + 1, 8):
-                assert pep(m, m_hat, ctx) == pytest.approx(
-                    pep(m_hat, m, ctx), rel=1e-14)
-
-    def test_decreasing_in_snr(self, estimate):
-        c = constellation_for("qam", 16)
-        vals = [pep(0, 1, BepContext(estimate, 0.95, g, c))
-                for g in (1.0, 5.0, 25.0, 125.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-class TestUub:
-    def test_bpsk_equals_closed_form(self, estimate):
-        # for BPSK the union bound is exact and matches the M=2 expression
-        c2 = constellation_for("psk", 2)
-        for g, acf in [(1.0, 1.0), (5.0, 0.75), (GAMMA_MAX, 0.9)]:
-            bound = uub(BepContext(estimate, acf, g, c2))
-            want = psk_bep_approx(2, estimate, acf, g)
-            assert bound.raw == pytest.approx(want, rel=1e-13)
-
-    def test_loose_at_low_snr(self, estimate):
-        bound = uub(BepContext(estimate, 0.9, 0.1, constellation_for("qam", 64)))
-        assert bound.is_loose
-        assert bound.value == 1.0
-        assert bound.raw == pytest.approx(7.273810176552, rel=1e-10)
-        assert float(bound) == 1.0
-
-    def test_tight_bound_not_flagged(self, estimate):
-        bound = uub(BepContext(estimate, 0.99, GAMMA_MAX,
-                               constellation_for("psk", 4)))
-        assert not bound.is_loose
-        assert bound.value == bound.raw < 1e-6
-
-    @pytest.mark.parametrize("scheme,order", [("psk", 8), ("psk", 16),
-                                              ("qam", 16), ("qam", 32)])
-    def test_nonincreasing_in_acf(self, estimate, scheme, order):
-        c = constellation_for(scheme, order)
-        vals = [_uub_raw(BepContext(estimate, acf, 50.0, c))
-                for acf in np.linspace(0.3, 1.0, 15)]
-        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
 def _ungrouped_terms(c, norm_sq, acf, gamma):
     """Hamming weights, |s_m - s_mhat|^2, |s_m|^2 and the squared pairwise
     arguments over all M x M pairs."""
@@ -159,6 +83,58 @@ def _ungrouped_terms(c, norm_sq, acf, gamma):
     num = gamma * acf * acf * norm_sq * d_sq
     den = 2.0 * gamma * (1.0 - acf * acf) * s_sq + 2.0
     return hamming_matrix(c), d_sq, s_sq, num / den
+
+
+def _pep(c, norm_sq, acf, gamma):
+    """Pairwise error probabilities of every (m, mhat) pair, from the
+    ungrouped oracle above."""
+    return q_function(np.sqrt(_ungrouped_terms(c, norm_sq, acf, gamma)[3]))
+
+
+class TestPairwise:
+    def test_perfect_csi_reduction(self, estimate):
+        # at C = 1 the estimation noise vanishes: PEP = Q(sqrt(g*||h||^2*d^2/2))
+        c = constellation_for("qam", 16)
+        pep = _pep(c, estimate.norm_sq, 1.0, 12.0)
+        for m, m_hat in [(0, 1), (3, 9), (15, 0)]:
+            d_sq = abs(c.points[m] - c.points[m_hat]) ** 2
+            want = q_function(np.sqrt(12.0 * estimate.norm_sq * d_sq / 2.0))
+            assert pep[m, m_hat] == pytest.approx(want, rel=1e-14)
+
+    def test_psk_symmetry(self, estimate):
+        # equal symbol energies make the PSK pairwise matrix symmetric
+        c = constellation_for("psk", 8)
+        pep = _pep(c, estimate.norm_sq, 0.93, 40.0)
+        for m in range(8):
+            for m_hat in range(m + 1, 8):
+                assert pep[m, m_hat] == pytest.approx(pep[m_hat, m],
+                                                      rel=1e-14)
+
+    def test_decreasing_in_snr(self, estimate):
+        c = constellation_for("qam", 16)
+        vals = [_pep(c, estimate.norm_sq, 0.95, g)[0, 1]
+                for g in (1.0, 5.0, 25.0, 125.0)]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestUub:
+    def test_bpsk_equals_closed_form(self, estimate):
+        # for BPSK the union bound is exact and matches the M=2 expression
+        bound = union_bound("psk", 2)
+        for g, acf in [(1.0, 1.0), (5.0, 0.75), (GAMMA_MAX, 0.9)]:
+            want = psk_bep_approx(2, estimate, acf, g)
+            assert bound.u(estimate.norm_sq, acf, g) == pytest.approx(
+                want, rel=1e-13)
+
+    def test_loose_at_low_snr(self, estimate):
+        # the raw sum exceeds 1 here; the CLI clamps it to 1
+        raw = union_bound("qam", 64).u(estimate.norm_sq, 0.9, 0.1)
+        assert raw > 1.0
+        assert raw == pytest.approx(7.273810176552, rel=1e-10)
+
+    def test_tight_bound_below_one(self, estimate):
+        raw = union_bound("psk", 4).u(estimate.norm_sq, 0.99, GAMMA_MAX)
+        assert raw < 1e-6
 
 
 def _tail_rel(u):
@@ -412,12 +388,12 @@ class TestPskApprox:
     def test_equals_nearest_neighbour_subsum(self, estimate, order):
         # Gray ring: only the two unit-Hamming neighbours at d_min survive
         c = constellation_for("psk", order)
-        ctx = BepContext(estimate, 0.97, 50.0, c)
+        pep = _pep(c, estimate.norm_sq, 0.97, 50.0)
         pts = c.points
         dist = np.abs(pts[:, None] - pts[None, :])
         d_min = dist[dist > 0].min()
         n_mat = hamming_matrix(c)
-        sub = sum(n_mat[m, m_hat] * pep(m, m_hat, ctx)
+        sub = sum(n_mat[m, m_hat] * pep[m, m_hat]
                   for m in range(order) for m_hat in range(order)
                   if m != m_hat and abs(dist[m, m_hat] - d_min) < 1e-12)
         sub /= order * c.bits_per_symbol
@@ -426,10 +402,10 @@ class TestPskApprox:
 
     @pytest.mark.parametrize("order", [4, 8, 16])
     def test_never_exceeds_uub(self, estimate, order):
-        c = constellation_for("psk", order)
+        bound = union_bound("psk", order)
         for g in (2.0, 20.0, 200.0):
             for acf in (0.8, 0.95, 1.0):
-                full = _uub_raw(BepContext(estimate, acf, g, c))
+                full = bound.u(estimate.norm_sq, acf, g)
                 assert psk_bep_approx(order, estimate, acf, g) <= full * (1 + 1e-12)
 
     def test_unsupported_order(self, estimate):
@@ -573,8 +549,8 @@ class TestMinAcfForRate:
         beta = 1e-5
         for rate, scheme in [(2, "psk"), (3, "psk"), (4, "qam"), (5, "qam")]:
             c_n = min_acf_for_rate(rate, estimate, GAMMA_MAX, scheme, beta)
-            c = constellation_for(scheme, 2 ** rate)
-            val = _uub_raw(BepContext(estimate, c_n, GAMMA_MAX, c))
+            val = union_bound(scheme, 2 ** rate).u(estimate.norm_sq, c_n,
+                                                   GAMMA_MAX)
             assert abs(val - beta) <= 1e-8 * beta
 
     def test_steep_bound_meets_residual(self, estimate):
@@ -583,8 +559,7 @@ class TestMinAcfForRate:
         # tolerance, so the bisection must go on below the 1e-12 bracket
         g, beta = GAMMA_MAX * 10.0 ** 0.4, 1e-7
         c_n = min_acf_for_rate(6, estimate, g, "psk", beta)
-        c = constellation_for("psk", 64)
-        val = _uub_raw(BepContext(estimate, c_n, g, c))
+        val = union_bound("psk", 64).u(estimate.norm_sq, c_n, g)
         assert val <= beta
         assert abs(val - beta) <= 1e-8 * beta
 

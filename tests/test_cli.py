@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavlink import __version__
+from uavlink import __version__, union_bound
 from uavlink.cli import _write_csv, load_config, main
 from uavlink.errors import ConfigError
 
@@ -94,6 +94,22 @@ class TestBepCurve:
                 assert row["bits"] == "0" and float(row["std_error"]) == 0.0
             else:
                 assert row["bits"] == "4000"  # 2000 QPSK symbols
+
+    @pytest.mark.parametrize("scheme", ["psk", "qam"])
+    def test_zero_snr(self, tmp_path, scheme):
+        # -4000 dB underflows gamma to 0.0, where every pairwise argument
+        # is 0 and the bound is sum(w) Q(0), clamped to 1
+        cfg = write_config(tmp_path, BASE_RUN.replace(
+            "scheme = psk", f"scheme = {scheme}").replace(
+            "snr_db = 6 12", "snr_db = -4000 0"))
+        out = tmp_path / "out"
+        assert main(["bep-curve", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        bounds = [float(r["bep"]) for r in read_rows(out / "bep_curve.csv")
+                  if r["detector"] == "analytic-uub"
+                  and float(r["snr_db"]) == -4000.0]
+        want = min(0.5 * union_bound(scheme, 4).weight.sum(), 1.0)
+        assert bounds == [want, want]
 
     def test_sidecar_metadata(self, tmp_path):
         cfg = write_config(tmp_path)

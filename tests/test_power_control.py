@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from uavlink import (
-    BepContext,
     ChannelEstimate,
     DetectorKind,
     EnergySavings,
@@ -40,7 +39,6 @@ from uavlink import (
     so_detect,
     temporal_acf,
     union_bound,
-    uub,
 )
 from uavlink.constellation import make_qam
 from uavlink.errors import (
@@ -129,8 +127,8 @@ class TestQamSolver:
     def test_roundtrip_to_threshold(self, fx, order, acf, gamma, iters,
                                     method):
         g = min_snr_qam(order, fx.estimate, acf, BETA)
-        bound = uub(BepContext(fx.estimate, acf, g, make_qam(order)))
-        assert bound.raw == pytest.approx(BETA, rel=1e-7)
+        raw = union_bound("qam", order).u(fx.estimate.norm_sq, acf, g)
+        assert raw == pytest.approx(BETA, rel=1e-7)
 
     @given(order=st.sampled_from([4, 8, 16, 32, 64]),
            log_scale=st.floats(-4.0, 4.0),
@@ -307,8 +305,8 @@ class TestPowerSchedule:
             if schedule.scheme == "psk" or s.order == 2:
                 bep = psk_bep_approx(s.order, fx.estimate, s.acf_value, gamma)
             else:
-                bep = uub(BepContext(fx.estimate, s.acf_value, gamma,
-                                     make_qam(s.order))).raw
+                bep = union_bound("qam", s.order).u(fx.estimate.norm_sq,
+                                                    s.acf_value, gamma)
             assert bep == pytest.approx(BETA, rel=1e-6)
 
     def test_empty_schedule_gives_empty_trace(self, fx):
@@ -357,8 +355,8 @@ class TestBepAtPmin:
 def _bep_at(estimate, scheme, s, gamma):
     if scheme == "psk" or s.order == 2:
         return psk_bep_approx(s.order, estimate, s.acf_value, gamma)
-    return uub(BepContext(estimate, s.acf_value, gamma,
-                          make_qam(s.order))).raw
+    return union_bound("qam", s.order).u(estimate.norm_sq, s.acf_value,
+                                         gamma)
 
 
 def _trace(fx, scheme, sample_dt):

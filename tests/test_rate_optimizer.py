@@ -156,6 +156,18 @@ class TestRateAt:
                       if s.t_estimate < t <= th.t_n), 0) for t in ts]
         assert s.rates_at(ts).tolist() == want
 
+    @pytest.mark.parametrize("at", ["nan", "t_estimate",
+                                    *(f"t_{n}" for n in range(1, 7)),
+                                    "past_t_1"])
+    def test_scalar_matches_array(self, qam_schedule, at):
+        # the case1 QAM schedule has r_max 6; NaN is not after t_estimate,
+        # so both read rate 0 there
+        s = qam_schedule
+        t = {"nan": math.nan, "t_estimate": s.t_estimate,
+             "past_t_1": np.nextafter(s.switch_time(1), np.inf),
+             **{f"t_{th.n}": th.t_n for th in s.thresholds}}[at]
+        assert s.rate_at(t) == s.rates_at(t)
+
     def test_monotone_nonincreasing(self, qam_schedule):
         ts = np.linspace(qam_schedule.t_estimate + 1e-6, 0.06, 500)
         rates = [qam_schedule.rate_at(float(t)) for t in ts]
