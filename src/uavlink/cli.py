@@ -12,6 +12,7 @@ Every output is a CSV with a header row plus a JSON metadata sidecar
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -102,6 +103,12 @@ class RunConfig:
             if not math.isfinite(v):
                 raise ConfigError(
                     f"run.snr_db entries must be finite, got {v}")
+            # bep-curve and rate-opt take the linear SNR 10^(dB / 10)
+            try:
+                10.0 ** (v / 10.0)
+            except OverflowError:
+                raise ConfigError(f"run.snr_db entry {v} dB overflows the "
+                                  "linear SNR") from None
         for v in self.acf:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(
@@ -446,7 +453,10 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
                list(zip(*srows)), meta)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call of the
+    process and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="uavlink",
         description="Wobbling-UAV mm-wave link: BEP, rate and power tools")
@@ -461,7 +471,11 @@ def main(argv=None) -> int:
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (never changes results)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.threads < 1:

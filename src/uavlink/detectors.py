@@ -26,7 +26,9 @@ as the full metric does, ties (lowest index) included:
 
 - Slicing, for SO on a grid (QAM 4/8/16/64). |u - a_k|^2 is the sum of a
   real and an imaginary square, so the nearest grid point is the nearest
-  level on each axis, found by rounding. Rounded sums can still tie or
+  level on each axis, found by rounding; on the 2 x 2 grid of 4-QAM (both
+  rules, see _reduced) it is the level on u's side of the grid's centre,
+  read from the signs of u less the centre. Rounded sums can still tie or
   swap where an axis's margin is tiny: at a boundary halfway between two
   levels, or far off the grid, where the other axis's square absorbs the
   difference. A row keeps its slice only when its distance to the nearest
@@ -60,8 +62,10 @@ keeps ML weights, the n gamma variates. None of these depends on
 (gamma, C) or on the rule, so one set of draws per batch serves every
 point of a call: each synthesises z = a[m] ||h||^2 + sqrt(sigma_m^2
 ||h||^2 / 2) (n0 + j n1) and ||y_perp||^2 = sigma_m^2 Gamma from them,
-once per (gamma, C), where equal tables share one decision. A point's
-estimate is its one-point call's, bit for bit, for any thread count.
+once per (gamma, C), where equal tables share one decision. A table's bit
+errors are one sum over the flattened Hamming matrix, taken at m M + j
+for sent m and decided j. A point's estimate is its one-point call's, bit
+for bit, for any thread count.
 """
 
 import enum
@@ -75,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelEstimate
-from .constellation import POPCOUNT, Constellation
+from .constellation import Constellation, hamming_matrix
 from .errors import require_finite
 
 __all__ = [
@@ -127,6 +131,7 @@ class _Grid(NamedTuple):
 
     lo_r: float  # lowest real level
     lo_i: float  # lowest imaginary level
+    step: float  # level spacing
     inv_step: float  # 1 / level spacing
     n_r: int  # number of real levels
     n_i: int  # number of imaginary levels
@@ -245,7 +250,7 @@ def _grid_of(a: np.ndarray) -> _Grid | None:
     if [at_r[r] * len(li) + at_i[i] for r, i in zip(re, im)] != list(
             range(len(re))):
         return None
-    return _Grid(lr[0], li[0], 1.0 / step, len(lr), len(li))
+    return _Grid(lr[0], li[0], step, 1.0 / step, len(lr), len(li))
 
 
 def _fold_of(a: np.ndarray) -> _Fold | None:
@@ -316,8 +321,8 @@ class _Scratch:
     detection keeps its work arrays in buffers that are spent by then: the
     normal block's and _synthesise's, other than z (which then holds u)
     and ||y_perp||^2, and the metric blocks'. The batch's complex noise,
-    gamma variates and sent labels, and a point's u and ||y_perp||^2,
-    outlive every decision made on them.
+    gamma variates and sent symbols' Hamming-matrix offsets, and a point's
+    u and ||y_perp||^2, outlive every decision made on them.
     """
 
     def __init__(self):
@@ -395,7 +400,7 @@ def _decide(u: np.ndarray, perp, norm_sq: float, tab: _Tables,
     ur, ui = u.real, u.imag
     out = scratch.get("decided", (u.size,), np.int64)
     if tab.inv is None and tab.grid is not None:
-        exact = _slice(ur, ui, tab.grid, out, scratch)
+        exact = _slice(u, tab.grid, out, scratch)
     elif tab.fold is not None:
         exact = _fold(ur, ui, perp, norm_sq, tab.fold, out, scratch)
     else:
@@ -472,11 +477,15 @@ _SLICE_MARGIN = 0.5e-9
 
 
 @np.errstate(over="ignore")  # a square that overflows fails the margin
-def _slice(ur: np.ndarray, ui: np.ndarray, grid: _Grid, out: np.ndarray,
+def _slice(u: np.ndarray, grid: _Grid, out: np.ndarray,
            scratch) -> np.ndarray:
     """SO decisions by rounding u to the nearest level on each axis, into
-    `out`; returns the mask of the rows this decides exactly."""
-    n = ur.size
+    `out`; returns the mask of the rows this decides exactly. On a 2 x 2
+    grid the nearest level is the one on u's side of the centre, and the
+    signs decide (_slice_signs)."""
+    if grid.n_r == grid.n_i == 2:
+        return _slice_signs(u, grid, out, scratch)
+    n, ur, ui = u.size, u.real, u.imag
     # the work arrays reuse the buffers of _argmin's metric blocks
     t, e, dist, sq = scratch.get("metric", (4, n))
     near = scratch.get("im", (2, n))  # nearest level per axis
@@ -510,6 +519,40 @@ def _slice(ur: np.ndarray, ui: np.ndarray, grid: _Grid, out: np.ndarray,
     cell += near[1]
     np.copyto(out, cell, casting="unsafe")
     return exact
+
+
+# the 2 x 2 grid's reference at [p_r + 256 p_i], the little-endian uint16 of
+# the flags (p_r, p_i) of u lying above the centre on each axis
+_SIGNS = np.zeros(258, dtype=np.int64)
+_SIGNS[[1, 256, 257]] = 2, 1, 3
+
+
+def _slice_signs(u: np.ndarray, grid: _Grid, out: np.ndarray,
+                 scratch) -> np.ndarray:
+    """_slice on a 2 x 2 grid, with its margin. With w = u less the grid's
+    centre, |w| per axis is the distance to that axis's one boundary, and
+    |w| - step / 2 the distance to the level on w's side, so a row is exact
+    when min |w| > _SLICE_MARGIN (step + sum of (|w| - step / 2)^2 / step).
+    A row at the centre line, NaN or overflowing fails it."""
+    n, half = u.size, 0.5 * grid.step
+    mid = complex(grid.lo_r + half, grid.lo_i + half)
+    if mid or not u.flags.c_contiguous:
+        # _synthesise's w is spent
+        u = np.subtract(u, mid, out=scratch.get("w", (n,), np.complex128))
+    w = u.view(np.float64).reshape(n, 2)  # per row, Re and Im of w
+    above = np.greater(w, 0.0, out=scratch.get("im", (n, 2), np.bool_))
+    np.take(_SIGNS, above.view("<u2")[:, 0], out=out, mode="clip")
+    # the margin, in the buffer of _argmin's metric blocks
+    work = scratch.get("metric", (4, n))
+    a, dist, sq = work[:2].reshape(n, 2), work[2], work[3]
+    np.abs(w, out=a)
+    np.minimum(a[:, 0], a[:, 1], out=dist)
+    a -= half
+    a *= a
+    np.add(a[:, 0], a[:, 1], out=sq)
+    sq *= _SLICE_MARGIN / grid.step
+    sq += _SLICE_MARGIN * grid.step
+    return np.greater(dist, sq, out=scratch.get("sig2", (n,), np.bool_))
 
 
 # A folded row is exact when the bound derived in _fold exceeds this factor
@@ -670,15 +713,23 @@ def _synthesise(draws: _Draws, norm_sq: float, tab: _Tables, with_perp: bool,
     a batch's draws: z = a[tx] ||h||^2 + sqrt(||h||^2 sigma^2[tx] / 2) noise
     and ||y_perp||^2 = gamma sigma^2[tx]. The per-reference factors are
     formed on the table and then taken per symbol; each is the same
-    operation on the same values as when formed per symbol. With a
-    `scratch`, z and ||y_perp||^2 are its buffers."""
+    operation on the same values as when formed per symbol. Where the noise
+    scale is one value (PSK, 4-QAM, C = 1 or gamma = 0), that scalar scales
+    the noise: the complex product takes the same operands as with its
+    gathered copies. With a `scratch`, z and ||y_perp||^2 are its
+    buffers."""
     if scratch is None:
         scratch = _FRESH
     tx, n = draws.tx, draws.tx.size
-    # mode="clip" takes without the temporary copy of mode="raise"; every
-    # index is in range, so the values are the same
-    scale = np.take(np.sqrt(0.5 * norm_sq * tab.sig2), tx,
-                    out=scratch.get("scale", (n,)), mode="clip")
+    scale = np.sqrt(0.5 * norm_sq * tab.sig2)
+    values = scale.tolist()
+    if min(values) == max(values):
+        scale = values[0]
+    else:
+        # mode="clip" takes without the temporary copy of mode="raise";
+        # every index is in range, so the values are the same
+        scale = np.take(scale, tx, out=scratch.get("scale", (n,)),
+                        mode="clip")
     z = np.take(tab.a * norm_sq, tx,
                 out=scratch.get("z", (n,), np.complex128), mode="clip")
     z += np.multiply(scale, draws.noise,
@@ -710,9 +761,12 @@ def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
     perps = [any(tab.inv is not None for tab in group) for group in groups]
     draws = _draw(rng, n_batch, c.order, estimate.h.size, any(perps),
                   scratch)
-    sent = np.take(c.labels, draws.tx, out=scratch.get("sent", (n_batch,),
-                                                       np.int64), mode="clip")
-    got = scratch.get("got", (n_batch,), np.int64)
+    # the bit errors of sending k and deciding j are entry k M + j of the
+    # flattened Hamming matrix
+    hamming = hamming_matrix(c).ravel()
+    sent = np.multiply(draws.tx, c.order,
+                       out=scratch.get("sent", (n_batch,), np.int64))
+    at = scratch.get("at", (n_batch,), np.int64)
     errors = []
     for group, with_perp in zip(groups, perps):
         z, perp = _synthesise(draws, estimate.norm_sq, group[0], with_perp,
@@ -720,10 +774,9 @@ def _run_batch(batch_index: int, n_batch: int, estimate: ChannelEstimate,
         u = np.divide(z, estimate.norm_sq, out=z)
         for tab in group:
             detected = _decide(u, perp, estimate.norm_sq, tab, scratch)
-            np.take(c.labels, detected, out=got, mode="clip")
-            np.bitwise_xor(sent, got, out=got)
+            np.add(sent, detected, out=at)
             # the decisions are spent: their buffer takes the bit counts
-            errors.append(int(np.take(POPCOUNT, got, out=detected,
+            errors.append(int(np.take(hamming, at, out=detected,
                                       mode="clip").sum()))
     return errors
 

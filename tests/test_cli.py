@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavlink import __version__, union_bound
+from uavlink import __version__, cli, union_bound
 from uavlink.cli import _write_csv, load_config, main
 from uavlink.errors import ConfigError
 
@@ -275,6 +275,22 @@ class TestGridValidation:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bep-curve", "rate-opt"])
+    def test_overflowing_snr_exits_2(self, tmp_path, capsys, command):
+        # 4000 dB is finite, but its linear SNR overflows a double: one
+        # error line, exit 2 and no output, not a traceback
+        cfg = write_config(tmp_path, BASE_RUN.replace("snr_db = 6 12",
+                                                      "snr_db = 6 4000"))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.snr_db") and err.count("\n") == 1
+        assert not out.exists()
+        # the largest whole dB value whose linear SNR is finite is accepted
+        cfg = write_config(tmp_path, BASE_RUN.replace("snr_db = 6 12",
+                                                      "snr_db = 3082"))
+        assert load_config(str(cfg)).snr_db == (3082.0,)
+
     def test_grid_edges_accepted(self, tmp_path):
         text = BASE_RUN.replace("acf = 0.99 0.9", "acf = 0 1").replace(
             "bep_thresholds = 1e-3 1e-5", "bep_thresholds = 1e-300 0.49"
@@ -323,6 +339,24 @@ class TestConfigResolution:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, capsys):
+        # every main() call of a process parses with one parser, and
+        # --help, --version and usage errors behave alike on each call
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert "bep-curve" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert __version__ in capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:
+                main(["power", "--threads", "2"])
+            assert exc.value.code == 2
+            assert "--config" in capsys.readouterr().err
+        assert cli._parser() is cli._parser()
 
     def test_seed_override_in_loader(self, tmp_path):
         cfg = write_config(tmp_path)

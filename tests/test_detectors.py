@@ -181,6 +181,22 @@ def _edge_rows(tab):
     return np.array(rows)
 
 
+def _sign_rows(half):
+    """u around the centre 0 of a 2 x 2 grid whose levels lie `half` either
+    side of it: at the centre and on both axes, each with both signs of
+    zero; on both diagonals; near them; with an infinite or NaN component;
+    and at |u| about 1e154, where the squares and their sums overflow."""
+    near = (0.0, -0.0, half, -half, 0.3 * half, -0.3 * half, 2.5 * half,
+            -2.5 * half, 1e-12 * half)
+    far = (np.inf, -np.inf, np.nan, 1e154, -1.3e154, 2e154)
+    pairs = [(x, y) for x in near for y in near]
+    pairs += [(x, y) for x in far for y in near + far]
+    pairs += [(x, y) for x in near for y in far]
+    u = np.empty(len(pairs), dtype=np.complex128)
+    u.real, u.imag = np.array(pairs).T
+    return u
+
+
 class TestReducedDetection:
     """Slicing and folding decide exactly as the full metric does."""
 
@@ -388,6 +404,55 @@ class TestReducedDetection:
                 assert want[0] == int(np.argmin(np.abs(tab.a)))
 
 
+    @pytest.mark.parametrize("acf,gamma", [(0.9, 30.0), (1.0, 1e-6),
+                                           (0.2, 1e4)])
+    def test_four_qam_signs_decide_as_the_full_metric(self, estimate, acf,
+                                                      gamma):
+        # both rules' 4-QAM tables are SO's 2 x 2 grid, decided by the
+        # signs of u; on every edge row the decision is the full metric's,
+        # and u = 0, which ties all four points, takes the lowest index
+        c = constellation_for("qam", 4)
+        u = None
+        for kind in DetectorKind:
+            tab = detectors._reduced(detectors._tables(estimate, acf, gamma,
+                                                       c, kind))
+            assert tab.inv is None and tab.grid[-2:] == (2, 2)
+            if u is None:
+                u = _sign_rows(tab.a.real.max())
+            # the full metric overflows on the far rows, as the oracle does
+            with np.errstate(over="ignore"):
+                want = _full_metric(u, None, estimate.norm_sq,
+                                    tab).argmin(axis=1)
+                for scratch in (None, detectors._Scratch()):
+                    got = detectors._decide(u, None, estimate.norm_sq, tab,
+                                            scratch)
+                    assert got.tolist() == want.tolist()
+            assert want[:2].tolist() == [0, 0]
+            assert want[2 * 9 + 2] == 3 and want[3 * 9 + 3] == 0
+
+    def test_signs_off_the_origin_and_on_strided_rows(self):
+        # a 2 x 2 grid centred off 0, and rows that are not contiguous
+        a = np.array([0.5 + 0.25j, 0.5 + 1.25j, 1.5 + 0.25j, 1.5 + 1.25j])
+        tab = detectors._reduced(detectors._Tables(a, np.ones(4), None, None))
+        assert tab.grid[-2:] == (2, 2)
+        u = _sign_rows(0.5) + (1.0 + 0.75j)
+        with np.errstate(over="ignore"):
+            want = _full_metric(u, None, 1.0, tab).argmin(axis=1)
+            for rows in (u, np.repeat(u, 2)[::2]):
+                for scratch in (None, detectors._Scratch()):
+                    got = detectors._decide(rows, None, 1.0, tab, scratch)
+                    assert got.tolist() == want.tolist()
+        c = constellation_for("qam", 4)
+        centred = detectors._reduced(detectors._tables(
+            ChannelEstimate(np.ones(2), 1e-3), 0.9, 30.0, c, DetectorKind.SO))
+        u = _sign_rows(centred.a.real.max())
+        with np.errstate(over="ignore"):
+            want = _full_metric(u, None, 2.0, centred).argmin(axis=1)
+            got = detectors._decide(np.repeat(u, 2)[::2], None, 2.0, centred,
+                                    detectors._Scratch())
+        assert got.tolist() == want.tolist()
+
+
 class TestMetricKernel:
     """The one (n, M) metric behind ml_detect, so_detect and the MC."""
 
@@ -454,6 +519,66 @@ class TestMetricKernel:
                 want = int(POPCOUNT[c.labels[tx] ^ c.labels[got]].sum())
                 assert detectors._run_batch(b, n, estimate, ((tab,),), c,
                                             5) == [want]
+
+    @pytest.mark.parametrize("scheme,order", [(s, o) for s in ("psk", "qam")
+                                              for o in SUPPORTED_ORDERS])
+    def test_batch_counts_are_label_popcounts(self, estimate, scheme, order):
+        # each table's count, read from the Hamming matrix, is the popcount
+        # of sent XOR decided labels, recomputed from the batch's draws and
+        # each table's decisions in fresh arrays; two (gamma, C) groups of
+        # ML and SO, a full batch and a partial one
+        c = constellation_for(scheme, order)
+        groups = tuple(
+            tuple(detectors._reduced(detectors._tables(estimate, acf, gamma,
+                                                       c, kind))
+                  for kind in DetectorKind)
+            for acf, gamma in ((0.9, 0.3), (0.6, 0.05)))
+        with_gamma = any(tab.inv is not None for group in groups
+                         for tab in group)
+        for b, n in ((0, 8192), (1, 777)):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=5, spawn_key=(b,)))
+            draws = detectors._draw(rng, n, order, estimate.h.size,
+                                    with_gamma)
+            want = []
+            for group in groups:
+                z, perp = detectors._synthesise(draws, estimate.norm_sq,
+                                                group[0], with_gamma)
+                u = z / estimate.norm_sq
+                for tab in group:
+                    got = detectors._decide(u, perp, estimate.norm_sq, tab)
+                    want.append(int(POPCOUNT[c.labels[draws.tx]
+                                             ^ c.labels[got]].sum()))
+            assert min(want) > 0
+            assert detectors._run_batch(b, n, estimate, groups, c,
+                                        5) == want
+
+    @pytest.mark.parametrize("scheme,order,acf,gamma,one", [
+        ("psk", 8, 0.9, 30.0, True),
+        ("psk", 2, 0.5, 1e3, True),
+        ("qam", 4, 0.9, 30.0, True),
+        ("qam", 16, 1.0, 30.0, True),  # C = 1
+        ("qam", 64, 0.9, 0.0, True),  # gamma = 0
+        ("qam", 16, 0.9, 30.0, False),
+    ])
+    def test_one_scale_synthesises_the_gathered_bits(self, estimate, scheme,
+                                                     order, acf, gamma, one):
+        # where every symbol's noise scale is one value, the scalar scales
+        # the noise; z has the bits of the scale gathered per symbol
+        c = constellation_for(scheme, order)
+        tab = detectors._tables(estimate, acf, gamma, c, DetectorKind.ML)
+        scale = np.sqrt(0.5 * estimate.norm_sq * tab.sig2)
+        assert (np.ptp(scale) == 0.0) == one
+        draws = detectors._draw(np.random.default_rng(9), 8192, order,
+                                estimate.h.size, True)
+        want = (np.take(tab.a * estimate.norm_sq, draws.tx)
+                + np.take(scale, draws.tx) * draws.noise)
+        perp = np.take(tab.sig2, draws.tx) * draws.gamma
+        for scratch in (None, detectors._Scratch()):
+            z, got = detectors._synthesise(draws, estimate.norm_sq, tab, True,
+                                           scratch)
+            assert z.tobytes() == want.tobytes()
+            assert got.tobytes() == perp.tobytes()
 
     def test_batches_reuse_their_buffers(self, estimate):
         # the full metric, the fold (ML; SO on the 32-QAM cross) and the
