@@ -412,13 +412,12 @@ class TestReducedDetection:
         # signs of u; on every edge row the decision is the full metric's,
         # and u = 0, which ties all four points, takes the lowest index
         c = constellation_for("qam", 4)
-        u = None
-        for kind in DetectorKind:
-            tab = detectors._reduced(detectors._tables(estimate, acf, gamma,
-                                                       c, kind))
+        tabs = [detectors._reduced(detectors._tables(estimate, acf, gamma, c,
+                                                     kind))
+                for kind in DetectorKind]
+        u = _sign_rows(tabs[0].a.real.max())
+        for tab in tabs:
             assert tab.inv is None and tab.grid[-2:] == (2, 2)
-            if u is None:
-                u = _sign_rows(tab.a.real.max())
             # the full metric overflows on the far rows, as the oracle does
             with np.errstate(over="ignore"):
                 want = _full_metric(u, None, estimate.norm_sq,
@@ -427,6 +426,8 @@ class TestReducedDetection:
                     got = detectors._decide(u, None, estimate.norm_sq, tab,
                                             scratch)
                     assert got.tolist() == want.tolist()
+            # u = 0 (either zero's sign), then the points (half, half) and
+            # (-half, -half) on the diagonal
             assert want[:2].tolist() == [0, 0]
             assert want[2 * 9 + 2] == 3 and want[3 * 9 + 3] == 0
 
