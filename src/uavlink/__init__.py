@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .bep_analysis import (
     UnionBound,
-    max_modulation_order,
-    min_acf_for_rate,
+    acf_thresholds,
     psk_bep_approx,
     q_function,
     q_inverse,
@@ -52,12 +51,10 @@ from .power_control import (
     EnergySavings,
     PowerSample,
     PowerSchedule,
-    QamRootInfo,
     bep_at_pmin,
     energy_savings,
     min_power_schedule,
     min_snr_psk,
-    min_snr_qam,
 )
 from .rate_optimizer import (
     RateOptimum,
@@ -97,16 +94,15 @@ __all__ = [
     "DetectorKind", "BepEstimate", "ml_detect", "so_detect",
     "monte_carlo_bep", "effective_variance",
     # bep analysis
-    "UnionBound", "union_bound", "psk_bep_approx", "q_function",
-    "q_inverse", "min_acf_for_rate", "max_modulation_order",
+    "UnionBound", "union_bound", "acf_thresholds", "psk_bep_approx",
+    "q_function", "q_inverse",
     # rate optimizer
     "RateThreshold", "RateSchedule", "RateOptimum", "build_rate_schedule",
     "build_rate_schedules", "average_rate", "rate_derivative",
     "optimum_transmission_time", "sweep_rave_max",
     # power control
-    "QamRootInfo", "PowerSample", "PowerSchedule", "EnergySavings",
-    "min_snr_psk", "min_snr_qam", "min_power_schedule", "bep_at_pmin",
-    "energy_savings",
+    "PowerSample", "PowerSchedule", "EnergySavings", "min_snr_psk",
+    "min_power_schedule", "bep_at_pmin", "energy_savings",
     # fixtures
     "ReferenceFixture", "FIXTURE_NAMES", "load_fixture",
 ]

@@ -10,11 +10,10 @@ pairwise terms grouped by their distinct squared distances, and evaluated
 over arrays of (C, gamma) by one path: `union_bound_rows` groups rows
 that each carry their own order by order, and each method hands its
 rows as columns to its row kernel (`_evaluate`). It serves the bound's
-values (the CLI's `analytic-uub` rows and trace column, clamped to 1),
-the maximum feasible modulation order and the two inversions of the
-bound, each over rows of every order at once: the CSI
-thresholds C_n of all rates of a grid here (`acf_thresholds`, whose
-one-rate call is `min_acf_for_rate`) and the QAM power solve over all
+values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
+and the two inversions of the bound, each over rows of every order at
+once: the highest feasible rate R_max and the CSI thresholds C_n of all
+rates of a grid here (`acf_thresholds`) and the QAM power solve over all
 rate regions in power_control. Both start at a closed-form lower bracket
 built from the roots of single terms (`UnionBound.acf_lower`,
 `gamma_lower`), and are solved by one lockstep safeguarded Newton,
@@ -40,7 +39,6 @@ from .constellation import (
 )
 from .errors import (
     DivergenceError,
-    InfeasibleRateError,
     MonotonicityError,
     ScheduleError,
     SchemeError,
@@ -55,8 +53,6 @@ __all__ = [
     "union_bound",
     "union_bound_rows",
     "psk_bep_approx",
-    "min_acf_for_rate",
-    "max_modulation_order",
     "acf_thresholds",
 ]
 
@@ -325,48 +321,19 @@ def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value,
     return float(bep) if np.ndim(bep) == 0 else bep
 
 
-def _cells(snr_linear, bep_threshold) -> tuple:
-    """(gamma, beta) broadcast to one shape of cells; scalars stay 0-d.
-    Raises ValueError for a non-finite or negative SNR, or a non-finite
-    threshold or one <= 0."""
-    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
-    gamma, beta = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
-                                        for a in (snr_linear, bep_threshold)))
-    for name, a, bad in (("snr_linear must be non-negative", gamma, gamma < 0),
-                         ("bep_threshold must be positive", beta, beta <= 0)):
-        if bad.any():
-            raise ValueError(f"{name}, got {a[bad].flat[0]}")
-    return gamma, beta
-
-
-# rate n of each supported order M = 2^n; row n - 1 of every per-order
-# array below
-_RATES = np.arange(1, len(SUPPORTED_ORDERS) + 1)
-
-
-def _perfect_csi_u(scheme: str, norm_sq: float, gamma) -> np.ndarray:
-    """u(C = 1) of every rate's order (first axis, as _RATES) in every cell
-    of gamma, in one call."""
-    rates = np.reshape(_RATES, (-1,) + (1,) * np.ndim(gamma))
-    return union_bound_rows(scheme, 1 << rates, UnionBound.u, norm_sq, 1.0,
-                            gamma)[0]
-
-
-def _max_rate(u_one: np.ndarray, beta) -> np.ndarray:
-    """Highest rate whose u(C = 1), the first axis of u_one as _RATES,
-    meets beta (0 where none does)."""
-    rates = np.reshape(_RATES, (-1,) + (1,) * np.ndim(beta))
-    return np.max(np.where(u_one <= beta, rates, 0), axis=0)
+# rate n of each supported order M = 2^n, as a column: row n - 1 of
+# every per-rate array below
+_RATES = np.arange(1, len(SUPPORTED_ORDERS) + 1)[:, None]
 
 
 def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
                   u_one) -> np.ndarray:
     """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
-    of each row, in one lockstep solve over all rows (see
-    min_acf_for_rate). The bound falls in C (`UnionBound.u`), so [0, 1]
-    brackets a root wherever u_one meets beta, the one check. Errors come
-    in the order of a rate-by-rate solve: the lowest failing rate raises,
-    its check after the solves of lower rates but before its own."""
+    of each row, in one lockstep solve over all rows (see acf_thresholds).
+    The bound falls in C (`UnionBound.u`), so [0, 1] brackets a root
+    wherever u_one meets beta, the one check. Errors come in the order of a
+    rate-by-rate solve: the lowest failing rate raises, its check after the
+    solves of lower rates but before its own."""
     missed = np.flatnonzero(u_one > beta)
     failed_rate = rate[missed].min() if missed.size else np.inf
     order = 1 << rate
@@ -391,68 +358,32 @@ def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
             "threshold inversion did not converge for rate "
             + ", ".join(map(str, failed))) from exc
     if missed.size:
-        k = missed[np.argmin(rate[missed])]
-        raise InfeasibleRateError(
-            f"rate {rate[k]} ({scheme}) cannot meet {beta[k]:g} even with "
-            "perfect CSI", rate=int(rate[k]))
+        raise ScheduleError(
+            f"rate {failed_rate} infeasible although a higher rate is "
+            "feasible; UUB is not monotone across orders here")
     return out
-
-
-def min_acf_for_rate(rate_n: int, estimate: ChannelEstimate, snr_linear,
-                     scheme: str, bep_threshold):
-    """Smallest ACF value C_n at which rate n still meets the threshold.
-
-    Solves u(C) = bep_threshold, with u the `UnionBound` of the rate's
-    order, by `newton_lockstep` on [0, 1], which
-    brackets the root wherever C = 1 meets the threshold, as the bound
-    falls in C by its form (`UnionBound.u`). Each cell starts at the
-    largest single-term root (`UnionBound.acf_lower`). C_n is the feasible
-    end of a bracket at most 1e-12 wide, with the bound within 1e-8 of the
-    threshold there; C_n = 0 where even C = 0 meets the threshold.
-    snr_linear and bep_threshold broadcast to an array of cells, solved in
-    lockstep; scalars give a float. Raises InfeasibleRateError where C = 1
-    violates the threshold in some cell, MonotonicityError when the solve
-    cannot converge, and ValueError for a non-finite or negative SNR or a
-    non-finite threshold or one <= 0. This is the one-rate call of the
-    solve behind `acf_thresholds`.
-    """
-    gamma, beta = _cells(snr_linear, bep_threshold)
-    if rate_n < 1:
-        raise ValueError("rate_n must be at least 1")
-    g, b, norm_sq = gamma.reshape(-1), beta.reshape(-1), estimate.norm_sq
-    u_one = union_bound(scheme, 2 ** rate_n).u(norm_sq, 1.0, g)
-    out = _min_acf_rows(scheme, norm_sq, np.full(g.size, rate_n), g, b,
-                        u_one).reshape(gamma.shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def max_modulation_order(estimate: ChannelEstimate, snr_linear,
-                         scheme: str, bep_threshold):
-    """Largest supported order whose perfect-CSI UUB meets the threshold.
-
-    Returns 0 when no order is feasible. R_max is log2 of the result.
-    snr_linear and bep_threshold broadcast; scalars give an int. Every
-    order is evaluated in one bound call. Raises ValueError for a
-    non-finite or negative SNR or a non-finite threshold or one <= 0.
-    """
-    gamma, beta = _cells(snr_linear, bep_threshold)
-    rate = _max_rate(_perfect_csi_u(scheme, estimate.norm_sq, gamma), beta)
-    best = np.where(rate > 0, 1 << rate, 0)
-    return int(best) if best.ndim == 0 else best
 
 
 def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
                    bep_threshold) -> tuple:
     """(r_max, cs): the highest feasible rate of every cell of broadcast
-    (snr_linear, bep_threshold), flattened in C order, and C_n of every
-    rate n <= r_max it reaches, as cs[n - 1] (+inf where n > r_max).
+    (snr_linear, bep_threshold), flattened in C order (0 where no order
+    meets the threshold even with perfect CSI; R_max of the cell), and the
+    smallest ACF value C_n at which each rate n <= r_max still meets it, as
+    cs[n - 1] (+inf where n > r_max).
 
     u(C = 1) is evaluated once per (order, cell), in one call: it gives
-    r_max (as `max_modulation_order`) and the feasibility of every lower
-    rate, the one check the solve needs. Every (rate, cell) row is then
-    solved in one `newton_lockstep` call, so a grid pays the slowest row's
-    iterations, not the sum over rates, each row by its own order's bound
-    exactly as a one-rate call solves it: C_n is the same to the bit.
+    r_max and the feasibility of every lower rate, the one check the solve
+    needs. Every (rate, cell) row then solves u(C) = bep_threshold, with u
+    the `UnionBound` of the rate's order, in one `newton_lockstep` call on
+    [0, 1], which brackets the root wherever C = 1 meets the threshold, as
+    the bound falls in C by its form (`UnionBound.u`). Each row starts at
+    the largest single-term root (`UnionBound.acf_lower`) and runs by its
+    own order's bound, so a grid pays the slowest row's iterations, not
+    the sum over rates, and a row's C_n does not depend on the other rows.
+    C_n is the feasible end of a bracket at most 1e-12 wide, with the bound
+    within 1e-8 of the threshold there; C_n = 0 where even C = 0 meets the
+    threshold.
 
     Raises ScheduleError where a rate below a cell's r_max cannot meet the
     threshold at C = 1, MonotonicityError where the solve cannot converge,
@@ -461,21 +392,24 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     rate-by-rate build meets first: that of the lowest failing rate, its
     feasibility check before its solve.
     """
+    require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
+    gamma, beta = (a.reshape(-1) for a in np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64)
+          for a in (snr_linear, bep_threshold))))
+    for name, a, bad in (("snr_linear must be non-negative", gamma, gamma < 0),
+                         ("bep_threshold must be positive", beta, beta <= 0)):
+        if bad.any():
+            raise ValueError(f"{name}, got {a[bad].flat[0]}")
     norm_sq = estimate.norm_sq
-    gamma, beta = (a.reshape(-1) for a in _cells(snr_linear, bep_threshold))
-    u_one = _perfect_csi_u(scheme, norm_sq, gamma)
-    r_max = _max_rate(u_one, beta)
+    # u(C = 1) of every rate's order (first axis) in every cell
+    u_one = union_bound_rows(scheme, 1 << _RATES, UnionBound.u, norm_sq, 1.0,
+                             gamma)[0]
+    r_max = np.max(np.where(u_one <= beta, _RATES, 0), axis=0)
     top = int(r_max.max(initial=0))
     # the (rate, cell) rows, rate-major
     rate, cell = np.nonzero(np.arange(1, top + 1)[:, None] <= r_max)
     rate += 1
     cs = np.full((top, gamma.size), np.inf)
-    try:
-        cs[rate - 1, cell] = _min_acf_rows(scheme, norm_sq, rate,
-                                           gamma[cell], beta[cell],
-                                           u_one[rate - 1, cell])
-    except InfeasibleRateError as exc:
-        raise ScheduleError(
-            f"rate {exc.rate} infeasible although a higher rate is feasible; "
-            "UUB is not monotone across orders here") from exc
+    cs[rate - 1, cell] = _min_acf_rows(scheme, norm_sq, rate, gamma[cell],
+                                       beta[cell], u_one[rate - 1, cell])
     return r_max, cs

@@ -99,16 +99,24 @@ class RunConfig:
         for det in self.detectors:
             if det not in _DETECTOR_TOKENS.values():
                 raise ConfigError(f"unknown detector {det!r} in run.detectors")
+        # bep-curve and rate-opt take the linear SNR gamma = 10^(dB / 10).
+        # The bound and the Monte Carlo form gamma times at most
+        # max(||h||^2, 1 / ||h||^2, N) times constants below 2^13 (the
+        # largest, 2 Q^-1(beta)^2 |s|^2 of UnionBound.acf_lower); keeping
+        # that product 2^3 below the largest double keeps every value
+        # finite. In logs, as 1 / ||h||^2 itself may overflow
+        top_db = 10.0 * (math.log10(sys.float_info.max / 2.0 ** 16) - max(
+            abs(math.log10(self.estimate.norm_sq)),
+            math.log10(self.estimate.h.size)))
         for v in self.snr_db:
             if not math.isfinite(v):
                 raise ConfigError(
                     f"run.snr_db entries must be finite, got {v}")
-            # bep-curve and rate-opt take the linear SNR 10^(dB / 10)
-            try:
-                10.0 ** (v / 10.0)
-            except OverflowError:
-                raise ConfigError(f"run.snr_db entry {v} dB overflows the "
-                                  "linear SNR") from None
+            if v > top_db:
+                raise ConfigError(
+                    f"run.snr_db entry {v} dB exceeds {top_db:.2f} dB, above "
+                    "which the union bound or the Monte Carlo overflows on "
+                    "this channel")
         for v in self.acf:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(

@@ -34,17 +34,16 @@ as the full metric does, ties (lowest index) included:
   difference. A row keeps its slice only when its distance to the nearest
   boundary exceeds 0.5e-9 level spacings times 1 + its squared distance to
   the chosen point (both in spacings).
-- Folding, for ML on QAM and SO on the 32-QAM cross. The QAM tables are
-  exactly sign-symmetric (a_k = sqrt(gamma) C s_k of the integer-built
-  points negates exactly, and sigma_k^2 depends on |s_k|^2 alone), and
-  the square grids and the cross are symmetric under swapping Re and Im
-  too. The metric runs on the references on or below the first quadrant's
-  diagonal (3 of 16 on 16-QAM, 10 of 64 on 64-QAM; 8-QAM, which is not
-  transpose-symmetric, on its first quadrant) against u folded into that
-  octant, which is bit-exact, and the winner is mapped back into u's
-  octant. One margin test certifies the winner against every other
-  reference (see _fold); it sends every u on an axis, and with the swap
-  every u on a diagonal, to the full metric.
+- Folding, for ML on QAM 16/64 and SO on the 32-QAM cross. These tables
+  are exactly sign-symmetric (a_k = sqrt(gamma) C s_k of the
+  integer-built points negates exactly, and sigma_k^2 depends on |s_k|^2
+  alone) and symmetric under swapping Re and Im. The metric runs on the
+  references on or below the first quadrant's diagonal (3 of 16 on
+  16-QAM, 10 of 64 on 64-QAM) against u folded into that octant, which is
+  bit-exact, and the winner is mapped back into u's octant. One margin
+  test certifies the winner against every other reference (see _fold); it
+  sends every u on an axis or a diagonal to the full metric. 8-QAM, which
+  is not transpose-symmetric, keeps the full metric under ML.
 
 The rows a reduction does not keep take the full metric. So do whole
 tables: the symmetry and the grid are checked on the table's own values,
@@ -139,18 +138,16 @@ class _Grid(NamedTuple):
 
 class _Fold(NamedTuple):
     """Fold data for a table that is exactly symmetric under sign flips
-    and, where `swap`, under swapping Re and Im; see _fold."""
+    and under swapping Re and Im; see _fold."""
 
     lr: np.ndarray  # (Lr, 1) the real levels of the folded references
     li: np.ndarray  # (Li, 1) their imaginary levels
     # (j, lo, hi): the folded references lr[lo:hi] + j li[j], in order
     runs: tuple
-    # (m, S): at [j, s], the reference that folded reference j becomes
-    # under u's symmetry s = [Re u < 0] + 2 [Im u < 0], + 4 [|Re u| <
-    # |Im u|] where swap
+    # (m, 8): at [j, s], the reference that folded reference j becomes
+    # under u's symmetry s = [Re u < 0] + 2 [Im u < 0] + 4 [|Re u| < |Im u|]
     index: np.ndarray
-    swap: bool
-    gap: float  # the margin bound's weight on x - y (swap) or on x
+    gap: float  # the margin bound's weight on x - y
     low: float  # its weight on y
     off: np.ndarray | None = None  # (m,) metric offsets; None for SO
     inv: np.ndarray | None = None  # (m,) metric weights; None for SO
@@ -255,18 +252,17 @@ def _grid_of(a: np.ndarray) -> _Grid | None:
 
 def _fold_of(a: np.ndarray) -> _Fold | None:
     """SO's fold data when the distinct references lie strictly inside the
-    quadrants, with mirror images across the axes that are references of
-    bit-equal coordinates, with transpose data when the references'
-    transposes (Re and Im swapped) are references too, and two or more
-    references folded; else None. Plain Python, as in _grid_of."""
+    quadrants, with mirror images across the axes and transposes (Re and
+    Im swapped) that are references of bit-equal coordinates, and two or
+    more references folded; else None. Plain Python, as in _grid_of."""
     pts = list(zip(a.real.tolist(), a.imag.tolist()))
     at = {p: k for k, p in enumerate(pts)}
     q = [(r, i) for r, i in pts if r > 0.0 and i > 0.0]
     if 4 * len(q) != len(pts) or len(at) != len(pts):
         return None
-    swap = all((i, r) in at for r, i in q)
-    if swap:
-        q = [(r, i) for r, i in q if r >= i]
+    if not all((i, r) in at for r, i in q):
+        return None
+    q = [(r, i) for r, i in q if r >= i]
     if len(q) < 2:
         return None
     # by imaginary, then real level, so that each imaginary level's
@@ -274,8 +270,7 @@ def _fold_of(a: np.ndarray) -> _Fold | None:
     q.sort(key=lambda p: (p[1], p[0]))
     # the images of r + j i under u's symmetries s (see _Fold.index)
     images = [((r, i), (-r, i), (r, -i), (-r, -i),
-               (i, r), (-i, r), (i, -r), (-i, -r))[:8 if swap else 4]
-              for r, i in q]
+               (i, r), (-i, r), (i, -r), (-i, -r)) for r, i in q]
     index = [[at.get(p) for p in row] for row in images]
     if any(None in row for row in index):
         return None
@@ -289,11 +284,10 @@ def _fold_of(a: np.ndarray) -> _Fold | None:
             runs[-1][2] = k + 1
         else:
             runs.append([j, k, k + 1])
-    gap = (2.0 * min((r - i for r, i in q if r > i), default=math.inf)
-           if swap else 4.0 * lr[0])
+    gap = 2.0 * min((r - i for r, i in q if r > i), default=math.inf)
     return _Fold(np.array(lr)[:, None], np.array(li)[:, None],
                  tuple(map(tuple, runs)), np.array(index, dtype=np.int64),
-                 swap, gap, 4.0 * li[0])
+                 gap, 4.0 * li[0])
 
 
 def _weighted(fold: _Fold, off: np.ndarray, inv: np.ndarray) -> _Fold | None:
@@ -571,50 +565,43 @@ def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
     references, mapped back by u's symmetry, into `out`; returns the mask
     of the rows this decides exactly.
 
-    u folds to (x, y) = (|Re u|, |Im u|), and with `swap` to their (max,
-    min); the folded references are the first-quadrant ones, and with
-    `swap` those of them on or below the diagonal, p >= q for a reference
-    p + j q. Against a folded reference, the metric of (x, y) is, bit for
-    bit, u's against that reference's image under u's symmetry, so the
-    folded minimum is the minimum over those images. Every other reference
-    is another image (+-p, +-q) or (+-q, +-p) of a folded p + j q, and its
-    exact squared distance exceeds (x - p)^2 + (y - q)^2 by a sum of
-    non-negative terms: 4 x p or 4 y q per sign flip, 2 (x - y)(p - q) for
-    a swap. With x >= y and p >= q each term is at least `low` y = 4 l y
-    or `gap` (x - y) = 2 D (x - y), l the smallest folded imaginary level
-    and D the smallest p - q > 0 (a reference on the diagonal is its own
-    transpose); without `swap`, at least `low` y or `gap` x = 4 l' x, l'
-    the smallest folded real level. All images of one reference share its
-    offset and weight, so such an image's exact metric exceeds the folded
-    one's by at least that bound times ||h||^2 w_min (SO, whose metric is
-    the squared distance: times 1). A rounded metric sums non-negative
-    terms, so it lies within a few rounding units (2^-53) of its exact
-    value, relative, plus at most a few 2^-1074 (1 + ||h||^2) where a term
-    underflows. So where the folded minimum is unique and the bound exceeds
-    _FOLD_MARGIN times that minimum plus _UNDERFLOW (1 + ||h||^2), every
-    image of every reference rounds to a metric above the winner's, and the
-    fold decides as the full metric does; every other row takes the full
-    metric.
+    u folds to (x, y) = (max, min) of (|Re u|, |Im u|); the folded
+    references are the first-quadrant ones on or below the diagonal,
+    p >= q for a reference p + j q. Against a folded reference, the metric
+    of (x, y) is, bit for bit, u's against that reference's image under
+    u's symmetry, so the folded minimum is the minimum over those images.
+    Every other reference is another image (+-p, +-q) or (+-q, +-p) of a
+    folded p + j q, and its exact squared distance exceeds
+    (x - p)^2 + (y - q)^2 by a sum of non-negative terms: 4 x p or 4 y q
+    per sign flip, 2 (x - y)(p - q) for a swap. With x >= y and p >= q
+    each term is at least `low` y = 4 l y or `gap` (x - y) = 2 D (x - y),
+    l the smallest folded imaginary level and D the smallest p - q > 0 (a
+    reference on the diagonal is its own transpose). All images of one
+    reference share its offset and weight, so such an image's exact metric
+    exceeds the folded one's by at least that bound times ||h||^2 w_min
+    (SO, whose metric is the squared distance: times 1). A rounded metric
+    sums non-negative terms, so it lies within a few rounding units
+    (2^-53) of its exact value, relative, plus at most a few
+    2^-1074 (1 + ||h||^2) where a term underflows. So where the folded
+    minimum is unique and the bound exceeds _FOLD_MARGIN times that
+    minimum plus _UNDERFLOW (1 + ||h||^2), every image of every reference
+    rounds to a metric above the winner's, and the fold decides as the
+    full metric does; every other row takes the full metric.
     """
-    n, swap = ur.size, fold.swap
+    n = ur.size
     ax, ay = scratch.get("noise", (2, n))  # the normal block is spent
     np.abs(ur, out=ax)
     np.abs(ui, out=ay)
-    x, y = ax, ay
-    if swap:
-        x, y = scratch.get("w", (2, n))  # _synthesise's w is spent
-        np.maximum(ax, ay, out=x)
-        np.minimum(ax, ay, out=y)
+    x, y = scratch.get("w", (2, n))  # _synthesise's w is spent
+    np.maximum(ax, ay, out=x)
+    np.minimum(ax, ay, out=y)
     exact = scratch.get("sig2", (n,), np.bool_)
     own = _argmin(x, y, perp, norm_sq, fold, out, scratch, exact)
     # the margin test, in the spent buffers of _argmin's metric blocks
     bound, t = scratch.get("metric", (2, n))
     weight = 1.0 if fold.inv is None else norm_sq * fold.w_min
-    if swap:
-        np.subtract(x, y, out=bound)
-        bound *= fold.gap * weight
-    else:
-        np.multiply(x, fold.gap * weight, out=bound)
+    np.subtract(x, y, out=bound)
+    bound *= fold.gap * weight
     np.multiply(y, fold.low * weight, out=t)
     np.minimum(bound, t, out=bound)
     np.multiply(own, _FOLD_MARGIN, out=t)
@@ -623,12 +610,9 @@ def _fold(ur: np.ndarray, ui: np.ndarray, perp, norm_sq: float, fold: _Fold,
     flag = flag.view(np.bool_)
     exact &= np.greater(bound, t, out=flag)
     # u's symmetry, from its highest bit down
-    if swap:
-        np.less(ax, ay, out=code.view(np.bool_))
-        code += code
-        code += np.signbit(ui, out=flag)
-    else:
-        np.signbit(ui, out=code.view(np.bool_))
+    np.less(ax, ay, out=code.view(np.bool_))
+    code += code
+    code += np.signbit(ui, out=flag)
     code += code
     code += np.signbit(ur, out=flag)
     at = ax.view(np.int64)  # ax is spent

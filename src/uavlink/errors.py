@@ -14,17 +14,6 @@ class SchemeError(UavlinkError, ValueError):
     """Operation applied to the wrong modulation scheme or order."""
 
 
-class InfeasibleRateError(UavlinkError):
-    """A modulation order cannot meet the BEP threshold even with perfect CSI.
-
-    `rate` is the rate n (order 2^n) it names, where the raiser knows it.
-    """
-
-    def __init__(self, message: str, rate: int | None = None):
-        super().__init__(message)
-        self.rate = rate
-
-
 class InfeasibleCsiError(UavlinkError):
     """No finite transmit power meets the BEP threshold at this ACF value.
 

@@ -15,9 +15,9 @@ carrying the bound's whole weight does.
 The bound, its slope in ln(gamma), its infinite-power floor and that start
 come from the one cached, grouped `bep_analysis.UnionBound`, evaluated by
 `bep_analysis.union_bound_rows` with each sample's own order. The power
-trace solves all QAM samples of every rate region in one batch, each
-sample running the same algorithm as the scalar `min_snr_qam` (which is
-the one-sample case); the PSK closed form takes one call per region.
+trace solves all QAM samples of every rate region in one batch
+(`_solve_qam`), each sample with its own bracket, iterate and iteration
+count; the PSK closed form takes one call per region.
 
 This module alone decides which BEP model a power trace meets: PSK
 inverts `psk_bep_approx` and QAM the UUB, and `bep_at_pmin` evaluates
@@ -41,7 +41,6 @@ from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .errors import (
     InfeasibleCsiError,
     ScheduleError,
-    SchemeError,
     require_finite,
 )
 from .lockstep import LockstepRoots, newton_lockstep
@@ -49,24 +48,16 @@ from .rate_optimizer import RateSchedule, sample_grid
 from .scenario import LinkScenario, noise_power_dbm, path_loss_db
 
 __all__ = [
-    "QamRootInfo",
     "PowerSample",
     "PowerSchedule",
     "EnergySavings",
     "min_snr_psk",
-    "min_snr_qam",
     "min_power_schedule",
     "bep_at_pmin",
     "energy_savings",
 ]
 
 _LN_TOL = 1e-9  # convergence tolerance on ln(gamma)
-
-
-class QamRootInfo(NamedTuple):
-    gamma_min: float
-    iterations: int
-    method: str  # kind of the final step: "newton" or "bisection"
 
 
 def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
@@ -135,33 +126,6 @@ def _solve_qam(order, estimate: ChannelEstimate, acf,
                                       norm_sq, acf, beta)[0]),
         -np.inf, np.inf, _LN_TOL)
     return roots._replace(root=np.exp(roots.root))
-
-
-def min_snr_qam(order: int, estimate: ChannelEstimate, acf_value: float,
-                bep_threshold: float, details: bool = False):
-    """Minimum SNR driving the M-QAM union bound to the threshold.
-
-    Safeguarded Newton on ln(gamma) from the closed-form lower bracket
-    `UnionBound.gamma_lower`, on an open bracket that each evaluation
-    narrows, bisecting whenever the Newton step leaves it. Raises
-    InfeasibleCsiError when even infinite power cannot meet the threshold
-    (the bound's C-limited floor is too high), and ValueError for a
-    non-finite ACF value or threshold. This is the one-sample case of the
-    batched solve behind min_power_schedule.
-
-    With details=True returns QamRootInfo(gamma_min, iterations, method):
-    the number of Newton iterations (bound evaluations), and "newton" or
-    "bisection" for the kind of the final step.
-    """
-    require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
-    if order == 2:
-        raise SchemeError("order-2 QAM is BPSK; use min_snr_psk(2, ...)")
-    roots = _solve_qam(order, estimate, np.array([acf_value]), bep_threshold)
-    gamma = float(roots.root[0])
-    if details:
-        return QamRootInfo(gamma, int(roots.iterations[0]),
-                           "newton" if roots.newton[0] else "bisection")
-    return gamma
 
 
 class PowerSample(NamedTuple):

@@ -98,23 +98,19 @@ class RateSchedule:
             return self.t_estimate
         return self.thresholds[n - 1].t_n
 
-    def rate_at(self, t: float) -> int:
-        """Instantaneous rate: n on (t_{n+1}, t_n], 0 outside.
+    def rate_at(self, t):
+        """Instantaneous rate: n on (t_{n+1}, t_n], 0 outside (and at NaN).
 
         t_n decreases as n grows, so the rate is r_max less the number of
-        switch times before t.
+        switch times before t (searchsorted on the t_n). Broadcasts over an
+        array of instants; a scalar gives an int.
         """
-        if not t > self.t_estimate:
-            return 0
-        return self.r_max - sum(th.t_n < t for th in self.thresholds)
-
-    def rates_at(self, t) -> np.ndarray:
-        """rate_at over an array of instants (searchsorted on the t_n)."""
         t = np.asarray(t, dtype=np.float64)
         # switch times ascending: t_{r_max}, ..., t_1
         ends = np.array([th.t_n for th in reversed(self.thresholds)])
         rate = self.r_max - np.searchsorted(ends, t, side="left")
-        return np.where(t > self.t_estimate, rate, 0)
+        rate = np.where(t > self.t_estimate, rate, 0)
+        return int(rate) if rate.ndim == 0 else rate
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ def sample_grid(schedule: RateSchedule,
     """The sample instants T_e + k * sample_dt of the transmitting interval
     and the rate in force at each; instants at rate 0 are left out."""
     t = schedule.t_estimate + sample_lags(schedule, sample_dt)
-    rate = schedule.rates_at(t)
+    rate = schedule.rate_at(t)
     keep = rate > 0
     return t[keep], rate[keep]
 

@@ -22,10 +22,10 @@ from uavlink import (
     energy_savings,
     min_power_schedule,
     min_snr_psk,
-    min_snr_qam,
     ml_detect,
     monte_carlo_bep,
     optimum_transmission_time,
+    power_control,
     psk_bep_approx,
     rate_derivative,
     so_detect,
@@ -318,12 +318,13 @@ def test_criterion_08_qam_root_convergence(case1):
     for order in (4, 16):
         bound = union_bound("qam", order)
         for acf in (0.99, 0.999):
-            info = min_snr_qam(order, case1.estimate, acf, beta,
-                               details=True)
-            worst_iters = max(worst_iters, info.iterations)
-            val = bound.u(norm_sq, acf, info.gamma_min)
+            roots = power_control._solve_qam(order, case1.estimate,
+                                             np.array([acf]), beta)
+            gamma_min = float(roots.root[0])
+            worst_iters = max(worst_iters, int(roots.iterations[0]))
+            val = bound.u(norm_sq, acf, gamma_min)
             worst_res = max(worst_res, abs(val - beta) / beta)
-            for g0 in (info.gamma_min, 1.5 * info.gamma_min):
+            for g0 in (gamma_min, 1.5 * gamma_min):
                 _, v_m = bound.u_and_slope(norm_sq, acf, g0)
                 eps = 1e-5
                 up = bound.u(norm_sq, acf, g0 * math.exp(eps))

@@ -16,23 +16,18 @@ from scipy.special import erfc
 from uavlink import (
     ChannelEstimate,
     UnionBound,
+    acf_thresholds,
     build_rate_schedules,
     constellation_for,
-    max_modulation_order,
-    min_acf_for_rate,
     psk_bep_approx,
     q_function,
     q_inverse,
     sweep_rave_max,
     union_bound,
 )
-from uavlink.bep_analysis import (
-    _BLOCK_TERMS,
-    acf_thresholds,
-    union_bound_rows,
-)
+from uavlink.bep_analysis import _BLOCK_TERMS, union_bound_rows
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
-from uavlink.errors import DivergenceError, InfeasibleRateError, SchemeError
+from uavlink.errors import DivergenceError, SchemeError
 from uavlink.fixtures import load_fixture
 from uavlink.lockstep import _MAX_ITER, newton_lockstep
 
@@ -544,11 +539,17 @@ class TestNewtonLockstep:
         assert info.value.cells.tolist() == [0]
 
 
-class TestMinAcfForRate:
+def _c_n(rate, estimate, gamma, scheme, beta):
+    """C_n of `rate` in every cell of broadcast (gamma, beta), flattened,
+    from the grid solve (+inf where the rate exceeds a cell's r_max)."""
+    return acf_thresholds(estimate, gamma, scheme, beta)[1][rate - 1]
+
+
+class TestAcfThresholds:
     def test_residual_at_root(self, estimate):
         beta = 1e-5
         for rate, scheme in [(2, "psk"), (3, "psk"), (4, "qam"), (5, "qam")]:
-            c_n = min_acf_for_rate(rate, estimate, GAMMA_MAX, scheme, beta)
+            c_n = _c_n(rate, estimate, GAMMA_MAX, scheme, beta)[0]
             val = union_bound(scheme, 2 ** rate).u(estimate.norm_sq, c_n,
                                                    GAMMA_MAX)
             assert abs(val - beta) <= 1e-8 * beta
@@ -558,7 +559,7 @@ class TestMinAcfForRate:
         # moves the bound by 1.7e-8 relative, more than the residual
         # tolerance, so the bisection must go on below the 1e-12 bracket
         g, beta = GAMMA_MAX * 10.0 ** 0.4, 1e-7
-        c_n = min_acf_for_rate(6, estimate, g, "psk", beta)
+        c_n = _c_n(6, estimate, g, "psk", beta)[0]
         val = union_bound("psk", 64).u(estimate.norm_sq, c_n, g)
         assert val <= beta
         assert abs(val - beta) <= 1e-8 * beta
@@ -570,43 +571,47 @@ class TestMinAcfForRate:
         g = GAMMA_MAX * 10.0 ** 0.4
         gamma = np.array([g, g, 4.0 * GAMMA_MAX, g])
         beta = np.array([1e-3, 1e-7, 1e-5, 1e-5])
-        c_n = min_acf_for_rate(6, estimate, gamma, "psk", beta)
+        c_n = _c_n(6, estimate, gamma, "psk", beta)
         val = union_bound("psk", 64).u(estimate.norm_sq, c_n[1], g)
         assert val <= 1e-7
         assert abs(val - 1e-7) <= 1e-8 * 1e-7
         for k in (0, 2, 3):
-            assert c_n[k] == min_acf_for_rate(6, estimate, float(gamma[k]),
-                                              "psk", float(beta[k]))
-        assert c_n[1] == min_acf_for_rate(6, estimate, g, "psk", 1e-7)
+            assert c_n[k] == _c_n(6, estimate, float(gamma[k]), "psk",
+                                  float(beta[k]))[0]
+        assert c_n[1] == _c_n(6, estimate, g, "psk", 1e-7)[0]
 
     def test_frozen_thresholds(self, estimate):
         # regression pins at the transmit-cap SNR, threshold 1e-5
-        assert min_acf_for_rate(3, estimate, GAMMA_MAX, "psk", 1e-5) == \
+        assert _c_n(3, estimate, GAMMA_MAX, "psk", 1e-5)[0] == \
             pytest.approx(0.941010882791, abs=5e-12)
-        assert min_acf_for_rate(4, estimate, GAMMA_MAX, "qam", 1e-5) == \
+        assert _c_n(4, estimate, GAMMA_MAX, "qam", 1e-5)[0] == \
             pytest.approx(0.971457189776, abs=5e-12)
 
     def test_increasing_in_rate(self, estimate):
-        vals = [min_acf_for_rate(n, estimate, GAMMA_MAX, "psk", 1e-5)
+        vals = [_c_n(n, estimate, GAMMA_MAX, "psk", 1e-5)[0]
                 for n in range(1, 6)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_infeasible_even_with_perfect_csi(self, estimate):
-        # 8-PSK at 5 dB cannot reach 1e-5 regardless of CSI quality
-        with pytest.raises(InfeasibleRateError):
-            min_acf_for_rate(3, estimate, 10 ** 0.5, "psk", 1e-5)
+        # 8-PSK at 5 dB cannot reach 1e-5 regardless of CSI quality: rate 3
+        # lies above the cell's r_max and gets no threshold
+        r_max, cs = acf_thresholds(estimate, 10 ** 0.5, "psk", 1e-5)
+        assert r_max[0] < 3 and len(cs) < 3
 
     def test_zero_when_any_csi_works(self, estimate):
         # the C = 0 bound is exactly M/4 (every pairwise argument collapses
         # to Q(0)), so a threshold above 0.5 admits BPSK at any CSI quality
-        assert min_acf_for_rate(1, estimate, GAMMA_MAX, "psk", 0.51) == 0.0
-
-    def test_rejects_rate_below_one(self, estimate):
-        with pytest.raises(ValueError):
-            min_acf_for_rate(0, estimate, GAMMA_MAX, "psk", 1e-5)
+        assert _c_n(1, estimate, GAMMA_MAX, "psk", 0.51)[0] == 0.0
 
 
-class TestMaxModulationOrder:
+def _max_order(estimate, gamma, scheme, beta):
+    """The largest order 2^r_max of every cell (0 where none is
+    feasible)."""
+    r_max = acf_thresholds(estimate, gamma, scheme, beta)[0]
+    return np.where(r_max > 0, 1 << r_max, 0)
+
+
+class TestMaxRate:
     # perfect-CSI feasibility frontier for the case1 channel, beta = 1e-5
     TABLE = [
         (0.0, 0, 0),
@@ -620,11 +625,11 @@ class TestMaxModulationOrder:
     @pytest.mark.parametrize("snr_db,psk_order,qam_order", TABLE)
     def test_frozen_frontier(self, estimate, snr_db, psk_order, qam_order):
         g = 10.0 ** (snr_db / 10.0)
-        assert max_modulation_order(estimate, g, "psk", 1e-5) == psk_order
-        assert max_modulation_order(estimate, g, "qam", 1e-5) == qam_order
+        assert _max_order(estimate, g, "psk", 1e-5).tolist() == [psk_order]
+        assert _max_order(estimate, g, "qam", 1e-5).tolist() == [qam_order]
 
     def test_monotone_in_snr(self, estimate):
-        orders = [max_modulation_order(estimate, 10 ** (db / 10), "qam", 1e-5)
+        orders = [_max_order(estimate, 10 ** (db / 10), "qam", 1e-5)[0]
                   for db in np.linspace(0, 25, 11)]
         assert all(a <= b for a, b in zip(orders, orders[1:]))
 
@@ -633,10 +638,8 @@ class TestMaxModulationOrder:
 # SNR (linear; sweep_rave_max takes dB, so only its threshold applies)
 # and one threshold
 _INVERSIONS = {
-    "min_acf_for_rate": lambda fx, g, b: min_acf_for_rate(
-        1, fx.estimate, g, "psk", b),
-    "max_modulation_order": lambda fx, g, b: max_modulation_order(
-        fx.estimate, g, "qam", b),
+    "acf_thresholds-psk": lambda fx, g, b: acf_thresholds(
+        fx.estimate, g, "psk", b),
     "acf_thresholds": lambda fx, g, b: acf_thresholds(
         fx.estimate, g, "qam", b),
     "build_rate_schedules": lambda fx, g, b: build_rate_schedules(
@@ -672,5 +675,5 @@ class TestInversionDomain:
         # gamma = 0 collapses every pairwise argument to Q(0) = 1/2: no
         # order meets 1e-5, and a threshold above u = 1/2 admits BPSK at
         # any CSI quality
-        assert max_modulation_order(fx.estimate, 0.0, "psk", 1e-5) == 0
-        assert min_acf_for_rate(1, fx.estimate, 0.0, "psk", 0.51) == 0.0
+        assert _max_order(fx.estimate, 0.0, "psk", 1e-5).tolist() == [0]
+        assert _c_n(1, fx.estimate, 0.0, "psk", 0.51)[0] == 0.0

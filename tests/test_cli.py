@@ -276,20 +276,56 @@ class TestGridValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bep-curve", "rate-opt"])
-    def test_overflowing_snr_exits_2(self, tmp_path, capsys, command):
-        # 4000 dB is finite, but its linear SNR overflows a double: one
-        # error line, exit 2 and no output, not a traceback
+    @pytest.mark.parametrize("snr_db", ["6 4000", "3082", "3025.36"])
+    def test_overflowing_snr_exits_2(self, tmp_path, capsys, command,
+                                     snr_db):
+        # 4000 dB overflows the linear SNR itself; 3082 dB has a finite
+        # linear SNR at which the union bound and the Monte Carlo overflow
+        # on case1; 3025.36 dB lies just above case1's limit of
+        # 10 log10(max double / (2^16 * max(||h||^2, 1/||h||^2, N = 8))):
+        # one error line, exit 2 and no output, not a traceback
         cfg = write_config(tmp_path, BASE_RUN.replace("snr_db = 6 12",
-                                                      "snr_db = 6 4000"))
+                                                      f"snr_db = {snr_db}"))
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: run.snr_db") and err.count("\n") == 1
         assert not out.exists()
-        # the largest whole dB value whose linear SNR is finite is accepted
-        cfg = write_config(tmp_path, BASE_RUN.replace("snr_db = 6 12",
-                                                      "snr_db = 3082"))
-        assert load_config(str(cfg)).snr_db == (3082.0,)
+
+    def test_snr_limit_of_a_tiny_channel(self, tmp_path, capsys):
+        # ||h||^2 = 5e-324, whose inverse overflows a double: the limit,
+        # taken in logs, lies below 0 dB, and 18 dB exits 2
+        text = EXPLICIT_SCENARIO.replace(
+            "h_real = 1.0, 0.5", "h_real = 2e-162, 0.0").replace(
+            "h_imag = 0.0, -0.25", "h_imag = 0.0, 0.0")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["rate-opt", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: run.snr_db entry 18.0 dB")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, orders", [("qam", "4 8 16 32 64"),
+                                                ("psk", "2 4 8 16 32 64")])
+    def test_snr_at_the_limit_stays_finite(self, tmp_path, scheme, orders):
+        # case1's largest accepted snr_db: every bound and Monte Carlo BEP
+        # and every r_ave_max is finite, with no RuntimeWarning
+        text = (BASE_RUN.replace("snr_db = 6 12", "snr_db = 3025.35")
+                .replace("scheme = psk", f"scheme = {scheme}")
+                .replace("orders = 4", f"orders = {orders}")
+                .replace("acf = 0.99 0.9", "acf = 0 0.5 0.99 1")
+                .replace("bep_thresholds = 1e-3 1e-5",
+                         "bep_thresholds = 1e-300 1e-5 0.49"))
+        cfg = write_config(tmp_path, text)
+        for command, name, column in (("bep-curve", "bep_curve.csv", "bep"),
+                                      ("rate-opt", "rate_opt_contour.csv",
+                                       "r_ave_max")):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 0
+            values = [float(r[column]) for r in read_rows(out / name)]
+            assert values and np.isfinite(values).all()
 
     def test_grid_edges_accepted(self, tmp_path):
         text = BASE_RUN.replace("acf = 0.99 0.9", "acf = 0 1").replace(

@@ -207,20 +207,19 @@ class TestReducedDetection:
         # the first quadrant's diagonal, whose eight sign and transpose
         # images cover all M references (one on the diagonal is its own
         # transpose). The 4 x 2 rectangle of 8-QAM is not symmetric under
-        # swapping Re and Im: it folds onto its first quadrant and carries
-        # no transpose data
-        folded = {8: (2, 4), 16: (3, 8), 32: (5, 8), 64: (10, 8)}
+        # swapping Re and Im: it is not folded, so its ML table keeps the
+        # full metric (its SO table is sliced)
+        folded = {16: (3, 8), 32: (5, 8), 64: (10, 8)}
         c = constellation_for("qam", order)
         for kind in DetectorKind:
             tab = detectors._reduced(
                 detectors._tables(estimate, 0.9, 10.0, c, kind))
             assert (tab.inv is None) == (kind is DetectorKind.SO
                                          or order == 4)
-            assert (tab.fold is None) == (order == 4)
+            assert (tab.fold is None) == (order in (4, 8))
             assert (tab.grid is None) == (order == 32)
             if order in folded:
                 assert tab.fold.index.shape == folded[order]
-                assert tab.fold.swap == (order != 8)
                 assert set(tab.fold.index.ravel().tolist()) == set(
                     range(order))
             # C = 0 makes every reference zero: nothing to slice or fold
@@ -276,7 +275,7 @@ class TestReducedDetection:
         full = detectors._tables(est, acf, 10.0 ** log_gamma, c, kind)
         tab = detectors._reduced(full)
         if acf >= 1e-6:
-            assert tab.fold.swap
+            assert tab.fold is not None
         _, u, perp = _statistics(rng, n, est, full, True)
         x, y = u.real.copy(), u.imag.copy()
         if rows == "diagonal":

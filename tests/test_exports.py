@@ -1,12 +1,18 @@
-"""Every name the package exports resolves: `uavlink.__all__` and the
-`__all__` of each submodule list only attributes that exist."""
+"""The package's public surface: every name `uavlink.__all__` and the
+`__all__` of each submodule list resolves, no module keeps an import it
+neither uses nor exports, and README's quick start runs."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import uavlink
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = ["uavlink"] + [f"uavlink.{m.name}"
                          for m in pkgutil.iter_modules(uavlink.__path__)]
@@ -23,3 +29,38 @@ def test_all_names_resolve(name):
         except AttributeError:
             missing.append(attr)
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """name -> line of every name the module binds by an import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a
+                name = alias.asname or alias.name.split(".")[0]
+                names[name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # a name bound by an import must be read somewhere in the module, or
+    # exported through __all__: deletions that leave an import behind fail
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(module, "__all__", ()))
+    unused = {n: line for n, line in _imported_names(tree).items()
+              if n not in used and n not in exported}
+    assert not unused, f"{name} imports but never uses: {unused}"
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's first code block under "## Quick start" runs as written,
+    # so the docs cannot name an API the package no longer has
+    text = README.read_text()
+    section = text[text.index("## Quick start"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -19,17 +19,14 @@ from uavlink import (
     DetectorKind,
     EnergySavings,
     PowerSchedule,
-    QamRootInfo,
     UnionBound,
     acf_inverse,
+    acf_thresholds,
     bep_at_pmin,
     build_rate_schedule,
     energy_savings,
-    max_modulation_order,
-    min_acf_for_rate,
     min_power_schedule,
     min_snr_psk,
-    min_snr_qam,
     ml_detect,
     monte_carlo_bep,
     optimum_transmission_time,
@@ -41,13 +38,9 @@ from uavlink import (
     union_bound,
 )
 from uavlink.constellation import make_qam
-from uavlink.errors import (
-    InfeasibleCsiError,
-    InfeasibleRateError,
-    ScheduleError,
-    SchemeError,
-)
+from uavlink.errors import InfeasibleCsiError, ScheduleError
 from uavlink.fixtures import load_fixture
+from uavlink.lockstep import LockstepRoots
 from uavlink.rate_optimizer import sample_grid
 from uavlink.scenario import average_snr_db, noise_power_dbm, path_loss_db
 
@@ -106,6 +99,12 @@ class TestPskSolver:
         assert all(a > b for a, b in zip(gs, gs[1:]))
 
 
+def _qam_root(order, estimate, acf, beta) -> LockstepRoots:
+    """The batched QAM power solve at one sample: its root, iteration
+    count and final step, one entry each."""
+    return power_control._solve_qam(order, estimate, np.array([acf]), beta)
+
+
 class TestQamSolver:
     # (order, acf) -> root, iterations, method, all at beta = 1e-5
     PINS = [
@@ -117,16 +116,16 @@ class TestQamSolver:
 
     @pytest.mark.parametrize("order,acf,gamma,iters,method", PINS)
     def test_frozen_roots(self, fx, order, acf, gamma, iters, method):
-        info = min_snr_qam(order, fx.estimate, acf, BETA, details=True)
-        assert isinstance(info, QamRootInfo)
-        assert info.gamma_min == pytest.approx(gamma, rel=1e-9)
-        assert info.iterations == iters
-        assert info.method == method
+        roots = _qam_root(order, fx.estimate, acf, BETA)
+        assert isinstance(roots, LockstepRoots)
+        assert roots.root[0] == pytest.approx(gamma, rel=1e-9)
+        assert roots.iterations[0] == iters
+        assert ("newton" if roots.newton[0] else "bisection") == method
 
     @pytest.mark.parametrize("order,acf,gamma,iters,method", PINS)
     def test_roundtrip_to_threshold(self, fx, order, acf, gamma, iters,
                                     method):
-        g = min_snr_qam(order, fx.estimate, acf, BETA)
+        g = _qam_root(order, fx.estimate, acf, BETA).root[0]
         raw = union_bound("qam", order).u(fx.estimate.norm_sq, acf, g)
         assert raw == pytest.approx(BETA, rel=1e-7)
 
@@ -152,17 +151,13 @@ class TestQamSolver:
                 lo = mid
             else:
                 hi = mid
-        root = min_snr_qam(order, est, acf, beta)
+        root = _qam_root(order, est, acf, beta).root[0]
         assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
-
-    def test_order_two_redirects(self, fx):
-        with pytest.raises(SchemeError):
-            min_snr_qam(2, fx.estimate, 0.99, BETA)
 
     def test_floor_infeasible(self, fx):
         # 64-QAM at C = 0.7: even infinite power leaves the bound above beta
         with pytest.raises(InfeasibleCsiError):
-            min_snr_qam(64, fx.estimate, 0.7, BETA)
+            _qam_root(64, fx.estimate, 0.7, BETA)
 
 
 def _bisect(f, lo, hi):
@@ -196,16 +191,16 @@ class TestClosedFormStarts:
         acf = 1.0 - 10.0 ** log_one_minus_c
 
         # in C at this SNR
+        r_max, cs = acf_thresholds(est, gamma, scheme, beta)
         if bound.u(norm_sq, 1.0, gamma) > beta:
-            with pytest.raises(InfeasibleRateError):
-                min_acf_for_rate(rate, est, gamma, scheme, beta)
+            assert r_max[0] < rate  # no threshold for the rate
         elif bound.u(norm_sq, 0.0, gamma) <= beta:
-            assert min_acf_for_rate(rate, est, gamma, scheme, beta) == 0.0
+            assert cs[rate - 1, 0] == 0.0
         else:
             lo, hi = _bisect(lambda c: bound.u(norm_sq, c, gamma) - beta,
                              0.0, 1.0)
             assert bound.acf_lower(norm_sq, gamma, beta) <= hi + 1e-14
-            c_n = min_acf_for_rate(rate, est, gamma, scheme, beta)
+            c_n = cs[rate - 1, 0]
             # the bound falls in C only up to rounding, so several ulps
             # may cross beta
             assert lo - 1e-14 <= c_n <= hi + 1e-12
@@ -220,23 +215,23 @@ class TestClosedFormStarts:
         start = bound.gamma_lower(norm_sq, acf, beta)
         assert start > 0.0 and math.log(start) <= hi + 1e-12
         if scheme == "qam" and order > 2:
-            root = min_snr_qam(order, est, acf, beta)
+            root = _qam_root(order, est, acf, beta).root[0]
             assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
 
     def test_starts_past_the_root_take_the_fallbacks(self, fx, monkeypatch):
-        c_n = min_acf_for_rate(4, fx.estimate, 300.0, "qam", BETA)
-        root = min_snr_qam(16, fx.estimate, 0.99, BETA)
+        c_n = acf_thresholds(fx.estimate, 300.0, "qam", BETA)[1][3, 0]
+        root = _qam_root(16, fx.estimate, 0.99, BETA).root[0]
         monkeypatch.setattr(UnionBound, "acf_lower",
                             lambda self, n, g, b: np.full(np.shape(g),
                                                           c_n + 1e-6))
-        assert abs(min_acf_for_rate(4, fx.estimate, 300.0, "qam", BETA)
+        assert abs(acf_thresholds(fx.estimate, 300.0, "qam", BETA)[1][3, 0]
                    - c_n) <= 1e-12
         for start in (1.01 * root, 1e-3 * root):
             monkeypatch.setattr(UnionBound, "gamma_lower",
                                 lambda self, n, c, b: np.full(np.shape(c),
                                                               start))
-            assert min_snr_qam(16, fx.estimate, 0.99, BETA) == pytest.approx(
-                root, rel=2e-9)
+            assert _qam_root(16, fx.estimate, 0.99, BETA).root[0] == \
+                pytest.approx(root, rel=2e-9)
 
 
 class TestPowerSchedule:
@@ -379,8 +374,8 @@ class TestBatchedSolve:
         qam = [s for s in power.samples if s.order > 2]
         assert len({s.order for s in qam}) >= 3
         for s in qam:
-            alone = min_snr_qam(s.order, fx.estimate, s.acf_value,
-                                fx.scenario.bep_threshold)
+            alone = _qam_root(s.order, fx.estimate, s.acf_value,
+                              fx.scenario.bep_threshold).root[0]
             assert s.gamma_min_db == pytest.approx(10.0 * math.log10(alone),
                                                    rel=1e-12)
 
@@ -500,16 +495,14 @@ class TestFiniteInputGuard:
     @pytest.mark.parametrize("call", [
         lambda fx: acf_inverse(fx.wobble, math.nan),
         lambda fx: acf_inverse(fx.wobble, np.array([0.9, math.inf])),
-        lambda fx: min_acf_for_rate(2, fx.estimate, 300.0, "psk", math.nan),
-        lambda fx: min_acf_for_rate(2, fx.estimate, math.inf, "qam", 1e-5),
-        lambda fx: min_snr_qam(16, fx.estimate, math.nan, BETA),
-        lambda fx: min_snr_qam(16, fx.estimate, 0.99, -math.inf),
+        lambda fx: acf_thresholds(fx.estimate, 300.0, "psk", math.nan),
+        lambda fx: acf_thresholds(fx.estimate, math.inf, "qam", 1e-5),
         lambda fx: min_snr_psk(8, fx.estimate, math.nan, BETA),
         lambda fx: min_snr_psk(8, fx.estimate, np.array([0.99, math.nan]),
                                BETA),
-        lambda fx: max_modulation_order(fx.estimate, math.nan, "qam", BETA),
-        lambda fx: max_modulation_order(fx.estimate, np.array([300.0]),
-                                        "psk", math.inf),
+        lambda fx: acf_thresholds(fx.estimate, math.nan, "qam", BETA),
+        lambda fx: acf_thresholds(fx.estimate, np.array([300.0]), "psk",
+                                  math.inf),
         lambda fx: monte_carlo_bep(fx.estimate, 0.99, math.nan,
                                    make_qam(16), DetectorKind.SO, 100, 1),
         lambda fx: ml_detect(np.full(fx.estimate.h.size, math.nan),
@@ -517,10 +510,9 @@ class TestFiniteInputGuard:
         lambda fx: so_detect(np.ones(fx.estimate.h.size), fx.estimate, 0.9,
                              math.nan, make_qam(16)),
     ], ids=["acf_inverse-target", "acf_inverse-target-array",
-            "min_acf_for_rate-threshold", "min_acf_for_rate-snr",
-            "min_snr_qam-acf", "min_snr_qam-threshold",
+            "acf_thresholds-threshold", "acf_thresholds-snr",
             "min_snr_psk-acf", "min_snr_psk-acf-array",
-            "max_modulation_order-snr", "max_modulation_order-threshold",
+            "acf_thresholds-snr-nan", "acf_thresholds-threshold-array",
             "monte_carlo_bep-snr", "ml_detect-y", "so_detect-snr"])
     def test_non_finite_input_raises(self, fx, call):
         with pytest.raises(ValueError, match="must be finite"):

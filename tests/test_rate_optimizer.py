@@ -24,10 +24,10 @@ from uavlink import (
     RateThreshold,
     WobbleParams,
     acf_inverse,
+    acf_thresholds,
     average_rate,
     build_rate_schedule,
     build_rate_schedules,
-    min_acf_for_rate,
     optimum_transmission_time,
     rate_derivative,
     sweep_rave_max,
@@ -37,17 +37,11 @@ from uavlink.bep_analysis import (
     _BEP_REL_TOL,
     _C_ABS_TOL,
     UnionBound,
-    max_modulation_order,
     union_bound,
 )
 from uavlink.channel import check_acf_monotone
 from uavlink.constellation import SUPPORTED_ORDERS
-from uavlink.errors import (
-    DivergenceError,
-    InfeasibleRateError,
-    MonotonicityError,
-    ScheduleError,
-)
+from uavlink.errors import DivergenceError, MonotonicityError, ScheduleError
 from uavlink.fixtures import load_fixture
 from uavlink.lockstep import newton_lockstep
 from uavlink.scenario import SPEED_OF_LIGHT, average_snr_db
@@ -145,7 +139,7 @@ class TestRateAt:
         assert psk_schedule.rate_at(1.0) == 0
 
     def test_array_matches_staircase_loop(self, qam_schedule):
-        # rates_at (searchsorted) against the definition read off the
+        # rate_at (searchsorted) against the definition read off the
         # thresholds one by one: n on (t_{n+1}, t_n], highest rate first
         s = qam_schedule
         ends = np.array([th.t_n for th in s.thresholds])
@@ -154,19 +148,20 @@ class TestRateAt:
                              [s.t_estimate, np.nextafter(s.t_estimate, 1.0)]])
         want = [next((th.n for th in reversed(s.thresholds)
                       if s.t_estimate < t <= th.t_n), 0) for t in ts]
-        assert s.rates_at(ts).tolist() == want
+        assert s.rate_at(ts).tolist() == want
 
     @pytest.mark.parametrize("at", ["nan", "t_estimate",
                                     *(f"t_{n}" for n in range(1, 7)),
                                     "past_t_1"])
     def test_scalar_matches_array(self, qam_schedule, at):
         # the case1 QAM schedule has r_max 6; NaN is not after t_estimate,
-        # so both read rate 0 there
+        # so both read rate 0 there; a scalar gives an int
         s = qam_schedule
         t = {"nan": math.nan, "t_estimate": s.t_estimate,
              "past_t_1": np.nextafter(s.switch_time(1), np.inf),
              **{f"t_{th.n}": th.t_n for th in s.thresholds}}[at]
-        assert s.rate_at(t) == s.rates_at(t)
+        assert type(s.rate_at(t)) is int
+        assert s.rate_at(t) == s.rate_at(np.array([t]))[0]
 
     def test_monotone_nonincreasing(self, qam_schedule):
         ts = np.linspace(qam_schedule.t_estimate + 1e-6, 0.06, 500)
@@ -357,7 +352,8 @@ class TestNoFiniteT1:
     def test_c1_zero_is_a_schedule_error(self, fx):
         # beta = 0.6 lies above u(C = 0) = W/2 = 0.5 of BPSK, so rate 1
         # meets the threshold on an uncorrelated channel and never ends
-        assert min_acf_for_rate(1, fx.estimate, GAMMA_MAX, "psk", 0.6) == 0.0
+        assert acf_thresholds(fx.estimate, GAMMA_MAX, "psk",
+                              0.6)[1][0, 0] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ScheduleError, match="no finite t_1"):
@@ -433,7 +429,7 @@ def _oracle_min_acf(n, estimate, gamma, scheme, beta):
         return bound.u(estimate.norm_sq, acf, gamma) - beta
 
     if f(1.0) > 0.0:
-        raise InfeasibleRateError(f"rate {n}")
+        raise ScheduleError(f"rate {n} infeasible")
     if f(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -564,7 +560,7 @@ def _loop_min_acf(rate_n, estimate, gamma, scheme, beta):
     bound = union_bound(scheme, 2 ** rate_n)
     norm_sq = estimate.norm_sq
     if np.any(bound.u(norm_sq, 1.0, gamma) > beta):
-        raise InfeasibleRateError(f"rate {rate_n} infeasible at C = 1")
+        raise ScheduleError(f"rate {rate_n} infeasible at C = 1")
     out = np.zeros(gamma.size)
     cells = np.flatnonzero(bound.u(norm_sq, 0.0, 1.0) > beta)
     g, b = gamma[cells], beta[cells]
@@ -596,11 +592,8 @@ def _loop_schedules(estimate, snr_linear, scheme, bep_threshold, wobble,
     cs = np.full((top, gamma.size), np.inf)
     for n in range(1, top + 1):
         reach = r_max >= n
-        try:
-            cs[n - 1, reach] = _loop_min_acf(n, estimate, gamma_f[reach],
-                                             scheme, beta_f[reach])
-        except InfeasibleRateError as exc:
-            raise ScheduleError(f"rate {n} infeasible") from exc
+        cs[n - 1, reach] = _loop_min_acf(n, estimate, gamma_f[reach],
+                                         scheme, beta_f[reach])
     if np.any(cs[:1] == 0.0):
         raise ScheduleError("no finite t_1")
     has = np.isfinite(cs)
@@ -624,7 +617,7 @@ def _outcome(call):
     """A call's result, or the type of the UavlinkError it raised."""
     try:
         return call()
-    except (ScheduleError, MonotonicityError, InfeasibleRateError) as exc:
+    except (ScheduleError, MonotonicityError) as exc:
         return type(exc)
 
 
@@ -782,11 +775,11 @@ class TestGuardsPerCell:
         gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])[:, None]
         beta = np.array([10.0 ** lb for lb in log_beta])
         g, b = np.broadcast_arrays(gamma, beta)
-        feasible = max_modulation_order(fx.estimate, g, scheme, b) > 0
+        r_max, cs = acf_thresholds(fx.estimate, g, scheme, b)
+        feasible = r_max > 0
         # a grid whose every cell is infeasible builds no schedule at all
         assume(feasible.any())
-        c_1 = min_acf_for_rate(1, fx.estimate, g[feasible], scheme,
-                               b[feasible])
+        c_1 = cs[0, feasible]
         try:
             schedules = build_rate_schedules(fx.estimate, gamma, scheme, beta,
                                              _OSCILLATORY, t_e)
