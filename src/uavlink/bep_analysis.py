@@ -26,6 +26,7 @@ Gray-mapping PSK approximation.
 
 import functools
 import math
+import sys
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -388,16 +389,22 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     Raises ScheduleError where a rate below a cell's r_max cannot meet the
     threshold at C = 1, MonotonicityError where the solve cannot converge,
     and ValueError for a non-finite or negative SNR or a non-finite
-    threshold or one <= 0. Where several rates fail, the error is the one a
-    rate-by-rate build meets first: that of the lowest failing rate, its
-    feasibility check before its solve.
+    threshold or one below sys.float_info.min, the least normal double.
+    Where several rates fail, the error is the one a rate-by-rate build
+    meets first: that of the lowest failing rate, its feasibility check
+    before its solve.
     """
     require_finite(snr_linear=snr_linear, bep_threshold=bep_threshold)
     gamma, beta = (a.reshape(-1) for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=np.float64)
           for a in (snr_linear, bep_threshold))))
+    # a subnormal threshold has too few significant bits for the solve's
+    # relative residual gate
     for name, a, bad in (("snr_linear must be non-negative", gamma, gamma < 0),
-                         ("bep_threshold must be positive", beta, beta <= 0)):
+                         ("bep_threshold must be positive", beta, beta <= 0),
+                         (f"bep_threshold must be at least {sys.float_info.min}"
+                          ", the least normal double", beta,
+                          beta < sys.float_info.min)):
         if bad.any():
             raise ValueError(f"{name}, got {a[bad].flat[0]}")
     norm_sq = estimate.norm_sq

@@ -3,7 +3,9 @@
 The UAV's mechanical vibration decorrelates the channel between the
 estimation instant and the transmission instant. The decorrelation is
 captured by a scalar temporal ACF C(dt) applied to the whole antenna
-vector; the innovation is circularly-symmetric complex Gaussian.
+vector; the innovation is circularly-symmetric complex Gaussian. The rate
+schedule needs C strictly decreasing over its span, which
+`check_acf_monotone` proves from bounds on the ACF's slope.
 """
 
 import math
@@ -38,8 +40,10 @@ __all__ = [
 _ACF_T_TOL = 1e-12
 _ACF_LN_TOL = 1e-10
 
-# points of the grid on which check_acf_monotone tests the ACF
-_MONOTONE_POINTS = 10_000
+# check_acf_monotone's certificate: the intervals its middle stretch starts
+# with, and the most intervals it examines before it gives up
+_CERT_START = 16
+_CERT_CAP = 1 << 14
 
 # Abramowitz & Stegun 9.8.1-9.8.4, highest power first: I0(x) and I1(x)/x
 # in (x/3.75)^2 for |x| <= 3.75; sqrt(x) e^-x I0(x) and sqrt(x) e^-x I1(x)
@@ -253,19 +257,106 @@ def acf_inverse(params: WobbleParams, target):
     return float(out) if out.ndim == 0 else out
 
 
+def _ratio_bound(x):
+    """Upper bound on |I1(x)/I0(x)| from an upper bound on |x|:
+    min(|x|/2, |x| / (1/2 + sqrt(x^2 + 1/4))), the second from Amos
+    (1974). Increasing in |x| and below 1."""
+    ax = np.abs(x)
+    return np.minimum(0.5 * ax, ax / (0.5 + np.sqrt(ax * ax + 0.25)))
+
+
+def _slope_margin(params: WobbleParams, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """A lower bound on P - |b| |R| over each interval [lo, hi].
+
+    In `_acf`'s terms, d ln C/dt = K1 w (-P + b R) with
+    P = mu + e^(-mu t) (omega_v sin(omega_v t) - mu cos(omega_v t)),
+    R = mu cos(omega_v t) + omega_v sin(omega_v t) - mu e^(-mu t) and
+    b = I1/I0(x); a positive margin proves the slope negative on the
+    interval. P' = w e^(-mu t) cos(omega_v t), so P is least at an end or at
+    the interval's first trough omega_v t = 3 pi/2 + 2 pi k, where
+    P = mu - omega_v e^(-mu t) (later troughs lie higher). |R| and |x| are
+    bounded from their ends by their Lipschitz constants,
+    |R'| <= L = omega_v sqrt(w) + mu^2 and |x'| = (gain / w) |R|. The
+    bounds are padded for the rounding of each term, which grows with the
+    phase omega_v t. No Bessel function is evaluated.
+    """
+    wv, mu = params.omega_v, params.mu
+    wm, _, gain = _acf_scales(params)
+    root_w = math.sqrt(wm)
+    n = lo.size
+    t = np.concatenate([lo, hi])
+    decay = np.exp(-mu * t)
+    sin_t, cos_t = np.sin(wv * t), np.cos(wv * t)
+    p = mu + decay * (wv * sin_t - mu * cos_t)
+    r = np.abs(mu * cos_t + wv * sin_t - mu * decay)
+    x = np.abs(mu * sin_t - wv * cos_t + wv * decay) * (gain / (wm * wv))
+    trough = (1.5 * np.pi + 2.0 * np.pi
+              * np.ceil((wv * lo - 1.5 * np.pi) / (2.0 * np.pi))) / wv
+    p_min = np.minimum(p[:n], p[n:])
+    p_min = np.where(trough <= hi,
+                     np.minimum(p_min, mu - wv * np.exp(-mu * trough)), p_min)
+    width = hi - lo
+    ulps = 16.0 * np.finfo(float).eps * (1.0 + wv * hi)
+    r_max = (0.5 * (r[:n] + r[n:] + (wv * root_w + mu * mu) * width)
+             + ulps * (root_w + mu))
+    x_max = (0.5 * (x[:n] + x[n:] + gain / wm * r_max * width)
+             + ulps * gain * (root_w + wv) / (wm * wv))
+    return p_min - ulps * (root_w + mu) - _ratio_bound(x_max) * r_max
+
+
 def check_acf_monotone(params: WobbleParams, span: float) -> None:
-    """Reject parameter sets whose ACF is not strictly decreasing on
-    [0, span].
+    """Prove the ACF strictly decreasing on [0, span], or raise
+    MonotonicityError.
 
     The rate schedule maps each threshold C_n to a unique time t_n, which
-    requires a monotone ACF on the scheduling span. Checked on a dense grid.
+    requires a monotone ACF on the scheduling span. The slope is
+    d ln C/dt = K1 w (-P + b R) (`_slope_margin`), negative wherever
+    P > |b| |R|, with |b| = |I1/I0(x)| <= `_ratio_bound`(|x|). That is
+    shown on (0, span] in three parts:
+
+    - the head (0, tau]: P >= t w e^(-mu tau) cos(omega_v tau),
+      |R| <= L t and |x| <= gain L t^2 / (2 w), with L = omega_v sqrt(w)
+      + mu^2; tau = min(w / (2 L sqrt(gain)), pi / (3 omega_v), 1 / mu)
+      leaves P above twice |b| |R| (its first term is inf where the gain
+      underflows to 0);
+    - the tail [a, span]: P >= mu - e^(-mu a) sqrt(w),
+      |R| <= sqrt(w) + mu and |x| <= gain (sqrt(w) + omega_v)
+      / (w omega_v), which holds from the a that halves the gap left by
+      those bounds, where there is one;
+    - the middle [tau, min(a, span)], cut into 16 intervals, each failing
+      one bisected, until every interval has a positive `_slope_margin`.
+
+    Raises MonotonicityError when the middle needs more than 16384
+    intervals: the ACF may rise on the span, or fall too narrowly to
+    certify.
     """
-    grid = np.linspace(0.0, span, _MONOTONE_POINTS)
-    vals = temporal_acf(params, grid)
-    if not np.all(np.diff(vals) < 0):
-        raise MonotonicityError(
-            f"temporal ACF is not strictly decreasing on [0, {span}] "
-            "for these wobble parameters")
+    wv, mu = params.omega_v, params.mu
+    wm, _, gain = _acf_scales(params)
+    root_w = math.sqrt(wm)
+    # the NaN bounds of pathological parameters fail every interval up to
+    # the cap, so the FP warnings carry no information
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        head = min(0.5 * wm / ((wv * root_w + mu * mu) * np.sqrt(gain)),
+                   math.pi / (3.0 * wv), 1.0 / mu)
+        gap = (mu - _ratio_bound(gain * (root_w + wv) / (wm * wv))
+               * (root_w + mu)) / root_w
+        tail = math.log(2.0 / gap) / mu if gap > 0.0 else math.inf
+        if head >= span or head >= tail:
+            return
+        edges = np.linspace(head, min(span, tail), _CERT_START + 1)
+        lo, hi = edges[:-1], edges[1:]
+        examined = 0
+        while lo.size:
+            examined += lo.size
+            if examined > _CERT_CAP:
+                raise MonotonicityError(
+                    f"temporal ACF could not be certified strictly "
+                    f"decreasing on [0, {span}] for these wobble parameters")
+            bad = ~(_slope_margin(params, lo, hi) > 0.0)
+            mid = 0.5 * (lo[bad] + hi[bad])
+            lo, hi = (np.concatenate([lo[bad], mid]),
+                      np.concatenate([mid, hi[bad]]))
 
 
 def evolve_channel(estimate: ChannelEstimate, acf_value: float,

@@ -122,10 +122,12 @@ class RunConfig:
                 raise ConfigError(
                     f"run.acf entries must lie in [0, 1], got {v}")
         for v in self.bep_thresholds:
-            # LinkScenario's range for a BEP threshold
-            if not 0.0 < v < 0.5:
+            # LinkScenario's range for a BEP threshold: the normal doubles
+            # below 1/2, as a subnormal one has too few significant bits for
+            # the threshold solve's relative residual gate
+            if not sys.float_info.min <= v < 0.5:
                 raise ConfigError("run.bep_thresholds entries must lie in "
-                                  f"(0, 0.5), got {v}")
+                                  f"[{sys.float_info.min}, 0.5), got {v}")
 
 
 def _require(parser: configparser.ConfigParser, section: str, key: str) -> str:

@@ -7,6 +7,8 @@ the rate is the piecewise-constant staircase R(t) = n on (t_{n+1}, t_n].
 `build_rate_schedules` builds the staircases of a whole grid of (SNR,
 threshold) cells at once, with one C_n solve over every (rate, cell) and
 one ACF inversion; `build_rate_schedule` is its one-cell call.
+`sweep_rave_max` runs the same solve and reads the (r_max, C_n, t_n)
+arrays directly, building no schedule object.
 
 The average rate over a transmission period T_c has a constant-sign
 derivative inside each staircase region, so the maximizer sits on a region
@@ -46,6 +48,12 @@ __all__ = [
 ]
 
 
+# RateSchedule's invariants, in the order it checks them
+_SCHEDULE_CHECKS = ("C_n must increase strictly with n",
+                    "t_n must decrease strictly as n grows",
+                    "every t_n must exceed t_estimate")
+
+
 @dataclass(frozen=True)
 class RateThreshold:
     """Rate n is usable while the ACF stays at or above c_n, i.e. t <= t_n."""
@@ -76,12 +84,13 @@ class RateSchedule:
                 raise ScheduleError("thresholds must be ordered by rate")
         cs = [th.c_n for th in self.thresholds]
         ts = [th.t_n for th in self.thresholds]
+        c_rises, t_falls, past_estimate = _SCHEDULE_CHECKS
         if any(b <= a for a, b in zip(cs, cs[1:])):
-            raise ScheduleError("C_n must increase strictly with n")
+            raise ScheduleError(c_rises)
         if any(b >= a for a, b in zip(ts, ts[1:])):
-            raise ScheduleError("t_n must decrease strictly as n grows")
+            raise ScheduleError(t_falls)
         if self.thresholds and ts[-1] <= self.t_estimate:
-            raise ScheduleError("every t_n must exceed t_estimate")
+            raise ScheduleError(past_estimate)
 
     @property
     def is_empty(self) -> bool:
@@ -122,22 +131,20 @@ class RateOptimum:
     r_op: int  # rate in force when transmission ends
 
 
-def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
-                         bep_threshold, wobble: WobbleParams,
-                         t_estimate: float) -> list:
-    """Rate staircases for every cell of broadcast (snr_linear,
-    bep_threshold), as a list in C order.
+def _switch_grid(estimate: ChannelEstimate, snr_linear, scheme: str,
+                 bep_threshold, wobble: WobbleParams,
+                 t_estimate: float) -> tuple:
+    """(r_max, cs, ts) of every cell of broadcast (snr_linear,
+    bep_threshold), flattened in C order: each cell's highest feasible
+    rate, and C_n as cs[n - 1] and t_n as ts[n - 1], rows past the cell's
+    r_max holding +inf and T_e.
 
     The C thresholds of every rate of every cell are inverted in one
     lockstep Newton solve (`bep_analysis.acf_thresholds`), and every
     threshold's switch time in one ACF inversion, after which the ACF is
-    checked monotone once, on [0, max(t_1) - t_estimate]. A cell where
-    every order is infeasible yields an empty schedule (rate 0 everywhere)
-    rather than an error.
-
-    Raises ScheduleError where C_1 = 0, as no finite t_1 exists there, or
-    where a rate below a cell's highest feasible rate is infeasible, and
-    MonotonicityError where the ACF is not strictly decreasing up to t_1.
+    certified monotone once, on [0, max(t_1) - t_estimate]. The arrays are
+    checked as each cell's RateSchedule checks itself, with the same
+    ScheduleError for the first cell that fails.
     """
     r_max, cs = acf_thresholds(estimate, snr_linear, scheme, bep_threshold)
     # C_1 = 0 where even an uncorrelated channel meets the threshold: the
@@ -158,6 +165,44 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
         # every t_n is unique only where the ACF falls on all of [0, t_1]
         check_acf_monotone(wobble, float(lags.max()))
         ts[has] = t_estimate + lags
+    _check_staircases(cs, ts, t_estimate)
+    return r_max, cs, ts
+
+
+def _check_staircases(cs: np.ndarray, ts: np.ndarray,
+                      t_estimate: float) -> None:
+    """RateSchedule's checks on every column of (cs, ts), the rates of a
+    cell being its rows of finite C_n, in RateSchedule's order: C_n rising,
+    t_n falling, then every t_n past T_e (it checks the last t_n, the
+    least once the t_n fall). Raises its ScheduleError for the first
+    column that fails."""
+    has = np.isfinite(cs)
+    pair = has[1:]
+    failed = np.array([(pair & (cs[1:] <= cs[:-1])).any(axis=0),
+                       (pair & (ts[1:] >= ts[:-1])).any(axis=0),
+                       (has & (ts <= t_estimate)).any(axis=0)])
+    if failed.any():
+        cell = int(np.argmax(failed.any(axis=0)))
+        raise ScheduleError(_SCHEDULE_CHECKS[int(np.argmax(failed[:, cell]))])
+
+
+def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
+                         bep_threshold, wobble: WobbleParams,
+                         t_estimate: float) -> list:
+    """Rate staircases for every cell of broadcast (snr_linear,
+    bep_threshold), as a list in C order.
+
+    Every cell's C_n and t_n come from one solve over the grid
+    (`_switch_grid`). A cell where every order is infeasible yields an
+    empty schedule (rate 0 everywhere) rather than an error.
+
+    Raises ScheduleError where C_1 = 0, as no finite t_1 exists there, or
+    where a rate below a cell's highest feasible rate is infeasible, and
+    MonotonicityError where the ACF cannot be certified strictly decreasing
+    up to t_1.
+    """
+    r_max, cs, ts = _switch_grid(estimate, snr_linear, scheme, bep_threshold,
+                                 wobble, t_estimate)
     return [RateSchedule(scheme, r, tuple(
                 RateThreshold(n, c_n, t_n)
                 for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
@@ -299,14 +344,10 @@ def sweep_rave_max(estimate: ChannelEstimate, snr_db_grid,
     if not snr_db_grid or not bep_threshold_grid:
         raise ValueError("sweep grids must be non-empty")
     gamma = np.array([10.0 ** (snr_db / 10.0) for snr_db in snr_db_grid])
-    schedules = build_rate_schedules(estimate, gamma[:, None], scheme,
-                                     np.array(bep_threshold_grid), wobble,
-                                     t_estimate)
     # every cell's switch times, padded with T_e to the grid's top rate;
     # candidate k of a cell is t_c = t_k - T_e, and a padded candidate
     # t_c = 0 rates 0, so an empty cell gets 0, as its empty schedule does
-    top = max(s.r_max for s in schedules)
-    ts = np.array([[th.t_n for th in s.thresholds]
-                   + [t_estimate] * (top - s.r_max) for s in schedules]).T
+    _, _, ts = _switch_grid(estimate, gamma[:, None], scheme,
+                            np.array(bep_threshold_grid), wobble, t_estimate)
     avg = _average_rates(ts, t_estimate, ts - t_estimate)
     return np.max(avg, axis=0, initial=0.0).reshape(gamma.size, -1)

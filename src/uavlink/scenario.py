@@ -5,6 +5,7 @@ here is pure dB/dBm bookkeeping; no randomness, no state.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -33,7 +34,8 @@ class LinkScenario:
         bandwidth: signal bandwidth, Hz.
         temperature: receiver noise temperature, Kelvin.
         p_max_dbm: transmit power cap, dBm.
-        bep_threshold: tolerable instantaneous bit-error probability.
+        bep_threshold: tolerable instantaneous bit-error probability, a
+            normal double below 1/2.
         t_estimate: channel estimation time, seconds.
         t_coherence: optional coherence horizon, seconds. When None the
             schedule's own zero-rate time is used as the horizon.
@@ -59,8 +61,11 @@ class LinkScenario:
             raise ValueError("bandwidth must be positive")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if not 0.0 < self.bep_threshold < 0.5:
-            raise ValueError("bep_threshold must lie in (0, 0.5)")
+        # a normal double: a subnormal threshold has too few significant
+        # bits for the threshold solve's relative residual gate
+        if not sys.float_info.min <= self.bep_threshold < 0.5:
+            raise ValueError(f"bep_threshold must lie in [{sys.float_info.min}"
+                             f", 0.5), got {self.bep_threshold}")
         if self.t_estimate <= 0:
             raise ValueError("t_estimate must be positive")
         if self.n_rx_antennas < 1:

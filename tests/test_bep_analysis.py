@@ -6,6 +6,7 @@ function, brute-force pair sums for the union bound).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -659,7 +660,12 @@ class TestInversionDomain:
         (GAMMA_MAX, 0.0, "bep_threshold must be positive, got 0.0"),
         (GAMMA_MAX, -1.0, "bep_threshold must be positive, got -1.0"),
         (GAMMA_MAX, np.array([1e-5, -1e-3]), "bep_threshold must be pos"),
-    ], ids=["snr-5", "snr-array", "beta0", "beta-1", "beta-array"])
+        (GAMMA_MAX, 1e-310, "bep_threshold must be at least "
+         "2.2250738585072014e-308, the least normal double, got 1e-310"),
+        (GAMMA_MAX, np.array([1e-5, 5e-324]), "least normal double, got "
+         "5e-324"),
+    ], ids=["snr-5", "snr-array", "beta0", "beta-1", "beta-array",
+            "beta-subnormal", "beta-subnormal-array"])
     def test_rejects_negative_snr_and_threshold(self, fx, call, gamma, beta,
                                                 message):
         with pytest.raises(ValueError, match=message):
@@ -670,6 +676,15 @@ class TestInversionDomain:
         with pytest.raises(ValueError, match="bep_threshold must be pos"):
             sweep_rave_max(fx.estimate, [10.0, 20.0], [1e-5, beta], "qam",
                            fx.wobble, fx.scenario.t_estimate)
+
+    @pytest.mark.parametrize("snr_db", [20.0, 300.0, 3000.0])
+    def test_least_normal_thresholds_solve(self, fx, snr_db):
+        # the solve's 1e-8 relative residual gate holds down to the least
+        # normal double, below which the threshold is rejected
+        for beta in (2.3e-308, sys.float_info.min):
+            r_max, cs = acf_thresholds(fx.estimate, 10.0 ** (snr_db / 10.0),
+                                       "qam", beta)
+            assert r_max[0] > 0 and np.isfinite(cs).all()
 
     def test_zero_snr_is_accepted(self, fx):
         # gamma = 0 collapses every pairwise argument to Q(0) = 1/2: no

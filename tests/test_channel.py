@@ -33,8 +33,7 @@ from uavlink.errors import (
     NumericOverflowError,
 )
 from uavlink.fixtures import load_fixture
-
-CARRIER_HZ = 28e9
+from profiles import CARRIER_HZ, damped_profiles
 
 # (dt, C(dt)) for omega_v = 20*pi, mu = 30, sigma_v^2 from the 5 mm default
 ACF_REFERENCE = [
@@ -136,18 +135,8 @@ class TestAcfInverse:
         assert abs(temporal_acf(w, dt) - target) <= 1e-10
 
 
-# monotone wobble profiles well beyond the fixtures' one: damping mu at
-# least the vibration frequency omega_v, and Bessel arguments |x| from
-# about 1e-3 to several hundred
-_profiles = st.builds(
-    lambda omega_v, damping, sigma_v_sq: WobbleParams.for_carrier(
-        CARRIER_HZ, omega_v, damping * omega_v, sigma_v_sq),
-    omega_v=st.floats(3.0, 1000.0), damping=st.floats(1.0, 10.0),
-    sigma_v_sq=st.floats(1e-5, 0.1))
-
-
 class TestAcfSolveAcrossProfiles:
-    @given(w=_profiles, target=st.floats(1e-3, 0.9999))
+    @given(w=damped_profiles, target=st.floats(1e-3, 0.9999))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, w, target):
         dt = acf_inverse(w, target)
@@ -156,7 +145,7 @@ class TestAcfSolveAcrossProfiles:
         assert c <= target
         assert abs(c - target) <= 1e-10
 
-    @given(w=_profiles, target=st.floats(1e-3, 0.999),
+    @given(w=damped_profiles, target=st.floats(1e-3, 0.999),
            frac=st.floats(0.2, 1.5))
     @settings(max_examples=60, deadline=None)
     def test_slope_matches_central_difference(self, w, target, frac):
@@ -203,6 +192,17 @@ class TestAcfSolveAcrossProfiles:
                       <= 4e-9 * np.abs(want)[small])
 
 
+# lightly to heavily damped profiles, most of them monotone only on a
+# stretch: mu / omega_v from 10^-2.5 to 10, spans up to 30 / omega_v
+_any_damping = st.builds(
+    lambda omega_v, log_damping, sigma_v_sq, frac: (
+        WobbleParams.for_carrier(CARRIER_HZ, omega_v,
+                                 10.0 ** log_damping * omega_v, sigma_v_sq),
+        frac * 30.0 / omega_v),
+    omega_v=st.floats(3.0, 1000.0), log_damping=st.floats(-2.5, 1.0),
+    sigma_v_sq=st.floats(1e-6, 0.1), frac=st.floats(0.0, 1.0))
+
+
 class TestMonotoneCheck:
     def test_reference_profile_is_monotone(self, wobble):
         check_acf_monotone(wobble, 0.4)
@@ -211,8 +211,76 @@ class TestMonotoneCheck:
         # nearly undamped vibration: the ACF ripples at the wobble period
         w = WobbleParams(omega_c=2 * np.pi * CARRIER_HZ, omega_v=20.0 * np.pi,
                          mu=0.01, sigma_v_sq=1e-4)
-        with pytest.raises(MonotonicityError):
+        with pytest.raises(MonotonicityError, match="could not be certified"):
             check_acf_monotone(w, 0.3)
+
+    def test_bessel_driven_rise_rejected(self):
+        # P stays positive, but past 0.043 s b R overtakes it and the ACF
+        # rises: only the bound on b keeps the certificate off this span
+        w = WobbleParams.for_carrier(CARRIER_HZ, 112.5, 0.358 * 112.5,
+                                     0.0894)
+        span = 0.1636
+        assert np.max(np.diff(temporal_acf(
+            w, np.linspace(0.0, span, 100_001)))) > 1e-7
+        with pytest.raises(MonotonicityError, match="could not be certified"):
+            check_acf_monotone(w, span)
+
+    @given(drawn=_any_damping)
+    @settings(max_examples=100, deadline=None)
+    def test_sound(self, drawn):
+        # an accepted span shows no rise on a dense sample beyond the
+        # rounding of temporal_acf itself: near C = 1 that is a few ulp of
+        # 1 plus the cancellation in the exponent's bracket and in x, whose
+        # terms reach (gain / w) (3 + (mu + 2 omega_v) t) and
+        # gain (mu + 2 omega_v) (1 + omega_v t) / (w omega_v); at
+        # omega_v = mu = 3 and sigma_v^2 = 0.0625 a proven span shows
+        # 5.5-ulp rises
+        w, span = drawn
+        try:
+            check_acf_monotone(w, span)
+        except MonotonicityError:
+            return
+        vals = temporal_acf(w, np.linspace(0.0, span, 100_001))
+        wm, _, gain = channel._acf_scales(w)
+        reach = (w.mu + 2.0 * w.omega_v) * span
+        rounding = 16.0 * np.finfo(float).eps * (
+            1.0 + gain / wm * (3.0 + reach)
+            + gain * (w.mu + 2.0 * w.omega_v) * (1.0 + w.omega_v * span)
+            / (wm * w.omega_v))
+        assert np.max(np.diff(vals), initial=0.0) <= rounding
+
+    @given(w=damped_profiles)
+    @settings(max_examples=60, deadline=None)
+    def test_complete_on_damped_profiles(self, w):
+        check_acf_monotone(w, acf_inverse(w, 1e-3))
+
+    @pytest.mark.parametrize("fixture", ["case1", "case2"])
+    @pytest.mark.parametrize("target", [0.7, 0.5, 1e-3])
+    def test_fixture_spans_take_at_most_64_intervals(self, fixture, target):
+        # the certificate bounds intervals of the middle stretch, and never
+        # evaluates the ACF or a Bessel function
+        intervals = []
+
+        def counted(params, lo, hi):
+            intervals.append(lo.size)
+            return margin(params, lo, hi)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the certificate evaluated a Bessel term")
+        w = load_fixture(fixture).wobble
+        span = acf_inverse(w, target)
+        margin = channel._slope_margin
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(channel, "_slope_margin", counted)
+            for name in ("_acf", "_bessel_ratio", "i0e"):
+                m.setattr(channel, name, forbidden)
+            check_acf_monotone(w, span)
+        assert 0 < sum(intervals) <= 64
+
+    def test_ratio_bound_against_scipy(self):
+        x = np.concatenate([np.linspace(0.0, 10.0, 20001),
+                            np.geomspace(10.0, 1e6, 2001)])
+        assert np.all(i1e(x) / i0e(x) <= channel._ratio_bound(x))
 
 
 class TestChannelEvolution:

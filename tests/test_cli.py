@@ -239,6 +239,8 @@ class TestGridValidation:
         ("rate-opt", "bep_thresholds = 1e-3 1e-5", "0.5", "bep_thresholds"),
         ("rate-opt", "bep_thresholds = 1e-3 1e-5", "0.6", "bep_thresholds"),
         ("rate-opt", "bep_thresholds = 1e-3 1e-5", "nan", "bep_thresholds"),
+        ("rate-opt", "bep_thresholds = 1e-3 1e-5", "1e-310", "bep_thresholds"),
+        ("rate-opt", "bep_thresholds = 1e-3 1e-5", "1e-320", "bep_thresholds"),
         ("rate-opt", "snr_db = 6 12", "nan", "snr_db"),
         ("rate-opt", "snr_db = 6 12", "inf", "snr_db"),
         ("rate-opt", "snr_db = 6 12", "-inf", "snr_db"),
@@ -326,6 +328,34 @@ class TestGridValidation:
                          str(out)]) == 0
             values = [float(r[column]) for r in read_rows(out / name)]
             assert values and np.isfinite(values).all()
+
+    @pytest.mark.parametrize("beta", ["1e-320", "1e-310"])
+    def test_subnormal_threshold_names_the_field(self, tmp_path, capsys,
+                                                 beta):
+        # a case1 QAM grid at 20 dB: the threshold is rejected by name,
+        # before any solve
+        text = (BASE_RUN.replace("scheme = psk", "scheme = qam")
+                .replace("snr_db = 6 12", "snr_db = 20")
+                .replace("bep_thresholds = 1e-3 1e-5",
+                         f"bep_thresholds = {beta}"))
+        out = tmp_path / "o"
+        assert main(["rate-opt", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.bep_thresholds") and beta in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_least_normal_threshold_solves(self, tmp_path):
+        text = (BASE_RUN.replace("scheme = psk", "scheme = qam")
+                .replace("snr_db = 6 12", "snr_db = 20")
+                .replace("bep_thresholds = 1e-3 1e-5",
+                         "bep_thresholds = 2.3e-308"))
+        out = tmp_path / "o"
+        assert main(["rate-opt", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        [row] = read_rows(out / "rate_opt_contour.csv")
+        assert float(row["r_ave_max"]) > 0.0
 
     def test_grid_edges_accepted(self, tmp_path):
         text = BASE_RUN.replace("acf = 0.99 0.9", "acf = 0 1").replace(

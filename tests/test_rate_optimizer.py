@@ -10,6 +10,7 @@ threshold unless stated otherwise.
 """
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -44,7 +45,9 @@ from uavlink.constellation import SUPPORTED_ORDERS
 from uavlink.errors import DivergenceError, MonotonicityError, ScheduleError
 from uavlink.fixtures import load_fixture
 from uavlink.lockstep import newton_lockstep
+from uavlink.rate_optimizer import _check_staircases
 from uavlink.scenario import SPEED_OF_LIGHT, average_snr_db
+from profiles import damped_profiles
 
 GAMMA_MAX = 277.1359929049
 BETA = 1e-5
@@ -549,6 +552,77 @@ class TestBatchedBuilder:
         got = sweep_rave_max(fx.estimate, snr_db, betas, "qam", fx.wobble,
                              fx.scenario.t_estimate)
         assert got.tolist() == want
+
+
+class TestSchedulesAcrossProfiles:
+    # the schedule invariants on monotone wobble profiles well beyond the
+    # fixtures' one, and the sweep against the staircase objects
+    @settings(max_examples=40, deadline=None)
+    @given(w=damped_profiles, scheme=st.sampled_from(["psk", "qam"]),
+           snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+           log_beta=st.lists(st.floats(-8.0, math.log10(0.3)), min_size=1,
+                             max_size=3))
+    def test_invariants(self, fx, w, scheme, snr_db, log_beta):
+        t_e = fx.scenario.t_estimate
+        gamma = np.array([10.0 ** (v / 10.0) for v in snr_db])
+        betas = [10.0 ** v for v in log_beta]
+        try:
+            schedules = build_rate_schedules(fx.estimate, gamma[:, None],
+                                             scheme, np.array(betas), w, t_e)
+        except (ScheduleError, MonotonicityError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                sweep_rave_max(fx.estimate, snr_db, betas, scheme, w, t_e)
+            return
+        for s in schedules:
+            cs = [th.c_n for th in s.thresholds]
+            ts = [th.t_n for th in s.thresholds]
+            assert all(lo < hi for lo, hi in zip(cs, cs[1:]))
+            assert all(lo > hi for lo, hi in zip(ts, ts[1:]))
+            for th in s.thresholds:
+                assert abs(temporal_acf(w, th.t_n - t_e) - th.c_n) <= 1e-10
+        want = [_oracle_optimum(s).r_ave_max for s in schedules]
+        got = sweep_rave_max(fx.estimate, snr_db, betas, scheme, w, t_e)
+        assert got.ravel().tolist() == want
+
+
+# each cell's rate count, then C_n and t_n - T_e per rate on coarse grids,
+# so that ties, inversions and t_n at or before T_e are common
+_staircases = st.lists(
+    st.integers(0, 4).flatmap(lambda r: st.tuples(
+        st.lists(st.integers(0, 3), min_size=r, max_size=r),
+        st.lists(st.integers(-1, 3), min_size=r, max_size=r))),
+    min_size=1, max_size=5)
+
+
+class TestArrayChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(cells=_staircases)
+    def test_same_error_as_the_objects(self, cells):
+        # the arrays the sweep reads raise the ScheduleError that building
+        # each cell's RateSchedule, in C order, raises first
+        t_e, top = 1e-3, max(len(c) for c, _ in cells)
+        cs = np.full((top, len(cells)), np.inf)
+        ts = np.full((top, len(cells)), t_e)
+        for k, (c, lag) in enumerate(cells):
+            cs[:len(c), k] = [0.2 * v + 0.1 for v in c]
+            ts[:len(c), k] = [t_e + 1e-3 * v for v in lag]
+
+        def objects():
+            for k, (c, _) in enumerate(cells):
+                RateSchedule("qam", len(c), tuple(
+                    RateThreshold(n + 1, cs[n, k], ts[n, k])
+                    for n in range(len(c))), t_e)
+        want = _message(objects)
+        assert _message(lambda: _check_staircases(cs, ts, t_e)) == want
+
+
+def _message(call):
+    """The message of the ScheduleError a call raises, or None."""
+    try:
+        call()
+    except ScheduleError as exc:
+        return str(exc)
+    return None
 
 
 # --- the one-solve grid build against the loops it replaced ---------------

@@ -1,6 +1,7 @@
 """Link-budget arithmetic: geometry, path loss, noise floor, SNR."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -87,6 +88,15 @@ class TestValidation:
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError):
             _ref_scenario(**{field: value})
+
+    @pytest.mark.parametrize("value", [1e-310, 5e-324])
+    def test_rejects_subnormal_threshold(self, value):
+        with pytest.raises(ValueError, match=f"got {value}"):
+            _ref_scenario(bep_threshold=value)
+
+    def test_least_normal_threshold_accepted(self):
+        for value in (sys.float_info.min, 2.3e-308):
+            assert _ref_scenario(bep_threshold=value).bep_threshold == value
 
     def test_coherence_must_exceed_estimate(self):
         with pytest.raises(ValueError):
