@@ -59,7 +59,6 @@ from .power_control import (
 from .rate_optimizer import (
     RateOptimum,
     RateSchedule,
-    RateThreshold,
     average_rate,
     build_rate_schedule,
     build_rate_schedules,
@@ -97,7 +96,7 @@ __all__ = [
     "UnionBound", "union_bound", "acf_thresholds", "psk_bep_approx",
     "q_function", "q_inverse",
     # rate optimizer
-    "RateThreshold", "RateSchedule", "RateOptimum", "build_rate_schedule",
+    "RateSchedule", "RateOptimum", "build_rate_schedule",
     "build_rate_schedules", "average_rate", "rate_derivative",
     "optimum_transmission_time", "sweep_rave_max",
     # power control

@@ -85,8 +85,8 @@ class WobbleParams:
 
     def __post_init__(self):
         for name in ("omega_c", "omega_v", "mu", "sigma_v_sq"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # nor nan
+                raise ValueError(f"{name} must be positive and finite")
 
     @classmethod
     def for_carrier(cls, carrier_freq: float, omega_v: float, mu: float,

@@ -12,6 +12,7 @@ Every output is a CSV with a header row plus a JSON metadata sidecar
 
 import argparse
 import configparser
+import contextlib
 import functools
 import json
 import math
@@ -162,6 +163,17 @@ def _numbers(section: str, key: str, raw: str, parse=_as_float) -> tuple:
                  for tok in raw.replace(",", " ").split())
 
 
+@contextlib.contextmanager
+def _rejected_by(section: str):
+    """Re-raise what a value type raises on a value it rejects, a
+    ValueError or an ArithmeticError (as mu = 0 divides by zero), as a
+    ConfigError naming the config section the value came from."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def _scenario_from(parser: configparser.ConfigParser) -> LinkScenario:
     sec = "scenario"
     if not parser.has_section(sec):
@@ -170,7 +182,7 @@ def _scenario_from(parser: configparser.ConfigParser) -> LinkScenario:
     get = lambda key: _as_float(sec, key, _require(parser, sec, key))
     t_co = (_as_float(sec, "t_coherence", parser.get(sec, "t_coherence"))
             if parser.has_option(sec, "t_coherence") else None)
-    return LinkScenario(
+    fields = dict(
         uav_height=get("uav_height"),
         ground_xy=(get("ground_x"), get("ground_y")),
         carrier_freq=get("carrier_freq"),
@@ -183,6 +195,8 @@ def _scenario_from(parser: configparser.ConfigParser) -> LinkScenario:
         t_estimate=get("t_estimate"),
         t_coherence=t_co,
     )
+    with _rejected_by(sec):
+        return LinkScenario(**fields)
 
 
 def _wobble_from(parser: configparser.ConfigParser,
@@ -194,7 +208,9 @@ def _wobble_from(parser: configparser.ConfigParser,
     mu = _as_float(sec, "mu", _require(parser, sec, "mu"))
     sigma = (_as_float(sec, "sigma_v_sq", parser.get(sec, "sigma_v_sq"))
              if parser.has_option(sec, "sigma_v_sq") else None)
-    return WobbleParams.for_carrier(scenario.carrier_freq, omega_v, mu, sigma)
+    with _rejected_by(sec):
+        return WobbleParams.for_carrier(scenario.carrier_freq, omega_v, mu,
+                                        sigma)
 
 
 def _estimate_from(parser: configparser.ConfigParser,
@@ -211,7 +227,8 @@ def _estimate_from(parser: configparser.ConfigParser,
             f"channel vector has {len(re)} entries but "
             f"scenario.n_rx_antennas = {scenario.n_rx_antennas}")
     h = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    return ChannelEstimate(h, scenario.t_estimate)
+    with _rejected_by(sec):
+        return ChannelEstimate(h, scenario.t_estimate)
 
 
 def load_config(path: str, seed_override: int | None = None,
@@ -385,11 +402,12 @@ def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
     optimum = optimum_transmission_time(schedule, cfg.scenario.t_coherence)
     t_e = schedule.t_estimate
 
-    rows = []
-    for th in sorted(schedule.thresholds, key=lambda th: -th.n):
-        t_start = schedule.switch_time(th.n + 1)
-        c_start = temporal_acf(cfg.wobble, t_start - t_e)
-        rows.append((t_start, th.t_n, th.n, 1 << th.n, c_start, th.c_n))
+    # highest rate first: rate n holds on (t_{n+1}, t_n], with
+    # t_{r_max+1} = T_e
+    rate = np.arange(schedule.r_max, 0, -1)
+    t_end = schedule.t_n[::-1]
+    t_start = np.concatenate([[t_e], t_end[:-1]])[:schedule.r_max]
+    c_start = [temporal_acf(cfg.wobble, t - t_e) for t in t_start.tolist()]
     meta = _base_meta(cfg)
     meta.update(gamma_max_db=10.0 * math.log10(gamma_max),
                 bep_threshold=cfg.scenario.bep_threshold,
@@ -398,7 +416,8 @@ def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
                 r_op=optimum.r_op)
     _write_csv(out_dir / "adapt_schedule.csv",
                ["t_start", "t_end", "rate_bits", "order", "c_start", "c_end"],
-               list(zip(*rows)), meta)
+               [t_start, t_end, rate, 1 << rate, c_start, schedule.c_n[::-1]],
+               meta)
 
     t, rate = sample_grid(schedule, cfg.sample_dt)
     acf = temporal_acf(cfg.wobble, t - t_e)
@@ -435,6 +454,30 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     power = min_power_schedule(schedule, cfg.estimate, cfg.scenario,
                                cfg.wobble, cfg.sample_dt)
     bep = bep_at_pmin(power, cfg.estimate, cfg.scenario)
+
+    # both windows' savings before any output is written
+    t_e = schedule.t_estimate
+    optimum = optimum_transmission_time(schedule, cfg.scenario.t_coherence)
+    windows = [("full", t_e, schedule.t_zero_rate)]
+    if optimum.t_max > 0:
+        windows.append(("optimum", t_e, t_e + optimum.t_max))
+    srows = []
+    for name, t_a, t_b in windows:
+        try:
+            sv = energy_savings(power, cfg.scenario.p_max_dbm, (t_a, t_b))
+        except ValueError as exc:  # fewer than two samples in the window
+            if schedule.is_empty:
+                cause = (f"no rate meets scenario.bep_threshold = "
+                         f"{cfg.scenario.bep_threshold:g} at "
+                         f"scenario.p_max_dbm = {cfg.scenario.p_max_dbm:g} "
+                         "dBm, so there is no power trace")
+            else:
+                cause = (f"run.sample_dt = {cfg.sample_dt:g} s is too coarse:"
+                         f" the {name} window ({t_a:g}, {t_b:g}] s holds "
+                         "fewer than two power samples")
+            raise UavlinkError(cause) from exc
+        srows.append((name, t_a, t_b, sv.mean_power_dbm, sv.savings_percent,
+                      cfg.scenario.p_max_dbm))
     meta = _base_meta(cfg)
     meta.update(gamma_max_db=10.0 * math.log10(gamma_max),
                 bep_threshold=cfg.scenario.bep_threshold,
@@ -446,17 +489,6 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
                [power.t, power.rate, 1 << power.rate, power.acf_value,
                 power.gamma_min_db, power.p_min_dbm, power.clamped, bep],
                meta)
-
-    t_e = schedule.t_estimate
-    optimum = optimum_transmission_time(schedule, cfg.scenario.t_coherence)
-    windows = [("full", t_e, schedule.t_zero_rate)]
-    if optimum.t_max > 0:
-        windows.append(("optimum", t_e, t_e + optimum.t_max))
-    srows = []
-    for name, t_a, t_b in windows:
-        sv = energy_savings(power, cfg.scenario.p_max_dbm, (t_a, t_b))
-        srows.append((name, t_a, t_b, sv.mean_power_dbm, sv.savings_percent,
-                      cfg.scenario.p_max_dbm))
     _write_csv(out_dir / "power_savings.csv",
                ["window", "t_start", "t_end", "mean_power_dbm",
                 "savings_percent", "baseline_dbm"],

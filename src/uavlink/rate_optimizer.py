@@ -7,8 +7,10 @@ the rate is the piecewise-constant staircase R(t) = n on (t_{n+1}, t_n].
 `build_rate_schedules` builds the staircases of a whole grid of (SNR,
 threshold) cells at once, with one C_n solve over every (rate, cell) and
 one ACF inversion; `build_rate_schedule` is its one-cell call.
-`sweep_rave_max` runs the same solve and reads the (r_max, C_n, t_n)
-arrays directly, building no schedule object.
+A `RateSchedule` is its cell's columns of that solve, C_n and t_n;
+`sweep_rave_max` reads the solved arrays of the whole grid instead,
+building no schedule object. Both are checked by one function,
+`_check_staircases`.
 
 The average rate over a transmission period T_c has a constant-sign
 derivative inside each staircase region, so the maximizer sits on a region
@@ -34,7 +36,6 @@ from .channel import (
 from .errors import DivergenceError, MonotonicityError, ScheduleError
 
 __all__ = [
-    "RateThreshold",
     "RateSchedule",
     "RateOptimum",
     "build_rate_schedule",
@@ -48,49 +49,31 @@ __all__ = [
 ]
 
 
-# RateSchedule's invariants, in the order it checks them
-_SCHEDULE_CHECKS = ("C_n must increase strictly with n",
-                    "t_n must decrease strictly as n grows",
-                    "every t_n must exceed t_estimate")
-
-
-@dataclass(frozen=True)
-class RateThreshold:
-    """Rate n is usable while the ACF stays at or above c_n, i.e. t <= t_n."""
-
-    n: int
-    c_n: float
-    t_n: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateSchedule:
     """Piecewise-constant rate staircase for one estimated channel.
 
-    thresholds[k] holds rate n = k+1; times t_n decrease as n grows and
+    c_n[n - 1] = C_n and t_n[n - 1] = t_n for rates n = 1..r_max, as
+    read-only 1-D float columns: C_n rise and t_n fall as n grows, and
     t_{r_max+1} = t_estimate by convention (C there is 1).
     """
 
     scheme: str
-    r_max: int
-    thresholds: tuple[RateThreshold, ...]
+    c_n: np.ndarray
+    t_n: np.ndarray
     t_estimate: float
 
     def __post_init__(self):
-        if len(self.thresholds) != self.r_max:
-            raise ScheduleError("thresholds must cover rates 1..r_max")
-        for k, th in enumerate(self.thresholds):
-            if th.n != k + 1:
-                raise ScheduleError("thresholds must be ordered by rate")
-        cs = [th.c_n for th in self.thresholds]
-        ts = [th.t_n for th in self.thresholds]
-        c_rises, t_falls, past_estimate = _SCHEDULE_CHECKS
-        if any(b <= a for a, b in zip(cs, cs[1:])):
-            raise ScheduleError(c_rises)
-        if any(b >= a for a, b in zip(ts, ts[1:])):
-            raise ScheduleError(t_falls)
-        if self.thresholds and ts[-1] <= self.t_estimate:
-            raise ScheduleError(past_estimate)
+        if self.c_n.shape != self.t_n.shape or self.t_n.ndim != 1:
+            raise ScheduleError("c_n and t_n must be 1-D and of one length")
+        for col in (self.c_n, self.t_n):
+            col.flags.writeable = False  # no reader can undo the checks below
+        _check_staircases(self.c_n[:, None], self.t_n[:, None],
+                          self.t_estimate)
+
+    @property
+    def r_max(self) -> int:
+        return self.t_n.size
 
     @property
     def is_empty(self) -> bool:
@@ -99,25 +82,17 @@ class RateSchedule:
     @property
     def t_zero_rate(self) -> float:
         """Time t_1 past which no rate is feasible (t_estimate if empty)."""
-        return self.thresholds[0].t_n if self.thresholds else self.t_estimate
-
-    def switch_time(self, n: int) -> float:
-        """t_n for 1 <= n <= r_max; t_estimate for n = r_max + 1."""
-        if n == self.r_max + 1:
-            return self.t_estimate
-        return self.thresholds[n - 1].t_n
+        return float(self.t_n[0]) if self.r_max else self.t_estimate
 
     def rate_at(self, t):
         """Instantaneous rate: n on (t_{n+1}, t_n], 0 outside (and at NaN).
 
         t_n decreases as n grows, so the rate is r_max less the number of
-        switch times before t (searchsorted on the t_n). Broadcasts over an
-        array of instants; a scalar gives an int.
+        switch times before t (searchsorted on the ascending t_n). Broadcasts
+        over an array of instants; a scalar gives an int.
         """
         t = np.asarray(t, dtype=np.float64)
-        # switch times ascending: t_{r_max}, ..., t_1
-        ends = np.array([th.t_n for th in reversed(self.thresholds)])
-        rate = self.r_max - np.searchsorted(ends, t, side="left")
+        rate = self.r_max - np.searchsorted(self.t_n[::-1], t, side="left")
         rate = np.where(t > self.t_estimate, rate, 0)
         return int(rate) if rate.ndim == 0 else rate
 
@@ -142,9 +117,8 @@ def _switch_grid(estimate: ChannelEstimate, snr_linear, scheme: str,
     The C thresholds of every rate of every cell are inverted in one
     lockstep Newton solve (`bep_analysis.acf_thresholds`), and every
     threshold's switch time in one ACF inversion, after which the ACF is
-    certified monotone once, on [0, max(t_1) - t_estimate]. The arrays are
-    checked as each cell's RateSchedule checks itself, with the same
-    ScheduleError for the first cell that fails.
+    certified monotone once, on [0, max(t_1) - t_estimate]. The staircases
+    are left to the caller to check (`_check_staircases`).
     """
     r_max, cs = acf_thresholds(estimate, snr_linear, scheme, bep_threshold)
     # C_1 = 0 where even an uncorrelated channel meets the threshold: the
@@ -165,17 +139,15 @@ def _switch_grid(estimate: ChannelEstimate, snr_linear, scheme: str,
         # every t_n is unique only where the ACF falls on all of [0, t_1]
         check_acf_monotone(wobble, float(lags.max()))
         ts[has] = t_estimate + lags
-    _check_staircases(cs, ts, t_estimate)
     return r_max, cs, ts
 
 
 def _check_staircases(cs: np.ndarray, ts: np.ndarray,
                       t_estimate: float) -> None:
-    """RateSchedule's checks on every column of (cs, ts), the rates of a
-    cell being its rows of finite C_n, in RateSchedule's order: C_n rising,
-    t_n falling, then every t_n past T_e (it checks the last t_n, the
-    least once the t_n fall). Raises its ScheduleError for the first
-    column that fails."""
+    """The staircase invariants of every column of (cs, ts), the rates of
+    a cell being its rows of finite C_n, in this order: C_n rising, t_n
+    falling, then every t_n past T_e. Raises a ScheduleError naming the
+    first invariant that fails in the first column that fails."""
     has = np.isfinite(cs)
     pair = has[1:]
     failed = np.array([(pair & (cs[1:] <= cs[:-1])).any(axis=0),
@@ -183,7 +155,10 @@ def _check_staircases(cs: np.ndarray, ts: np.ndarray,
                        (has & (ts <= t_estimate)).any(axis=0)])
     if failed.any():
         cell = int(np.argmax(failed.any(axis=0)))
-        raise ScheduleError(_SCHEDULE_CHECKS[int(np.argmax(failed[:, cell]))])
+        messages = ("C_n must increase strictly with n",
+                    "t_n must decrease strictly as n grows",
+                    "every t_n must exceed t_estimate")
+        raise ScheduleError(messages[int(np.argmax(failed[:, cell]))])
 
 
 def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
@@ -193,8 +168,9 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     bep_threshold), as a list in C order.
 
     Every cell's C_n and t_n come from one solve over the grid
-    (`_switch_grid`). A cell where every order is infeasible yields an
-    empty schedule (rate 0 everywhere) rather than an error.
+    (`_switch_grid`), and each schedule holds its cell's rows of the solved
+    arrays. A cell where every order is infeasible yields an empty schedule
+    (rate 0 everywhere) rather than an error.
 
     Raises ScheduleError where C_1 = 0, as no finite t_1 exists there, or
     where a rate below a cell's highest feasible rate is infeasible, and
@@ -203,12 +179,8 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     """
     r_max, cs, ts = _switch_grid(estimate, snr_linear, scheme, bep_threshold,
                                  wobble, t_estimate)
-    return [RateSchedule(scheme, r, tuple(
-                RateThreshold(n, c_n, t_n)
-                for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
-                         t_estimate)
-            for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
-                                         ts.T.tolist())]
+    return [RateSchedule(scheme, cs[:r, k], ts[:r, k], t_estimate)
+            for k, r in enumerate(r_max.tolist())]
 
 
 def build_rate_schedule(estimate: ChannelEstimate, snr_linear: float,
@@ -251,7 +223,7 @@ def _average_rates(ts: np.ndarray, t_estimate: float, t_c) -> np.ndarray:
     t_c = 0 gives 0.
     """
     tau = t_estimate + t_c
-    # switch_time(n + 1): t_{n+1}, and T_e above the top rate
+    # t_{n+1}, and T_e above the top rate
     starts = np.concatenate([ts[1:], np.full(ts[:1].shape, t_estimate)])
     total = 0.0
     for n in range(1, ts.shape[0] + 1):  # summed in rate order
@@ -260,11 +232,6 @@ def _average_rates(ts: np.ndarray, t_estimate: float, t_c) -> np.ndarray:
         total = total + n * (b - a) * (b > a)  # 0 where b <= a
     # the sum is 0 at t_c = 0, where tau may be 0 too
     return total / np.where(t_c > 0.0, tau, 1.0)
-
-
-def _switch_times(schedule: RateSchedule) -> np.ndarray:
-    """ts[n - 1] = t_n of one schedule, for _average_rates."""
-    return np.array([th.t_n for th in schedule.thresholds])
 
 
 def average_rate(schedule: RateSchedule, t_c):
@@ -276,7 +243,7 @@ def average_rate(schedule: RateSchedule, t_c):
     t_c = np.asarray(t_c, dtype=np.float64)
     if not (t_c >= 0.0).all():
         raise ValueError("t_c must be non-negative")
-    avg = _average_rates(_switch_times(schedule), schedule.t_estimate, t_c)
+    avg = _average_rates(schedule.t_n, schedule.t_estimate, t_c)
     return float(avg) if avg.ndim == 0 else avg
 
 
@@ -292,15 +259,11 @@ def rate_derivative(schedule: RateSchedule, t_c: float) -> float:
     tau = t_e + t_c
     if schedule.is_empty:
         return 0.0
-    # right-continuous region: rate n while t_{n+1} <= tau < t_n
-    n = 0
-    for th in reversed(schedule.thresholds):
-        if schedule.switch_time(th.n + 1) <= tau < th.t_n:
-            n = th.n
-            break
-    tail = sum(th.t_n for th in schedule.thresholds if th.n >= n + 1)
-    numerator = tail - schedule.r_max * t_e
-    return -numerator / tau ** 2
+    # right-continuous region: rate n while t_{n+1} <= tau < t_n, with
+    # t_{r_max+1} = T_e, so n counts the t_n past tau; none before T_e
+    n = int(np.count_nonzero(schedule.t_n > tau)) if tau >= t_e else 0
+    numerator = schedule.t_n[n:].sum() - schedule.r_max * t_e
+    return float(-numerator / tau ** 2)
 
 
 def optimum_transmission_time(schedule: RateSchedule,
@@ -322,7 +285,7 @@ def optimum_transmission_time(schedule: RateSchedule,
         return RateOptimum(0.0, 0.0, 0)
     t_c_cap = horizon - t_e
 
-    ts = _switch_times(schedule)
+    ts = schedule.t_n
     candidates = np.unique(np.minimum(ts - t_e, t_c_cap))
     rates = _average_rates(ts, t_e, candidates)
     k = int(np.argmax(rates))  # ties go to the first, shortest period
@@ -347,7 +310,8 @@ def sweep_rave_max(estimate: ChannelEstimate, snr_db_grid,
     # every cell's switch times, padded with T_e to the grid's top rate;
     # candidate k of a cell is t_c = t_k - T_e, and a padded candidate
     # t_c = 0 rates 0, so an empty cell gets 0, as its empty schedule does
-    _, _, ts = _switch_grid(estimate, gamma[:, None], scheme,
-                            np.array(bep_threshold_grid), wobble, t_estimate)
+    _, cs, ts = _switch_grid(estimate, gamma[:, None], scheme,
+                             np.array(bep_threshold_grid), wobble, t_estimate)
+    _check_staircases(cs, ts, t_estimate)
     avg = _average_rates(ts, t_estimate, ts - t_estimate)
     return np.max(avg, axis=0, initial=0.0).reshape(gamma.size, -1)

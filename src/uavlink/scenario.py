@@ -53,24 +53,24 @@ class LinkScenario:
     t_coherence: float | None = None
 
     def __post_init__(self):
-        if self.uav_height <= 0:
-            raise ValueError("uav_height must be positive")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be positive")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        # the negated range tests here and below also reject nan
+        for name in ("uav_height", "carrier_freq", "bandwidth",
+                     "temperature"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not all(map(math.isfinite, (*self.ground_xy, self.p_max_dbm))):
+            raise ValueError("ground_xy and p_max_dbm must be finite")
         # a normal double: a subnormal threshold has too few significant
         # bits for the threshold solve's relative residual gate
         if not sys.float_info.min <= self.bep_threshold < 0.5:
             raise ValueError(f"bep_threshold must lie in [{sys.float_info.min}"
                              f", 0.5), got {self.bep_threshold}")
-        if self.t_estimate <= 0:
-            raise ValueError("t_estimate must be positive")
+        if not 0 < self.t_estimate < math.inf:
+            raise ValueError("t_estimate must be positive and finite")
         if self.n_rx_antennas < 1:
             raise ValueError("n_rx_antennas must be at least 1")
-        if self.t_coherence is not None and self.t_coherence <= self.t_estimate:
+        if self.t_coherence is not None and not (
+                self.t_coherence > self.t_estimate):
             raise ValueError("t_coherence must exceed t_estimate")
 
 

@@ -184,11 +184,11 @@ def test_criterion_04_threshold_inversion_residuals():
                 sched = build_rate_schedule(fx.estimate, g, scheme, beta,
                                             fx.wobble,
                                             fx.scenario.t_estimate)
-                cs = [th.c_n for th in sched.thresholds]
+                cs = sched.c_n.tolist()
                 assert all(a < b for a, b in zip(cs, cs[1:]))
-                for th in sched.thresholds:
-                    val = union_bound(scheme, 1 << th.n).u(
-                        fx.estimate.norm_sq, th.c_n, g)
+                for n, c_n in enumerate(cs, 1):
+                    val = union_bound(scheme, 1 << n).u(
+                        fx.estimate.norm_sq, c_n, g)
                     worst = max(worst, abs(val - beta) / beta)
                     checked += 1
     print(f"criterion 04: {checked} thresholds, worst residual "
@@ -260,13 +260,13 @@ def test_criterion_06_rate_calculus_consistency(case1, gamma_max):
         t_e = sched.t_estimate
         for t_c in (1e-3, 5e-3, 7.0407931e-3, 2e-2, 4.5e-2):
             tau = t_e + t_c
-            cuts = sorted({t_e, tau} | {th.t_n for th in sched.thresholds
-                                        if t_e < th.t_n < tau})
+            cuts = sorted({t_e, tau} | {t_n for t_n in sched.t_n.tolist()
+                                        if t_e < t_n < tau})
             quad = sum(sched.rate_at(0.5 * (a + b)) * (b - a)
                        for a, b in zip(cuts, cuts[1:])) / tau
             worst_quad = max(worst_quad,
                              abs(quad - average_rate(sched, t_c)))
-        switch_tcs = [th.t_n - t_e for th in sched.thresholds]
+        switch_tcs = [t_n - t_e for t_n in sched.t_n.tolist()]
         mids = [0.5 * (a + b) for a, b in
                 zip([0.0] + switch_tcs[::-1], switch_tcs[::-1] + [0.06])]
         for t_c in mids:
@@ -346,7 +346,7 @@ def test_criterion_09_power_control_compliance(case1, power_traces):
     beta = case1.scenario.bep_threshold
     worst = 0.0
     for scheme, (schedule, power) in power_traces.items():
-        before = schedule.thresholds
+        before = schedule.c_n, schedule.t_n
         for s in power.samples:
             # SNR actually delivered by the emitted (possibly capped) power
             g = 10.0 ** (average_snr_db(s.p_min_dbm, case1.scenario) / 10.0)
@@ -362,7 +362,8 @@ def test_criterion_09_power_control_compliance(case1, power_traces):
             10.0 ** (average_snr_db(case1.scenario.p_max_dbm,
                                     case1.scenario) / 10.0),
             scheme, beta, case1.wobble, case1.scenario.t_estimate)
-        assert rebuilt.thresholds == before
+        assert np.array_equal(rebuilt.c_n, before[0])
+        assert np.array_equal(rebuilt.t_n, before[1])
     print(f"criterion 09: worst BEP at P_min = {worst:.9f} x threshold "
           f"(limit 1.001) over {sum(len(p.samples) for _, p in power_traces.values())} samples; "
           f"schedules identical with and without power control")

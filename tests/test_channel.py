@@ -360,6 +360,9 @@ class TestWobbleParams:
         dict(omega_c=1.0, omega_v=0.0, mu=1.0, sigma_v_sq=1.0),
         dict(omega_c=1.0, omega_v=1.0, mu=-2.0, sigma_v_sq=1.0),
         dict(omega_c=1.0, omega_v=1.0, mu=1.0, sigma_v_sq=0.0),
+        dict(omega_c=1.0, omega_v=np.nan, mu=1.0, sigma_v_sq=1.0),
+        dict(omega_c=np.inf, omega_v=1.0, mu=1.0, sigma_v_sq=1.0),
+        dict(omega_c=1.0, omega_v=1.0, mu=1.0, sigma_v_sq=np.nan),
     ])
     def test_positivity_validation(self, kw):
         with pytest.raises(ValueError):

@@ -61,6 +61,35 @@ h_imag = 0.0, -0.25
 """
 
 
+# case1's link, wobble and channel written out, at a 10 dBm transmit cap
+# where no rate meets the threshold: the schedule is empty
+CASE1_AT_10_DBM = """\
+[run]
+scheme = qam
+seed = 7
+
+[scenario]
+uav_height = 100.0
+ground_x = 100.0
+ground_y = 0.0
+carrier_freq = 28e9
+n_rx_antennas = 8
+bandwidth = 100e6
+temperature = 300.0
+p_max_dbm = 10
+bep_threshold = 1e-5
+t_estimate = 1e-3
+
+[wobble]
+omega_v = 62.83185307179586
+mu = 30.0
+
+[channel]
+h_real = 1.5511 -0.4685 0.8435 1.2329 -0.4971 0.1728 0.1781 -0.5205
+h_imag = 0.1561 0.3031 -0.3901 0.4709 -1.1352 0.2262 -0.4837 0.6567
+"""
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("UAVLINK_OUT_DIR", raising=False)
@@ -195,6 +224,21 @@ class TestAdapt:
         assert meta["r_ave_max"] == pytest.approx(3.8617991530, abs=1e-9)
         assert meta["r_op"] == 4
 
+    def test_empty_schedule(self, tmp_path):
+        # no rate at all: every CSV is its header alone
+        cfg = write_config(tmp_path, CASE1_AT_10_DBM)
+        out = tmp_path / "out"
+        assert main(["adapt", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, header in (
+                ("adapt_schedule.csv",
+                 "t_start,t_end,rate_bits,order,c_start,c_end"),
+                ("adapt_uub_trace.csv", "t,acf,rate_bits,order,uub"),
+                ("adapt_rave.csv", "t_c,r_ave")):
+            assert (out / name).read_text() == header + "\n"
+        meta = json.loads((out / "adapt_schedule.csv.meta.json").read_text())
+        assert meta["r_max"] == 0
+        assert meta["r_ave_max"] == 0
+
 
 class TestRateOpt:
     def test_contour(self, tmp_path):
@@ -230,6 +274,22 @@ class TestPower:
         assert 55.0 < float(opt["savings_percent"]) < 75.0
         assert float(full["mean_power_dbm"]) < float(opt["mean_power_dbm"])
         assert float(full["baseline_dbm"]) == 35.0
+
+    @pytest.mark.parametrize("text, cause", [
+        (CASE1_AT_10_DBM, "no rate meets scenario.bep_threshold"),
+        (BASE_RUN.replace("sample_dt = 2e-4", "sample_dt = 0.05"),
+         "run.sample_dt = 0.05 s is too coarse"),
+    ], ids=["empty-schedule", "coarse-sample-dt"])
+    def test_window_without_two_samples_exits_2(self, tmp_path, capsys,
+                                                 text, cause):
+        # a savings window needs two power samples: the run names why it
+        # has fewer and writes nothing
+        out = tmp_path / "o"
+        assert main(["power", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cause}") and err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
 
 
 class TestGridValidation:
@@ -457,6 +517,29 @@ class TestConfigResolution:
         assert meta["fixture"] is None
         assert meta["n_rx_antennas"] == 2
         assert meta["norm_h_sq"] == pytest.approx(1.0 + 0.25 + 0.0625)
+
+    @pytest.mark.parametrize("line, bad, section", [
+        ("bep_threshold = 1e-5", "bep_threshold = 0.7", "scenario"),
+        ("bep_threshold = 1e-5", "bep_threshold = 1e-310", "scenario"),
+        ("uav_height = 100.0", "uav_height = nan", "scenario"),
+        ("p_max_dbm = 35.0", "p_max_dbm = nan", "scenario"),
+        ("omega_v = 62.8318", "omega_v = -3", "wobble"),
+        ("mu = 30.0", "mu = 0", "wobble"),
+        ("mu = 30.0", "mu = nan", "wobble"),
+        ("h_imag = 0.0, -0.25", "h_imag = 0.0, nan", "channel"),
+    ], ids=["threshold-0.7", "threshold-1e-310", "nan-uav_height",
+            "nan-p_max_dbm", "negative-omega_v", "zero-mu", "nan-mu",
+            "nan-h_imag"])
+    def test_rejected_section_value_exits_2(self, tmp_path, capsys, line,
+                                            bad, section):
+        # a value the link, wobble or channel type rejects: one error line
+        # naming the section, exit 2 and no output, not a traceback
+        cfg = write_config(tmp_path, EXPLICIT_SCENARIO.replace(line, bad))
+        out = tmp_path / "o"
+        assert main(["adapt", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{section}] ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_channel_length_mismatch(self, tmp_path):
         text = EXPLICIT_SCENARIO.replace("h_imag = 0.0, -0.25",

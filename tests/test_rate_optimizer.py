@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from uavlink import (
     RateOptimum,
     RateSchedule,
-    RateThreshold,
     WobbleParams,
     acf_inverse,
     acf_thresholds,
@@ -83,15 +82,13 @@ def qam_schedule(fx):
 class TestSchedulePins:
     def test_psk_thresholds(self, psk_schedule):
         assert psk_schedule.r_max == 5
-        for th, c_n, t_n in zip(psk_schedule.thresholds, PSK_C, PSK_T):
-            assert th.c_n == pytest.approx(c_n, abs=5e-12)
-            assert th.t_n == pytest.approx(t_n, abs=5e-12)
+        assert psk_schedule.c_n == pytest.approx(PSK_C, abs=5e-12)
+        assert psk_schedule.t_n == pytest.approx(PSK_T, abs=5e-12)
 
     def test_qam_thresholds(self, qam_schedule):
         assert qam_schedule.r_max == 6
-        for th, c_n, t_n in zip(qam_schedule.thresholds, QAM_C, QAM_T):
-            assert th.c_n == pytest.approx(c_n, abs=5e-12)
-            assert th.t_n == pytest.approx(t_n, abs=5e-12)
+        assert qam_schedule.c_n == pytest.approx(QAM_C, abs=5e-12)
+        assert qam_schedule.t_n == pytest.approx(QAM_T, abs=5e-12)
 
     @pytest.mark.parametrize("case", ["case1", "case2"])
     @pytest.mark.parametrize("scheme", ["psk", "qam"])
@@ -106,51 +103,45 @@ class TestSchedulePins:
                                        fx.scenario.bep_threshold, fx.wobble,
                                        t_e)
         assert schedule.r_max >= 5
-        for th in schedule.thresholds:
-            lag = th.t_n - t_e
-            assert abs(lag - _exact_acf_root(fx.wobble, th.c_n, lag)) <= 1e-12
-
-    def test_switch_time_convention(self, psk_schedule):
-        assert psk_schedule.switch_time(psk_schedule.r_max + 1) == \
-            psk_schedule.t_estimate
-        assert psk_schedule.switch_time(1) == psk_schedule.t_zero_rate
+        for c_n, t_n in zip(schedule.c_n.tolist(), schedule.t_n.tolist()):
+            lag = t_n - t_e
+            assert abs(lag - _exact_acf_root(fx.wobble, c_n, lag)) <= 1e-12
 
     def test_threshold_times_invert_acf(self, fx, psk_schedule):
-        for th in psk_schedule.thresholds:
-            c_back = temporal_acf(fx.wobble, th.t_n - fx.scenario.t_estimate)
-            assert c_back == pytest.approx(th.c_n, abs=1e-9)
+        c_back = temporal_acf(fx.wobble,
+                              psk_schedule.t_n - fx.scenario.t_estimate)
+        assert c_back == pytest.approx(psk_schedule.c_n, abs=1e-9)
 
     def test_qam_times_vs_psk(self, psk_schedule, qam_schedule):
         # the QAM staircase holds each rate at least as long except at
         # rate 3, where the unit-energy 8-QAM lattice is the tighter one
+        qam_t, psk_t = qam_schedule.t_n, psk_schedule.t_n
         for n in (1, 2, 4, 5):
-            assert qam_schedule.switch_time(n) >= \
-                psk_schedule.switch_time(n) - 1e-15
-        assert qam_schedule.switch_time(3) < psk_schedule.switch_time(3)
+            assert qam_t[n - 1] >= psk_t[n - 1] - 1e-15
+        assert qam_t[2] < psk_t[2]
 
 
 class TestRateAt:
     def test_staircase_boundaries(self, psk_schedule):
         t_e = psk_schedule.t_estimate
         assert psk_schedule.rate_at(t_e) == 0
-        for th in psk_schedule.thresholds:
-            assert psk_schedule.rate_at(th.t_n) == th.n  # inclusive right end
-            assert psk_schedule.rate_at(np.nextafter(th.t_n, np.inf)) == \
-                (th.n - 1 if th.n > 1 else 0)
+        for n, t_n in enumerate(psk_schedule.t_n.tolist(), 1):
+            assert psk_schedule.rate_at(t_n) == n  # inclusive right end
+            assert psk_schedule.rate_at(np.nextafter(t_n, np.inf)) == n - 1
         assert psk_schedule.rate_at(np.nextafter(t_e, np.inf)) == \
             psk_schedule.r_max
         assert psk_schedule.rate_at(1.0) == 0
 
     def test_array_matches_staircase_loop(self, qam_schedule):
         # rate_at (searchsorted) against the definition read off the
-        # thresholds one by one: n on (t_{n+1}, t_n], highest rate first
+        # switch times one by one: n on (t_{n+1}, t_n], highest rate first
         s = qam_schedule
-        ends = np.array([th.t_n for th in s.thresholds])
+        ends = s.t_n
         ts = np.concatenate([np.linspace(0.0, 1.1 * s.t_zero_rate, 2001),
                              ends, np.nextafter(ends, np.inf),
                              [s.t_estimate, np.nextafter(s.t_estimate, 1.0)]])
-        want = [next((th.n for th in reversed(s.thresholds)
-                      if s.t_estimate < t <= th.t_n), 0) for t in ts]
+        want = [next((n for n in range(s.r_max, 0, -1)
+                      if s.t_estimate < t <= ends[n - 1]), 0) for t in ts]
         assert s.rate_at(ts).tolist() == want
 
     @pytest.mark.parametrize("at", ["nan", "t_estimate",
@@ -161,8 +152,8 @@ class TestRateAt:
         # so both read rate 0 there; a scalar gives an int
         s = qam_schedule
         t = {"nan": math.nan, "t_estimate": s.t_estimate,
-             "past_t_1": np.nextafter(s.switch_time(1), np.inf),
-             **{f"t_{th.n}": th.t_n for th in s.thresholds}}[at]
+             "past_t_1": np.nextafter(s.t_zero_rate, np.inf),
+             **{f"t_{n}": t_n for n, t_n in enumerate(s.t_n.tolist(), 1)}}[at]
         assert type(s.rate_at(t)) is int
         assert s.rate_at(t) == s.rate_at(np.array([t]))[0]
 
@@ -180,11 +171,12 @@ def _oracle_average_rate(schedule, t_c):
         return 0.0
     t_e = schedule.t_estimate
     tau = t_e + t_c
+    t = schedule.t_n.tolist() + [t_e]  # t[n - 1] = t_n, t_{r_max+1} = T_e
     total = 0.0
-    for th in schedule.thresholds:
-        a, b = max(schedule.switch_time(th.n + 1), t_e), min(th.t_n, tau)
+    for n in range(1, schedule.r_max + 1):
+        a, b = max(t[n], t_e), min(t[n - 1], tau)
         if b > a:
-            total += th.n * (b - a)
+            total += n * (b - a)
     return total / tau
 
 
@@ -197,7 +189,7 @@ def _oracle_optimum(schedule, t_coherence=None):
     if schedule.is_empty or horizon <= t_e:
         return RateOptimum(0.0, 0.0, 0)
     cap = horizon - t_e
-    candidates = sorted({min(th.t_n - t_e, cap) for th in schedule.thresholds}
+    candidates = sorted({min(t_n - t_e, cap) for t_n in schedule.t_n.tolist()}
                         | {cap})
     rates = [_oracle_average_rate(schedule, t_c) for t_c in candidates]
     k = rates.index(max(rates))
@@ -221,7 +213,7 @@ class TestAverageRate:
                                        10.0 ** log_beta, fx.wobble, t_e)
         # 0, every switch lag, and draws from 0 to half a span past t_1
         span = max(schedule.t_zero_rate - t_e, 1e-3)
-        t_c = [0.0] + [th.t_n - t_e for th in schedule.thresholds] \
+        t_c = [0.0] + [t_n - t_e for t_n in schedule.t_n.tolist()] \
             + [f * span for f in fractions]
         want = [_oracle_average_rate(schedule, v) for v in t_c]
         assert average_rate(schedule, np.array(t_c)).tolist() == want
@@ -307,7 +299,7 @@ class TestOptimum:
         # evaluates as a candidate of its own
         schedule = psk_schedule if scheme == "psk" else qam_schedule
         t_e = schedule.t_estimate
-        t = [th.t_n for th in schedule.thresholds] + [t_e]
+        t = schedule.t_n.tolist() + [t_e]
         capped = 0
         for n in range(1, schedule.r_max + 1):
             horizon = 0.5 * (t[n - 1] + t[n])
@@ -326,8 +318,8 @@ class TestOptimum:
     def test_tie_goes_to_the_shortest_period(self):
         # t_2 = 2 T_e: the average is flat on rate 1's region, so both of
         # its ends rate exactly 1.0
-        schedule = RateSchedule("psk", 2, (RateThreshold(1, 0.5, 4.0),
-                                           RateThreshold(2, 0.9, 2.0)), 1.0)
+        schedule = RateSchedule("psk", np.array([0.5, 0.9]),
+                                np.array([4.0, 2.0]), 1.0)
         assert average_rate(schedule, [1.0, 3.0]).tolist() == [1.0, 1.0]
         want = RateOptimum(1.0, 1.0, 2)
         assert optimum_transmission_time(schedule) == want
@@ -365,29 +357,35 @@ class TestNoFiniteT1:
 
 
 class TestValidation:
-    def test_wrong_threshold_order(self):
-        ths = (RateThreshold(2, 0.8, 0.05), RateThreshold(1, 0.7, 0.06))
-        with pytest.raises(ScheduleError):
-            RateSchedule("psk", 2, ths, 1e-3)
-
     def test_nonmonotone_c(self):
-        ths = (RateThreshold(1, 0.9, 0.05), RateThreshold(2, 0.8, 0.03))
-        with pytest.raises(ScheduleError):
-            RateSchedule("psk", 2, ths, 1e-3)
+        with pytest.raises(ScheduleError, match="C_n must increase"):
+            RateSchedule("psk", np.array([0.9, 0.8]), np.array([0.05, 0.03]),
+                         1e-3)
 
     def test_nonmonotone_t(self):
-        ths = (RateThreshold(1, 0.7, 0.03), RateThreshold(2, 0.8, 0.05))
-        with pytest.raises(ScheduleError):
-            RateSchedule("psk", 2, ths, 1e-3)
+        with pytest.raises(ScheduleError, match="t_n must decrease"):
+            RateSchedule("psk", np.array([0.7, 0.8]), np.array([0.03, 0.05]),
+                         1e-3)
 
     def test_t_n_below_estimate(self):
-        ths = (RateThreshold(1, 0.7, 0.05), RateThreshold(2, 0.8, 5e-4))
-        with pytest.raises(ScheduleError):
-            RateSchedule("psk", 2, ths, 1e-3)
+        with pytest.raises(ScheduleError, match="exceed t_estimate"):
+            RateSchedule("psk", np.array([0.7, 0.8]), np.array([0.05, 5e-4]),
+                         1e-3)
 
-    def test_threshold_count_mismatch(self):
-        with pytest.raises(ScheduleError):
-            RateSchedule("psk", 3, (RateThreshold(1, 0.7, 0.05),), 1e-3)
+    @pytest.mark.parametrize("c_n, t_n", [
+        ([0.7, 0.8, 0.9], [0.05, 0.03]),
+        ([0.7], [0.05, 0.03]),
+        ([[0.7, 0.8]], [[0.05, 0.03]]),
+    ])
+    def test_columns_of_unequal_lengths(self, c_n, t_n):
+        with pytest.raises(ScheduleError, match="one length"):
+            RateSchedule("psk", np.array(c_n), np.array(t_n), 1e-3)
+
+    def test_columns_are_read_only(self, psk_schedule):
+        for col in (psk_schedule.c_n, psk_schedule.t_n):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 0.0
 
 
 class TestSweep:
@@ -415,8 +413,7 @@ class TestSecondChannel:
                                            BETA, fx2.wobble,
                                            fx2.scenario.t_estimate)
             assert schedule.r_max == 6
-            assert schedule.thresholds[0].t_n == pytest.approx(0.078368,
-                                                               abs=5e-7)
+            assert schedule.t_zero_rate == pytest.approx(0.078368, abs=5e-7)
             opt = optimum_transmission_time(schedule)
             assert opt.t_max == pytest.approx(t_max, abs=5e-7)
             assert opt.r_ave_max == pytest.approx(r_ave, abs=5e-7)
@@ -490,7 +487,7 @@ def _oracle_schedule(estimate, gamma, scheme, beta, wobble, t_estimate):
                  if union_bound(scheme, m).u(estimate.norm_sq, 1.0, gamma)
                  <= beta), default=0)
     if m_max == 0:
-        return RateSchedule(scheme, 0, (), t_estimate)
+        return RateSchedule(scheme, np.empty(0), np.empty(0), t_estimate)
     r_max = m_max.bit_length() - 1
     cs = [_oracle_min_acf(n, estimate, gamma, scheme, beta)
           for n in range(1, r_max + 1)]
@@ -499,9 +496,14 @@ def _oracle_schedule(estimate, gamma, scheme, beta, wobble, t_estimate):
     lags = [_exact_acf_root(wobble, c_n, acf_inverse(wobble, c_n))
             for c_n in cs]
     check_acf_monotone(wobble, lags[0])
-    return RateSchedule(scheme, r_max, tuple(
-        RateThreshold(n, c_n, t_estimate + lag)
-        for n, c_n, lag in zip(range(1, r_max + 1), cs, lags)), t_estimate)
+    return RateSchedule(scheme, np.array(cs), t_estimate + np.array(lags),
+                        t_estimate)
+
+
+def _columns(schedules):
+    """Each schedule's fields as plain values, for exact comparison."""
+    return [(s.scheme, s.c_n.tolist(), s.t_n.tolist(), s.t_estimate)
+            for s in schedules]
 
 
 _cells = st.lists(
@@ -520,8 +522,9 @@ class TestBatchedBuilder:
         beta = np.array([10.0 ** lb for _, lb in cells])
         got = build_rate_schedules(est, gamma, scheme, beta, wob, t_e)
         # the grid build equals one-cell builds, field for field, exact floats
-        assert got == [build_rate_schedule(est, g, scheme, b, wob, t_e)
-                       for g, b in zip(gamma.tolist(), beta.tolist())]
+        assert _columns(got) == _columns(
+            build_rate_schedule(est, g, scheme, b, wob, t_e)
+            for g, b in zip(gamma.tolist(), beta.tolist()))
         # and the oracle within the solvers' tolerances, which
         # perfbench/checks.py derives for these columns: the oracle's t_n
         # solve its own C_n, which may differ by 2e-12
@@ -529,18 +532,15 @@ class TestBatchedBuilder:
                 for g, b in zip(gamma.tolist(), beta.tolist())]
         for s, w in zip(got, want):
             assert s.r_max == w.r_max
-            for th, th_w in zip(s.thresholds, w.thresholds):
-                assert abs(th.c_n - th_w.c_n) <= 2e-12
-                assert abs(th.t_n - th_w.t_n) <= 1e-9
+            assert np.all(np.abs(s.c_n - w.c_n) <= 2e-12)
+            assert np.all(np.abs(s.t_n - w.t_n) <= 1e-9)
         for s, g, b in zip(got, gamma.tolist(), beta.tolist()):
-            cs = [th.c_n for th in s.thresholds]
-            ts = [th.t_n for th in s.thresholds]
-            assert all(lo < hi for lo, hi in zip(cs, cs[1:]))
-            assert all(lo > hi for lo, hi in zip(ts, ts[1:]))
-            for th in s.thresholds:
-                assert abs(temporal_acf(wob, th.t_n - t_e) - th.c_n) <= 1e-10
-                assert union_bound(scheme, 2 ** th.n).u(
-                    est.norm_sq, th.c_n, g) <= b * (1 + 1e-8)
+            assert np.all(np.diff(s.c_n) > 0) and np.all(np.diff(s.t_n) < 0)
+            assert np.all(np.abs(temporal_acf(wob, s.t_n - t_e) - s.c_n)
+                          <= 1e-10)
+            for n, c_n in enumerate(s.c_n.tolist(), 1):
+                assert union_bound(scheme, 2 ** n).u(
+                    est.norm_sq, c_n, g) <= b * (1 + 1e-8)
 
     def test_sweep_is_one_batched_build(self, fx):
         snr_db, betas = [6.0, 21.0, 33.0], [1e-2, 1e-6]
@@ -574,12 +574,9 @@ class TestSchedulesAcrossProfiles:
                 sweep_rave_max(fx.estimate, snr_db, betas, scheme, w, t_e)
             return
         for s in schedules:
-            cs = [th.c_n for th in s.thresholds]
-            ts = [th.t_n for th in s.thresholds]
-            assert all(lo < hi for lo, hi in zip(cs, cs[1:]))
-            assert all(lo > hi for lo, hi in zip(ts, ts[1:]))
-            for th in s.thresholds:
-                assert abs(temporal_acf(w, th.t_n - t_e) - th.c_n) <= 1e-10
+            assert np.all(np.diff(s.c_n) > 0) and np.all(np.diff(s.t_n) < 0)
+            assert np.all(np.abs(temporal_acf(w, s.t_n - t_e) - s.c_n)
+                          <= 1e-10)
         want = [_oracle_optimum(s).r_ave_max for s in schedules]
         got = sweep_rave_max(fx.estimate, snr_db, betas, scheme, w, t_e)
         assert got.ravel().tolist() == want
@@ -597,23 +594,34 @@ _staircases = st.lists(
 class TestArrayChecks:
     @settings(max_examples=200, deadline=None)
     @given(cells=_staircases)
-    def test_same_error_as_the_objects(self, cells):
-        # the arrays the sweep reads raise the ScheduleError that building
-        # each cell's RateSchedule, in C order, raises first
+    def test_first_failing_cell_and_check(self, cells):
+        # the grid check names the first invariant, in the order C_n
+        # rising, t_n falling, t_n past T_e, that fails in the first cell
+        # that fails, read off each cell's rows one by one; each cell's
+        # schedule raises the same
         t_e, top = 1e-3, max(len(c) for c, _ in cells)
         cs = np.full((top, len(cells)), np.inf)
         ts = np.full((top, len(cells)), t_e)
         for k, (c, lag) in enumerate(cells):
             cs[:len(c), k] = [0.2 * v + 0.1 for v in c]
             ts[:len(c), k] = [t_e + 1e-3 * v for v in lag]
-
-        def objects():
-            for k, (c, _) in enumerate(cells):
-                RateSchedule("qam", len(c), tuple(
-                    RateThreshold(n + 1, cs[n, k], ts[n, k])
-                    for n in range(len(c))), t_e)
-        want = _message(objects)
+        want = None
+        for k, (c, _) in enumerate(cells):
+            c_k, t_k = cs[:len(c), k].tolist(), ts[:len(c), k].tolist()
+            failed = [any(b <= a for a, b in zip(c_k, c_k[1:])),
+                      any(b >= a for a, b in zip(t_k, t_k[1:])),
+                      any(t <= t_e for t in t_k)]
+            if any(failed):
+                want = ("C_n must increase strictly with n",
+                        "t_n must decrease strictly as n grows",
+                        "every t_n must exceed t_estimate")[failed.index(True)]
+                break
         assert _message(lambda: _check_staircases(cs, ts, t_e)) == want
+
+        def schedules():
+            for k, (c, _) in enumerate(cells):
+                RateSchedule("qam", cs[:len(c), k], ts[:len(c), k], t_e)
+        assert _message(schedules) == want
 
 
 def _message(call):
@@ -679,12 +687,8 @@ def _loop_schedules(estimate, snr_linear, scheme, bep_threshold, wobble,
             raise MonotonicityError("ACF inversion did not converge") from exc
         check_acf_monotone(wobble, float(lags.max()))
         ts[has] = t_estimate + lags
-    return [RateSchedule(scheme, r, tuple(
-                RateThreshold(n, c_n, t_n)
-                for n, c_n, t_n in zip(range(1, r + 1), c_cell, t_cell)),
-                         t_estimate)
-            for r, c_cell, t_cell in zip(r_max.tolist(), cs.T.tolist(),
-                                         ts.T.tolist())]
+    return [RateSchedule(scheme, cs[:r, k], ts[:r, k], t_estimate)
+            for k, r in enumerate(r_max.tolist())]
 
 
 def _outcome(call):
@@ -721,8 +725,8 @@ class TestOneSolveEqualsLoops:
         beta = np.array([10.0 ** v for v in log_beta])
         args = (fx.estimate, gamma, scheme, beta, wobble,
                 fx.scenario.t_estimate)
-        got = _outcome(lambda: build_rate_schedules(*args))
-        assert got == _outcome(lambda: _loop_schedules(*args))
+        got = _outcome(lambda: _columns(build_rate_schedules(*args)))
+        assert got == _outcome(lambda: _columns(_loop_schedules(*args)))
 
     @settings(max_examples=40, deadline=None)
     @given(**_grid)
@@ -861,5 +865,4 @@ class TestGuardsPerCell:
             return
         assert np.min(c_1) > temporal_acf(_OSCILLATORY, first_rise)
         for s in schedules:
-            for th in s.thresholds:
-                assert t_e < th.t_n <= t_e + first_rise
+            assert np.all((t_e < s.t_n) & (s.t_n <= t_e + first_rise))

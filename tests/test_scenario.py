@@ -84,6 +84,14 @@ class TestValidation:
         ("bep_threshold", 1.2),
         ("t_estimate", 0.0),
         ("n_rx_antennas", 0),
+        ("uav_height", math.nan),
+        ("carrier_freq", math.inf),
+        ("temperature", math.inf),
+        ("t_estimate", math.nan),
+        ("p_max_dbm", math.nan),
+        ("p_max_dbm", -math.inf),
+        ("ground_xy", (math.nan, 0.0)),
+        ("t_coherence", math.nan),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError):
