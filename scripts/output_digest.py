@@ -15,7 +15,9 @@ whose full batches ML decides on the octant fold, and `adapt` and `power`
 for both schemes on case1's values written out as `[scenario]`, `[wobble]`
 and `[channel]` sections at a 20 dBm transmit cap, where the staircases
 stop below the top rate (3 QAM rates, where both fixtures reach all 6),
-each on a fixed config and seed. Every CSV is a pure function of (config,
+and a PSK `bep-curve` of the union bound and the PSK approximation alone
+at every PSK order, which pins the closed forms at orders 16 to 64, each
+on a fixed config and seed. Every CSV is a pure function of (config,
 seed), so two checkouts, or two `--threads` values, that print the same
 combined digest wrote the same bytes. The `.meta.json` sidecars are left
 out: they record the package version, which a change may bump.
@@ -38,6 +40,10 @@ BEP_CURVE = {"orders": "2 4 8", "detectors": "ml, so, uub, psk-approx",
 QAM_BEP_CURVE = {"orders": "4 8 16 32 64", "detectors": "ml, so, uub",
                  "snr_db": "0 8 16", "acf": "1.0 0.99 0.9",
                  "n_symbols": "4000"}
+# both closed forms at every PSK order, no Monte Carlo
+PSK_CLOSED_CURVE = {"orders": "2 4 8 16 32 64",
+                    "detectors": "uub, psk-approx", "snr_db": "0 8 16",
+                    "acf": "1.0 0.99 0.9"}
 # two full Monte Carlo batches and a partial one
 STALE_BEP_CURVE = {"orders": "4", "detectors": "ml, so", "snr_db": "0 8 16",
                    "acf": "0.95 0.8", "n_symbols": "20000"}
@@ -85,6 +91,9 @@ def invocations() -> list:
         for command in ("adapt", "power"):
             out.append((f"{command}-case1-20dbm-{scheme}", command,
                         {"run": {"scheme": scheme}, **CASE1_AT_20_DBM}))
+    out.append(("bep-curve-case1-psk-closed", "bep-curve",
+                {"run": {"fixture": "case1", "scheme": "psk",
+                         **PSK_CLOSED_CURVE}}))
     return out
 
 

@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .bep_analysis import (
     UnionBound,
     acf_thresholds,
+    min_snr_psk,
     psk_bep_approx,
     q_function,
     q_inverse,
@@ -41,7 +42,6 @@ from .detectors import (
     BepEstimate,
     DetectorKind,
     backend_name,
-    effective_variance,
     ml_detect,
     monte_carlo_bep,
     so_detect,
@@ -51,10 +51,8 @@ from .power_control import (
     EnergySavings,
     PowerSample,
     PowerSchedule,
-    bep_at_pmin,
     energy_savings,
     min_power_schedule,
-    min_snr_psk,
 )
 from .rate_optimizer import (
     RateOptimum,
@@ -91,17 +89,17 @@ __all__ = [
     "constellation_for", "hamming_matrix",
     # detectors
     "DetectorKind", "BepEstimate", "ml_detect", "so_detect",
-    "monte_carlo_bep", "effective_variance",
+    "monte_carlo_bep",
     # bep analysis
     "UnionBound", "union_bound", "acf_thresholds", "psk_bep_approx",
-    "q_function", "q_inverse",
+    "min_snr_psk", "q_function", "q_inverse",
     # rate optimizer
     "RateSchedule", "RateOptimum", "build_rate_schedule",
     "build_rate_schedules", "average_rate", "rate_derivative",
     "optimum_transmission_time", "sweep_rave_max",
     # power control
-    "PowerSample", "PowerSchedule", "EnergySavings", "min_snr_psk",
-    "min_power_schedule", "bep_at_pmin", "energy_savings",
+    "PowerSample", "PowerSchedule", "EnergySavings", "min_power_schedule",
+    "energy_savings",
     # fixtures
     "ReferenceFixture", "FIXTURE_NAMES", "load_fixture",
 ]

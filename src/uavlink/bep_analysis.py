@@ -21,7 +21,8 @@ built from the roots of single terms (`UnionBound.acf_lower`,
 `u_and_acf_slope`; in ln(gamma), `u_and_slope`). The bound falls in C by
 its form (`UnionBound.u`), so the C solve checks only C = 1 and raises
 MonotonicityError only when it does not converge. Beside it sits the
-Gray-mapping PSK approximation.
+Gray-mapping PSK approximation, one term table (`_PSK_TERMS`) read by its
+forward form and its closed-form inverse, both over per-sample orders.
 """
 
 import functools
@@ -40,6 +41,7 @@ from .constellation import (
 )
 from .errors import (
     DivergenceError,
+    InfeasibleCsiError,
     MonotonicityError,
     ScheduleError,
     SchemeError,
@@ -54,6 +56,7 @@ __all__ = [
     "union_bound",
     "union_bound_rows",
     "psk_bep_approx",
+    "min_snr_psk",
     "acf_thresholds",
 ]
 
@@ -298,28 +301,73 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     return tuple(out.reshape(shape) for out in outs)
 
 
-def psk_bep_approx(order: int, estimate: ChannelEstimate, acf_value,
-                   snr_linear):
-    """Gray-mapping signal-space BEP approximation for M-PSK.
+# (w, bits / 2, d) of w Q(sqrt(gamma ||h C||^2 d / (gamma (1 - C^2) + 1)))
+# per supported order: BPSK exact, (1, 1, 2); M > 2 the two nearest
+# neighbours, (2 / log2 M, log2 M / 2, 1 - cos(2 pi / M))
+_PSK_ORDERS = np.array(SUPPORTED_ORDERS)
+_PSK_TERMS = np.array([(1.0, 1.0, 2.0)] + [
+    (2.0 / bits, bits / 2.0, 1.0 - math.cos(2.0 * math.pi / (1 << bits)))
+    for bits in range(2, len(SUPPORTED_ORDERS) + 1)])
+_PSK_TERMS.flags.writeable = False
 
-    BPSK keeps the exact two-point expression; for M > 2 only the two
-    nearest neighbours of each point contribute, giving
-    (2/log2 M) * Q(sqrt(||h C||^2 gamma (1 - cos(2 pi/M)) / (gamma(1-C^2)+1))).
-    C and gamma broadcast as arrays; scalars give a float.
-    """
-    if order not in SUPPORTED_ORDERS:
-        raise SchemeError(f"unsupported PSK order {order}")
+
+def _psk_rows(order) -> np.ndarray:
+    """The `_PSK_TERMS` row of each order; SchemeError if unsupported."""
+    order = np.asarray(order)
+    row = np.searchsorted(_PSK_ORDERS, order)
+    bad = _PSK_ORDERS[np.minimum(row, _PSK_ORDERS.size - 1)] != order
+    if bad.any():
+        raise SchemeError(f"unsupported PSK order {order[bad].flat[0]}")
+    return row
+
+
+def psk_bep_approx(order, estimate: ChannelEstimate, acf_value, snr_linear):
+    """Gray-mapping signal-space BEP approximation for M-PSK, from
+    `_PSK_TERMS`. order, C and gamma broadcast as arrays, each sample with
+    its own order; scalars give a float."""
+    row = _psk_rows(order)
     g = np.asarray(snr_linear, dtype=np.float64)
     c = np.asarray(acf_value, dtype=np.float64)
     hc_sq = estimate.norm_sq * c * c
     den = g * (1.0 - c * c) + 1.0
-    if order == 2:
-        bep = q_function(np.sqrt(2.0 * g * hc_sq / den))
-    else:
-        bits = order.bit_length() - 1
-        num = g * hc_sq * (1.0 - np.cos(2.0 * np.pi / order))
-        bep = 2.0 / bits * q_function(np.sqrt(num / den))
+    bep = _PSK_TERMS[row, 0] * q_function(np.sqrt(g * hc_sq
+                                                  * _PSK_TERMS[row, 2] / den))
     return float(bep) if np.ndim(bep) == 0 else bep
+
+
+def min_snr_psk(order, estimate: ChannelEstimate, acf_value,
+                bep_threshold: float):
+    """Closed-form minimum SNR at which `psk_bep_approx` meets the
+    threshold, over broadcast order and C as psk_bep_approx takes them.
+
+    Raises InfeasibleCsiError where no finite power reaches the threshold
+    at that CSI quality (the schedule must have switched down already),
+    naming the lowest failing order, as `exc.order`, and its first failing
+    C; ValueError for a non-finite ACF value or threshold, and where that
+    lowest failing order's beta bits / 2 lies outside (0, 1).
+    """
+    require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
+    row, c = np.broadcast_arrays(_psk_rows(order),
+                                 np.asarray(acf_value, dtype=np.float64))
+    # Q^-1(beta bits / 2)^2 of each order present; nan, which fails that
+    # order's samples, where beta bits / 2 is outside q_inverse's domain
+    b = bep_threshold * _PSK_TERMS[:, 1]
+    alpha_sq = np.full(b.size, np.nan)
+    for k in np.flatnonzero(np.bincount(row.ravel(), minlength=b.size)):
+        if 0.0 < b[k] < 1.0:
+            alpha_sq[k] = q_inverse(b[k]) ** 2
+    alpha_sq = alpha_sq[row]
+    den = (estimate.norm_sq * c * c * _PSK_TERMS[row, 2]
+           - (1.0 - c * c) * alpha_sq)
+    failed = np.flatnonzero(~(den > 0.0))
+    if failed.size:  # the lowest failing order's error, as if called alone
+        k = failed[np.argmin(row.flat[failed])]
+        q_inverse(b[row.flat[k]])  # raises where beta bits / 2 is off (0, 1)
+        m = int(_PSK_ORDERS[row.flat[k]])
+        raise InfeasibleCsiError(f"{m}-PSK cannot reach {bep_threshold:g} at "
+                                 f"C={c.flat[k]:.6f}", order=m)
+    gamma = alpha_sq / den
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 # rate n of each supported order M = 2^n, as a column: row n - 1 of

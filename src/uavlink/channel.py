@@ -64,7 +64,15 @@ def default_sigma_v_sq(omega_v: float, mu: float) -> float:
     sigma_v^2 = (0.005)^2 (omega_v^2 + mu^2) / mu, i.e. a 5 mm displacement
     scale converted to a velocity variance for the given vibration profile.
     """
-    return 0.005 ** 2 * (omega_v ** 2 + mu ** 2) / mu
+    return 0.005 ** 2 * (omega_v * omega_v + mu * mu) / mu
+
+
+def _require_positive(**values) -> None:
+    """Raise ValueError naming the first value that is not positive and
+    finite."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:  # nor nan
+            raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -84,16 +92,18 @@ class WobbleParams:
     sigma_v_sq: float
 
     def __post_init__(self):
-        for name in ("omega_c", "omega_v", "mu", "sigma_v_sq"):
-            if not 0 < getattr(self, name) < math.inf:  # nor nan
-                raise ValueError(f"{name} must be positive and finite")
+        _require_positive(omega_c=self.omega_c, omega_v=self.omega_v,
+                          mu=self.mu, sigma_v_sq=self.sigma_v_sq)
 
     @classmethod
     def for_carrier(cls, carrier_freq: float, omega_v: float, mu: float,
                     sigma_v_sq: float | None = None) -> "WobbleParams":
         """Build params from a carrier frequency in Hz; sigma_v_sq defaults
-        to the displacement-scale formula in default_sigma_v_sq."""
+        to the displacement-scale formula in default_sigma_v_sq, derived
+        once omega_v and mu are checked (a derived value that overflows is
+        refused as sigma_v_sq)."""
         if sigma_v_sq is None:
+            _require_positive(omega_v=omega_v, mu=mu)
             sigma_v_sq = default_sigma_v_sq(omega_v, mu)
         return cls(2.0 * np.pi * carrier_freq, omega_v, mu, sigma_v_sq)
 

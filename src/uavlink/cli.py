@@ -35,7 +35,7 @@ from .constellation import constellation_for
 from .detectors import DetectorKind, backend_name, monte_carlo_bep
 from .errors import ConfigError, UavlinkError
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .power_control import bep_at_pmin, energy_savings, min_power_schedule
+from .power_control import energy_savings, min_power_schedule
 from .rate_optimizer import (
     average_rate,
     build_rate_schedule,
@@ -165,12 +165,11 @@ def _numbers(section: str, key: str, raw: str, parse=_as_float) -> tuple:
 
 @contextlib.contextmanager
 def _rejected_by(section: str):
-    """Re-raise what a value type raises on a value it rejects, a
-    ValueError or an ArithmeticError (as mu = 0 divides by zero), as a
-    ConfigError naming the config section the value came from."""
+    """Re-raise the ValueError a value type raises on a value it rejects
+    as a ConfigError naming the config section the value came from."""
     try:
         yield
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
@@ -388,17 +387,25 @@ def cmd_bep_curve(cfg: RunConfig, threads: int, out_dir: Path) -> None:
 
 
 def _schedule_for(cfg: RunConfig):
+    """(gamma_max, schedule, lags): the rate schedule at the power cap and
+    its sample lags at run.sample_dt, which must give a grid one array can
+    hold; both subcommands that sample check it before writing anything."""
     gamma_max = 10.0 ** (average_snr_db(cfg.scenario.p_max_dbm,
                                         cfg.scenario) / 10.0)
     schedule = build_rate_schedule(cfg.estimate, gamma_max, cfg.scheme,
                                    cfg.scenario.bep_threshold, cfg.wobble,
                                    cfg.scenario.t_estimate)
-    return gamma_max, schedule
+    try:
+        lags = sample_lags(schedule, cfg.sample_dt)
+    except ValueError as exc:  # NumPy refuses the grid's size
+        raise ConfigError(f"run.sample_dt = {cfg.sample_dt:g} s is too fine:"
+                          f" its sample grid cannot be built ({exc})") from exc
+    return gamma_max, schedule, lags
 
 
 def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
     """Rate schedule, bound-versus-time trace and average-rate curve."""
-    gamma_max, schedule = _schedule_for(cfg)
+    gamma_max, schedule, lags = _schedule_for(cfg)
     optimum = optimum_transmission_time(schedule, cfg.scenario.t_coherence)
     t_e = schedule.t_estimate
 
@@ -428,7 +435,6 @@ def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
                ["t", "acf", "rate_bits", "order", "uub"],
                [t, acf, rate, 1 << rate, bound], meta)
 
-    lags = sample_lags(schedule, cfg.sample_dt)
     _write_csv(out_dir / "adapt_rave.csv", ["t_c", "r_ave"],
                [lags, average_rate(schedule, lags)], meta)
 
@@ -450,10 +456,9 @@ def cmd_rate_opt(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     """Minimum-power trace plus the energy summary over both windows."""
-    gamma_max, schedule = _schedule_for(cfg)
+    gamma_max, schedule, _ = _schedule_for(cfg)
     power = min_power_schedule(schedule, cfg.estimate, cfg.scenario,
                                cfg.wobble, cfg.sample_dt)
-    bep = bep_at_pmin(power, cfg.estimate, cfg.scenario)
 
     # both windows' savings before any output is written
     t_e = schedule.t_estimate
@@ -487,7 +492,8 @@ def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
                ["t", "rate_bits", "order", "acf", "gamma_min_db",
                 "p_min_dbm", "clamped", "bep_at_pmin"],
                [power.t, power.rate, 1 << power.rate, power.acf_value,
-                power.gamma_min_db, power.p_min_dbm, power.clamped, bep],
+                power.gamma_min_db, power.p_min_dbm, power.clamped,
+                power.bep_at_pmin],
                meta)
     _write_csv(out_dir / "power_savings.csv",
                ["window", "t_start", "t_end", "mean_power_dbm",

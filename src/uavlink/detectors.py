@@ -85,7 +85,6 @@ __all__ = [
     "DetectorKind",
     "BepEstimate",
     "backend_name",
-    "effective_variance",
     "ml_detect",
     "so_detect",
     "monte_carlo_bep",
@@ -115,12 +114,6 @@ class BepEstimate:
 def backend_name() -> str:
     """Name of the detection engine, recorded in every CSV sidecar."""
     return "numpy"
-
-
-def effective_variance(snr_linear: float, acf_value: float,
-                       point: complex) -> float:
-    """Per-point effective noise variance gamma (1 - C^2) |s_k|^2 + 1."""
-    return snr_linear * (1.0 - acf_value ** 2) * abs(point) ** 2 + 1.0
 
 
 class _Grid(NamedTuple):

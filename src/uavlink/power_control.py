@@ -1,8 +1,10 @@
 """Minimum-power policy that holds the rate schedule at the BEP threshold.
 
-PSK inverts its closed-form BEP approximation directly. QAM has no closed
-inverse, so the union bound is driven to the threshold by the package's one
-safeguarded Newton solve, `lockstep.newton_lockstep`, in
+`min_power_schedule` alone picks the BEP model each sample meets, inverts
+it and evaluates it at the emitted power. PSK, and QAM's BPSK region,
+invert the PSK closed form (`bep_analysis.min_snr_psk`). QAM has no closed
+inverse, so the union bound is driven to the threshold by
+the package's one safeguarded Newton solve, `lockstep.newton_lockstep`, in
 x = ln(gamma): the Newton step of f(x) = ln u(e^x) - ln(beta), which is
 the multiplicative update gamma * (u/beta)^(u/v), is taken while it stays
 inside a bracket that holds the root, and the bracket is bisected
@@ -17,11 +19,7 @@ come from the one cached, grouped `bep_analysis.UnionBound`, evaluated by
 `bep_analysis.union_bound_rows` with each sample's own order. The power
 trace solves all QAM samples of every rate region in one batch
 (`_solve_qam`), each sample with its own bracket, iterate and iteration
-count; the PSK closed form takes one call per region.
-
-This module alone decides which BEP model a power trace meets: PSK
-inverts `psk_bep_approx` and QAM the UUB, and `bep_at_pmin` evaluates
-that same model at the emitted power.
+count.
 """
 
 import math
@@ -33,19 +31,20 @@ import numpy as np
 
 from .bep_analysis import (
     UnionBound,
+    min_snr_psk,
     psk_bep_approx,
-    q_inverse,
     union_bound_rows,
 )
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
-from .errors import (
-    InfeasibleCsiError,
-    ScheduleError,
-    require_finite,
-)
+from .errors import InfeasibleCsiError, ScheduleError
 from .lockstep import LockstepRoots, newton_lockstep
 from .rate_optimizer import RateSchedule, sample_grid
-from .scenario import LinkScenario, noise_power_dbm, path_loss_db
+from .scenario import (
+    LinkScenario,
+    average_snr_db,
+    noise_power_dbm,
+    path_loss_db,
+)
 
 __all__ = [
     "PowerSample",
@@ -53,41 +52,10 @@ __all__ = [
     "EnergySavings",
     "min_snr_psk",
     "min_power_schedule",
-    "bep_at_pmin",
     "energy_savings",
 ]
 
 _LN_TOL = 1e-9  # convergence tolerance on ln(gamma)
-
-
-def min_snr_psk(order: int, estimate: ChannelEstimate, acf_value,
-                bep_threshold: float):
-    """Closed-form minimum SNR for M-PSK at one ACF value or an array of them.
-
-    Inverts the signal-space BEP approximation elementwise; a scalar
-    `acf_value` gives a float. Raises InfeasibleCsiError when a denominator
-    is non-positive: no finite power reaches the threshold at that CSI
-    quality, so the schedule must have switched down already, and
-    ValueError for a non-finite ACF value or threshold.
-    """
-    require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
-    c, b = np.asarray(acf_value, dtype=np.float64), bep_threshold
-    hc_sq = estimate.norm_sq * c * c
-    one_m_c2 = 1.0 - c * c
-    if order == 2:
-        alpha_sq = q_inverse(b) ** 2
-        den = 2.0 * hc_sq - one_m_c2 * alpha_sq
-    else:
-        bits = order.bit_length() - 1
-        alpha_sq = q_inverse(b * bits / 2.0) ** 2
-        den = hc_sq * (1.0 - math.cos(2.0 * math.pi / order)) - one_m_c2 * alpha_sq
-    infeasible = den <= 0.0
-    if infeasible.any():
-        raise InfeasibleCsiError(
-            f"{order}-PSK cannot reach {bep_threshold:g} at "
-            f"C={c[infeasible].flat[0]:.6f}")
-    gamma = alpha_sq / den
-    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def _solve_qam(order, estimate: ChannelEstimate, acf,
@@ -136,13 +104,14 @@ class PowerSample(NamedTuple):
     gamma_min_db: float
     p_min_dbm: float
     clamped: bool
+    bep_at_pmin: float
 
 
 @dataclass(frozen=True, eq=False)
 class PowerSchedule:
-    """Per-instant minimum power along one rate schedule, as NumPy columns
-    with one entry per sample (the order is 1 << rate). The column arrays
-    are made read-only."""
+    """Per-instant minimum power along one rate schedule, and the BEP it
+    gives, as NumPy columns with one entry per sample (the order is
+    1 << rate). The column arrays are made read-only."""
 
     scheme: str
     sample_dt: float
@@ -153,10 +122,11 @@ class PowerSchedule:
     gamma_min_db: np.ndarray
     p_min_dbm: np.ndarray
     clamped: np.ndarray
+    bep_at_pmin: np.ndarray
 
     def __post_init__(self):
         for col in (self.t, self.rate, self.acf_value, self.gamma_min_db,
-                    self.p_min_dbm, self.clamped):
+                    self.p_min_dbm, self.clamped, self.bep_at_pmin):
             col.flags.writeable = False  # shared by every reader of the trace
 
     @cached_property
@@ -165,82 +135,53 @@ class PowerSchedule:
         return tuple(map(PowerSample._make, zip(
             self.t.tolist(), self.rate.tolist(), (1 << self.rate).tolist(),
             self.acf_value.tolist(), self.gamma_min_db.tolist(),
-            self.p_min_dbm.tolist(), self.clamped.tolist())))
+            self.p_min_dbm.tolist(), self.clamped.tolist(),
+            self.bep_at_pmin.tolist())))
 
 
 def min_power_schedule(schedule: RateSchedule, estimate: ChannelEstimate,
                        scenario: LinkScenario, wobble: WobbleParams,
                        sample_dt: float = 1e-5) -> PowerSchedule:
-    """Minimum transmit power at each sample of the transmitting interval.
+    """Minimum transmit power at each sample of the transmitting interval,
+    and the BEP it gives.
 
     P_min[dBm] = gamma_min[dB] + P_L[dB] + N_0[dBm], clamped to the power
-    cap with a flag. All QAM samples are solved in one batched root solve,
-    each with its own order; the PSK closed form (and QAM's BPSK region)
-    takes one array call per rate region. The solvers cannot legitimately
-    fail inside a region (the schedule guarantees feasibility up to each
-    t_n), so an infeasible sample raises ScheduleError naming the lowest
-    rate that fails.
+    cap with a flag. The PSK closed form takes every PSK sample and QAM's
+    BPSK region in one call, the UUB every other QAM sample in one batched
+    root solve, each sample with its own order. The solvers cannot
+    legitimately fail inside a region (the schedule guarantees feasibility
+    up to each t_n), so an infeasible sample raises ScheduleError naming
+    the lowest rate that fails. bep_at_pmin is the BEP at the clamped
+    power: `psk_bep_approx` on PSK traces, the UUB clamped to 1 on QAM's.
     """
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
     t, rate = sample_grid(schedule, sample_dt)
     acf = temporal_acf(wobble, t - schedule.t_estimate)
-    beta = scenario.bep_threshold
+    order, beta = 1 << rate, scenario.bep_threshold
+    qam = schedule.scheme == "qam"
+    solved = rate > 1 if qam else np.zeros(t.size, bool)
+    closed = ~solved
     gamma = np.empty(t.size)
-    # the PSK closed form, on every PSK region and on QAM's BPSK region,
-    # takes one order per call; all QAM samples are one batched solve, and
-    # the lowest rate fails first either way
-    closed = rate == 1 if schedule.scheme == "qam" else np.ones(t.size, bool)
-    for r in np.unique(rate[closed]).tolist():
-        region = rate == r
-        try:
-            gamma[region] = min_snr_psk(1 << r, estimate, acf[region], beta)
-        except InfeasibleCsiError as exc:
-            raise _region_infeasible(r, exc) from exc
-    if not closed.all():
-        qam = ~closed
-        try:
-            gamma[qam] = _solve_qam(1 << rate[qam], estimate, acf[qam],
-                                    beta).root
-        except InfeasibleCsiError as exc:
-            raise _region_infeasible(exc.order.bit_length() - 1,
-                                     exc) from exc
+    try:  # the closed form holds the lowest rate, so it fails first
+        gamma[closed] = min_snr_psk(order[closed], estimate, acf[closed], beta)
+        if solved.any():
+            gamma[solved] = _solve_qam(order[solved], estimate, acf[solved],
+                                       beta).root
+    except InfeasibleCsiError as exc:
+        raise ScheduleError(
+            f"power infeasible inside rate-{exc.order.bit_length() - 1} "
+            f"region ({exc}); schedule and threshold disagree") from exc
     gamma_db = 10.0 * np.log10(gamma)
     p = gamma_db + path_loss_db(scenario) + noise_power_dbm(scenario)
+    p_min = np.minimum(p, scenario.p_max_dbm)
+    emitted = 10.0 ** (average_snr_db(p_min, scenario) / 10.0)
+    bep = (np.minimum(union_bound_rows("qam", order, UnionBound.u,
+                                       estimate.norm_sq, acf, emitted)[0], 1.0)
+           if qam else psk_bep_approx(order, estimate, acf, emitted))
     return PowerSchedule(schedule.scheme, sample_dt, scenario.p_max_dbm,
-                         t, rate, acf, gamma_db,
-                         np.minimum(p, scenario.p_max_dbm),
-                         p > scenario.p_max_dbm)
-
-
-def bep_at_pmin(power: PowerSchedule, estimate: ChannelEstimate,
-                scenario: LinkScenario) -> np.ndarray:
-    """BEP at each sample's emitted power, under the model the trace meets.
-
-    The emitted SNR comes from the clamped p_min_dbm through the link
-    budget. PSK traces evaluate `psk_bep_approx`, the model their power
-    inverts, one order per call. QAM traces evaluate the UUB clamped to 1
-    in one call over every sample's own order; on the BPSK region, whose
-    power takes the PSK closed form, the two coincide.
-    """
-    pl = path_loss_db(scenario)
-    n0 = noise_power_dbm(scenario)
-    gamma = 10.0 ** ((power.p_min_dbm - pl - n0) / 10.0)
-    if power.scheme == "qam":
-        return np.minimum(union_bound_rows("qam", 1 << power.rate,
-                                           UnionBound.u, estimate.norm_sq,
-                                           power.acf_value, gamma)[0], 1.0)
-    out = np.empty(power.acf_value.shape)
-    for r in np.unique(power.rate).tolist():
-        region = power.rate == r
-        out[region] = psk_bep_approx(1 << r, estimate,
-                                     power.acf_value[region], gamma[region])
-    return out
-
-
-def _region_infeasible(rate: int, exc: InfeasibleCsiError) -> ScheduleError:
-    return ScheduleError(f"power infeasible inside rate-{rate} region "
-                         f"({exc}); schedule and threshold disagree")
+                         t, rate, acf, gamma_db, p_min,
+                         p > scenario.p_max_dbm, bep)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from uavlink import (
     acf_thresholds,
     build_rate_schedules,
     constellation_for,
+    min_snr_psk,
     psk_bep_approx,
     q_function,
     q_inverse,
@@ -28,7 +29,7 @@ from uavlink import (
 )
 from uavlink.bep_analysis import _BLOCK_TERMS, union_bound_rows
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
-from uavlink.errors import DivergenceError, SchemeError
+from uavlink.errors import DivergenceError, InfeasibleCsiError, SchemeError
 from uavlink.fixtures import load_fixture
 from uavlink.lockstep import _MAX_ITER, newton_lockstep
 
@@ -407,6 +408,128 @@ class TestPskApprox:
     def test_unsupported_order(self, estimate):
         with pytest.raises(SchemeError):
             psk_bep_approx(6, estimate, 0.9, 10.0)
+
+
+def _psk_forward(order, norm_sq, acf, gamma):
+    """The per-order forward approximation the term table replaced: BPSK's
+    own branch and its own w and 1 - cos(2 pi / M) for every other order."""
+    den = gamma * (1.0 - acf * acf) + 1.0
+    hc_sq = norm_sq * acf * acf
+    if order == 2:
+        return q_function(math.sqrt(2.0 * gamma * hc_sq / den))
+    bits = order.bit_length() - 1
+    num = gamma * hc_sq * (1.0 - math.cos(2.0 * math.pi / order))
+    return 2.0 / bits * q_function(math.sqrt(num / den))
+
+
+def _psk_inverse(order, norm_sq, acf, beta):
+    """The per-order inverse the term table replaced (None if infeasible)."""
+    hc_sq = norm_sq * acf * acf
+    if order == 2:
+        alpha_sq = q_inverse(beta) ** 2
+        den = 2.0 * hc_sq - (1.0 - acf * acf) * alpha_sq
+    else:
+        bits = order.bit_length() - 1
+        alpha_sq = q_inverse(beta * bits / 2.0) ** 2
+        den = (hc_sq * (1.0 - math.cos(2.0 * math.pi / order))
+               - (1.0 - acf * acf) * alpha_sq)
+    return alpha_sq / den if den > 0.0 else None
+
+
+class TestPskTable:
+    # one (w, bits / 2, d) row per order serves the forward form and its
+    # inverse, over per-sample orders
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_orders_equal_per_order_calls(self, estimate, seed, n):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(np.resize(np.array(SUPPORTED_ORDERS), n))
+        acf = 1.0 - 10.0 ** rng.uniform(-8.0, -0.5, n)
+        gamma = 10.0 ** rng.uniform(-1.0, 5.0, n)
+        norm_sq = estimate.norm_sq
+        got = psk_bep_approx(order, estimate, acf, gamma)
+        assert got.shape == (n,)
+        assert got.tolist() == [
+            psk_bep_approx(m, estimate, c, g)
+            for m, c, g in zip(order.tolist(), acf.tolist(), gamma.tolist())]
+        assert got.tolist() == [
+            _psk_forward(m, norm_sq, c, g)
+            for m, c, g in zip(order.tolist(), acf.tolist(), gamma.tolist())]
+        # feasible samples only: C above each order's threshold C
+        acf = 1.0 - 10.0 ** rng.uniform(-8.0, -5.0, n)
+        roots = min_snr_psk(order, estimate, acf, 1e-5)
+        assert roots.shape == (n,)
+        assert roots.tolist() == [
+            min_snr_psk(m, estimate, c, 1e-5)
+            for m, c in zip(order.tolist(), acf.tolist())]
+        assert roots.tolist() == [_psk_inverse(m, norm_sq, c, 1e-5)
+                                  for m, c in zip(order.tolist(),
+                                                  acf.tolist())]
+
+    def test_order_axes_broadcast(self, estimate):
+        # a 2-D order array keeps its axes; a scalar order or C broadcasts
+        order = np.array([[2, 4, 8], [16, 32, 64]])
+        acf = np.array([[0.9999, 0.99999, 0.999999]])
+        got = psk_bep_approx(order, estimate, acf.T[:2], 300.0)
+        assert got.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert got[i, j] == psk_bep_approx(int(order[i, j]), estimate,
+                                               acf[0, i], 300.0)
+        roots = min_snr_psk(order, estimate, acf, 1e-5)
+        assert roots.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert roots[i, j] == min_snr_psk(int(order[i, j]), estimate,
+                                              acf[0, j], 1e-5)
+        assert psk_bep_approx(8, estimate, acf[0], 300.0).tolist() == [
+            psk_bep_approx(8, estimate, c, 300.0) for c in acf[0].tolist()]
+        assert min_snr_psk(order[1], estimate, 0.99999, 1e-5).tolist() == [
+            min_snr_psk(m, estimate, 0.99999, 1e-5) for m in (16, 32, 64)]
+        assert isinstance(min_snr_psk(4, estimate, 0.999, 1e-5), float)
+        assert isinstance(psk_bep_approx(4, estimate, 0.999, 30.0), float)
+        for empty in (psk_bep_approx(np.array([], np.int64), estimate,
+                                     np.array([]), np.array([])),
+                      min_snr_psk(np.array([], np.int64), estimate,
+                                  np.array([]), 1e-5),
+                      min_snr_psk(8, estimate, np.array([]), 1e-5)):
+            assert empty.shape == (0,)
+
+    @pytest.mark.parametrize("order", [[4, 6, 8], [2, 128], [0], 3])
+    def test_unsupported_order_anywhere(self, estimate, order):
+        acf = np.full(np.shape(order), 0.999)
+        with pytest.raises(SchemeError, match="unsupported PSK order"):
+            psk_bep_approx(np.array(order), estimate, acf, 30.0)
+        with pytest.raises(SchemeError, match="unsupported PSK order"):
+            min_snr_psk(np.array(order), estimate, acf, 1e-5)
+
+    def test_infeasible_names_lowest_order_and_its_first_c(self, estimate):
+        # 16-PSK fails first in sample order, but 4-PSK is the lowest order
+        # that fails, first at C = 0.3 and again at C = 0.2
+        order = np.array([16, 4, 2, 4, 16, 4])
+        acf = np.array([0.5, 0.99, 0.9, 0.3, 0.6, 0.2])
+        assert _psk_inverse(2, estimate.norm_sq, 0.9, 1e-5) is not None
+        assert _psk_inverse(4, estimate.norm_sq, 0.99, 1e-5) is not None
+        with pytest.raises(InfeasibleCsiError,
+                           match=r"^4-PSK cannot reach 1e-05 at C=0\.300000$"
+                           ) as info:
+            min_snr_psk(order, estimate, acf, 1e-5)
+        assert info.value.order == 4
+        with pytest.raises(InfeasibleCsiError, match="C=0.500000") as info:
+            min_snr_psk(16, estimate, acf[[1, 0, 4]], 1e-5)
+        assert info.value.order == 16
+
+    def test_threshold_outside_an_orders_domain(self, estimate):
+        # at beta = 0.4, Q^-1(beta bits / 2) is undefined for 32- and
+        # 64-PSK; a lower order that fails still fails first, as it would
+        # called alone
+        with pytest.raises(InfeasibleCsiError, match="^4-PSK") as info:
+            min_snr_psk(np.array([64, 4, 32]), estimate,
+                        np.array([0.99, 0.05, 0.99]), 0.4)
+        assert info.value.order == 4
+        with pytest.raises(ValueError, match="q_inverse domain"):
+            min_snr_psk(np.array([64, 4, 32]), estimate,
+                        np.array([0.99, 0.99, 0.99]), 0.4)
+        assert min_snr_psk(4, estimate, 0.99, 0.4) == _psk_inverse(
+            4, estimate.norm_sq, 0.99, 0.4)
 
 
 def _sinh_bound(x0, beta):

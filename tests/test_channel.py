@@ -355,15 +355,28 @@ class TestWobbleParams:
         assert w.sigma_v_sq == pytest.approx(
             default_sigma_v_sq(20.0 * np.pi, 30.0), rel=1e-15)
 
-    @pytest.mark.parametrize("kw", [
-        dict(omega_c=-1.0, omega_v=1.0, mu=1.0, sigma_v_sq=1.0),
-        dict(omega_c=1.0, omega_v=0.0, mu=1.0, sigma_v_sq=1.0),
-        dict(omega_c=1.0, omega_v=1.0, mu=-2.0, sigma_v_sq=1.0),
-        dict(omega_c=1.0, omega_v=1.0, mu=1.0, sigma_v_sq=0.0),
-        dict(omega_c=1.0, omega_v=np.nan, mu=1.0, sigma_v_sq=1.0),
-        dict(omega_c=np.inf, omega_v=1.0, mu=1.0, sigma_v_sq=1.0),
-        dict(omega_c=1.0, omega_v=1.0, mu=1.0, sigma_v_sq=np.nan),
-    ])
-    def test_positivity_validation(self, kw):
-        with pytest.raises(ValueError):
-            WobbleParams(**kw)
+    # rows with a carrier_freq go through for_carrier, which derives
+    # sigma_v_sq when none is given
+    @pytest.mark.parametrize("kw, field", [
+        (dict(omega_c=-1.0, omega_v=1.0, mu=1.0, sigma_v_sq=1.0), "omega_c"),
+        (dict(omega_c=1.0, omega_v=0.0, mu=1.0, sigma_v_sq=1.0), "omega_v"),
+        (dict(omega_c=1.0, omega_v=1.0, mu=-2.0, sigma_v_sq=1.0), "mu"),
+        (dict(omega_c=1.0, omega_v=1.0, mu=1.0, sigma_v_sq=0.0),
+         "sigma_v_sq"),
+        (dict(omega_c=1.0, omega_v=np.nan, mu=1.0, sigma_v_sq=1.0),
+         "omega_v"),
+        (dict(omega_c=np.inf, omega_v=1.0, mu=1.0, sigma_v_sq=1.0),
+         "omega_c"),
+        (dict(omega_c=1.0, omega_v=1.0, mu=1.0, sigma_v_sq=np.nan),
+         "sigma_v_sq"),
+        (dict(carrier_freq=CARRIER_HZ, omega_v=1.0, mu=0.0), "mu"),
+        (dict(carrier_freq=CARRIER_HZ, omega_v=1e200, mu=30.0),
+         "sigma_v_sq"),
+    ], ids=[f"kw{i}" for i in range(7)] + ["for_carrier-zero-mu",
+                                          "for_carrier-overflow"])
+    def test_positivity_validation(self, kw, field):
+        make = (WobbleParams.for_carrier if "carrier_freq" in kw
+                else WobbleParams)
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite$"):
+            make(**kw)

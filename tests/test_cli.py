@@ -518,28 +518,47 @@ class TestConfigResolution:
         assert meta["n_rx_antennas"] == 2
         assert meta["norm_h_sq"] == pytest.approx(1.0 + 0.25 + 0.0625)
 
-    @pytest.mark.parametrize("line, bad, section", [
-        ("bep_threshold = 1e-5", "bep_threshold = 0.7", "scenario"),
-        ("bep_threshold = 1e-5", "bep_threshold = 1e-310", "scenario"),
-        ("uav_height = 100.0", "uav_height = nan", "scenario"),
-        ("p_max_dbm = 35.0", "p_max_dbm = nan", "scenario"),
-        ("omega_v = 62.8318", "omega_v = -3", "wobble"),
-        ("mu = 30.0", "mu = 0", "wobble"),
-        ("mu = 30.0", "mu = nan", "wobble"),
-        ("h_imag = 0.0, -0.25", "h_imag = 0.0, nan", "channel"),
+    @pytest.mark.parametrize("line, bad, section, field", [
+        ("bep_threshold = 1e-5", "bep_threshold = 0.7", "scenario",
+         "bep_threshold"),
+        ("bep_threshold = 1e-5", "bep_threshold = 1e-310", "scenario",
+         "bep_threshold"),
+        ("uav_height = 100.0", "uav_height = nan", "scenario", "uav_height"),
+        ("p_max_dbm = 35.0", "p_max_dbm = nan", "scenario", "p_max_dbm"),
+        ("omega_v = 62.8318", "omega_v = -3", "wobble", "omega_v"),
+        ("mu = 30.0", "mu = 0", "wobble", "mu"),
+        ("mu = 30.0", "mu = nan", "wobble", "mu"),
+        ("h_imag = 0.0, -0.25", "h_imag = 0.0, nan", "channel", "h"),
+        # sigma_v_sq derived from these overflows
+        ("omega_v = 62.8318", "omega_v = 1e200", "wobble", "sigma_v_sq"),
+        ("mu = 30.0", "mu = 1e-320", "wobble", "sigma_v_sq"),
     ], ids=["threshold-0.7", "threshold-1e-310", "nan-uav_height",
             "nan-p_max_dbm", "negative-omega_v", "zero-mu", "nan-mu",
-            "nan-h_imag"])
+            "nan-h_imag", "huge-omega_v", "tiny-mu"])
     def test_rejected_section_value_exits_2(self, tmp_path, capsys, line,
-                                            bad, section):
+                                            bad, section, field):
         # a value the link, wobble or channel type rejects: one error line
-        # naming the section, exit 2 and no output, not a traceback
+        # naming the section and the field, exit 2 and no output, not a
+        # traceback
         cfg = write_config(tmp_path, EXPLICIT_SCENARIO.replace(line, bad))
         out = tmp_path / "o"
         assert main(["adapt", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: [{section}] ") and err.count("\n") == 1
+        assert err.startswith(f"error: [{section}] ") and field in err
+        assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["adapt", "power"])
+    def test_sample_grid_too_long_exits_2(self, tmp_path, capsys, command):
+        # NumPy refuses a 1e297-sample grid before allocating anything
+        cfg = write_config(tmp_path, "[run]\nfixture = case1\nscheme = qam\n"
+                           "seed = 1\nsample_dt = 1e-300\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.sample_dt = 1e-300 s is too fine")
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
 
     def test_channel_length_mismatch(self, tmp_path):
         text = EXPLICIT_SCENARIO.replace("h_imag = 0.0, -0.25",

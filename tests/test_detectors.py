@@ -23,7 +23,6 @@ from uavlink import (
     ChannelEstimate,
     DetectorKind,
     constellation_for,
-    effective_variance,
     evolve_channel,
     ml_detect,
     monte_carlo_bep,
@@ -607,15 +606,6 @@ class TestMetricKernel:
         after = detectors._thread_scratch()._bufs
         assert after.keys() == before.keys()
         assert all(after[k] is before[k] for k in before)
-
-
-class TestEffectiveVariance:
-    def test_formula(self):
-        assert effective_variance(10.0, 0.8, 1.5 + 0.0j) == pytest.approx(
-            10.0 * (1.0 - 0.64) * 2.25 + 1.0, rel=1e-15)
-
-    def test_perfect_csi_is_unit(self):
-        assert effective_variance(1e4, 1.0, 3.0 + 4.0j) == 1.0
 
 
 class TestMonteCarlo:

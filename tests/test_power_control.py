@@ -22,7 +22,6 @@ from uavlink import (
     UnionBound,
     acf_inverse,
     acf_thresholds,
-    bep_at_pmin,
     build_rate_schedule,
     energy_savings,
     min_power_schedule,
@@ -330,7 +329,7 @@ class TestBepAtPmin:
         scenario = dataclasses.replace(fx.scenario, p_max_dbm=p_max_dbm)
         power = min_power_schedule(schedule, fx.estimate, scenario,
                                    fx.wobble, sample_dt=4e-5)
-        got = bep_at_pmin(power, fx.estimate, scenario)
+        got = power.bep_at_pmin
         gamma = 10.0 ** ((power.p_min_dbm - path_loss_db(scenario)
                           - noise_power_dbm(scenario)) / 10.0)
         for r in np.unique(power.rate).tolist():
@@ -342,9 +341,18 @@ class TestBepAtPmin:
                 want = np.minimum(union_bound("qam", 1 << r).u(
                     fx.estimate.norm_sq, acf, gamma[region]), 1.0)
             assert got[region].tolist() == want.tolist()
+        assert [s.bep_at_pmin for s in power.samples] == got.tolist()
         assert np.all(got[~power.clamped] <= BETA * (1 + 1e-6))
         assert power.clamped.any() == (p_max_dbm < 35.0)
         assert np.all(got[power.clamped] > BETA)
+
+    @pytest.mark.parametrize("which", ["psk", "qam"])
+    def test_columns_are_read_only(self, psk_power, qam_power, which):
+        _, power = psk_power if which == "psk" else qam_power
+        with pytest.raises(ValueError, match="read-only"):
+            power.bep_at_pmin[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            power.bep_at_pmin = np.zeros(power.t.size)
 
 
 def _bep_at(estimate, scheme, s, gamma):
@@ -548,7 +556,7 @@ class TestEnergySavings:
             "psk", 1e-5, 35.0, t=1e-3 + np.arange(1, 6) * 1e-5,
             rate=np.ones(5, dtype=np.int64), acf_value=np.full(5, 0.9),
             gamma_min_db=np.full(5, 10.0), p_min_dbm=np.full(5, 30.0),
-            clamped=np.zeros(5, dtype=bool))
+            clamped=np.zeros(5, dtype=bool), bep_at_pmin=np.full(5, 1e-5))
         out = energy_savings(power, 30.0, (1e-3, 1e-3 + 5e-5))
         assert isinstance(out, EnergySavings)
         assert out.savings_percent == pytest.approx(0.0, abs=1e-12)
