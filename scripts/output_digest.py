@@ -97,9 +97,10 @@ def invocations() -> list:
     return out
 
 
-def digest(work: Path, threads: int) -> list:
-    """(label, sha256) of every CSV written under `work`, in a fixed order."""
-    sys.path.insert(0, str(ROOT / "src"))
+def digest(work: Path, threads: int, src: Path = ROOT / "src") -> list:
+    """(label, sha256) of every CSV written under `work`, in a fixed order,
+    by the `uavlink` package imported from `src`."""
+    sys.path.insert(0, str(src))
     from uavlink.cli import main
 
     lines = []

@@ -17,9 +17,12 @@ rates of a grid here (`acf_thresholds`) and the QAM power solve over all
 rate regions in power_control. Both start at a closed-form lower bracket
 built from the roots of single terms (`UnionBound.acf_lower`,
 `gamma_lower`), and are solved by one lockstep safeguarded Newton,
-`lockstep.newton_lockstep`, on the bound's value and slope (in C,
-`u_and_acf_slope`; in ln(gamma), `u_and_slope`). The bound falls in C by
-its form (`UnionBound.u`), so the C solve checks only C = 1 and raises
+`lockstep.newton_lockstep`, on the bound's value and slope (QAM in C,
+`u_and_acf_slope`; in ln(gamma), `u_and_slope`). Every PSK term has
+|s|^2 = 1, so the PSK bound is a function of one variable z, and its C_n
+come from one root in z per (order, threshold), mapped to each cell in
+closed form (`_psk_acf_rows`). The bound falls in C by its form
+(`UnionBound.u`), so the C solve checks only C = 1 and raises
 MonotonicityError only when it does not converge. Beside it sits the
 Gray-mapping PSK approximation, one term table (`_PSK_TERMS`) read by its
 forward form and its closed-form inverse, both over per-sample orders.
@@ -344,17 +347,19 @@ def min_snr_psk(order, estimate: ChannelEstimate, acf_value,
     at that CSI quality (the schedule must have switched down already),
     naming the lowest failing order, as `exc.order`, and its first failing
     C; ValueError for a non-finite ACF value or threshold, and where that
-    lowest failing order's beta bits / 2 lies outside (0, 1).
+    lowest failing order's beta bits / 2 lies outside (0, 1/2): at or
+    above 1/2 the approximation, at most w / 2, meets the threshold at
+    every SNR, and Q^-1(beta bits / 2) <= 0 gives no root.
     """
     require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
     row, c = np.broadcast_arrays(_psk_rows(order),
                                  np.asarray(acf_value, dtype=np.float64))
     # Q^-1(beta bits / 2)^2 of each order present; nan, which fails that
-    # order's samples, where beta bits / 2 is outside q_inverse's domain
+    # order's samples, where beta bits / 2 is outside (0, 1/2)
     b = bep_threshold * _PSK_TERMS[:, 1]
     alpha_sq = np.full(b.size, np.nan)
     for k in np.flatnonzero(np.bincount(row.ravel(), minlength=b.size)):
-        if 0.0 < b[k] < 1.0:
+        if 0.0 < b[k] < 0.5:
             alpha_sq[k] = q_inverse(b[k]) ** 2
     alpha_sq = alpha_sq[row]
     den = (estimate.norm_sq * c * c * _PSK_TERMS[row, 2]
@@ -362,8 +367,12 @@ def min_snr_psk(order, estimate: ChannelEstimate, acf_value,
     failed = np.flatnonzero(~(den > 0.0))
     if failed.size:  # the lowest failing order's error, as if called alone
         k = failed[np.argmin(row.flat[failed])]
-        q_inverse(b[row.flat[k]])  # raises where beta bits / 2 is off (0, 1)
         m = int(_PSK_ORDERS[row.flat[k]])
+        if np.isnan(alpha_sq.flat[k]):
+            raise ValueError(
+                f"{m}-PSK approximation cannot be inverted at bep_threshold "
+                f"{bep_threshold:g}: beta log2(M) / 2 = {b[row.flat[k]]:g} "
+                "lies outside (0, 1/2)")
         raise InfeasibleCsiError(f"{m}-PSK cannot reach {bep_threshold:g} at "
                                  f"C={c.flat[k]:.6f}", order=m)
     gamma = alpha_sq / den
@@ -373,14 +382,85 @@ def min_snr_psk(order, estimate: ChannelEstimate, acf_value,
 # rate n of each supported order M = 2^n, as a column: row n - 1 of
 # every per-rate array below
 _RATES = np.arange(1, len(SUPPORTED_ORDERS) + 1)[:, None]
+# the relative step up from the C that a PSK root z* maps to. Near C = 1
+# one ulp of C moves z by up to (||h||^2 + 2 z^2) / ||h||^2 ulps, so the
+# bound summed at C_n and at z* differ by more than their rounding; without
+# the step, u(C_n) exceeds beta on about a quarter of rows, by at most
+# 2e-12 relative. 1e-15 already removes every excess on 380k random case1
+# and case2 rows (SNR 0 to 60 dB, beta 1e-15 to 0.5).
+_C_MARGIN = 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def _psk_bound_table() -> tuple:
+    """(w, d): the grouped PSK `UnionBound` terms of every supported order,
+    row n - 1 for rate n, padded with zero weights to 64-PSK's 32 terms;
+    d = |s_m - s_mhat|. |s_m|^2 = 1 in every term, so the pairwise argument
+    C r of a term equals d z with z^2 = gamma C^2 ||h||^2
+    / (2 gamma (1 - C^2) + 2): the bound is sum(w Q(d z)), a function of z
+    alone."""
+    bounds = [union_bound("psk", m) for m in SUPPORTED_ORDERS]
+    w, d = np.zeros((2, len(bounds), max(b.n_terms for b in bounds)))
+    for k, b in enumerate(bounds):
+        assert np.all(b.s_sq == 1.0), f"{b.order}-PSK has |s|^2 != 1"
+        w[k, :b.n_terms], d[k, :b.n_terms] = b.weight, np.sqrt(b.d_sq)
+    for a in (w, d):
+        a.flags.writeable = False
+    return w, d
+
+
+def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
+    """C_n of every PSK row (rate n, gamma, beta) of 1-D arrays with
+    sum(w) / 2 > beta and u(C = 1) <= beta, from one root z* of
+    sum(w Q(d z)) = beta per distinct (rate, beta) (see `_psk_bound_table`).
+
+    The roots are solved together by `newton_lockstep` in z on [0, +inf),
+    each started at the largest single-term root max(Q^-1(beta / w) / d)
+    (0 where every beta / w >= 1/2) and done when its bracket is at most
+    1e-12 wide and the bound at its upper end is within 1e-8 of beta. That
+    upper end maps to every row in closed form,
+    C^2 = 2 z^2 (1 + 1 / gamma) / (||h||^2 + 2 z^2), and C is raised by
+    _C_MARGIN relative and clipped to 1, so that u(C_n) <= beta. C rises
+    with z, and d ln C / d ln z = ||h||^2 / (||h||^2 + 2 z^2) <= 1, so an
+    error in z moves C by at most C / z times as much. A row's C_n depends
+    only on its own (rate, gamma, beta). Raises DivergenceError naming the
+    rows of the roots that do not converge."""
+    keys, of_row = np.unique(np.stack([rate, beta], axis=1), axis=0,
+                             return_inverse=True)
+    of_row = of_row.ravel()
+    k, b = keys[:, 0].astype(np.int64) - 1, keys[:, 1]
+    w_all, d_all = _psk_bound_table()
+    w, d = w_all[k], d_all[k]
+    wd = w * d / _SQRT_2PI
+    # Q(d z) = beta / w at z = Q^-1(beta / w) / d, 0 where beta / w >= 1/2
+    used = w > 0.0
+    q = -ndtri(np.minimum(np.divide(b[:, None], w, out=np.ones(w.shape),
+                                    where=used), 0.5))
+    start = np.max(np.divide(q, d, out=np.zeros(w.shape), where=used), axis=1)
+
+    def uv(live, z):
+        arg = d[live] * z[:, None]
+        return ((w[live] * ndtr(-arg)).sum(axis=-1),
+                (wd[live] * np.exp(-0.5 * arg * arg)).sum(axis=-1))
+    try:
+        z = newton_lockstep(uv, b, start, 0.0, np.inf, _C_ABS_TOL,
+                            _BEP_REL_TOL).root
+    except DivergenceError as exc:
+        raise DivergenceError(str(exc), cells=np.flatnonzero(
+            np.isin(of_row, exc.cells))) from exc
+    z_sq = z[of_row] ** 2
+    # (1 + 1 / gamma), not (gamma + 1) / gamma: gamma (||h||^2 + 2 z^2)
+    # can overflow at the largest SNR the CLI accepts
+    c_sq = 2.0 * z_sq * (1.0 + 1.0 / gamma) / (norm_sq + 2.0 * z_sq)
+    return np.minimum(np.sqrt(c_sq) * (1.0 + _C_MARGIN), 1.0)
 
 
 def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
                   u_one) -> np.ndarray:
     """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
-    of each row, in one lockstep solve over all rows (see acf_thresholds).
-    The bound falls in C (`UnionBound.u`), so [0, 1] brackets a root
-    wherever u_one meets beta, the one check. Errors come in the order of a
+    of each row, in one solve over all rows (see acf_thresholds). The
+    bound falls in C (`UnionBound.u`), so [0, 1] brackets a root wherever
+    u_one meets beta, the one check. Errors come in the order of a
     rate-by-rate solve: the lowest failing rate raises, its check after the
     solves of lower rates but before its own."""
     missed = np.flatnonzero(u_one > beta)
@@ -394,13 +474,16 @@ def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
     cells = np.flatnonzero((u_zero > beta) & (rate < failed_rate))
     o, g, b = order[cells], gamma[cells], beta[cells]
     try:
-        out[cells] = newton_lockstep(
-            lambda live, acf: union_bound_rows(scheme, o[live],
-                                               UnionBound.u_and_acf_slope,
-                                               norm_sq, acf, g[live]),
-            b, union_bound_rows(scheme, o, UnionBound.acf_lower, norm_sq, g,
-                                b)[0],
-            0.0, 1.0, _C_ABS_TOL, _BEP_REL_TOL).root
+        if scheme == "psk":
+            out[cells] = _psk_acf_rows(norm_sq, rate[cells], g, b)
+        else:
+            out[cells] = newton_lockstep(
+                lambda live, acf: union_bound_rows(
+                    scheme, o[live], UnionBound.u_and_acf_slope, norm_sq,
+                    acf, g[live]),
+                b, union_bound_rows(scheme, o, UnionBound.acf_lower, norm_sq,
+                                    g, b)[0],
+                0.0, 1.0, _C_ABS_TOL, _BEP_REL_TOL).root
     except DivergenceError as exc:
         failed = np.unique(rate[cells[exc.cells]]).tolist()
         raise MonotonicityError(
@@ -423,16 +506,19 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
 
     u(C = 1) is evaluated once per (order, cell), in one call: it gives
     r_max and the feasibility of every lower rate, the one check the solve
-    needs. Every (rate, cell) row then solves u(C) = bep_threshold, with u
-    the `UnionBound` of the rate's order, in one `newton_lockstep` call on
-    [0, 1], which brackets the root wherever C = 1 meets the threshold, as
-    the bound falls in C by its form (`UnionBound.u`). Each row starts at
-    the largest single-term root (`UnionBound.acf_lower`) and runs by its
-    own order's bound, so a grid pays the slowest row's iterations, not
-    the sum over rates, and a row's C_n does not depend on the other rows.
-    C_n is the feasible end of a bracket at most 1e-12 wide, with the bound
-    within 1e-8 of the threshold there; C_n = 0 where even C = 0 meets the
-    threshold.
+    needs. Every QAM (rate, cell) row then solves u(C) = bep_threshold,
+    with u the `UnionBound` of the rate's order, in one `newton_lockstep`
+    call on [0, 1], which brackets the root wherever C = 1 meets the
+    threshold, as the bound falls in C by its form (`UnionBound.u`). Each
+    row starts at the largest single-term root (`UnionBound.acf_lower`)
+    and runs by its own order's bound, so a grid pays the slowest row's
+    iterations, not the sum over rates. C_n is the feasible end of a
+    bracket at most 1e-12 wide, with the bound within 1e-8 of the
+    threshold there. PSK rows take C_n from one root per distinct (rate,
+    threshold) in the variable z of which the PSK bound is a function
+    (`_psk_acf_rows`), within 1e-8 of the threshold and with
+    u(C_n) <= threshold. On either scheme a row's C_n does not depend on
+    the other rows, and C_n = 0 where even C = 0 meets the threshold.
 
     Raises ScheduleError where a rate below a cell's r_max cannot meet the
     threshold at C = 1, MonotonicityError where the solve cannot converge,

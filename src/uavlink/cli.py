@@ -457,8 +457,13 @@ def cmd_rate_opt(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_power(cfg: RunConfig, out_dir: Path) -> None:
     """Minimum-power trace plus the energy summary over both windows."""
     gamma_max, schedule, _ = _schedule_for(cfg)
-    power = min_power_schedule(schedule, cfg.estimate, cfg.scenario,
-                               cfg.wobble, cfg.sample_dt)
+    try:
+        power = min_power_schedule(schedule, cfg.estimate, cfg.scenario,
+                                   cfg.wobble, cfg.sample_dt)
+    except ValueError as exc:  # the PSK closed form has no root there
+        raise ConfigError(
+            f"scenario.bep_threshold = {cfg.scenario.bep_threshold:g} has "
+            f"no minimum power: {exc}") from exc
 
     # both windows' savings before any output is written
     t_e = schedule.t_estimate

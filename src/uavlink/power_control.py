@@ -73,15 +73,22 @@ def _solve_qam(order, estimate: ChannelEstimate, acf,
     iterate. Samples never mix: each keeps its own bracket, iterate, count
     and final step, and all run in lockstep, whatever their orders. Returns
     the roots in gamma. Raises InfeasibleCsiError naming the lowest order
-    whose floor does not fall below beta at some sample.
+    whose floor does not fall below beta at some sample, and that order's
+    first such sample; the floor is evaluated at each order's smallest C
+    alone unless one fails.
     """
     norm_sq, beta = estimate.norm_sq, bep_threshold
     order, acf = np.broadcast_arrays(np.asarray(order, dtype=np.int64),
                                      np.asarray(acf, dtype=np.float64))
-    infeasible = np.flatnonzero(
-        union_bound_rows("qam", order, UnionBound.floor, norm_sq,
-                         acf)[0] >= beta)
-    if infeasible.size:
+    # the floor falls as C rises, so an order's smallest C fails whenever
+    # any of its samples does; only then is every sample checked
+    orders = np.unique(order)
+    lowest = [acf[order == m].min() for m in orders.tolist()]
+    if np.any(union_bound_rows("qam", orders, UnionBound.floor, norm_sq,
+                               lowest)[0] >= beta):
+        infeasible = np.flatnonzero(
+            union_bound_rows("qam", order, UnionBound.floor, norm_sq,
+                             acf)[0] >= beta)
         k = infeasible[np.argmin(order[infeasible])]
         raise InfeasibleCsiError(
             f"{order[k]}-QAM cannot reach {beta:g} at C={acf[k]:.6f} for "

@@ -6,6 +6,7 @@ function, brute-force pair sums for the union bound).
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -27,9 +28,21 @@ from uavlink import (
     sweep_rave_max,
     union_bound,
 )
-from uavlink.bep_analysis import _BLOCK_TERMS, union_bound_rows
+from uavlink import bep_analysis
+from uavlink.bep_analysis import (
+    _BEP_REL_TOL,
+    _BLOCK_TERMS,
+    _C_ABS_TOL,
+    _psk_bound_table,
+    union_bound_rows,
+)
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
-from uavlink.errors import DivergenceError, InfeasibleCsiError, SchemeError
+from uavlink.errors import (
+    DivergenceError,
+    InfeasibleCsiError,
+    MonotonicityError,
+    SchemeError,
+)
 from uavlink.fixtures import load_fixture
 from uavlink.lockstep import _MAX_ITER, newton_lockstep
 
@@ -525,11 +538,35 @@ class TestPskTable:
             min_snr_psk(np.array([64, 4, 32]), estimate,
                         np.array([0.99, 0.05, 0.99]), 0.4)
         assert info.value.order == 4
-        with pytest.raises(ValueError, match="q_inverse domain"):
+        with pytest.raises(ValueError, match=r"^32-PSK approximation cannot "
+                           r"be inverted at bep_threshold 0\.4: beta log2\(M\)"
+                           r" / 2 = 1 lies outside \(0, 1/2\)$"):
             min_snr_psk(np.array([64, 4, 32]), estimate,
                         np.array([0.99, 0.99, 0.99]), 0.4)
         assert min_snr_psk(4, estimate, 0.99, 0.4) == _psk_inverse(
             4, estimate.norm_sq, 0.99, 0.4)
+
+    @pytest.mark.parametrize("order,beta", [
+        (2, 0.5), (4, 0.5), (8, 1.0 / 3.0), (16, 0.25), (32, 0.2), (64, 0.2),
+        (64, 0.3), (64, 1.0 / 6.0), (8, 0.0), (8, -1e-3)])
+    def test_no_root_where_the_approximation_meets_beta_at_zero_snr(
+            self, estimate, order, beta):
+        # w Q(x) <= w / 2 = 1 / log2(M) at every SNR: from beta bits / 2 =
+        # 1/2 up the threshold holds at zero SNR, where Q^-1(beta bits / 2)
+        # <= 0 would give gamma = 0 or a spurious positive root
+        half_bits = (order.bit_length() - 1) / 2.0 if order > 2 else 1.0
+        b = beta * half_bits
+        assert not 0.0 < b < 0.5
+        for c in (0.5, 0.99, 1.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{order}-PSK approximation cannot be inverted at "
+                    f"bep_threshold {beta:g}:")):
+                min_snr_psk(order, estimate, c, beta)
+        if b >= 0.5:
+            assert psk_bep_approx(order, estimate, 0.99, 0.0) <= beta
+        # inside the domain the root is finite and positive
+        g = min_snr_psk(order, estimate, 0.99, 0.49 / half_bits)
+        assert 0.0 < g < np.inf
 
 
 def _sinh_bound(x0, beta):
@@ -726,6 +763,94 @@ class TestAcfThresholds:
         # the C = 0 bound is exactly M/4 (every pairwise argument collapses
         # to Q(0)), so a threshold above 0.5 admits BPSK at any CSI quality
         assert _c_n(1, estimate, GAMMA_MAX, "psk", 0.51)[0] == 0.0
+
+
+def _c_lockstep(order, norm_sq, gamma, beta):
+    """The C-threshold solve the PSK root table replaced: u(C) = beta in C
+    on [0, 1] by one lockstep from `acf_lower`, C_n the bracket's feasible
+    end, over 1-D rows of one order with sum(w) / 2 > beta >= u(C = 1)."""
+    bound = union_bound("psk", order)
+    return newton_lockstep(
+        lambda live, acf: bound.u_and_acf_slope(norm_sq, acf, gamma[live]),
+        beta, bound.acf_lower(norm_sq, gamma, beta), 0.0, 1.0, _C_ABS_TOL,
+        _BEP_REL_TOL).root
+
+
+class TestPskRootTable:
+    # PSK C_n come from one root z* of sum(w Q(d z)) = beta per
+    # (order, beta), mapped to each cell in closed form
+    def test_every_term_has_unit_symbol_energy(self):
+        w, d = _psk_bound_table()
+        for k, m in enumerate(SUPPORTED_ORDERS):
+            bound = union_bound("psk", m)
+            assert np.all(bound.s_sq == 1.0)
+            assert w[k].tolist() == bound.weight.tolist() + [0.0] * (
+                w.shape[1] - bound.n_terms)
+            assert d[k, :bound.n_terms].tolist() == np.sqrt(
+                bound.d_sq).tolist()
+        assert w.shape == (len(SUPPORTED_ORDERS), 32)
+
+    @given(fixture=st.sampled_from(["case1", "case2"]),
+           snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+           beta=st.lists(st.one_of(
+               st.floats(-9.0, -1.0).map(lambda v: 10.0 ** v),
+               # sum(w) / 2 is 1/2 for BPSK and 1 for QPSK: C_n = 0 at and
+               # above it, and every single-term root is 0 between
+               st.sampled_from([0.5, 0.7, 1.0, 1.5])),
+               min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    @example(fixture="case1", snr_db=[33.3058], beta=[1.7745320644449593e-08])
+    def test_matches_the_c_lockstep(self, fixture, snr_db, beta):
+        est = load_fixture(fixture).estimate
+        norm_sq = est.norm_sq
+        g, b = (a.ravel() for a in np.broadcast_arrays(
+            10.0 ** (np.array(snr_db)[:, None] / 10.0), np.array(beta)))
+        r_max, cs = acf_thresholds(est, g, "psk", b)
+        # r_max is the highest rate that meets beta at C = 1
+        feasible = np.array([union_bound("psk", 1 << n).u(norm_sq, 1.0, g)
+                             <= b for n in range(1, 7)])
+        assert r_max.tolist() == [max(np.flatnonzero(f) + 1, default=0)
+                                  for f in feasible.T]
+        for n in range(1, cs.shape[0] + 1):
+            rows = np.flatnonzero(r_max >= n)
+            c_n = cs[n - 1, rows]
+            assert np.all(np.isinf(np.delete(cs[n - 1], rows)))
+            bound = union_bound("psk", 1 << n)
+            zero = 0.5 * bound.weight.sum() <= b[rows]
+            assert np.all(c_n[zero] == 0.0)
+            solved = rows[~zero]
+            if not solved.size:
+                continue
+            c_n = c_n[~zero]
+            want = _c_lockstep(1 << n, norm_sq, g[solved], b[solved])
+            assert np.abs(c_n - want).max() <= 2e-12
+            u = bound.u(norm_sq, c_n, g[solved])
+            assert np.all(u <= b[solved])
+            assert np.abs(np.log(u) - np.log(b[solved])).max() <= 1e-8
+            # a cell's C_n is the same to the bit alone as in the grid
+            for k, c in zip(solved.tolist(), c_n.tolist()):
+                assert acf_thresholds(est, g[k], "psk", b[k])[1][n - 1, 0] \
+                    == c
+
+    def test_unconverged_root_names_its_rates(self, estimate, monkeypatch):
+        # every root at beta = 1e-5 fails: the error names the rates of
+        # its rows, and the roots at 1e-3 do not mask it
+        r_max = acf_thresholds(estimate, GAMMA_MAX, "psk", 1e-5)[0][0]
+        solve = bep_analysis.newton_lockstep
+
+        def failing(uv, beta, *args):
+            out = solve(uv, beta, *args)
+            if np.any(beta == 1e-5):
+                raise DivergenceError("stuck",
+                                      cells=np.flatnonzero(beta == 1e-5))
+            return out
+        monkeypatch.setattr(bep_analysis, "newton_lockstep", failing)
+        with pytest.raises(MonotonicityError, match=(
+                "did not converge for rate "
+                + ", ".join(map(str, range(1, r_max + 1))) + "$")):
+            acf_thresholds(estimate, GAMMA_MAX, "psk",
+                           np.array([1e-3, 1e-5]))
+        acf_thresholds(estimate, GAMMA_MAX, "psk", 1e-3)
 
 
 def _max_order(estimate, gamma, scheme, beta):

@@ -291,6 +291,23 @@ class TestPower:
         assert err.startswith(f"error: {cause}") and err.count("\n") == 1
         assert not list(out.glob("*.csv"))
 
+    def test_threshold_outside_the_psk_closed_form_exits_2(self, tmp_path,
+                                                          capsys):
+        # at 0.2 the union bound still schedules 32- and 64-PSK, but the
+        # PSK approximation of both, at most 2 / log2(M) / 2, meets 0.2 at
+        # every SNR: the run names the order and writes nothing
+        text = (CASE1_AT_10_DBM.replace("scheme = qam", "scheme = psk")
+                .replace("p_max_dbm = 10", "p_max_dbm = 35")
+                .replace("bep_threshold = 1e-5", "bep_threshold = 0.2"))
+        out = tmp_path / "o"
+        assert main(["power", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.bep_threshold = 0.2 has no "
+                              "minimum power: 32-PSK approximation")
+        assert err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
+
 
 class TestGridValidation:
     @pytest.mark.parametrize("command, line, bad, field", [

@@ -158,6 +158,32 @@ class TestQamSolver:
         with pytest.raises(InfeasibleCsiError):
             _qam_root(64, fx.estimate, 0.7, BETA)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+           log_beta=st.floats(-8.0, -2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_floor_error_names_the_lowest_order_and_its_first_c(
+            self, fx, seed, n, log_beta):
+        # the floor is checked at each order's smallest C only; where that
+        # fails, the error is the one a check of every sample gives: the
+        # lowest failing order and its first failing C
+        rng = np.random.default_rng(seed)
+        order = rng.choice([4, 8, 16, 32, 64], n)
+        acf = 1.0 - 10.0 ** rng.uniform(-5.0, -0.3, n)
+        beta = 10.0 ** log_beta
+        floor = np.array([union_bound("qam", int(m)).floor(
+            fx.estimate.norm_sq, c) for m, c in zip(order, acf)])
+        bad = np.flatnonzero(floor >= beta)
+        if not bad.size:
+            assert power_control._solve_qam(order, fx.estimate, acf,
+                                            beta).root.shape == (n,)
+            return
+        k = bad[np.argmin(order[bad])]
+        with pytest.raises(InfeasibleCsiError) as info:
+            power_control._solve_qam(order, fx.estimate, acf, beta)
+        assert str(info.value) == (f"{order[k]}-QAM cannot reach {beta:g} at "
+                                   f"C={acf[k]:.6f} for any power")
+        assert info.value.order == order[k]
+
 
 def _bisect(f, lo, hi):
     """The final (lo, hi) of a bisection of a falling f down to float

@@ -37,6 +37,7 @@ from uavlink.bep_analysis import (
     _BEP_REL_TOL,
     _C_ABS_TOL,
     UnionBound,
+    _psk_acf_rows,
     union_bound,
 )
 from uavlink.channel import check_acf_monotone
@@ -637,8 +638,9 @@ def _message(call):
 
 def _loop_min_acf(rate_n, estimate, gamma, scheme, beta):
     """The one-rate threshold solve over 1-D cells: feasibility at C = 1,
-    then one lockstep over the cells that C = 0 does not already satisfy,
-    all with the rate's own bound."""
+    then, over the cells that C = 0 does not already satisfy, the rate's
+    PSK roots mapped to C, or one QAM lockstep in C, with the rate's own
+    bound."""
     bound = union_bound(scheme, 2 ** rate_n)
     norm_sq = estimate.norm_sq
     if np.any(bound.u(norm_sq, 1.0, gamma) > beta):
@@ -647,10 +649,15 @@ def _loop_min_acf(rate_n, estimate, gamma, scheme, beta):
     cells = np.flatnonzero(bound.u(norm_sq, 0.0, 1.0) > beta)
     g, b = gamma[cells], beta[cells]
     try:
-        out[cells] = newton_lockstep(
-            lambda live, acf: bound.u_and_acf_slope(norm_sq, acf, g[live]),
-            b, bound.acf_lower(norm_sq, g, b), 0.0, 1.0,
-            _C_ABS_TOL, _BEP_REL_TOL).root
+        if scheme == "psk":
+            out[cells] = _psk_acf_rows(norm_sq, np.full(cells.size, rate_n),
+                                       g, b)
+        else:
+            out[cells] = newton_lockstep(
+                lambda live, acf: bound.u_and_acf_slope(norm_sq, acf,
+                                                        g[live]),
+                b, bound.acf_lower(norm_sq, g, b), 0.0, 1.0,
+                _C_ABS_TOL, _BEP_REL_TOL).root
     except DivergenceError as exc:
         raise MonotonicityError(f"rate {rate_n} did not converge") from exc
     return out
