@@ -17,12 +17,15 @@ rates of a grid here (`acf_thresholds`) and the QAM power solve over all
 rate regions in power_control. Both start at a closed-form lower bracket
 built from the roots of single terms (`UnionBound.acf_lower`,
 `gamma_lower`), and are solved by one lockstep safeguarded Newton,
-`lockstep.newton_lockstep`, on the bound's value and slope (QAM in C,
-`u_and_acf_slope`; in ln(gamma), `u_and_slope`). Every PSK term has
-|s|^2 = 1, so the PSK bound is a function of one variable z, and its C_n
-come from one root in z per (order, threshold), mapped to each cell in
-closed form (`_psk_acf_rows`). The bound falls in C by its form
-(`UnionBound.u`), so the C solve checks only C = 1 and raises
+`lockstep.newton_lockstep`, on the bound's value and slope. Both schemes
+solve C_n in z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), in which
+ln u is near linear where it is concave in C. Every PSK term has
+|s|^2 = 1, so the PSK bound is a function of z alone, and its C_n come
+from one root in z per (order, threshold), mapped to each cell in closed
+form (`_psk_acf_rows`). QAM rows are solved in z row by row, each on its
+own order's bound at C(z) (`_qam_acf_rows`, `u_and_acf_slope` times
+dC/dz); the power in ln(gamma) (`u_and_slope`). The bound falls in C by
+its form (`UnionBound.u`), so the C_n solve checks only C = 1 and raises
 MonotonicityError only when it does not converge. Beside it sits the
 Gray-mapping PSK approximation, one term table (`_PSK_TERMS`) read by its
 forward form and its closed-form inverse, both over per-sample orders.
@@ -391,6 +394,21 @@ _RATES = np.arange(1, len(SUPPORTED_ORDERS) + 1)[:, None]
 _C_MARGIN = 1e-14
 
 
+def _z_sq(norm_sq: float, acf, gamma):
+    """z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), divided through by
+    gamma so that it cannot overflow."""
+    return acf * acf * norm_sq / (2.0 * (1.0 - acf * acf) + 2.0 / gamma)
+
+
+def _acf_of_z(norm_sq: float, z_sq, gamma):
+    """C of z^2 (`_z_sq` inverted), clipped to 1:
+    C^2 = 2 z^2 (1 + 1 / gamma) / (||h||^2 + 2 z^2). (1 + 1 / gamma), not
+    (gamma + 1) / gamma: gamma (||h||^2 + 2 z^2) can overflow at the
+    largest SNR the CLI accepts."""
+    c_sq = 2.0 * z_sq * (1.0 + 1.0 / gamma) / (norm_sq + 2.0 * z_sq)
+    return np.minimum(np.sqrt(c_sq), 1.0)
+
+
 @functools.lru_cache(maxsize=None)
 def _psk_bound_table() -> tuple:
     """(w, d): the grouped PSK `UnionBound` terms of every supported order,
@@ -418,13 +436,12 @@ def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
     each started at the largest single-term root max(Q^-1(beta / w) / d)
     (0 where every beta / w >= 1/2) and done when its bracket is at most
     1e-12 wide and the bound at its upper end is within 1e-8 of beta. That
-    upper end maps to every row in closed form,
-    C^2 = 2 z^2 (1 + 1 / gamma) / (||h||^2 + 2 z^2), and C is raised by
-    _C_MARGIN relative and clipped to 1, so that u(C_n) <= beta. C rises
-    with z, and d ln C / d ln z = ||h||^2 / (||h||^2 + 2 z^2) <= 1, so an
-    error in z moves C by at most C / z times as much. A row's C_n depends
-    only on its own (rate, gamma, beta). Raises DivergenceError naming the
-    rows of the roots that do not converge."""
+    upper end maps to every row in closed form (`_acf_of_z`), and C is
+    raised by _C_MARGIN relative and clipped to 1, so that u(C_n) <= beta.
+    C rises with z, and d ln C / d ln z = ||h||^2 / (||h||^2 + 2 z^2) <= 1,
+    so an error in z moves C by at most C / z times as much. A row's C_n
+    depends only on its own (rate, gamma, beta). Raises DivergenceError
+    naming the rows of the roots that do not converge."""
     keys, of_row = np.unique(np.stack([rate, beta], axis=1), axis=0,
                              return_inverse=True)
     of_row = of_row.ravel()
@@ -448,19 +465,48 @@ def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
     except DivergenceError as exc:
         raise DivergenceError(str(exc), cells=np.flatnonzero(
             np.isin(of_row, exc.cells))) from exc
-    z_sq = z[of_row] ** 2
-    # (1 + 1 / gamma), not (gamma + 1) / gamma: gamma (||h||^2 + 2 z^2)
-    # can overflow at the largest SNR the CLI accepts
-    c_sq = 2.0 * z_sq * (1.0 + 1.0 / gamma) / (norm_sq + 2.0 * z_sq)
-    return np.minimum(np.sqrt(c_sq) * (1.0 + _C_MARGIN), 1.0)
+    return np.minimum(_acf_of_z(norm_sq, z[of_row] ** 2, gamma)
+                      * (1.0 + _C_MARGIN), 1.0)
+
+
+def _qam_acf_rows(norm_sq: float, order, gamma, beta) -> np.ndarray:
+    """C_n of every QAM row (order, gamma, beta) of 1-D arrays with
+    sum(w) / 2 > beta and u(C = 1) <= beta, each row on its own order's
+    bound, in one `newton_lockstep` call in PSK's variable z (see
+    `_psk_bound_table`).
+
+    QAM terms have unequal |s|^2, so the bound is no function of z alone,
+    but ln u is near linear in z where it is concave in C, and a Newton
+    step from a far start no longer overshoots to near C = 1. Each row
+    runs in z on [0, z(C = 1)] from `acf_lower` mapped into z, evaluates
+    u and -du/dC at C(z) (`_acf_of_z`) and takes -du/dz = -du/dC dC/dz,
+    with the stopping rule of the PSK roots: its z bracket at most 1e-12
+    wide and |ln u - ln beta| <= 1e-8 at the upper end. C_n is that upper
+    end mapped to C by the same call, the very C at which u <= beta was
+    evaluated. A row's C_n depends only on its own (order, gamma, beta).
+    Raises DivergenceError naming the rows that do not converge."""
+    def uv(live, z):
+        g, z_sq = gamma[live], z * z
+        u, w = union_bound_rows("qam", order[live], UnionBound.u_and_acf_slope,
+                                norm_sq, _acf_of_z(norm_sq, z_sq, g), g)
+        # dC/dz = (C / z) ||h||^2 / s, C / z = sqrt(2 (1 + 1 / gamma) / s)
+        s = norm_sq + 2.0 * z_sq
+        return u, w * np.sqrt(2.0 * (1.0 + 1.0 / g) / s) * (norm_sq / s)
+    start = union_bound_rows("qam", order, UnionBound.acf_lower, norm_sq,
+                             gamma, beta)[0]
+    z = newton_lockstep(uv, beta, np.sqrt(_z_sq(norm_sq, start, gamma)), 0.0,
+                        np.sqrt(_z_sq(norm_sq, 1.0, gamma)), _C_ABS_TOL,
+                        _BEP_REL_TOL).root
+    return _acf_of_z(norm_sq, z * z, gamma)
 
 
 def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
                   u_one) -> np.ndarray:
     """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
-    of each row, in one solve over all rows (see acf_thresholds). The
-    bound falls in C (`UnionBound.u`), so [0, 1] brackets a root wherever
-    u_one meets beta, the one check. Errors come in the order of a
+    of each row, in one solve in z over all rows (`_psk_acf_rows`,
+    `_qam_acf_rows`; see acf_thresholds). The bound falls in C
+    (`UnionBound.u`), so C in [0, 1] brackets a root wherever u_one meets
+    beta, the one check. Errors come in the order of a
     rate-by-rate solve: the lowest failing rate raises, its check after the
     solves of lower rates but before its own."""
     missed = np.flatnonzero(u_one > beta)
@@ -477,13 +523,7 @@ def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
         if scheme == "psk":
             out[cells] = _psk_acf_rows(norm_sq, rate[cells], g, b)
         else:
-            out[cells] = newton_lockstep(
-                lambda live, acf: union_bound_rows(
-                    scheme, o[live], UnionBound.u_and_acf_slope, norm_sq,
-                    acf, g[live]),
-                b, union_bound_rows(scheme, o, UnionBound.acf_lower, norm_sq,
-                                    g, b)[0],
-                0.0, 1.0, _C_ABS_TOL, _BEP_REL_TOL).root
+            out[cells] = _qam_acf_rows(norm_sq, o, g, b)
     except DivergenceError as exc:
         failed = np.unique(rate[cells[exc.cells]]).tolist()
         raise MonotonicityError(
@@ -506,19 +546,24 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
 
     u(C = 1) is evaluated once per (order, cell), in one call: it gives
     r_max and the feasibility of every lower rate, the one check the solve
-    needs. Every QAM (rate, cell) row then solves u(C) = bep_threshold,
-    with u the `UnionBound` of the rate's order, in one `newton_lockstep`
-    call on [0, 1], which brackets the root wherever C = 1 meets the
-    threshold, as the bound falls in C by its form (`UnionBound.u`). Each
-    row starts at the largest single-term root (`UnionBound.acf_lower`)
-    and runs by its own order's bound, so a grid pays the slowest row's
-    iterations, not the sum over rates. C_n is the feasible end of a
-    bracket at most 1e-12 wide, with the bound within 1e-8 of the
-    threshold there. PSK rows take C_n from one root per distinct (rate,
-    threshold) in the variable z of which the PSK bound is a function
-    (`_psk_acf_rows`), within 1e-8 of the threshold and with
-    u(C_n) <= threshold. On either scheme a row's C_n does not depend on
-    the other rows, and C_n = 0 where even C = 0 meets the threshold.
+    needs. Both schemes then solve u = bep_threshold in the variable
+    z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), which rises with C,
+    so [0, z(C = 1)] brackets the root wherever C = 1 meets the threshold,
+    as the bound falls in C by its form (`UnionBound.u`). Every QAM
+    (rate, cell) row runs in one `newton_lockstep` call with u the
+    `UnionBound` of the rate's order (`_qam_acf_rows`), from the largest
+    single-term root (`UnionBound.acf_lower`) mapped into z, so a grid
+    pays the slowest row's iterations, not the sum over rates: at most 6
+    on the benchmark's `rate-opt` grids and the fixtures' schedules,
+    where the solve in C took up to 12. PSK rows take C_n from one root
+    per distinct (rate, threshold) of the PSK bound, a function of z
+    alone (`_psk_acf_rows`). On both, a root is done when its z bracket
+    is at most 1e-12 wide and the bound at the upper end is within 1e-8
+    of the threshold; C_n is that end mapped to C, where
+    u(C_n) <= threshold. A z bracket of 1e-12 spans at most
+    1e-12 sqrt(2 (1 + 1 / gamma) / ||h||^2) in C. On either scheme a
+    row's C_n does not depend on the other rows, and C_n = 0 where even
+    C = 0 meets the threshold.
 
     Raises ScheduleError where a rate below a cell's r_max cannot meet the
     threshold at C = 1, MonotonicityError where the solve cannot converge,

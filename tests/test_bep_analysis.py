@@ -45,6 +45,7 @@ from uavlink.errors import (
 )
 from uavlink.fixtures import load_fixture
 from uavlink.lockstep import _MAX_ITER, newton_lockstep
+from uavlink.scenario import average_snr_db
 
 GAMMA_MAX = 277.1359929049  # linear SNR at the 35 dBm transmit cap, case1
 
@@ -765,15 +766,111 @@ class TestAcfThresholds:
         assert _c_n(1, estimate, GAMMA_MAX, "psk", 0.51)[0] == 0.0
 
 
-def _c_lockstep(order, norm_sq, gamma, beta):
-    """The C-threshold solve the PSK root table replaced: u(C) = beta in C
-    on [0, 1] by one lockstep from `acf_lower`, C_n the bracket's feasible
+def _c_lockstep(scheme, order, norm_sq, gamma, beta):
+    """The C-threshold solve the z solves replaced: u(C) = beta in C on
+    [0, 1] by one lockstep from `acf_lower`, C_n the bracket's feasible
     end, over 1-D rows of one order with sum(w) / 2 > beta >= u(C = 1)."""
-    bound = union_bound("psk", order)
+    bound = union_bound(scheme, order)
     return newton_lockstep(
         lambda live, acf: bound.u_and_acf_slope(norm_sq, acf, gamma[live]),
         beta, bound.acf_lower(norm_sq, gamma, beta), 0.0, 1.0, _C_ABS_TOL,
         _BEP_REL_TOL).root
+
+
+def _top_snr_db(estimate):
+    """The largest run.snr_db the CLI accepts on this channel."""
+    return 10.0 * (math.log10(sys.float_info.max / 2.0 ** 16) - max(
+        abs(math.log10(estimate.norm_sq)), math.log10(estimate.h.size)))
+
+
+class TestThresholdsInZ:
+    # both schemes solve C_n in z^2 = gamma C^2 ||h||^2
+    # / (2 gamma (1 - C^2) + 2): PSK from one root z* of sum(w Q(d z))
+    # = beta per (order, beta), mapped to each cell in closed form, QAM
+    # each row on its own order's bound
+    @given(fixture=st.sampled_from(["case1", "case2"]),
+           scheme=st.sampled_from(["psk", "qam"]),
+           snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+           beta=st.lists(st.one_of(
+               st.floats(-9.0, -1.0).map(lambda v: 10.0 ** v),
+               # sum(w) / 2 is 1/2 for BPSK and 1 for QPSK: C_n = 0 at and
+               # above it, and every single-term PSK root is 0 between
+               st.sampled_from([0.5, 0.7, 1.0, 1.5])),
+               min_size=1, max_size=3),
+           extreme=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example(fixture="case1", scheme="psk", snr_db=[33.3058],
+             beta=[1.7745320644449593e-08], extreme=False)
+    @example(fixture="case1", scheme="qam", snr_db=[20.0],
+             beta=[1e-5, 0.3], extreme=True)
+    @example(fixture="case2", scheme="qam", snr_db=[0.0, 38.0],
+             beta=[1e-2], extreme=True)
+    def test_matches_the_c_lockstep(self, fixture, scheme, snr_db, beta,
+                                    extreme):
+        # extreme QAM draws add the largest SNR the CLI accepts and the
+        # least normal threshold. PSK C_n miss the residual gate there:
+        # their margin moves the bound by more than 1e-8
+        est = load_fixture(fixture).estimate
+        norm_sq = est.norm_sq
+        if extreme and scheme == "qam":
+            snr_db = snr_db + [_top_snr_db(est)]
+            beta = beta + [sys.float_info.min]
+        g, b = (a.ravel() for a in np.broadcast_arrays(
+            10.0 ** (np.array(snr_db)[:, None] / 10.0), np.array(beta)))
+        r_max, cs = acf_thresholds(est, g, scheme, b)
+        # r_max is the highest rate that meets beta at C = 1
+        feasible = np.array([union_bound(scheme, 1 << n).u(norm_sq, 1.0, g)
+                             <= b for n in range(1, 7)])
+        assert r_max.tolist() == [max(np.flatnonzero(f) + 1, default=0)
+                                  for f in feasible.T]
+        for n in range(1, cs.shape[0] + 1):
+            rows = np.flatnonzero(r_max >= n)
+            c_n = cs[n - 1, rows]
+            assert np.all(np.isinf(np.delete(cs[n - 1], rows)))
+            bound = union_bound(scheme, 1 << n)
+            zero = 0.5 * bound.weight.sum() <= b[rows]
+            assert np.all(c_n[zero] == 0.0)
+            solved = rows[~zero]
+            if not solved.size:
+                continue
+            c_n = c_n[~zero]
+            want = _c_lockstep(scheme, 1 << n, norm_sq, g[solved], b[solved])
+            assert np.abs(c_n - want).max() <= 2e-12
+            u = bound.u(norm_sq, c_n, g[solved])
+            assert np.all(u <= b[solved])
+            assert np.abs(np.log(u) - np.log(b[solved])).max() <= 1e-8
+            # a cell's C_n is the same to the bit alone as in the grid
+            for k, c in zip(solved.tolist(), c_n.tolist()):
+                assert acf_thresholds(est, g[k], scheme, b[k])[1][n - 1, 0] \
+                    == c
+
+    @pytest.mark.parametrize("cells", [
+        # the benchmark's rate-opt halves: case1, 0-18 and 20-38 dB
+        ("case1", np.arange(0.0, 20.0, 2.0), [1e-2, 1e-3, 1e-5, 1e-6]),
+        ("case1", np.arange(20.0, 40.0, 2.0), [1e-2, 1e-3, 1e-5, 1e-6]),
+        # the fixtures' schedules, at the cap power and their threshold
+        ("case1", None, None),
+        ("case2", None, None),
+    ], ids=["grid-0-18db", "grid-20-38db", "case1", "case2"])
+    def test_qam_lockstep_converges_fast(self, monkeypatch, cells):
+        # every QAM row reaches its C_n in at most 6 lockstep steps; in C
+        # the far starts overshot to near C = 1 and took up to 12
+        fixture, snr_db, beta = cells
+        fx = load_fixture(fixture)
+        if snr_db is None:
+            snr_db = [average_snr_db(fx.scenario.p_max_dbm, fx.scenario)]
+            beta = [fx.scenario.bep_threshold]
+        steps = []
+        solve = bep_analysis.newton_lockstep
+
+        def counted(*args):
+            out = solve(*args)
+            steps.append(int(out.iterations.max(initial=0)))
+            return out
+        monkeypatch.setattr(bep_analysis, "newton_lockstep", counted)
+        acf_thresholds(fx.estimate, 10.0 ** (np.array(snr_db)[:, None] / 10.0),
+                       "qam", np.array(beta))
+        assert len(steps) == 1 and 0 < steps[0] <= 6
 
 
 class TestPskRootTable:
@@ -789,48 +886,6 @@ class TestPskRootTable:
             assert d[k, :bound.n_terms].tolist() == np.sqrt(
                 bound.d_sq).tolist()
         assert w.shape == (len(SUPPORTED_ORDERS), 32)
-
-    @given(fixture=st.sampled_from(["case1", "case2"]),
-           snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
-           beta=st.lists(st.one_of(
-               st.floats(-9.0, -1.0).map(lambda v: 10.0 ** v),
-               # sum(w) / 2 is 1/2 for BPSK and 1 for QPSK: C_n = 0 at and
-               # above it, and every single-term root is 0 between
-               st.sampled_from([0.5, 0.7, 1.0, 1.5])),
-               min_size=1, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    @example(fixture="case1", snr_db=[33.3058], beta=[1.7745320644449593e-08])
-    def test_matches_the_c_lockstep(self, fixture, snr_db, beta):
-        est = load_fixture(fixture).estimate
-        norm_sq = est.norm_sq
-        g, b = (a.ravel() for a in np.broadcast_arrays(
-            10.0 ** (np.array(snr_db)[:, None] / 10.0), np.array(beta)))
-        r_max, cs = acf_thresholds(est, g, "psk", b)
-        # r_max is the highest rate that meets beta at C = 1
-        feasible = np.array([union_bound("psk", 1 << n).u(norm_sq, 1.0, g)
-                             <= b for n in range(1, 7)])
-        assert r_max.tolist() == [max(np.flatnonzero(f) + 1, default=0)
-                                  for f in feasible.T]
-        for n in range(1, cs.shape[0] + 1):
-            rows = np.flatnonzero(r_max >= n)
-            c_n = cs[n - 1, rows]
-            assert np.all(np.isinf(np.delete(cs[n - 1], rows)))
-            bound = union_bound("psk", 1 << n)
-            zero = 0.5 * bound.weight.sum() <= b[rows]
-            assert np.all(c_n[zero] == 0.0)
-            solved = rows[~zero]
-            if not solved.size:
-                continue
-            c_n = c_n[~zero]
-            want = _c_lockstep(1 << n, norm_sq, g[solved], b[solved])
-            assert np.abs(c_n - want).max() <= 2e-12
-            u = bound.u(norm_sq, c_n, g[solved])
-            assert np.all(u <= b[solved])
-            assert np.abs(np.log(u) - np.log(b[solved])).max() <= 1e-8
-            # a cell's C_n is the same to the bit alone as in the grid
-            for k, c in zip(solved.tolist(), c_n.tolist()):
-                assert acf_thresholds(est, g[k], "psk", b[k])[1][n - 1, 0] \
-                    == c
 
     def test_unconverged_root_names_its_rates(self, estimate, monkeypatch):
         # every root at beta = 1e-5 fails: the error names the rates of

@@ -34,17 +34,15 @@ from uavlink import (
     temporal_acf,
 )
 from uavlink.bep_analysis import (
-    _BEP_REL_TOL,
-    _C_ABS_TOL,
     UnionBound,
     _psk_acf_rows,
+    _qam_acf_rows,
     union_bound,
 )
 from uavlink.channel import check_acf_monotone
 from uavlink.constellation import SUPPORTED_ORDERS
 from uavlink.errors import DivergenceError, MonotonicityError, ScheduleError
 from uavlink.fixtures import load_fixture
-from uavlink.lockstep import newton_lockstep
 from uavlink.rate_optimizer import _check_staircases
 from uavlink.scenario import SPEED_OF_LIGHT, average_snr_db
 from profiles import damped_profiles
@@ -237,8 +235,8 @@ class TestAverageRate:
         t_e = psk_schedule.t_estimate
         ts = np.linspace(t_e, t_e + t_c, 200001)
         mids = 0.5 * (ts[:-1] + ts[1:])
-        approx = sum(psk_schedule.rate_at(float(t)) for t in mids) \
-            * (ts[1] - ts[0]) / (t_e + t_c)
+        approx = psk_schedule.rate_at(mids).sum() * (ts[1] - ts[0]) \
+            / (t_e + t_c)
         assert average_rate(psk_schedule, t_c) == pytest.approx(
             approx, abs=2e-3)
 
@@ -639,7 +637,7 @@ def _message(call):
 def _loop_min_acf(rate_n, estimate, gamma, scheme, beta):
     """The one-rate threshold solve over 1-D cells: feasibility at C = 1,
     then, over the cells that C = 0 does not already satisfy, the rate's
-    PSK roots mapped to C, or one QAM lockstep in C, with the rate's own
+    PSK roots mapped to C, or its QAM rows solved in z, with the rate's own
     bound."""
     bound = union_bound(scheme, 2 ** rate_n)
     norm_sq = estimate.norm_sq
@@ -653,11 +651,8 @@ def _loop_min_acf(rate_n, estimate, gamma, scheme, beta):
             out[cells] = _psk_acf_rows(norm_sq, np.full(cells.size, rate_n),
                                        g, b)
         else:
-            out[cells] = newton_lockstep(
-                lambda live, acf: bound.u_and_acf_slope(norm_sq, acf,
-                                                        g[live]),
-                b, bound.acf_lower(norm_sq, g, b), 0.0, 1.0,
-                _C_ABS_TOL, _BEP_REL_TOL).root
+            out[cells] = _qam_acf_rows(norm_sq, np.full(cells.size,
+                                                        2 ** rate_n), g, b)
     except DivergenceError as exc:
         raise MonotonicityError(f"rate {rate_n} did not converge") from exc
     return out
