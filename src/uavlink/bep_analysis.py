@@ -9,7 +9,10 @@ constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
 over arrays of (C, gamma) by one path: `union_bound_rows` groups rows
 that each carry their own order by order, and each method hands its
-rows as columns to its row kernel (`_evaluate`). It serves the bound's
+rows as columns to its row kernel (`_evaluate`). The row kernels yield
+the arguments of their special function (`_special`'s Q, Q with
+exp(-x^2 / 2), or Q^-1), and those of every block and order of one
+evaluation go to one call of it (`_run_rows`). It serves the bound's
 values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
 and the two inversions of the bound, each over rows of every order at
 once: the highest feasible rate R_max and the CSI thresholds C_n of all
@@ -36,8 +39,8 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import q_and_exp, q_tail, q_tail_inverse
 from .channel import ChannelEstimate
 from .constellation import (
     SUPPORTED_ORDERS,
@@ -74,15 +77,18 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def q_function(x):
-    """Upper-tail standard normal probability Q(x)."""
-    return ndtr(-np.asarray(x, dtype=np.float64)) if np.ndim(x) else float(ndtr(-x))
+    """Upper-tail standard normal probability Q(x), Q(-x) = 1 - Q(x)."""
+    x = np.asarray(x, dtype=np.float64)
+    q = q_tail(np.abs(x))
+    q = np.where(x < 0.0, 1.0 - q, q)
+    return q if q.ndim else float(q)
 
 
 def q_inverse(p: float) -> float:
     """Inverse of q_function on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inverse domain is (0, 1), got {p}")
-    return float(-ndtri(p))
+    return float(q_tail_inverse(min(p, 1.0 - p))) * (1.0 if p <= 0.5 else -1.0)
 
 
 def _pep_ratio(gamma, acf, norm_sq, d_sq, s_sq):
@@ -101,6 +107,10 @@ def _pep_ratio(gamma, acf, norm_sq, d_sq, s_sq):
 # pairwise terms evaluated per block, bounding the (points x terms)
 # temporaries of a long array of (C, gamma) points
 _BLOCK_TERMS = 1 << 14
+# special-function values gathered for one call (`_run_rows`): half a
+# block, so that a full block of rows goes alone as soon as its arguments
+# are ready, while small blocks and order groups share a call
+_BATCH_VALUES = _BLOCK_TERMS // 2
 
 
 class UnionBound:
@@ -132,7 +142,12 @@ class UnionBound:
         self.s_sq = (np.bincount(group, weights=s_sq) / size)[keep]
         self.d_sq = (np.bincount(group, weights=d_sq) / size)[keep]
         self.weight = weight[keep] / (c.order * c.bits_per_symbol)
-        for a in (self.s_sq, self.d_sq, self.weight):
+        # the distinct values among the weights w and W = sum(w), and
+        # where each of (w..., W) sits among them
+        self._weight_levels, self._weight_level = np.unique(
+            np.append(self.weight, self.weight.sum()), return_inverse=True)
+        for a in (self.s_sq, self.d_sq, self.weight, self._weight_levels,
+                  self._weight_level):
             a.flags.writeable = False  # shared by every caller of the cache
 
     @property
@@ -143,35 +158,40 @@ class UnionBound:
         """Weighted sum over the terms (the last axis)."""
         return (self.weight * part).sum(axis=-1)
 
-    def _q_sq(self, beta, weight):
-        """Q^-1(beta / w)^2 for each weight w and each row's beta, 0 where
-        beta / w >= 1/2 (a term at most w/2 never exceeds beta alone).
-        ndtri runs once per distinct beta."""
+    def _q_sq(self, beta):
+        """Q^-1(beta / w)^2 for each weight w and, last, for the whole
+        weight W = sum(w), for each row's beta; 0 where beta / w >= 1/2
+        (a term at most w/2 never exceeds beta alone). Q^-1 runs once per
+        distinct (beta, weight). A generator, as the row kernels that use
+        it."""
         b, row = np.unique(beta, return_inverse=True)
-        q = ndtri(np.minimum(b[:, None] / weight, 0.5))
-        return (q * q)[row.ravel()]
+        q = yield q_tail_inverse, np.minimum(b[:, None] / self._weight_levels,
+                                             0.5)
+        return (q * q)[row.ravel()][:, self._weight_level]
 
-    # row kernels: (rows, 1) columns in, one sum over the terms per row out
+    # row kernels: (rows, 1) columns in, one sum over the terms per row
+    # out. Each is a generator that yields one (special function, its
+    # argument), is sent back the function's value there, and then yields
+    # its outputs (`_run_rows`)
     def _u_rows(self, norm_sq, acf, gamma):
         r, _ = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        return (self._sum(ndtr(-acf * r)),)
+        q = yield q_tail, acf * r
+        yield (self._sum(q),)
 
     def _uv_rows(self, norm_sq, acf, gamma):
         # d Q(C r) / d ln(gamma) = -phi(C r) C r / den
         r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
         arg = acf * r
-        return (self._sum(ndtr(-arg)),
-                self._sum(np.exp(-0.5 * arg * arg) * arg / (_SQRT_2PI * den)))
+        q, e = yield q_and_exp, arg
+        yield self._sum(q), self._sum(e * arg / (_SQRT_2PI * den))
 
     def _uw_rows(self, norm_sq, acf, gamma):
         # d Q(C r) / dC = -phi(C r) r (1 + 2 gamma C^2 |s|^2 / den)
         #               = -phi(C r) r (2 gamma |s|^2 + 2) / den
         r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        arg = acf * r
-        return (self._sum(ndtr(-arg)),
-                self._sum(np.exp(-0.5 * arg * arg) * r
-                          * (2.0 * gamma * self.s_sq + 2.0)
-                          / (_SQRT_2PI * den)))
+        q, e = yield q_and_exp, acf * r
+        yield self._sum(q), self._sum(e * r * (2.0 * gamma * self.s_sq + 2.0)
+                                       / (_SQRT_2PI * den))
 
     def _floor_rows(self, norm_sq, acf):
         # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
@@ -179,15 +199,16 @@ class UnionBound:
         with np.errstate(divide="ignore"):
             arg = acf * np.sqrt(norm_sq * self.d_sq
                                 / (2.0 * (1.0 - acf * acf) * self.s_sq))
-        return (self._sum(ndtr(-arg)),)
+        q = yield q_tail, arg
+        yield (self._sum(q),)
 
     def _acf_lower_rows(self, norm_sq, gamma, beta):
         # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
         #                          / (gamma ||h||^2 |ds|^2 + 2 q^2 gamma |s|^2)
-        q_sq = self._q_sq(beta, self.weight)
+        q_sq = (yield from self._q_sq(beta))[..., :-1]
         c_sq = (2.0 * q_sq * (gamma * self.s_sq + 1.0)
                 / (gamma * norm_sq * self.d_sq + 2.0 * q_sq * gamma * self.s_sq))
-        return (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
+        yield (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
 
     def _gamma_lower_rows(self, norm_sq, acf, beta):
         # a term weighted w equals beta at
@@ -201,9 +222,10 @@ class UnionBound:
                    - 2.0 * q_sq * (1.0 - acf * acf) * self.s_sq)
             return np.divide(2.0 * q_sq, den, out=np.full(den.shape, none),
                              where=den > 0.0)
-        single = roots(self._q_sq(beta, self.weight), 0.0)
-        whole = roots(self._q_sq(beta, self.weight.sum()), np.inf)
-        return (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
+        q_sq = yield from self._q_sq(beta)
+        single = roots(q_sq[..., :-1], 0.0)
+        whole = roots(q_sq[..., -1:], np.inf)
+        yield (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
 
     def u(self, norm_sq: float, acf, gamma):
         """Raw union bound (may exceed 1 at low SNR).
@@ -248,24 +270,83 @@ class UnionBound:
                          beta)[0]
 
 
+def _run_rows(calls: list) -> list:
+    """The outputs of each row-kernel call: a generator that yields one
+    (special function, argument), is sent the function's value there and
+    yields its outputs; a tuple stands for its own outputs. The arguments
+    of consecutive calls that ask for one function go to it together, up
+    to _BATCH_VALUES values, and one call's arguments are never split;
+    the functions are elementwise, so this changes no output."""
+    outs, batch, size = list(calls), [], 0
+    for i, call in enumerate(calls):
+        if isinstance(call, tuple):
+            continue
+        fn, arg = next(call)
+        if batch and (fn is not batch[0][1]
+                      or size + arg.size > _BATCH_VALUES):
+            _send(batch, outs)
+            batch, size = [], 0
+        batch.append((i, fn, arg))
+        size += arg.size
+        if size >= _BATCH_VALUES:
+            _send(batch, outs)
+            batch, size = [], 0
+    if batch:
+        _send(batch, outs)
+    return outs
+
+
+def _send(batch: list, outs: list) -> None:
+    """Send each call of the batch its part of one function call."""
+    if len(batch) == 1:
+        i, fn, arg = batch[0]
+        outs[i] = outs[i].send(fn(arg))
+        return
+    got = batch[0][1](np.concatenate([arg.reshape(-1) for *_, arg in batch]))
+    lo = 0
+    for i, _, arg in batch:
+        hi = lo + arg.size
+        outs[i] = outs[i].send(
+            tuple(g[lo:hi].reshape(arg.shape) for g in got)
+            if isinstance(got, tuple) else got[lo:hi].reshape(arg.shape))
+        lo = hi
+
+
+def _calls(bound: UnionBound, kernel, norm_sq: float, cols) -> list:
+    """The kernel's calls on columns of rows: one where rows x terms fit in
+    _BLOCK_TERMS, else one per block of rows. No row sees another, so
+    blocks change no output."""
+    n = max(1, _BLOCK_TERMS // bound.n_terms)
+    if len(cols[0]) <= n:
+        return [kernel(bound, norm_sq, *cols)]
+    return [kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
+            for lo in range(0, len(cols[0]), n)]
+
+
 def _evaluate(bound: UnionBound, kernel, norm_sq: float, *args) -> tuple:
     """The outputs of `kernel(bound, norm_sq, *columns)` at every point of
-    the broadcast args (floats where 0-d), each arg one column of rows: in
-    one call where rows x terms fit in _BLOCK_TERMS, else in blocks of
-    rows. No row sees another, so blocks change no output."""
+    the broadcast args (floats where 0-d), each arg one column of rows."""
     args = [np.asarray(a, dtype=np.float64) for a in args]
     if any(a.shape != args[0].shape for a in args):
         args = np.broadcast_arrays(*args)
-    shape, cols = args[0].shape, [a.reshape(-1, 1) for a in args]
-    n = max(1, _BLOCK_TERMS // bound.n_terms)
-    if len(cols[0]) <= n:
-        outs = kernel(bound, norm_sq, *cols)
-    else:
-        blocks = [kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
-                  for lo in range(0, len(cols[0]), n)]
-        outs = [np.concatenate(out) for out in zip(*blocks)]
+    shape = args[0].shape
+    blocks = _run_rows(_calls(bound, kernel, norm_sq,
+                              [a.reshape(-1, 1) for a in args]))
+    outs = blocks[0] if len(blocks) == 1 else [np.concatenate(out)
+                                               for out in zip(*blocks)]
     return tuple(out.reshape(shape) if shape else float(out[0])
                  for out in outs)
+
+
+# the row kernel of each UnionBound method
+_ROW_KERNELS = {
+    UnionBound.u: UnionBound._u_rows,
+    UnionBound.u_and_slope: UnionBound._uv_rows,
+    UnionBound.u_and_acf_slope: UnionBound._uw_rows,
+    UnionBound.floor: UnionBound._floor_rows,
+    UnionBound.acf_lower: UnionBound._acf_lower_rows,
+    UnionBound.gamma_lower: UnionBound._gamma_lower_rows,
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,17 +374,28 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     order, *args = (a.reshape(-1) for a in (order, *args))
     rows = np.argsort(order, kind="stable")
     # one group per distinct order; no rows still make one (empty) group,
-    # so the method's own outputs say how many arrays to return
-    outs = None
+    # so the kernel's own outputs say how many arrays to return. The
+    # kernel calls of every group run together, so their Q arguments
+    # share kernel calls
+    groups, calls = [], []
     for group in np.split(rows, np.flatnonzero(np.diff(order[rows])) + 1):
         m = int(order[group[0]]) if group.size else SUPPORTED_ORDERS[0]
-        got = method(union_bound(scheme, m), norm_sq,
-                     *(a[group] for a in args))
-        got = got if isinstance(got, tuple) else (got,)
-        if outs is None:
-            outs = tuple(np.empty(order.size) for _ in got)
-        for out, part in zip(outs, got):
+        bound, cols = union_bound(scheme, m), [a[group, None] for a in args]
+        if method in _ROW_KERNELS:
+            group_calls = _calls(bound, _ROW_KERNELS[method], norm_sq, cols)
+        else:  # any other function of (bound, norm_sq, *args)
+            got = method(bound, norm_sq, *(c[:, 0] for c in cols))
+            group_calls = [got if isinstance(got, tuple) else (got,)]
+        groups.append((group, len(group_calls)))
+        calls += group_calls
+    blocks = _run_rows(calls)
+    outs = tuple(np.empty(order.size) for _ in blocks[0])
+    for group, n in groups:
+        parts = blocks[0] if n == 1 else [np.concatenate(out)
+                                          for out in zip(*blocks[:n])]
+        for out, part in zip(outs, parts):
             out[group] = part
+        del blocks[:n]
     return tuple(out.reshape(shape) for out in outs)
 
 
@@ -361,9 +453,9 @@ def min_snr_psk(order, estimate: ChannelEstimate, acf_value,
     # order's samples, where beta bits / 2 is outside (0, 1/2)
     b = bep_threshold * _PSK_TERMS[:, 1]
     alpha_sq = np.full(b.size, np.nan)
-    for k in np.flatnonzero(np.bincount(row.ravel(), minlength=b.size)):
-        if 0.0 < b[k] < 0.5:
-            alpha_sq[k] = q_inverse(b[k]) ** 2
+    valid = ((np.bincount(row.ravel(), minlength=b.size) > 0)
+             & (0.0 < b) & (b < 0.5))
+    alpha_sq[valid] = q_tail_inverse(b[valid]) ** 2
     alpha_sq = alpha_sq[row]
     den = (estimate.norm_sq * c * c * _PSK_TERMS[row, 2]
            - (1.0 - c * c) * alpha_sq)
@@ -447,18 +539,23 @@ def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
     of_row = of_row.ravel()
     k, b = keys[:, 0].astype(np.int64) - 1, keys[:, 1]
     w_all, d_all = _psk_bound_table()
-    w, d = w_all[k], d_all[k]
+    # every root's terms, root by root, without the table's zero-weight
+    # padding; `first` is where each root's terms start
+    of_root, term = np.nonzero(w_all[k] > 0.0)
+    first = np.flatnonzero(np.diff(of_root, prepend=-1))
+    w, d = w_all[k[of_root], term], d_all[k[of_root], term]
     wd = w * d / _SQRT_2PI
     # Q(d z) = beta / w at z = Q^-1(beta / w) / d, 0 where beta / w >= 1/2
-    used = w > 0.0
-    q = -ndtri(np.minimum(np.divide(b[:, None], w, out=np.ones(w.shape),
-                                    where=used), 0.5))
-    start = np.max(np.divide(q, d, out=np.zeros(w.shape), where=used), axis=1)
+    start = np.maximum.reduceat(
+        q_tail_inverse(np.minimum(b[of_root] / w, 0.5)) / d, first)
 
     def uv(live, z):
-        arg = d[live] * z[:, None]
-        return ((w[live] * ndtr(-arg)).sum(axis=-1),
-                (wd[live] * np.exp(-0.5 * arg * arg)).sum(axis=-1))
+        # every root's terms at once, those of settled roots at z = 0
+        z_all = np.zeros(b.size)
+        z_all[live] = z
+        q, e = q_and_exp(d * z_all[of_root])
+        return (np.add.reduceat(w * q, first)[live],
+                np.add.reduceat(wd * e, first)[live])
     try:
         z = newton_lockstep(uv, b, start, 0.0, np.inf, _C_ABS_TOL,
                             _BEP_REL_TOL).root

@@ -5,15 +5,16 @@ estimation instant and the transmission instant. The decorrelation is
 captured by a scalar temporal ACF C(dt) applied to the whole antenna
 vector; the innovation is circularly-symmetric complex Gaussian. The rate
 schedule needs C strictly decreasing over its span, which
-`check_acf_monotone` proves from bounds on the ACF's slope.
+`check_acf_monotone` proves from bounds on the ACF's slope. The ACF's
+Bessel factor is `_special.i0e`, the package's own scaled I0.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import i0e
 
+from ._special import i0e
 from .errors import (
     InfeasibleTargetError,
     MonotonicityError,

@@ -414,7 +414,7 @@ def cmd_adapt(cfg: RunConfig, out_dir: Path) -> None:
     rate = np.arange(schedule.r_max, 0, -1)
     t_end = schedule.t_n[::-1]
     t_start = np.concatenate([[t_e], t_end[:-1]])[:schedule.r_max]
-    c_start = [temporal_acf(cfg.wobble, t - t_e) for t in t_start.tolist()]
+    c_start = temporal_acf(cfg.wobble, t_start - t_e)
     meta = _base_meta(cfg)
     meta.update(gamma_max_db=10.0 * math.log10(gamma_max),
                 bep_threshold=cfg.scenario.bep_threshold,

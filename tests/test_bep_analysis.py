@@ -34,6 +34,7 @@ from uavlink.bep_analysis import (
     _BLOCK_TERMS,
     _C_ABS_TOL,
     _psk_bound_table,
+    _run_rows,
     union_bound_rows,
 )
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
@@ -286,8 +287,8 @@ def _per_order(bound, kernel, norm_sq, *args):
     cols = [np.broadcast_to(np.asarray(a, dtype=np.float64),
                             shape).reshape(-1, 1) for a in args]
     n = max(1, _BLOCK_TERMS // bound.n_terms)
-    blocks = [kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
-              for lo in range(0, max(len(cols[0]), 1), n)]
+    blocks = _run_rows([kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
+                        for lo in range(0, max(len(cols[0]), 1), n)])
     outs = tuple(np.concatenate(out).reshape(shape) for out in zip(*blocks))
     return tuple(map(float, outs)) if shape == () else outs
 

@@ -1,12 +1,16 @@
 """The package's public surface: every name `uavlink.__all__` and the
 `__all__` of each submodule list resolves, no module keeps an import it
 neither uses nor exports, every function the benchmark's tracer wraps
-exists, and README's quick start runs."""
+exists, and README's quick start runs, with scipy importable and with it
+blocked."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,11 +94,68 @@ def test_traced_names_resolve():
     assert traced and not missing, f"TRACED names missing: {missing}"
 
 
-def test_readme_quick_start_runs(capsys):
-    # the README's first code block under "## Quick start" runs as written,
-    # so the docs cannot name an API the package no longer has
+def _quick_start() -> str:
+    """The README's first code block under "## Quick start"."""
     text = README.read_text()
     section = text[text.index("## Quick start"):]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    exec(compile(block, str(README), "exec"), {})
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the quick start runs as written, so the docs cannot name an API the
+    # package no longer has
+    exec(compile(_quick_start(), str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+# a small run of every subcommand; bep-curve with the analytic union bound
+SMALL_RUN = """\
+[run]
+fixture = case1
+scheme = qam
+seed = 3
+n_symbols = 500
+snr_db = 6 12
+acf = 0.99 0.9
+orders = 4 16
+detectors = so, uub
+bep_thresholds = 1e-3 1e-5
+sample_dt = 4e-4
+"""
+
+# scipy is only a test dependency: with every scipy import made to fail,
+# the CLI imports, the quick start runs, every subcommand exits 0, and no
+# scipy module was loaded
+NO_SCIPY = """\
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import uavlink.cli
+exec(compile(sys.argv[1], "README.md", "exec"), {})
+for command in ("bep-curve", "adapt", "rate-opt", "power"):
+    status = uavlink.cli.main([command, "--config", sys.argv[2], "--out",
+                               sys.argv[3] + "/" + command])
+    assert status == 0, (command, status)
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"
+          and sys.modules[m] is not None]
+assert not loaded, loaded
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(SMALL_RUN)
+    paths = [str(Path(uavlink.__file__).parent.parent)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", NO_SCIPY,
+         _quick_start(), str(config), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+    rows = (tmp_path / "bep-curve" / "bep_curve.csv").read_text()
+    assert "analytic-uub" in rows
+    for command, csv in (("adapt", "adapt_schedule.csv"),
+                         ("rate-opt", "rate_opt_contour.csv"),
+                         ("power", "power_trace.csv")):
+        assert (tmp_path / command / csv).stat().st_size > 0
