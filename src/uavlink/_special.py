@@ -8,9 +8,11 @@ NaN gives NaN). Q and I0 are each read from one table built at import,
 which holds a Taylor polynomial per node, so that any number of values
 costs one row gather and one Horner pass:
 
-- Q(x) = Q(x_k) exp(p(x - x_k)) for x >= 0 at the nearest node x_k = k/256
+- Q(x) = Q(x_k) exp(p(x - x_k)) for x >= 0 at the nearest node x_k = k/128
   of [0, 37.6], with p the degree-4 Taylor polynomial of ln Q at x_k
-  (within 1.1e-15 relative of mpmath where Q is normal).
+  (within 1.4e-15 relative of mpmath where Q is normal), and
+  Q(x) = 1 - Q(-x) below 0. Nodes k/256 would give 1.1e-15 from a table
+  twice the size.
   ln Q = -x^2 / 2 + ln M - ln sqrt(2 pi), M the Mills ratio:
   M = int_0^inf exp(-x t - t^2 / 2) dt,
   whose n-th log-derivative is (-1)^n times the n-th cumulant of t under
@@ -43,9 +45,10 @@ _I0E_PER_UNIT, _I0E_LAST = 128, 40.0
 # least normal double (about exp(-707)), and subnormal Q values would slow
 # every product that reads them, as the union bound's weighted sums do
 _EXP_LAST = 37.6
-# the Q table's nodes end at the first one beyond _EXP_LAST, whose row is 0
-_Q_PER_UNIT = 256
-_Q_LAST = math.ceil(_EXP_LAST * _Q_PER_UNIT) / _Q_PER_UNIT
+# the Q table's nodes end at the first one beyond _EXP_LAST, whose row is
+# 0; _Q_TOP is its index
+_Q_PER_UNIT = 128
+_Q_TOP = float(math.ceil(_EXP_LAST * _Q_PER_UNIT))
 
 
 def _taylor_rows(derivs, per_unit: int) -> np.ndarray:
@@ -67,7 +70,7 @@ def _mills_fraction(x: np.ndarray, terms: int) -> np.ndarray:
 
 
 def _q_rows() -> np.ndarray:
-    x = np.arange(round(_Q_LAST * _Q_PER_UNIT) + 1) / _Q_PER_UNIT
+    x = np.arange(_Q_TOP + 1.0) / _Q_PER_UNIT
     m = np.empty(x.size)
     near, mid, far = x < 2.0, (x >= 2.0) & (x < 4.0), x >= 4.0
     m[near] = [math.erfc(v / math.sqrt(2.0)) for v in x[near].tolist()]
@@ -120,42 +123,57 @@ def _lookup(rows: np.ndarray, per_unit: int, x: np.ndarray) -> tuple:
 
 
 def q_tail(x) -> np.ndarray:
-    """Q(x) for x >= 0 (or NaN), elementwise over an array of any shape."""
-    return _q(x, False)
+    """Q(x), elementwise over an array of any shape."""
+    return _q(x, 1)[0]
 
 
-def q_and_exp(x) -> tuple:
-    """(Q(x), exp(-x^2 / 2)) for x >= 0 (or NaN), both 0 beyond
+def q_and_exp(x) -> np.ndarray:
+    """Q(x) and exp(-x^2 / 2) stacked on a new first axis, both 0 beyond
     _EXP_LAST."""
-    return _q(x, True)
+    return _q(x, 2)
 
 
-def _q(x, with_exp: bool):
+def _q(x, rows: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if not x.ndim:  # in-place steps need an array; one element is one row
-        out = _q(x.reshape(1), with_exp)
-        return (tuple(a.reshape(()) for a in out) if with_exp
-                else out.reshape(()))
-    s, (c0, c1, c2, c3, c4) = _lookup(_Q_ROWS, _Q_PER_UNIT, x)
+    shape, x = x.shape, x.reshape(-1)
+    t = x * float(_Q_PER_UNIT)  # in node spacings
+    if np.minimum.reduce(t, initial=0.0) >= 0.0:  # no x < 0 and no NaN
+        out = _q_table(x, t, rows)
+    else:  # Q(-x) = 1 - Q(x), exp(-x^2 / 2) is even, NaN gives NaN
+        nan = np.isnan(x)
+        a = np.where(nan, 0.0, np.abs(x))
+        out = _q_table(a, a * float(_Q_PER_UNIT), rows)
+        np.subtract(1.0, out[0], out=out[0], where=x < 0.0)
+        out[:, nan] = np.nan
+    return out.reshape((rows,) + shape)
+
+
+def _q_table(x: np.ndarray, t: np.ndarray, rows: int) -> np.ndarray:
+    """Q(x) and, in a second row, exp(-x^2 / 2), for a 1-D x >= 0 without
+    NaN and t = x in node spacings (overwritten): at the nearest node x_k,
+    Q(x_k) exp(p(s)) with s the offset from it."""
+    np.minimum(t, _Q_TOP, out=t)  # beyond the table, its last node
+    k = np.rint(t)
+    c = _Q_ROWS.take(k.astype(np.intp), axis=1)
+    s = np.subtract(t, k, out=t)
     # ln(Q / c0) and -x^2 / 2 side by side, for one np.exp call
-    ln = np.empty((1 + with_exp,) + x.shape)
-    q = np.multiply(c4, s, out=ln[0])
-    q += c3
+    out = np.empty((rows, x.size))
+    q = np.multiply(c[4], s, out=out[0])
+    q += c[3]
     q *= s
-    q += c2
+    q += c[2]
     q *= s
-    q += c1
+    q += c[1]
     q *= s
-    if with_exp:
-        e = np.minimum(x, _EXP_LAST, out=ln[1])
+    if rows == 2:
+        e = np.minimum(x, _EXP_LAST, out=out[1])
         e *= e
         e *= -0.5
-    np.exp(ln, out=ln)
-    q *= c0
-    if not with_exp:
-        return q
-    e *= x <= _EXP_LAST  # NaN stays NaN
-    return q, e
+    np.exp(out, out=out)
+    q *= c[0]
+    if rows == 2:
+        e *= x <= _EXP_LAST
+    return out
 
 
 # AS241's coefficients, as printed: fit (central, near tail, far tail) x

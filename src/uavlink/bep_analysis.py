@@ -9,10 +9,11 @@ constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
 over arrays of (C, gamma) by one path: `union_bound_rows` groups rows
 that each carry their own order by order, and each method hands its
-rows as columns to its row kernel (`_evaluate`). The row kernels yield
-the arguments of their special function (`_special`'s Q, Q with
-exp(-x^2 / 2), or Q^-1), and those of every block and order of one
-evaluation go to one call of it (`_run_rows`). It serves the bound's
+rows as columns to its row kernel (`_evaluate`). A row kernel yields the
+argument of its special function (`_special`'s Q, Q with exp(-x^2 / 2),
+or Q^-1) and returns its sums once sent the values; the arguments of one
+evaluation's blocks and orders share calls of that function
+(`_run_rows`). It serves the bound's
 values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
 and the two inversions of the bound, each over rows of every order at
 once: the highest feasible rate R_max and the CSI thresholds C_n of all
@@ -77,10 +78,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def q_function(x):
-    """Upper-tail standard normal probability Q(x), Q(-x) = 1 - Q(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    q = q_tail(np.abs(x))
-    q = np.where(x < 0.0, 1.0 - q, q)
+    """Upper-tail standard normal probability Q(x)."""
+    q = q_tail(x)
     return q if q.ndim else float(q)
 
 
@@ -100,16 +99,18 @@ def _pep_ratio(gamma, acf, norm_sq, d_sq, s_sq):
     symbol's energy). C is kept out of the square root, so a tiny C does
     not underflow A. Broadcasts.
     """
-    den = 2.0 * gamma * (1.0 - acf * acf) * s_sq + 2.0
-    return np.sqrt(gamma * norm_sq * d_sq / den), den
+    den = 2.0 * gamma * (1.0 - acf * acf) * s_sq
+    den += 2.0
+    r = gamma * norm_sq * d_sq
+    r /= den
+    return np.sqrt(r, out=r), den
 
 
 # pairwise terms evaluated per block, bounding the (points x terms)
 # temporaries of a long array of (C, gamma) points
 _BLOCK_TERMS = 1 << 14
-# special-function values gathered for one call (`_run_rows`): half a
-# block, so that a full block of rows goes alone as soon as its arguments
-# are ready, while small blocks and order groups share a call
+# special-function arguments gathered for one call (`_run_rows`); from
+# 4,096 to 32,768 the rate-opt passes ran alike, within 1 %
 _BATCH_VALUES = _BLOCK_TERMS // 2
 
 
@@ -155,43 +156,52 @@ class UnionBound:
         return self.d_sq.size
 
     def _sum(self, part):
-        """Weighted sum over the terms (the last axis)."""
-        return (self.weight * part).sum(axis=-1)
+        """Weighted sum over the terms (the last axis), weighting part in
+        place."""
+        part *= self.weight
+        return part.sum(axis=-1)
 
     def _q_sq(self, beta):
         """Q^-1(beta / w)^2 for each weight w and, last, for the whole
         weight W = sum(w), for each row's beta; 0 where beta / w >= 1/2
         (a term at most w/2 never exceeds beta alone). Q^-1 runs once per
-        distinct (beta, weight). A generator, as the row kernels that use
-        it."""
+        distinct (beta, weight). A generator, as the row kernels."""
         b, row = np.unique(beta, return_inverse=True)
         q = yield q_tail_inverse, np.minimum(b[:, None] / self._weight_levels,
                                              0.5)
         return (q * q)[row.ravel()][:, self._weight_level]
 
     # row kernels: (rows, 1) columns in, one sum over the terms per row
-    # out. Each is a generator that yields one (special function, its
-    # argument), is sent back the function's value there, and then yields
-    # its outputs (`_run_rows`)
+    # out. Each is a generator that yields its special function and the
+    # argument it needs it at, is sent the values there and returns its
+    # outputs (`_run_rows`). They work in place on their own temporaries
     def _u_rows(self, norm_sq, acf, gamma):
         r, _ = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
         q = yield q_tail, acf * r
-        yield (self._sum(q),)
+        return (self._sum(q),)
 
     def _uv_rows(self, norm_sq, acf, gamma):
         # d Q(C r) / d ln(gamma) = -phi(C r) C r / den
         r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
         arg = acf * r
         q, e = yield q_and_exp, arg
-        yield self._sum(q), self._sum(e * arg / (_SQRT_2PI * den))
+        e *= arg
+        den *= _SQRT_2PI
+        e /= den
+        return self._sum(q), self._sum(e)
 
     def _uw_rows(self, norm_sq, acf, gamma):
         # d Q(C r) / dC = -phi(C r) r (1 + 2 gamma C^2 |s|^2 / den)
         #               = -phi(C r) r (2 gamma |s|^2 + 2) / den
         r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
         q, e = yield q_and_exp, acf * r
-        yield self._sum(q), self._sum(e * r * (2.0 * gamma * self.s_sq + 2.0)
-                                       / (_SQRT_2PI * den))
+        e *= r
+        g = 2.0 * gamma * self.s_sq
+        g += 2.0
+        e *= g
+        den *= _SQRT_2PI
+        e /= den
+        return self._sum(q), self._sum(e)
 
     def _floor_rows(self, norm_sq, acf):
         # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
@@ -200,7 +210,7 @@ class UnionBound:
             arg = acf * np.sqrt(norm_sq * self.d_sq
                                 / (2.0 * (1.0 - acf * acf) * self.s_sq))
         q = yield q_tail, arg
-        yield (self._sum(q),)
+        return (self._sum(q),)
 
     def _acf_lower_rows(self, norm_sq, gamma, beta):
         # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
@@ -208,7 +218,7 @@ class UnionBound:
         q_sq = (yield from self._q_sq(beta))[..., :-1]
         c_sq = (2.0 * q_sq * (gamma * self.s_sq + 1.0)
                 / (gamma * norm_sq * self.d_sq + 2.0 * q_sq * gamma * self.s_sq))
-        yield (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
+        return (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
 
     def _gamma_lower_rows(self, norm_sq, acf, beta):
         # a term weighted w equals beta at
@@ -225,7 +235,7 @@ class UnionBound:
         q_sq = yield from self._q_sq(beta)
         single = roots(q_sq[..., :-1], 0.0)
         whole = roots(q_sq[..., -1:], np.inf)
-        yield (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
+        return (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
 
     def u(self, norm_sq: float, acf, gamma):
         """Raw union bound (may exceed 1 at low SNR).
@@ -271,45 +281,47 @@ class UnionBound:
 
 
 def _run_rows(calls: list) -> list:
-    """The outputs of each row-kernel call: a generator that yields one
-    (special function, argument), is sent the function's value there and
-    yields its outputs; a tuple stands for its own outputs. The arguments
-    of consecutive calls that ask for one function go to it together, up
-    to _BATCH_VALUES values, and one call's arguments are never split;
-    the functions are elementwise, so this changes no output."""
-    outs, batch, size = list(calls), [], 0
+    """Run row-kernel calls, replacing each in `calls` by its outputs.
+
+    The arguments of consecutive calls that ask for one special function
+    go to it together, up to _BATCH_VALUES values; one call's argument is
+    never split. Each special function is elementwise and returns its
+    values on the argument's shape, after any leading axis of its own, so
+    this changes no output. A call keeps its temporaries only until its
+    batch is sent.
+    """
+    batch, size = [], 0
     for i, call in enumerate(calls):
-        if isinstance(call, tuple):
+        try:
+            fn, arg = next(call)
+        except StopIteration as done:  # a call that needs no values
+            calls[i] = done.value
             continue
-        fn, arg = next(call)
         if batch and (fn is not batch[0][1]
                       or size + arg.size > _BATCH_VALUES):
-            _send(batch, outs)
+            _send(calls, batch)
             batch, size = [], 0
         batch.append((i, fn, arg))
         size += arg.size
-        if size >= _BATCH_VALUES:
-            _send(batch, outs)
-            batch, size = [], 0
     if batch:
-        _send(batch, outs)
-    return outs
+        _send(calls, batch)
+    return calls
 
 
-def _send(batch: list, outs: list) -> None:
-    """Send each call of the batch its part of one function call."""
-    if len(batch) == 1:
-        i, fn, arg = batch[0]
-        outs[i] = outs[i].send(fn(arg))
-        return
-    got = batch[0][1](np.concatenate([arg.reshape(-1) for *_, arg in batch]))
+def _send(calls: list, batch: list) -> None:
+    """Evaluate the batch's function once and send each call its part."""
+    fn = batch[0][1]
+    got = fn(batch[0][2] if len(batch) == 1
+             else np.concatenate([arg.reshape(-1) for _, _, arg in batch]))
     lo = 0
     for i, _, arg in batch:
-        hi = lo + arg.size
-        outs[i] = outs[i].send(
-            tuple(g[lo:hi].reshape(arg.shape) for g in got)
-            if isinstance(got, tuple) else got[lo:hi].reshape(arg.shape))
-        lo = hi
+        part = got if len(batch) == 1 else got[..., lo:lo + arg.size].reshape(
+            got.shape[:-1] + arg.shape)
+        lo += arg.size
+        try:
+            calls[i].send(part)
+        except StopIteration as done:
+            calls[i] = done.value
 
 
 def _calls(bound: UnionBound, kernel, norm_sq: float, cols) -> list:
@@ -349,6 +361,17 @@ _ROW_KERNELS = {
 }
 
 
+def _method_rows(method):
+    """A row kernel that calls `method` itself, for a method without one
+    in _ROW_KERNELS, as one replaced on the class: it asks for no values,
+    and the method makes its own special-function calls."""
+    def rows(bound, norm_sq, *cols):
+        got = method(bound, norm_sq, *(c[:, 0] for c in cols))
+        return got if isinstance(got, tuple) else (got,)
+        yield  # a generator, as every row kernel
+    return rows
+
+
 @functools.lru_cache(maxsize=None)
 def union_bound(scheme: str, order: int) -> UnionBound:
     """The cached UnionBound of constellation_for(scheme, order)."""
@@ -365,27 +388,29 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     evaluates them with its own terms, blocks and row sums. A row's terms
     and sums never see another row, so every output equals the per-order
     method's to the bit. Returns one array per output of the method,
-    shaped like the rows.
+    shaped like the rows. A method without a row kernel in _ROW_KERNELS,
+    such as one replaced on the class to inject a fault, runs as itself on
+    each order's rows (`_method_rows`).
     """
-    order, *args = np.broadcast_arrays(
-        np.asarray(order, dtype=np.int64),
-        *(np.asarray(a, dtype=np.float64) for a in args))
+    order = np.asarray(order, dtype=np.int64)
+    args = [np.asarray(a, dtype=np.float64) for a in args]
+    if any(a.shape != order.shape for a in args):
+        order, *args = np.broadcast_arrays(order, *args)
     shape = order.shape
     order, *args = (a.reshape(-1) for a in (order, *args))
     rows = np.argsort(order, kind="stable")
     # one group per distinct order; no rows still make one (empty) group,
-    # so the kernel's own outputs say how many arrays to return. The
-    # kernel calls of every group run together, so their Q arguments
-    # share kernel calls
+    # so the kernel's own outputs say how many arrays to return. The calls
+    # of every group run together, so that they share special-function
+    # calls
+    kernel = _ROW_KERNELS.get(method) or _method_rows(method)
+    cuts = (np.flatnonzero(np.diff(order[rows])) + 1).tolist()
     groups, calls = [], []
-    for group in np.split(rows, np.flatnonzero(np.diff(order[rows])) + 1):
+    for lo, hi in zip([0] + cuts, cuts + [order.size]):
+        group = rows[lo:hi]
         m = int(order[group[0]]) if group.size else SUPPORTED_ORDERS[0]
-        bound, cols = union_bound(scheme, m), [a[group, None] for a in args]
-        if method in _ROW_KERNELS:
-            group_calls = _calls(bound, _ROW_KERNELS[method], norm_sq, cols)
-        else:  # any other function of (bound, norm_sq, *args)
-            got = method(bound, norm_sq, *(c[:, 0] for c in cols))
-            group_calls = [got if isinstance(got, tuple) else (got,)]
+        group_calls = _calls(union_bound(scheme, m), kernel, norm_sq,
+                             [a[group, None] for a in args])
         groups.append((group, len(group_calls)))
         calls += group_calls
     blocks = _run_rows(calls)

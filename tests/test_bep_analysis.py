@@ -8,6 +8,7 @@ function, brute-force pair sums for the union bound).
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,27 @@ class TestUnionBoundRows:
     def test_block_size_of_64_qam(self):
         # the rows below cross the blocks of the largest bound
         assert _BLOCK_TERMS // union_bound("qam", 64).n_terms == 73
+
+    def test_blocks_bound_the_temporaries(self, estimate):
+        # an evaluation over 60 blocks keeps the (rows x terms)
+        # temporaries of about one block alive at a time, not of every
+        # block: a finished row-kernel call holds none of them
+        bound = union_bound("qam", 64)
+        n = 60 * (_BLOCK_TERMS // bound.n_terms)
+        acf, gamma = np.linspace(0.5, 0.99, n), np.full(n, 100.0)
+        block = 8 * _BLOCK_TERMS  # bytes of one block's float array
+        for run in (
+                lambda: union_bound_rows("qam", np.full(n, 64),
+                                         UnionBound.u_and_acf_slope,
+                                         estimate.norm_sq, acf, gamma),
+                lambda: bound.u(estimate.norm_sq, acf, gamma)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * block, peak / block
 
     @given(scheme=st.sampled_from(["psk", "qam"]),
            head=st.lists(_ROW, min_size=1, max_size=6),

@@ -13,7 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavlink import UnionBound, q_function, q_inverse, union_bound
-from uavlink._special import i0e, q_and_exp, q_tail, q_tail_inverse
+from uavlink._special import (
+    _Q_PER_UNIT,
+    i0e,
+    q_and_exp,
+    q_tail,
+    q_tail_inverse,
+)
 
 MP = mp.mp.clone()
 MP.dps = 40
@@ -102,11 +108,11 @@ def test_i0e_matches_mpmath(x):
 
 
 def test_q_falls_across_the_table_nodes():
-    # the nearest node changes at the midpoints (k + 1/2) / 256: there,
-    # and on a grid finer than the nodes, Q must not rise while it is a
-    # normal double (to x = 37.5; below, it has too few digits to fall
-    # over a step of 1e-12)
-    mid = (np.arange(37 * 256) + 0.5) / 256
+    # the nearest node changes at the midpoints (k + 1/2) h of the node
+    # spacing h: there, and on a grid finer than the nodes, Q must not
+    # rise while it is a normal double (to x = 37.5; below, it has too few
+    # digits to fall over a step of 1e-12)
+    mid = (np.arange(37 * _Q_PER_UNIT) + 0.5) / _Q_PER_UNIT
     for d in (1e-12, 1e-9):
         lo, at, hi = q_tail(mid - d), q_tail(mid), q_tail(mid + d)
         assert np.all(lo >= at) and np.all(at >= hi)
@@ -152,6 +158,38 @@ def test_quiet_and_exact_at_the_special_values():
     np.testing.assert_array_equal(
         q_tail_inverse(np.array([0.5, np.nan])), [0.0, np.nan])
     assert q_tail_inverse(1e-310) > 37.0  # subnormal, still finite
+
+
+def test_q_takes_negative_arguments():
+    # Q(-x) = 1 - Q(x) inside the kernel, so a negative C in the union
+    # bound gets its exact terms, as scipy's ndtr gave them
+    x = np.array([-0.5, -3.0, -1e-300, -40.0, -np.inf, 0.5, np.nan, -0.0])
+    q = q_tail(x)
+    np.testing.assert_array_equal(q[:5], 1.0 - q_tail(-x[:5]))
+    assert q[5] == q_tail(0.5) and math.isnan(q[6]) and q[7] == 0.5
+    np.testing.assert_array_equal(q_and_exp(x)[0], q)
+    np.testing.assert_array_equal(q_and_exp(x)[1][:6], q_and_exp(-x[:6])[1])
+    for v in (-0.5, -3.0, -37.0):
+        assert abs(float(q_tail(v)) - _q_mp(v)) <= 1e-15 * _q_mp(v)
+    # one negative element does not change its neighbours' bits
+    rng = np.random.default_rng(5)
+    y = rng.uniform(0.0, 40.0, 1000)
+    mixed = y.copy()
+    mixed[::10] *= -1.0
+    np.testing.assert_array_equal(q_tail(mixed)[1::10], q_tail(y)[1::10])
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_union_bound_at_a_negative_acf(order):
+    # w Q(C r) summed with C < 0, against scipy's ndtr on the same terms
+    from scipy.special import ndtr
+    b = union_bound("qam", order)
+    for acf, gamma in ((-0.5, 10.0), (-0.9, 300.0), (-1e-3, 1.0)):
+        den = 2.0 * gamma * (1.0 - acf * acf) * b.s_sq + 2.0
+        r = np.sqrt(gamma * 2.0 * b.d_sq / den)
+        want = float((b.weight * ndtr(-acf * r)).sum())
+        got = b.u(2.0, acf, gamma)
+        assert abs(got - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("scheme", ["psk", "qam"])
