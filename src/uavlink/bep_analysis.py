@@ -18,21 +18,23 @@ values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
 and the two inversions of the bound, each over rows of every order at
 once: the highest feasible rate R_max and the CSI thresholds C_n of all
 rates of a grid here (`acf_thresholds`) and the QAM power solve over all
-rate regions in power_control. Both start at a closed-form lower bracket
-built from the roots of single terms (`UnionBound.acf_lower`,
+rate regions in power_control. Both can start at a closed-form lower
+bracket built from the roots of single terms (`UnionBound.acf_lower`,
 `gamma_lower`), and are solved by one lockstep safeguarded Newton,
-`lockstep.newton_lockstep`, on the bound's value and slope. Both schemes
-solve C_n in z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), in which
-ln u is near linear where it is concave in C. Every PSK term has
-|s|^2 = 1, so the PSK bound is a function of z alone, and its C_n come
-from one root in z per (order, threshold), mapped to each cell in closed
-form (`_psk_acf_rows`). QAM rows are solved in z row by row, each on its
-own order's bound at C(z) (`_qam_acf_rows`, `u_and_acf_slope` times
-dC/dz); the power in ln(gamma) (`u_and_slope`). The bound falls in C by
-its form (`UnionBound.u`), so the C_n solve checks only C = 1 and raises
-MonotonicityError only when it does not converge. Beside it sits the
-Gray-mapping PSK approximation, one term table (`_PSK_TERMS`) read by its
-forward form and its closed-form inverse, both over per-sample orders.
+`lockstep.newton_lockstep`, on the bound's value and slope; the power
+solve starts long traces next to their roots instead, from z (below).
+Both schemes solve C_n in z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) +
+2), in which ln u is near linear where it is concave in C. Every PSK term
+has |s|^2 = 1, so the PSK bound is a function of z alone: one root z* per
+(order, threshold) (`_psk_z_roots`) gives the C_n of every cell in closed
+form (`_psk_acf_rows`), and the power at any C (`_gamma_of_z`). QAM rows
+are solved in z row by row, each on its own order's bound at C(z)
+(`_qam_acf_rows`, `u_and_acf_slope` times dC/dz); the power in ln(gamma)
+(`u_and_slope`). The bound falls in C by its form (`UnionBound.u`), so the
+C_n solve checks only C = 1 and raises MonotonicityError only when it
+does not converge. Beside it sits the Gray-mapping PSK approximation, one
+term table (`_PSK_TERMS`) read by its forward form and its closed-form
+inverse, both over per-sample orders.
 """
 
 import functools
@@ -526,6 +528,14 @@ def _acf_of_z(norm_sq: float, z_sq, gamma):
     return np.minimum(np.sqrt(c_sq), 1.0)
 
 
+def _gamma_of_z(norm_sq: float, acf, z_sq):
+    """gamma of z^2 at C (`_z_sq` inverted in gamma):
+    gamma = 2 z^2 / (C^2 ||h||^2 - 2 z^2 (1 - C^2)), not positive or not
+    finite where that denominator is not positive."""
+    c_sq = acf * acf
+    return 2.0 * z_sq / (c_sq * norm_sq - 2.0 * z_sq * (1.0 - c_sq))
+
+
 @functools.lru_cache(maxsize=None)
 def _psk_bound_table() -> tuple:
     """(w, d): the grouped PSK `UnionBound` terms of every supported order,
@@ -544,16 +554,45 @@ def _psk_bound_table() -> tuple:
     return w, d
 
 
-def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
-    """C_n of every PSK row (rate n, gamma, beta) of 1-D arrays with
-    sum(w) / 2 > beta and u(C = 1) <= beta, from one root z* of
-    sum(w Q(d z)) = beta per distinct (rate, beta) (see `_psk_bound_table`).
+def _psk_z_roots(rate, beta) -> np.ndarray:
+    """The root z* of sum(w Q(d z)) = beta (see `_psk_bound_table`) of each
+    (rate n, beta) pair of 1-D integer and float arrays, with
+    sum(w) / 2 > beta; pairs are solved alone, so a repeated pair costs its
+    own row.
 
     The roots are solved together by `newton_lockstep` in z on [0, +inf),
     each started at the largest single-term root max(Q^-1(beta / w) / d)
     (0 where every beta / w >= 1/2) and done when its bracket is at most
-    1e-12 wide and the bound at its upper end is within 1e-8 of beta. That
-    upper end maps to every row in closed form (`_acf_of_z`), and C is
+    1e-12 wide and the bound at its upper end, returned, is within 1e-8 of
+    beta. Raises DivergenceError naming the pairs that do not converge."""
+    w_all, d_all = _psk_bound_table()
+    # every root's terms, root by root, without the table's zero-weight
+    # padding; `first` is where each root's terms start
+    of_root, term = np.nonzero(w_all[rate - 1] > 0.0)
+    first = np.flatnonzero(np.diff(of_root, prepend=-1))
+    w, d = w_all[rate[of_root] - 1, term], d_all[rate[of_root] - 1, term]
+    wd = w * d / _SQRT_2PI
+    # Q(d z) = beta / w at z = Q^-1(beta / w) / d, 0 where beta / w >= 1/2
+    start = np.maximum.reduceat(
+        q_tail_inverse(np.minimum(beta[of_root] / w, 0.5)) / d, first)
+
+    def uv(live, z):
+        # every root's terms at once, those of settled roots at z = 0
+        z_all = np.zeros(beta.size)
+        z_all[live] = z
+        q, e = q_and_exp(d * z_all[of_root])
+        return (np.add.reduceat(w * q, first)[live],
+                np.add.reduceat(wd * e, first)[live])
+    return newton_lockstep(uv, beta, start, 0.0, np.inf, _C_ABS_TOL,
+                           _BEP_REL_TOL).root
+
+
+def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
+    """C_n of every PSK row (rate n, gamma, beta) of 1-D arrays with
+    sum(w) / 2 > beta and u(C = 1) <= beta, from one root z* of
+    sum(w Q(d z)) = beta per distinct (rate, beta) (`_psk_z_roots`).
+
+    That root maps to every row in closed form (`_acf_of_z`), and C is
     raised by _C_MARGIN relative and clipped to 1, so that u(C_n) <= beta.
     C rises with z, and d ln C / d ln z = ||h||^2 / (||h||^2 + 2 z^2) <= 1,
     so an error in z moves C by at most C / z times as much. A row's C_n
@@ -562,28 +601,8 @@ def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
     keys, of_row = np.unique(np.stack([rate, beta], axis=1), axis=0,
                              return_inverse=True)
     of_row = of_row.ravel()
-    k, b = keys[:, 0].astype(np.int64) - 1, keys[:, 1]
-    w_all, d_all = _psk_bound_table()
-    # every root's terms, root by root, without the table's zero-weight
-    # padding; `first` is where each root's terms start
-    of_root, term = np.nonzero(w_all[k] > 0.0)
-    first = np.flatnonzero(np.diff(of_root, prepend=-1))
-    w, d = w_all[k[of_root], term], d_all[k[of_root], term]
-    wd = w * d / _SQRT_2PI
-    # Q(d z) = beta / w at z = Q^-1(beta / w) / d, 0 where beta / w >= 1/2
-    start = np.maximum.reduceat(
-        q_tail_inverse(np.minimum(b[of_root] / w, 0.5)) / d, first)
-
-    def uv(live, z):
-        # every root's terms at once, those of settled roots at z = 0
-        z_all = np.zeros(b.size)
-        z_all[live] = z
-        q, e = q_and_exp(d * z_all[of_root])
-        return (np.add.reduceat(w * q, first)[live],
-                np.add.reduceat(wd * e, first)[live])
     try:
-        z = newton_lockstep(uv, b, start, 0.0, np.inf, _C_ABS_TOL,
-                            _BEP_REL_TOL).root
+        z = _psk_z_roots(keys[:, 0].astype(np.int64), keys[:, 1])
     except DivergenceError as exc:
         raise DivergenceError(str(exc), cells=np.flatnonzero(
             np.isin(of_row, exc.cells))) from exc

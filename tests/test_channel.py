@@ -25,8 +25,8 @@ from uavlink import (
     received_signal,
     temporal_acf,
 )
-from uavlink import channel
-from uavlink.channel import ChannelState, _acf, _bessel_ratio
+from uavlink import _special, channel
+from uavlink.channel import ChannelState, _acf
 from uavlink.errors import (
     InfeasibleTargetError,
     MonotonicityError,
@@ -181,15 +181,16 @@ class TestAcfSolveAcrossProfiles:
         assert len(calls) <= 8
 
     def test_bessel_ratio_against_scipy(self):
-        x = np.concatenate([np.linspace(-10.0, 10.0, 20001),
+        # the slope's I1/I0 is the log-derivative of `_special`'s i0e:
+        # within 2e-13 absolute in its table (the derivative of the degree-5
+        # Taylor row), within 2e-15 relative on the Hankel sum beyond 40
+        x = np.concatenate([np.linspace(0.0, 10.0, 20001),
                             np.geomspace(10.0, 1e6, 2001)])
-        ax = np.abs(x)
-        want = np.sign(x) * i1e(ax) / i0e(ax)
-        got = _bessel_ratio(x)
-        small = ax <= 0.2
-        assert np.all(np.abs(got - want) <= 1.1e-6 * np.abs(want))
-        assert np.all(np.abs(got - want)[small]
-                      <= 4e-9 * np.abs(want)[small])
+        want = i1e(x) / i0e(x)
+        got = _special.i0e(x, ratio=True)[1]
+        assert np.all(np.abs(got - want) <= 2e-13)
+        far = x > 40.0
+        assert np.all(np.abs(got - want)[far] <= 2e-15 * want[far])
 
 
 # lightly to heavily damped profiles, most of them monotone only on a
@@ -272,7 +273,7 @@ class TestMonotoneCheck:
         margin = channel._slope_margin
         with pytest.MonkeyPatch.context() as m:
             m.setattr(channel, "_slope_margin", counted)
-            for name in ("_acf", "_bessel_ratio", "i0e"):
+            for name in ("_acf", "i0e"):
                 m.setattr(channel, name, forbidden)
             check_acf_monotone(w, span)
         assert 0 < sum(intervals) <= 64

@@ -1,8 +1,9 @@
 """The package's public surface: every name `uavlink.__all__` and the
 `__all__` of each submodule list resolves, no module keeps an import it
 neither uses nor exports, every function the benchmark's tracer wraps
-exists, and README's quick start runs, with scipy importable and with it
-blocked."""
+exists, README's quick start runs, with scipy importable and with it
+blocked, and `import uavlink.cli` loads neither numpy.random nor
+concurrent.futures."""
 
 import ast
 import importlib
@@ -159,3 +160,29 @@ def test_runs_without_scipy(tmp_path):
                          ("rate-opt", "rate_opt_contour.csv"),
                          ("power", "power_trace.csv")):
         assert (tmp_path / command / csv).stat().st_size > 0
+
+
+# the modules the CLI loads only when a Monte Carlo run needs them: its
+# bit generators and its worker pool
+LAZY = """\
+import sys
+import numpy
+if "numpy.random" in sys.modules:  # this numpy loads it itself
+    print("skip")
+    sys.exit(0)
+import uavlink.cli
+print(sorted(m for m in ("numpy.random", "concurrent.futures")
+             if m in sys.modules))
+"""
+
+
+def test_cli_import_leaves_random_and_futures_unloaded():
+    paths = [str(Path(uavlink.__file__).parent.parent)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", LAZY], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() == "skip":
+        pytest.skip("importing numpy alone loads numpy.random")
+    assert done.stdout.strip() == "[]"

@@ -37,7 +37,7 @@ from uavlink import (
     union_bound,
 )
 from uavlink.constellation import make_qam
-from uavlink.errors import InfeasibleCsiError, ScheduleError
+from uavlink.errors import DivergenceError, InfeasibleCsiError, ScheduleError
 from uavlink.fixtures import load_fixture
 from uavlink.lockstep import LockstepRoots
 from uavlink.rate_optimizer import sample_grid
@@ -451,6 +451,85 @@ class TestBatchedSolve:
             assert not s.clamped
             gamma = 10.0 ** ((s.p_min_dbm - pl - n0) / 10.0)
             assert _bep_at(fx.estimate, scheme, s, gamma) <= beta * (1 + 1e-6)
+
+
+def _qam_trace_roots(fx, sample_dt):
+    """The batched QAM solve of one trace's 4- to 64-QAM samples, as
+    `min_power_schedule` makes it: their orders and the roots."""
+    schedule, _ = _trace(fx, "qam", sample_dt)
+    t, rate = sample_grid(schedule, sample_dt)
+    acf = temporal_acf(fx.wobble, t - schedule.t_estimate)
+    solved = rate > 1
+    return 1 << rate[solved], power_control._solve_qam(
+        1 << rate[solved], fx.estimate, acf[solved],
+        fx.scenario.bep_threshold)
+
+
+class TestStartsNextToTheRoot:
+    # an order with more than _NODES samples starts next to its roots:
+    # 4-QAM at QPSK's z* mapped to gamma in closed form, 8- to 64-QAM at
+    # the Chebyshev interpolant of z^2 in C
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    @pytest.mark.parametrize("sample_dt", [4e-5, 1e-5])
+    def test_one_or_two_evaluations_per_sample(self, case, sample_dt):
+        order, roots = _qam_trace_roots(load_fixture(case), sample_dt)
+        counts = np.unique(order, return_counts=True)[1]
+        assert counts.size == 5 and counts.min() > power_control._NODES
+        assert np.all(roots.iterations[order == 4] == 1)
+        assert np.all(roots.iterations[order > 4] <= 2)
+        assert np.all(roots.newton)
+
+    def test_unconverged_nodes_leave_the_lower_starts(self, fx,
+                                                     monkeypatch):
+        # where the nodes' solve fails, 8- to 64-QAM start at gamma_lower
+        # and reach the same roots in more evaluations
+        order, want = _qam_trace_roots(fx, 4e-5)
+        solve, nodes = power_control._ln_gamma_roots, 4 * power_control._NODES
+
+        def nodes_fail(order, *args):
+            if order.size == nodes:  # the 8- to 64-QAM nodes
+                raise DivergenceError("stuck", cells=np.arange(1))
+            return solve(order, *args)
+        monkeypatch.setattr(power_control, "_ln_gamma_roots", nodes_fail)
+        _, got = _qam_trace_roots(fx, 4e-5)
+        assert np.abs(got.root / want.root - 1.0).max() <= 1e-12
+        assert np.all(got.iterations[order == 4] == 1)
+        assert got.iterations[order > 4].min() >= 2
+
+    @given(case=st.sampled_from(["case1", "case2"]),
+           p_max_dbm=st.floats(25.0, 45.0),
+           log_beta=st.floats(-7.0, -2.0),
+           sample_dt=st.sampled_from([1e-4, 4e-5]))
+    @settings(max_examples=6, deadline=None)
+    def test_trace_roots_match_bisection_and_one_sample_solves(
+            self, case, p_max_dbm, log_beta, sample_dt):
+        base = load_fixture(case)
+        scenario = dataclasses.replace(base.scenario, p_max_dbm=p_max_dbm,
+                                       bep_threshold=10.0 ** log_beta)
+        fx = dataclasses.replace(base, scenario=scenario)
+        _, power = _trace(fx, "qam", sample_dt)
+        qam = power.rate > 1
+        assume(qam.any())
+        order, acf = 1 << power.rate[qam], power.acf_value[qam]
+        ln_root = np.log(10.0) * power.gamma_min_db[qam] / 10.0
+        beta, norm_sq = scenario.bep_threshold, fx.estimate.norm_sq
+        # each sample bisected on its own bracket in ln(gamma), every
+        # sample of an order in one array call
+        lo, hi = np.full(acf.size, math.log(1e-12)), np.full(acf.size,
+                                                              math.log(1e30))
+        for m in np.unique(order).tolist():
+            at = order == m
+            bound = union_bound("qam", m)
+            assert np.all(bound.u(norm_sq, acf[at], np.exp(hi[at])) <= beta)
+            for _ in range(60):
+                mid = 0.5 * (lo[at] + hi[at])
+                above = bound.u(norm_sq, acf[at], np.exp(mid)) > beta
+                lo[at] = np.where(above, mid, lo[at])
+                hi[at] = np.where(above, hi[at], mid)
+        assert np.abs(ln_root - 0.5 * (lo + hi)).max() <= 2e-9
+        alone = np.array([_qam_root(m, fx.estimate, c, beta).root[0]
+                          for m, c in zip(order.tolist(), acf.tolist())])
+        assert np.abs(np.exp(ln_root) / alone - 1.0).max() <= 1e-12
 
 
 def _loop_gamma(schedule, estimate, scenario, wobble, sample_dt):

@@ -1,8 +1,9 @@
 """The NumPy special functions of `uavlink._special` against mpmath, which
-shares no code with them: Q and Q^-1 of the union bound and the scaled
-Bessel I0 of the wobble ACF. Each must be elementwise to the bit, quiet at
-0, +-inf and NaN (the suite turns a RuntimeWarning into an error), and Q
-non-increasing across the nodes of its table."""
+shares no code with them: Q and Q^-1 of the union bound, and the scaled
+Bessel I0 of the wobble ACF with the ratio I1/I0 of its slope. Each must
+be elementwise to the bit, quiet at 0, +-inf and NaN (the suite turns a
+RuntimeWarning into an error), and Q non-increasing across the nodes of
+its table."""
 
 import math
 
@@ -107,6 +108,26 @@ def test_i0e_matches_mpmath(x):
     assert float(i0e(-x)) == got
 
 
+@given(x=st.one_of(st.floats(0.0, 50.0), st.floats(50.0, 1e4)))
+@example(x=0.0)
+@example(x=1.0 / 256.0)  # halfway between the table's first two nodes
+@example(x=0.01)
+@example(x=40.0)
+@example(x=40.0 + 2.0 ** -40)
+@example(x=1e4)
+@settings(max_examples=300, deadline=None)
+def test_i0e_ratio_matches_mpmath(x):
+    # I1/I0 is the log-derivative of i0e's own polynomials: within 2e-13
+    # absolute on the table, where the derivative of a degree-5 Taylor
+    # polynomial 1/256 from its node is off by about 1.1e-13, and within
+    # 1e-15 relative on the Hankel sum beyond 40
+    want = MP.besseli(1, MP.mpf(x)) / MP.besseli(0, MP.mpf(x))
+    value, got = (float(a) for a in i0e(x, ratio=True))
+    assert value == float(i0e(x))
+    assert abs(got - want) <= (1e-15 * want if x > 40.0 else 2e-13)
+    assert float(i0e(-x, ratio=True)[1]) == got
+
+
 def test_q_falls_across_the_table_nodes():
     # the nearest node changes at the midpoints (k + 1/2) h of the node
     # spacing h: there, and on a grid finer than the nodes, Q must not
@@ -127,6 +148,7 @@ def test_q_falls_across_the_table_nodes():
     (lambda x: q_and_exp(x)[1], 0.0, 45.0),
     (q_tail_inverse, 1e-300, 0.5),
     (i0e, -60.0, 60.0),
+    (lambda x: i0e(x, ratio=True)[1], -60.0, 60.0),
 ])
 def test_one_element_equals_its_place_in_a_large_array(kernel, lo, hi):
     # SIMD loops, blocks and branches must give every element the bits it
@@ -152,6 +174,10 @@ def test_quiet_and_exact_at_the_special_values():
     assert math.isnan(q_function(np.nan))
     np.testing.assert_array_equal(
         i0e(np.array([0.0, np.inf, -np.inf, np.nan])), [1.0, 0.0, 0.0, np.nan])
+    value, ratio = i0e(np.array([0.0, np.inf, -np.inf, np.nan]), ratio=True)
+    np.testing.assert_array_equal(value, [1.0, 0.0, 0.0, np.nan])
+    assert abs(ratio[0]) <= 1e-15
+    np.testing.assert_array_equal(ratio[1:], [1.0, 1.0, np.nan])
     mixed = i0e(np.array([np.nan, 100.0, 0.5]))
     assert math.isnan(mixed[0])
     assert mixed[1] == i0e(100.0) and mixed[2] == i0e(0.5)
