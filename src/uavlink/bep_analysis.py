@@ -7,13 +7,12 @@ on PSK the SO rule equals ML decision for decision, so there it also
 bounds ML. The bound has one implementation, `UnionBound`: built once per
 constellation and cached by (scheme, order) in `union_bound`, with the M^2
 pairwise terms grouped by their distinct squared distances, and evaluated
-over arrays of (C, gamma) by one path: `union_bound_rows` groups rows
-that each carry their own order by order, and each method hands its
-rows as columns to its row kernel (`_evaluate`). A row kernel yields the
-argument of its special function (`_special`'s Q, Q with exp(-x^2 / 2),
-or Q^-1) and returns its sums once sent the values; the arguments of one
-evaluation's blocks and orders share calls of that function
-(`_run_rows`). It serves the bound's
+over arrays of (C, gamma) by one pass (`_bound_rows`): rows sorted by order
+in chunks of at most _CHUNK_VALUES values (rows x terms), each chunk in one
+set of NumPy calls and one call of its special function (`_special`'s Q, Q
+with exp(-x^2 / 2), or Q^-1). `union_bound_rows` runs it for rows of every
+order on the scheme's cached term table (`_terms`), each `UnionBound`
+method on its own bound's. It serves the bound's
 values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
 and the two inversions of the bound, each over rows of every order at
 once: the highest feasible rate R_max and the CSI thresholds C_n of all
@@ -92,28 +91,8 @@ def q_inverse(p: float) -> float:
     return float(q_tail_inverse(min(p, 1.0 - p))) * (1.0 if p <= 0.5 else -1.0)
 
 
-def _pep_ratio(gamma, acf, norm_sq, d_sq, s_sq):
-    """(r, den): the Q-function argument of the pairwise error probability
-    is sqrt(A) = C r, with den the denominator of A.
-
-    A = gamma * C^2 * ||h||^2 * |s_m - s_mhat|^2 / den with
-    den = 2 * gamma * (1 - C^2) * |s_m|^2 + 2 (|s_m|^2 is the transmitted
-    symbol's energy). C is kept out of the square root, so a tiny C does
-    not underflow A. Broadcasts.
-    """
-    den = 2.0 * gamma * (1.0 - acf * acf) * s_sq
-    den += 2.0
-    r = gamma * norm_sq * d_sq
-    r /= den
-    return np.sqrt(r, out=r), den
-
-
-# pairwise terms evaluated per block, bounding the (points x terms)
-# temporaries of a long array of (C, gamma) points
-_BLOCK_TERMS = 1 << 14
-# special-function arguments gathered for one call (`_run_rows`); from
-# 4,096 to 32,768 the rate-opt passes ran alike, within 1 %
-_BATCH_VALUES = _BLOCK_TERMS // 2
+# values (rows x terms) of a chunk of rows: bounds the temporaries
+_CHUNK_VALUES = 1 << 13
 
 
 class UnionBound:
@@ -145,99 +124,18 @@ class UnionBound:
         self.s_sq = (np.bincount(group, weights=s_sq) / size)[keep]
         self.d_sq = (np.bincount(group, weights=d_sq) / size)[keep]
         self.weight = weight[keep] / (c.order * c.bits_per_symbol)
-        # the distinct values among the weights w and W = sum(w), and
-        # where each of (w..., W) sits among them
-        self._weight_levels, self._weight_level = np.unique(
-            np.append(self.weight, self.weight.sum()), return_inverse=True)
-        for a in (self.s_sq, self.d_sq, self.weight, self._weight_levels,
-                  self._weight_level):
+        for a in (self.s_sq, self.d_sq, self.weight):
             a.flags.writeable = False  # shared by every caller of the cache
+        self._terms = _Terms([self])
 
     @property
     def n_terms(self) -> int:
         return self.d_sq.size
 
-    def _sum(self, part):
-        """Weighted sum over the terms (the last axis), weighting part in
-        place."""
-        part *= self.weight
-        return part.sum(axis=-1)
-
-    def _q_sq(self, beta):
-        """Q^-1(beta / w)^2 for each weight w and, last, for the whole
-        weight W = sum(w), for each row's beta; 0 where beta / w >= 1/2
-        (a term at most w/2 never exceeds beta alone). Q^-1 runs once per
-        distinct (beta, weight). A generator, as the row kernels."""
-        b, row = np.unique(beta, return_inverse=True)
-        q = yield q_tail_inverse, np.minimum(b[:, None] / self._weight_levels,
-                                             0.5)
-        return (q * q)[row.ravel()][:, self._weight_level]
-
-    # row kernels: (rows, 1) columns in, one sum over the terms per row
-    # out. Each is a generator that yields its special function and the
-    # argument it needs it at, is sent the values there and returns its
-    # outputs (`_run_rows`). They work in place on their own temporaries
-    def _u_rows(self, norm_sq, acf, gamma):
-        r, _ = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        q = yield q_tail, acf * r
-        return (self._sum(q),)
-
-    def _uv_rows(self, norm_sq, acf, gamma):
-        # d Q(C r) / d ln(gamma) = -phi(C r) C r / den
-        r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        arg = acf * r
-        q, e = yield q_and_exp, arg
-        e *= arg
-        den *= _SQRT_2PI
-        e /= den
-        return self._sum(q), self._sum(e)
-
-    def _uw_rows(self, norm_sq, acf, gamma):
-        # d Q(C r) / dC = -phi(C r) r (1 + 2 gamma C^2 |s|^2 / den)
-        #               = -phi(C r) r (2 gamma |s|^2 + 2) / den
-        r, den = _pep_ratio(gamma, acf, norm_sq, self.d_sq, self.s_sq)
-        q, e = yield q_and_exp, acf * r
-        e *= r
-        g = 2.0 * gamma * self.s_sq
-        g += 2.0
-        e *= g
-        den *= _SQRT_2PI
-        e /= den
-        return self._sum(q), self._sum(e)
-
-    def _floor_rows(self, norm_sq, acf):
-        # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
-        # which is infinite (Q = 0) at C = 1
-        with np.errstate(divide="ignore"):
-            arg = acf * np.sqrt(norm_sq * self.d_sq
-                                / (2.0 * (1.0 - acf * acf) * self.s_sq))
-        q = yield q_tail, arg
-        return (self._sum(q),)
-
-    def _acf_lower_rows(self, norm_sq, gamma, beta):
-        # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
-        #                          / (gamma ||h||^2 |ds|^2 + 2 q^2 gamma |s|^2)
-        q_sq = (yield from self._q_sq(beta))[..., :-1]
-        c_sq = (2.0 * q_sq * (gamma * self.s_sq + 1.0)
-                / (gamma * norm_sq * self.d_sq + 2.0 * q_sq * gamma * self.s_sq))
-        return (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
-
-    def _gamma_lower_rows(self, norm_sq, acf, beta):
-        # a term weighted w equals beta at
-        # gamma = 2 q^2 / (C^2 ||h||^2 |ds|^2 - 2 q^2 (1 - C^2) |s|^2)
-        # where den > 0, and exceeds it at every power elsewhere. Below the
-        # largest root of a term with its own weight, that term alone
-        # exceeds beta; below the smallest root of a term given the whole
-        # weight W, every term's Q exceeds beta / W. Either way u > beta.
-        def roots(q_sq, none):
-            den = (acf * acf * norm_sq * self.d_sq
-                   - 2.0 * q_sq * (1.0 - acf * acf) * self.s_sq)
-            return np.divide(2.0 * q_sq, den, out=np.full(den.shape, none),
-                             where=den > 0.0)
-        q_sq = yield from self._q_sq(beta)
-        single = roots(q_sq[..., :-1], 0.0)
-        whole = roots(q_sq[..., -1:], np.inf)
-        return (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
+    def _rows(self, kernel, n_out: int, norm_sq: float, *args) -> tuple:
+        # the one-order case of the pass; floats where the shape is 0-d
+        return tuple(out if out.ndim else float(out) for out in _bound_rows(
+            self._terms, kernel, n_out, norm_sq, None, *args))
 
     def u(self, norm_sq: float, acf, gamma):
         """Raw union bound (may exceed 1 at low SNR).
@@ -247,19 +145,19 @@ class UnionBound:
         2 gamma (1 - C^2) |s|^2 + 2 of r^2 falls as C rises, so every term
         falls.
         """
-        return _evaluate(self, UnionBound._u_rows, norm_sq, acf, gamma)[0]
+        return self._rows(_u_rows, 1, norm_sq, acf, gamma)[0]
 
     def u_and_slope(self, norm_sq: float, acf, gamma):
         """(u, v): the raw bound and its slope v = -du/d ln(gamma) >= 0."""
-        return _evaluate(self, UnionBound._uv_rows, norm_sq, acf, gamma)
+        return self._rows(_uv_rows, 2, norm_sq, acf, gamma)
 
     def u_and_acf_slope(self, norm_sq: float, acf, gamma):
         """(u, w): the raw bound and its slope w = -du/dC >= 0."""
-        return _evaluate(self, UnionBound._uw_rows, norm_sq, acf, gamma)
+        return self._rows(_uw_rows, 2, norm_sq, acf, gamma)
 
     def floor(self, norm_sq: float, acf):
         """Infinite-power limit of the bound, set by the CSI quality C."""
-        return _evaluate(self, UnionBound._floor_rows, norm_sq, acf)[0]
+        return self._rows(_floor_rows, 1, norm_sq, acf)[0]
 
     def acf_lower(self, norm_sq: float, gamma, beta):
         """Largest C at which one term alone equals beta (0 if none can).
@@ -268,8 +166,7 @@ class UnionBound:
         bound exceeds beta: a lower bracket of the threshold C, exact up to
         rounding. Clipped to 1.
         """
-        return _evaluate(self, UnionBound._acf_lower_rows, norm_sq, gamma,
-                         beta)[0]
+        return self._rows(_acf_lower_rows, 1, norm_sq, gamma, beta)[0]
 
     def gamma_lower(self, norm_sq: float, acf, beta):
         """A lower bracket of the minimum SNR, exact up to rounding: the
@@ -278,100 +175,194 @@ class UnionBound:
         weight W = sum(w) equals beta. Every term falls in gamma, so below
         either root u > beta. The second is positive wherever the floor is
         below beta, and infinite where no term falls below beta / W."""
-        return _evaluate(self, UnionBound._gamma_lower_rows, norm_sq, acf,
-                         beta)[0]
+        return self._rows(_gamma_lower_rows, 1, norm_sq, acf, beta)[0]
 
 
-def _run_rows(calls: list) -> list:
-    """Run row-kernel calls, replacing each in `calls` by its outputs.
+class _Terms:
+    """Orders' grouped terms end to end, read-only: s^2, d^2, w, each
+    order's first term and count, and the level of each w and each W."""
 
-    The arguments of consecutive calls that ask for one special function
-    go to it together, up to _BATCH_VALUES values; one call's argument is
-    never split. Each special function is elementwise and returns its
-    values on the argument's shape, after any leading axis of its own, so
-    this changes no output. A call keeps its temporaries only until its
-    batch is sent.
-    """
-    batch, size = [], 0
-    for i, call in enumerate(calls):
-        try:
-            fn, arg = next(call)
-        except StopIteration as done:  # a call that needs no values
-            calls[i] = done.value
-            continue
-        if batch and (fn is not batch[0][1]
-                      or size + arg.size > _BATCH_VALUES):
-            _send(calls, batch)
-            batch, size = [], 0
-        batch.append((i, fn, arg))
-        size += arg.size
-    if batch:
-        _send(calls, batch)
-    return calls
+    def __init__(self, bounds):
+        self.orders = np.array([b.order for b in bounds])
+        self.count = np.array([b.n_terms for b in bounds])
+        self.start = np.cumsum(self.count) - self.count
+        self.s_sq, self.d_sq, self.weight = (
+            np.concatenate([getattr(b, name) for b in bounds])
+            for name in ("s_sq", "d_sq", "weight"))
+        self.levels, level = np.unique(np.concatenate(
+            [self.weight, [b.weight.sum() for b in bounds]]),
+            return_inverse=True)
+        self.level, self.whole_level = np.split(level, [self.weight.size])
+        for a in vars(self).values():
+            a.flags.writeable = False
 
 
-def _send(calls: list, batch: list) -> None:
-    """Evaluate the batch's function once and send each call its part."""
-    fn = batch[0][1]
-    got = fn(batch[0][2] if len(batch) == 1
-             else np.concatenate([arg.reshape(-1) for _, _, arg in batch]))
-    lo = 0
-    for i, _, arg in batch:
-        part = got if len(batch) == 1 else got[..., lo:lo + arg.size].reshape(
-            got.shape[:-1] + arg.shape)
-        lo += arg.size
-        try:
-            calls[i].send(part)
-        except StopIteration as done:
-            calls[i] = done.value
+class _Chunk:
+    """Rows (ascending order index k, n terms each) against their terms:
+    one order's as (rows, 1) columns against its (terms,) arrays, several
+    orders' laid out flat, each row as its order's terms, with `runs`."""
+
+    def __init__(self, terms: _Terms, k, n):
+        self.terms, self.k, self.flat = terms, k, k[0] != k[-1]
+        if not self.flat:
+            first = int(terms.start[k[0]])
+            self.term = slice(first, first + int(n[0]))
+        else:
+            self.first = np.cumsum(n)  # each row's first value
+            self.first -= n
+            self.row = np.repeat(np.arange(k.size), n)  # each value's row
+            self.term = np.repeat(terms.start.take(k) - self.first, n)
+            self.term += np.arange(self.term.size)  # each value's term
+            edges = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
+            self.runs = [(a, b, int(self.first[a]), int(n[a])) for a, b
+                         in zip([0] + edges, edges + [k.size])]
+        self.s_sq, self.d_sq = terms.s_sq[self.term], terms.d_sq[self.term]
+
+    def rows(self, x):  # a quantity of each row, against its values
+        return x.take(self.row) if self.flat else x[:, None]
+
+    def sum(self, part):
+        """Each row's sum of part weighted in place, as one order sums."""
+        part *= self.terms.weight[self.term]
+        if not self.flat:
+            return part.sum(axis=-1)
+        out = np.empty(self.k.size)
+        for a, b, v, n in self.runs:
+            part[v:v + (b - a) * n].reshape(b - a, n).sum(axis=-1,
+                                                          out=out[a:b])
+        return out
+
+    def reduce(self, ufunc, part):  # np.maximum or np.minimum, by row
+        return (ufunc.reduceat(part, self.first) if self.flat
+                else ufunc.reduce(part, axis=-1))
+
+    def q_sq(self, beta):
+        """(Q^-1(beta / w)^2 at every value, Q^-1(beta / W)^2 of every row),
+        0 where beta / w >= 1/2, once per distinct (beta, weight level)."""
+        b, of_row = np.unique(beta, return_inverse=True)
+        q = q_tail_inverse(np.minimum(b[:, None] / self.terms.levels, 0.5))
+        q *= q
+        return (q[self.rows(of_row), self.terms.level[self.term]],
+                q[of_row, self.terms.whole_level.take(self.k)])
 
 
-def _calls(bound: UnionBound, kernel, norm_sq: float, cols) -> list:
-    """The kernel's calls on columns of rows: one where rows x terms fit in
-    _BLOCK_TERMS, else one per block of rows. No row sees another, so
-    blocks change no output."""
-    n = max(1, _BLOCK_TERMS // bound.n_terms)
-    if len(cols[0]) <= n:
-        return [kernel(bound, norm_sq, *cols)]
-    return [kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
-            for lo in range(0, len(cols[0]), n)]
-
-
-def _evaluate(bound: UnionBound, kernel, norm_sq: float, *args) -> tuple:
-    """The outputs of `kernel(bound, norm_sq, *columns)` at every point of
-    the broadcast args (floats where 0-d), each arg one column of rows."""
+def _bound_rows(terms: _Terms, kernel, n_out: int, norm_sq: float, order,
+                *args) -> list:
+    """n_out outputs of `kernel(chunk, norm_sq, *columns)` at the rows of
+    broadcast order (None: the table's one) and args, shaped like them, in
+    chunks of whole rows sorted by order, neither of which changes a value."""
     args = [np.asarray(a, dtype=np.float64) for a in args]
+    if order is not None:
+        args.append(np.asarray(order, dtype=np.int64))
     if any(a.shape != args[0].shape for a in args):
         args = np.broadcast_arrays(*args)
-    shape = args[0].shape
-    blocks = _run_rows(_calls(bound, kernel, norm_sq,
-                              [a.reshape(-1, 1) for a in args]))
-    outs = blocks[0] if len(blocks) == 1 else [np.concatenate(out)
-                                               for out in zip(*blocks)]
-    return tuple(out.reshape(shape) if shape else float(out[0])
-                 for out in outs)
+    shape, args = args[0].shape, [a.reshape(-1) for a in args]
+    k, rows = np.zeros(args[0].size, dtype=np.intp), None
+    if order is not None:
+        order = args.pop()
+        k = np.searchsorted(terms.orders, order)
+        bad = terms.orders.take(k, mode="clip") != order
+        if bad.any():
+            raise SchemeError(f"unsupported modulation order {order[bad][0]}")
+        if k.size > 1 and (k[1:] < k[:-1]).any():
+            rows = np.argsort(k, kind="stable")
+            k, args = k.take(rows), [a.take(rows) for a in args]
+    outs = [np.empty(k.size) for _ in range(n_out)]
+    n = terms.count.take(k)
+    ends, lo = np.cumsum(n), 0
+    while lo < k.size:  # the most rows from lo that fit, at least one
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - n[lo] + _CHUNK_VALUES, side="right")))
+        got = kernel(_Chunk(terms, k[lo:hi], n[lo:hi]), norm_sq,
+                     *(a[lo:hi] for a in args))
+        for out, part in zip(outs, got):
+            out[lo:hi] = part
+        lo = hi
+    if rows is not None:
+        for out in outs:
+            out[rows] = out.copy()
+    return [out.reshape(shape) for out in outs]
 
 
-# the row kernel of each UnionBound method
-_ROW_KERNELS = {
-    UnionBound.u: UnionBound._u_rows,
-    UnionBound.u_and_slope: UnionBound._uv_rows,
-    UnionBound.u_and_acf_slope: UnionBound._uw_rows,
-    UnionBound.floor: UnionBound._floor_rows,
-    UnionBound.acf_lower: UnionBound._acf_lower_rows,
-    UnionBound.gamma_lower: UnionBound._gamma_lower_rows,
-}
+# row kernels: a chunk and its rows' columns in, one output per row out,
+# one special-function call, and one order's (rows, 1) x (terms,)
+# operation order, so that every value is that evaluation's to the bit
+def _pep_ratio(ch: _Chunk, norm_sq: float, acf, gamma):
+    """(r, den) at every value: the Q-function argument of the pairwise
+    error probability is sqrt(A) = C r, with den the denominator of A.
+
+    A = gamma * C^2 * ||h||^2 * |s_m - s_mhat|^2 / den with
+    den = 2 * gamma * (1 - C^2) * |s_m|^2 + 2 (|s_m|^2 is the transmitted
+    symbol's energy). C is kept out of the square root, so a tiny C does
+    not underflow A.
+    """
+    den = ch.rows(2.0 * gamma * (1.0 - acf * acf)) * ch.s_sq
+    den += 2.0
+    r = ch.rows(gamma * norm_sq) * ch.d_sq
+    r /= den
+    return np.sqrt(r, out=r), den
 
 
-def _method_rows(method):
-    """A row kernel that calls `method` itself, for a method without one
-    in _ROW_KERNELS, as one replaced on the class: it asks for no values,
-    and the method makes its own special-function calls."""
-    def rows(bound, norm_sq, *cols):
-        got = method(bound, norm_sq, *(c[:, 0] for c in cols))
-        return got if isinstance(got, tuple) else (got,)
-        yield  # a generator, as every row kernel
-    return rows
+def _u_rows(ch, norm_sq, acf, gamma):
+    r, _ = _pep_ratio(ch, norm_sq, acf, gamma)
+    r *= ch.rows(acf)
+    return (ch.sum(q_tail(r)),)
+
+
+def _uv_rows(ch, norm_sq, acf, gamma):
+    # d Q(C r) / d ln(gamma) = -phi(C r) C r / den
+    arg, den = _pep_ratio(ch, norm_sq, acf, gamma)
+    arg *= ch.rows(acf)
+    q, e = q_and_exp(arg)
+    e *= arg
+    e /= den * _SQRT_2PI
+    return ch.sum(q), ch.sum(e)
+
+
+def _uw_rows(ch, norm_sq, acf, gamma):
+    # d Q(C r) / dC = -phi(C r) r (1 + 2 gamma C^2 |s|^2 / den)
+    #               = -phi(C r) r (2 gamma |s|^2 + 2) / den
+    r, den = _pep_ratio(ch, norm_sq, acf, gamma)
+    q, e = q_and_exp(ch.rows(acf) * r)
+    e *= r
+    e *= ch.rows(2.0 * gamma) * ch.s_sq + 2.0
+    e /= den * _SQRT_2PI
+    return ch.sum(q), ch.sum(e)
+
+
+def _floor_rows(ch, norm_sq, acf):
+    # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
+    # which is infinite (Q = 0) at C = 1
+    with np.errstate(divide="ignore"):
+        arg = ch.rows(acf) * np.sqrt(norm_sq * ch.d_sq / (
+            ch.rows(2.0 * (1.0 - acf * acf)) * ch.s_sq))
+    return (ch.sum(q_tail(arg)),)
+
+
+def _acf_lower_rows(ch, norm_sq, gamma, beta):
+    # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
+    #                          / (gamma ||h||^2 |ds|^2 + 2 q^2 gamma |s|^2)
+    q_sq, g = ch.q_sq(beta)[0], ch.rows(gamma)
+    c_sq = (2.0 * q_sq * (g * ch.s_sq + 1.0)
+            / (ch.rows(gamma * norm_sq) * ch.d_sq + 2.0 * q_sq * g * ch.s_sq))
+    return (np.sqrt(np.minimum(ch.reduce(np.maximum, c_sq), 1.0)),)
+
+
+def _gamma_lower_rows(ch, norm_sq, acf, beta):
+    # a term weighted w equals beta at
+    # gamma = 2 q^2 / (C^2 ||h||^2 |ds|^2 - 2 q^2 (1 - C^2) |s|^2)
+    # where den > 0, and exceeds it at every power elsewhere. Below the
+    # largest root of a term with its own weight, that term alone
+    # exceeds beta; below the smallest root of a term given the whole
+    # weight W, every term's Q exceeds beta / W. Either way u > beta.
+    def roots(q_sq, none):
+        den = (ch.rows(acf * acf * norm_sq) * ch.d_sq
+               - 2.0 * q_sq * ch.rows(1.0 - acf * acf) * ch.s_sq)
+        return np.divide(2.0 * q_sq, den, out=np.full(den.shape, none),
+                         where=den > 0.0)
+    single, whole = ch.q_sq(beta)
+    return (np.maximum(ch.reduce(np.maximum, roots(single, 0.0)),
+                       ch.reduce(np.minimum, roots(ch.rows(whole), np.inf))),)
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,50 +371,45 @@ def union_bound(scheme: str, order: int) -> UnionBound:
     return UnionBound(constellation_for(scheme, order))
 
 
+@functools.lru_cache(maxsize=None)
+def _terms(scheme: str) -> _Terms:
+    """The cached grouped terms of every supported order of the scheme."""
+    return _Terms([union_bound(scheme, m) for m in SUPPORTED_ORDERS])
+
+
+# the row kernel of each UnionBound method, and its outputs
+_KERNELS = {UnionBound.u: (_u_rows, 1), UnionBound.floor: (_floor_rows, 1),
+            UnionBound.u_and_slope: (_uv_rows, 2),
+            UnionBound.u_and_acf_slope: (_uw_rows, 2),
+            UnionBound.acf_lower: (_acf_lower_rows, 1),
+            UnionBound.gamma_lower: (_gamma_lower_rows, 1)}
+
+
 def union_bound_rows(scheme: str, order, method, norm_sq: float,
                      *args) -> tuple:
     """`method(bound, norm_sq, *args)`, for a `UnionBound` method such as
     `UnionBound.u`, over rows that each carry their own order, in one call.
 
-    order and the array arguments broadcast to one shape of rows. The rows
-    of each distinct order go to that order's cached bound together, which
-    evaluates them with its own terms, blocks and row sums. A row's terms
-    and sums never see another row, so every output equals the per-order
-    method's to the bit. Returns one array per output of the method,
-    shaped like the rows. A method without a row kernel in _ROW_KERNELS,
-    such as one replaced on the class to inject a fault, runs as itself on
-    each order's rows (`_method_rows`).
+    order and the array arguments broadcast to one shape of rows, run on
+    the scheme's cached term table (`_terms`), so every output equals the
+    per-order method's to the bit: one array per output, shaped like the
+    rows. A method without a kernel in _KERNELS, such as one replaced on
+    the class to inject a fault, runs as itself on each order's rows.
     """
-    order = np.asarray(order, dtype=np.int64)
-    args = [np.asarray(a, dtype=np.float64) for a in args]
-    if any(a.shape != order.shape for a in args):
-        order, *args = np.broadcast_arrays(order, *args)
-    shape = order.shape
-    order, *args = (a.reshape(-1) for a in (order, *args))
-    rows = np.argsort(order, kind="stable")
-    # one group per distinct order; no rows still make one (empty) group,
-    # so the kernel's own outputs say how many arrays to return. The calls
-    # of every group run together, so that they share special-function
-    # calls
-    kernel = _ROW_KERNELS.get(method) or _method_rows(method)
-    cuts = (np.flatnonzero(np.diff(order[rows])) + 1).tolist()
-    groups, calls = [], []
-    for lo, hi in zip([0] + cuts, cuts + [order.size]):
-        group = rows[lo:hi]
-        m = int(order[group[0]]) if group.size else SUPPORTED_ORDERS[0]
-        group_calls = _calls(union_bound(scheme, m), kernel, norm_sq,
-                             [a[group, None] for a in args])
-        groups.append((group, len(group_calls)))
-        calls += group_calls
-    blocks = _run_rows(calls)
-    outs = tuple(np.empty(order.size) for _ in blocks[0])
-    for group, n in groups:
-        parts = blocks[0] if n == 1 else [np.concatenate(out)
-                                          for out in zip(*blocks[:n])]
-        for out, part in zip(outs, parts):
-            out[group] = part
-        del blocks[:n]
-    return tuple(out.reshape(shape) for out in outs)
+    if method in _KERNELS:
+        return tuple(_bound_rows(_terms(scheme), *_KERNELS[method], norm_sq,
+                                 order, *args))
+    order, *args = np.broadcast_arrays(np.asarray(order, dtype=np.int64), *(
+        np.asarray(a, dtype=np.float64) for a in args))
+    outs = None
+    for m in np.unique(order).tolist() or [SUPPORTED_ORDERS[0]]:
+        at = order == m
+        got = method(union_bound(scheme, m), norm_sq, *(a[at] for a in args))
+        got = got if isinstance(got, tuple) else (got,)
+        outs = outs or [np.empty(order.shape) for _ in got]
+        for out, part in zip(outs, got):
+            out[at] = part
+    return tuple(outs)
 
 
 # (w, bits / 2, d) of w Q(sqrt(gamma ||h C||^2 d / (gamma (1 - C^2) + 1)))

@@ -295,14 +295,28 @@ def load_config(path: str, seed_override: int | None = None,
     )
 
 
+# a column is searched for repeated values only from this many cells, as
+# the search (np.unique) costs more than it saves on shorter ones
+_REPEAT_MIN_CELLS = 32
+
+
 def _column_text(column) -> list:
     """One CSV column as text, keyed on its dtype: floats by shortest
-    round-trip repr, flags as 1/0, integers and text by str."""
+    round-trip repr, flags as 1/0, integers and text by str. A long column
+    formats each repeated value once (float64 told apart by its bits, so
+    -0.0 and NaNs keep their text), and its text fills its cells."""
     column = np.asarray(column)
     if column.dtype.kind == "b":
         column = column.astype(np.int64)
-    return list(map(repr if column.dtype.kind == "f" else str,
-                    column.tolist()))
+    text = repr if column.dtype.kind == "f" else str
+    key = column.view(np.uint64) if column.dtype == np.float64 else column
+    if column.size >= _REPEAT_MIN_CELLS and (column.dtype == np.float64
+                                             or column.dtype.kind in "iuU"):
+        values, of_cell = np.unique(key, return_inverse=True)
+        if values.size < column.size:
+            texts = map(text, values.view(column.dtype).tolist())
+            return np.array(list(texts), dtype=object)[of_cell].tolist()
+    return list(map(text, column.tolist()))
 
 
 def _write_csv(path: Path, header, columns, meta: dict) -> None:

@@ -30,17 +30,17 @@ from uavlink import (
     union_bound,
 )
 from uavlink import bep_analysis
+from uavlink._special import q_and_exp, q_tail, q_tail_inverse
 from uavlink.bep_analysis import (
     _BEP_REL_TOL,
-    _BLOCK_TERMS,
     _C_ABS_TOL,
+    _CHUNK_VALUES,
     _C_MARGIN,
     _acf_of_z,
     _gamma_of_z,
     _psk_acf_rows,
     _psk_bound_table,
     _psk_z_roots,
-    _run_rows,
     union_bound_rows,
 )
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
@@ -272,29 +272,114 @@ class TestUnionBound:
         assert grid.shape == (4, 5)
 
 
-# the multi-order evaluation, method by method, with its row kernel and
+# the reference: each method's arithmetic on one order's (rows, 1)
+# columns against its (terms,) arrays, written out from the bound's s_sq,
+# d_sq and weight and `_special`'s functions, in blocks of rows x terms up
+# to _BLOCK values, cut apart independently of the package's chunks
+_BLOCK = 1 << 14
+
+
+def _sum(bound, part):
+    part *= bound.weight
+    return part.sum(axis=-1)
+
+
+def _pep_ratio(bound, norm_sq, acf, gamma):
+    den = 2.0 * gamma * (1.0 - acf * acf) * bound.s_sq
+    den += 2.0
+    r = gamma * norm_sq * bound.d_sq
+    r /= den
+    return np.sqrt(r, out=r), den
+
+
+def _q_sq(bound, beta):
+    # Q^-1(beta / w)^2 of each row for each weight w and, last, for the
+    # whole weight W, once per distinct (beta, weight)
+    levels, level = np.unique(np.append(bound.weight, bound.weight.sum()),
+                              return_inverse=True)
+    b, row = np.unique(beta, return_inverse=True)
+    q = q_tail_inverse(np.minimum(b[:, None] / levels, 0.5))
+    return (q * q)[row.ravel()][:, level.ravel()]
+
+
+def _u_rows(bound, norm_sq, acf, gamma):
+    r, _ = _pep_ratio(bound, norm_sq, acf, gamma)
+    return (_sum(bound, q_tail(acf * r)),)
+
+
+def _uv_rows(bound, norm_sq, acf, gamma):
+    r, den = _pep_ratio(bound, norm_sq, acf, gamma)
+    arg = acf * r
+    q, e = q_and_exp(arg)
+    e *= arg
+    den *= math.sqrt(2.0 * math.pi)
+    e /= den
+    return _sum(bound, q), _sum(bound, e)
+
+
+def _uw_rows(bound, norm_sq, acf, gamma):
+    r, den = _pep_ratio(bound, norm_sq, acf, gamma)
+    q, e = q_and_exp(acf * r)
+    e *= r
+    g = 2.0 * gamma * bound.s_sq
+    g += 2.0
+    e *= g
+    den *= math.sqrt(2.0 * math.pi)
+    e /= den
+    return _sum(bound, q), _sum(bound, e)
+
+
+def _floor_rows(bound, norm_sq, acf):
+    with np.errstate(divide="ignore"):
+        arg = acf * np.sqrt(norm_sq * bound.d_sq
+                            / (2.0 * (1.0 - acf * acf) * bound.s_sq))
+    return (_sum(bound, q_tail(arg)),)
+
+
+def _acf_lower_rows(bound, norm_sq, gamma, beta):
+    q_sq = _q_sq(bound, beta)[..., :-1]
+    c_sq = (2.0 * q_sq * (gamma * bound.s_sq + 1.0)
+            / (gamma * norm_sq * bound.d_sq + 2.0 * q_sq * gamma * bound.s_sq))
+    return (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
+
+
+def _gamma_lower_rows(bound, norm_sq, acf, beta):
+    def roots(q_sq, none):
+        den = (acf * acf * norm_sq * bound.d_sq
+               - 2.0 * q_sq * (1.0 - acf * acf) * bound.s_sq)
+        return np.divide(2.0 * q_sq, den, out=np.full(den.shape, none),
+                         where=den > 0.0)
+    q_sq = _q_sq(bound, beta)
+    single = roots(q_sq[..., :-1], 0.0)
+    whole = roots(q_sq[..., -1:], np.inf)
+    return (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
+
+
+# the multi-order evaluation, method by method, with its reference and
 # the arrays each takes
 _ROW_METHODS = [
-    (UnionBound.u, UnionBound._u_rows, ("acf", "gamma")),
-    (UnionBound.u_and_slope, UnionBound._uv_rows, ("acf", "gamma")),
-    (UnionBound.u_and_acf_slope, UnionBound._uw_rows, ("acf", "gamma")),
-    (UnionBound.floor, UnionBound._floor_rows, ("acf",)),
-    (UnionBound.acf_lower, UnionBound._acf_lower_rows, ("gamma", "beta")),
-    (UnionBound.gamma_lower, UnionBound._gamma_lower_rows, ("acf", "beta")),
+    (UnionBound.u, _u_rows, ("acf", "gamma")),
+    (UnionBound.u_and_slope, _uv_rows, ("acf", "gamma")),
+    (UnionBound.u_and_acf_slope, _uw_rows, ("acf", "gamma")),
+    (UnionBound.floor, _floor_rows, ("acf",)),
+    (UnionBound.acf_lower, _acf_lower_rows, ("gamma", "beta")),
+    (UnionBound.gamma_lower, _gamma_lower_rows, ("acf", "beta")),
 ]
 
 
-def _per_order(bound, kernel, norm_sq, *args):
-    """An evaluation of one order's row kernel independent of the package's
-    dispatch: every argument broadcast to the full shape and made a column,
-    always cut into blocks of _BLOCK_TERMS // n_terms rows (one empty block
-    for no rows), the blocks concatenated. Floats where the shape is 0-d."""
+def _per_order(bound, ref, norm_sq, *args):
+    """One order's bound evaluated independently of the package: the
+    method's arithmetic spelled out on (rows, 1) columns against the
+    bound's (terms,) arrays, in blocks of _BLOCK // n_terms rows (one empty
+    block for no rows), the sums taken as part *= weight;
+    part.sum(axis=-1), the blocks concatenated. Floats where the shape is
+    0-d."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     cols = [np.broadcast_to(np.asarray(a, dtype=np.float64),
                             shape).reshape(-1, 1) for a in args]
-    n = max(1, _BLOCK_TERMS // bound.n_terms)
-    blocks = _run_rows([kernel(bound, norm_sq, *(c[lo:lo + n] for c in cols))
-                        for lo in range(0, max(len(cols[0]), 1), n)])
+    n = max(1, _BLOCK // bound.n_terms)
+    blocks = [ref(bound, norm_sq, *(c[lo:lo + n] for c in cols))
+              for lo in range(0, max(len(cols[0]), 1), n)]
     outs = tuple(np.concatenate(out).reshape(shape) for out in zip(*blocks))
     return tuple(map(float, outs)) if shape == () else outs
 
@@ -308,17 +393,20 @@ class TestUnionBoundRows:
     UnionBound, called on that row alone."""
 
     def test_block_size_of_64_qam(self):
-        # the rows below cross the blocks of the largest bound
-        assert _BLOCK_TERMS // union_bound("qam", 64).n_terms == 73
+        # the rows below cross the package's chunks of the largest bound
+        # (36 rows) and the reference's blocks (73 rows)
+        bound = union_bound("qam", 64)
+        assert _CHUNK_VALUES // bound.n_terms == 36
+        assert _BLOCK // bound.n_terms == 73
 
     def test_blocks_bound_the_temporaries(self, estimate):
         # an evaluation over 60 blocks keeps the (rows x terms)
         # temporaries of about one block alive at a time, not of every
-        # block: a finished row-kernel call holds none of them
+        # block: a finished chunk holds none of them
         bound = union_bound("qam", 64)
-        n = 60 * (_BLOCK_TERMS // bound.n_terms)
+        n = 60 * (_BLOCK // bound.n_terms)
         acf, gamma = np.linspace(0.5, 0.99, n), np.full(n, 100.0)
-        block = 8 * _BLOCK_TERMS  # bytes of one block's float array
+        block = 8 * _BLOCK  # bytes of one block's float array
         for run in (
                 lambda: union_bound_rows("qam", np.full(n, 64),
                                          UnionBound.u_and_acf_slope,
@@ -334,52 +422,72 @@ class TestUnionBoundRows:
 
     @given(scheme=st.sampled_from(["psk", "qam"]),
            head=st.lists(_ROW, min_size=1, max_size=6),
-           n_more=st.sampled_from([0, 72, 73, 74, 146, 147, 200]),
+           n_more=st.sampled_from([0, 35, 36, 37, 72, 73, 74, 146, 147, 200]),
+           n_low=st.sampled_from([0, 8191, 16383]),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(scheme="qam", head=[(64, 0.0, 0.0, -5.0), (2, 0.0, 6.0, -1.0)],
-             n_more=73, seed=0)
+             n_more=73, n_low=0, seed=0)
     @example(scheme="psk", head=[(64, 1.0, 6.0, -8.0), (16, 1.0, -3.0, -1.0)],
-             n_more=146, seed=1)
+             n_more=146, n_low=0, seed=1)
+    @example(scheme="qam", head=[(64, 0.5, 2.0, -5.0), (2, 0.5, 2.0, -5.0)],
+             n_more=37, n_low=8191, seed=2)
+    @example(scheme="psk", head=[(32, 0.9, 3.0, -6.0)], n_more=200,
+             n_low=16383, seed=3)
     @settings(max_examples=30, deadline=None)
     def test_each_row_equals_its_own_order(self, estimate, scheme, head,
-                                           n_more, seed):
-        # n_more rows follow the head, most of one order so that a block
-        # boundary falls inside its group, the rest a random mix
+                                           n_more, n_low, seed):
+        # n_low one-term rows (order 2) come first in the sorted rows, so
+        # that the rows after them straddle the 8,192- and 16,384-value
+        # chunk ends; n_more rows follow the head, most of one order so
+        # that a chunk boundary falls inside its group, the rest a random
+        # mix
         rng = np.random.default_rng(seed)
         tail_orders = np.where(rng.random(n_more) < 0.7, 64,
                                rng.choice(SUPPORTED_ORDERS, n_more))
+        n_all = n_low + len(head) + n_more
         cols = {
-            "order": np.concatenate([[r[0] for r in head], tail_orders]),
-            "acf": np.concatenate([[r[1] for r in head],
+            "order": np.concatenate([np.full(n_low, 2), [r[0] for r in head],
+                                     tail_orders]),
+            "acf": np.concatenate([rng.uniform(0.0, 1.0, n_low),
+                                   [r[1] for r in head],
                                    rng.uniform(0.0, 1.0, n_more)]),
-            "gamma": 10.0 ** np.concatenate([[r[2] for r in head],
+            "gamma": 10.0 ** np.concatenate([rng.uniform(-3.0, 6.0, n_low),
+                                             [r[2] for r in head],
                                              rng.uniform(-3.0, 6.0, n_more)]),
-            "beta": 10.0 ** np.concatenate([[r[3] for r in head],
+            "beta": 10.0 ** np.concatenate([rng.uniform(-8.0, -0.6, n_low),
+                                            [r[3] for r in head],
                                             rng.uniform(-8.0, -0.6, n_more)]),
         }
         norm_sq = estimate.norm_sq
-        for method, kernel, names in _ROW_METHODS:
+        for method, ref, names in _ROW_METHODS:
             got = union_bound_rows(scheme, cols["order"], method, norm_sq,
                                    *(cols[k] for k in names))
-            for i, order in enumerate(cols["order"].tolist()):
-                want = _per_order(union_bound(scheme, order), kernel,
-                                  norm_sq, *(float(cols[k][i]) for k in names))
+            assert [a.shape for a in got] == [(n_all,)] * len(got)
+            # the low rows, all of one order, in one reference call
+            want = _per_order(union_bound(scheme, 2), ref, norm_sq,
+                              *(cols[k][:n_low] for k in names))
+            assert all(np.array_equal(a[:n_low], b)
+                       for a, b in zip(got, want)), method
+            for i in range(n_low, n_all):
+                want = _per_order(union_bound(scheme, int(cols["order"][i])),
+                                  ref, norm_sq,
+                                  *(float(cols[k][i]) for k in names))
                 assert tuple(out[i] for out in got) == want, (method, i)
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 72, 73, 74, 200])
-    @pytest.mark.parametrize("method,kernel,names", _ROW_METHODS)
-    def test_one_order_equals_its_blocks(self, estimate, method, kernel,
+    @pytest.mark.parametrize("n_rows", [0, 1, 35, 36, 37, 72, 73, 74, 200])
+    @pytest.mark.parametrize("method,ref,names", _ROW_METHODS)
+    def test_one_order_equals_its_blocks(self, estimate, method, ref,
                                          names, n_rows):
         # a method called on its own and a one-order union_bound_rows call
-        # against the always-blocked evaluation:
-        # 0-d, empty, one-block and multi-block (73 rows per 64-QAM block)
+        # against the always-blocked reference: 0-d, empty, one-chunk and
+        # multi-chunk (36 rows per 64-QAM chunk, 73 per reference block)
         rng = np.random.default_rng(n_rows)
         cols = {"acf": rng.uniform(0.0, 1.0, n_rows),
                 "gamma": 10.0 ** rng.uniform(-3.0, 6.0, n_rows),
                 "beta": 10.0 ** rng.uniform(-8.0, -0.6, n_rows)}
         bound, norm_sq = union_bound("qam", 64), estimate.norm_sq
         args = [cols[k] for k in names]
-        want = _per_order(bound, kernel, norm_sq, *args)
+        want = _per_order(bound, ref, norm_sq, *args)
         got = method(bound, norm_sq, *args)
         got = got if isinstance(got, tuple) else (got,)
         assert [a.shape for a in got] == [(n_rows,)] * len(want)
@@ -392,7 +500,7 @@ class TestUnionBoundRows:
             one = method(bound, norm_sq, *scalars)
             one = one if isinstance(one, tuple) else (one,)
             assert all(type(v) is float for v in one)
-            assert one == _per_order(bound, kernel, norm_sq, *scalars)
+            assert one == _per_order(bound, ref, norm_sq, *scalars)
             rows = union_bound_rows("qam", 64, method, norm_sq, *scalars)
             assert [a.shape for a in rows] == [()] * len(one)
             assert tuple(map(float, rows)) == one

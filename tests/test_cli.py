@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavlink import __version__, cli, union_bound
@@ -611,11 +611,13 @@ def _cell(v) -> str:
     return str(v)
 
 
-_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
-                                1e-300, -1e-300, 1.7976931348623157e308,
-                                float("inf"), float("-inf"), 0.1, 1e16])
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                                -2.2250738585072e-308, 1e-300, -1e-300,
+                                1.7976931348623157e308, float("inf"),
+                                float("-inf"), float("nan"), -float("nan"),
+                                0.1, 1e16])
 _COLUMN_KINDS = st.sampled_from([
-    (np.float64, st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False))),
+    (np.float64, st.one_of(_EDGE_FLOATS, st.floats())),
     (np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
     (np.bool_, st.booleans()),
     (None, st.text(st.characters(blacklist_categories=("Cs", "Cc"),
@@ -625,10 +627,16 @@ _COLUMN_KINDS = st.sampled_from([
 
 @st.composite
 def _columns(draw):
-    n_rows = draw(st.integers(0, 6))
+    # up to 64 rows, across the writer's 32-cell threshold for repeated
+    # values; a column draws its cells freely or from a small pool, so
+    # that values repeat
+    n_rows = draw(st.integers(0, 64))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
         dtype, values = draw(_COLUMN_KINDS)
+        if draw(st.booleans()):
+            values = st.sampled_from(draw(st.lists(values, min_size=1,
+                                                   max_size=4)))
         cells = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
         columns.append(np.array(cells, dtype=dtype) if dtype else cells)
     return columns
@@ -637,6 +645,10 @@ def _columns(draw):
 class TestColumnWriter:
     @settings(max_examples=200, deadline=None)
     @given(columns=_columns())
+    @example(columns=[np.array(3 * [0.0, -0.0, 0.0, float("nan"),
+                                    -float("nan"), float("nan"), float("inf"),
+                                    -float("inf"), 5e-324, -5e-324, 5e-324,
+                                    -0.0])])
     def test_bytes_match_rowwise_cells(self, tmp_path_factory, columns):
         path = tmp_path_factory.mktemp("csv") / "out.csv"
         header = [f"c{k}" for k in range(len(columns))]
