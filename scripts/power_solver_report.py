@@ -8,8 +8,9 @@ holds this script. For case1 and case2, each at the schedule of its power
 cap and threshold, and at sample spacings of 4e-5 s (the benchmark's) and
 1e-5 s (the CLI default), it solves the trace's 4- to 64-QAM samples as
 `min_power_schedule` does and prints, per QAM order: the samples, the
-Chebyshev node rows solved for their starts and the most Newton
-evaluations a node took, the mean and largest number of Newton
+Chebyshev node rows solved for every order's starts (`_NODES` per order,
+4-QAM's among them) and the most Newton evaluations a node took, the
+mean and largest number of Newton
 evaluations per sample, and, on each trace's first row, the median
 wall time of `min_power_schedule` over `--repeats` calls. It only reports.
 """
@@ -42,8 +43,8 @@ def main(argv=None) -> int:
     from uavlink.rate_optimizer import sample_grid
     from uavlink.scenario import average_snr_db
 
-    # every lockstep solve of `_solve_qam`, in call order: the nodes' (when
-    # any order interpolates) and then the samples'
+    # the two lockstep solves of `_solve_qam`, in call order: the nodes'
+    # and then the samples'
     solves = []
     solve = power_control._ln_gamma_roots
 
@@ -78,15 +79,13 @@ def main(argv=None) -> int:
             solves.clear()
             power_control._solve_qam(1 << rate[solved], fx.estimate,
                                      acf[solved], scenario.bep_threshold)
-            (order, evaluations), nodes = solves[-1], solves[:-1]
-            node_order, node_evaluations = (nodes[0] if nodes else
-                                            (np.array([], np.int64),) * 2)
+            (node_order, node_evaluations), (order, evaluations) = solves
             wall = f"{1e3 * statistics.median(walls[1:]):.2f}"
             for m in np.unique(order).tolist():
                 at, node = (evaluations[order == m],
                             node_evaluations[node_order == m])
                 print(f"| {case} | {dt:g} | {m} | {at.size} | {node.size} "
-                      f"| {node.max(initial=0)} | {at.mean():.3f} "
+                      f"| {node.max()} | {at.mean():.3f} "
                       f"| {at.max()} | {wall} |")
                 wall = ""
     return 0

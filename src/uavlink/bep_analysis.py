@@ -21,7 +21,7 @@ rate regions in power_control. Both can start at a closed-form lower
 bracket built from the roots of single terms (`UnionBound.acf_lower`,
 `gamma_lower`), and are solved by one lockstep safeguarded Newton,
 `lockstep.newton_lockstep`, on the bound's value and slope; the power
-solve starts long traces next to their roots instead, from z (below).
+solve starts every sample next to its root instead, from z (below).
 Both schemes solve C_n in z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) +
 2), in which ln u is near linear where it is concave in C. Every PSK term
 has |s|^2 = 1, so the PSK bound is a function of z alone: one root z* per
@@ -132,10 +132,11 @@ class UnionBound:
     def n_terms(self) -> int:
         return self.d_sq.size
 
-    def _rows(self, kernel, n_out: int, norm_sq: float, *args) -> tuple:
-        # the one-order case of the pass; floats where the shape is 0-d
+    def _rows(self, method, norm_sq: float, *args) -> tuple:
+        # the one-order case of the pass, by the method's kernel in
+        # _KERNELS; floats where the shape is 0-d
         return tuple(out if out.ndim else float(out) for out in _bound_rows(
-            self._terms, kernel, n_out, norm_sq, None, *args))
+            self._terms, *_KERNELS[method], norm_sq, None, *args))
 
     def u(self, norm_sq: float, acf, gamma):
         """Raw union bound (may exceed 1 at low SNR).
@@ -145,19 +146,19 @@ class UnionBound:
         2 gamma (1 - C^2) |s|^2 + 2 of r^2 falls as C rises, so every term
         falls.
         """
-        return self._rows(_u_rows, 1, norm_sq, acf, gamma)[0]
+        return self._rows(UnionBound.u, norm_sq, acf, gamma)[0]
 
     def u_and_slope(self, norm_sq: float, acf, gamma):
         """(u, v): the raw bound and its slope v = -du/d ln(gamma) >= 0."""
-        return self._rows(_uv_rows, 2, norm_sq, acf, gamma)
+        return self._rows(UnionBound.u_and_slope, norm_sq, acf, gamma)
 
     def u_and_acf_slope(self, norm_sq: float, acf, gamma):
         """(u, w): the raw bound and its slope w = -du/dC >= 0."""
-        return self._rows(_uw_rows, 2, norm_sq, acf, gamma)
+        return self._rows(UnionBound.u_and_acf_slope, norm_sq, acf, gamma)
 
     def floor(self, norm_sq: float, acf):
         """Infinite-power limit of the bound, set by the CSI quality C."""
-        return self._rows(_floor_rows, 1, norm_sq, acf)[0]
+        return self._rows(UnionBound.floor, norm_sq, acf)[0]
 
     def acf_lower(self, norm_sq: float, gamma, beta):
         """Largest C at which one term alone equals beta (0 if none can).
@@ -166,7 +167,7 @@ class UnionBound:
         bound exceeds beta: a lower bracket of the threshold C, exact up to
         rounding. Clipped to 1.
         """
-        return self._rows(_acf_lower_rows, 1, norm_sq, gamma, beta)[0]
+        return self._rows(UnionBound.acf_lower, norm_sq, gamma, beta)[0]
 
     def gamma_lower(self, norm_sq: float, acf, beta):
         """A lower bracket of the minimum SNR, exact up to rounding: the
@@ -175,7 +176,7 @@ class UnionBound:
         weight W = sum(w) equals beta. Every term falls in gamma, so below
         either root u > beta. The second is positive wherever the floor is
         below beta, and infinite where no term falls below beta / W."""
-        return self._rows(_gamma_lower_rows, 1, norm_sq, acf, beta)[0]
+        return self._rows(UnionBound.gamma_lower, norm_sq, acf, beta)[0]
 
 
 class _Terms:
@@ -377,7 +378,8 @@ def _terms(scheme: str) -> _Terms:
     return _Terms([union_bound(scheme, m) for m in SUPPORTED_ORDERS])
 
 
-# the row kernel of each UnionBound method, and its outputs
+# the row kernel of each UnionBound method, and its outputs: the one
+# table that the method and union_bound_rows both read
 _KERNELS = {UnionBound.u: (_u_rows, 1), UnionBound.floor: (_floor_rows, 1),
             UnionBound.u_and_slope: (_uv_rows, 2),
             UnionBound.u_and_acf_slope: (_uw_rows, 2),
@@ -393,23 +395,11 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     order and the array arguments broadcast to one shape of rows, run on
     the scheme's cached term table (`_terms`), so every output equals the
     per-order method's to the bit: one array per output, shaped like the
-    rows. A method without a kernel in _KERNELS, such as one replaced on
-    the class to inject a fault, runs as itself on each order's rows.
+    rows. The kernel is the method's in _KERNELS, which its `UnionBound`
+    method reads too.
     """
-    if method in _KERNELS:
-        return tuple(_bound_rows(_terms(scheme), *_KERNELS[method], norm_sq,
-                                 order, *args))
-    order, *args = np.broadcast_arrays(np.asarray(order, dtype=np.int64), *(
-        np.asarray(a, dtype=np.float64) for a in args))
-    outs = None
-    for m in np.unique(order).tolist() or [SUPPORTED_ORDERS[0]]:
-        at = order == m
-        got = method(union_bound(scheme, m), norm_sq, *(a[at] for a in args))
-        got = got if isinstance(got, tuple) else (got,)
-        outs = outs or [np.empty(order.shape) for _ in got]
-        for out, part in zip(outs, got):
-            out[at] = part
-    return tuple(outs)
+    return tuple(_bound_rows(_terms(scheme), *_KERNELS[method], norm_sq,
+                             order, *args))
 
 
 # (w, bits / 2, d) of w Q(sqrt(gamma ||h C||^2 d / (gamma (1 - C^2) + 1)))
@@ -686,8 +676,13 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     per distinct (rate, threshold) of the PSK bound, a function of z
     alone (`_psk_acf_rows`). On both, a root is done when its z bracket
     is at most 1e-12 wide and the bound at the upper end is within 1e-8
-    of the threshold; C_n is that end mapped to C, where
-    u(C_n) <= threshold. A z bracket of 1e-12 spans at most
+    of the threshold. A QAM C_n is that end mapped to C, the C at which
+    the bound was evaluated, so there u(C_n) <= threshold within 1e-8
+    relative. A PSK C_n is z* mapped to C and raised by _C_MARGIN (1e-14)
+    relative: u(C_n) <= threshold always holds, but where the bound is
+    steep near C = 1 the step can move u by more than 1e-8 (case1 at
+    34 dB and the least normal threshold: rate 4 reads
+    ln(u / threshold) = -3.3e-8). A z bracket of 1e-12 spans at most
     1e-12 sqrt(2 (1 + 1 / gamma) / ||h||^2) in C. On either scheme a
     row's C_n does not depend on the other rows, and C_n = 0 where even
     C = 0 meets the threshold.

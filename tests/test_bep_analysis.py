@@ -1150,6 +1150,19 @@ class TestInversionDomain:
                                        "qam", beta)
             assert r_max[0] > 0 and np.isfinite(cs).all()
 
+    def test_psk_margin_can_miss_the_residual(self, fx):
+        # a PSK C_n is z* mapped to C and raised by _C_MARGIN: always
+        # u(C_n) <= beta, but on the bound's steep side near C = 1 the
+        # step moves u by more than the solve's 1e-8 residual
+        beta, gamma = sys.float_info.min, 10.0 ** 3.4
+        r_max, cs = acf_thresholds(fx.estimate, gamma, "psk", beta)
+        assert r_max.tolist() == [4]
+        ln = [math.log(union_bound("psk", 1 << n).u(
+            fx.estimate.norm_sq, cs[n - 1, 0], gamma) / beta)
+            for n in range(1, 5)]
+        assert max(ln) <= 0.0
+        assert ln[3] == pytest.approx(-3.28e-8, rel=1e-2)
+
     def test_zero_snr_is_accepted(self, fx):
         # gamma = 0 collapses every pairwise argument to Q(0) = 1/2: no
         # order meets 1e-5, and a threshold above u = 1/2 admits BPSK at

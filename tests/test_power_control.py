@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavlink import (
@@ -106,11 +106,12 @@ def _qam_root(order, estimate, acf, beta) -> LockstepRoots:
 
 class TestQamSolver:
     # (order, acf) -> root, iterations, method, all at beta = 1e-5
+    # a one-sample call starts at its own node's root: 1 evaluation
     PINS = [
-        (4, 0.99, 2.454066702721, 2, "newton"),
-        (4, 0.999, 2.308435205889, 2, "newton"),
-        (16, 0.99, 15.166363129613, 4, "newton"),
-        (16, 0.999, 11.369164682887, 4, "newton"),
+        (4, 0.99, 2.454066702721, 1, "newton"),
+        (4, 0.999, 2.308435205889, 1, "newton"),
+        (16, 0.99, 15.166363129613, 1, "newton"),
+        (16, 0.999, 11.369164682887, 1, "newton"),
     ]
 
     @pytest.mark.parametrize("order,acf,gamma,iters,method", PINS)
@@ -243,18 +244,18 @@ class TestClosedFormStarts:
             root = _qam_root(order, est, acf, beta).root[0]
             assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
 
-    def test_starts_past_the_root_take_the_fallbacks(self, fx, monkeypatch):
+    def test_starts_past_the_root_take_the_fallbacks(self, fx,
+                                                     kernel_fault):
+        # the power solve's Chebyshev nodes start at gamma_lower
         c_n = acf_thresholds(fx.estimate, 300.0, "qam", BETA)[1][3, 0]
         root = _qam_root(16, fx.estimate, 0.99, BETA).root[0]
-        monkeypatch.setattr(UnionBound, "acf_lower",
-                            lambda self, n, g, b: np.full(np.shape(g),
-                                                          c_n + 1e-6))
+        kernel_fault(UnionBound.acf_lower,
+                     lambda order, c: (np.full(c.shape, c_n + 1e-6),))
         assert abs(acf_thresholds(fx.estimate, 300.0, "qam", BETA)[1][3, 0]
                    - c_n) <= 1e-12
         for start in (1.01 * root, 1e-3 * root):
-            monkeypatch.setattr(UnionBound, "gamma_lower",
-                                lambda self, n, c, b: np.full(np.shape(c),
-                                                              start))
+            kernel_fault(UnionBound.gamma_lower,
+                         lambda order, g: (np.full(g.shape, start),))
             assert _qam_root(16, fx.estimate, 0.99, BETA).root[0] == \
                 pytest.approx(root, rel=2e-9)
 
@@ -466,43 +467,50 @@ def _qam_trace_roots(fx, sample_dt):
 
 
 class TestStartsNextToTheRoot:
-    # an order with more than _NODES samples starts next to its roots:
-    # 4-QAM at QPSK's z* mapped to gamma in closed form, 8- to 64-QAM at
-    # the Chebyshev interpolant of z^2 in C
+    # every order present starts next to its roots, at the Chebyshev
+    # interpolant of z^2 in C through _NODES nodes of its own
     @pytest.mark.parametrize("case", ["case1", "case2"])
     @pytest.mark.parametrize("sample_dt", [4e-5, 1e-5])
-    def test_one_or_two_evaluations_per_sample(self, case, sample_dt):
+    def test_one_evaluation_per_sample(self, case, sample_dt, monkeypatch):
+        solves, solve = [], power_control._ln_gamma_roots
+
+        def recorded(order, *args):
+            solves.append(order)
+            return solve(order, *args)
+        monkeypatch.setattr(power_control, "_ln_gamma_roots", recorded)
         order, roots = _qam_trace_roots(load_fixture(case), sample_dt)
-        counts = np.unique(order, return_counts=True)[1]
-        assert counts.size == 5 and counts.min() > power_control._NODES
-        assert np.all(roots.iterations[order == 4] == 1)
-        assert np.all(roots.iterations[order > 4] <= 2)
+        assert np.unique(order).tolist() == [4, 8, 16, 32, 64]
+        assert np.all(roots.iterations == 1)
         assert np.all(roots.newton)
+        node_order = solves[0]  # the nodes' solve comes first
+        assert np.unique(node_order, return_counts=True)[1].tolist() == \
+            [power_control._NODES] * 5
 
     def test_unconverged_nodes_leave_the_lower_starts(self, fx,
                                                      monkeypatch):
-        # where the nodes' solve fails, 8- to 64-QAM start at gamma_lower
-        # and reach the same roots in more evaluations
+        # where the nodes' solve fails, every order starts at gamma_lower
+        # and reaches the same roots in more evaluations
         order, want = _qam_trace_roots(fx, 4e-5)
-        solve, nodes = power_control._ln_gamma_roots, 4 * power_control._NODES
+        solve, nodes = power_control._ln_gamma_roots, 5 * power_control._NODES
 
         def nodes_fail(order, *args):
-            if order.size == nodes:  # the 8- to 64-QAM nodes
+            if order.size == nodes:  # the 4- to 64-QAM nodes
                 raise DivergenceError("stuck", cells=np.arange(1))
             return solve(order, *args)
         monkeypatch.setattr(power_control, "_ln_gamma_roots", nodes_fail)
         _, got = _qam_trace_roots(fx, 4e-5)
         assert np.abs(got.root / want.root - 1.0).max() <= 1e-12
-        assert np.all(got.iterations[order == 4] == 1)
-        assert got.iterations[order > 4].min() >= 2
+        assert got.iterations.min() >= 2
 
     @given(case=st.sampled_from(["case1", "case2"]),
            p_max_dbm=st.floats(25.0, 45.0),
            log_beta=st.floats(-7.0, -2.0),
-           sample_dt=st.sampled_from([1e-4, 4e-5]))
+           sample_dt=st.sampled_from([4e-4, 1e-4, 4e-5]))
+    @example(case="case1", p_max_dbm=35.0, log_beta=-5.0, sample_dt=4e-4)
     @settings(max_examples=6, deadline=None)
     def test_trace_roots_match_bisection_and_one_sample_solves(
             self, case, p_max_dbm, log_beta, sample_dt):
+        # at 4e-4 s the 8- to 64-QAM orders have fewer samples than nodes
         base = load_fixture(case)
         scenario = dataclasses.replace(base.scenario, p_max_dbm=p_max_dbm,
                                        bep_threshold=10.0 ** log_beta)
@@ -591,14 +599,11 @@ class TestOneSolveEqualsRegionLoop:
             assert 1 in power.rate  # the BPSK region takes the closed form
 
     def test_infeasible_qam_sample_names_its_rate(self, fx, qam_power,
-                                                  monkeypatch):
+                                                  kernel_fault):
         # a 16-QAM floor above every threshold: no power serves rate 4
         schedule, _ = qam_power
-        floor = UnionBound.floor
-        monkeypatch.setattr(
-            UnionBound, "floor",
-            lambda self, n, c: (np.ones(np.shape(c)) if self.order == 16
-                                else floor(self, n, c)))
+        kernel_fault(UnionBound.floor,
+                     lambda order, f: (np.where(order == 16, 1.0, f),))
         with pytest.raises(ScheduleError, match="rate-4 region .16-QAM"):
             min_power_schedule(schedule, fx.estimate, fx.scenario, fx.wobble,
                                sample_dt=4e-5)

@@ -26,6 +26,7 @@ from uavlink import (
     acf_inverse,
     acf_thresholds,
     average_rate,
+    bep_analysis,
     build_rate_schedule,
     build_rate_schedules,
     optimum_transmission_time,
@@ -701,6 +702,12 @@ def _outcome(call):
         return type(exc)
 
 
+def _flat_at_8(order, u, w):
+    """A `u_and_acf_slope` fault: a flat 8-QAM bound at 1, above every
+    threshold, and the other orders' own."""
+    return np.where(order == 8, 1.0, u), np.where(order == 8, 0.0, w)
+
+
 _grid = dict(
     fixture=st.sampled_from(["case1", "case2"]),
     scheme=st.sampled_from(["psk", "qam"]),
@@ -761,16 +768,13 @@ class TestOneSolveEqualsLoops:
         ((8, 16), ScheduleError),
         ((16, 32), ScheduleError),
     ])
-    def test_lowest_failing_rate_raises_first(self, fx, monkeypatch, bumps,
+    def test_lowest_failing_rate_raises_first(self, fx, kernel_fault, bumps,
                                               error):
         # each bumped order's bound is raised by 1e-3, so its rate fails at
         # C = 1; the grid reaches every QAM rate, and the lowest bumped rate
         # is named
-        u = UnionBound.u
-
-        def bumped(self, norm_sq, acf, gamma):
-            return u(self, norm_sq, acf, gamma) + 1e-3 * (self.order in bumps)
-        monkeypatch.setattr(UnionBound, "u", bumped)
+        kernel_fault(UnionBound.u,
+                     lambda order, u: (u + 1e-3 * np.isin(order, bumps),))
         args = (fx.estimate, np.array([4.0 * GAMMA_MAX, GAMMA_MAX]), "qam",
                 BETA, fx.wobble, fx.scenario.t_estimate)
         first = f"rate {min(bumps).bit_length() - 1} infeasible"
@@ -779,16 +783,10 @@ class TestOneSolveEqualsLoops:
         with pytest.raises(error, match=first):
             _loop_schedules(*args)
 
-    def test_unconverged_solve_names_its_rate(self, fx, monkeypatch):
+    def test_unconverged_solve_names_its_rate(self, fx, kernel_fault):
         # a flat 8-QAM bound above every threshold never crosses it: the
         # rate-3 rows cannot converge while the other rates do
-        slope = UnionBound.u_and_acf_slope
-
-        def flat_at_8(self, norm_sq, acf, gamma):
-            if self.order != 8:
-                return slope(self, norm_sq, acf, gamma)
-            return np.ones(np.shape(acf)), np.zeros(np.shape(acf))
-        monkeypatch.setattr(UnionBound, "u_and_acf_slope", flat_at_8)
+        kernel_fault(UnionBound.u_and_acf_slope, _flat_at_8)
         with pytest.raises(MonotonicityError,
                            match="did not converge for rate 3$"):
             build_rate_schedules(fx.estimate, np.array([GAMMA_MAX, 2e3]),
@@ -797,21 +795,14 @@ class TestOneSolveEqualsLoops:
 
 
     def test_unconverged_solve_raises_before_a_higher_infeasible_rate(
-            self, fx, monkeypatch):
+            self, fx, monkeypatch, kernel_fault):
         # rate 3's solve never converges (flat 8-QAM bound) and rate 5
         # fails at C = 1 (32-QAM bound raised by 1e-3): a rate-by-rate
         # build meets the solve of rate 3 first
-        slope, u = UnionBound.u_and_acf_slope, UnionBound.u
-
-        def flat_at_8(self, norm_sq, acf, gamma):
-            if self.order != 8:
-                return slope(self, norm_sq, acf, gamma)
-            return np.ones(np.shape(acf)), np.zeros(np.shape(acf))
-
-        def raised_at_32(self, norm_sq, acf, gamma):
-            return u(self, norm_sq, acf, gamma) + 1e-3 * (self.order == 32)
-        monkeypatch.setattr(UnionBound, "u_and_acf_slope", flat_at_8)
-        monkeypatch.setattr(UnionBound, "u", raised_at_32)
+        slope = bep_analysis._KERNELS[UnionBound.u_and_acf_slope]
+        kernel_fault(UnionBound.u_and_acf_slope, _flat_at_8)
+        kernel_fault(UnionBound.u,
+                     lambda order, u: (u + 1e-3 * (order == 32),))
         args = (fx.estimate, np.array([4.0 * GAMMA_MAX, GAMMA_MAX]), "qam",
                 BETA, fx.wobble, fx.scenario.t_estimate)
         with pytest.raises(MonotonicityError,
@@ -819,7 +810,8 @@ class TestOneSolveEqualsLoops:
             build_rate_schedules(*args)
         with pytest.raises(MonotonicityError, match="rate 3 did not"):
             _loop_schedules(*args)
-        monkeypatch.setattr(UnionBound, "u_and_acf_slope", slope)
+        monkeypatch.setitem(bep_analysis._KERNELS,
+                            UnionBound.u_and_acf_slope, slope)
         with pytest.raises(ScheduleError, match="rate 5 infeasible"):
             build_rate_schedules(*args)
 
