@@ -17,23 +17,22 @@ values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
 and the two inversions of the bound, each over rows of every order at
 once: the highest feasible rate R_max and the CSI thresholds C_n of all
 rates of a grid here (`acf_thresholds`) and the QAM power solve over all
-rate regions in power_control. Both can start at a closed-form lower
-bracket built from the roots of single terms (`UnionBound.acf_lower`,
-`gamma_lower`), and are solved by one lockstep safeguarded Newton,
-`lockstep.newton_lockstep`, on the bound's value and slope; the power
-solve starts every sample next to its root instead, from z (below).
-Both schemes solve C_n in z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) +
-2), in which ln u is near linear where it is concave in C. Every PSK term
-has |s|^2 = 1, so the PSK bound is a function of z alone: one root z* per
-(order, threshold) (`_psk_z_roots`) gives the C_n of every cell in closed
-form (`_psk_acf_rows`), and the power at any C (`_gamma_of_z`). QAM rows
-are solved in z row by row, each on its own order's bound at C(z)
-(`_qam_acf_rows`, `u_and_acf_slope` times dC/dz); the power in ln(gamma)
-(`u_and_slope`). The bound falls in C by its form (`UnionBound.u`), so the
-C_n solve checks only C = 1 and raises MonotonicityError only when it
-does not converge. Beside it sits the Gray-mapping PSK approximation, one
-term table (`_PSK_TERMS`) read by its forward form and its closed-form
-inverse, both over per-sample orders.
+rate regions in power_control. Both are solved by one lockstep
+safeguarded Newton, `lockstep.newton_lockstep`, on the bound's value and
+slope, and every solve starts from one closed form in
+z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), once per distinct
+(order, threshold) of a call (`_z_start`). Both schemes solve C_n in z,
+in which ln u is near linear where it is concave in C. Every PSK term
+has |s|^2 = 1, so the PSK bound is a function of z alone: one root z*
+per (order, threshold) (`_psk_z_roots`) gives the C_n of every cell in
+closed form (`_psk_acf_rows`), and the power at any C (`_gamma_of_z`).
+QAM rows are solved in z row by row, each on its own order's bound at
+C(z) (`_qam_acf_rows`, `u_and_acf_slope` times dC/dz); the power in
+ln(gamma) (`u_and_slope`). The bound falls in C by its form
+(`UnionBound.u`), so the C_n solve checks only C = 1 and raises
+MonotonicityError only when it does not converge. Beside it sits the
+Gray-mapping PSK approximation, one term table (`_PSK_TERMS`) read by its
+forward form and its closed-form inverse, both over per-sample orders.
 """
 
 import functools
@@ -160,28 +159,10 @@ class UnionBound:
         """Infinite-power limit of the bound, set by the CSI quality C."""
         return self._rows(UnionBound.floor, norm_sq, acf)[0]
 
-    def acf_lower(self, norm_sq: float, gamma, beta):
-        """Largest C at which one term alone equals beta (0 if none can).
-
-        Every term is non-negative and falls in C, so below this C the
-        bound exceeds beta: a lower bracket of the threshold C, exact up to
-        rounding. Clipped to 1.
-        """
-        return self._rows(UnionBound.acf_lower, norm_sq, gamma, beta)[0]
-
-    def gamma_lower(self, norm_sq: float, acf, beta):
-        """A lower bracket of the minimum SNR, exact up to rounding: the
-        larger of the largest gamma at which one term alone equals beta,
-        and the smallest gamma at which one term carrying the bound's whole
-        weight W = sum(w) equals beta. Every term falls in gamma, so below
-        either root u > beta. The second is positive wherever the floor is
-        below beta, and infinite where no term falls below beta / W."""
-        return self._rows(UnionBound.gamma_lower, norm_sq, acf, beta)[0]
-
 
 class _Terms:
-    """Orders' grouped terms end to end, read-only: s^2, d^2, w, each
-    order's first term and count, and the level of each w and each W."""
+    """Orders' grouped terms end to end, read-only: s^2, d^2, w, and each
+    order's first term and count."""
 
     def __init__(self, bounds):
         self.orders = np.array([b.order for b in bounds])
@@ -190,10 +171,6 @@ class _Terms:
         self.s_sq, self.d_sq, self.weight = (
             np.concatenate([getattr(b, name) for b in bounds])
             for name in ("s_sq", "d_sq", "weight"))
-        self.levels, level = np.unique(np.concatenate(
-            [self.weight, [b.weight.sum() for b in bounds]]),
-            return_inverse=True)
-        self.level, self.whole_level = np.split(level, [self.weight.size])
         for a in vars(self).values():
             a.flags.writeable = False
 
@@ -233,18 +210,9 @@ class _Chunk:
                                                           out=out[a:b])
         return out
 
-    def reduce(self, ufunc, part):  # np.maximum or np.minimum, by row
-        return (ufunc.reduceat(part, self.first) if self.flat
-                else ufunc.reduce(part, axis=-1))
-
-    def q_sq(self, beta):
-        """(Q^-1(beta / w)^2 at every value, Q^-1(beta / W)^2 of every row),
-        0 where beta / w >= 1/2, once per distinct (beta, weight level)."""
-        b, of_row = np.unique(beta, return_inverse=True)
-        q = q_tail_inverse(np.minimum(b[:, None] / self.terms.levels, 0.5))
-        q *= q
-        return (q[self.rows(of_row), self.terms.level[self.term]],
-                q[of_row, self.terms.whole_level.take(self.k)])
+    def max(self, part):  # each row's largest value
+        return (np.maximum.reduceat(part, self.first) if self.flat
+                else part.max(axis=-1))
 
 
 def _bound_rows(terms: _Terms, kernel, n_out: int, norm_sq: float, order,
@@ -340,30 +308,21 @@ def _floor_rows(ch, norm_sq, acf):
     return (ch.sum(q_tail(arg)),)
 
 
-def _acf_lower_rows(ch, norm_sq, gamma, beta):
-    # w Q(C r) = beta at C^2 = 2 q^2 (gamma |s|^2 + 1)
-    #                          / (gamma ||h||^2 |ds|^2 + 2 q^2 gamma |s|^2)
-    q_sq, g = ch.q_sq(beta)[0], ch.rows(gamma)
-    c_sq = (2.0 * q_sq * (g * ch.s_sq + 1.0)
-            / (ch.rows(gamma * norm_sq) * ch.d_sq + 2.0 * q_sq * g * ch.s_sq))
-    return (np.sqrt(np.minimum(ch.reduce(np.maximum, c_sq), 1.0)),)
-
-
-def _gamma_lower_rows(ch, norm_sq, acf, beta):
-    # a term weighted w equals beta at
-    # gamma = 2 q^2 / (C^2 ||h||^2 |ds|^2 - 2 q^2 (1 - C^2) |s|^2)
-    # where den > 0, and exceeds it at every power elsewhere. Below the
-    # largest root of a term with its own weight, that term alone
-    # exceeds beta; below the smallest root of a term given the whole
-    # weight W, every term's Q exceeds beta / W. Either way u > beta.
-    def roots(q_sq, none):
-        den = (ch.rows(acf * acf * norm_sq) * ch.d_sq
-               - 2.0 * q_sq * ch.rows(1.0 - acf * acf) * ch.s_sq)
-        return np.divide(2.0 * q_sq, den, out=np.full(den.shape, none),
-                         where=den > 0.0)
-    single, whole = ch.q_sq(beta)
-    return (np.maximum(ch.reduce(np.maximum, roots(single, 0.0)),
-                       ch.reduce(np.minimum, roots(ch.rows(whole), np.inf))),)
+def _z_start_rows(ch, _, beta):
+    # each term's two roots, or the whole weight's (see `_z_start`)
+    d = np.sqrt(ch.d_sq)
+    z = q_tail_inverse(np.minimum(ch.rows(beta) / ch.terms.weight[ch.term],
+                                  0.5))
+    z /= d
+    z_s, z_inf_sq = ch.max(z), ch.max(z * z * ch.s_sq)
+    if not z_s.all():
+        whole = q_tail_inverse(np.minimum(beta / ch.sum(np.ones(d.shape)),
+                                          0.5)) / ch.max(d)
+        z_inf_sq = np.where(z_s > 0.0, z_inf_sq,
+                            whole * whole * -ch.max(-ch.s_sq))
+        z_s = np.where(z_s > 0.0, z_s, whole)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where beta >= W / 2
+        return z_s, z_inf_sq / (z_s * z_s)
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,9 +341,7 @@ def _terms(scheme: str) -> _Terms:
 # table that the method and union_bound_rows both read
 _KERNELS = {UnionBound.u: (_u_rows, 1), UnionBound.floor: (_floor_rows, 1),
             UnionBound.u_and_slope: (_uv_rows, 2),
-            UnionBound.u_and_acf_slope: (_uw_rows, 2),
-            UnionBound.acf_lower: (_acf_lower_rows, 1),
-            UnionBound.gamma_lower: (_gamma_lower_rows, 1)}
+            UnionBound.u_and_acf_slope: (_uw_rows, 2)}
 
 
 def union_bound_rows(scheme: str, order, method, norm_sq: float,
@@ -495,62 +452,78 @@ def _z_sq(norm_sq: float, acf, gamma):
     return acf * acf * norm_sq / (2.0 * (1.0 - acf * acf) + 2.0 / gamma)
 
 
-def _acf_of_z(norm_sq: float, z_sq, gamma):
+def _acf_of_z(norm_sq: float, z_sq, gamma, s_sq=1.0):
     """C of z^2 (`_z_sq` inverted), clipped to 1:
-    C^2 = 2 z^2 (1 + 1 / gamma) / (||h||^2 + 2 z^2). (1 + 1 / gamma), not
-    (gamma + 1) / gamma: gamma (||h||^2 + 2 z^2) can overflow at the
-    largest SNR the CLI accepts."""
-    c_sq = 2.0 * z_sq * (1.0 + 1.0 / gamma) / (norm_sq + 2.0 * z_sq)
+    C^2 = 2 z^2 (s^2 + 1 / gamma) / (||h||^2 + 2 z^2 s^2), s^2 = 1; at
+    s^2 = s_sq, the C at which a term's argument is d z (`_z_start`).
+    (1 + 1 / gamma), not (gamma + 1) / gamma: gamma (||h||^2 + 2 z^2) can
+    overflow at the largest SNR the CLI accepts."""
+    c_sq = 2.0 * z_sq * (s_sq + 1.0 / gamma) / (norm_sq + 2.0 * z_sq * s_sq)
     return np.minimum(np.sqrt(c_sq), 1.0)
 
 
-def _gamma_of_z(norm_sq: float, acf, z_sq):
+def _gamma_of_z(norm_sq: float, acf, z_sq, s_sq=1.0):
     """gamma of z^2 at C (`_z_sq` inverted in gamma):
-    gamma = 2 z^2 / (C^2 ||h||^2 - 2 z^2 (1 - C^2)), not positive or not
-    finite where that denominator is not positive."""
+    gamma = 2 z^2 / (C^2 ||h||^2 - 2 z^2 (1 - C^2) s^2), s^2 = 1 (at
+    s_sq, as `_acf_of_z`), not positive or not finite where that
+    denominator is not positive."""
     c_sq = acf * acf
-    return 2.0 * z_sq / (c_sq * norm_sq - 2.0 * z_sq * (1.0 - c_sq))
+    return 2.0 * z_sq / (c_sq * norm_sq - 2.0 * z_sq * (1.0 - c_sq) * s_sq)
 
 
-@functools.lru_cache(maxsize=None)
-def _psk_bound_table() -> tuple:
-    """(w, d): the grouped PSK `UnionBound` terms of every supported order,
-    row n - 1 for rate n, padded with zero weights to 64-PSK's 32 terms;
-    d = |s_m - s_mhat|. |s_m|^2 = 1 in every term, so the pairwise argument
-    C r of a term equals d z with z^2 = gamma C^2 ||h||^2
-    / (2 gamma (1 - C^2) + 2): the bound is sum(w Q(d z)), a function of z
-    alone."""
-    bounds = [union_bound("psk", m) for m in SUPPORTED_ORDERS]
-    w, d = np.zeros((2, len(bounds), max(b.n_terms for b in bounds)))
-    for k, b in enumerate(bounds):
-        assert np.all(b.s_sq == 1.0), f"{b.order}-PSK has |s|^2 != 1"
-        w[k, :b.n_terms], d[k, :b.n_terms] = b.weight, np.sqrt(b.d_sq)
-    for a in (w, d):
-        a.flags.writeable = False
-    return w, d
+def _pairs(key, beta) -> tuple:
+    """(keys, betas, of_row): the distinct (key, beta) pairs of 1-D integer
+    and float rows, ascending by key and then beta, and each row's pair,
+    from one 1-D np.unique call of each column."""
+    keys, of_key = np.unique(key, return_inverse=True)
+    betas, of_beta = np.unique(beta, return_inverse=True)
+    pair, of_row = np.unique(of_key * betas.size + of_beta,
+                             return_inverse=True)
+    return keys[pair // betas.size], betas[pair % betas.size], of_row
+
+
+def _z_start(scheme: str, order, beta) -> tuple:
+    """(z_s, s^2), the start of every inversion of the scheme's bound, at
+    each row (order, beta) of broadcast arrays. With t = gamma (1 - C^2)
+    and z^2 = gamma C^2 ||h||^2 / (2 t + 2), a term's argument is
+    d z sqrt((t + 1) / (t |s|^2 + 1)), d^2 = |ds|^2: a term of weight w
+    alone equals beta at z = Q^-1(beta / w) / d at C = 1 and at that
+    times |s| as t grows. z_s is the largest first root over the order's
+    terms, z_inf the largest second one, s^2 = z_inf^2 / z_s^2; a start
+    is the root of d z sqrt((t + 1) / (t s^2 + 1)) = d z_s at a row's
+    gamma (`_acf_of_z`) or a sample's C (`_gamma_of_z`). Where no term
+    alone reaches beta (every beta / w >= 1/2), z_s is Q^-1(beta / W) /
+    d_max, the whole weight W on the farthest term, and z_inf is z_s
+    times the least |s|; z_s > 0 wherever W / 2 > beta. On PSK s^2 = 1,
+    the bound is sum(w Q(d z)) and z_s a lower bracket of its root z*; on
+    QAM a start lies near the root. z_inf, the floor's largest
+    single-term root in sqrt(rho / 2), rho = C^2 ||h||^2 / (1 - C^2), is
+    below the floor's root, so every start is a finite power where the
+    floor is below beta."""
+    return tuple(_bound_rows(_terms(scheme), _z_start_rows, 2, None, order,
+                             beta))
 
 
 def _psk_z_roots(rate, beta) -> np.ndarray:
-    """The root z* of sum(w Q(d z)) = beta (see `_psk_bound_table`) of each
+    """The root z* of sum(w Q(d z)) = beta (see `_z_start`) of each
     (rate n, beta) pair of 1-D integer and float arrays, with
     sum(w) / 2 > beta; pairs are solved alone, so a repeated pair costs its
     own row.
 
     The roots are solved together by `newton_lockstep` in z on [0, +inf),
-    each started at the largest single-term root max(Q^-1(beta / w) / d)
-    (0 where every beta / w >= 1/2) and done when its bracket is at most
-    1e-12 wide and the bound at its upper end, returned, is within 1e-8 of
-    beta. Raises DivergenceError naming the pairs that do not converge."""
-    w_all, d_all = _psk_bound_table()
-    # every root's terms, root by root, without the table's zero-weight
-    # padding; `first` is where each root's terms start
-    of_root, term = np.nonzero(w_all[rate - 1] > 0.0)
-    first = np.flatnonzero(np.diff(of_root, prepend=-1))
-    w, d = w_all[rate[of_root] - 1, term], d_all[rate[of_root] - 1, term]
+    each started at its z_s (`_z_start`) and done when its bracket is at
+    most 1e-12 wide and the bound at its upper end, returned, is within
+    1e-8 of beta. Raises DivergenceError naming the pairs that do not
+    converge."""
+    terms = _terms("psk")
+    # every root's terms, root by root (row n - 1 of the table for rate
+    # n); `first` is where each root's terms start
+    n = terms.count[rate - 1]
+    of_root = np.repeat(np.arange(rate.size), n)
+    first = np.cumsum(n) - n
+    term = (terms.start[rate - 1] - first)[of_root] + np.arange(of_root.size)
+    w, d = terms.weight[term], np.sqrt(terms.d_sq[term])
     wd = w * d / _SQRT_2PI
-    # Q(d z) = beta / w at z = Q^-1(beta / w) / d, 0 where beta / w >= 1/2
-    start = np.maximum.reduceat(
-        q_tail_inverse(np.minimum(beta[of_root] / w, 0.5)) / d, first)
 
     def uv(live, z):
         # every root's terms at once, those of settled roots at z = 0
@@ -559,14 +532,15 @@ def _psk_z_roots(rate, beta) -> np.ndarray:
         q, e = q_and_exp(d * z_all[of_root])
         return (np.add.reduceat(w * q, first)[live],
                 np.add.reduceat(wd * e, first)[live])
-    return newton_lockstep(uv, beta, start, 0.0, np.inf, _C_ABS_TOL,
-                           _BEP_REL_TOL).root
+    return newton_lockstep(uv, beta, _z_start("psk", 1 << rate, beta)[0], 0.0,
+                           np.inf, _C_ABS_TOL, _BEP_REL_TOL).root
 
 
 def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
     """C_n of every PSK row (rate n, gamma, beta) of 1-D arrays with
     sum(w) / 2 > beta and u(C = 1) <= beta, from one root z* of
-    sum(w Q(d z)) = beta per distinct (rate, beta) (`_psk_z_roots`).
+    sum(w Q(d z)) = beta per distinct (rate, beta) (`_pairs`,
+    `_psk_z_roots`).
 
     That root maps to every row in closed form (`_acf_of_z`), and C is
     raised by _C_MARGIN relative and clipped to 1, so that u(C_n) <= beta.
@@ -574,11 +548,9 @@ def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
     so an error in z moves C by at most C / z times as much. A row's C_n
     depends only on its own (rate, gamma, beta). Raises DivergenceError
     naming the rows of the roots that do not converge."""
-    keys, of_row = np.unique(np.stack([rate, beta], axis=1), axis=0,
-                             return_inverse=True)
-    of_row = of_row.ravel()
+    rates, betas, of_row = _pairs(rate, beta)
     try:
-        z = _psk_z_roots(keys[:, 0].astype(np.int64), keys[:, 1])
+        z = _psk_z_roots(rates, betas)
     except DivergenceError as exc:
         raise DivergenceError(str(exc), cells=np.flatnonzero(
             np.isin(of_row, exc.cells))) from exc
@@ -586,34 +558,49 @@ def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
                       * (1.0 + _C_MARGIN), 1.0)
 
 
+def _acf_slope_in_z(norm_sq: float, z_sq, gamma):
+    """dC/dz of `_acf_of_z`, unclipped: (C / z) ||h||^2 / s, with
+    s = ||h||^2 + 2 z^2 and C / z = sqrt(2 (1 + 1 / gamma) / s)."""
+    s = norm_sq + 2.0 * z_sq
+    return np.sqrt(2.0 * (1.0 + 1.0 / gamma) / s) * (norm_sq / s)
+
+
 def _qam_acf_rows(norm_sq: float, order, gamma, beta) -> np.ndarray:
     """C_n of every QAM row (order, gamma, beta) of 1-D arrays with
     sum(w) / 2 > beta and u(C = 1) <= beta, each row on its own order's
     bound, in one `newton_lockstep` call in PSK's variable z (see
-    `_psk_bound_table`).
+    `_z_start`).
 
     QAM terms have unequal |s|^2, so the bound is no function of z alone,
     but ln u is near linear in z where it is concave in C, and a Newton
     step from a far start no longer overshoots to near C = 1. Each row
-    runs in z on [0, z(C = 1)] from `acf_lower` mapped into z, evaluates
-    u and -du/dC at C(z) (`_acf_of_z`) and takes -du/dz = -du/dC dC/dz,
-    with the stopping rule of the PSK roots: its z bracket at most 1e-12
-    wide and |ln u - ln beta| <= 1e-8 at the upper end. C_n is that upper
-    end mapped to C by the same call, the very C at which u <= beta was
-    evaluated. A row's C_n depends only on its own (order, gamma, beta).
-    Raises DivergenceError naming the rows that do not converge."""
+    runs in z on [0, z(C = 1)] from its (order, beta)'s start
+    (`_z_start`) at its gamma, evaluates u and -du/dC at C(z)
+    (`_acf_of_z`) and takes -du/dz = -du/dC dC/dz, with the stopping rule
+    of the PSK roots: its z bracket at most tol wide and
+    |ln u - ln beta| <= 1e-8 at the upper end. tol is 1e-12, or the
+    z-width of one ulp of C at the iterate where wider (it grows with z,
+    so taken at a start far below the root it would be too narrow): near
+    C = 1 a narrower step leaves C, and so u, unchanged, and the bracket
+    would close only by crawling. C_n is that upper end mapped to C by
+    the same call, the very C at which u <= beta was evaluated. A row's
+    C_n depends only on its own (order, gamma, beta). Raises
+    DivergenceError naming the rows that do not converge."""
     def uv(live, z):
         g, z_sq = gamma[live], z * z
         u, w = union_bound_rows("qam", order[live], UnionBound.u_and_acf_slope,
                                 norm_sq, _acf_of_z(norm_sq, z_sq, g), g)
-        # dC/dz = (C / z) ||h||^2 / s, C / z = sqrt(2 (1 + 1 / gamma) / s)
-        s = norm_sq + 2.0 * z_sq
-        return u, w * np.sqrt(2.0 * (1.0 + 1.0 / g) / s) * (norm_sq / s)
-    start = union_bound_rows("qam", order, UnionBound.acf_lower, norm_sq,
-                             gamma, beta)[0]
-    z = newton_lockstep(uv, beta, np.sqrt(_z_sq(norm_sq, start, gamma)), 0.0,
-                        np.sqrt(_z_sq(norm_sq, 1.0, gamma)), _C_ABS_TOL,
-                        _BEP_REL_TOL).root
+        return u, w * _acf_slope_in_z(norm_sq, z_sq, g)
+    def tol(live, z):
+        g, z_sq = gamma[live], z * z
+        return np.maximum(np.spacing(_acf_of_z(norm_sq, z_sq, g))
+                          / _acf_slope_in_z(norm_sq, z_sq, g), _C_ABS_TOL)
+    orders, betas, of_row = _pairs(order, beta)
+    z_s, s_sq = (a[of_row] for a in _z_start("qam", orders, betas))
+    start = np.sqrt(_z_sq(norm_sq, _acf_of_z(norm_sq, z_s * z_s, gamma, s_sq),
+                          gamma))
+    z_one = np.sqrt(_z_sq(norm_sq, 1.0, gamma))
+    z = newton_lockstep(uv, beta, start, 0.0, z_one, tol, _BEP_REL_TOL).root
     return _acf_of_z(norm_sq, z * z, gamma)
 
 
@@ -668,18 +655,19 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     so [0, z(C = 1)] brackets the root wherever C = 1 meets the threshold,
     as the bound falls in C by its form (`UnionBound.u`). Every QAM
     (rate, cell) row runs in one `newton_lockstep` call with u the
-    `UnionBound` of the rate's order (`_qam_acf_rows`), from the largest
-    single-term root (`UnionBound.acf_lower`) mapped into z, so a grid
-    pays the slowest row's iterations, not the sum over rates: at most 6
-    on the benchmark's `rate-opt` grids and the fixtures' schedules,
-    where the solve in C took up to 12. PSK rows take C_n from one root
-    per distinct (rate, threshold) of the PSK bound, a function of z
-    alone (`_psk_acf_rows`). On both, a root is done when its z bracket
-    is at most 1e-12 wide and the bound at the upper end is within 1e-8
-    of the threshold. A QAM C_n is that end mapped to C, the C at which
-    the bound was evaluated, so there u(C_n) <= threshold within 1e-8
-    relative. A PSK C_n is z* mapped to C and raised by _C_MARGIN (1e-14)
-    relative: u(C_n) <= threshold always holds, but where the bound is
+    `UnionBound` of the rate's order (`_qam_acf_rows`), from the start of
+    `_z_start` at its gamma, so a grid pays the slowest row's iterations,
+    not the sum over rates: at most 6 on the benchmark's `rate-opt` grids
+    and the fixtures' schedules, where the solve in C took up to 12. PSK
+    rows take C_n from one root per distinct (rate, threshold) of the PSK
+    bound, a function of z alone, from z_s (`_psk_acf_rows`). On both, a
+    root is done when its z bracket is at most 1e-12 wide (on QAM, or one
+    ulp of C wide in z where that is wider) and the bound at the upper
+    end is within 1e-8 of the threshold. A QAM C_n is that end mapped to
+    C, the C at which the bound was evaluated, so there
+    u(C_n) <= threshold within 1e-8 relative. A PSK C_n is z* mapped to C
+    and raised by _C_MARGIN (1e-14) relative: u(C_n) <= threshold always
+    holds, but where the bound is
     steep near C = 1 the step can move u by more than 1e-8 (case1 at
     34 dB and the least normal threshold: rate 4 reads
     ln(u / threshold) = -3.3e-8). A z bracket of 1e-12 spans at most

@@ -103,7 +103,8 @@ class RunConfig:
         # bep-curve and rate-opt take the linear SNR gamma = 10^(dB / 10).
         # The bound and the Monte Carlo form gamma times at most
         # max(||h||^2, 1 / ||h||^2, N) times constants below 2^13 (the
-        # largest, 2 Q^-1(beta)^2 |s|^2 of UnionBound.acf_lower); keeping
+        # bound's largest, 64-QAM's largest |s_m - s_mhat|^2 = 28 / 3 in
+        # the pairwise argument gamma ||h||^2 |s_m - s_mhat|^2); keeping
         # that product 2^3 below the largest double keeps every value
         # finite. In logs, as 1 / ||h||^2 itself may overflow
         top_db = 10.0 * (math.log10(sys.float_info.max / 2.0 ** 16) - max(

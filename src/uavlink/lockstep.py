@@ -20,7 +20,7 @@ class LockstepRoots(NamedTuple):
     newton: np.ndarray  # True where the last step was Newton's
 
 
-def newton_lockstep(uv, beta, x, lo, hi, tol: float,
+def newton_lockstep(uv, beta, x, lo, hi, tol,
                     ftol: float | None = None) -> LockstepRoots:
     """Solve u(x) = beta in every cell at once, for a positive u that falls
     in x, by safeguarded Newton on f(x) = ln u(x) - ln(beta).
@@ -36,7 +36,9 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
     bisects: that end's side of the root is known, and where rounding noise
     in u sets the step, two steps onto the ends could cycle. Cells never
     mix: each keeps its own bracket, iterate and count, and all run in
-    lockstep. A cell is done:
+    lockstep. tol is one tolerance for every cell, one per cell, or a
+    function tol(cells, x) of the cells indexed by `cells` and their
+    iterates, taken at each iteration. A cell is done:
 
     - without ftol, when it takes a Newton step of at most tol or its
       bracket is narrower than tol; its root is the iterate that step (or
@@ -57,6 +59,8 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
     """
     x, lo, hi, beta = (np.array(a, dtype=np.float64) for a in
                        np.broadcast_arrays(x, lo, hi, beta))
+    if not callable(tol):
+        tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), x.shape)
     ln_beta = np.log(beta)
     f_hi = np.full(x.shape, -np.inf)  # f(hi), once evaluated there
     iterations = np.zeros(x.shape, dtype=np.int64)
@@ -67,13 +71,14 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
             return LockstepRoots(x if ftol is None else hi, iterations,
                                  newton)
         xl = x[live]
+        tol_l = tol(live, xl) if callable(tol) else tol[live]
         u, v = uv(live, xl)
         iterations[live] += 1
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.log(u) - ln_beta[live]
             step = f * u / v
             # the closing step: at least one ulp, or it could round to none
-            s = (np.fmax(0.5 * np.fmin(tol, ftol * u / v),
+            s = (np.fmax(0.5 * np.fmin(tol_l, ftol * u / v),
                          np.spacing(np.abs(xl))) if ftol else None)
         above = u > beta[live]  # the root lies above x
         lo[live[above]] = xl[above]
@@ -82,7 +87,7 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
             f_hi[live[~above]] = f[~above]
             lo_l, hi_l = lo[live], hi[live]
             # a bracket with no float inside it cannot narrow any further
-            on = (((hi_l - lo_l > tol) & (np.nextafter(lo_l, hi_l) < hi_l))
+            on = (((hi_l - lo_l > tol_l) & (np.nextafter(lo_l, hi_l) < hi_l))
                   | (-f_hi[live] > ftol))
             live, xl, step, s, above = (a[on] for a in
                                         (live, xl, step, s, above))
@@ -99,7 +104,7 @@ def newton_lockstep(uv, beta, x, lo, hi, tol: float,
         newton[live] = ok
         split = ok | ((lo_l < mid) & (mid < hi_l))
         if not ftol:
-            done = np.where(ok, np.abs(step) <= tol, hi_l - lo_l < tol)
+            done = np.where(ok, np.abs(step) <= tol_l, hi_l - lo_l < tol_l)
             live, split = live[~done], split[~done]
         if not split.all():
             raise DivergenceError("root bracket can no longer be split",

@@ -12,13 +12,12 @@ otherwise. That bracket starts open, (-inf, +inf); each evaluation moves
 one of its ends to the iterate. Every sample starts next to its root, in
 PSK's variable z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), mapped
 to gamma in closed form: at its order's Chebyshev interpolant of z^2 in
-C, whose nodes start at a closed-form lower bracket, the larger of two
-single-term roots: the largest SNR at which one term of the bound alone
-equals beta, and the smallest at which one term carrying the bound's
-whole weight does. A sample whose start is not finite starts there too.
+C, whose nodes start at the start of every inversion of the bound
+(`bep_analysis._z_start`) at each node's C. A sample whose start is not
+finite starts there too, at its own C.
 
-The bound, its slope in ln(gamma), its infinite-power floor and that start
-come from the one cached, grouped `bep_analysis.UnionBound`, evaluated by
+The bound, its slope in ln(gamma) and its infinite-power floor come from
+the one cached, grouped `bep_analysis.UnionBound`, evaluated by
 `bep_analysis.union_bound_rows` with each sample's own order. The power
 trace solves all QAM samples of every rate region in one batch
 (`_solve_qam`), each sample with its own bracket, iterate and iteration
@@ -36,6 +35,7 @@ from .bep_analysis import (
     UnionBound,
     _gamma_of_z,
     _z_sq,
+    _z_start,
     min_snr_psk,
     psk_bep_approx,
     union_bound_rows,
@@ -75,14 +75,15 @@ def _ln_gamma_roots(order, norm_sq: float, acf, beta: float,
         beta, x, -np.inf, np.inf, _LN_TOL)
 
 
-def _chebyshev_z_sq(orders, order, norm_sq: float, acf,
-                    beta: float) -> np.ndarray:
+def _chebyshev_z_sq(orders, order, norm_sq: float, acf, beta: float,
+                    z_s, s_sq) -> np.ndarray:
     """At the samples (`order`, `acf`), whose distinct orders are
     `orders`, the barycentric interpolant in C of the root's z^2 (`_z_sq`)
     through _NODES Chebyshev points of the second kind spanning each
     order's C (Berrut & Trefethen, SIAM Review 46(3), 2004). The nodes'
-    roots are solved for all orders by one lockstep call from
-    `gamma_lower`; if one does not converge, every value is NaN."""
+    roots are solved for all orders by one lockstep call, each node from
+    its order's start (`bep_analysis._z_start`'s `z_s` and `s_sq`) at
+    the node's C; if one does not converge, every value is NaN."""
     z_sq = np.full(acf.size, np.nan)
     j = np.arange(_NODES)
     weight = np.where(j % 2, -1.0, 1.0)
@@ -95,8 +96,8 @@ def _chebyshev_z_sq(orders, order, norm_sq: float, acf,
     node_order, node_acf = np.repeat(orders, _NODES), nodes.reshape(-1)
     try:
         x = _ln_gamma_roots(node_order, norm_sq, node_acf, beta, np.log(
-            union_bound_rows("qam", node_order, UnionBound.gamma_lower,
-                             norm_sq, node_acf, beta)[0])).root
+            _gamma_of_z(norm_sq, node_acf, np.repeat(z_s * z_s, _NODES),
+                        np.repeat(s_sq, _NODES)))).root
     except DivergenceError:
         return z_sq
     values = _z_sq(norm_sq, node_acf, np.exp(x)).reshape(nodes.shape)
@@ -129,14 +130,16 @@ def _solve_qam(order, estimate: ChannelEstimate, acf,
     (`bep_analysis._gamma_of_z`, `_z_sq` inverted) for a z^2 that is
     nearly constant in C: its order's barycentric interpolant in C
     through _NODES (24) Chebyshev nodes spanning that order's samples'
-    C, the nodes' roots solved for all orders by one lockstep call from
-    the closed-form lower bracket `UnionBound.gamma_lower`
+    C, the nodes' roots solved for all orders by one lockstep call, each
+    from its order's start (`bep_analysis._z_start`) at the node's C
     (`_chebyshev_z_sq`). 4-QAM's bound equals QPSK's term for term, a
     function of z alone, so its interpolant is the root up to rounding.
     A sample whose start is not finite, as where the nodes' solve does
-    not converge, starts at `gamma_lower` itself. On the case1 and case2
-    traces, at sample spacings of 4e-5 and 1e-5, every sample then takes
-    1 evaluation, where `gamma_lower` starts took 2 to 6.
+    not converge, starts at its order's start at its own C, finite
+    wherever the floor is below beta (`bep_analysis._z_start`). On the
+    case1 and case2 traces, at sample spacings of 4e-5 and 1e-5, every
+    sample then takes 1 evaluation, where closed-form starts at each
+    sample took 2 to 6.
 
     Returns the roots in gamma. Raises InfeasibleCsiError naming the
     lowest order whose floor does not fall below beta at some sample, and
@@ -160,14 +163,15 @@ def _solve_qam(order, estimate: ChannelEstimate, acf,
         raise InfeasibleCsiError(
             f"{order[k]}-QAM cannot reach {beta:g} at C={acf[k]:.6f} for "
             "any power", order=int(order[k]))
-    z_sq = _chebyshev_z_sq(orders, order, norm_sq, acf, beta)
+    z_s, s_sq = _z_start("qam", orders, beta)
+    z_sq = _chebyshev_z_sq(orders, order, norm_sq, acf, beta, z_s, s_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         starts = np.log(_gamma_of_z(norm_sq, acf, z_sq))
     lower = np.flatnonzero(~np.isfinite(starts))
     if lower.size:
-        starts[lower] = np.log(union_bound_rows(
-            "qam", order[lower], UnionBound.gamma_lower, norm_sq, acf[lower],
-            beta)[0])
+        k = np.searchsorted(orders, order[lower])
+        starts[lower] = np.log(_gamma_of_z(norm_sq, acf[lower],
+                                           z_s[k] * z_s[k], s_sq[k]))
     roots = _ln_gamma_roots(order, norm_sq, acf, beta, starts)
     return roots._replace(root=np.exp(roots.root))
 

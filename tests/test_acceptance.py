@@ -308,9 +308,11 @@ def test_criterion_07_psk_power_roundtrip(case1):
 
 
 def test_criterion_08_qam_root_convergence(case1):
-    """From its closed-form start (`UnionBound.gamma_lower`) the QAM solver
-    converges in at most 100 iterations with the bound at the threshold to
-    1e-4 relative; the slope v_m matches finite differences to 1e-4
+    """From its closed-form start (the Chebyshev interpolant of its nodes'
+    roots, each node solved from the start of every inversion of the
+    bound, `bep_analysis._z_start`, at its C) the QAM solver converges in
+    at most 100 iterations with the bound at the threshold to 1e-4
+    relative; the slope v_m matches finite differences to 1e-4
     relative."""
     beta = 1e-5
     norm_sq = case1.estimate.norm_sq

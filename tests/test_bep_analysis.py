@@ -39,8 +39,10 @@ from uavlink.bep_analysis import (
     _acf_of_z,
     _gamma_of_z,
     _psk_acf_rows,
-    _psk_bound_table,
     _psk_z_roots,
+    _terms,
+    _z_sq,
+    _z_start,
     union_bound_rows,
 )
 from uavlink.constellation import SUPPORTED_ORDERS, hamming_matrix
@@ -292,16 +294,6 @@ def _pep_ratio(bound, norm_sq, acf, gamma):
     return np.sqrt(r, out=r), den
 
 
-def _q_sq(bound, beta):
-    # Q^-1(beta / w)^2 of each row for each weight w and, last, for the
-    # whole weight W, once per distinct (beta, weight)
-    levels, level = np.unique(np.append(bound.weight, bound.weight.sum()),
-                              return_inverse=True)
-    b, row = np.unique(beta, return_inverse=True)
-    q = q_tail_inverse(np.minimum(b[:, None] / levels, 0.5))
-    return (q * q)[row.ravel()][:, level.ravel()]
-
-
 def _u_rows(bound, norm_sq, acf, gamma):
     r, _ = _pep_ratio(bound, norm_sq, acf, gamma)
     return (_sum(bound, q_tail(acf * r)),)
@@ -336,25 +328,6 @@ def _floor_rows(bound, norm_sq, acf):
     return (_sum(bound, q_tail(arg)),)
 
 
-def _acf_lower_rows(bound, norm_sq, gamma, beta):
-    q_sq = _q_sq(bound, beta)[..., :-1]
-    c_sq = (2.0 * q_sq * (gamma * bound.s_sq + 1.0)
-            / (gamma * norm_sq * bound.d_sq + 2.0 * q_sq * gamma * bound.s_sq))
-    return (np.sqrt(np.minimum(np.max(c_sq, axis=-1), 1.0)),)
-
-
-def _gamma_lower_rows(bound, norm_sq, acf, beta):
-    def roots(q_sq, none):
-        den = (acf * acf * norm_sq * bound.d_sq
-               - 2.0 * q_sq * (1.0 - acf * acf) * bound.s_sq)
-        return np.divide(2.0 * q_sq, den, out=np.full(den.shape, none),
-                         where=den > 0.0)
-    q_sq = _q_sq(bound, beta)
-    single = roots(q_sq[..., :-1], 0.0)
-    whole = roots(q_sq[..., -1:], np.inf)
-    return (np.maximum(np.max(single, axis=-1), np.min(whole, axis=-1)),)
-
-
 # the multi-order evaluation, method by method, with its reference and
 # the arrays each takes
 _ROW_METHODS = [
@@ -362,8 +335,6 @@ _ROW_METHODS = [
     (UnionBound.u_and_slope, _uv_rows, ("acf", "gamma")),
     (UnionBound.u_and_acf_slope, _uw_rows, ("acf", "gamma")),
     (UnionBound.floor, _floor_rows, ("acf",)),
-    (UnionBound.acf_lower, _acf_lower_rows, ("gamma", "beta")),
-    (UnionBound.gamma_lower, _gamma_lower_rows, ("acf", "beta")),
 ]
 
 
@@ -385,7 +356,7 @@ def _per_order(bound, ref, norm_sq, *args):
 
 
 _ROW = st.tuples(st.sampled_from(SUPPORTED_ORDERS), st.floats(0.0, 1.0),
-                 st.floats(-3.0, 6.0), st.floats(-8.0, math.log10(0.3)))
+                 st.floats(-3.0, 6.0))
 
 
 class TestUnionBoundRows:
@@ -425,13 +396,13 @@ class TestUnionBoundRows:
            n_more=st.sampled_from([0, 35, 36, 37, 72, 73, 74, 146, 147, 200]),
            n_low=st.sampled_from([0, 8191, 16383]),
            seed=st.integers(0, 2 ** 32 - 1))
-    @example(scheme="qam", head=[(64, 0.0, 0.0, -5.0), (2, 0.0, 6.0, -1.0)],
+    @example(scheme="qam", head=[(64, 0.0, 0.0), (2, 0.0, 6.0)],
              n_more=73, n_low=0, seed=0)
-    @example(scheme="psk", head=[(64, 1.0, 6.0, -8.0), (16, 1.0, -3.0, -1.0)],
+    @example(scheme="psk", head=[(64, 1.0, 6.0), (16, 1.0, -3.0)],
              n_more=146, n_low=0, seed=1)
-    @example(scheme="qam", head=[(64, 0.5, 2.0, -5.0), (2, 0.5, 2.0, -5.0)],
+    @example(scheme="qam", head=[(64, 0.5, 2.0), (2, 0.5, 2.0)],
              n_more=37, n_low=8191, seed=2)
-    @example(scheme="psk", head=[(32, 0.9, 3.0, -6.0)], n_more=200,
+    @example(scheme="psk", head=[(32, 0.9, 3.0)], n_more=200,
              n_low=16383, seed=3)
     @settings(max_examples=30, deadline=None)
     def test_each_row_equals_its_own_order(self, estimate, scheme, head,
@@ -454,9 +425,6 @@ class TestUnionBoundRows:
             "gamma": 10.0 ** np.concatenate([rng.uniform(-3.0, 6.0, n_low),
                                              [r[2] for r in head],
                                              rng.uniform(-3.0, 6.0, n_more)]),
-            "beta": 10.0 ** np.concatenate([rng.uniform(-8.0, -0.6, n_low),
-                                            [r[3] for r in head],
-                                            rng.uniform(-8.0, -0.6, n_more)]),
         }
         norm_sq = estimate.norm_sq
         for method, ref, names in _ROW_METHODS:
@@ -483,8 +451,7 @@ class TestUnionBoundRows:
         # multi-chunk (36 rows per 64-QAM chunk, 73 per reference block)
         rng = np.random.default_rng(n_rows)
         cols = {"acf": rng.uniform(0.0, 1.0, n_rows),
-                "gamma": 10.0 ** rng.uniform(-3.0, 6.0, n_rows),
-                "beta": 10.0 ** rng.uniform(-8.0, -0.6, n_rows)}
+                "gamma": 10.0 ** rng.uniform(-3.0, 6.0, n_rows)}
         bound, norm_sq = union_bound("qam", 64), estimate.norm_sq
         args = [cols[k] for k in names]
         want = _per_order(bound, ref, norm_sq, *args)
@@ -904,12 +871,14 @@ class TestAcfThresholds:
 
 def _c_lockstep(scheme, order, norm_sq, gamma, beta):
     """The C-threshold solve the z solves replaced: u(C) = beta in C on
-    [0, 1] by one lockstep from `acf_lower`, C_n the bracket's feasible
-    end, over 1-D rows of one order with sum(w) / 2 > beta >= u(C = 1)."""
+    [0, 1] by one lockstep from z_s (`_z_start`) mapped to C, C_n the
+    bracket's feasible end, over 1-D rows of one order with
+    sum(w) / 2 > beta >= u(C = 1)."""
     bound = union_bound(scheme, order)
+    z_s = _z_start(scheme, order, beta)[0]
     return newton_lockstep(
         lambda live, acf: bound.u_and_acf_slope(norm_sq, acf, gamma[live]),
-        beta, bound.acf_lower(norm_sq, gamma, beta), 0.0, 1.0, _C_ABS_TOL,
+        beta, _acf_of_z(norm_sq, z_s * z_s, gamma), 0.0, 1.0, _C_ABS_TOL,
         _BEP_REL_TOL).root
 
 
@@ -980,6 +949,55 @@ class TestThresholdsInZ:
                 assert acf_thresholds(est, g[k], scheme, b[k])[1][n - 1, 0] \
                     == c
 
+    @pytest.mark.parametrize("fixture,snr_db,beta", [
+        ("case1", 40.25, 1e-200), ("case1", 38.25, 1e-300),
+        ("case1", 49.0, 2.3e-308), ("case1", 68.5, 2.3e-308),
+        ("case2", 43.5, 2.3e-308)])
+    def test_qam_root_where_c_rounds_to_one_value(self, fixture, snr_db,
+                                                  beta):
+        # the cells of a 0.25 dB sweep from 30 to 70 dB where the rate-6
+        # root lies where one ulp of C spans far more than 1e-12 in z
+        # (about 6e-11 on case1 at 40.25 dB): a step of a 1e-12 tolerance
+        # leaves C, and u, unchanged, and the solve did not converge
+        est = load_fixture(fixture).estimate
+        gamma = 10.0 ** (snr_db / 10.0)
+        r_max, cs = acf_thresholds(est, gamma, "qam", beta)
+        assert r_max.tolist() == [6]
+        for n in range(1, 7):
+            u = union_bound("qam", 1 << n).u(est.norm_sq, cs[n - 1, 0], gamma)
+            assert u <= beta and abs(math.log(u / beta)) <= 1e-8
+
+    @pytest.mark.parametrize("snr_db,beta", [(40.25, 1e-200),
+                                             (68.5, 2.3e-308)])
+    def test_qam_root_from_a_start_far_below_it(self, monkeypatch, snr_db,
+                                                beta):
+        # two of those case1 cells from a tenth of their z_s: where the
+        # solve starts, one ulp of C spans under 1e-12 in z, a few
+        # hundredths of its span at the root, so a tolerance taken at the
+        # start crawls (58 steps at 40.25 dB; the 68.5 dB cell does not
+        # converge); taken at each iterate it converges in at most 15
+        est = load_fixture("case1").estimate
+        gamma = 10.0 ** (snr_db / 10.0)
+        want = acf_thresholds(est, gamma, "qam", beta)[1][5, 0]
+        z_start, solve, steps = bep_analysis._z_start, newton_lockstep, []
+
+        def counted(*args):
+            out = solve(*args)
+            steps.append(int(out.iterations.max()))
+            return out
+        monkeypatch.setattr(bep_analysis, "_z_start", lambda *args: (
+            0.1 * z_start(*args)[0], z_start(*args)[1]))
+        monkeypatch.setattr(bep_analysis, "newton_lockstep", counted)
+        c_n = acf_thresholds(est, gamma, "qam", beta)[1][5, 0]
+        z_s, s_sq = bep_analysis._z_start("qam", 64, beta)
+        start = _acf_of_z(est.norm_sq, z_s * z_s, gamma, s_sq)
+        assert start < 1.0 and _z_sq(est.norm_sq, start, gamma) < (
+            0.2 ** 2 * _z_sq(est.norm_sq, c_n, gamma))
+        assert steps[0] <= 20
+        assert abs(c_n - want) <= 2e-12
+        u = union_bound("qam", 64).u(est.norm_sq, c_n, gamma)
+        assert u <= beta and abs(math.log(u / beta)) <= 1e-8
+
     @pytest.mark.parametrize("cells", [
         # the benchmark's rate-opt halves: case1, 0-18 and 20-38 dB
         ("case1", np.arange(0.0, 20.0, 2.0), [1e-2, 1e-3, 1e-5, 1e-6]),
@@ -1009,19 +1027,89 @@ class TestThresholdsInZ:
         assert len(steps) == 1 and 0 < steps[0] <= 6
 
 
+class TestZStart:
+    # every inversion of the bound starts from z_s, the largest single-term
+    # root at C = 1, max over the order's terms of Q^-1(beta / w) / d, and
+    # s^2 = z_inf^2 / z_s^2, with z_inf the largest single-term root as
+    # gamma (1 - C^2) grows without bound, max of Q^-1(beta / w) |s| / d
+    @given(scheme=st.sampled_from(["psk", "qam"]),
+           orders=st.lists(st.sampled_from(SUPPORTED_ORDERS), min_size=1,
+                           max_size=8),
+           log_beta=st.lists(st.floats(-307.0, math.log10(0.9)), min_size=1,
+                             max_size=8),
+           n_low=st.sampled_from([0, 8191]))
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_largest_single_term_root(self, estimate, scheme, orders,
+                                             log_beta, n_low):
+        # rows of mixed orders, n_low BPSK rows first so that the rest
+        # straddle a chunk end, each against its own order's terms
+        order = np.array([2] * n_low + orders)
+        beta = 10.0 ** np.resize(np.array(log_beta), order.size)
+        z_s, s_sq = _z_start(scheme, order, beta)
+        assert z_s.shape == s_sq.shape == order.shape
+        norm_sq = estimate.norm_sq
+        for i in range(max(n_low - 1, 0), order.size):
+            bound = union_bound(scheme, int(order[i]))
+            z = q_tail_inverse(np.minimum(beta[i] / bound.weight, 0.5))
+            z /= np.sqrt(bound.d_sq)
+            if z.max() > 0.0:
+                assert z_s[i] == z.max()
+                z_inf_sq = (z * z * bound.s_sq).max()
+            else:  # no term alone reaches beta: the whole weight's root,
+                # on the farthest term and the least |s|^2
+                assert z_s[i] == pytest.approx(q_tail_inverse(min(
+                    beta[i] / bound.weight.sum(), 0.5)) / math.sqrt(
+                    bound.d_sq.max()), rel=1e-12, abs=0.0)
+                z_inf_sq = z_s[i] ** 2 * bound.s_sq.min()
+            if z_s[i] > 0.0:
+                assert s_sq[i] == pytest.approx(z_inf_sq / z_s[i] ** 2,
+                                                rel=1e-12, abs=0.0)
+            if scheme == "psk":
+                assert z_s[i] == 0.0 or s_sq[i] == 1.0
+            if z_s[i] > 0.0:
+                # at C = 1 and z = z_s one term alone equals beta, or the
+                # whole weight on the farthest term does, so the bound is
+                # at least beta
+                u = bound.u(norm_sq, 1.0, 2.0 * z_s[i] ** 2 / norm_sq)
+                assert u >= beta[i] * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("chunks,extra", [
+        (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1),
+        (5, 17)])
+    @pytest.mark.parametrize("scheme", ["psk", "qam"])
+    def test_one_order_equals_its_blocks(self, scheme, chunks, extra):
+        # a one-order call of 64-ary rows (empty, inside one chunk, and
+        # across chunk ends) against each row called on its own: the same
+        # value to the bit, a scalar row as a 0-d array; a fifth of the
+        # thresholds lie past 1/4, where no 64-QAM term alone reaches beta
+        n_rows = chunks * (_CHUNK_VALUES
+                           // union_bound(scheme, 64).n_terms) + extra
+        rng = np.random.default_rng(n_rows)
+        beta = np.where(rng.random(n_rows) < 0.2,
+                        rng.uniform(0.25, 0.45, n_rows),
+                        10.0 ** rng.uniform(-300.0, -1.0, n_rows))
+        got = _z_start(scheme, np.full(n_rows, 64), beta)
+        for i in range(n_rows):
+            for rows, one in zip(got, _z_start(scheme, 64, float(beta[i]))):
+                assert rows.shape == (n_rows,) and one.shape == ()
+                assert rows[i] == one, i
+
+
 class TestPskRootTable:
     # PSK C_n come from one root z* of sum(w Q(d z)) = beta per
     # (order, beta), mapped to each cell in closed form
     def test_every_term_has_unit_symbol_energy(self):
-        w, d = _psk_bound_table()
+        # the PSK bound is sum(w Q(d z)), a function of z alone, read from
+        # the scheme's term table, rate n's terms in its row n - 1
+        terms = _terms("psk")
+        assert np.all(terms.s_sq == 1.0)
+        assert terms.orders.tolist() == list(SUPPORTED_ORDERS)
         for k, m in enumerate(SUPPORTED_ORDERS):
             bound = union_bound("psk", m)
-            assert np.all(bound.s_sq == 1.0)
-            assert w[k].tolist() == bound.weight.tolist() + [0.0] * (
-                w.shape[1] - bound.n_terms)
-            assert d[k, :bound.n_terms].tolist() == np.sqrt(
-                bound.d_sq).tolist()
-        assert w.shape == (len(SUPPORTED_ORDERS), 32)
+            at = slice(terms.start[k], terms.start[k] + terms.count[k])
+            assert terms.weight[at].tolist() == bound.weight.tolist()
+            assert terms.d_sq[at].tolist() == bound.d_sq.tolist()
+        assert terms.count.max() == 32
 
     @given(rate=st.lists(st.integers(1, 6), min_size=1, max_size=6),
            log_beta=st.floats(-9.0, -1.0),

@@ -434,6 +434,20 @@ class TestGridValidation:
         [row] = read_rows(out / "rate_opt_contour.csv")
         assert float(row["r_ave_max"]) > 0.0
 
+    def test_threshold_where_c_rounds_to_one_value_solves(self, tmp_path):
+        # case1 QAM at 40.25 dB and 1e-200: the rate-6 root lies where one
+        # ulp of C spans about 6e-11 in z, far more than the 1e-12 z
+        # tolerance, so the solve must not step finer than that ulp
+        text = (BASE_RUN.replace("scheme = psk", "scheme = qam")
+                .replace("snr_db = 6 12", "snr_db = 40.25")
+                .replace("bep_thresholds = 1e-3 1e-5",
+                         "bep_thresholds = 1e-200"))
+        out = tmp_path / "o"
+        assert main(["rate-opt", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        [row] = read_rows(out / "rate_opt_contour.csv")
+        assert float(row["r_ave_max"]) > 0.0
+
     def test_grid_edges_accepted(self, tmp_path):
         text = BASE_RUN.replace("acf = 0.99 0.9", "acf = 0 1").replace(
             "bep_thresholds = 1e-3 1e-5", "bep_thresholds = 1e-300 0.49"

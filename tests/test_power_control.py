@@ -8,6 +8,7 @@ numbers use the case1 channel, a 1e-5 threshold, the 35 dBm cap and a
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,11 +32,14 @@ from uavlink import (
     optimum_transmission_time,
     power_control,
     psk_bep_approx,
+    q_function,
     q_inverse,
     so_detect,
     temporal_acf,
     union_bound,
 )
+from uavlink import bep_analysis
+from uavlink.bep_analysis import _gamma_of_z, _z_sq, _z_start
 from uavlink.constellation import make_qam
 from uavlink.errors import DivergenceError, InfeasibleCsiError, ScheduleError
 from uavlink.fixtures import load_fixture
@@ -196,10 +200,11 @@ def _bisect(f, lo, hi):
 
 
 class TestClosedFormStarts:
-    # both inversions start at a closed-form lower bracket, exact up to
-    # rounding; where rounding puts it past the root, the first evaluation
-    # makes it the upper end, and the lower end stays 0 in C and -inf in
-    # ln(gamma)
+    # both inversions start at z_s, the largest single-term root at C = 1
+    # (`bep_analysis._z_start`): a lower bracket of the PSK root z*, and a
+    # start near the root on QAM. Where a start lies past the root, the
+    # first evaluation makes it the upper end, and the lower end stays 0
+    # in z and -inf in ln(gamma)
     @given(fixture=st.sampled_from(["case1", "case2"]),
            scheme=st.sampled_from(["psk", "qam"]),
            rate=st.integers(1, 6),
@@ -225,7 +230,6 @@ class TestClosedFormStarts:
         else:
             lo, hi = _bisect(lambda c: bound.u(norm_sq, c, gamma) - beta,
                              0.0, 1.0)
-            assert bound.acf_lower(norm_sq, gamma, beta) <= hi + 1e-14
             c_n = cs[rate - 1, 0]
             # the bound falls in C only up to rounding, so several ulps
             # may cross beta
@@ -238,24 +242,59 @@ class TestClosedFormStarts:
             return
         lo, hi = _bisect(lambda x: bound.u(norm_sq, acf, math.exp(x)) - beta,
                          math.log(1e-12), math.log(1e30))
-        start = bound.gamma_lower(norm_sq, acf, beta)
-        assert start > 0.0 and math.log(start) <= hi + 1e-12
+        if scheme == "psk":
+            # the PSK bound is a function of z alone, and z_s <= z*
+            z_s = _z_start(scheme, order, beta)[0]
+            start = _gamma_of_z(norm_sq, acf, z_s * z_s)
+            assert start > 0.0 and math.log(start) <= hi + 1e-12
         if scheme == "qam" and order > 2:
             root = _qam_root(order, est, acf, beta).root[0]
             assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
 
+    @given(order=st.sampled_from([8, 16, 32, 64]),
+           log_beta=st.floats(math.log10(sys.float_info.min),
+                              math.log10(0.5), exclude_max=True))
+    @example(order=16, log_beta=-5.0)
+    @example(order=64, log_beta=math.log10(0.3))  # no term alone reaches it
+    @settings(max_examples=200, deadline=None)
+    def test_every_start_is_finite(self, order, log_beta):
+        # z_inf^2 = z_s^2 s^2 < rho_inf / 2, where
+        # rho = C^2 ||h||^2 / (1 - C^2) and rho_inf is the rho at which the
+        # infinite-power floor, sum(w Q(d / |s| sqrt(rho / 2))), equals
+        # beta: z_inf is the floor's largest single-term root in
+        # sqrt(rho / 2), a lower bracket of its root. The floor falls in
+        # rho, so this holds where it is at least beta at rho = 2 z_inf^2,
+        # here up to the rounding of Q and Q^-1 (at most 7.5e-13 relative
+        # over 3,000 thresholds per order: at small beta one term makes
+        # the floor, and z_inf^2 nears rho_inf / 2). A feasible sample has
+        # rho > rho_inf >= 2 z_inf^2, so its start
+        # gamma = 2 z_s^2 / (C^2 ||h||^2 - 2 z_s^2 s^2 (1 - C^2)) is finite
+        # and positive. Every drawn beta lies below W / 2, at least 2 here
+        bound = union_bound("qam", order)
+        beta = max(10.0 ** log_beta, sys.float_info.min)
+        z_s, s_sq = map(float, _z_start("qam", order, beta))
+        floor = bound.weight @ q_function(
+            z_s * math.sqrt(s_sq) * np.sqrt(bound.d_sq / bound.s_sq))
+        assert z_s > 0.0 and floor >= beta * (1.0 - 1e-11)
+
     def test_starts_past_the_root_take_the_fallbacks(self, fx,
-                                                     kernel_fault):
-        # the power solve's Chebyshev nodes start at gamma_lower
+                                                     monkeypatch):
+        # every start injected as z_s: the C_n solve's past its root, and
+        # the power solve's Chebyshev nodes' at 1.01 and 1e-3 times theirs
+        norm_sq = fx.estimate.norm_sq
         c_n = acf_thresholds(fx.estimate, 300.0, "qam", BETA)[1][3, 0]
         root = _qam_root(16, fx.estimate, 0.99, BETA).root[0]
-        kernel_fault(UnionBound.acf_lower,
-                     lambda order, c: (np.full(c.shape, c_n + 1e-6),))
+
+        def inject(module, z_sq):
+            z = math.sqrt(z_sq)
+            monkeypatch.setattr(module, "_z_start", lambda scheme, order,
+                                beta: (np.full(np.shape(order), z),
+                                       np.ones(np.shape(order))))
+        inject(bep_analysis, _z_sq(norm_sq, c_n + 1e-6, 300.0))
         assert abs(acf_thresholds(fx.estimate, 300.0, "qam", BETA)[1][3, 0]
                    - c_n) <= 1e-12
         for start in (1.01 * root, 1e-3 * root):
-            kernel_fault(UnionBound.gamma_lower,
-                         lambda order, g: (np.full(g.shape, start),))
+            inject(power_control, _z_sq(norm_sq, 0.99, start))
             assert _qam_root(16, fx.estimate, 0.99, BETA).root[0] == \
                 pytest.approx(root, rel=2e-9)
 
@@ -488,8 +527,9 @@ class TestStartsNextToTheRoot:
 
     def test_unconverged_nodes_leave_the_lower_starts(self, fx,
                                                      monkeypatch):
-        # where the nodes' solve fails, every order starts at gamma_lower
-        # and reaches the same roots in more evaluations
+        # where the nodes' solve fails, every sample starts at its order's
+        # z_s mapped to gamma and reaches the same roots in more
+        # evaluations
         order, want = _qam_trace_roots(fx, 4e-5)
         solve, nodes = power_control._ln_gamma_roots, 5 * power_control._NODES
 
