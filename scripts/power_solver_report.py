@@ -8,16 +8,18 @@ holds this script, and the benchmark's grid from its `perfbench/`.
 
 The first table is the QAM power solve's. For case1 and case2, each at the
 schedule of its power cap and threshold, and at sample spacings of 4e-5 s
-(the benchmark's) and 1e-5 s (the CLI default), it solves the trace's 4-
-to 64-QAM samples as `min_power_schedule` does and prints, per QAM order:
-the samples, the Chebyshev node rows solved for every order's starts
-(`_NODES` per order, 4-QAM's among them) and the most Newton evaluations
-a node took, the mean and largest number of Newton evaluations per
-sample, and, on each trace's first row, the median wall time of
-`min_power_schedule` over `--repeats` calls.
+(the benchmark's) and 1e-5 s (the CLI default), it solves every sample of
+the trace, rate 1 (BPSK, order 2) included, as `min_power_schedule` does
+(`bep_analysis._qam_gamma_rows`) and prints, per order: the samples, the
+Chebyshev node rows solved for every order's starts (`_NODES` per order)
+and the most Newton evaluations a node took, the mean and largest number
+of Newton evaluations per sample, and, on each trace's first row, the
+median wall time of `min_power_schedule` over `--repeats` calls.
 
 The second is the threshold (C_n) solve's, per scheme: the rows of the
-one `newton_lockstep` call of `acf_thresholds` (QAM: a row per
+one `newton_lockstep` call of `acf_thresholds`, counted while only
+`acf_thresholds` runs, as the power solve calls it from `bep_analysis`
+too (QAM: a row per
 (rate, cell); PSK: a root per distinct (rate, threshold)) and their mean
 and largest number of evaluations, on the fixtures' schedules (at the
 cap power and their threshold) and on the two halves of the benchmark's
@@ -47,25 +49,24 @@ def main(argv=None) -> int:
         bep_analysis,
         build_rate_schedule,
         min_power_schedule,
-        power_control,
         temporal_acf,
     )
     from uavlink.fixtures import load_fixture
     from uavlink.rate_optimizer import sample_grid
     from uavlink.scenario import average_snr_db
 
-    # the two lockstep solves of `_solve_qam`, in call order: the nodes'
-    # and then the samples'
+    # the two lockstep solves of `_qam_gamma_rows`, in call order: the
+    # nodes' and then the samples'
     solves = []
-    solve = power_control._ln_gamma_roots
+    solve = bep_analysis._ln_gamma_roots
 
     def recorded(order, *rest):
         roots = solve(order, *rest)
         solves.append((order, roots.iterations))
         return roots
-    power_control._ln_gamma_roots = recorded
+    bep_analysis._ln_gamma_roots = recorded
 
-    print("| fixture | sample_dt (s) | QAM order | samples | node rows "
+    print("| fixture | sample_dt (s) | order | samples | node rows "
           "| node max evaluations | mean evaluations | max evaluations "
           "| `min_power_schedule` (ms) |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
@@ -86,10 +87,9 @@ def main(argv=None) -> int:
                 walls.append(time.perf_counter() - start)
             t, rate = sample_grid(schedule, dt)
             acf = temporal_acf(fx.wobble, t - schedule.t_estimate)
-            solved = rate > 1
             solves.clear()
-            power_control._solve_qam(1 << rate[solved], fx.estimate,
-                                     acf[solved], scenario.bep_threshold)
+            bep_analysis._qam_gamma_rows(fx.estimate.norm_sq, 1 << rate, acf,
+                                         scenario.bep_threshold)
             (node_order, node_evaluations), (order, evaluations) = solves
             wall = f"{1e3 * statistics.median(walls[1:]):.2f}"
             for m in np.unique(order).tolist():

@@ -16,8 +16,9 @@ method on its own bound's. It serves the bound's
 values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
 and the two inversions of the bound, each over rows of every order at
 once: the highest feasible rate R_max and the CSI thresholds C_n of all
-rates of a grid here (`acf_thresholds`) and the QAM power solve over all
-rate regions in power_control. Both are solved by one lockstep
+rates of a grid (`acf_thresholds`), and the minimum SNR of every sample
+of a QAM power trace, rate 1 (BPSK) included (`_qam_gamma_rows`, for
+`power_control.min_power_schedule`). Both are solved by one lockstep
 safeguarded Newton, `lockstep.newton_lockstep`, on the bound's value and
 slope, and every solve starts from one closed form in
 z^2 = gamma C^2 ||h||^2 / (2 gamma (1 - C^2) + 2), once per distinct
@@ -27,12 +28,22 @@ has |s|^2 = 1, so the PSK bound is a function of z alone: one root z*
 per (order, threshold) (`_psk_z_roots`) gives the C_n of every cell in
 closed form (`_psk_acf_rows`), and the power at any C (`_gamma_of_z`).
 QAM rows are solved in z row by row, each on its own order's bound at
-C(z) (`_qam_acf_rows`, `u_and_acf_slope` times dC/dz); the power in
-ln(gamma) (`u_and_slope`). The bound falls in C by its form
-(`UnionBound.u`), so the C_n solve checks only C = 1 and raises
-MonotonicityError only when it does not converge. Beside it sits the
-Gray-mapping PSK approximation, one term table (`_PSK_TERMS`) read by its
-forward form and its closed-form inverse, both over per-sample orders.
+C(z) (`_qam_acf_rows`, `u_and_acf_slope` times dC/dz). The QAM bound
+has no closed inverse in gamma either, so the power is solved in
+x = ln(gamma), each sample on its own order's bound (`u_and_slope`): the
+Newton step of f(x) = ln u(e^x) - ln(beta) is the multiplicative update
+gamma (u / beta)^(u / v), taken while it stays inside a bracket that
+holds the root, which starts open, (-inf, +inf), and moves one end to
+the iterate at each evaluation; the bracket is bisected otherwise. Every
+sample starts next to its root, at its order's Chebyshev interpolant in
+C of the root's z^2, whose nodes start at `_z_start` at each node's C
+(`_chebyshev_z_sq`), mapped to gamma in closed form (`_gamma_of_z`); a
+sample whose start is not finite starts at `_z_start` too, at its own
+C. The bound falls in C by its form (`UnionBound.u`), so the C_n solve
+checks only C = 1 and raises MonotonicityError only when it does not
+converge. Beside it sits the Gray-mapping PSK approximation, one term
+table (`_PSK_TERMS`) read by its forward form and its closed-form
+inverse, both over per-sample orders, which PSK power traces meet.
 """
 
 import functools
@@ -57,7 +68,7 @@ from .errors import (
     SchemeError,
     require_finite,
 )
-from .lockstep import newton_lockstep
+from .lockstep import LockstepRoots, newton_lockstep
 
 __all__ = [
     "q_function",
@@ -572,9 +583,9 @@ def _qam_acf_rows(norm_sq: float, order, gamma, beta) -> np.ndarray:
     `_z_start`).
 
     QAM terms have unequal |s|^2, so the bound is no function of z alone,
-    but ln u is near linear in z where it is concave in C, and a Newton
-    step from a far start no longer overshoots to near C = 1. Each row
-    runs in z on [0, z(C = 1)] from its (order, beta)'s start
+    but ln u is near linear in z where it is concave in C, so a Newton
+    step from a far start does not overshoot to near C = 1, as in C. Each
+    row runs in z on [0, z(C = 1)] from its (order, beta)'s start
     (`_z_start`) at its gamma, evaluates u and -du/dC at C(z)
     (`_acf_of_z`) and takes -du/dz = -du/dC dC/dz, with the stopping rule
     of the PSK roots: its z bracket at most tol wide and
@@ -602,6 +613,123 @@ def _qam_acf_rows(norm_sq: float, order, gamma, beta) -> np.ndarray:
     z_one = np.sqrt(_z_sq(norm_sq, 1.0, gamma))
     z = newton_lockstep(uv, beta, start, 0.0, z_one, tol, _BEP_REL_TOL).root
     return _acf_of_z(norm_sq, z * z, gamma)
+
+
+_LN_TOL = 1e-9  # convergence tolerance of the power solve, on ln(gamma)
+_NODES = 24  # Chebyshev nodes per QAM order of the power solve's starts
+
+
+def _ln_gamma_roots(order, norm_sq: float, acf, beta: float,
+                    x) -> LockstepRoots:
+    """The roots in x = ln(gamma) of u = beta at every QAM row (order, C),
+    by `newton_lockstep` from x on the open bracket (-inf, +inf)."""
+    return newton_lockstep(
+        lambda live, x: union_bound_rows("qam", order[live],
+                                         UnionBound.u_and_slope, norm_sq,
+                                         acf[live], np.exp(x)),
+        beta, x, -np.inf, np.inf, _LN_TOL)
+
+
+def _chebyshev_z_sq(orders, order, norm_sq: float, acf, beta: float,
+                    z_s, s_sq) -> np.ndarray:
+    """At the samples (`order`, `acf`), whose distinct orders are
+    `orders`, the barycentric interpolant in C of the root's z^2 (`_z_sq`)
+    through _NODES Chebyshev points of the second kind spanning each
+    order's C (Berrut & Trefethen, SIAM Review 46(3), 2004). The nodes'
+    roots are solved for all orders by one lockstep call, each node from
+    its order's start (`_z_start`'s `z_s` and `s_sq`) at the node's C; if
+    one does not converge, every value is NaN."""
+    z_sq = np.full(acf.size, np.nan)
+    j = np.arange(_NODES)
+    weight = np.where(j % 2, -1.0, 1.0)
+    weight[[0, -1]] *= 0.5
+    cos = np.cos(np.pi * j / (_NODES - 1))
+    samples = [np.flatnonzero(order == m) for m in orders.tolist()]
+    nodes = np.array([np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * cos, lo, hi)
+                      for lo, hi in ((acf[at].min(), acf[at].max())
+                                     for at in samples)])
+    node_order, node_acf = np.repeat(orders, _NODES), nodes.reshape(-1)
+    try:
+        x = _ln_gamma_roots(node_order, norm_sq, node_acf, beta, np.log(
+            _gamma_of_z(norm_sq, node_acf, np.repeat(z_s * z_s, _NODES),
+                        np.repeat(s_sq, _NODES)))).root
+    except DivergenceError:
+        return z_sq
+    values = _z_sq(norm_sq, node_acf, np.exp(x)).reshape(nodes.shape)
+    for at, c, f in zip(samples, nodes, values):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = weight / (acf[at, None] - c)
+            z_sq[at] = (q @ f) / q.sum(axis=1)
+        hit = np.isinf(q)  # a sample on a node takes the node's value
+        on = hit.any(axis=1)
+        z_sq[at[on]] = f[np.argmax(hit[on], axis=1)]
+    return z_sq
+
+
+def _qam_gamma_rows(norm_sq: float, order, acf,
+                    beta: float) -> LockstepRoots:
+    """Minimum SNR of every QAM sample (order, C) of broadcast arrays, rate
+    1 (BPSK) included, each on its own order's bound, in one batch.
+
+    Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma) by
+    `_ln_gamma_roots` on the open bracket (-inf, +inf). The ends hold as
+    limits: u(0) = W/2 > beta, with W the bound's whole weight, and u(inf)
+    is the floor, checked below beta first. A sample is done when a Newton
+    step moves it by at most _LN_TOL (1e-9), or when its bracket is
+    narrower than that; its root is that last iterate. Samples never mix:
+    each keeps its own bracket, iterate, count and final step, and all run
+    in lockstep, whatever their orders.
+
+    Every sample starts next to its root, at
+    gamma = 2 z^2 / (C^2 ||h||^2 - 2 z^2 (1 - C^2)) (`_gamma_of_z`) for a
+    z^2 that is nearly constant in C where gamma is not: its order's
+    barycentric interpolant in C through _NODES (24) Chebyshev nodes
+    spanning that order's samples' C, the nodes' roots solved for all
+    orders by one lockstep call, each from its order's start (`_z_start`)
+    at the node's C (`_chebyshev_z_sq`). BPSK's one term, and 4-QAM's
+    terms, equal to QPSK's term for term, make bounds of z alone, so their
+    interpolants are the root up to rounding. A sample whose start is not
+    finite, as where the nodes' solve does not converge, starts at its
+    order's start at its own C, finite wherever the floor is below beta
+    but within rounding of its edge (`_z_start`). On the case1 and case2
+    traces, at sample spacings of 4e-5 and 1e-5, every sample then takes 1
+    evaluation.
+
+    Returns the roots in gamma. Raises InfeasibleCsiError naming the
+    lowest order that cannot reach beta at some sample, as 2-PSK at rate 1
+    (`constellation_for`), and that order's first such sample: where its
+    floor does not fall below beta, or where its start at its own C is not
+    finite, which where the floor is below beta happens only within
+    rounding of the floor's edge. The floor is evaluated at each order's
+    smallest C alone unless a check fails.
+    """
+    order, acf = np.broadcast_arrays(np.asarray(order, dtype=np.int64),
+                                     np.asarray(acf, dtype=np.float64))
+    order, acf = order.reshape(-1), acf.reshape(-1)
+    orders = np.unique(order)
+    z_s, s_sq = _z_start("qam", orders, beta)
+    k = np.searchsorted(orders, order)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = np.log(_gamma_of_z(norm_sq, acf, (z_s * z_s)[k], s_sq[k]))
+    # the floor falls as C rises, so an order's smallest C fails whenever
+    # any of its samples does; only then is every sample checked
+    lowest = [acf[order == m].min() for m in orders.tolist()]
+    if (not np.isfinite(lower).all()
+            or np.any(union_bound_rows("qam", orders, UnionBound.floor,
+                                       norm_sq, lowest)[0] >= beta)):
+        infeasible = np.flatnonzero(~np.isfinite(lower) | (union_bound_rows(
+            "qam", order, UnionBound.floor, norm_sq, acf)[0] >= beta))
+        k = infeasible[np.argmin(order[infeasible])]
+        m = int(order[k])
+        raise InfeasibleCsiError(
+            f"{m}-{constellation_for('qam', m).scheme.upper()} cannot reach "
+            f"{beta:g} at C={acf[k]:.6f} for any power", order=m)
+    z_sq = _chebyshev_z_sq(orders, order, norm_sq, acf, beta, z_s, s_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        starts = np.log(_gamma_of_z(norm_sq, acf, z_sq))
+    starts = np.where(np.isfinite(starts), starts, lower)
+    roots = _ln_gamma_roots(order, norm_sq, acf, beta, starts)
+    return roots._replace(root=np.exp(roots.root))
 
 
 def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
@@ -658,7 +786,7 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     `UnionBound` of the rate's order (`_qam_acf_rows`), from the start of
     `_z_start` at its gamma, so a grid pays the slowest row's iterations,
     not the sum over rates: at most 6 on the benchmark's `rate-opt` grids
-    and the fixtures' schedules, where the solve in C took up to 12. PSK
+    and the fixtures' schedules. PSK
     rows take C_n from one root per distinct (rate, threshold) of the PSK
     bound, a function of z alone, from z_s (`_psk_acf_rows`). On both, a
     root is done when its z bracket is at most 1e-12 wide (on QAM, or one

@@ -1,7 +1,7 @@
 """The lockstep safeguarded Newton solver shared by the package's
 inversions: the CSI threshold C_n and the QAM power root of the union
-bound (bep_analysis, power_control), and the switch time t_n of the wobble
-ACF (channel)."""
+bound (bep_analysis), and the switch time t_n of the wobble ACF
+(channel)."""
 
 from typing import NamedTuple
 

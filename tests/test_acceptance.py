@@ -17,6 +17,7 @@ from uavlink import (
     ChannelEstimate,
     DetectorKind,
     average_rate,
+    bep_analysis,
     build_rate_schedule,
     constellation_for,
     energy_savings,
@@ -25,7 +26,6 @@ from uavlink import (
     ml_detect,
     monte_carlo_bep,
     optimum_transmission_time,
-    power_control,
     psk_bep_approx,
     rate_derivative,
     so_detect,
@@ -320,8 +320,8 @@ def test_criterion_08_qam_root_convergence(case1):
     for order in (4, 16):
         bound = union_bound("qam", order)
         for acf in (0.99, 0.999):
-            roots = power_control._solve_qam(order, case1.estimate,
-                                             np.array([acf]), beta)
+            roots = bep_analysis._qam_gamma_rows(norm_sq, order,
+                                                 np.array([acf]), beta)
             gamma_min = float(roots.root[0])
             worst_iters = max(worst_iters, int(roots.iterations[0]))
             val = bound.u(norm_sq, acf, gamma_min)

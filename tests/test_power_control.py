@@ -105,7 +105,8 @@ class TestPskSolver:
 def _qam_root(order, estimate, acf, beta) -> LockstepRoots:
     """The batched QAM power solve at one sample: its root, iteration
     count and final step, one entry each."""
-    return power_control._solve_qam(order, estimate, np.array([acf]), beta)
+    return bep_analysis._qam_gamma_rows(estimate.norm_sq, order,
+                                        np.array([acf]), beta)
 
 
 class TestQamSolver:
@@ -163,6 +164,23 @@ class TestQamSolver:
         with pytest.raises(InfeasibleCsiError):
             _qam_root(64, fx.estimate, 0.7, BETA)
 
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    @pytest.mark.parametrize("beta", [1e-2, 1e-5, 1e-9, 1e-15])
+    def test_bpsk_floor_edge_roots_or_infeasible(self, case, beta):
+        # BPSK's start is its one term's root, which is the floor's: in the
+        # first ulps of C whose floor lies below beta a start can round
+        # past the edge, and the sample is then infeasible, not unsolved
+        est = load_fixture(case).estimate
+        bound = union_bound("qam", 2)
+        _, edge = _bisect(lambda c: bound.floor(est.norm_sq, c) - beta,
+                          0.0, 1.0)
+        for c in edge + np.spacing(edge) * np.arange(8):
+            try:
+                root = _qam_root(2, est, c, beta).root[0]
+            except InfeasibleCsiError:
+                continue
+            assert root > 1e13  # the ill-conditioned edge's, past any cap
+
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
            log_beta=st.floats(-8.0, -2.0))
     @settings(max_examples=60, deadline=None)
@@ -170,23 +188,24 @@ class TestQamSolver:
             self, fx, seed, n, log_beta):
         # the floor is checked at each order's smallest C only; where that
         # fails, the error is the one a check of every sample gives: the
-        # lowest failing order and its first failing C
+        # lowest failing order and its first failing C. Order 2 is BPSK
         rng = np.random.default_rng(seed)
-        order = rng.choice([4, 8, 16, 32, 64], n)
+        order = rng.choice([2, 4, 8, 16, 32, 64], n)
         acf = 1.0 - 10.0 ** rng.uniform(-5.0, -0.3, n)
-        beta = 10.0 ** log_beta
-        floor = np.array([union_bound("qam", int(m)).floor(
-            fx.estimate.norm_sq, c) for m, c in zip(order, acf)])
+        beta, norm_sq = 10.0 ** log_beta, fx.estimate.norm_sq
+        floor = np.array([union_bound("qam", int(m)).floor(norm_sq, c)
+                          for m, c in zip(order, acf)])
         bad = np.flatnonzero(floor >= beta)
         if not bad.size:
-            assert power_control._solve_qam(order, fx.estimate, acf,
-                                            beta).root.shape == (n,)
+            assert bep_analysis._qam_gamma_rows(norm_sq, order, acf,
+                                                beta).root.shape == (n,)
             return
         k = bad[np.argmin(order[bad])]
         with pytest.raises(InfeasibleCsiError) as info:
-            power_control._solve_qam(order, fx.estimate, acf, beta)
-        assert str(info.value) == (f"{order[k]}-QAM cannot reach {beta:g} at "
-                                   f"C={acf[k]:.6f} for any power")
+            bep_analysis._qam_gamma_rows(norm_sq, order, acf, beta)
+        name = "PSK" if order[k] == 2 else "QAM"
+        assert str(info.value) == (f"{order[k]}-{name} cannot reach {beta:g} "
+                                   f"at C={acf[k]:.6f} for any power")
         assert info.value.order == order[k]
 
 
@@ -247,7 +266,7 @@ class TestClosedFormStarts:
             z_s = _z_start(scheme, order, beta)[0]
             start = _gamma_of_z(norm_sq, acf, z_s * z_s)
             assert start > 0.0 and math.log(start) <= hi + 1e-12
-        if scheme == "qam" and order > 2:
+        if scheme == "qam":
             root = _qam_root(order, est, acf, beta).root[0]
             assert abs(math.log(root) - 0.5 * (lo + hi)) <= 2e-9
 
@@ -294,7 +313,7 @@ class TestClosedFormStarts:
         assert abs(acf_thresholds(fx.estimate, 300.0, "qam", BETA)[1][3, 0]
                    - c_n) <= 1e-12
         for start in (1.01 * root, 1e-3 * root):
-            inject(power_control, _z_sq(norm_sq, 0.99, start))
+            inject(bep_analysis, _z_sq(norm_sq, 0.99, start))
             assert _qam_root(16, fx.estimate, 0.99, BETA).root[0] == \
                 pytest.approx(root, rel=2e-9)
 
@@ -441,6 +460,16 @@ def _trace(fx, scheme, sample_dt):
 
 class TestBatchedSolve:
     @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_qam_trace_calls_no_psk_closed_form(self, case, monkeypatch):
+        # one model per QAM trace: every sample, BPSK's included, takes the
+        # union bound's solve
+        def closed_form(*args):
+            raise AssertionError("min_snr_psk called on a QAM trace")
+        monkeypatch.setattr(power_control, "min_snr_psk", closed_form)
+        _, power = _trace(load_fixture(case), "qam", 4e-5)
+        assert 1 in power.rate
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_samples_never_mix(self, case):
         # each batched QAM root equals a one-sample solve of that sample
         fx = load_fixture(case)
@@ -455,15 +484,17 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_trace_roots_converge_fast_and_tight(self, case):
-        # every sample of a QAM power trace is solved in at most 6 Newton
-        # iterations, with the bound at the threshold to 1e-12
+        # every sample of a QAM power trace, BPSK's included, is solved in
+        # at most 6 Newton iterations, with the bound at the threshold to
+        # 1e-12
         fx = load_fixture(case)
         _, power = _trace(fx, "qam", 4e-5)
         beta = fx.scenario.bep_threshold
-        for order in sorted({s.order for s in power.samples} - {2}):
+        for order in sorted({s.order for s in power.samples}):
             acf = np.array([s.acf_value for s in power.samples
                             if s.order == order])
-            roots = power_control._solve_qam(order, fx.estimate, acf, beta)
+            roots = bep_analysis._qam_gamma_rows(fx.estimate.norm_sq, order,
+                                                 acf, beta)
             assert roots.iterations.max() <= 6
             u = union_bound("qam", order).u(fx.estimate.norm_sq, acf,
                                             roots.root)
@@ -494,15 +525,13 @@ class TestBatchedSolve:
 
 
 def _qam_trace_roots(fx, sample_dt):
-    """The batched QAM solve of one trace's 4- to 64-QAM samples, as
+    """The batched QAM solve of one trace's samples, BPSK's included, as
     `min_power_schedule` makes it: their orders and the roots."""
     schedule, _ = _trace(fx, "qam", sample_dt)
     t, rate = sample_grid(schedule, sample_dt)
     acf = temporal_acf(fx.wobble, t - schedule.t_estimate)
-    solved = rate > 1
-    return 1 << rate[solved], power_control._solve_qam(
-        1 << rate[solved], fx.estimate, acf[solved],
-        fx.scenario.bep_threshold)
+    return 1 << rate, bep_analysis._qam_gamma_rows(
+        fx.estimate.norm_sq, 1 << rate, acf, fx.scenario.bep_threshold)
 
 
 class TestStartsNextToTheRoot:
@@ -511,36 +540,37 @@ class TestStartsNextToTheRoot:
     @pytest.mark.parametrize("case", ["case1", "case2"])
     @pytest.mark.parametrize("sample_dt", [4e-5, 1e-5])
     def test_one_evaluation_per_sample(self, case, sample_dt, monkeypatch):
-        solves, solve = [], power_control._ln_gamma_roots
+        solves, solve = [], bep_analysis._ln_gamma_roots
 
         def recorded(order, *args):
             solves.append(order)
             return solve(order, *args)
-        monkeypatch.setattr(power_control, "_ln_gamma_roots", recorded)
+        monkeypatch.setattr(bep_analysis, "_ln_gamma_roots", recorded)
         order, roots = _qam_trace_roots(load_fixture(case), sample_dt)
-        assert np.unique(order).tolist() == [4, 8, 16, 32, 64]
+        assert np.unique(order).tolist() == [2, 4, 8, 16, 32, 64]
         assert np.all(roots.iterations == 1)
         assert np.all(roots.newton)
         node_order = solves[0]  # the nodes' solve comes first
         assert np.unique(node_order, return_counts=True)[1].tolist() == \
-            [power_control._NODES] * 5
+            [bep_analysis._NODES] * 6
 
     def test_unconverged_nodes_leave_the_lower_starts(self, fx,
                                                      monkeypatch):
         # where the nodes' solve fails, every sample starts at its order's
-        # z_s mapped to gamma and reaches the same roots in more
-        # evaluations
+        # z_s mapped to gamma and reaches the same roots, in more
+        # evaluations but on BPSK, whose one term makes z_s its root
         order, want = _qam_trace_roots(fx, 4e-5)
-        solve, nodes = power_control._ln_gamma_roots, 5 * power_control._NODES
+        solve, nodes = bep_analysis._ln_gamma_roots, 6 * bep_analysis._NODES
 
         def nodes_fail(order, *args):
-            if order.size == nodes:  # the 4- to 64-QAM nodes
+            if order.size == nodes:  # the 2- to 64-QAM nodes
                 raise DivergenceError("stuck", cells=np.arange(1))
             return solve(order, *args)
-        monkeypatch.setattr(power_control, "_ln_gamma_roots", nodes_fail)
+        monkeypatch.setattr(bep_analysis, "_ln_gamma_roots", nodes_fail)
         _, got = _qam_trace_roots(fx, 4e-5)
         assert np.abs(got.root / want.root - 1.0).max() <= 1e-12
-        assert got.iterations.min() >= 2
+        assert got.iterations[order > 2].min() >= 2
+        assert np.all(got.iterations[order == 2] == 1)
 
     @given(case=st.sampled_from(["case1", "case2"]),
            p_max_dbm=st.floats(25.0, 45.0),
@@ -550,16 +580,16 @@ class TestStartsNextToTheRoot:
     @settings(max_examples=6, deadline=None)
     def test_trace_roots_match_bisection_and_one_sample_solves(
             self, case, p_max_dbm, log_beta, sample_dt):
-        # at 4e-4 s the 8- to 64-QAM orders have fewer samples than nodes
+        # every sample, BPSK's included; at 4e-4 s the 8- to 64-QAM orders
+        # have fewer samples than nodes
         base = load_fixture(case)
         scenario = dataclasses.replace(base.scenario, p_max_dbm=p_max_dbm,
                                        bep_threshold=10.0 ** log_beta)
         fx = dataclasses.replace(base, scenario=scenario)
         _, power = _trace(fx, "qam", sample_dt)
-        qam = power.rate > 1
-        assume(qam.any())
-        order, acf = 1 << power.rate[qam], power.acf_value[qam]
-        ln_root = np.log(10.0) * power.gamma_min_db[qam] / 10.0
+        assume(power.rate.size)
+        order, acf = 1 << power.rate, power.acf_value
+        ln_root = np.log(10.0) * power.gamma_min_db / 10.0
         beta, norm_sq = scenario.bep_threshold, fx.estimate.norm_sq
         # each sample bisected on its own bracket in ln(gamma), every
         # sample of an order in one array call
@@ -582,8 +612,9 @@ class TestStartsNextToTheRoot:
 
 def _loop_gamma(schedule, estimate, scenario, wobble, sample_dt):
     """The per-region power loop the batched solve replaced: the minimum
-    SNR of every sample, one closed-form call or one QAM solve per rate
-    region, lowest rate first."""
+    SNR of every sample, one closed-form call (PSK) or one union-bound
+    solve (QAM, BPSK's region included) per rate region, lowest rate
+    first."""
     t, rate = sample_grid(schedule, sample_dt)
     acf = temporal_acf(wobble, t - schedule.t_estimate)
     beta = scenario.bep_threshold
@@ -592,12 +623,12 @@ def _loop_gamma(schedule, estimate, scenario, wobble, sample_dt):
         region = rate == r
         order = 1 << r
         try:
-            if schedule.scheme == "psk" or order == 2:
+            if schedule.scheme == "psk":
                 gamma[region] = min_snr_psk(order, estimate, acf[region],
                                             beta)
             else:
-                gamma[region] = power_control._solve_qam(
-                    order, estimate, acf[region], beta).root
+                gamma[region] = bep_analysis._qam_gamma_rows(
+                    estimate.norm_sq, order, acf[region], beta).root
         except InfeasibleCsiError as exc:
             raise ScheduleError(
                 f"power infeasible inside rate-{r} region ({exc}); "
@@ -635,8 +666,6 @@ class TestOneSolveEqualsRegionLoop:
             return
         power = min_power_schedule(*args)
         assert power.gamma_min_db.tolist() == want.tolist()
-        if scheme == "qam" and power.rate.size:
-            assert 1 in power.rate  # the BPSK region takes the closed form
 
     def test_infeasible_qam_sample_names_its_rate(self, fx, qam_power,
                                                   kernel_fault):
@@ -647,6 +676,19 @@ class TestOneSolveEqualsRegionLoop:
         with pytest.raises(ScheduleError, match="rate-4 region .16-QAM"):
             min_power_schedule(schedule, fx.estimate, fx.scenario, fx.wobble,
                                sample_dt=4e-5)
+
+    def test_infeasible_bpsk_sample_names_psk(self, fx, qam_power):
+        # powered at a threshold stricter than the schedule's, the rate-1
+        # samples near t_1 have no power; rate-1 QAM is BPSK, and the
+        # error says so (make_qam refuses order 2)
+        schedule, _ = qam_power
+        scenario = dataclasses.replace(fx.scenario, bep_threshold=BETA / 10.0)
+        with pytest.raises(ScheduleError) as info:
+            min_power_schedule(schedule, fx.estimate, scenario, fx.wobble,
+                               sample_dt=4e-5)
+        assert "rate-1 region (2-PSK cannot reach 1e-06 at C=" in \
+            str(info.value)
+        assert "2-QAM" not in str(info.value)
 
 
 class TestFiniteInputGuard:
