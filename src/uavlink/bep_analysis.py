@@ -11,8 +11,8 @@ over arrays of (C, gamma) by one pass (`_bound_rows`): rows sorted by order
 in chunks of at most _CHUNK_VALUES values (rows x terms), each chunk in one
 set of NumPy calls and one call of its special function (`_special`'s Q, Q
 with exp(-x^2 / 2), or Q^-1). `union_bound_rows` runs it for rows of every
-order on the scheme's cached term table (`_terms`), each `UnionBound`
-method on its own bound's. It serves the bound's
+order on the scheme's cached term table (`_terms`), as each `UnionBound`
+method does at its own order. It serves the bound's
 values (the CLI's `analytic-uub` rows and trace column, clamped to 1)
 and the two inversions of the bound, each over rows of every order at
 once: the highest feasible rate R_max and the CSI thresholds C_n of all
@@ -48,7 +48,6 @@ inverse, both over per-sample orders, which PSK power traces meet.
 
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -66,6 +65,7 @@ from .errors import (
     MonotonicityError,
     ScheduleError,
     SchemeError,
+    require_bep_threshold,
     require_finite,
 )
 from .lockstep import LockstepRoots, newton_lockstep
@@ -116,7 +116,9 @@ class UnionBound:
     weight, the diagonal among them, are dropped.
 
     Every method broadcasts over arrays of C and gamma; ||h||^2 is a scalar.
-    Use `union_bound(scheme, order)` for the cached instance.
+    Use `union_bound(scheme, order)` for the cached instance. The methods
+    read the scheme's cached table (`_terms`) at the order, the terms of
+    `constellation_for(scheme, order)`, whatever constellation built it.
     """
 
     def __init__(self, c: Constellation):
@@ -130,23 +132,23 @@ class UnionBound:
         size = np.bincount(group)
         weight = np.bincount(group, weights=n_mat)
         keep = weight > 0
-        self.order = c.order
+        self.scheme, self.order = c.scheme, c.order
         self.s_sq = (np.bincount(group, weights=s_sq) / size)[keep]
         self.d_sq = (np.bincount(group, weights=d_sq) / size)[keep]
         self.weight = weight[keep] / (c.order * c.bits_per_symbol)
         for a in (self.s_sq, self.d_sq, self.weight):
             a.flags.writeable = False  # shared by every caller of the cache
-        self._terms = _Terms([self])
 
     @property
     def n_terms(self) -> int:
         return self.d_sq.size
 
     def _rows(self, method, norm_sq: float, *args) -> tuple:
-        # the one-order case of the pass, by the method's kernel in
-        # _KERNELS; floats where the shape is 0-d
+        # the pass at this bound's order on its scheme's table, by the
+        # method's kernel in _KERNELS; floats where the shape is 0-d
         return tuple(out if out.ndim else float(out) for out in _bound_rows(
-            self._terms, *_KERNELS[method], norm_sq, None, *args))
+            _terms(self.scheme), *_KERNELS[method], norm_sq, self.order,
+            *args))
 
     def u(self, norm_sq: float, acf, gamma):
         """Raw union bound (may exceed 1 at low SNR).
@@ -226,27 +228,34 @@ class _Chunk:
                 else part.max(axis=-1))
 
 
+_ORDERS = np.array(SUPPORTED_ORDERS)
+
+
+def _order_rows(order, kind: str) -> np.ndarray:
+    """The index of each order in SUPPORTED_ORDERS, its row in every
+    per-order table; SchemeError naming the first unsupported order."""
+    order = np.asarray(order)
+    k = np.searchsorted(_ORDERS, order)
+    bad = _ORDERS.take(k, mode="clip") != order
+    if bad.any():
+        raise SchemeError(f"unsupported {kind} order {order[bad].flat[0]}")
+    return k
+
+
 def _bound_rows(terms: _Terms, kernel, n_out: int, norm_sq: float, order,
                 *args) -> list:
     """n_out outputs of `kernel(chunk, norm_sq, *columns)` at the rows of
-    broadcast order (None: the table's one) and args, shaped like them, in
-    chunks of whole rows sorted by order, neither of which changes a value."""
+    broadcast order and args, shaped like them, in chunks of whole rows
+    sorted by order, neither of which changes a value."""
     args = [np.asarray(a, dtype=np.float64) for a in args]
-    if order is not None:
-        args.append(np.asarray(order, dtype=np.int64))
+    args.append(np.asarray(order, dtype=np.int64))
     if any(a.shape != args[0].shape for a in args):
         args = np.broadcast_arrays(*args)
     shape, args = args[0].shape, [a.reshape(-1) for a in args]
-    k, rows = np.zeros(args[0].size, dtype=np.intp), None
-    if order is not None:
-        order = args.pop()
-        k = np.searchsorted(terms.orders, order)
-        bad = terms.orders.take(k, mode="clip") != order
-        if bad.any():
-            raise SchemeError(f"unsupported modulation order {order[bad][0]}")
-        if k.size > 1 and (k[1:] < k[:-1]).any():
-            rows = np.argsort(k, kind="stable")
-            k, args = k.take(rows), [a.take(rows) for a in args]
+    k, rows = _order_rows(args.pop(), "modulation"), None
+    if k.size > 1 and (k[1:] < k[:-1]).any():
+        rows = np.argsort(k, kind="stable")
+        k, args = k.take(rows), [a.take(rows) for a in args]
     outs = [np.empty(k.size) for _ in range(n_out)]
     n = terms.count.take(k)
     ends, lo = np.cumsum(n), 0
@@ -327,13 +336,11 @@ def _z_start_rows(ch, _, beta):
     z /= d
     z_s, z_inf_sq = ch.max(z), ch.max(z * z * ch.s_sq)
     if not z_s.all():
-        whole = q_tail_inverse(np.minimum(beta / ch.sum(np.ones(d.shape)),
-                                          0.5)) / ch.max(d)
+        whole = q_tail_inverse(beta / ch.sum(np.ones(d.shape))) / ch.max(d)
         z_inf_sq = np.where(z_s > 0.0, z_inf_sq,
                             whole * whole * -ch.max(-ch.s_sq))
         z_s = np.where(z_s > 0.0, z_s, whole)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where beta >= W / 2
-        return z_s, z_inf_sq / (z_s * z_s)
+    return z_s, z_inf_sq / (z_s * z_s)
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,11 +367,11 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
     """`method(bound, norm_sq, *args)`, for a `UnionBound` method such as
     `UnionBound.u`, over rows that each carry their own order, in one call.
 
-    order and the array arguments broadcast to one shape of rows, run on
-    the scheme's cached term table (`_terms`), so every output equals the
-    per-order method's to the bit: one array per output, shaped like the
-    rows. The kernel is the method's in _KERNELS, which its `UnionBound`
-    method reads too.
+    order and the array arguments broadcast to one shape of rows: one
+    array per output, shaped like the rows. The rows run on the scheme's
+    cached term table (`_terms`) by the method's kernel in _KERNELS, which
+    is what the `UnionBound` method runs at its own order, so every
+    output is the per-order method's.
     """
     return tuple(_bound_rows(_terms(scheme), *_KERNELS[method], norm_sq,
                              order, *args))
@@ -373,28 +380,17 @@ def union_bound_rows(scheme: str, order, method, norm_sq: float,
 # (w, bits / 2, d) of w Q(sqrt(gamma ||h C||^2 d / (gamma (1 - C^2) + 1)))
 # per supported order: BPSK exact, (1, 1, 2); M > 2 the two nearest
 # neighbours, (2 / log2 M, log2 M / 2, 1 - cos(2 pi / M))
-_PSK_ORDERS = np.array(SUPPORTED_ORDERS)
 _PSK_TERMS = np.array([(1.0, 1.0, 2.0)] + [
     (2.0 / bits, bits / 2.0, 1.0 - math.cos(2.0 * math.pi / (1 << bits)))
     for bits in range(2, len(SUPPORTED_ORDERS) + 1)])
 _PSK_TERMS.flags.writeable = False
 
 
-def _psk_rows(order) -> np.ndarray:
-    """The `_PSK_TERMS` row of each order; SchemeError if unsupported."""
-    order = np.asarray(order)
-    row = np.searchsorted(_PSK_ORDERS, order)
-    bad = _PSK_ORDERS[np.minimum(row, _PSK_ORDERS.size - 1)] != order
-    if bad.any():
-        raise SchemeError(f"unsupported PSK order {order[bad].flat[0]}")
-    return row
-
-
 def psk_bep_approx(order, estimate: ChannelEstimate, acf_value, snr_linear):
     """Gray-mapping signal-space BEP approximation for M-PSK, from
     `_PSK_TERMS`. order, C and gamma broadcast as arrays, each sample with
     its own order; scalars give a float."""
-    row = _psk_rows(order)
+    row = _order_rows(order, "PSK")
     g = np.asarray(snr_linear, dtype=np.float64)
     c = np.asarray(acf_value, dtype=np.float64)
     hc_sq = estimate.norm_sq * c * c
@@ -418,7 +414,7 @@ def min_snr_psk(order, estimate: ChannelEstimate, acf_value,
     every SNR, and Q^-1(beta bits / 2) <= 0 gives no root.
     """
     require_finite(acf_value=acf_value, bep_threshold=bep_threshold)
-    row, c = np.broadcast_arrays(_psk_rows(order),
+    row, c = np.broadcast_arrays(_order_rows(order, "PSK"),
                                  np.asarray(acf_value, dtype=np.float64))
     # Q^-1(beta bits / 2)^2 of each order present; nan, which fails that
     # order's samples, where beta bits / 2 is outside (0, 1/2)
@@ -433,7 +429,7 @@ def min_snr_psk(order, estimate: ChannelEstimate, acf_value,
     failed = np.flatnonzero(~(den > 0.0))
     if failed.size:  # the lowest failing order's error, as if called alone
         k = failed[np.argmin(row.flat[failed])]
-        m = int(_PSK_ORDERS[row.flat[k]])
+        m = int(_ORDERS[row.flat[k]])
         if np.isnan(alpha_sq.flat[k]):
             raise ValueError(
                 f"{m}-PSK approximation cannot be inverted at bep_threshold "
@@ -504,8 +500,8 @@ def _z_start(scheme: str, order, beta) -> tuple:
     is the root of d z sqrt((t + 1) / (t s^2 + 1)) = d z_s at a row's
     gamma (`_acf_of_z`) or a sample's C (`_gamma_of_z`). Where no term
     alone reaches beta (every beta / w >= 1/2), z_s is Q^-1(beta / W) /
-    d_max, the whole weight W on the farthest term, and z_inf is z_s
-    times the least |s|; z_s > 0 wherever W / 2 > beta. On PSK s^2 = 1,
+    d_max, the whole weight W = M / 2 on the farthest term, and z_inf is
+    z_s times the least |s|; z_s > 0 wherever beta < 1/2. On PSK s^2 = 1,
     the bound is sum(w Q(d z)) and z_s a lower bracket of its root z*; on
     QAM a start lies near the root. z_inf, the floor's largest
     single-term root in sqrt(rho / 2), rho = C^2 ||h||^2 / (1 - C^2), is
@@ -517,9 +513,8 @@ def _z_start(scheme: str, order, beta) -> tuple:
 
 def _psk_z_roots(rate, beta) -> np.ndarray:
     """The root z* of sum(w Q(d z)) = beta (see `_z_start`) of each
-    (rate n, beta) pair of 1-D integer and float arrays, with
-    sum(w) / 2 > beta; pairs are solved alone, so a repeated pair costs its
-    own row.
+    (rate n, beta) pair of 1-D integer and float arrays, with beta below
+    1/2; pairs are solved alone, so a repeated pair costs its own row.
 
     The roots are solved together by `newton_lockstep` in z on [0, +inf),
     each started at its z_s (`_z_start`) and done when its bracket is at
@@ -549,7 +544,7 @@ def _psk_z_roots(rate, beta) -> np.ndarray:
 
 def _psk_acf_rows(norm_sq: float, rate, gamma, beta) -> np.ndarray:
     """C_n of every PSK row (rate n, gamma, beta) of 1-D arrays with
-    sum(w) / 2 > beta and u(C = 1) <= beta, from one root z* of
+    beta < 1/2 and u(C = 1) <= beta, from one root z* of
     sum(w Q(d z)) = beta per distinct (rate, beta) (`_pairs`,
     `_psk_z_roots`).
 
@@ -578,7 +573,7 @@ def _acf_slope_in_z(norm_sq: float, z_sq, gamma):
 
 def _qam_acf_rows(norm_sq: float, order, gamma, beta) -> np.ndarray:
     """C_n of every QAM row (order, gamma, beta) of 1-D arrays with
-    sum(w) / 2 > beta and u(C = 1) <= beta, each row on its own order's
+    beta < 1/2 and u(C = 1) <= beta, each row on its own order's
     bound, in one `newton_lockstep` call in PSK's variable z (see
     `_z_start`).
 
@@ -622,11 +617,19 @@ _NODES = 24  # Chebyshev nodes per QAM order of the power solve's starts
 def _ln_gamma_roots(order, norm_sq: float, acf, beta: float,
                     x) -> LockstepRoots:
     """The roots in x = ln(gamma) of u = beta at every QAM row (order, C),
-    by `newton_lockstep` from x on the open bracket (-inf, +inf)."""
+    by `newton_lockstep` from x on the open bracket (-inf, +inf), with u at
+    gamma capped at 2^54 / ((1 - C^2) s^2), s^2 the order's least |s|^2:
+    past it every term's 2 gamma (1 - C^2) |s|^2 + 2 loses its 2 to
+    rounding and u reads its floor. A root not below the cap is not found."""
+    terms = _terms("qam")
+    s_sq = np.minimum.reduceat(terms.s_sq, terms.start)[
+        _order_rows(order, "modulation")]
+    with np.errstate(divide="ignore"):  # no cap at C = 1, whose floor is 0
+        x_cap = np.log(2.0 ** 54 / ((1.0 - acf * acf) * s_sq))
     return newton_lockstep(
-        lambda live, x: union_bound_rows("qam", order[live],
-                                         UnionBound.u_and_slope, norm_sq,
-                                         acf[live], np.exp(x)),
+        lambda live, x: union_bound_rows(
+            "qam", order[live], UnionBound.u_and_slope, norm_sq, acf[live],
+            np.exp(np.minimum(x, x_cap[live]))),
         beta, x, -np.inf, np.inf, _LN_TOL)
 
 
@@ -699,13 +702,21 @@ def _qam_gamma_rows(norm_sq: float, order, acf,
     lowest order that cannot reach beta at some sample, as 2-PSK at rate 1
     (`constellation_for`), and that order's first such sample: where its
     floor does not fall below beta, or where its start at its own C is not
-    finite, which where the floor is below beta happens only within
-    rounding of the floor's edge. The floor is evaluated at each order's
-    smallest C alone unless a check fails.
+    finite or its root is not found below `_ln_gamma_roots`' cap, either
+    of which where the floor is below beta happens only within rounding of
+    the floor's edge. The floor is evaluated at each order's smallest C
+    alone unless a check fails.
     """
     order, acf = np.broadcast_arrays(np.asarray(order, dtype=np.int64),
                                      np.asarray(acf, dtype=np.float64))
     order, acf = order.reshape(-1), acf.reshape(-1)
+
+    def infeasible(cells):  # the error of cells' lowest order's first one
+        k = cells[np.argmin(order[cells])]
+        m = int(order[k])
+        return InfeasibleCsiError(
+            f"{m}-{constellation_for('qam', m).scheme.upper()} cannot reach "
+            f"{beta:g} at C={acf[k]:.6f} for any power", order=m)
     orders = np.unique(order)
     z_s, s_sq = _z_start("qam", orders, beta)
     k = np.searchsorted(orders, order)
@@ -717,18 +728,17 @@ def _qam_gamma_rows(norm_sq: float, order, acf,
     if (not np.isfinite(lower).all()
             or np.any(union_bound_rows("qam", orders, UnionBound.floor,
                                        norm_sq, lowest)[0] >= beta)):
-        infeasible = np.flatnonzero(~np.isfinite(lower) | (union_bound_rows(
-            "qam", order, UnionBound.floor, norm_sq, acf)[0] >= beta))
-        k = infeasible[np.argmin(order[infeasible])]
-        m = int(order[k])
-        raise InfeasibleCsiError(
-            f"{m}-{constellation_for('qam', m).scheme.upper()} cannot reach "
-            f"{beta:g} at C={acf[k]:.6f} for any power", order=m)
+        raise infeasible(np.flatnonzero(~np.isfinite(lower) | (
+            union_bound_rows("qam", order, UnionBound.floor, norm_sq,
+                             acf)[0] >= beta)))
     z_sq = _chebyshev_z_sq(orders, order, norm_sq, acf, beta, z_s, s_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         starts = np.log(_gamma_of_z(norm_sq, acf, z_sq))
     starts = np.where(np.isfinite(starts), starts, lower)
-    roots = _ln_gamma_roots(order, norm_sq, acf, beta, starts)
+    try:
+        roots = _ln_gamma_roots(order, norm_sq, acf, beta, starts)
+    except DivergenceError as exc:
+        raise infeasible(exc.cells) from exc
     return roots._replace(root=np.exp(roots.root))
 
 
@@ -737,25 +747,17 @@ def _min_acf_rows(scheme: str, norm_sq: float, rate, gamma, beta,
     """C_n of every row (rate n, gamma, beta) of 1-D arrays, given u(C = 1)
     of each row, in one solve in z over all rows (`_psk_acf_rows`,
     `_qam_acf_rows`; see acf_thresholds). The bound falls in C
-    (`UnionBound.u`), so C in [0, 1] brackets a root wherever u_one meets
-    beta, the one check. Errors come in the order of a
-    rate-by-rate solve: the lowest failing rate raises, its check after the
-    solves of lower rates but before its own."""
+    (`UnionBound.u`) from u(C = 0) = M / 4 > beta, so C in [0, 1] brackets
+    a root wherever u_one meets beta, the one check. Errors come in the
+    order of a rate-by-rate solve: the lowest failing rate raises, its
+    check after the solves of lower rates but before its own."""
     missed = np.flatnonzero(u_one > beta)
     failed_rate = rate[missed].min() if missed.size else np.inf
-    order = 1 << rate
-    orders, of_row = np.unique(order, return_inverse=True)
-    # u(C = 0) = sum(w) / 2 at every SNR, as Q(0) = 1/2 exactly
-    u_zero = np.array([0.5 * union_bound(scheme, m).weight.sum()
-                       for m in orders.tolist()])[of_row.ravel()]
-    out = np.zeros(rate.size)
-    cells = np.flatnonzero((u_zero > beta) & (rate < failed_rate))
-    o, g, b = order[cells], gamma[cells], beta[cells]
+    cells = np.flatnonzero(rate < failed_rate)
+    r, g, b = rate[cells], gamma[cells], beta[cells]
     try:
-        if scheme == "psk":
-            out[cells] = _psk_acf_rows(norm_sq, rate[cells], g, b)
-        else:
-            out[cells] = _qam_acf_rows(norm_sq, o, g, b)
+        out = (_psk_acf_rows(norm_sq, r, g, b) if scheme == "psk"
+               else _qam_acf_rows(norm_sq, 1 << r, g, b))
     except DivergenceError as exc:
         failed = np.unique(rate[cells[exc.cells]]).tolist()
         raise MonotonicityError(
@@ -800,13 +802,13 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     34 dB and the least normal threshold: rate 4 reads
     ln(u / threshold) = -3.3e-8). A z bracket of 1e-12 spans at most
     1e-12 sqrt(2 (1 + 1 / gamma) / ||h||^2) in C. On either scheme a
-    row's C_n does not depend on the other rows, and C_n = 0 where even
-    C = 0 meets the threshold.
+    row's C_n does not depend on the other rows, and C_n > 0: at C = 0 the
+    bound of order M is M / 4 >= 1/2, above every threshold.
 
     Raises ScheduleError where a rate below a cell's r_max cannot meet the
     threshold at C = 1, MonotonicityError where the solve cannot converge,
-    and ValueError for a non-finite or negative SNR or a non-finite
-    threshold or one below sys.float_info.min, the least normal double.
+    and ValueError for a non-finite or negative SNR or a threshold outside
+    [least normal double, 1/2) (`errors.require_bep_threshold`).
     Where several rates fail, the error is the one a rate-by-rate build
     meets first: that of the lowest failing rate, its feasibility check
     before its solve.
@@ -815,15 +817,10 @@ def acf_thresholds(estimate: ChannelEstimate, snr_linear, scheme: str,
     gamma, beta = (a.reshape(-1) for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=np.float64)
           for a in (snr_linear, bep_threshold))))
-    # a subnormal threshold has too few significant bits for the solve's
-    # relative residual gate
-    for name, a, bad in (("snr_linear must be non-negative", gamma, gamma < 0),
-                         ("bep_threshold must be positive", beta, beta <= 0),
-                         (f"bep_threshold must be at least {sys.float_info.min}"
-                          ", the least normal double", beta,
-                          beta < sys.float_info.min)):
-        if bad.any():
-            raise ValueError(f"{name}, got {a[bad].flat[0]}")
+    if (gamma < 0).any():
+        raise ValueError("snr_linear must be non-negative, got "
+                         f"{gamma[gamma < 0][0]}")
+    require_bep_threshold("bep_threshold", beta)
     norm_sq = estimate.norm_sq
     # u(C = 1) of every rate's order (first axis) in every cell
     u_one = union_bound_rows(scheme, 1 << _RATES, UnionBound.u, norm_sq, 1.0,

@@ -33,7 +33,7 @@ from .bep_analysis import (
 from .channel import ChannelEstimate, WobbleParams, temporal_acf
 from .constellation import constellation_for
 from .detectors import DetectorKind, backend_name, monte_carlo_bep
-from .errors import ConfigError, UavlinkError
+from .errors import ConfigError, UavlinkError, require_bep_threshold
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .power_control import energy_savings, min_power_schedule
 from .rate_optimizer import (
@@ -123,13 +123,8 @@ class RunConfig:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(
                     f"run.acf entries must lie in [0, 1], got {v}")
-        for v in self.bep_thresholds:
-            # LinkScenario's range for a BEP threshold: the normal doubles
-            # below 1/2, as a subnormal one has too few significant bits for
-            # the threshold solve's relative residual gate
-            if not sys.float_info.min <= v < 0.5:
-                raise ConfigError("run.bep_thresholds entries must lie in "
-                                  f"[{sys.float_info.min}, 0.5), got {v}")
+        require_bep_threshold("run.bep_thresholds entries",
+                              self.bep_thresholds, ConfigError)
 
 
 def _require(parser: configparser.ConfigParser, section: str, key: str) -> str:

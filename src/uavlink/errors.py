@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the input guard of the
+"""Exception types shared across the package, and the input guards of the
 public inversions."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -67,3 +68,15 @@ def require_finite(**values) -> None:
         if not finite.all():
             raise ValueError(f"{name} must be finite, got "
                              f"{np.asarray(value)[~finite].flat[0]}")
+
+
+def require_bep_threshold(name: str, value, error=ValueError) -> None:
+    """Raise `error` naming the first BEP threshold of value, a scalar or an
+    array, outside [least normal double, 1/2), NaN included: guessing meets
+    1/2 (at C = 0 the union bound of order M is M/4), and a subnormal one
+    has too few significant bits for the threshold solve's residual gate."""
+    value = np.asarray(value, dtype=np.float64)
+    bad = ~((sys.float_info.min <= value) & (value < 0.5))
+    if bad.any():
+        raise error(f"{name} must lie in [{sys.float_info.min}, 0.5), got "
+                    f"{value[bad].flat[0]}")

@@ -121,12 +121,6 @@ def _switch_grid(estimate: ChannelEstimate, snr_linear, scheme: str,
     are left to the caller to check (`_check_staircases`).
     """
     r_max, cs = acf_thresholds(estimate, snr_linear, scheme, bep_threshold)
-    # C_1 = 0 where even an uncorrelated channel meets the threshold: the
-    # ACF is positive at every finite lag, so rate 1 never ends
-    if np.any(cs[:1] == 0.0):
-        raise ScheduleError(
-            "rate 1 meets the threshold even at C = 0; the ACF never falls "
-            "to it, so there is no finite t_1")
     has = np.isfinite(cs)
     ts = np.full(cs.shape, float(t_estimate))
     if has.any():
@@ -172,10 +166,10 @@ def build_rate_schedules(estimate: ChannelEstimate, snr_linear, scheme: str,
     arrays. A cell where every order is infeasible yields an empty schedule
     (rate 0 everywhere) rather than an error.
 
-    Raises ScheduleError where C_1 = 0, as no finite t_1 exists there, or
-    where a rate below a cell's highest feasible rate is infeasible, and
-    MonotonicityError where the ACF cannot be certified strictly decreasing
-    up to t_1.
+    Raises ValueError for a threshold outside [least normal double, 1/2)
+    (`acf_thresholds`), ScheduleError where a rate below a cell's highest
+    feasible rate is infeasible, and MonotonicityError where the ACF cannot
+    be certified strictly decreasing up to t_1.
     """
     r_max, cs, ts = _switch_grid(estimate, snr_linear, scheme, bep_threshold,
                                  wobble, t_estimate)

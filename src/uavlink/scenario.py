@@ -5,8 +5,9 @@ here is pure dB/dBm bookkeeping; no randomness, no state.
 """
 
 import math
-import sys
 from dataclasses import dataclass
+
+from .errors import require_bep_threshold
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -60,11 +61,7 @@ class LinkScenario:
                 raise ValueError(f"{name} must be positive and finite")
         if not all(map(math.isfinite, (*self.ground_xy, self.p_max_dbm))):
             raise ValueError("ground_xy and p_max_dbm must be finite")
-        # a normal double: a subnormal threshold has too few significant
-        # bits for the threshold solve's relative residual gate
-        if not sys.float_info.min <= self.bep_threshold < 0.5:
-            raise ValueError(f"bep_threshold must lie in [{sys.float_info.min}"
-                             f", 0.5), got {self.bep_threshold}")
+        require_bep_threshold("bep_threshold", self.bep_threshold)
         if not 0 < self.t_estimate < math.inf:
             raise ValueError("t_estimate must be positive and finite")
         if self.n_rx_antennas < 1:

@@ -370,6 +370,17 @@ class TestUnionBoundRows:
         assert _CHUNK_VALUES // bound.n_terms == 36
         assert _BLOCK // bound.n_terms == 73
 
+    @pytest.mark.parametrize("scheme", ["psk", "qam"])
+    @pytest.mark.parametrize("order,bad", [([4, 6, 8, 3], 6), ([2, 128], 128),
+                                           ([0], 0), (3, 3)])
+    def test_unsupported_order_anywhere(self, estimate, scheme, order, bad):
+        # the order lookup that the PSK approximation shares names the
+        # first unsupported order
+        with pytest.raises(SchemeError,
+                           match=f"^unsupported modulation order {bad}$"):
+            union_bound_rows(scheme, np.array(order), UnionBound.u,
+                             estimate.norm_sq, 0.999, 30.0)
+
     def test_blocks_bound_the_temporaries(self, estimate):
         # an evaluation over 60 blocks keeps the (rows x terms)
         # temporaries of about one block alive at a time, not of every
@@ -863,10 +874,14 @@ class TestAcfThresholds:
         r_max, cs = acf_thresholds(estimate, 10 ** 0.5, "psk", 1e-5)
         assert r_max[0] < 3 and len(cs) < 3
 
-    def test_zero_when_any_csi_works(self, estimate):
+    def test_threshold_met_at_any_csi_is_rejected(self, estimate):
         # the C = 0 bound is exactly M/4 (every pairwise argument collapses
-        # to Q(0)), so a threshold above 0.5 admits BPSK at any CSI quality
-        assert _c_n(1, estimate, GAMMA_MAX, "psk", 0.51)[0] == 0.0
+        # to Q(0)), so a threshold above 0.5 would admit BPSK at any CSI
+        # quality: guessing meets it, and it lies outside the domain
+        assert union_bound("psk", 2).u(estimate.norm_sq, 0.0,
+                                       GAMMA_MAX) == 0.5
+        with pytest.raises(ValueError, match="0.5[)], got 0.51$"):
+            _c_n(1, estimate, GAMMA_MAX, "psk", 0.51)
 
 
 def _c_lockstep(scheme, order, norm_sq, gamma, beta):
@@ -898,9 +913,10 @@ class TestThresholdsInZ:
            snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
            beta=st.lists(st.one_of(
                st.floats(-9.0, -1.0).map(lambda v: 10.0 ** v),
-               # sum(w) / 2 is 1/2 for BPSK and 1 for QPSK: C_n = 0 at and
-               # above it, and every single-term PSK root is 0 between
-               st.sampled_from([0.5, 0.7, 1.0, 1.5])),
+               # no 64-QAM term alone reaches beta from 1/4, no 8-QAM term
+               # from 1/3 and no 32-QAM term from 3/8: their starts take
+               # the whole weight (`_z_start`)
+               st.sampled_from([0.3, 0.35, 0.4, 0.49])),
                min_size=1, max_size=3),
            extreme=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -908,6 +924,8 @@ class TestThresholdsInZ:
              beta=[1.7745320644449593e-08], extreme=False)
     @example(fixture="case1", scheme="qam", snr_db=[20.0],
              beta=[1e-5, 0.3], extreme=True)
+    @example(fixture="case2", scheme="qam", snr_db=[30.0],
+             beta=[0.4, 0.49], extreme=False)
     @example(fixture="case2", scheme="qam", snr_db=[0.0, 38.0],
              beta=[1e-2], extreme=True)
     def test_matches_the_c_lockstep(self, fixture, scheme, snr_db, beta,
@@ -933,19 +951,16 @@ class TestThresholdsInZ:
             c_n = cs[n - 1, rows]
             assert np.all(np.isinf(np.delete(cs[n - 1], rows)))
             bound = union_bound(scheme, 1 << n)
-            zero = 0.5 * bound.weight.sum() <= b[rows]
-            assert np.all(c_n[zero] == 0.0)
-            solved = rows[~zero]
-            if not solved.size:
-                continue
-            c_n = c_n[~zero]
-            want = _c_lockstep(scheme, 1 << n, norm_sq, g[solved], b[solved])
+            # u(C = 0) = sum(w) / 2 = M / 4 lies above every threshold
+            assert 0.5 * bound.weight.sum() > b[rows].max(initial=0.0)
+            assert np.all(c_n > 0.0)
+            want = _c_lockstep(scheme, 1 << n, norm_sq, g[rows], b[rows])
             assert np.abs(c_n - want).max() <= 2e-12
-            u = bound.u(norm_sq, c_n, g[solved])
-            assert np.all(u <= b[solved])
-            assert np.abs(np.log(u) - np.log(b[solved])).max() <= 1e-8
+            u = bound.u(norm_sq, c_n, g[rows])
+            assert np.all(u <= b[rows])
+            assert np.abs(np.log(u) - np.log(b[rows])).max() <= 1e-8
             # a cell's C_n is the same to the bit alone as in the grid
-            for k, c in zip(solved.tolist(), c_n.tolist()):
+            for k, c in zip(rows.tolist(), c_n.tolist()):
                 assert acf_thresholds(est, g[k], scheme, b[k])[1][n - 1, 0] \
                     == c
 
@@ -1035,10 +1050,17 @@ class TestZStart:
     @given(scheme=st.sampled_from(["psk", "qam"]),
            orders=st.lists(st.sampled_from(SUPPORTED_ORDERS), min_size=1,
                            max_size=8),
-           log_beta=st.lists(st.floats(-307.0, math.log10(0.9)), min_size=1,
+           log_beta=st.lists(st.floats(-307.0, math.log10(0.5),
+                                       exclude_max=True), min_size=1,
                              max_size=8),
            n_low=st.sampled_from([0, 8191]))
     @settings(max_examples=40, deadline=None)
+    # the whole weight's start: no 8-, 32- or 64-QAM term alone reaches
+    # these thresholds (from 1/3, 3/8 and 1/4)
+    @example(scheme="qam", orders=[8, 32, 64, 16], log_beta=[math.log10(0.45)],
+             n_low=0)
+    @example(scheme="qam", orders=[64, 8, 2], log_beta=[math.log10(0.3), -0.31],
+             n_low=8191)
     def test_is_the_largest_single_term_root(self, estimate, scheme, orders,
                                              log_beta, n_low):
         # rows of mixed orders, n_low BPSK rows first so that the rest
@@ -1056,22 +1078,22 @@ class TestZStart:
                 assert z_s[i] == z.max()
                 z_inf_sq = (z * z * bound.s_sq).max()
             else:  # no term alone reaches beta: the whole weight's root,
-                # on the farthest term and the least |s|^2
-                assert z_s[i] == pytest.approx(q_tail_inverse(min(
-                    beta[i] / bound.weight.sum(), 0.5)) / math.sqrt(
+                # on the farthest term and the least |s|^2; beta / W < 1/2
+                # below 1/2, as W = M / 2 >= 1
+                assert z_s[i] == pytest.approx(q_tail_inverse(
+                    beta[i] / bound.weight.sum()) / math.sqrt(
                     bound.d_sq.max()), rel=1e-12, abs=0.0)
                 z_inf_sq = z_s[i] ** 2 * bound.s_sq.min()
-            if z_s[i] > 0.0:
-                assert s_sq[i] == pytest.approx(z_inf_sq / z_s[i] ** 2,
-                                                rel=1e-12, abs=0.0)
+            assert z_s[i] > 0.0
+            assert s_sq[i] == pytest.approx(z_inf_sq / z_s[i] ** 2,
+                                            rel=1e-12, abs=0.0)
             if scheme == "psk":
-                assert z_s[i] == 0.0 or s_sq[i] == 1.0
-            if z_s[i] > 0.0:
-                # at C = 1 and z = z_s one term alone equals beta, or the
-                # whole weight on the farthest term does, so the bound is
-                # at least beta
-                u = bound.u(norm_sq, 1.0, 2.0 * z_s[i] ** 2 / norm_sq)
-                assert u >= beta[i] * (1.0 - 1e-9)
+                assert s_sq[i] == 1.0
+            # at C = 1 and z = z_s one term alone equals beta, or the whole
+            # weight on the farthest term does, so the bound is at least
+            # beta
+            u = bound.u(norm_sq, 1.0, 2.0 * z_s[i] ** 2 / norm_sq)
+            assert u >= beta[i] * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("chunks,extra", [
         (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1),
@@ -1200,6 +1222,10 @@ _INVERSIONS = {
 }
 
 
+# the threshold domain's message, as every entry words it
+_DOMAIN = "bep_threshold must lie in [2.2250738585072014e-308, 0.5)"
+
+
 class TestInversionDomain:
     @pytest.fixture(scope="class")
     def fx(self):
@@ -1209,23 +1235,21 @@ class TestInversionDomain:
     @pytest.mark.parametrize("gamma,beta,message", [
         (-5.0, 1e-5, "snr_linear must be non-negative, got -5.0"),
         (np.array([GAMMA_MAX, -1e-9]), 1e-5, "snr_linear must be non-neg"),
-        (GAMMA_MAX, 0.0, "bep_threshold must be positive, got 0.0"),
-        (GAMMA_MAX, -1.0, "bep_threshold must be positive, got -1.0"),
-        (GAMMA_MAX, np.array([1e-5, -1e-3]), "bep_threshold must be pos"),
-        (GAMMA_MAX, 1e-310, "bep_threshold must be at least "
-         "2.2250738585072014e-308, the least normal double, got 1e-310"),
-        (GAMMA_MAX, np.array([1e-5, 5e-324]), "least normal double, got "
-         "5e-324"),
+        (GAMMA_MAX, 0.0, f"{_DOMAIN}, got 0.0"),
+        (GAMMA_MAX, -1.0, f"{_DOMAIN}, got -1.0"),
+        (GAMMA_MAX, np.array([1e-5, -1e-3]), f"{_DOMAIN}, got -0.001"),
+        (GAMMA_MAX, 1e-310, f"{_DOMAIN}, got 1e-310"),
+        (GAMMA_MAX, np.array([1e-5, 5e-324]), f"{_DOMAIN}, got 5e-324"),
     ], ids=["snr-5", "snr-array", "beta0", "beta-1", "beta-array",
             "beta-subnormal", "beta-subnormal-array"])
     def test_rejects_negative_snr_and_threshold(self, fx, call, gamma, beta,
                                                 message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             _INVERSIONS[call](fx, gamma, beta)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_sweep_rejects_threshold(self, fx, beta):
-        with pytest.raises(ValueError, match="bep_threshold must be pos"):
+        with pytest.raises(ValueError, match=re.escape(_DOMAIN)):
             sweep_rave_max(fx.estimate, [10.0, 20.0], [1e-5, beta], "qam",
                            fx.wobble, fx.scenario.t_estimate)
 
@@ -1253,7 +1277,9 @@ class TestInversionDomain:
 
     def test_zero_snr_is_accepted(self, fx):
         # gamma = 0 collapses every pairwise argument to Q(0) = 1/2: no
-        # order meets 1e-5, and a threshold above u = 1/2 admits BPSK at
-        # any CSI quality
+        # order meets 1e-5, and a threshold above u = 1/2, which BPSK
+        # would meet at any CSI quality, is rejected
         assert _max_order(fx.estimate, 0.0, "psk", 1e-5).tolist() == [0]
-        assert _c_n(1, fx.estimate, 0.0, "psk", 0.51)[0] == 0.0
+        with pytest.raises(ValueError, match=re.escape(f"{_DOMAIN}, got "
+                                                       "0.51")):
+            _c_n(1, fx.estimate, 0.0, "psk", 0.51)

@@ -8,7 +8,9 @@ numbers use the case1 channel, a 1e-5 threshold, the 35 dBm cap and a
 
 import dataclasses
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from uavlink import (
     DetectorKind,
     EnergySavings,
     PowerSchedule,
+    RateSchedule,
     UnionBound,
     acf_inverse,
     acf_thresholds,
@@ -180,6 +183,41 @@ class TestQamSolver:
             except InfeasibleCsiError:
                 continue
             assert root > 1e13  # the ill-conditioned edge's, past any cap
+
+    def test_4qam_floor_edge_is_infeasible(self, fx, monkeypatch):
+        # case1 at 1e-15, the first C whose 4-QAM floor lies below beta (by
+        # 1.3e-15 relative): from gamma = 1e16 to 1.6e17, past which the 2
+        # of the terms' denominator is lost to rounding, the bound reads
+        # 1.3e-14 to 3.4e-14 above beta, so no power reaches it. The solve
+        # stepped gamma to overflow and failed; the sample is infeasible,
+        # with no RuntimeWarning. The next two doubles of C keep their roots
+        edge, beta, norm_sq = 0.9424859382392039, 1e-15, fx.estimate.norm_sq
+        message = "4-QAM cannot reach 1e-15 at C=0.942486 for any power"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleCsiError,
+                               match=f"^{re.escape(message)}$") as info:
+                bep_analysis._qam_gamma_rows(norm_sq, 4, edge, beta)
+            assert info.value.order == 4
+            up = np.nextafter(edge, 1.0)
+            for c, want, evaluations in ((up, 4.4378e15, 1),
+                                         (np.nextafter(up, 1.0), 2.6459e15,
+                                          28)):
+                roots = bep_analysis._qam_gamma_rows(norm_sq, 4, c, beta)
+                assert roots.root[0] == pytest.approx(want, rel=1e-4)
+                assert roots.iterations.tolist() == [evaluations]
+            # a trace whose rate-2 samples all sit at the edge: its
+            # min_power_schedule names the region
+            monkeypatch.setattr(power_control, "temporal_acf",
+                                lambda wobble, lag: np.full(np.shape(lag),
+                                                            edge))
+            schedule = RateSchedule("qam", np.array([0.5, 0.9]),
+                                    np.array([0.02, 0.01]), 1e-3)
+            scenario = dataclasses.replace(fx.scenario, bep_threshold=beta)
+            with pytest.raises(ScheduleError, match=re.escape(
+                    f"power infeasible inside rate-2 region ({message})")):
+                min_power_schedule(schedule, fx.estimate, scenario, fx.wobble,
+                                   sample_dt=1e-3)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
            log_beta=st.floats(-8.0, -2.0))

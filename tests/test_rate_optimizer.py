@@ -9,8 +9,10 @@ All pins use the case1 channel at the 35 dBm transmit cap with a 1e-5
 threshold unless stated otherwise.
 """
 
+import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import mpmath as mp
@@ -41,6 +43,7 @@ from uavlink.bep_analysis import (
     union_bound,
 )
 from uavlink.channel import check_acf_monotone
+from uavlink.cli import main
 from uavlink.constellation import SUPPORTED_ORDERS
 from uavlink.errors import DivergenceError, MonotonicityError, ScheduleError
 from uavlink.fixtures import load_fixture
@@ -344,16 +347,71 @@ class TestEmptySchedule:
 
 
 class TestNoFiniteT1:
-    def test_c1_zero_is_a_schedule_error(self, fx):
+    def test_threshold_met_at_c_zero_is_rejected(self, fx):
         # beta = 0.6 lies above u(C = 0) = W/2 = 0.5 of BPSK, so rate 1
-        # meets the threshold on an uncorrelated channel and never ends
-        assert acf_thresholds(fx.estimate, GAMMA_MAX, "psk",
-                              0.6)[1][0, 0] == 0.0
+        # would meet the threshold on an uncorrelated channel and never
+        # end: such a threshold is outside the domain
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ScheduleError, match="no finite t_1"):
+            with pytest.raises(ValueError, match="0.5[)], got 0.6$"):
+                acf_thresholds(fx.estimate, GAMMA_MAX, "psk", 0.6)
+            with pytest.raises(ValueError, match="0.5[)], got 0.6$"):
                 build_rate_schedule(fx.estimate, GAMMA_MAX, "psk", 0.6,
                                     fx.wobble, fx.scenario.t_estimate)
+
+
+# the ends of the BEP threshold domain [least normal double, 1/2), and
+# every entry that takes a threshold, at one (the grids beside a cell of
+# 1e-5)
+_INSIDE = [sys.float_info.min, math.nextafter(0.5, 0.0)]
+_OUTSIDE = [math.nextafter(sys.float_info.min, 0.0), 0.5, 0.6, 0.0, -1e-3,
+            math.nan, math.inf]
+_THRESHOLD_ENTRIES = {
+    "LinkScenario": lambda fx, b: dataclasses.replace(fx.scenario,
+                                                      bep_threshold=b),
+    "acf_thresholds": lambda fx, b: acf_thresholds(fx.estimate, GAMMA_MAX,
+                                                   "qam", b),
+    "build_rate_schedule": lambda fx, b: build_rate_schedule(
+        fx.estimate, GAMMA_MAX, "qam", b, fx.wobble, fx.scenario.t_estimate),
+    "build_rate_schedules": lambda fx, b: build_rate_schedules(
+        fx.estimate, GAMMA_MAX, "psk", np.array([BETA, b]), fx.wobble,
+        fx.scenario.t_estimate),
+    "sweep_rave_max": lambda fx, b: sweep_rave_max(
+        fx.estimate, [20.0], [BETA, b], "qam", fx.wobble,
+        fx.scenario.t_estimate),
+}
+
+
+class TestThresholdDomain:
+    # one domain at every entry: the least normal double and the last
+    # double below 1/2 are accepted; a subnormal threshold, 1/2 and above
+    # (met by guessing), non-positive and non-finite ones are rejected
+    @pytest.mark.parametrize("entry", sorted(_THRESHOLD_ENTRIES))
+    @pytest.mark.parametrize("beta", _INSIDE)
+    def test_accepted(self, fx, entry, beta):
+        _THRESHOLD_ENTRIES[entry](fx, beta)
+
+    @pytest.mark.parametrize("entry", sorted(_THRESHOLD_ENTRIES))
+    @pytest.mark.parametrize("beta", _OUTSIDE)
+    def test_rejected(self, fx, entry, beta):
+        with pytest.raises(ValueError, match="^bep_threshold must "):
+            _THRESHOLD_ENTRIES[entry](fx, beta)
+
+    @pytest.mark.parametrize("beta", _INSIDE + _OUTSIDE)
+    def test_run_config(self, tmp_path, capsys, beta):
+        # run.bep_thresholds, beside a cell of 1e-5: a rate-opt run exits
+        # 0 inside the domain, and 2 naming the field outside it
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nfixture = case1\nscheme = qam\nseed = 1\n"
+                          f"snr_db = 20\nbep_thresholds = 1e-5 {beta!r}\n")
+        code = main(["rate-opt", "--config", str(config), "--out",
+                     str(tmp_path / "o")])
+        if beta in _INSIDE:
+            assert code == 0
+        else:
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                "error: run.bep_thresholds entries must lie in")
 
 
 class TestValidation:
@@ -637,26 +695,19 @@ def _message(call):
 
 def _loop_min_acf(rate_n, estimate, gamma, scheme, beta):
     """The one-rate threshold solve over 1-D cells: feasibility at C = 1,
-    then, over the cells that C = 0 does not already satisfy, the rate's
-    PSK roots mapped to C, or its QAM rows solved in z, with the rate's own
-    bound."""
+    then the rate's PSK roots mapped to C, or its QAM rows solved in z,
+    with the rate's own bound."""
     bound = union_bound(scheme, 2 ** rate_n)
     norm_sq = estimate.norm_sq
     if np.any(bound.u(norm_sq, 1.0, gamma) > beta):
         raise ScheduleError(f"rate {rate_n} infeasible at C = 1")
-    out = np.zeros(gamma.size)
-    cells = np.flatnonzero(bound.u(norm_sq, 0.0, 1.0) > beta)
-    g, b = gamma[cells], beta[cells]
+    rows = np.full(gamma.size, rate_n)
     try:
         if scheme == "psk":
-            out[cells] = _psk_acf_rows(norm_sq, np.full(cells.size, rate_n),
-                                       g, b)
-        else:
-            out[cells] = _qam_acf_rows(norm_sq, np.full(cells.size,
-                                                        2 ** rate_n), g, b)
+            return _psk_acf_rows(norm_sq, rows, gamma, beta)
+        return _qam_acf_rows(norm_sq, 1 << rows, gamma, beta)
     except DivergenceError as exc:
         raise MonotonicityError(f"rate {rate_n} did not converge") from exc
-    return out
 
 
 def _loop_schedules(estimate, snr_linear, scheme, bep_threshold, wobble,
@@ -679,8 +730,6 @@ def _loop_schedules(estimate, snr_linear, scheme, bep_threshold, wobble,
         reach = r_max >= n
         cs[n - 1, reach] = _loop_min_acf(n, estimate, gamma_f[reach],
                                          scheme, beta_f[reach])
-    if np.any(cs[:1] == 0.0):
-        raise ScheduleError("no finite t_1")
     has = np.isfinite(cs)
     ts = np.zeros(cs.shape)
     if has.any():
@@ -711,10 +760,11 @@ def _flat_at_8(order, u, w):
 _grid = dict(
     fixture=st.sampled_from(["case1", "case2"]),
     scheme=st.sampled_from(["psk", "qam"]),
-    # low SNRs give empty cells; thresholds above 1/2 give C_1 = 0
+    # low SNRs give empty cells; thresholds lie below 1/2, the domain's
+    # end, and from 1/4 some QAM starts take the whole weight
     snr_db=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5),
-    log_beta=st.lists(st.floats(-8.0, math.log10(0.6)), min_size=1,
-                      max_size=4),
+    log_beta=st.lists(st.floats(-8.0, math.log10(0.5), exclude_max=True),
+                      min_size=1, max_size=4),
     oscillatory=st.booleans())
 
 
@@ -726,7 +776,9 @@ class TestOneSolveEqualsLoops:
     @example(fixture="case1", scheme="qam", snr_db=[0.0, 12.0, 30.0],
              log_beta=[-2.0, -6.0], oscillatory=False)
     @example(fixture="case1", scheme="psk", snr_db=[25.0],
-             log_beta=[-5.0, -0.25], oscillatory=False)
+             log_beta=[-5.0, -0.31], oscillatory=False)
+    @example(fixture="case2", scheme="qam", snr_db=[6.0, 30.0],
+             log_beta=[-0.35, -0.55], oscillatory=False)
     def test_schedules(self, fixture, scheme, snr_db, log_beta, oscillatory):
         fx = load_fixture(fixture)
         wobble = _OSCILLATORY if oscillatory else fx.wobble
