@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The union-bound inversions' work, as two Markdown tables.
+"""The union-bound inversions' work, as three Markdown tables.
 
     python3 scripts/power_solver_report.py [--repeats N]
 
@@ -23,7 +23,15 @@ too (QAM: a row per
 (rate, cell); PSK: a root per distinct (rate, threshold)) and their mean
 and largest number of evaluations, on the fixtures' schedules (at the
 cap power and their threshold) and on the two halves of the benchmark's
-`rate-opt` grid on case1. It only reports.
+`rate-opt` grid on case1.
+
+The third is the power solve's at the edge of the infinite-power floor,
+on case1 at five (order, threshold) pairs: the edge C, the last double of
+C at which the floor u(C, inf) is at least the threshold (by bisection),
+and at that double and at 1, 10 and 40 doubles past it the outcome of one
+one-sample `_qam_gamma_rows` call (infeasible, or the Newton evaluations
+of its sample) and its median wall time over `--repeats` calls. It only
+reports.
 """
 
 import argparse
@@ -34,6 +42,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_DTS = (4e-5, 1e-5)
+# the floor-edge table's (order, threshold) pairs and doubles past the edge
+EDGE_PAIRS = ((4, 1e-15), (16, 1e-5), (64, 1e-3), (8, 1e-8), (2, 1e-9))
+EDGE_STEPS = (0, 1, 10, 40)
 
 
 def main(argv=None) -> int:
@@ -134,6 +145,44 @@ def main(argv=None) -> int:
             it = np.concatenate(counts)
             print(f"| {case} | {name} | {scheme} | {it.size} "
                   f"| {it.mean():.2f} | {it.max()} |")
+    bep_analysis.newton_lockstep = lockstep
+
+    # the floor's edge: the last double of C where u(C, inf) >= beta
+    from uavlink import union_bound
+    from uavlink.errors import InfeasibleCsiError
+
+    norm_sq = load_fixture("case1").estimate.norm_sq
+    print()
+    print("| order | threshold | edge C | "
+          + " | ".join(f"+{k} doubles: evaluations; ms" if k
+                       else "at the edge: outcome; ms" for k in EDGE_STEPS)
+          + " |")
+    print("| --- " * (3 + len(EDGE_STEPS)) + "|")
+    for order, beta in EDGE_PAIRS:
+        bound = union_bound("qam", order)
+        lo, hi = 0.0, 1.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = ((mid, hi) if bound.u(norm_sq, mid, np.inf) >= beta
+                      else (lo, mid))
+        doubles = [lo]  # lo and the doubles above it
+        for _ in range(EDGE_STEPS[-1]):
+            doubles.append(np.nextafter(doubles[-1], 1.0))
+        cells = []
+        for k in EDGE_STEPS:
+            walls = []
+            for _ in range(args.repeats):
+                solves.clear()
+                start = time.perf_counter()
+                try:
+                    bep_analysis._qam_gamma_rows(norm_sq, order, doubles[k],
+                                                 beta)
+                    outcome = str(solves[-1][1][0])
+                except InfeasibleCsiError:
+                    outcome = "infeasible"
+                walls.append(time.perf_counter() - start)
+            cells.append(f"{outcome}; {1e3 * statistics.median(walls):.2f}")
+        print(f"| {order} | {beta:g} | {lo!r} | " + " | ".join(cells) + " |")
     return 0
 
 

@@ -5,9 +5,10 @@ bit-error probability. Its pairwise terms are the exact pairwise errors of
 the sub-optimum (nearest-reference) detector, so it bounds that detector;
 on PSK the SO rule equals ML decision for decision, so there it also
 bounds ML. The bound has one implementation, `UnionBound`: built once per
-constellation and cached by (scheme, order) in `union_bound`, with the M^2
-pairwise terms grouped by their distinct squared distances, and evaluated
-over arrays of (C, gamma) by one pass (`_bound_rows`): rows sorted by order
+(scheme, order) and cached in `union_bound`, with the M^2 pairwise terms
+grouped by their distinct squared distances, written in (C, 1 / gamma) so
+that gamma = inf gives the infinite-power floor, and evaluated over arrays
+of (C, gamma) by one pass (`_bound_rows`): rows sorted by order
 in chunks of at most _CHUNK_VALUES values (rows x terms), each chunk in one
 set of NumPy calls and one call of its special function (`_special`'s Q, Q
 with exp(-x^2 / 2), or Q^-1). `union_bound_rows` runs it for rows of every
@@ -53,12 +54,7 @@ import numpy as np
 
 from ._special import q_and_exp, q_tail, q_tail_inverse
 from .channel import ChannelEstimate
-from .constellation import (
-    SUPPORTED_ORDERS,
-    Constellation,
-    constellation_for,
-    hamming_matrix,
-)
+from .constellation import SUPPORTED_ORDERS, constellation_for, hamming_matrix
 from .errors import (
     DivergenceError,
     InfeasibleCsiError,
@@ -115,13 +111,17 @@ class UnionBound:
     group's mean). 64-QAM keeps 224 terms of 4096, 64-PSK 32. Terms of zero
     weight, the diagonal among them, are dropped.
 
-    Every method broadcasts over arrays of C and gamma; ||h||^2 is a scalar.
-    Use `union_bound(scheme, order)` for the cached instance. The methods
-    read the scheme's cached table (`_terms`) at the order, the terms of
-    `constellation_for(scheme, order)`, whatever constellation built it.
+    Built from `constellation_for(scheme, order)`; use
+    `union_bound(scheme, order)` for the cached instance, whose arrays are
+    the order's rows of the scheme's cached table (`_terms`) that the
+    methods read. Every method broadcasts over arrays of C in [0, 1] and
+    gamma in [0, +inf]; ||h||^2 is a scalar. gamma = inf gives the
+    infinite-power floor, set by the CSI quality C, and slopes that are
+    finite there, v = 0 at every C.
     """
 
-    def __init__(self, c: Constellation):
+    def __init__(self, scheme: str, order: int):
+        c = constellation_for(scheme, order)
         pts = c.points
         d_sq = (np.abs(pts[:, None] - pts[None, :]) ** 2).ravel()
         s_sq = np.repeat(np.abs(pts) ** 2, c.order)
@@ -132,7 +132,7 @@ class UnionBound:
         size = np.bincount(group)
         weight = np.bincount(group, weights=n_mat)
         keep = weight > 0
-        self.scheme, self.order = c.scheme, c.order
+        self.scheme, self.order = scheme, order
         self.s_sq = (np.bincount(group, weights=s_sq) / size)[keep]
         self.d_sq = (np.bincount(group, weights=d_sq) / size)[keep]
         self.weight = weight[keep] / (c.order * c.bits_per_symbol)
@@ -155,8 +155,8 @@ class UnionBound:
 
         Non-increasing in C on [0, 1]: each term w Q(C r(C)) has w >= 0,
         and C r(C) rises with C, because the denominator
-        2 gamma (1 - C^2) |s|^2 + 2 of r^2 falls as C rises, so every term
-        falls.
+        2 (1 - C^2) |s|^2 + 2 / gamma of r^2 falls as C rises, so every
+        term falls.
         """
         return self._rows(UnionBound.u, norm_sq, acf, gamma)[0]
 
@@ -167,10 +167,6 @@ class UnionBound:
     def u_and_acf_slope(self, norm_sq: float, acf, gamma):
         """(u, w): the raw bound and its slope w = -du/dC >= 0."""
         return self._rows(UnionBound.u_and_acf_slope, norm_sq, acf, gamma)
-
-    def floor(self, norm_sq: float, acf):
-        """Infinite-power limit of the bound, set by the CSI quality C."""
-        return self._rows(UnionBound.floor, norm_sq, acf)[0]
 
 
 class _Terms:
@@ -259,14 +255,18 @@ def _bound_rows(terms: _Terms, kernel, n_out: int, norm_sq: float, order,
     outs = [np.empty(k.size) for _ in range(n_out)]
     n = terms.count.take(k)
     ends, lo = np.cumsum(n), 0
-    while lo < k.size:  # the most rows from lo that fit, at least one
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, ends[lo] - n[lo] + _CHUNK_VALUES, side="right")))
-        got = kernel(_Chunk(terms, k[lo:hi], n[lo:hi]), norm_sq,
-                     *(a[lo:hi] for a in args))
-        for out, part in zip(outs, got):
-            out[lo:hi] = part
-        lo = hi
+    # gamma in [0, inf] is an input, quietly: 2 / gamma at gamma = 0 or
+    # subnormal, a den of 0 at C = 1 and gamma = inf, and the slopes'
+    # 0 * inf at those ends (see `_uv_rows`)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while lo < k.size:  # the most rows from lo that fit, at least one
+            hi = max(lo + 1, int(np.searchsorted(
+                ends, ends[lo] - n[lo] + _CHUNK_VALUES, side="right")))
+            got = kernel(_Chunk(terms, k[lo:hi], n[lo:hi]), norm_sq,
+                         *(a[lo:hi] for a in args))
+            for out, part in zip(outs, got):
+                out[lo:hi] = part
+            lo = hi
     if rows is not None:
         for out in outs:
             out[rows] = out.copy()
@@ -278,17 +278,16 @@ def _bound_rows(terms: _Terms, kernel, n_out: int, norm_sq: float, order,
 # operation order, so that every value is that evaluation's to the bit
 def _pep_ratio(ch: _Chunk, norm_sq: float, acf, gamma):
     """(r, den) at every value: the Q-function argument of the pairwise
-    error probability is sqrt(A) = C r, with den the denominator of A.
-
-    A = gamma * C^2 * ||h||^2 * |s_m - s_mhat|^2 / den with
-    den = 2 * gamma * (1 - C^2) * |s_m|^2 + 2 (|s_m|^2 is the transmitted
-    symbol's energy). C is kept out of the square root, so a tiny C does
-    not underflow A.
+    error probability is C r, with r^2 = ||h||^2 |s_m - s_mhat|^2 / den and
+    den = 2 (1 - C^2) |s_m|^2 + 2 / gamma (|s_m|^2 is the transmitted
+    symbol's energy). In (C, 1 / gamma) the bound depends on gamma only
+    through 2 / gamma, so gamma = inf is an input: den is then the floor's,
+    and r = inf (Q = 0) at C = 1. C is kept out of the square root, so a
+    tiny C does not underflow the argument.
     """
-    den = ch.rows(2.0 * gamma * (1.0 - acf * acf)) * ch.s_sq
-    den += 2.0
-    r = ch.rows(gamma * norm_sq) * ch.d_sq
-    r /= den
+    den = ch.rows(2.0 * (1.0 - acf * acf)) * ch.s_sq
+    den += ch.rows(2.0 / gamma)
+    r = np.divide(norm_sq * ch.d_sq, den)
     return np.sqrt(r, out=r), den
 
 
@@ -298,34 +297,29 @@ def _u_rows(ch, norm_sq, acf, gamma):
     return (ch.sum(q_tail(r)),)
 
 
+# A slope's terms read 0 * inf, NaN in every term of a row, only where
+# the limit of the slope is 0: at gamma = 0 (r = 0, 1 / gamma = inf) and
+# at C = 1, gamma = inf (C r = inf, den = 0); np.fmax makes those rows 0
 def _uv_rows(ch, norm_sq, acf, gamma):
-    # d Q(C r) / d ln(gamma) = -phi(C r) C r / den
+    # d Q(C r) / d ln(gamma) = -phi(C r) C r (1 / gamma) / den
     arg, den = _pep_ratio(ch, norm_sq, acf, gamma)
     arg *= ch.rows(acf)
     q, e = q_and_exp(arg)
     e *= arg
-    e /= den * _SQRT_2PI
-    return ch.sum(q), ch.sum(e)
+    e *= ch.rows(1.0 / (_SQRT_2PI * gamma))
+    e /= den
+    return ch.sum(q), np.fmax(ch.sum(e), 0.0)
 
 
 def _uw_rows(ch, norm_sq, acf, gamma):
-    # d Q(C r) / dC = -phi(C r) r (1 + 2 gamma C^2 |s|^2 / den)
-    #               = -phi(C r) r (2 gamma |s|^2 + 2) / den
+    # d Q(C r) / dC = -phi(C r) r (1 + 2 C^2 |s|^2 / den)
+    #               = -phi(C r) r (2 |s|^2 + 2 / gamma) / den
     r, den = _pep_ratio(ch, norm_sq, acf, gamma)
     q, e = q_and_exp(ch.rows(acf) * r)
     e *= r
-    e *= ch.rows(2.0 * gamma) * ch.s_sq + 2.0
+    e *= ch.rows(2.0 / gamma) + 2.0 * ch.s_sq
     e /= den * _SQRT_2PI
-    return ch.sum(q), ch.sum(e)
-
-
-def _floor_rows(ch, norm_sq, acf):
-    # gamma -> infinity: A -> C^2 ||h||^2 |ds|^2 / (2 (1 - C^2) |s|^2),
-    # which is infinite (Q = 0) at C = 1
-    with np.errstate(divide="ignore"):
-        arg = ch.rows(acf) * np.sqrt(norm_sq * ch.d_sq / (
-            ch.rows(2.0 * (1.0 - acf * acf)) * ch.s_sq))
-    return (ch.sum(q_tail(arg)),)
+    return ch.sum(q), np.fmax(ch.sum(e), 0.0)
 
 
 def _z_start_rows(ch, _, beta):
@@ -346,7 +340,7 @@ def _z_start_rows(ch, _, beta):
 @functools.lru_cache(maxsize=None)
 def union_bound(scheme: str, order: int) -> UnionBound:
     """The cached UnionBound of constellation_for(scheme, order)."""
-    return UnionBound(constellation_for(scheme, order))
+    return UnionBound(scheme, order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,7 +351,7 @@ def _terms(scheme: str) -> _Terms:
 
 # the row kernel of each UnionBound method, and its outputs: the one
 # table that the method and union_bound_rows both read
-_KERNELS = {UnionBound.u: (_u_rows, 1), UnionBound.floor: (_floor_rows, 1),
+_KERNELS = {UnionBound.u: (_u_rows, 1),
             UnionBound.u_and_slope: (_uv_rows, 2),
             UnionBound.u_and_acf_slope: (_uw_rows, 2)}
 
@@ -618,18 +612,14 @@ def _ln_gamma_roots(order, norm_sq: float, acf, beta: float,
                     x) -> LockstepRoots:
     """The roots in x = ln(gamma) of u = beta at every QAM row (order, C),
     by `newton_lockstep` from x on the open bracket (-inf, +inf), with u at
-    gamma capped at 2^54 / ((1 - C^2) s^2), s^2 the order's least |s|^2:
-    past it every term's 2 gamma (1 - C^2) |s|^2 + 2 loses its 2 to
-    rounding and u reads its floor. A root not below the cap is not found."""
-    terms = _terms("qam")
-    s_sq = np.minimum.reduceat(terms.s_sq, terms.start)[
-        _order_rows(order, "modulation")]
-    with np.errstate(divide="ignore"):  # no cap at C = 1, whose floor is 0
-        x_cap = np.log(2.0 ** 54 / ((1.0 - acf * acf) * s_sq))
+    gamma = e^x uncapped: past gamma of order 2^53 / ((1 - C^2) |s|^2) the
+    2 / gamma of every term's denominator is lost to rounding and u reads
+    its floor u(C, inf), so a root exists wherever the floor is below
+    beta."""
     return newton_lockstep(
         lambda live, x: union_bound_rows(
             "qam", order[live], UnionBound.u_and_slope, norm_sq, acf[live],
-            np.exp(np.minimum(x, x_cap[live]))),
+            np.exp(x)),
         beta, x, -np.inf, np.inf, _LN_TOL)
 
 
@@ -677,7 +667,8 @@ def _qam_gamma_rows(norm_sq: float, order, acf,
     Each sample solves ln u(e^x) = ln(beta) in x = ln(gamma) by
     `_ln_gamma_roots` on the open bracket (-inf, +inf). The ends hold as
     limits: u(0) = W/2 > beta, with W the bound's whole weight, and u(inf)
-    is the floor, checked below beta first. A sample is done when a Newton
+    is the floor, checked below beta first, by the arithmetic that the
+    iterates read (`u` at gamma = inf). A sample is done when a Newton
     step moves it by at most _LN_TOL (1e-9), or when its bracket is
     narrower than that; its root is that last iterate. Samples never mix:
     each keeps its own bracket, iterate, count and final step, and all run
@@ -701,11 +692,12 @@ def _qam_gamma_rows(norm_sq: float, order, acf,
     Returns the roots in gamma. Raises InfeasibleCsiError naming the
     lowest order that cannot reach beta at some sample, as 2-PSK at rate 1
     (`constellation_for`), and that order's first such sample: where its
-    floor does not fall below beta, or where its start at its own C is not
-    finite or its root is not found below `_ln_gamma_roots`' cap, either
-    of which where the floor is below beta happens only within rounding of
-    the floor's edge. The floor is evaluated at each order's smallest C
-    alone unless a check fails.
+    floor u(C, inf) is at least beta, which the floor check decides. The
+    floor is evaluated at each order's smallest C alone unless a check
+    fails. Two routes are kept as well: a sample whose start at its own C
+    is not finite (BPSK on case1 and case2 at beta = 1e-5, the first
+    double of C past the floor's edge, whose floor is below beta), and a
+    sample solve that does not converge (no input found).
     """
     order, acf = np.broadcast_arrays(np.asarray(order, dtype=np.int64),
                                      np.asarray(acf, dtype=np.float64))
@@ -726,11 +718,11 @@ def _qam_gamma_rows(norm_sq: float, order, acf,
     # any of its samples does; only then is every sample checked
     lowest = [acf[order == m].min() for m in orders.tolist()]
     if (not np.isfinite(lower).all()
-            or np.any(union_bound_rows("qam", orders, UnionBound.floor,
-                                       norm_sq, lowest)[0] >= beta)):
+            or np.any(union_bound_rows("qam", orders, UnionBound.u, norm_sq,
+                                       lowest, np.inf)[0] >= beta)):
         raise infeasible(np.flatnonzero(~np.isfinite(lower) | (
-            union_bound_rows("qam", order, UnionBound.floor, norm_sq,
-                             acf)[0] >= beta)))
+            union_bound_rows("qam", order, UnionBound.u, norm_sq, acf,
+                             np.inf)[0] >= beta)))
     z_sq = _chebyshev_z_sq(orders, order, norm_sq, acf, beta, z_s, s_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         starts = np.log(_gamma_of_z(norm_sq, acf, z_sq))

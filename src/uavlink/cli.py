@@ -101,12 +101,12 @@ class RunConfig:
             if det not in _DETECTOR_TOKENS.values():
                 raise ConfigError(f"unknown detector {det!r} in run.detectors")
         # bep-curve and rate-opt take the linear SNR gamma = 10^(dB / 10).
-        # The bound and the Monte Carlo form gamma times at most
-        # max(||h||^2, 1 / ||h||^2, N) times constants below 2^13 (the
-        # bound's largest, 64-QAM's largest |s_m - s_mhat|^2 = 28 / 3 in
-        # the pairwise argument gamma ||h||^2 |s_m - s_mhat|^2); keeping
-        # that product 2^3 below the largest double keeps every value
-        # finite. In logs, as 1 / ||h||^2 itself may overflow
+        # The bound reads gamma only as 2 / gamma, which any SNR keeps
+        # finite; the Monte Carlo forms gamma times at most
+        # max(||h||^2, 1 / ||h||^2, N) times constants below 2^13 (64-QAM's
+        # largest |s_m - s_mhat|^2 is 28 / 3), and keeping that product 2^3
+        # below the largest double keeps every value finite. In logs, as
+        # 1 / ||h||^2 itself may overflow
         top_db = 10.0 * (math.log10(sys.float_info.max / 2.0 ** 16) - max(
             abs(math.log10(self.estimate.norm_sq)),
             math.log10(self.estimate.h.size)))
@@ -117,8 +117,7 @@ class RunConfig:
             if v > top_db:
                 raise ConfigError(
                     f"run.snr_db entry {v} dB exceeds {top_db:.2f} dB, above "
-                    "which the union bound or the Monte Carlo overflows on "
-                    "this channel")
+                    "which the Monte Carlo overflows on this channel")
         for v in self.acf:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(

@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -217,13 +218,14 @@ class TestUnionBound:
                    / (2 * eps))
         assert slope == pytest.approx(fd, rel=1e-7, abs=1e-300)
 
-        # floor: the C-limited limit of every pairwise argument
+        # floor: the C-limited limit of every pairwise argument, the bound
+        # at gamma = inf
         with np.errstate(divide="ignore", invalid="ignore"):
             lim = acf * acf * est.norm_sq * d_sq / (2.0 * (1.0 - acf * acf)
                                                     * s_sq)
         q_lim = np.where(n_mat > 0, q_function(np.sqrt(lim)), 0.0)
         want = np.sum(n_mat * q_lim) / norm
-        assert bound.floor(est.norm_sq, acf) == pytest.approx(
+        assert bound.u(est.norm_sq, acf, np.inf) == pytest.approx(
             want, rel=_tail_rel(want), abs=1e-300)
 
     @given(scheme=st.sampled_from(["psk", "qam"]),
@@ -247,6 +249,37 @@ class TestUnionBound:
         assert u_hi <= u_lo + 1e-12 + 1e-9 * u_lo
         assert bound.u_and_acf_slope(norm_sq, lo, gamma)[1] >= 0.0
 
+    @given(scheme=st.sampled_from(["psk", "qam"]),
+           order=st.sampled_from(SUPPORTED_ORDERS),
+           acf=st.floats(0.0, 1.0),
+           log_norm_sq=st.floats(-3.0, 3.0),
+           log_gamma=st.lists(st.floats(-3.0, 300.0), min_size=1,
+                              max_size=8))
+    @example(scheme="qam", order=64, acf=1.0, log_norm_sq=0.0,
+             log_gamma=[300.0])
+    @example(scheme="psk", order=2, acf=0.0, log_norm_sq=-3.0,
+             log_gamma=[-3.0])
+    @settings(max_examples=200, deadline=None)
+    def test_infinite_power_is_the_floor(self, scheme, order, acf,
+                                         log_norm_sq, log_gamma):
+        # gamma = inf is an input: u there is the floor, finite, with no
+        # warning, and at most u at every finite gamma (2 / gamma only
+        # raises each term's denominator). The bound is flat in gamma
+        # there, v = 0; its slope in C is the floor's, finite, and 0 at
+        # C = 1 with u
+        bound, norm_sq = union_bound(scheme, order), 10.0 ** log_norm_sq
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floor = bound.u(norm_sq, acf, np.inf)
+            u_v, v = bound.u_and_slope(norm_sq, acf, np.inf)
+            u_w, w = bound.u_and_acf_slope(norm_sq, acf, np.inf)
+            u = bound.u(norm_sq, acf, 10.0 ** np.array(log_gamma))
+        assert math.isfinite(floor) and floor == u_v == u_w
+        assert np.all(floor <= u)
+        assert v == 0.0 and 0.0 <= w < np.inf
+        if acf == 1.0:
+            assert floor == w == 0.0
+
     @pytest.mark.parametrize("scheme,order,terms", [
         ("qam", 16, 22), ("qam", 64, 224), ("psk", 64, 32)])
     def test_grouped_term_count(self, scheme, order, terms):
@@ -258,6 +291,19 @@ class TestUnionBound:
         c = constellation_for(scheme, order)
         assert bound.weight.sum() * order * c.bits_per_symbol == \
             pytest.approx(hamming_matrix(c).sum(), rel=1e-14)
+
+    @pytest.mark.parametrize("scheme,order", [("qam", 16), ("qam", 2),
+                                              ("psk", 8)])
+    def test_built_from_scheme_and_order(self, scheme, order):
+        # a bound is built from (scheme, order) alone, by constellation_for,
+        # so its arrays are the rows of the table its methods read
+        terms, k = _terms(scheme), SUPPORTED_ORDERS.index(order)
+        rows = slice(terms.start[k], terms.start[k] + terms.count[k])
+        bound = UnionBound(scheme, order)
+        assert (bound.scheme, bound.order) == (scheme, order)
+        for name in ("s_sq", "d_sq", "weight"):
+            assert np.array_equal(getattr(bound, name),
+                                  getattr(terms, name)[rows])
 
     def test_broadcasts_and_blocks(self, estimate):
         # a long array is evaluated in blocks; each point equals its own
@@ -275,10 +321,12 @@ class TestUnionBound:
 
 
 # the reference: each method's arithmetic on one order's (rows, 1)
-# columns against its (terms,) arrays, written out from the bound's s_sq,
-# d_sq and weight and `_special`'s functions, in blocks of rows x terms up
-# to _BLOCK values, cut apart independently of the package's chunks
+# columns against its (terms,) arrays, in (C, 1 / gamma), written out from
+# the bound's s_sq, d_sq and weight and `_special`'s functions, in blocks
+# of rows x terms up to _BLOCK values, cut apart independently of the
+# package's chunks
 _BLOCK = 1 << 14
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _sum(bound, part):
@@ -287,10 +335,9 @@ def _sum(bound, part):
 
 
 def _pep_ratio(bound, norm_sq, acf, gamma):
-    den = 2.0 * gamma * (1.0 - acf * acf) * bound.s_sq
-    den += 2.0
-    r = gamma * norm_sq * bound.d_sq
-    r /= den
+    den = 2.0 * (1.0 - acf * acf) * bound.s_sq
+    den += 2.0 / gamma
+    r = norm_sq * bound.d_sq / den
     return np.sqrt(r, out=r), den
 
 
@@ -304,37 +351,29 @@ def _uv_rows(bound, norm_sq, acf, gamma):
     arg = acf * r
     q, e = q_and_exp(arg)
     e *= arg
-    den *= math.sqrt(2.0 * math.pi)
+    e *= 1.0 / (_SQRT_2PI * gamma)
     e /= den
-    return _sum(bound, q), _sum(bound, e)
+    return _sum(bound, q), np.fmax(_sum(bound, e), 0.0)
 
 
 def _uw_rows(bound, norm_sq, acf, gamma):
     r, den = _pep_ratio(bound, norm_sq, acf, gamma)
     q, e = q_and_exp(acf * r)
     e *= r
-    g = 2.0 * gamma * bound.s_sq
-    g += 2.0
-    e *= g
-    den *= math.sqrt(2.0 * math.pi)
+    e *= 2.0 / gamma + 2.0 * bound.s_sq
+    den *= _SQRT_2PI
     e /= den
-    return _sum(bound, q), _sum(bound, e)
-
-
-def _floor_rows(bound, norm_sq, acf):
-    with np.errstate(divide="ignore"):
-        arg = acf * np.sqrt(norm_sq * bound.d_sq
-                            / (2.0 * (1.0 - acf * acf) * bound.s_sq))
-    return (_sum(bound, q_tail(arg)),)
+    return _sum(bound, q), np.fmax(_sum(bound, e), 0.0)
 
 
 # the multi-order evaluation, method by method, with its reference and
-# the arrays each takes
+# the arrays each takes; "gamma" holds a few 0s and infs among its values,
+# and the floor is u at gamma = inf ("inf")
 _ROW_METHODS = [
     (UnionBound.u, _u_rows, ("acf", "gamma")),
     (UnionBound.u_and_slope, _uv_rows, ("acf", "gamma")),
     (UnionBound.u_and_acf_slope, _uw_rows, ("acf", "gamma")),
-    (UnionBound.floor, _floor_rows, ("acf",)),
+    (UnionBound.u, _u_rows, ("acf", "inf")),
 ]
 
 
@@ -349,14 +388,24 @@ def _per_order(bound, ref, norm_sq, *args):
     cols = [np.broadcast_to(np.asarray(a, dtype=np.float64),
                             shape).reshape(-1, 1) for a in args]
     n = max(1, _BLOCK // bound.n_terms)
-    blocks = [ref(bound, norm_sq, *(c[lo:lo + n] for c in cols))
-              for lo in range(0, max(len(cols[0]), 1), n)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        blocks = [ref(bound, norm_sq, *(c[lo:lo + n] for c in cols))
+                  for lo in range(0, max(len(cols[0]), 1), n)]
     outs = tuple(np.concatenate(out).reshape(shape) for out in zip(*blocks))
     return tuple(map(float, outs)) if shape == () else outs
 
 
 _ROW = st.tuples(st.sampled_from(SUPPORTED_ORDERS), st.floats(0.0, 1.0),
-                 st.floats(-3.0, 6.0))
+                 st.floats(-3.0, 6.0) | st.sampled_from([-np.inf, np.inf]))
+
+
+def _ends(rng, acf, gamma):
+    """acf and gamma with about one value in ten of each moved to an end
+    of its domain: C to 0 or 1, gamma to 0 or inf."""
+    return (np.where(rng.random(acf.size) < 0.1, rng.choice([0.0, 1.0],
+                                                             acf.size), acf),
+            np.where(rng.random(gamma.size) < 0.1,
+                     rng.choice([0.0, np.inf], gamma.size), gamma))
 
 
 class TestUnionBoundRows:
@@ -415,6 +464,9 @@ class TestUnionBoundRows:
              n_more=37, n_low=8191, seed=2)
     @example(scheme="psk", head=[(32, 0.9, 3.0)], n_more=200,
              n_low=16383, seed=3)
+    @example(scheme="qam", head=[(16, 1.0, np.inf), (4, 0.5, -np.inf),
+                                 (64, 0.9, np.inf)],
+             n_more=0, n_low=0, seed=4)
     @settings(max_examples=30, deadline=None)
     def test_each_row_equals_its_own_order(self, estimate, scheme, head,
                                            n_more, n_low, seed):
@@ -437,6 +489,10 @@ class TestUnionBoundRows:
                                              [r[2] for r in head],
                                              rng.uniform(-3.0, 6.0, n_more)]),
         }
+        tail = slice(n_low + len(head), None)
+        cols["acf"][tail], cols["gamma"][tail] = _ends(
+            rng, cols["acf"][tail], cols["gamma"][tail])
+        cols["inf"] = np.full(n_all, np.inf)
         norm_sq = estimate.norm_sq
         for method, ref, names in _ROW_METHODS:
             got = union_bound_rows(scheme, cols["order"], method, norm_sq,
@@ -461,8 +517,9 @@ class TestUnionBoundRows:
         # against the always-blocked reference: 0-d, empty, one-chunk and
         # multi-chunk (36 rows per 64-QAM chunk, 73 per reference block)
         rng = np.random.default_rng(n_rows)
-        cols = {"acf": rng.uniform(0.0, 1.0, n_rows),
-                "gamma": 10.0 ** rng.uniform(-3.0, 6.0, n_rows)}
+        acf, gamma = _ends(rng, rng.uniform(0.0, 1.0, n_rows),
+                           10.0 ** rng.uniform(-3.0, 6.0, n_rows))
+        cols = {"acf": acf, "gamma": gamma, "inf": np.full(n_rows, np.inf)}
         bound, norm_sq = union_bound("qam", 64), estimate.norm_sq
         args = [cols[k] for k in names]
         want = _per_order(bound, ref, norm_sq, *args)

@@ -359,8 +359,7 @@ class TestGridValidation:
     def test_overflowing_snr_exits_2(self, tmp_path, capsys, command,
                                      snr_db):
         # 4000 dB overflows the linear SNR itself; 3082 dB has a finite
-        # linear SNR at which the union bound and the Monte Carlo overflow
-        # on case1; 3025.36 dB lies just above case1's limit of
+        # linear SNR at which the Monte Carlo overflows on case1; 3025.36 dB lies just above case1's limit of
         # 10 log10(max double / (2^16 * max(||h||^2, 1/||h||^2, N = 8))):
         # one error line, exit 2 and no output, not a traceback
         cfg = write_config(tmp_path, BASE_RUN.replace("snr_db = 6 12",

@@ -171,53 +171,67 @@ class TestQamSolver:
     @pytest.mark.parametrize("beta", [1e-2, 1e-5, 1e-9, 1e-15])
     def test_bpsk_floor_edge_roots_or_infeasible(self, case, beta):
         # BPSK's start is its one term's root, which is the floor's: in the
-        # first ulps of C whose floor lies below beta a start can round
-        # past the edge, and the sample is then infeasible, not unsolved
+        # first ulps of C whose floor u(C, inf) lies below beta a start can
+        # round past the edge (case1 and case2 at 1e-5, the first double),
+        # and the sample is then infeasible, not unsolved
         est = load_fixture(case).estimate
         bound = union_bound("qam", 2)
-        _, edge = _bisect(lambda c: bound.floor(est.norm_sq, c) - beta,
+        _, edge = _bisect(lambda c: bound.u(est.norm_sq, c, np.inf) - beta,
                           0.0, 1.0)
         for c in edge + np.spacing(edge) * np.arange(8):
             try:
                 root = _qam_root(2, est, c, beta).root[0]
             except InfeasibleCsiError:
                 continue
-            assert root > 1e13  # the ill-conditioned edge's, past any cap
+            assert 1e13 < root < np.inf  # the ill-conditioned edge's
 
-    def test_4qam_floor_edge_is_infeasible(self, fx, monkeypatch):
-        # case1 at 1e-15, the first C whose 4-QAM floor lies below beta (by
-        # 1.3e-15 relative): from gamma = 1e16 to 1.6e17, past which the 2
-        # of the terms' denominator is lost to rounding, the bound reads
-        # 1.3e-14 to 3.4e-14 above beta, so no power reaches it. The solve
-        # stepped gamma to overflow and failed; the sample is infeasible,
-        # with no RuntimeWarning. The next two doubles of C keep their roots
-        edge, beta, norm_sq = 0.9424859382392039, 1e-15, fx.estimate.norm_sq
-        message = "4-QAM cannot reach 1e-15 at C=0.942486 for any power"
+    @pytest.mark.parametrize("order,beta", [(4, 1e-15), (16, 1e-5),
+                                            (64, 1e-3), (8, 1e-8),
+                                            (2, 1e-9)])
+    def test_floor_edge(self, fx, monkeypatch, order, beta):
+        # the floor's edge on case1, by bisection on doubles of
+        # u(C, inf) - beta: the power solve reads the floor check's
+        # arithmetic, so the last double where u(C, inf) >= beta is
+        # infeasible, with no RuntimeWarning, and min_power_schedule names
+        # its region; each of the next 40 doubles has a finite root
+        norm_sq, bound = fx.estimate.norm_sq, union_bound("qam", order)
+        last, first = _bisect(
+            lambda c: 1.0 if bound.u(norm_sq, c, np.inf) >= beta else -1.0,
+            0.0, 1.0)
+        assert bound.u(norm_sq, last, np.inf) >= beta
+        assert bound.u(norm_sq, first, np.inf) < beta
+        name = "PSK" if order == 2 else "QAM"
+        message = (f"{order}-{name} cannot reach {beta:g} at C={last:.6f} "
+                   "for any power")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleCsiError,
                                match=f"^{re.escape(message)}$") as info:
-                bep_analysis._qam_gamma_rows(norm_sq, 4, edge, beta)
-            assert info.value.order == 4
-            up = np.nextafter(edge, 1.0)
-            for c, want, evaluations in ((up, 4.4378e15, 1),
-                                         (np.nextafter(up, 1.0), 2.6459e15,
-                                          28)):
-                roots = bep_analysis._qam_gamma_rows(norm_sq, 4, c, beta)
-                assert roots.root[0] == pytest.approx(want, rel=1e-4)
-                assert roots.iterations.tolist() == [evaluations]
-            # a trace whose rate-2 samples all sit at the edge: its
-            # min_power_schedule names the region
-            monkeypatch.setattr(power_control, "temporal_acf",
-                                lambda wobble, lag: np.full(np.shape(lag),
-                                                            edge))
-            schedule = RateSchedule("qam", np.array([0.5, 0.9]),
-                                    np.array([0.02, 0.01]), 1e-3)
-            scenario = dataclasses.replace(fx.scenario, bep_threshold=beta)
-            with pytest.raises(ScheduleError, match=re.escape(
-                    f"power infeasible inside rate-2 region ({message})")):
-                min_power_schedule(schedule, fx.estimate, scenario, fx.wobble,
-                                   sample_dt=1e-3)
+                bep_analysis._qam_gamma_rows(norm_sq, order, last, beta)
+            assert info.value.order == order
+            c = first
+            for _ in range(40):
+                root = bep_analysis._qam_gamma_rows(norm_sq, order, c,
+                                                    beta).root[0]
+                assert 0.0 < root < np.inf
+                assert bound.u(norm_sq, c, root) == pytest.approx(beta,
+                                                                  rel=1e-8)
+                c = np.nextafter(c, 1.0)
+        # a trace whose samples all sit at the last infeasible double: the
+        # lower orders' floors lie below beta there, so min_power_schedule
+        # names the order's region
+        rate = order.bit_length() - 1
+        for m in range(1, rate):
+            assert union_bound("qam", 1 << m).u(norm_sq, last, np.inf) < beta
+        monkeypatch.setattr(power_control, "temporal_acf",
+                            lambda wobble, lag: np.full(np.shape(lag), last))
+        schedule = RateSchedule("qam", np.linspace(0.5, 0.9, rate),
+                                np.linspace(0.02, 0.01, rate), 1e-3)
+        scenario = dataclasses.replace(fx.scenario, bep_threshold=beta)
+        with pytest.raises(ScheduleError, match=re.escape(
+                f"power infeasible inside rate-{rate} region ({message})")):
+            min_power_schedule(schedule, fx.estimate, scenario, fx.wobble,
+                               sample_dt=1e-3)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
            log_beta=st.floats(-8.0, -2.0))
@@ -231,7 +245,7 @@ class TestQamSolver:
         order = rng.choice([2, 4, 8, 16, 32, 64], n)
         acf = 1.0 - 10.0 ** rng.uniform(-5.0, -0.3, n)
         beta, norm_sq = 10.0 ** log_beta, fx.estimate.norm_sq
-        floor = np.array([union_bound("qam", int(m)).floor(norm_sq, c)
+        floor = np.array([union_bound("qam", int(m)).u(norm_sq, c, np.inf)
                           for m, c in zip(order, acf)])
         bad = np.flatnonzero(floor >= beta)
         if not bad.size:
@@ -709,8 +723,8 @@ class TestOneSolveEqualsRegionLoop:
                                                   kernel_fault):
         # a 16-QAM floor above every threshold: no power serves rate 4
         schedule, _ = qam_power
-        kernel_fault(UnionBound.floor,
-                     lambda order, f: (np.where(order == 16, 1.0, f),))
+        kernel_fault(UnionBound.u,
+                     lambda order, u: (np.where(order == 16, 1.0, u),))
         with pytest.raises(ScheduleError, match="rate-4 region .16-QAM"):
             min_power_schedule(schedule, fx.estimate, fx.scenario, fx.wobble,
                                sample_dt=4e-5)

@@ -220,8 +220,12 @@ def test_union_bound_at_a_negative_acf(order):
 
 @pytest.mark.parametrize("scheme", ["psk", "qam"])
 def test_floor_at_perfect_csi_is_zero(scheme):
-    # C = 1 makes every pairwise argument infinite: Q(inf) = 0, quietly
+    # the floor is u at gamma = inf: C = 1 makes every pairwise argument
+    # infinite there, Q(inf) = 0 and both slopes 0, quietly
     for order in (2, 16, 64):
-        assert union_bound(scheme, order).floor(2.0, 1.0) == 0.0
-    assert UnionBound.floor(union_bound(scheme, 4), 2.0,
-                            np.array([1.0, 0.5]))[0] == 0.0
+        bound = union_bound(scheme, order)
+        assert bound.u(2.0, 1.0, np.inf) == 0.0
+        assert bound.u_and_slope(2.0, 1.0, np.inf) == (0.0, 0.0)
+        assert bound.u_and_acf_slope(2.0, 1.0, np.inf) == (0.0, 0.0)
+    assert UnionBound.u(union_bound(scheme, 4), 2.0, np.array([1.0, 0.5]),
+                        np.inf)[0] == 0.0
